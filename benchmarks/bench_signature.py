@@ -42,15 +42,24 @@ REPEAT = 2 if QUICK else 3
 #: of each pair above); the all-distinct row is informational.
 REQUIRED_SPEEDUP = 1.5 if QUICK else 2.0
 
+#: Full-mode speedups of the kernel this one replaced (per-window
+#: re-normalisation, no clip scorer), by distinct-signature count, measured
+#: at the parent commit on the machine that wrote the committed report.
+PARENT_SPEEDUP = {100: 19.6, 4_000: 2.5}
+
 RESULTS_PATH = Path("BENCH_signature.json")
 
 
-def best_of(fn, repeat=REPEAT):
+def best_of(fn, make_atom, repeat=REPEAT):
+    """Best time of ``fn(atom)``, each repeat on a fresh atom object built
+    outside the timer: the clip scorer (prepared windows, signature → score
+    memo) lives on the atom, so a re-used atom would time memo lookups."""
     best = None
     value = None
     for __ in range(repeat):
+        atom = make_atom()
         start = time.perf_counter()
-        value = fn()
+        value = fn(atom)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -105,12 +114,17 @@ def test_signature_retrieval(report):
         clip = [segments[0].signature] + [
             random_signature(rng) for __ in range(N_WINDOWS - 1)
         ]
-        atom = looks_like_atom(clip, THETA, name="probe")
 
-        oracle_seconds, oracle = best_of(lambda: oracle_list(atom, segments))
+        def make_atom():
+            return looks_like_atom(clip, THETA, name="probe")
+
+        oracle_seconds, oracle = best_of(
+            lambda atom: oracle_list(atom, segments), make_atom
+        )
         system.stats.reset()
         indexed_seconds, indexed = best_of(
-            lambda: system.similarity_list(atom, use_index=True)
+            lambda atom: system.similarity_list(atom, use_index=True),
+            make_atom,
         )
         assert indexed == oracle, (
             f"indexed ranking diverged from the brute-force oracle at "
@@ -126,6 +140,7 @@ def test_signature_retrieval(report):
                 "oracle_seconds": oracle_seconds,
                 "indexed_seconds": indexed_seconds,
                 "speedup": speedup,
+                "parent_speedup": None if QUICK else PARENT_SPEEDUP[n_bases],
                 "segments_scored": stats.segments_scored,
                 "fingerprint_hits": stats.fingerprint_hits,
                 "matches": len(indexed),

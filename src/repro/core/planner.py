@@ -879,18 +879,21 @@ class _PlanBuilder:
         """
         from repro.pictures.signature import (
             looks_like_atoms,
+            sample_positions,
             signature_match_rate,
         )
 
         nodes = looks_like_atoms(atom)
         if not nodes:
             return None
-        signatures = [
-            segment.signature for segment in self.pictures.segments
+        # Only the sampled segments are touched; a sample no longer than
+        # the cap is scored whole.
+        segments = self.pictures.segments
+        sample = [
+            segments[position].signature
+            for position in sample_positions(len(segments))
         ]
-        return max(
-            signature_match_rate(node, signatures) for node in nodes
-        )
+        return max(signature_match_rate(node, sample) for node in nodes)
 
     def _probe_candidates(
         self, atom: ast.Formula, binding: Dict[str, Any]

@@ -35,6 +35,7 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
 from repro.errors import UnsupportedFormulaError
 from repro.htl import ast
 from repro.model.metadata import SegmentMetadata
+from repro.pictures.signature import looks_like_score
 
 #: A binding of variable names (object and attribute alike) to values.
 Binding = Dict[str, Union[str, int, float]]
@@ -226,10 +227,6 @@ def score(
         extended[formula.var] = captured[0]
         return score(formula.sub, segment, extended, universe, narrow)
     if isinstance(formula, ast.LooksLike):
-        # Imported here: the signature backend is a sibling module that
-        # must stay import-light (no scoring dependency the other way).
-        from repro.pictures.signature import looks_like_score
-
         return looks_like_score(formula, segment.signature)
     raise UnsupportedFormulaError(
         f"{type(formula).__name__} is not scorable on a single segment"

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from operator import mul, sub
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SignatureError, WorkloadError
@@ -250,6 +251,145 @@ def window_bound(first: Sequence[float], second: Sequence[float]) -> float:
     return 0.5 * (1.0 - _l1_distance(first, second) / 2.0) + 0.5
 
 
+class ClipScorer:
+    """Scores stored signatures against one clip at one θ, each once.
+
+    Built once per resolved :class:`~repro.htl.ast.LooksLike` atom
+    object (:func:`clip_scorer`) and shared by everything that scores
+    that object during a request — the planner's match-rate sample, the
+    indexed sweep and the naive oracle scan, of every video, shard and
+    worker thread.  Two things are kept (DESIGN.md §16):
+
+    * each clip window *prepared* once — bin count, mass-normalised
+      vector, mean, variance, deviations from the mean — so a signature
+      is normalised once per call instead of once per window, and the
+      window never again;
+    * a memo ``signature value → score``: a recurring shot signature
+      runs the kernel once, however many segments and videos carry it.
+
+    Both are filled lazily on the query path and never at index build.
+    The arithmetic is that of :func:`window_bound` and
+    :func:`window_similarity` operation for operation (same operands,
+    same order, same ``sum``), so every score is bit-identical to the
+    definitional one.  Concurrent fills need no lock: an entry is a pure
+    function of (clip, θ, signature), so racing writers store equal
+    values.  The scorer holds the clip and θ, not the atom — no cycle,
+    so it is freed the moment its atom is.
+    """
+
+    def __init__(self, clip: Clip, theta: float):
+        self._clip = clip
+        self._theta = theta
+        self._windows: Optional[List[tuple]] = None
+        self._memo: Dict[Window, float] = {}
+
+    def score(self, signature: Optional[Window]) -> float:
+        """Best per-window similarity when it clears θ, else 0."""
+        if signature is None:
+            return 0.0
+        known = self._memo.get(signature)
+        if known is None:
+            known = self._memo[signature] = self._compute(signature)
+        return known
+
+    def _prepared_windows(self) -> List[tuple]:
+        windows = self._windows
+        if windows is None:
+            windows = []
+            for window in self._clip:
+                count = len(window)
+                total = sum(window)
+                if total <= 0.0:
+                    raise SignatureError(
+                        "cannot compare zero-total signature vectors"
+                    )
+                mean = total / count
+                deviations = [value - mean for value in window]
+                windows.append(
+                    (
+                        count,
+                        [value / total for value in window],
+                        mean,
+                        sum(d**2 for d in deviations) / count,
+                        deviations,
+                    )
+                )
+            self._windows = windows
+        return windows
+
+    def _compute(self, signature: Window) -> float:
+        theta = self._theta
+        count = len(signature)
+        total = sum(signature)
+        normalised = deviations = None
+        mean = variance = 0.0
+        best = 0.0
+        for (
+            w_count,
+            w_normalised,
+            w_mean,
+            w_variance,
+            w_deviations,
+        ) in self._prepared_windows():
+            if count != w_count or not count:
+                raise SignatureError(
+                    f"signature vectors must share a nonzero bin count, "
+                    f"got {count} and {w_count}"
+                )
+            if normalised is None:
+                if total <= 0.0:
+                    raise SignatureError(
+                        "cannot compare zero-total signature vectors"
+                    )
+                normalised = [value / total for value in signature]
+            distance = sum(map(abs, map(sub, normalised, w_normalised)))
+            # window_bound: the SSIM term is at most 1.
+            if 0.5 * (1.0 - distance / 2.0) + 0.5 < theta:
+                continue
+            if deviations is None:
+                mean = total / count
+                deviations = [value - mean for value in signature]
+                variance = sum(d**2 for d in deviations) / count
+            covariance = sum(map(mul, deviations, w_deviations)) / count
+            # ssim_score, then window_similarity.
+            ssim = (
+                (2.0 * mean * w_mean + SSIM_C1)
+                * (2.0 * covariance + SSIM_C2)
+            ) / (
+                (mean**2 + w_mean**2 + SSIM_C1)
+                * (variance + w_variance + SSIM_C2)
+            )
+            ssim = max(-1.0, min(1.0, ssim))
+            similarity = 0.5 * (1.0 - distance / 2.0) + 0.5 * (
+                (ssim + 1.0) / 2.0
+            )
+            if similarity > best:
+                best = similarity
+        return best if best >= theta else 0.0
+
+
+#: Instance-dict slot of an atom's scorer.  Not a dataclass field, so it
+#: is invisible to ``==``, ``hash``, ``structural_key``, pretty-printing,
+#: ``dataclasses.replace`` and serialisation, and dies with the atom.
+_SCORER_SLOT = "_clip_scorer"
+
+
+def clip_scorer(atom: ast.LooksLike) -> ClipScorer:
+    """The scorer of one resolved atom object, built on first use."""
+    scorer = vars(atom).get(_SCORER_SLOT)
+    if scorer is None:
+        if not atom.resolved:
+            raise SignatureError(
+                f"unresolved clip reference {atom.name!r}; resolve_clips() "
+                "must run before evaluation"
+            )
+        # setdefault is atomic: racing threads end up sharing one scorer.
+        scorer = vars(atom).setdefault(
+            _SCORER_SLOT, ClipScorer(atom.clip, atom.theta)
+        )
+    return scorer
+
+
 def looks_like_score(
     atom: ast.LooksLike, signature: Optional[Window]
 ) -> float:
@@ -260,23 +400,11 @@ def looks_like_score(
     empty segment of baseline probes) scores 0 — it cannot look like
     anything.  Windows whose cheap L1 bound already misses θ skip the
     SSIM pass; a window with true similarity ≥ θ always survives the
-    bound, so the thresholded result is exactly the unpruned one.
+    bound, so the thresholded result is exactly the unpruned one.  The
+    work happens in the atom's :class:`ClipScorer`, which scores each
+    distinct signature value once.
     """
-    if not atom.resolved:
-        raise SignatureError(
-            f"unresolved clip reference {atom.name!r}; resolve_clips() "
-            "must run before evaluation"
-        )
-    if signature is None:
-        return 0.0
-    best = 0.0
-    for window in atom.clip:
-        if window_bound(signature, window) < atom.theta:
-            continue
-        similarity = window_similarity(signature, window)
-        if similarity > best:
-            best = similarity
-    return best if best >= atom.theta else 0.0
+    return clip_scorer(atom).score(signature)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +417,15 @@ def looks_like_atoms(formula: ast.Formula) -> List[ast.LooksLike]:
     ]
 
 
+def sample_positions(count: int, sample_cap: int = 64) -> range:
+    """At most ``sample_cap`` evenly strided positions in ``range(count)``.
+
+    The stride is the *ceiling* of ``count / sample_cap``: a floored
+    stride lets ``range(0, count, stride)`` run to almost twice the cap.
+    """
+    return range(0, count, max(1, -(-count // max(1, sample_cap))))
+
+
 def signature_match_rate(
     atom: ast.LooksLike,
     signatures: Sequence[Optional[Window]],
@@ -298,20 +435,15 @@ def signature_match_rate(
 
     The planner's selectivity statistic for signature atoms: an evenly
     strided deterministic sample of at most ``sample_cap`` segment
-    signatures is scored against the clip.  Signature-less segments
-    count as non-matching (they score 0).  An unresolved atom has no
-    measurable clip; it reports 1.0 (no pricing information).
+    signatures (:func:`sample_positions`) is scored against the clip.
+    Signature-less segments count as non-matching (they score 0).  An
+    unresolved atom has no measurable clip; it reports 1.0 (no pricing
+    information).  The sample is scored through the atom's scorer, so
+    its scores are the first memo entries of the sweep that follows.
     """
     if not atom.resolved or not signatures:
         return 1.0
-    count = len(signatures)
-    stride = max(1, count // max(1, sample_cap))
-    sampled = 0
-    matched = 0
-    for position in range(0, count, stride):
-        sampled += 1
-        if looks_like_score(atom, signatures[position]) > 0.0:
-            matched += 1
-    if not sampled:
-        return 1.0
-    return matched / sampled
+    positions = sample_positions(len(signatures), sample_cap)
+    score = clip_scorer(atom).score
+    matched = sum(score(signatures[position]) > 0.0 for position in positions)
+    return matched / len(positions)

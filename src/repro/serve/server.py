@@ -76,8 +76,9 @@ class ServeStats:
 
     The counter block is the conservation ledger; ``queue_depths`` /
     ``in_flight`` / ``healthy_workers`` are point-in-time gauges; the
-    ``*_ms`` dicts are latency-histogram summaries (p50/p95/p99) from
-    the same reservoir histograms the metrics registry uses.
+    ``*_ms`` dicts are latency-histogram summaries (p50/p95/p99, in
+    milliseconds) from the same reservoir histograms the metrics
+    registry uses.
     """
 
     submitted: int = 0
@@ -141,13 +142,15 @@ class ServeStats:
 
 
 def _summary(histogram: trace.Histogram) -> Dict[str, float]:
+    """Milliseconds, for the ``*_ms`` fields — the histograms, like the
+    process registry's, are observed in seconds."""
     summary = histogram.summary()
     return {
         "count": summary.count,
-        "p50": round(summary.p50, 3),
-        "p95": round(summary.p95, 3),
-        "p99": round(summary.p99, 3),
-        "max": round(summary.maximum, 3),
+        "p50": round(summary.p50 * 1000.0, 3),
+        "p95": round(summary.p95 * 1000.0, 3),
+        "p99": round(summary.p99 * 1000.0, 3),
+        "max": round(summary.maximum * 1000.0, 3),
     }
 
 

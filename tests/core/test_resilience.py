@@ -26,6 +26,8 @@ from repro.htl import parse
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
+from repro.pictures.retrieval import PictureRetrievalSystem
+from repro.pictures.signature import looks_like_atom
 
 
 class FakeClock:
@@ -107,6 +109,27 @@ class TestQueryBudget:
         with pytest.raises(BudgetExceededError):
             budget.charge(5)
         assert instrument.counters()[instrument.BUDGET_EXCEEDED] == 1
+
+    def test_warm_clip_scorer_charges_the_same_steps(self):
+        """The signature → score memo sits below ``score()``: sweeping
+        with every score already memoised on the atom is charged exactly
+        like the first sweep, on the indexed and the naive path."""
+        signatures = [(3.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)]
+        segments = [
+            SegmentMetadata(signature=signatures[index % 3])
+            for index in range(300)
+        ]
+        system = PictureRetrievalSystem(segments)
+        atom = looks_like_atom([signatures[0]], 0.9)
+        for use_index in (True, False):
+            charged = []
+            for __ in range(2):
+                budget = QueryBudget(clock=FakeClock())
+                with resilience.scope(budget=budget):
+                    system.similarity_list(atom, use_index=use_index)
+                charged.append(budget.steps)
+            # One step for the binding, one per segment visited.
+            assert charged == [301, 301]
 
 
 class TestCircuitBreaker:

@@ -275,6 +275,10 @@ confidences = st.one_of(
 names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=6
 )
+# make_object() takes attributes as keywords next to these parameters.
+object_attr_names = names.filter(
+    lambda name: name not in ("object_id", "type", "confidence")
+)
 
 
 @st.composite
@@ -289,7 +293,9 @@ def segment_metadata(draw):
     for object_id in object_ids:
         attrs = {
             name: Fact(draw(attr_values), draw(confidences))
-            for name in draw(st.lists(names, max_size=2, unique=True))
+            for name in draw(
+                st.lists(object_attr_names, max_size=2, unique=True)
+            )
         }
         objects.append(
             make_object(

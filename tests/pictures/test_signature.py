@@ -9,13 +9,18 @@ near-universal candidate sets without changing any ranking.  These tests
 check those claims property-style, mirroring ``test_index_driven.py``.
 """
 
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig, RetrievalEngine
+from repro.core.topk import top_k_across_videos
 from repro.errors import (
     HTLTypeError,
     MetadataError,
@@ -25,18 +30,23 @@ from repro.errors import (
 )
 from repro.htl import ast
 from repro.htl.parser import parse
+from repro.htl.pretty import pretty
 from repro.htl.variables import free_object_vars
+from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import segment_from_dict, segment_to_dict
 from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.pictures.signature import (
+    ClipScorer,
     average_histograms,
     clip_from_segments,
+    clip_scorer,
     looks_like_atom,
     looks_like_atoms,
     looks_like_score,
     resolve_clips,
+    sample_positions,
     signature_match_rate,
     ssim_score,
     unresolved_clip_names,
@@ -44,6 +54,7 @@ from repro.pictures.signature import (
     window_similarity,
 )
 from repro.pictures.support import DENSE_CUTOFF
+from repro.shard import ShardedCorpus
 from tests.integration.strategies import KINDS, TYPES, segment_metadata
 from tests.pictures.test_index_driven import assert_tables_equal
 
@@ -67,6 +78,20 @@ def signed(segment, signature):
         relationships=list(segment.relationships),
         signature=signature,
     )
+
+
+def count_kernel_runs(monkeypatch):
+    """Wrap the clip scorer's kernel; the returned list grows by one
+    signature per run."""
+    runs = []
+    compute = ClipScorer._compute
+
+    def counted(self, signature):
+        runs.append(signature)
+        return compute(self, signature)
+
+    monkeypatch.setattr(ClipScorer, "_compute", counted)
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +347,237 @@ class TestWindowSimilarity:
         assert signature_match_rate(atom, []) == 1.0
         unresolved = ast.LooksLike(theta=0.5, name="q")
         assert signature_match_rate(unresolved, signatures) == 1.0
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 127, 250, 320, 8000])
+    def test_match_rate_sample_respects_its_cap(self, count, monkeypatch):
+        assert 1 <= len(sample_positions(count, 64)) <= 64
+        # Every signature distinct: kernel runs == segments sampled.
+        signatures = [(1.0 + position, 1.0) for position in range(count)]
+        sampled = count_kernel_runs(monkeypatch)
+        atom = looks_like_atom([(0.5, 0.5)], 0.9)
+        rate = signature_match_rate(atom, signatures)
+        assert sampled == [
+            signatures[position] for position in sample_positions(count, 64)
+        ]
+        assert rate == sum(
+            looks_like_score(atom, s) > 0.0 for s in sampled
+        ) / len(sampled)
+        # Signature-less segments count as non-matching, as before.
+        assert signature_match_rate(atom, [None] * count) == 0.0
+        unresolved = ast.LooksLike(theta=0.5, name="q")
+        assert signature_match_rate(unresolved, signatures) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the clip scorer: prepared windows + signature → score memo on the atom
+# ---------------------------------------------------------------------------
+SCORER_THETAS = [0.0, 0.5, 0.8, 0.9, 0.95, 1.0]
+
+
+@st.composite
+def clip_and_signatures(draw):
+    """A clip (1–6 windows, 1–32 bins) and signatures to score against
+    it: mass-normalised, un-normalised (scaled 0.1–10), and verbatim
+    copies of clip windows."""
+    n_bins = draw(st.integers(1, 32))
+    vector = st.lists(
+        st.one_of(st.just(0.0), st.floats(0.001, 1.0)),
+        min_size=n_bins,
+        max_size=n_bins,
+    ).filter(lambda bins: sum(bins) > 0.0)
+    clip = [tuple(w) for w in draw(st.lists(vector, min_size=1, max_size=6))]
+    signatures = [draw(st.sampled_from(clip))]
+    for raw in draw(st.lists(vector, min_size=1, max_size=4)):
+        total = sum(raw)
+        scale = draw(st.floats(0.1, 10.0))
+        signatures.append(tuple(value / total for value in raw))
+        signatures.append(tuple(value * scale for value in raw))
+    return clip, signatures
+
+
+def shared_signature_corpus(n_videos=3, n_segments=20, n_bases=10):
+    """Videos whose segments draw their signatures from one shared pool
+    (every base in every video); a few segments also carry objects so
+    their content profiles differ."""
+    bases = [
+        tuple(1.0 + ((base * 7 + position * 3) % 11) for position in range(8))
+        for base in range(n_bases)
+    ]
+    database = VideoDatabase()
+    for number in range(n_videos):
+        segments = [
+            SegmentMetadata(
+                objects=(
+                    [make_object(f"o{index}", "person")]
+                    if index % 5 == number
+                    else []
+                ),
+                signature=bases[(index + number) % n_bases],
+            )
+            for index in range(n_segments)
+        ]
+        database.add(flat_video(f"v{number}", segments))
+    return database, bases
+
+
+class TestClipScorer:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=clip_and_signatures(), theta=st.sampled_from(SCORER_THETAS))
+    def test_scorer_equals_the_definition_exactly(self, drawn, theta):
+        clip, signatures = drawn
+        atom = looks_like_atom(clip, theta)
+        for signature in signatures:
+            best = max(window_similarity(signature, w) for w in clip)
+            expected = best if best >= theta else 0.0
+            # First call runs the kernel, the second reads the memo.
+            assert looks_like_score(atom, signature) == expected
+            assert looks_like_score(atom, signature) == expected
+
+    def test_typed_errors_unchanged(self):
+        atom = looks_like_atom([PALETTE[0]], 0.5)
+        with pytest.raises(SignatureError, match="zero-total"):
+            looks_like_score(atom, (0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(SignatureError, match="bin count"):
+            looks_like_score(atom, (0.5, 0.5))
+        with pytest.raises(SignatureError, match="bin count"):
+            looks_like_score(atom, ())
+        # A failure leaves nothing behind: it fails again, others score.
+        with pytest.raises(SignatureError, match="bin count"):
+            looks_like_score(atom, (0.5, 0.5))
+        assert looks_like_score(atom, PALETTE[0]) == 1.0
+        empty_mass = looks_like_atom([(0.0, 0.0, 0.0, 0.0)], 0.5)
+        for __ in range(2):
+            with pytest.raises(SignatureError, match="zero-total"):
+                looks_like_score(empty_mass, PALETTE[0])
+        assert looks_like_score(empty_mass, None) == 0.0
+        unresolved = ast.LooksLike(theta=0.5, name="q")
+        with pytest.raises(SignatureError, match="resolve_clips"):
+            looks_like_score(unresolved, None)
+        with pytest.raises(SignatureError, match="resolve_clips"):
+            clip_scorer(unresolved)
+
+    def test_scorer_is_invisible_to_the_formula_value(self):
+        cold = looks_like_atom([PALETTE[0]], 0.8, name="q")
+        warm = looks_like_atom([PALETTE[0]], 0.8, name="q")
+        looks_like_score(warm, PALETTE[1])
+        assert clip_scorer(warm) is clip_scorer(warm)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert pretty(warm) == pretty(cold)
+        assert ast.structural_key(warm) == ast.structural_key(cold)
+        assert ast.Not(warm) == ast.Not(cold)
+
+    @pytest.mark.parametrize(
+        "config", [EngineConfig(), EngineConfig(naive_atoms=True, plan=False)]
+    )
+    def test_each_signature_scored_once_per_request(self, config, monkeypatch):
+        database, bases = shared_signature_corpus()
+        runs = count_kernel_runs(monkeypatch)
+        clips = {"q": (bases[0], bases[3])}
+        text = "looks_like('q', 0.9) and eventually (exists x . present(x))"
+        engine = RetrievalEngine(config)
+        for __ in range(2):
+            formula = resolve_clips(parse(text), clips)
+            top_k_across_videos(engine, formula, database, 5, prune=False)
+            # Planner sample, sweep or oracle scan, three videos: one
+            # kernel run per distinct signature — and a new request (a
+            # newly resolved formula) starts from an empty memo.
+            assert sorted(runs) == sorted(bases)
+            runs.clear()
+
+    def test_atoms_never_share_entries(self):
+        loose = looks_like_atom([PALETTE[0]], 0.55)
+        strict = looks_like_atom([PALETTE[0]], 0.999)
+        assert clip_scorer(loose) is not clip_scorer(strict)
+        assert looks_like_score(loose, PALETTE[1]) > 0.0
+        assert looks_like_score(strict, PALETTE[1]) == 0.0
+        assert looks_like_score(loose, PALETTE[1]) > 0.0
+        # Structurally equal atoms are still two objects, two scorers.
+        twin = looks_like_atom([PALETTE[0]], 0.55)
+        assert twin == loose
+        assert clip_scorer(twin) is not clip_scorer(loose)
+
+    def test_scorer_dies_with_its_formula(self):
+        database, bases = shared_signature_corpus()
+        atom = looks_like_atom([bases[0]], 0.9)
+        for video in database.videos():
+            pictures = video.root.pictures_at_level(2)
+            assert pictures.similarity_list(atom) == pictures.similarity_list(
+                atom, use_index=False
+            )
+        scorer = weakref.ref(clip_scorer(atom))
+        assert scorer() is not None
+        del atom
+        gc.collect()
+        assert scorer() is None
+
+    def test_concurrent_fills_agree_and_share_one_scorer(self):
+        """No lock guards the scorer: racing threads must still end up
+        with one scorer per atom and the definitional score per entry."""
+        clip = [PALETTE[0], PALETTE[2]]
+        signatures = [
+            (1.0 + step % 7, 2.0 + step % 5, 1.0, 3.0 + step % 3)
+            for step in range(105)
+        ]
+        expected = [
+            max(window_similarity(signature, w) for w in clip)
+            for signature in signatures
+        ]
+        atom = looks_like_atom(clip, 0.0)
+        barrier = threading.Barrier(8, timeout=10)
+        seen = []
+
+        def worker():
+            barrier.wait()
+            scorer = clip_scorer(atom)
+            seen.append(
+                (scorer, [looks_like_score(atom, s) for s in signatures])
+            )
+
+        threads = [threading.Thread(target=worker) for __ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(scorer is clip_scorer(atom) for scorer, __ in seen)
+        assert all(scores == expected for __, scores in seen)
+
+    def test_parallel_and_sharded_rows_equal_serial(self):
+        database, bases = shared_signature_corpus(n_videos=4)
+        clips = {"q": (bases[0], bases[3])}
+        text = "looks_like('q', 0.9) and eventually (exists x . present(x))"
+
+        def rows(result):
+            return [
+                (s.video, s.segment_id, s.actual, s.maximum) for s in result
+            ]
+
+        def fresh():
+            return resolve_clips(parse(text), clips)
+
+        serial = rows(
+            top_k_across_videos(
+                RetrievalEngine(), fresh(), database, 6, prune=False
+            )
+        )
+        assert serial
+        threaded = top_k_across_videos(
+            RetrievalEngine(), fresh(), database, 6, prune=False, parallelism=4
+        )
+        assert rows(threaded) == serial
+        corpus = ShardedCorpus.from_database(database, 2)
+        for parallelism in (None, 2):
+            sharded = corpus.top_k(
+                RetrievalEngine(), fresh(), 6, parallelism=parallelism
+            )
+            assert rows(sharded) == serial
 
 
 # ---------------------------------------------------------------------------

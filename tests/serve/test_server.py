@@ -222,6 +222,33 @@ class TestDrain:
         assert payload["latency_ms"]["standard"]["count"] == 1
         assert payload["n_workers"] == 2
 
+    def test_ms_summaries_are_milliseconds(self, pool):
+        """A fake clock holds a request 13 ms in the queue and stands
+        still while it is served: every ``*_ms`` summary must say 13,
+        not 0.013."""
+        now = [0.0]
+        server = RetrievalServer(
+            pool, classes=serve_classes(), clock=lambda: now[0]
+        )
+        server._started = True  # no threads: we drive dispatch by hand
+        ticket = server.submit(request_for(sla="interactive"))
+        now[0] = 0.013
+        server._serve_one(pool.workers[0], server._queue.take(0.1))
+        result = ticket.result(0.0)
+        assert result.status == STATUS_COMPLETED
+        assert result.total_ms == pytest.approx(13.0)
+        stats = server.stats()
+        for summary in (
+            stats.queue_wait_ms["interactive"],
+            stats.latency_ms["interactive"],
+        ):
+            assert summary["count"] == 1
+            for key in ("p50", "p95", "p99", "max"):
+                assert summary[key] == pytest.approx(13.0)
+        # Admission happened inside one clock reading.
+        assert stats.admission_ms["count"] == 1
+        assert stats.admission_ms["max"] == 0.0
+
 
 class TestTicket:
     def test_first_resolution_wins(self):

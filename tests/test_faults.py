@@ -28,6 +28,8 @@ from repro.htl import parse
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
+from repro.pictures.retrieval import PictureRetrievalSystem
+from repro.pictures.signature import looks_like_atom
 from repro.testing.faults import (
     CORRUPT,
     DELAY,
@@ -424,6 +426,45 @@ class TestRecoveryPaths:
                 )
         assert recovered == fault_free
         assert instrument.counters().get(instrument.ATOM_FALLBACK, 0) > 0
+
+    def test_atom_score_site_fires_per_scored_segment_with_a_warm_scorer(
+        self,
+    ):
+        """The clip scorer memoises below ``score()``: the second video
+        finds every signature already scored on the shared atom, and the
+        ``atom-score`` site is still visited once per scored segment —
+        and still fires there."""
+        signatures = [(3.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)]
+        segments = [
+            SegmentMetadata(signature=signatures[index % 3])
+            for index in range(9)
+        ]
+        atom = looks_like_atom([signatures[0]], 0.9)
+
+        def visits_of(system):
+            # One visit per baseline, per scored segment, per emitted job.
+            stats = system.stats
+            return (
+                stats.baseline_scores + stats.segments_scored + stats.bindings
+            )
+
+        systems = [PictureRetrievalSystem(segments) for __ in range(2)]
+        with inject(
+            FaultSpec(resilience.SITE_ATOM_SCORE, rate=0.0)
+        ) as injector:
+            lists = [system.similarity_list(atom) for system in systems]
+        assert lists[0] == lists[1]
+        assert [system.stats.segments_scored for system in systems] == [3, 3]
+        assert injector.visits[resilience.SITE_ATOM_SCORE] == sum(
+            visits_of(system) for system in systems
+        )
+        # Warm atom, fresh system: the first scored segment still trips.
+        warm = PictureRetrievalSystem(segments)
+        with inject(
+            FaultSpec(resilience.SITE_ATOM_SCORE, skip=1, max_faults=1)
+        ):
+            with pytest.raises(InjectedFaultError):
+                warm.similarity_list(atom)
 
     def test_delay_faults_blow_the_deadline(self, corpus):
         formula = parse(CHAOS_QUERY)
