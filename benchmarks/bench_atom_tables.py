@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import stages
 from repro.bench.reporting import write_report_json
+from repro.core import trace
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.htl import parse
 from repro.model.hierarchy import flat_video
@@ -205,7 +205,7 @@ def test_atom_table_construction(report):
 
 
 def test_stage_breakdown(report):
-    """Per-stage attribution of an end-to-end query via repro.bench.stages."""
+    """Per-stage attribution of an end-to-end query via ``trace.METRICS``."""
     rng = random.Random(42)
     n_segments = 300 if QUICK else 2_000
     segments = build_segments(n_segments, 0.05, rng)
@@ -220,34 +220,34 @@ def test_stage_breakdown(report):
         ("indexed", EngineConfig()),
         ("naive", EngineConfig(naive_atoms=True)),
     ):
-        stages.enable()
+        trace.METRICS.enable()
         try:
             RetrievalEngine(config).evaluate_video(query, video)
         finally:
-            stages.disable()
-        totals = stages.totals()
+            trace.METRICS.disable()
+        totals = trace.METRICS.totals()
         breakdown[label] = {
             name: total.seconds for name, total in totals.items()
         }
         report(
             f"Per-stage timing, {label} atom path (seconds)",
             {
-                "Stage": stages.ATOM_SCORING,
-                "Seconds": f"{totals[stages.ATOM_SCORING].seconds:.4f}",
-                "Calls": totals[stages.ATOM_SCORING].calls,
+                "Stage": trace.ATOM_SCORING,
+                "Seconds": f"{totals[trace.ATOM_SCORING].seconds:.4f}",
+                "Calls": totals[trace.ATOM_SCORING].calls,
             },
         )
         report(
             f"Per-stage timing, {label} atom path (seconds)",
             {
-                "Stage": stages.LIST_ALGEBRA,
-                "Seconds": f"{totals[stages.LIST_ALGEBRA].seconds:.4f}",
-                "Calls": totals[stages.LIST_ALGEBRA].calls,
+                "Stage": trace.LIST_ALGEBRA,
+                "Seconds": f"{totals[trace.LIST_ALGEBRA].seconds:.4f}",
+                "Calls": totals[trace.LIST_ALGEBRA].calls,
             },
         )
 
-    assert stages.ATOM_SCORING in breakdown["indexed"]
-    assert stages.LIST_ALGEBRA in breakdown["indexed"]
+    assert trace.ATOM_SCORING in breakdown["indexed"]
+    assert trace.LIST_ALGEBRA in breakdown["indexed"]
     if RESULTS_PATH.exists():
         payload = json.loads(RESULTS_PATH.read_text())
         payload["stage_breakdown"] = breakdown

@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from repro.bench.reporting import write_report_json
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
@@ -167,9 +167,9 @@ def test_fallback_recovery_latency(report):
                 return top_k_across_videos(engine, QUERY, database, k=k)
 
     clean_seconds, clean_ranking = best_of(fault_free)
-    instrument.reset()
+    trace.METRICS.reset()
     degraded_seconds, degraded_ranking = best_of(degraded)
-    fallbacks = instrument.counters().get(instrument.ATOM_FALLBACK, 0)
+    fallbacks = trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0)
 
     # Recovery must be lossless: the naive oracle scorer answers every
     # atom the broken index cannot, so the ranking is exactly preserved.

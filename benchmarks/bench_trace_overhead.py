@@ -32,7 +32,7 @@ import time
 from pathlib import Path
 
 from repro.bench.reporting import metrics_payload, write_report_json
-from repro.core import instrument, trace
+from repro.core import trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
@@ -99,7 +99,7 @@ def _disabled_site_seconds():
     metrics off): the exact code every instrumented region runs when
     observability is idle."""
     assert trace.current() is None
-    assert not instrument.is_enabled()
+    assert not trace.METRICS.is_enabled()
 
     def burst():
         for __ in range(MICRO_ITERATIONS):
@@ -113,8 +113,8 @@ def _disabled_site_seconds():
 
 
 def test_disabled_path_overhead(report):
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
     database = _corpus()
     engine = RetrievalEngine()
     k = 10
@@ -175,13 +175,13 @@ def test_enabled_tracing_cost(report):
         return top_k_across_videos(engine, QUERY, database, k=k)
 
     def traced():
-        instrument.enable()
+        trace.METRICS.enable()
         try:
             return top_k_across_videos(
                 engine, QUERY, database, k=k, profile=True
             )
         finally:
-            instrument.disable()
+            trace.METRICS.disable()
 
     bare_seconds, bare_ranking = best_of(bare)
     traced_seconds, traced_ranking = best_of(traced)

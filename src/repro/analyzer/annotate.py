@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analyzer.cutdetect import CutDetectorConfig, Shot, detect_cuts
 from repro.analyzer.features import FrameStream
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.errors import ReproError
 from repro.model.hierarchy import Video, flat_video
 from repro.model.metadata import (
@@ -95,7 +95,7 @@ class VideoAnalyzer:
         the rule-driven annotation metadata.  A failing signature build —
         a degenerate shot, or an injected ``signature-build`` fault —
         degrades that shot to annotation-only metadata (``signature=None``)
-        and bumps the :data:`~repro.core.instrument.SIGNATURE_DEGRADED`
+        and bumps the :data:`~repro.core.trace.SIGNATURE_DEGRADED`
         counter rather than aborting the analysis: annotation retrieval
         must survive a broken feature extractor.
         """
@@ -116,7 +116,7 @@ class VideoAnalyzer:
             try:
                 signature = self.signature_of(stream, shot)
             except ReproError:
-                instrument.count(instrument.SIGNATURE_DEGRADED)
+                trace.METRICS.count(trace.SIGNATURE_DEGRADED)
                 signature = None
             segments.append(
                 SegmentMetadata(

@@ -1,6 +1,5 @@
-"""Benchmark harness, per-stage timers and paper-style reporting."""
+"""Benchmark harness and paper-style reporting."""
 
-from repro.bench import stages
 from repro.bench.harness import (
     ComparisonRow,
     Measurement,
@@ -25,5 +24,4 @@ __all__ = [
     "format_table",
     "similarity_table_text",
     "perf_table_text",
-    "stages",
 ]

@@ -11,22 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Iterable, Optional, Sequence, Tuple, Union
 
+from repro.core import trace
 from repro.core.simlist import SimilarityList
 from repro.core.topk import ranked_entries
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.trace import Span
 
 
 def format_table(
@@ -74,9 +63,7 @@ def metrics_payload() -> dict:
     One coherent snapshot: per-stage totals, event counters, and latency
     histogram summaries with p50/p95/p99 (DESIGN.md §10).
     """
-    from repro.core import instrument
-
-    snapshot = instrument.snapshot()
+    snapshot = trace.METRICS.snapshot()
     return {
         "stages": {
             name: {"seconds": total.seconds, "calls": total.calls}
@@ -99,7 +86,7 @@ def metrics_payload() -> dict:
     }
 
 
-def trace_payload(root: "Span") -> dict:
+def trace_payload(root: trace.Span) -> dict:
     """One span tree as a JSON-safe dict, with its per-stage rollup."""
     return {
         "spans": root.to_dict(),
@@ -110,12 +97,47 @@ def trace_payload(root: "Span") -> dict:
     }
 
 
-def observability_payload(root: Optional["Span"] = None) -> dict:
+def observability_payload(root: Optional[trace.Span] = None) -> dict:
     """The full observability export: registry metrics + optional trace."""
     payload = {"metrics": metrics_payload()}
     if root is not None:
         payload["trace"] = trace_payload(root)
     return payload
+
+
+def stage_report_text(title: str = "Per-stage timing") -> str:
+    """The accumulated stage totals as an aligned text table."""
+    rows = [
+        (name, f"{total.seconds:.4f}", total.calls)
+        for name, total in sorted(trace.METRICS.totals().items())
+    ]
+    if not rows:
+        rows = [("(no stages recorded)", "-", "-")]
+    table = format_table(("Stage", "Seconds", "Calls"), rows)
+    return f"{title}\n{table}"
+
+
+def latency_report_text(title: str = "Latency percentiles (ms)") -> str:
+    """The latency histograms as an aligned text table, or "" when none
+    have been recorded (histograms collect only while enabled)."""
+    summaries = trace.METRICS.histograms()
+    if not summaries:
+        return ""
+    rows = [
+        (
+            name,
+            summary.count,
+            f"{summary.p50 * 1000:.3f}",
+            f"{summary.p95 * 1000:.3f}",
+            f"{summary.p99 * 1000:.3f}",
+            f"{summary.maximum * 1000:.3f}",
+        )
+        for name, summary in sorted(summaries.items())
+    ]
+    table = format_table(
+        ("Histogram", "Count", "p50", "p95", "p99", "Max"), rows
+    )
+    return f"{title}\n{table}"
 
 
 def similarity_table_text(

@@ -852,9 +852,12 @@ def cmd_run(arguments: argparse.Namespace) -> int:
 def cmd_trace(arguments: argparse.Namespace) -> int:
     import json
 
-    from repro.bench.reporting import observability_payload
-    from repro.bench.stages import latency_report_text, stage_report_text
-    from repro.core import instrument, trace
+    from repro.bench.reporting import (
+        latency_report_text,
+        observability_payload,
+        stage_report_text,
+    )
+    from repro.core import trace
 
     video_name, loader = _DATASETS[arguments.dataset]
     database: VideoDatabase = loader()
@@ -862,8 +865,8 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
     formula = parse(arguments.query)
     engine = RetrievalEngine()
     level = _resolve_level(video, arguments.level)
-    was_enabled = instrument.is_enabled()
-    instrument.enable()
+    was_enabled = trace.METRICS.is_enabled()
+    trace.METRICS.enable()
     try:
         results = top_k_across_videos(
             engine,
@@ -892,7 +895,7 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
             print(latency)
     finally:
         if not was_enabled:
-            instrument.disable()
+            trace.METRICS.disable()
     print(f"\nTop {arguments.top} segments across "
           f"{len(results.outcomes)} videos:")
     for rank, segment in enumerate(results, start=1):

@@ -21,24 +21,18 @@ from repro.htl.classify import (
     is_non_temporal,
     skeleton_class,
 )
-from repro.htl.pretty import pretty, pretty_term
+from repro.htl.pretty import clip, pretty, pretty_term
 from repro.htl.variables import free_attr_vars, free_object_vars
 
 
 def explain(formula: ast.Formula) -> str:
     """The evaluation plan of a formula, as an indented tree."""
     lines: List[str] = [
-        f"plan for: {_clip(pretty(formula))}",
+        f"plan for: {clip(pretty(formula), 72)}",
         f"class: {skeleton_class(formula).name}",
     ]
     _describe(formula, lines, depth=0)
     return "\n".join(lines)
-
-
-def _clip(text: str, limit: int = 72) -> str:
-    if len(text) <= limit:
-        return text
-    return text[: limit - 3] + "..."
 
 
 def _vars_note(formula: ast.Formula) -> str:
@@ -71,7 +65,7 @@ def describe_node(formula: ast.Formula) -> str:
             return "AND-merge (sum on overlap)"
         return (
             f"atom → picture system [{_vars_note(formula)}]: "
-            f"{_clip(pretty(formula), 48)}"
+            f"{clip(pretty(formula), 48)}"
         )
     if isinstance(formula, ast.And):
         shared = sorted(

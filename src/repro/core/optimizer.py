@@ -25,8 +25,7 @@ These are *static* rewrites: no video in sight, so only the formula's
 structure can inform the ordering.  The statistics-driven ordering lives
 in :mod:`repro.core.planner` (DESIGN.md §13), which the engine applies
 per evaluation; this module's ordering is that planner's statistics-free
-fallback (:func:`repro.core.planner.structural_cost` — the heuristic
-moved there and is re-exported here for compatibility).
+fallback (:func:`repro.core.planner.structural_cost`).
 
 Use :func:`optimize` before :meth:`RetrievalEngine.evaluate_video` when
 queries are machine-generated or deeply nested; hand-written queries are
@@ -35,9 +34,9 @@ usually already in good shape.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from repro.core.planner import order_conjuncts, structural_cost
+from repro.core.planner import order_conjuncts
 from repro.htl import ast
 from repro.htl.classify import is_non_temporal
 
@@ -139,17 +138,6 @@ def _conjunction_chain(formula: ast.Formula) -> List[ast.Formula]:
             formula.right
         )
     return [formula]
-
-
-def estimated_cost(conjunct: ast.Formula) -> Tuple[int, int, int]:
-    """Deprecated alias of :func:`repro.core.planner.structural_cost`.
-
-    The heuristic moved into the planner module, where it serves as the
-    statistics-free fallback ranking; this name is kept so existing
-    callers (and tests) keep working.  New code should import
-    ``structural_cost`` from :mod:`repro.core.planner`.
-    """
-    return structural_cost(conjunct)
 
 
 def _reorder_conjunction(formula: ast.And):

@@ -64,12 +64,13 @@ from typing import (
     Tuple,
 )
 
-from repro.core import instrument, trace
+from repro.core import trace
 from repro.core.cache import PlanCache
 from repro.core.simlist import SIM_EPS
 from repro.core.tables import INNER
 from repro.htl import ast
 from repro.htl.classify import is_non_temporal
+from repro.htl.pretty import clip, pretty
 from repro.htl.variables import free_attr_vars, free_object_vars
 from repro.model.metadata import SegmentMetadata
 from repro.pictures.scoring import (
@@ -83,7 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pictures.retrieval import PictureRetrievalSystem
 
 #: Always-on counter names (flow into the observability payload via
-#: ``instrument.counters()`` like every other ``trace.bump`` counter).
+#: ``trace.METRICS.counters()`` like every other ``trace.bump`` counter).
 PLAN_BUILT = "plan-built"
 PLAN_CACHE_HIT = "plan-cache-hit"
 PLAN_CACHE_MISS = "plan-cache-miss"
@@ -265,10 +266,10 @@ class CostModel:
         changes: Dict[str, Any] = {}
         if cost > 0 and observed_seconds > 0:
             changes["unit_seconds"] = observed_seconds / cost
-        if instrument.is_enabled():
-            totals = instrument.totals()
-            scoring = totals.get(instrument.ATOM_SCORING)
-            algebra = totals.get(instrument.LIST_ALGEBRA)
+        if trace.METRICS.is_enabled():
+            totals = trace.METRICS.totals()
+            scoring = totals.get(trace.ATOM_SCORING)
+            algebra = totals.get(trace.LIST_ALGEBRA)
             if (
                 scoring is not None
                 and algebra is not None
@@ -785,7 +786,7 @@ class _PlanBuilder:
         )
         self.strategies[key] = strategy
         self.atoms[key] = AtomChoice(
-            description=_clip(atom),
+            description=clip(pretty(atom), 60),
             strategy=strategy,
             bindings=bindings,
             candidates=candidates,
@@ -935,10 +936,3 @@ class _PlanBuilder:
         if not self.stats.n_segments:
             return 0.0
         return min(1.0, candidates / self.stats.n_segments)
-
-
-def _clip(atom: ast.Formula, limit: int = 60) -> str:
-    from repro.htl.pretty import pretty
-
-    text = pretty(atom)
-    return text if len(text) <= limit else text[: limit - 3] + "..."

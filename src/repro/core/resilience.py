@@ -22,13 +22,13 @@ engine threads through (DESIGN.md §8):
   primary engine → naive-atom engine (the index-free oracle
   configuration) → SQL baseline (type (1) formulas over registered
   atomic lists only).  Every hop is recorded through the always-on event
-  counters of :mod:`repro.core.instrument`.
+  counters of :mod:`repro.core.trace`.
 * Fault sites — named hook points (:data:`FAULT_SITES`) where the
   deterministic injector of :mod:`repro.testing.faults` can raise,
   delay, or corrupt values.  With no hook installed each site costs one
   global ``None`` check.
 
-Lives under :mod:`repro.core` next to :mod:`repro.core.instrument` so
+Lives under :mod:`repro.core` next to :mod:`repro.core.trace` so
 the picture layer and the list algebra can import it without cycles; the
 engine/SQL imports inside :func:`evaluate_with_fallback` are deferred
 for the same reason.
@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING
 
-from repro.core import instrument, trace
+from repro.core import trace
 from repro.errors import BudgetExceededError, CircuitOpenError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -269,9 +269,9 @@ class QueryBudget:
             self._overrun(site)
 
     def _overrun(self, site: str) -> None:
-        instrument.count(instrument.BUDGET_EXCEEDED)
+        trace.METRICS.count(trace.BUDGET_EXCEEDED)
         trace.event(
-            instrument.BUDGET_EXCEEDED,
+            trace.BUDGET_EXCEEDED,
             f"site={site or '?'} steps={self.steps} "
             f"elapsed={self.elapsed_ms():.1f}ms",
         )
@@ -353,7 +353,7 @@ class CircuitBreaker:
                 self._refusals += 1
                 if self._refusals >= self.cooldown:
                     self._state = HALF_OPEN
-                    instrument.count(f"breaker-{self.name}-half-open")
+                    trace.METRICS.count(f"breaker-{self.name}-half-open")
                     trace.event(
                         f"breaker-{self.name}-half-open",
                         "cooldown elapsed; admitting one trial probe",
@@ -366,9 +366,9 @@ class CircuitBreaker:
     def record_success(self) -> None:
         with self._lock:
             if self._state != CLOSED:
-                instrument.count(instrument.BREAKER_RECOVERED)
+                trace.METRICS.count(trace.BREAKER_RECOVERED)
                 trace.event(
-                    instrument.BREAKER_RECOVERED,
+                    trace.BREAKER_RECOVERED,
                     f"breaker {self.name!r} closed after a successful probe",
                 )
             self._state = CLOSED
@@ -383,9 +383,9 @@ class CircuitBreaker:
                 and self._failures >= self.failure_threshold
             ):
                 if self._state != OPEN:
-                    instrument.count(instrument.BREAKER_OPENED)
+                    trace.METRICS.count(trace.BREAKER_OPENED)
                     trace.event(
-                        instrument.BREAKER_OPENED,
+                        trace.BREAKER_OPENED,
                         f"breaker {self.name!r} opened after "
                         f"{self._failures} consecutive failures",
                     )
@@ -589,7 +589,7 @@ def evaluate_with_fallback(
     every hop fails, the *primary* error propagates; hops are guarded by
     the context's ``engine`` and ``engine-sql`` breakers so a wedged
     fallback path stops being probed.  Every engaged hop bumps the
-    matching :mod:`repro.core.instrument` counter.
+    matching :mod:`repro.core.trace` counter.
     """
     from repro.core.engine import RetrievalEngine as _Engine
 
@@ -616,9 +616,9 @@ def evaluate_with_fallback(
                     formula, video, level=level, database=database
                 )
                 breaker.record_success()
-                instrument.count(instrument.ENGINE_FALLBACK)
+                trace.METRICS.count(trace.ENGINE_FALLBACK)
                 trace.event(
-                    instrument.ENGINE_FALLBACK,
+                    trace.ENGINE_FALLBACK,
                     f"primary engine failed with {type(primary).__name__}; "
                     "naive-atom engine answered",
                 )
@@ -628,7 +628,7 @@ def evaluate_with_fallback(
             except Exception:
                 breaker.record_failure()
         else:
-            instrument.count("breaker-engine-refused")
+            trace.METRICS.count("breaker-engine-refused")
             trace.event(
                 "breaker-engine-refused",
                 "engine breaker open; skipping the naive-atom hop",
@@ -638,9 +638,9 @@ def evaluate_with_fallback(
             try:
                 result = _sql_baseline(engine, formula, video, level, database)
                 sql_breaker.record_success()
-                instrument.count(instrument.SQL_FALLBACK)
+                trace.METRICS.count(trace.SQL_FALLBACK)
                 trace.event(
-                    instrument.SQL_FALLBACK,
+                    trace.SQL_FALLBACK,
                     "naive-atom hop unavailable; SQL baseline answered",
                 )
                 return result

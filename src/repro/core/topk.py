@@ -25,14 +25,24 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine, actual_upper_bound
+from repro.core.planner import Planner
 from repro.core.simlist import SIM_EPS, SimilarityList, SimilarityValue
 from repro.errors import BudgetExceededError, UnsupportedFormulaError
 from repro.htl import ast
-from repro.htl.pretty import pretty
+from repro.htl.pretty import clip, pretty
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import Video
 
@@ -460,7 +470,7 @@ def top_k_across_videos(
     attaches its root to ``TopKResult.profile``.  Per-video spans carry
     the :class:`VideoOutcome` status, budget-step consumption and cache
     hit/miss deltas; fallbacks and breaker trips appear as span events.
-    With metrics enabled (``instrument.enable()``), query and per-video
+    With metrics enabled (``trace.METRICS.enable()``), query and per-video
     latencies additionally feed the ``query-seconds`` /
     ``video-seconds`` histograms.
 
@@ -480,147 +490,172 @@ def top_k_across_videos(
     """
     if k <= 0:
         return TopKResult([])
-    if not instrument.is_enabled():
-        return _dispatch_top_k(
+    return _run_query(
+        f"top-{k}",
+        formula,
+        profile,
+        getattr(engine, "planner", None),
+        lambda: _rank_database(
             engine, formula, database, k, level, parallelism, prune,
-            budget, policy, lenient, profile, exchange,
-        )
-    started = time.perf_counter()
-    try:
-        return _dispatch_top_k(
-            engine, formula, database, k, level, parallelism, prune,
-            budget, policy, lenient, profile, exchange,
-        )
-    finally:
-        instrument.observe(
-            instrument.QUERY_LATENCY, time.perf_counter() - started
-        )
-
-
-def top_k_within_shard(
-    engine: RetrievalEngine,
-    formula: ast.Formula,
-    database: VideoDatabase,
-    k: int,
-    level: int = 2,
-    *,
-    parallelism: Optional[int] = None,
-    prune: bool = True,
-    budget: Optional[resilience.QueryBudget] = None,
-    policy: Optional[resilience.ResiliencePolicy] = None,
-    lenient: bool = False,
-    exchange: Optional[BoundExchange] = None,
-) -> TopKResult:
-    """One shard's slice of a scatter-gather query.
-
-    Exactly :func:`top_k_across_videos` minus the query-span bookkeeping:
-    the caller (:class:`repro.shard.ShardedCorpus`) already opened the
-    query and shard spans, so per-video spans nest directly under the
-    shard (query → shard → video), and per-shard latency is not
-    double-counted into the ``query-seconds`` histogram.
-    """
-    if k <= 0:
-        return TopKResult([])
-    return _top_k_impl(
-        engine, formula, database, k, level, parallelism, prune,
-        budget, policy, lenient, exchange,
-    )
-
-
-def _dispatch_top_k(
-    engine, formula, database, k, level, parallelism, prune,
-    budget, policy, lenient, profile, exchange,
-) -> TopKResult:
-    """Route the call through a query span when tracing is requested."""
-    recorder = trace.current()
-    if recorder is None:
-        if not profile:
-            return _top_k_impl(
-                engine, formula, database, k, level, parallelism, prune,
-                budget, policy, lenient, exchange,
-            )
-        with trace.recording() as recorder:
-            return _traced_top_k(
-                recorder, engine, formula, database, k, level, parallelism,
-                prune, budget, policy, lenient, exchange,
-            )
-    return _traced_top_k(
-        recorder, engine, formula, database, k, level, parallelism, prune,
-        budget, policy, lenient, exchange,
-    )
-
-
-def _clip_query(formula: ast.Formula, limit: int = 60) -> str:
-    text = pretty(formula)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _traced_top_k(
-    recorder, engine, formula, database, k, level, parallelism, prune,
-    budget, policy, lenient, exchange,
-) -> TopKResult:
-    # Videos (and shards) with identical index shapes share one compiled
-    # plan — the planner's cache key is the statistics signature, not the
-    # video name — so a fan-out typically builds a handful of plans and
-    # reuses them everywhere.  The deltas annotated below make that reuse
-    # visible per query.
-    planner = getattr(engine, "planner", None)
-    plans_before = planner.stats if planner is not None else None
-    with recorder.span(
-        trace.KIND_QUERY,
-        f"top-{k}: {_clip_query(formula)}",
+            budget, policy, lenient, exchange,
+        ),
         k=k,
         level=level,
         parallelism=parallelism if parallelism else 1,
-    ) as query_span:
-        result = _top_k_impl(
-            engine, formula, database, k, level, parallelism, prune,
-            budget, policy, lenient, exchange,
-        )
-        if planner is not None:
-            plans_after = planner.stats
-            query_span.attrs["plans-built"] = (
-                plans_after.plans_built - plans_before.plans_built
-            )
-            query_span.attrs["plan-reuses"] = (
-                plans_after.cache_hits - plans_before.cache_hits
-            )
-            query_span.attrs["plan-skips"] = (
-                plans_after.skipped_subformulas
-                - plans_before.skipped_subformulas
-            )
-        result.profile = query_span
-        return result
+    )
 
 
-def _run_video(
-    video: Video,
-    worker: Callable[[], Optional[VideoOutcome]],
-    budget: Optional[resilience.QueryBudget],
-) -> Optional[VideoOutcome]:
-    """Run one per-video step inside a ``video`` span when tracing.
+def _run_query(
+    label: str,
+    formula: ast.Formula,
+    profile: bool,
+    planner: Optional[Planner],
+    body: Callable[[], TopKResult],
+    **attrs,
+) -> TopKResult:
+    """Run one ranked query's ``body`` under the query-level bookkeeping.
 
-    The span carries the :class:`VideoOutcome` status and the budget-step
-    delta of the step (exact serially; under a thread pool the shared
-    step counter interleaves siblings, so read it as fan-out pressure,
-    not isolated cost).  A strict-mode exception closes the span with its
-    ``error`` attribute set and propagates.
+    Shared by :func:`top_k_across_videos` and
+    :meth:`repro.shard.ShardedCorpus.top_k`: one ``query-seconds`` sample
+    per call while metrics are enabled, and — with ``profile=True`` or an
+    ambient recorder — one ``query`` span named ``label: <formula>``
+    carrying ``attrs``, attached to the result's ``profile``.  Untraced
+    and unmetered, this is exactly ``body()``.
+
+    Videos (and shards) with identical index shapes share one compiled
+    plan — the planner's cache key is the statistics signature, not the
+    video name — so a fan-out typically builds a handful of plans and
+    reuses them everywhere; given a ``planner``, the span carries its
+    per-query deltas to make that reuse visible.
     """
-    recorder = trace.current()
-    if recorder is None:
-        return worker()
-    steps_before = budget.steps if budget is not None else 0
-    with recorder.span(trace.KIND_VIDEO, video.name) as video_span:
-        outcome = worker()
-        if budget is not None:
-            video_span.attrs["budget-steps"] = budget.steps - steps_before
-        if outcome is None:
-            video_span.attrs["status"] = "cancelled"
-            return None
-        video_span.attrs["status"] = outcome.status
-        if outcome.error is not None:
-            video_span.attrs["error"] = type(outcome.error).__name__
-        return outcome
+    started = time.perf_counter() if trace.METRICS.is_enabled() else None
+    try:
+        recorder = trace.current()
+        if recorder is None and not profile:
+            return body()
+        if recorder is None:
+            scope = trace.recording()
+        else:
+            scope = nullcontext(recorder)
+        with scope as recorder:
+            plans_before = planner.stats if planner is not None else None
+            with recorder.span(
+                trace.KIND_QUERY,
+                f"{label}: {clip(pretty(formula), 60)}",
+                **attrs,
+            ) as query_span:
+                result = body()
+                if planner is not None:
+                    plans_after = planner.stats
+                    query_span.attrs["plans-built"] = (
+                        plans_after.plans_built - plans_before.plans_built
+                    )
+                    query_span.attrs["plan-reuses"] = (
+                        plans_after.cache_hits - plans_before.cache_hits
+                    )
+                    query_span.attrs["plan-skips"] = (
+                        plans_after.skipped_subformulas
+                        - plans_before.skipped_subformulas
+                    )
+                result.profile = query_span
+                return result
+    finally:
+        if started is not None:
+            trace.METRICS.observe(
+                trace.QUERY_LATENCY, time.perf_counter() - started
+            )
+
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+#: What a pool worker returns when the fan-out was stopped before it ran.
+_SKIPPED = object()
+
+
+def _fan_out(
+    items: Sequence[_Item],
+    step: Callable[[_Item], _Result],
+    lost: Callable[[_Item, BaseException], _Result],
+    parallelism: Optional[int],
+    strict: bool,
+) -> List[_Result]:
+    """``step(item)`` for every item; results in submission order.
+
+    The one fan-out behind both the per-video loop and the shard scatter.
+    Steps run inline when ``parallelism`` is None or <= 1, on a thread
+    pool of that many workers otherwise; workers adopt the submitting
+    thread's trace position, so the spans they open stay children of the
+    caller's span.
+
+    A step that raises ends the fan-out in strict mode: items that have
+    not started are dropped and the first failure in submission order
+    propagates.  In lenient mode the item's result is ``lost(item,
+    error)`` instead; a :class:`BudgetExceededError` is additionally the
+    whole query's deadline, so every item that has not started is
+    ``lost`` to it without running.
+    """
+    results: List[_Result] = []
+    abort: Optional[BaseException] = None
+    if parallelism is None or parallelism <= 1:
+        for item in items:
+            if abort is not None:
+                results.append(lost(item, abort))
+                continue
+            try:
+                results.append(step(item))
+            except Exception as exc:
+                if strict:
+                    raise
+                if isinstance(exc, BudgetExceededError):
+                    abort = exc
+                results.append(lost(item, exc))
+        return results
+
+    def stops(exc: BaseException) -> bool:
+        return strict or isinstance(exc, BudgetExceededError)
+
+    #: Failures that stop the fan-out, in completion order; non-empty is
+    #: the cancel flag workers check before starting.
+    stopped: List[BaseException] = []
+    token = trace.capture()
+
+    def work(item: _Item):
+        if stopped:
+            return _SKIPPED
+        with trace.adopt(token):
+            return step(item)
+
+    def note_failure(future) -> None:
+        # Out-of-order early cancellation: a stopping failure holds back
+        # siblings that have not started yet, even before the collecting
+        # loop reaches this future in submission order.
+        if not future.cancelled():
+            exc = future.exception()
+            if exc is not None and stops(exc):
+                stopped.append(exc)
+
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        futures = [pool.submit(work, item) for item in items]
+        for future in futures:
+            future.add_done_callback(note_failure)
+        for item, future in zip(items, futures):
+            if abort is not None and future.cancel():
+                results.append(lost(item, abort))
+                continue
+            try:
+                result = future.result()
+            except Exception as exc:
+                if abort is None and stops(exc):
+                    abort = exc
+                results.append(lost(item, exc))
+                continue
+            if result is _SKIPPED:
+                result = lost(item, abort or stopped[0])
+            results.append(result)
+    if strict and abort is not None:
+        raise abort
+    return results
 
 
 def _prune_floor(
@@ -641,7 +676,17 @@ def _prune_floor(
     return max(local_worst, remote)
 
 
-def _top_k_impl(
+def _lost_outcome(video: str, error: BaseException) -> VideoOutcome:
+    """The ledger entry of a video whose evaluation raised or never ran."""
+    status = (
+        OUTCOME_TIMED_OUT
+        if isinstance(error, BudgetExceededError)
+        else OUTCOME_FAILED
+    )
+    return VideoOutcome(video, status, error)
+
+
+def _rank_database(
     engine: RetrievalEngine,
     formula: ast.Formula,
     database: VideoDatabase,
@@ -652,9 +697,14 @@ def _top_k_impl(
     budget: Optional[resilience.QueryBudget],
     policy: Optional[resilience.ResiliencePolicy],
     lenient: bool,
-    exchange: Optional[BoundExchange] = None,
+    exchange: Optional[BoundExchange],
 ) -> TopKResult:
-    outcomes: List[VideoOutcome] = []
+    """The top-k of one database's videos, with no query-level bookkeeping.
+
+    :func:`top_k_across_videos` runs this inside :func:`_run_query`; the
+    shard scatter runs it once per shard inside its own query and shard
+    spans, so per-video spans nest query → shard → video.
+    """
     ambient = resilience.current()
     resilient = (
         budget is not None
@@ -682,102 +732,36 @@ def _top_k_impl(
             context = ambient  # reuse the ambient breakers
         else:
             context = resilience.ResilienceContext(policy, budget)
-    strict = context is None or not context.policy.lenient
+    active_budget = context.budget if context is not None else None
 
     def evaluate(video: Video) -> SimilarityList:
-        if not instrument.is_enabled():
-            return _evaluate(video)
-        eval_started = time.perf_counter()
+        started = time.perf_counter() if trace.METRICS.is_enabled() else None
         try:
-            return _evaluate(video)
+            resilience.fault(resilience.SITE_TOPK_WORKER)
+            if context is not None and context.policy.engine_fallback:
+                sim = resilience.evaluate_with_fallback(
+                    engine, formula, video, level, database, context
+                )
+            else:
+                sim = engine.evaluate_video(
+                    formula, video, level=level, database=database
+                )
+            sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
+            if context is not None:
+                # Trust boundary: a corrupted list must not enter the
+                # shared heap as a silently wrong ranking.
+                sim.validate()
+            return sim
         finally:
-            instrument.observe(
-                instrument.VIDEO_LATENCY, time.perf_counter() - eval_started
-            )
-
-    def _evaluate(video: Video) -> SimilarityList:
-        resilience.fault(resilience.SITE_TOPK_WORKER)
-        if context is not None and context.policy.engine_fallback:
-            sim = resilience.evaluate_with_fallback(
-                engine, formula, video, level, database, context
-            )
-        else:
-            sim = engine.evaluate_video(
-                formula, video, level=level, database=database
-            )
-        sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
-        if context is not None:
-            # Trust boundary: a corrupted list must not enter the shared
-            # heap as a silently wrong ranking.
-            sim.validate()
-        return sim
+            if started is not None:
+                trace.METRICS.observe(
+                    trace.VIDEO_LATENCY, time.perf_counter() - started
+                )
 
     heap: List[_HeapItem] = []
-    videos = list(database.videos())
-    trace.annotate(videos=len(videos))
-    active_budget = context.budget if context is not None else None
-    activation = (
-        resilience.activate(context) if context is not None else nullcontext()
-    )
-
-    if parallelism is None or parallelism <= 1:
-        deadline: Optional[BudgetExceededError] = None
-
-        def serial_step(video: Video) -> VideoOutcome:
-            nonlocal deadline
-            if deadline is not None:
-                return VideoOutcome(video.name, OUTCOME_TIMED_OUT, deadline)
-            if prune:
-                floor = _prune_floor(
-                    heap[0][0] if len(heap) == k else None, exchange
-                )
-                if floor is not None:
-                    bound = _video_bound(formula, video, level, database)
-                    if bound is not None and bound < floor - SIM_EPS:
-                        trace.annotate(bound=bound)
-                        return VideoOutcome(video.name, OUTCOME_PRUNED)
-            try:
-                sim = evaluate(video)
-            except BudgetExceededError as exc:
-                if strict:
-                    raise
-                deadline = exc
-                return VideoOutcome(video.name, OUTCOME_TIMED_OUT, exc)
-            except Exception as exc:
-                if strict:
-                    raise
-                return VideoOutcome(video.name, OUTCOME_FAILED, exc)
-            with trace.staged_span(
-                trace.TOP_K, trace.KIND_TOPK, "stream-entries"
-            ):
-                _stream_entries(heap, k, sim, video.name)
-            if exchange is not None:
-                exchange.publish(sim)
-            return VideoOutcome(video.name, OUTCOME_OK)
-
-        with activation:
-            for video in videos:
-                outcomes.append(
-                    _run_video(
-                        video, lambda: serial_step(video), active_budget
-                    )
-                )
-        with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
-            return TopKResult(
-                _drain(heap),
-                outcomes,
-                partial=any(o.degraded for o in outcomes),
-            )
-
     lock = threading.Lock()
-    cancel = threading.Event()
-    # Workers adopt the submitting thread's trace position, so their
-    # per-video spans stay children of this query's span.
-    token = trace.capture()
 
-    def visit_step(video: Video) -> Optional[VideoOutcome]:
-        if cancel.is_set():
-            return None
+    def step(video: Video) -> VideoOutcome:
         if prune:
             with lock:
                 worst = heap[0][0] if len(heap) == k else None
@@ -788,80 +772,50 @@ def _top_k_impl(
                     trace.annotate(bound=bound)
                     return VideoOutcome(video.name, OUTCOME_PRUNED)
         sim = evaluate(video)
-        with lock:
-            with trace.staged_span(
-                trace.TOP_K, trace.KIND_TOPK, "stream-entries"
-            ):
-                _stream_entries(heap, k, sim, video.name)
+        with lock, trace.staged_span(
+            trace.TOP_K, trace.KIND_TOPK, "stream-entries"
+        ):
+            _stream_entries(heap, k, sim, video.name)
         if exchange is not None:
             exchange.publish(sim)
         return VideoOutcome(video.name, OUTCOME_OK)
 
-    def visit(video: Video) -> Optional[VideoOutcome]:
-        # Workers re-install the submitting thread's context so the whole
-        # fan-out shares one budget and one set of breakers.
-        with trace.adopt(token), (
-            resilience.activate(context)
-            if context is not None
-            else nullcontext()
-        ):
-            return _run_video(
-                video, lambda: visit_step(video), active_budget
+    def visit(video: Video) -> VideoOutcome:
+        """One per-video step, inside a ``video`` span when tracing.
+
+        The span carries the outcome status and the step's budget-step
+        delta (exact serially; under a thread pool the shared step
+        counter interleaves siblings, so read it as fan-out pressure, not
+        isolated cost).  A raising step closes the span with its
+        ``error`` attribute set.  Pool workers install the submitting
+        thread's context here so the whole fan-out shares one budget and
+        one set of breakers.
+        """
+        with resilience.activate(context):
+            recorder = trace.current()
+            if recorder is None:
+                return step(video)
+            steps_before = (
+                active_budget.steps if active_budget is not None else 0
             )
-
-    def note_failure(future) -> None:
-        # Out-of-order early cancellation: a fatal worker failure stops
-        # siblings that have not started yet, even before the parent
-        # reaches this future in submission order.
-        if future.cancelled():
-            return
-        exc = future.exception()
-        if exc is not None and (
-            strict or isinstance(exc, BudgetExceededError)
-        ):
-            cancel.set()
-
-    fatal: Optional[BaseException] = None
-    deadline = None
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [(video, pool.submit(visit, video)) for video in videos]
-        for __, future in futures:
-            future.add_done_callback(note_failure)
-        for video, future in futures:
-            abort = fatal if fatal is not None else deadline
-            if abort is not None and future.cancel():
-                outcomes.append(
-                    VideoOutcome(video.name, OUTCOME_TIMED_OUT, abort)
-                )
-                continue
-            try:
-                outcome = future.result()
-            except BudgetExceededError as exc:
-                cancel.set()
-                if strict and fatal is None:
-                    fatal = exc
-                deadline = deadline or exc
-                outcomes.append(
-                    VideoOutcome(video.name, OUTCOME_TIMED_OUT, exc)
-                )
-                continue
-            except Exception as exc:
-                if strict:
-                    cancel.set()
-                    if fatal is None:
-                        fatal = exc
-                outcomes.append(VideoOutcome(video.name, OUTCOME_FAILED, exc))
-                continue
-            if outcome is None:
-                outcomes.append(
-                    VideoOutcome(
-                        video.name, OUTCOME_TIMED_OUT, fatal or deadline
+            with recorder.span(trace.KIND_VIDEO, video.name) as video_span:
+                outcome = step(video)
+                if active_budget is not None:
+                    video_span.attrs["budget-steps"] = (
+                        active_budget.steps - steps_before
                     )
-                )
-            else:
-                outcomes.append(outcome)
-    if fatal is not None:
-        raise fatal
+                video_span.attrs["status"] = outcome.status
+                return outcome
+
+    videos = list(database.videos())
+    trace.annotate(videos=len(videos))
+    outcomes = _fan_out(
+        videos,
+        visit,
+        lambda video, error: _lost_outcome(video.name, error),
+        parallelism,
+        strict=context is None or not context.policy.lenient,
+    )
     with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
         return TopKResult(
             _drain(heap),

@@ -4,16 +4,16 @@ The paper's experimental story (§5, Tables 5–6, Figure 2) attributes
 retrieval cost to individual operators — atom scoring vs. list algebra
 vs. ranking — and this module is where that attribution lives:
 
-* :class:`MetricsRegistry` — the thread-safe home of the flat metrics the
-  old ``repro.core.instrument`` globals used to hold: event counters
-  (always on), per-stage wall-clock totals and latency histograms with
-  p50/p95/p99 (collected while :meth:`~MetricsRegistry.enable`\\ d).  One
-  process-wide instance, :data:`METRICS`, backs the
-  :mod:`repro.core.instrument` compatibility facade.  All mutation happens
-  in place under one lock, so a ``reset()`` racing a worker thread can
-  never strand updates in a discarded dict, and :meth:`~MetricsRegistry.
-  drain` snapshots-and-clears atomically (counts are conserved across
-  drains by construction).
+* :class:`MetricsRegistry` — the thread-safe home of the flat metrics:
+  event counters (always on), per-stage wall-clock totals and latency
+  histograms with p50/p95/p99 (collected while
+  :meth:`~MetricsRegistry.enable`\\ d).  Callers use the one process-wide
+  instance, :data:`METRICS`, directly; the counter and histogram names
+  are the constants below.  All mutation happens in place under one
+  lock, so a ``reset()`` racing a worker thread can never strand updates
+  in a discarded dict, and :meth:`~MetricsRegistry.drain`
+  snapshots-and-clears atomically (counts are conserved across drains by
+  construction).
 * :class:`TraceRecorder` / :class:`Span` — hierarchical per-query trace
   spans (query → video → subformula → atom-sweep / list-op / top-k) with
   wall-clock, call counts, counter deltas and events attached per span.
@@ -23,16 +23,15 @@ vs. ranking — and this module is where that attribution lives:
 * :func:`staged_span` — the bridge: one ``perf_counter`` pair per
   instrumented region feeds *both* the legacy stage totals and the span,
   so a span tree's per-stage rollup reconciles with
-  ``instrument.totals()`` exactly, not approximately.
+  ``METRICS.totals()`` exactly, not approximately.
 
 When no recorder is installed every span site costs one thread-local
 attribute read (gated by ``benchmarks/bench_trace_overhead.py``); when no
 recorder is installed *and* metrics are disabled, :func:`staged_span`
 adds one boolean check on top.
 
-Lives under :mod:`repro.core` below :mod:`repro.core.instrument` (which
-imports it) so the engine, the picture layer and the store can all
-import it without cycles.
+Imports nothing from the package, so the engine, the picture layer and
+the store can all import it without cycles.
 """
 
 from __future__ import annotations
@@ -87,12 +86,80 @@ __all__ = [
     "render_text",
 ]
 
-#: Canonical stage names used across the engine.  Defined here (rather
-#: than in :mod:`repro.core.instrument`, which re-exports them) so the
-#: kind→stage mapping below needs no upward import.
+#: Canonical stage names used across the engine: evaluation time splits
+#: into scoring atoms in the picture layer, combining similarity
+#: lists/tables in the engine, and ranking in top-k.
 ATOM_SCORING = "atom-scoring"
 LIST_ALGEBRA = "list-algebra"
 TOP_K = "top-k"
+
+#: Canonical event-counter names of the resilience layer.  Unlike stage
+#: timings, counters are always on: they record rare control-flow events
+#: (fallbacks, breaker trips, budget overruns), so the bookkeeping cost is
+#: paid only when something already went wrong.
+ATOM_FALLBACK = "atom-fallback"
+ATOM_BREAKER_OPEN = "atom-breaker-open"
+ENGINE_FALLBACK = "engine-fallback"
+SQL_FALLBACK = "sql-fallback"
+BUDGET_EXCEEDED = "budget-exceeded"
+BREAKER_OPENED = "breaker-opened"
+BREAKER_RECOVERED = "breaker-recovered"
+FAULT_INJECTED = "fault-injected"
+
+#: Canonical event-counter names of the durable store (DESIGN.md §9).
+#: Every recovery action the store takes is surfaced here, so an
+#: operator can tell "loaded clean" from "loaded after quarantining a
+#: rotten artifact and falling back one snapshot".
+STORE_SNAPSHOT_SAVED = "store-snapshot-saved"
+STORE_SNAPSHOT_LOADED = "store-snapshot-loaded"
+STORE_ARTIFACT_QUARANTINED = "store-artifact-quarantined"
+STORE_SNAPSHOT_FALLBACK = "store-snapshot-fallback"
+STORE_INDEX_REBUILT = "store-index-rebuilt"
+STORE_MANIFEST_RECOVERED = "store-manifest-recovered"
+
+#: Canonical event-counter names of the sharded corpus (DESIGN.md §12).
+SHARD_LOADED = "shard-loaded"
+SHARD_FAILED = "shard-failed"
+SHARD_LOAD_RETRIED = "shard-load-retried"
+
+#: Canonical event-counter names of the serving layer (DESIGN.md §14).
+#: The first six are the request ledger — every admitted request bumps
+#: exactly one of completed/timed-out/shed, which is the conservation
+#: law the chaos suite asserts.
+SERVE_ADMITTED = "serve-admitted"
+SERVE_REJECTED = "serve-rejected"
+SERVE_COMPLETED = "serve-completed"
+SERVE_TIMED_OUT = "serve-timed-out"
+SERVE_SHED = "serve-shed"
+SERVE_DEGRADED = "serve-degraded"
+SERVE_REQUEUED = "serve-requeued"
+
+#: Canonical event-counter names of the streaming-ingest layer
+#: (DESIGN.md §15).  The append/commit pair is the durability ledger
+#: (records written vs. records made durable); the replay/truncate/
+#: quarantine trio surfaces every recovery action, mirroring the store's
+#: counters above.
+WAL_RECORD_APPENDED = "wal-record-appended"
+WAL_COMMITTED = "wal-committed"
+WAL_RECORD_REPLAYED = "wal-record-replayed"
+WAL_TAIL_TRUNCATED = "wal-tail-truncated"
+WAL_RECORD_QUARANTINED = "wal-record-quarantined"
+INGEST_CHECKPOINT = "ingest-checkpoint"
+INDEX_APPENDED = "index-appended"
+
+#: Canonical event-counter name of the analyzer's signature stage
+#: (DESIGN.md §16): a shot whose content-signature build failed and was
+#: annotated signature-less (annotation-only metadata) instead.
+SIGNATURE_DEGRADED = "signature-degraded"
+
+#: Canonical latency-histogram names of the top-k layer (seconds).
+QUERY_LATENCY = "query-seconds"
+VIDEO_LATENCY = "video-seconds"
+
+#: Canonical latency-histogram names of the serving layer (seconds).
+SERVE_ADMISSION_LATENCY = "serve-admission-seconds"
+SERVE_QUEUE_WAIT = "serve-queue-wait-seconds"
+SERVE_REQUEST_LATENCY = "serve-request-seconds"
 
 #: Span kinds.  A span's kind says which layer emitted it; the
 #: :data:`KIND_TO_STAGE` map says which legacy stage (if any) its
@@ -270,7 +337,7 @@ class MetricsRegistry:
 
         The delta is also attached to the innermost active trace span of
         the calling thread, so per-span counter deltas come for free at
-        every existing ``instrument.count`` site.
+        every ``METRICS.count`` site.
         """
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
@@ -398,8 +465,7 @@ class MetricsRegistry:
             self._exit_frame(name, outermost, elapsed)
 
 
-#: The process-wide registry behind the :mod:`repro.core.instrument`
-#: compatibility facade.
+#: The process-wide registry.
 METRICS = MetricsRegistry()
 
 
@@ -486,7 +552,7 @@ class Span:
         overlap their children and would double-count.  Because
         :func:`staged_span` feeds the legacy stage timers from the same
         ``perf_counter`` pair, this rollup reconciles with
-        ``instrument.totals()`` for a traced, metrics-enabled run.
+        ``METRICS.totals()`` for a traced, metrics-enabled run.
         """
         totals: Dict[str, StageTotal] = {}
         for node in self.walk():
@@ -715,7 +781,7 @@ def staged_span(
     its duration is credited to the legacy stage under the same
     outermost-frame and enabled-at-entry-and-exit rules as
     :meth:`MetricsRegistry.stage` — which is why a trace's per-stage
-    rollup reconciles exactly with ``instrument.totals()``.
+    rollup reconciles exactly with ``METRICS.totals()``.
     """
     recorder = getattr(_tls, "recorder", None)
     if recorder is None:

@@ -115,7 +115,7 @@ class BudgetExceededError(ResilienceError, TimeoutError):
     """A query overran its :class:`~repro.core.resilience.QueryBudget`.
 
     ``site`` names the cooperative checkpoint that noticed the overrun
-    (one of the stage names in :mod:`repro.core.instrument`, or a caller
+    (one of the stage names in :mod:`repro.core.trace`, or a caller
     supplied label), ``steps`` is the cooperative step count consumed so
     far, and ``elapsed_ms`` the wall-clock milliseconds since the budget
     started (0 when the budget has no deadline).

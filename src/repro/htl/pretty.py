@@ -38,6 +38,12 @@ def pretty_term(term: ast.Term) -> str:
     return _Printer().term(term)
 
 
+def clip(text: str, limit: int) -> str:
+    """``text`` cut to at most ``limit`` characters, ending in ``...`` when
+    cut — for span names and one-line plan descriptions."""
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _format_number(value: Union[int, float]) -> str:
     text = repr(value)
     if "e" in text or "E" in text or "inf" in text or "nan" in text:

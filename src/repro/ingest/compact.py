@@ -34,7 +34,7 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.errors import IngestError
 from repro.ingest.layout import IngestLayout
 from repro.model.database import VideoDatabase
@@ -243,7 +243,7 @@ class Compactor:
         atomic_write_json(
             self.layout.deltas_manifest_path, new_manifest, fsync=self.fsync
         )
-        instrument.count(instrument.INGEST_CHECKPOINT)
+        trace.METRICS.count(trace.INGEST_CHECKPOINT)
         return CheckpointInfo(
             delta=name,
             path=path,

@@ -43,7 +43,7 @@ import struct
 import zlib
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.errors import IngestError, InjectedFaultError, WALCorruptionError
 from repro.ingest.layout import IngestLayout, PathLike
 from repro.ingest.ops import IngestOp, encode_op
@@ -210,7 +210,7 @@ class WriteAheadLog:
         self.next_sequence += 1
         self._pending_records += 1
         self._end_offset += len(frame)
-        instrument.count(instrument.WAL_RECORD_APPENDED)
+        trace.METRICS.count(trace.WAL_RECORD_APPENDED)
         return sequence
 
     def commit(self) -> None:
@@ -240,7 +240,7 @@ class WriteAheadLog:
             self._poisoned = True
             raise
         self._pending_records = 0
-        instrument.count(instrument.WAL_COMMITTED)
+        trace.METRICS.count(trace.WAL_COMMITTED)
 
     def reset(self) -> None:
         """Empty the log after a checkpoint folded its committed prefix.
@@ -313,7 +313,7 @@ class WriteAheadLog:
         with open(self.layout.wal_log_path, "r+b") as handle:
             handle.truncate(self.committed_offset)
         self._end_offset = self.committed_offset
-        instrument.count(instrument.WAL_TAIL_TRUNCATED)
+        trace.METRICS.count(trace.WAL_TAIL_TRUNCATED)
         return destination
 
     def committed(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
@@ -358,7 +358,7 @@ class WriteAheadLog:
                 sequence, op_document = decode_record(bytes(frame))
             except WALCorruptionError as error:
                 destination = self._quarantine_region(data, offset, record)
-                instrument.count(instrument.WAL_RECORD_QUARANTINED)
+                trace.METRICS.count(trace.WAL_RECORD_QUARANTINED)
                 raise WALCorruptionError(
                     f"committed record {record} at byte {offset} is "
                     f"damaged ({error}); bytes preserved at "
@@ -368,7 +368,7 @@ class WriteAheadLog:
                     record=record,
                     quarantined=(destination,),
                 ) from error
-            instrument.count(instrument.WAL_RECORD_REPLAYED)
+            trace.METRICS.count(trace.WAL_RECORD_REPLAYED)
             yield sequence, op_document
             offset = end
             record += 1

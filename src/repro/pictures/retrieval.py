@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.ranges import FULL, Range, interval
 from repro.core.simlist import SIM_EPS, SimilarityList
 from repro.core.tables import SimilarityTable, TableRow
@@ -47,7 +47,7 @@ from repro.errors import (
 )
 from repro.htl import ast
 from repro.htl.classify import is_non_temporal
-from repro.htl.pretty import pretty
+from repro.htl.pretty import clip, pretty
 from repro.htl.variables import (
     free_attr_vars,
     free_object_vars,
@@ -60,12 +60,6 @@ from repro.pictures.support import AtomSupport, SupportAnalyzer
 
 #: The representative empty segment baselines are scored on.
 _EMPTY_SEGMENT = SegmentMetadata()
-
-
-def _clip_atom(atom: ast.Formula, limit: int = 60) -> str:
-    """A short rendering of an atom for span names."""
-    text = pretty(atom)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 @dataclass
@@ -166,7 +160,7 @@ class PictureRetrievalSystem:
         self.index.append_segments(segments)
         self._analyzer = SupportAnalyzer(self.index)
         self._universe = self.index.all_object_ids()
-        instrument.count(instrument.INDEX_APPENDED)
+        trace.METRICS.count(trace.INDEX_APPENDED)
         return len(self.segments)
 
     def atom_support(
@@ -216,7 +210,7 @@ class PictureRetrievalSystem:
         with trace.staged_span(
             trace.ATOM_SCORING,
             trace.KIND_ATOM_SWEEP,
-            _clip_atom(atom),
+            clip(pretty(atom), 60),
         ) as span:
             if span is None:
                 return self._similarity_table(atom, universe, prune, use_index)
@@ -293,17 +287,17 @@ class PictureRetrievalSystem:
                     raise
                 except Exception as exc:
                     breaker.record_failure()
-                    instrument.count(instrument.ATOM_FALLBACK)
+                    trace.METRICS.count(trace.ATOM_FALLBACK)
                     trace.event(
-                        instrument.ATOM_FALLBACK,
+                        trace.ATOM_FALLBACK,
                         f"indexed sweep failed with {type(exc).__name__}; "
                         "redoing with the naive oracle scorer",
                     )
                     trace.annotate(path="naive-fallback")
             else:
-                instrument.count(instrument.ATOM_BREAKER_OPEN)
+                trace.METRICS.count(trace.ATOM_BREAKER_OPEN)
                 trace.event(
-                    instrument.ATOM_BREAKER_OPEN,
+                    trace.ATOM_BREAKER_OPEN,
                     "atom-index breaker refused the indexed path",
                 )
                 trace.annotate(path="naive-fallback")

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.errors import (
     BudgetExceededError,
     ServeError,
@@ -291,19 +291,19 @@ class RetrievalServer:
                 self._rejected[rejection.reason] = (
                     self._rejected.get(rejection.reason, 0) + 1
                 )
-            instrument.count(instrument.SERVE_REJECTED)
+            trace.METRICS.count(trace.SERVE_REJECTED)
             trace.event(
-                instrument.SERVE_REJECTED,
+                trace.SERVE_REJECTED,
                 f"{sla.name}: {rejection.reason} "
                 f"(retry after {rejection.retry_after_ms:.0f}ms)",
             )
             raise
         with self._lock:
             self._counts["admitted"] += 1
-        instrument.count(instrument.SERVE_ADMITTED)
+        trace.METRICS.count(trace.SERVE_ADMITTED)
         admission_s = self._clock() - t0
         self._admission_hist.observe(admission_s)
-        instrument.observe(instrument.SERVE_ADMISSION_LATENCY, admission_s)
+        trace.METRICS.observe(trace.SERVE_ADMISSION_LATENCY, admission_s)
         return ticket
 
     def query(
@@ -375,9 +375,9 @@ class RetrievalServer:
             ),
             "shed",
         ):
-            instrument.count(instrument.SERVE_SHED)
+            trace.METRICS.count(trace.SERVE_SHED)
             trace.event(
-                instrument.SERVE_SHED,
+                trace.SERVE_SHED,
                 f"request {ticket.request_id} ({ticket.sla}) after "
                 f"{queue_ms:.0f}ms queued",
             )
@@ -404,7 +404,7 @@ class RetrievalServer:
             ),
             "timed-out",
         ):
-            instrument.count(instrument.SERVE_TIMED_OUT)
+            trace.METRICS.count(trace.SERVE_TIMED_OUT)
 
     def _resolve_completed(
         self,
@@ -433,15 +433,15 @@ class RetrievalServer:
             ),
             "completed",
         ):
-            instrument.count(instrument.SERVE_COMPLETED)
+            trace.METRICS.count(trace.SERVE_COMPLETED)
             self._latency_hist[ticket.sla].observe(total_ms / 1000.0)
-            instrument.observe(
-                instrument.SERVE_REQUEST_LATENCY, total_ms / 1000.0
+            trace.METRICS.observe(
+                trace.SERVE_REQUEST_LATENCY, total_ms / 1000.0
             )
             if error is not None:
                 with self._lock:
                     self._counts["degraded"] += 1
-                instrument.count(instrument.SERVE_DEGRADED)
+                trace.METRICS.count(trace.SERVE_DEGRADED)
 
     # -- the worker loop -------------------------------------------------
     def _worker_loop(self, worker: PooledWorker) -> None:
@@ -477,7 +477,7 @@ class RetrievalServer:
             if ticket.bounces <= 2 * self.pool.n_workers:
                 with self._lock:
                     self._counts["requeued"] += 1
-                instrument.count(instrument.SERVE_REQUEUED)
+                trace.METRICS.count(trace.SERVE_REQUEUED)
                 self._queue.requeue(ticket)
                 self._sleep(_IDLE_WAIT_S / 4)  # let a sibling take it
                 return
@@ -496,7 +496,7 @@ class RetrievalServer:
             )
             return
         self._queue_wait_hist[ticket.sla].observe(queue_ms / 1000.0)
-        instrument.observe(instrument.SERVE_QUEUE_WAIT, queue_ms / 1000.0)
+        trace.METRICS.observe(trace.SERVE_QUEUE_WAIT, queue_ms / 1000.0)
         ticket.dispatched_at = now
         with self._lock:
             self._in_flight += 1
@@ -522,7 +522,7 @@ class RetrievalServer:
             if ticket.attempts < self.max_attempts and remaining > 0:
                 with self._lock:
                     self._counts["requeued"] += 1
-                instrument.count(instrument.SERVE_REQUEUED)
+                trace.METRICS.count(trace.SERVE_REQUEUED)
                 self._queue.requeue(ticket)
             else:
                 self._resolve_completed(

@@ -39,24 +39,21 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import (
-    OUTCOME_FAILED,
-    OUTCOME_TIMED_OUT,
     BoundExchange,
     TopKResult,
-    VideoOutcome,
-    top_k_within_shard,
+    _fan_out,
+    _lost_outcome,
+    _rank_database,
+    _run_query,
 )
-from repro.errors import BudgetExceededError, ShardError
+from repro.errors import ShardError
 from repro.htl import ast
-from repro.htl.pretty import pretty
 from repro.model.database import VideoDatabase
 from repro.store.sharding import (
     ShardLayout,
@@ -205,8 +202,8 @@ class Shard:
                 with self._lock:
                     if self._database is None:
                         self._database = self._loader()
-                        instrument.count(instrument.SHARD_LOADED)
-                        trace.event(instrument.SHARD_LOADED, self.shard_id)
+                        trace.METRICS.count(trace.SHARD_LOADED)
+                        trace.event(trace.SHARD_LOADED, self.shard_id)
                     database = self._database
             except Exception:
                 self.breaker.record_failure()
@@ -219,9 +216,9 @@ class Shard:
                 ):
                     raise
                 delay = self.retry.backoff_s(attempt, self._rng)
-                instrument.count(instrument.SHARD_LOAD_RETRIED)
+                trace.METRICS.count(trace.SHARD_LOAD_RETRIED)
                 trace.event(
-                    instrument.SHARD_LOAD_RETRIED,
+                    trace.SHARD_LOAD_RETRIED,
                     f"{self.shard_id}: attempt {attempt + 1}/"
                     f"{self.retry.attempts} after {delay * 1000.0:.1f}ms",
                 )
@@ -384,168 +381,68 @@ class ShardedCorpus:
         """
         if k <= 0:
             return TopKResult([])
-        recorder = trace.current()
-        if recorder is None and profile:
-            with trace.recording() as recorder:
-                return self._traced_top_k(
-                    recorder, engine, formula, k, level, parallelism,
-                    prune, bound_exchange, budget, policy, lenient,
-                )
-        if recorder is not None:
-            return self._traced_top_k(
-                recorder, engine, formula, k, level, parallelism, prune,
-                bound_exchange, budget, policy, lenient,
-            )
-        return self._gather(
-            engine, formula, k, level, parallelism, prune, bound_exchange,
-            budget, policy, lenient,
-        )
+        strict = not self._lenient(policy, lenient)
+        exchange = BoundExchange(k) if (prune and bound_exchange) else None
 
-    def _traced_top_k(
-        self, recorder, engine, formula, k, level, parallelism, prune,
-        bound_exchange, budget, policy, lenient,
-    ) -> TopKResult:
-        text = pretty(formula)
-        if len(text) > 60:
-            text = text[:57] + "..."
-        with recorder.span(
-            trace.KIND_QUERY,
-            f"sharded top-{k}: {text}",
+        def scatter() -> TopKResult:
+            budget_of = dict(
+                zip(self.shards, slice_budget(budget, self.n_shards))
+            )
+
+            def run_shard(shard: Shard) -> TopKResult:
+                with trace.span(
+                    trace.KIND_SHARD, shard.shard_id, videos=len(shard.videos)
+                ):
+                    try:
+                        database = shard.database()
+                    except Exception as error:
+                        trace.METRICS.count(trace.SHARD_FAILED)
+                        trace.event(
+                            trace.SHARD_FAILED,
+                            f"{shard.shard_id}: {type(error).__name__}",
+                        )
+                        failure = ShardError(
+                            f"shard {shard.shard_id} failed to load: {error}",
+                            shard=shard.shard_id,
+                        )
+                        failure.__cause__ = error
+                        if strict:
+                            raise failure
+                        return lost_shard(shard, failure)
+                    return _rank_database(
+                        engine, formula, database, k, level, None, prune,
+                        budget_of[shard], policy, not strict, exchange,
+                    )
+
+            def lost_shard(shard: Shard, error: BaseException) -> TopKResult:
+                # The layout manifest names the shard's videos, so the
+                # degradation is visible per video even though the
+                # shard's own store never answered.
+                return TopKResult(
+                    [],
+                    [_lost_outcome(name, error) for name in shard.videos],
+                    partial=True,
+                )
+
+            results = _fan_out(
+                self.shards, run_shard, lost_shard, parallelism, strict
+            )
+            return TopKResult.merge(*results, k=k)
+
+        return _run_query(
+            f"sharded top-{k}",
+            formula,
+            profile,
+            None,
+            scatter,
             k=k,
             level=level,
             shards=self.n_shards,
             exchange=bound_exchange,
-        ) as query_span:
-            result = self._gather(
-                engine, formula, k, level, parallelism, prune,
-                bound_exchange, budget, policy, lenient,
-            )
-            result.profile = query_span
-            return result
+        )
 
     def _lenient(self, policy, lenient) -> bool:
         if lenient or (policy is not None and policy.lenient):
             return True
         ambient = resilience.current()
         return ambient is not None and ambient.policy.lenient
-
-    def _gather(
-        self, engine, formula, k, level, parallelism, prune,
-        bound_exchange, budget, policy, lenient,
-    ) -> TopKResult:
-        exchange = (
-            BoundExchange(k) if (prune and bound_exchange) else None
-        )
-        slices = slice_budget(budget, self.n_shards)
-        strict = not self._lenient(policy, lenient)
-
-        def run_shard(shard: Shard, budget_slice) -> TopKResult:
-            recorder = trace.current()
-            span = (
-                recorder.span(
-                    trace.KIND_SHARD, shard.shard_id, videos=len(shard.videos)
-                )
-                if recorder is not None
-                else nullcontext()
-            )
-            with span:
-                try:
-                    database = shard.database()
-                except Exception as error:
-                    instrument.count(instrument.SHARD_FAILED)
-                    trace.event(
-                        instrument.SHARD_FAILED,
-                        f"{shard.shard_id}: {type(error).__name__}",
-                    )
-                    failure = ShardError(
-                        f"shard {shard.shard_id} failed to load: {error}",
-                        shard=shard.shard_id,
-                    )
-                    failure.__cause__ = error
-                    if strict:
-                        raise failure
-                    # The layout manifest names the dead shard's videos,
-                    # so the degradation is visible per video even though
-                    # the shard's own store never answered.
-                    return TopKResult(
-                        [],
-                        [
-                            VideoOutcome(name, OUTCOME_FAILED, failure)
-                            for name in shard.videos
-                        ],
-                        partial=True,
-                    )
-                return top_k_within_shard(
-                    engine,
-                    formula,
-                    database,
-                    k,
-                    level,
-                    parallelism=None,
-                    prune=prune,
-                    budget=budget_slice,
-                    policy=policy,
-                    lenient=not strict,
-                    exchange=exchange,
-                )
-
-        if parallelism is None or parallelism <= 1:
-            results = [
-                run_shard(shard, budget_slice)
-                for shard, budget_slice in zip(self.shards, slices)
-            ]
-            return TopKResult.merge(*results, k=k)
-
-        # Workers adopt the submitting thread's trace position so shard
-        # spans stay children of this query's span.
-        token = trace.capture()
-
-        def visit(shard: Shard, budget_slice) -> TopKResult:
-            with trace.adopt(token):
-                return run_shard(shard, budget_slice)
-
-        results: List[TopKResult] = []
-        fatal: Optional[BaseException] = None
-        workers = min(parallelism, self.n_shards)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (shard, pool.submit(visit, shard, budget_slice))
-                for shard, budget_slice in zip(self.shards, slices)
-            ]
-            for shard, future in futures:
-                if fatal is not None and future.cancel():
-                    results.append(
-                        TopKResult(
-                            [],
-                            [
-                                VideoOutcome(
-                                    name, OUTCOME_TIMED_OUT, fatal
-                                )
-                                for name in shard.videos
-                            ],
-                            partial=True,
-                        )
-                    )
-                    continue
-                try:
-                    results.append(future.result())
-                except BudgetExceededError as exc:
-                    if fatal is None:
-                        fatal = exc
-                    results.append(
-                        TopKResult(
-                            [],
-                            [
-                                VideoOutcome(name, OUTCOME_TIMED_OUT, exc)
-                                for name in shard.videos
-                            ],
-                            partial=True,
-                        )
-                    )
-                except Exception as exc:
-                    # Only strict workers raise; stop the scatter.
-                    if fatal is None:
-                        fatal = exc
-        if fatal is not None and strict:
-            raise fatal
-        return TopKResult.merge(*results, k=k)

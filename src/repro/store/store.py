@@ -19,7 +19,7 @@ extended down to disk:
   never deleted) and load falls back along the snapshot chain to the
   newest intact one; a damaged derived index is instead rebuilt from
   the surviving metadata.  Every recovery action is surfaced through
-  :mod:`repro.core.instrument` counters and the returned
+  :mod:`repro.core.trace` counters and the returned
   :class:`StoreLoad.actions`.
 * :meth:`Store.verify` is the read-only version of the same checks;
   :meth:`Store.repair` quarantines everything damaged and rewrites the
@@ -42,7 +42,7 @@ import shutil
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.errors import (
     InjectedFaultError,
     ModelError,
@@ -276,9 +276,9 @@ class Store:
             suffix += 1
             target = f"{base}.{suffix}"
         shutil.move(path, target)
-        instrument.count(instrument.STORE_ARTIFACT_QUARANTINED)
+        trace.METRICS.count(trace.STORE_ARTIFACT_QUARANTINED)
         trace.event(
-            instrument.STORE_ARTIFACT_QUARANTINED,
+            trace.STORE_ARTIFACT_QUARANTINED,
             f"moved {os.path.basename(path)} aside to "
             f"{os.path.basename(target)}",
         )
@@ -449,8 +449,8 @@ class Store:
         atomic_write_json(self.manifest_path, manifest, fsync=self.fsync)
         if self.fsync:
             fsync_directory(self.root)
-        instrument.count(instrument.STORE_SNAPSHOT_SAVED)
-        trace.event(instrument.STORE_SNAPSHOT_SAVED, snapshot_id)
+        trace.METRICS.count(trace.STORE_SNAPSHOT_SAVED)
+        trace.event(trace.STORE_SNAPSHOT_SAVED, snapshot_id)
         # Retention, after the commit: dropped snapshots are unreferenced
         # by the new manifest, so removing them can never lose the
         # current or fallback state.  Best-effort — a failure here only
@@ -487,9 +487,9 @@ class Store:
             raise StoreError(
                 f"no snapshot store at {self.root!r}", path=self.root
             )
-        instrument.count(instrument.STORE_MANIFEST_RECOVERED)
+        trace.METRICS.count(trace.STORE_MANIFEST_RECOVERED)
         trace.event(
-            instrument.STORE_MANIFEST_RECOVERED,
+            trace.STORE_MANIFEST_RECOVERED,
             "manifest missing or damaged; recovered by disk scan",
         )
         actions.append(
@@ -755,9 +755,9 @@ class Store:
                             "rebuilt from surviving metadata",
                         )
                     )
-                instrument.count(instrument.STORE_INDEX_REBUILT)
+                trace.METRICS.count(trace.STORE_INDEX_REBUILT)
                 trace.event(
-                    instrument.STORE_INDEX_REBUILT,
+                    trace.STORE_INDEX_REBUILT,
                     f"rebuilt derived index for {video.name!r}",
                 )
                 system = PictureRetrievalSystem(metadata)
@@ -856,9 +856,9 @@ class Store:
             if database is None:
                 continue
             if position > 0:
-                instrument.count(instrument.STORE_SNAPSHOT_FALLBACK)
+                trace.METRICS.count(trace.STORE_SNAPSHOT_FALLBACK)
                 trace.event(
-                    instrument.STORE_SNAPSHOT_FALLBACK,
+                    trace.STORE_SNAPSHOT_FALLBACK,
                     f"fell back past {position} damaged snapshot(s) "
                     f"to {snapshot_id}",
                 )
@@ -870,8 +870,8 @@ class Store:
                         f"snapshot(s) to {snapshot_id}",
                     )
                 )
-            instrument.count(instrument.STORE_SNAPSHOT_LOADED)
-            trace.event(instrument.STORE_SNAPSHOT_LOADED, snapshot_id)
+            trace.METRICS.count(trace.STORE_SNAPSHOT_LOADED)
+            trace.event(trace.STORE_SNAPSHOT_LOADED, snapshot_id)
             return StoreLoad(
                 database=database,
                 snapshot_id=snapshot_id,

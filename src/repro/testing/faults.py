@@ -40,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.intervals import Interval
 from repro.core.simlist import SimEntry, SimilarityList
 from repro.errors import InjectedFaultError
@@ -204,9 +204,9 @@ class FaultInjector:
                     continue
                 if self._should_fire(index, spec, sequence):
                     self.injected.append((site, sequence, spec.mode))
-                    instrument.count(instrument.FAULT_INJECTED)
+                    trace.METRICS.count(trace.FAULT_INJECTED)
                     trace.event(
-                        instrument.FAULT_INJECTED,
+                        trace.FAULT_INJECTED,
                         f"site={site} mode={spec.mode} visit={sequence}",
                     )
                     return spec, sequence

@@ -18,7 +18,7 @@ from repro.analyzer import (
     synthesize_stream,
 )
 from repro.analyzer.features import N_BINS
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.errors import ReproError, WorkloadError
 from repro.model.metadata import Relationship, make_object
 from repro.testing.faults import RAISE, FaultSpec, inject
@@ -295,7 +295,7 @@ class TestSignatureBuildChaos:
         analyzer = VideoAnalyzer(rules=self.rules())
         stream = self.stream()
         fault_free = analyzer.annotate(stream, "clip")
-        instrument.reset()
+        trace.METRICS.reset()
         spec = FaultSpec(resilience.SITE_SIGNATURE_BUILD, mode=RAISE)
         with inject(spec):
             degraded = analyzer.annotate(stream, "clip")
@@ -305,7 +305,7 @@ class TestSignatureBuildChaos:
         assert len(shots) == len(fault_free.nodes_at_level(2)) == 2
         assert all(shot.signature is None for shot in shots)
         assert (
-            instrument.counters()[instrument.SIGNATURE_DEGRADED] == 2
+            trace.METRICS.counters()[trace.SIGNATURE_DEGRADED] == 2
         )
 
     def test_annotation_retrieval_unaffected_by_degradation(self):

@@ -1,11 +1,12 @@
-"""Per-stage timing counters (repro.core.instrument / repro.bench.stages)."""
+"""Per-stage timing counters (trace.METRICS) and their text reports
+(repro.bench.reporting)."""
 
 import threading
 
 import pytest
 
-from repro.bench import stages
-from repro.core import instrument
+from repro.bench.reporting import latency_report_text, stage_report_text
+from repro.core import trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl.parser import parse
@@ -16,44 +17,44 @@ from repro.model.metadata import SegmentMetadata, make_object
 
 @pytest.fixture(autouse=True)
 def clean_timers():
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
     yield
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
 
 
 def test_disabled_records_nothing():
-    with instrument.stage("anything"):
+    with trace.METRICS.stage("anything"):
         pass
-    assert instrument.totals() == {}
+    assert trace.METRICS.totals() == {}
 
 
 def test_enable_collects_and_counts():
-    instrument.enable()
+    trace.METRICS.enable()
     for __ in range(3):
-        with instrument.stage("atom-scoring"):
+        with trace.METRICS.stage("atom-scoring"):
             pass
-    totals = instrument.totals()
+    totals = trace.METRICS.totals()
     assert totals["atom-scoring"].calls == 3
     assert totals["atom-scoring"].seconds >= 0.0
-    instrument.disable()
-    with instrument.stage("atom-scoring"):
+    trace.METRICS.disable()
+    with trace.METRICS.stage("atom-scoring"):
         pass
-    assert instrument.totals()["atom-scoring"].calls == 3
+    assert trace.METRICS.totals()["atom-scoring"].calls == 3
 
 
 def test_enable_resets_by_default():
-    instrument.enable()
-    with instrument.stage("s"):
+    trace.METRICS.enable()
+    with trace.METRICS.stage("s"):
         pass
-    instrument.enable()
-    assert instrument.totals() == {}
-    instrument.enable(reset=False)
-    with instrument.stage("s"):
+    trace.METRICS.enable()
+    assert trace.METRICS.totals() == {}
+    trace.METRICS.enable(reset=False)
+    with trace.METRICS.stage("s"):
         pass
-    instrument.enable(reset=False)
-    assert instrument.totals()["s"].calls == 1
+    trace.METRICS.enable(reset=False)
+    assert trace.METRICS.totals()["s"].calls == 1
 
 
 def test_pipeline_attributes_all_three_stages():
@@ -67,14 +68,14 @@ def test_pipeline_attributes_all_three_stages():
     query = parse(
         "(exists x . present(x)) and eventually (exists x . present(x))"
     )
-    stages.enable()
+    trace.METRICS.enable()
     results = top_k_across_videos(RetrievalEngine(), query, database, k=2)
-    stages.disable()
+    trace.METRICS.disable()
     assert results
-    totals = stages.totals()
-    assert totals[stages.ATOM_SCORING].calls >= 1
-    assert totals[stages.LIST_ALGEBRA].calls >= 1
-    assert totals[stages.TOP_K].calls >= 1
+    totals = trace.METRICS.totals()
+    assert totals[trace.ATOM_SCORING].calls >= 1
+    assert totals[trace.LIST_ALGEBRA].calls >= 1
+    assert totals[trace.TOP_K].calls >= 1
 
 
 def test_reset_race_loses_no_updates():
@@ -88,8 +89,8 @@ def test_reset_race_loses_no_updates():
     def worker():
         barrier.wait()
         for __ in range(n_each):
-            instrument.count("events")
-            instrument.add("work", 0.0001)
+            trace.METRICS.count("events")
+            trace.METRICS.add("work", 0.0001)
 
     threads = [threading.Thread(target=worker) for __ in range(n_threads)]
     for thread in threads:
@@ -97,14 +98,14 @@ def test_reset_race_loses_no_updates():
     barrier.wait()
     seen_counts = seen_calls = cycles = 0
     while any(thread.is_alive() for thread in threads) or cycles < 100:
-        drained = instrument.drain()
+        drained = trace.METRICS.drain()
         seen_counts += drained["counters"].get("events", 0)
         stage = drained["stages"].get("work")
         seen_calls += stage.calls if stage else 0
         cycles += 1
     for thread in threads:
         thread.join()
-    drained = instrument.drain()
+    drained = trace.METRICS.drain()
     seen_counts += drained["counters"].get("events", 0)
     stage = drained["stages"].get("work")
     seen_calls += stage.calls if stage else 0
@@ -113,23 +114,21 @@ def test_reset_race_loses_no_updates():
     assert seen_calls == n_threads * n_each
 
 
-def test_facade_exposes_registry_surface():
-    instrument.enable()
-    instrument.observe("lat", 0.25)
-    snapshot = instrument.snapshot()
-    assert snapshot["histograms"]["lat"].count == 1
-    assert instrument.histograms()["lat"].p50 == pytest.approx(0.25)
-    drained = instrument.drain()
-    assert drained["histograms"]["lat"].count == 1
-    assert instrument.histograms() == {}
-
-
 def test_stage_report_text():
-    stages.enable()
-    with stages.stage("atom-scoring"):
+    trace.METRICS.enable()
+    with trace.METRICS.stage("atom-scoring"):
         pass
-    text = stages.stage_report_text()
+    text = stage_report_text()
     assert "atom-scoring" in text
     assert "Seconds" in text
-    stages.reset()
-    assert "(no stages recorded)" in stages.stage_report_text()
+    trace.METRICS.reset()
+    assert "(no stages recorded)" in stage_report_text()
+
+
+def test_latency_report_text():
+    assert latency_report_text() == ""
+    trace.METRICS.enable()
+    trace.METRICS.observe(trace.QUERY_LATENCY, 0.25)
+    text = latency_report_text()
+    assert trace.QUERY_LATENCY in text
+    assert "250.000" in text

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.engine import EngineConfig, RetrievalEngine
-from repro.core.optimizer import estimated_cost, optimize
+from repro.core.optimizer import optimize
+from repro.core.planner import structural_cost
 from repro.htl import ast, parse, pretty
 
 from tests.integration.strategies import (
@@ -87,8 +88,8 @@ class TestCostHeuristic:
         cheap = parse("kind() = 'a'")
         medium = parse("exists x . present(x)")  # closed: 0 free vars
         pricey = parse("eventually near(x, y)")  # 2 free vars
-        assert estimated_cost(cheap) < estimated_cost(pricey)
-        assert estimated_cost(medium) < estimated_cost(pricey)
+        assert structural_cost(cheap) < structural_cost(pricey)
+        assert structural_cost(medium) < structural_cost(pricey)
 
 
 class TestSemanticPreservation:

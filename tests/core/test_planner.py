@@ -66,12 +66,6 @@ class TestStructuralCost:
         a, b = parse("$A"), parse("eventually $B")
         assert order_conjuncts([a, b], key=lambda f: 0) == [a, b]
 
-    def test_deprecated_alias_in_optimizer(self):
-        from repro.core.optimizer import estimated_cost
-
-        formula = parse("eventually $A")
-        assert estimated_cost(formula) == structural_cost(formula)
-
 
 class TestHasPictureAtoms:
     def test_pure_refs_have_none(self):

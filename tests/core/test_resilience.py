@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.resilience import (
     CLOSED,
@@ -104,11 +104,11 @@ class TestQueryBudget:
             QueryBudget(max_steps=-1)
 
     def test_overrun_counted(self):
-        instrument.reset()
+        trace.METRICS.reset()
         budget = QueryBudget(max_steps=1, clock=FakeClock())
         with pytest.raises(BudgetExceededError):
             budget.charge(5)
-        assert instrument.counters()[instrument.BUDGET_EXCEEDED] == 1
+        assert trace.METRICS.counters()[trace.BUDGET_EXCEEDED] == 1
 
     def test_warm_clip_scorer_charges_the_same_steps(self):
         """The signature → score memo sits below ``score()``: sweeping
@@ -274,7 +274,7 @@ class TestEvaluateWithFallback:
         )
 
     def test_engine_failure_falls_back_to_naive(self):
-        instrument.reset()
+        trace.METRICS.reset()
         database = VideoDatabase()
         video = database.add(_video_with_trains())
         formula = parse("exists x . present(x)")
@@ -286,7 +286,7 @@ class TestEvaluateWithFallback:
             _ExplodingEngine(), formula, video, 2, database, context
         )
         assert result == oracle
-        assert instrument.counters()[instrument.ENGINE_FALLBACK] == 1
+        assert trace.METRICS.counters()[trace.ENGINE_FALLBACK] == 1
 
     def test_no_context_propagates_primary_error(self):
         database = VideoDatabase()
@@ -334,7 +334,7 @@ class TestEvaluateWithFallback:
             )
 
     def test_sql_baseline_recovers_type1_queries(self, monkeypatch):
-        instrument.reset()
+        trace.METRICS.reset()
         database = VideoDatabase()
         video = database.add(_video_with_trains())
         sim = SimilarityList.from_entries([((1, 2), 3.0)], 4.0)
@@ -355,7 +355,7 @@ class TestEvaluateWithFallback:
         )
         assert result.maximum == pytest.approx(4.0)
         assert result.support_size() > 0
-        assert instrument.counters()[instrument.SQL_FALLBACK] == 1
+        assert trace.METRICS.counters()[trace.SQL_FALLBACK] == 1
 
     def test_type2_queries_cannot_use_sql_and_raise_primary(self, monkeypatch):
         database = VideoDatabase()

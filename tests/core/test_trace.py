@@ -9,7 +9,7 @@ Covers the observability layer of DESIGN.md §10 in four tiers:
 * span trees — parentage (including across a thread pool via
   capture/adopt), events, counter deltas, error recording, export;
 * integration — a traced parallel top-k whose per-stage span rollup
-  reconciles with ``instrument.totals()``, and a chaos run whose
+  reconciles with ``trace.METRICS.totals()``, and a chaos run whose
   fault-injected fallbacks surface as span events with correct
   parentage.
 """
@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
@@ -33,11 +33,11 @@ from repro.testing.faults import FaultSpec, inject
 
 @pytest.fixture(autouse=True)
 def clean_registry():
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
     yield
-    instrument.disable()
-    instrument.reset()
+    trace.METRICS.disable()
+    trace.METRICS.reset()
 
 
 def tiny_database(n_videos=4, n_segments=10, seed=7):
@@ -67,55 +67,55 @@ QUERY = (
 # ---------------------------------------------------------------------------
 class TestStageSemantics:
     def test_nested_same_name_counts_once(self):
-        instrument.enable()
-        with instrument.stage("s"):
-            with instrument.stage("s"):
-                with instrument.stage("s"):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            with trace.METRICS.stage("s"):
+                with trace.METRICS.stage("s"):
                     pass
-        totals = instrument.totals()
+        totals = trace.METRICS.totals()
         assert totals["s"].calls == 1
 
     def test_nested_different_names_both_count(self):
-        instrument.enable()
-        with instrument.stage("outer"):
-            with instrument.stage("inner"):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("outer"):
+            with trace.METRICS.stage("inner"):
                 pass
-        totals = instrument.totals()
+        totals = trace.METRICS.totals()
         assert totals["outer"].calls == 1
         assert totals["inner"].calls == 1
 
     def test_sequential_same_name_counts_each(self):
-        instrument.enable()
+        trace.METRICS.enable()
         for __ in range(3):
-            with instrument.stage("s"):
+            with trace.METRICS.stage("s"):
                 pass
-        assert instrument.totals()["s"].calls == 3
+        assert trace.METRICS.totals()["s"].calls == 3
 
     def test_disable_mid_block_drops_the_inflight_block(self):
         # A block is credited only when collection is enabled at both
         # entry and exit: its timing would otherwise be torn across the
         # toggle.
-        instrument.enable()
-        with instrument.stage("s"):
-            instrument.disable()
-        assert instrument.totals().get("s") is None
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            trace.METRICS.disable()
+        assert trace.METRICS.totals().get("s") is None
 
     def test_enable_mid_block_takes_effect_next_entry(self):
-        with instrument.stage("s"):
-            instrument.enable()
-        assert instrument.totals().get("s") is None
-        with instrument.stage("s"):
+        with trace.METRICS.stage("s"):
+            trace.METRICS.enable()
+        assert trace.METRICS.totals().get("s") is None
+        with trace.METRICS.stage("s"):
             pass
-        assert instrument.totals()["s"].calls == 1
+        assert trace.METRICS.totals()["s"].calls == 1
 
     def test_nested_depth_survives_inner_disable_enable(self):
-        instrument.enable()
-        with instrument.stage("s"):
-            with instrument.stage("s"):
+        trace.METRICS.enable()
+        with trace.METRICS.stage("s"):
+            with trace.METRICS.stage("s"):
                 pass
-        with instrument.stage("s"):
+        with trace.METRICS.stage("s"):
             pass
-        assert instrument.totals()["s"].calls == 2
+        assert trace.METRICS.totals()["s"].calls == 2
 
 
 class TestHistogram:
@@ -152,11 +152,11 @@ class TestHistogram:
         assert histogram.percentile(50) == pytest.approx(n / 2, rel=0.05)
 
     def test_observe_requires_enabled(self):
-        instrument.observe("lat", 0.5)
-        assert instrument.histograms() == {}
-        instrument.enable()
-        instrument.observe("lat", 0.5)
-        assert instrument.histograms()["lat"].count == 1
+        trace.METRICS.observe("lat", 0.5)
+        assert trace.METRICS.histograms() == {}
+        trace.METRICS.enable()
+        trace.METRICS.observe("lat", 0.5)
+        assert trace.METRICS.histograms()["lat"].count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +176,8 @@ class TestConcurrency:
         def worker():
             start.wait()
             for __ in range(n_increments):
-                instrument.count("hits")
-                instrument.add("stage", 0.001)
+                trace.METRICS.count("hits")
+                trace.METRICS.add("stage", 0.001)
 
         threads = [
             threading.Thread(target=worker) for __ in range(n_threads)
@@ -190,7 +190,7 @@ class TestConcurrency:
         drained_calls = 0
         cycles = 0
         while any(thread.is_alive() for thread in threads) or cycles < 100:
-            snapshot = instrument.drain()
+            snapshot = trace.METRICS.drain()
             drained_counts += snapshot["counters"].get("hits", 0)
             stage = snapshot["stages"].get("stage")
             drained_calls += stage.calls if stage else 0
@@ -199,7 +199,7 @@ class TestConcurrency:
                 break
         for thread in threads:
             thread.join()
-        final = instrument.drain()
+        final = trace.METRICS.drain()
         drained_counts += final["counters"].get("hits", 0)
         stage = final["stages"].get("stage")
         drained_calls += stage.calls if stage else 0
@@ -216,8 +216,8 @@ class TestConcurrency:
 
         def worker():
             while not stop.is_set():
-                instrument.count("c")
-                with instrument.stage("s"):
+                trace.METRICS.count("c")
+                with trace.METRICS.stage("s"):
                     pass
 
         threads = [threading.Thread(target=worker) for __ in range(4)]
@@ -225,13 +225,13 @@ class TestConcurrency:
             thread.start()
         try:
             for __ in range(100):
-                instrument.enable(reset=True)
-                instrument.reset()
+                trace.METRICS.enable(reset=True)
+                trace.METRICS.reset()
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
-        snapshot = instrument.snapshot()
+        snapshot = trace.METRICS.snapshot()
         assert set(snapshot) == {"stages", "counters", "histograms"}
         for total in snapshot["stages"].values():
             assert total.calls >= 0 and total.seconds >= 0.0
@@ -240,7 +240,7 @@ class TestConcurrency:
         """The TraceRecorder/registry concurrency suite: N threads each
         record spans, counters and latency samples; afterwards the
         recorder holds every root and the snapshot is coherent."""
-        instrument.enable()
+        trace.METRICS.enable()
         n_threads, n_spans = 8, 50
         recorder = trace.TraceRecorder()
         start = threading.Barrier(n_threads)
@@ -252,14 +252,14 @@ class TestConcurrency:
                     with trace.staged_span(
                         trace.TOP_K, trace.KIND_TOPK, f"w{tid}-{index}"
                     ):
-                        instrument.count("visits")
-                        instrument.observe("lat", 0.001)
+                        trace.METRICS.count("visits")
+                        trace.METRICS.observe("lat", 0.001)
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(worker, range(n_threads)))
 
         assert len(recorder.roots) == n_threads * n_spans
-        snapshot = instrument.snapshot()
+        snapshot = trace.METRICS.snapshot()
         assert snapshot["counters"]["visits"] == n_threads * n_spans
         assert snapshot["stages"][trace.TOP_K].calls == n_threads * n_spans
         assert snapshot["histograms"]["lat"].count == n_threads * n_spans
@@ -364,13 +364,13 @@ class TestSpans:
 
 class TestStagedSpanBridge:
     def test_single_measurement_feeds_both_sinks(self):
-        instrument.enable()
+        trace.METRICS.enable()
         with trace.recording() as recorder:
             with trace.staged_span(
                 trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "merge"
             ) as opened:
                 assert opened is not None
-        totals = instrument.totals()
+        totals = trace.METRICS.totals()
         assert totals[trace.LIST_ALGEBRA].calls == 1
         # Exact reconciliation: the stage credit IS the span duration.
         assert totals[trace.LIST_ALGEBRA].seconds == pytest.approx(
@@ -384,17 +384,17 @@ class TestStagedSpanBridge:
             ):
                 pass
         assert len(recorder.roots) == 1
-        assert instrument.totals() == {}
+        assert trace.METRICS.totals() == {}
 
     def test_no_recorder_no_metrics_is_passthrough(self):
         with trace.staged_span(
             trace.ATOM_SCORING, trace.KIND_ATOM_SWEEP, "a"
         ) as opened:
             assert opened is None
-        assert instrument.totals() == {}
+        assert trace.METRICS.totals() == {}
 
     def test_nested_same_stage_spans_count_stage_once(self):
-        instrument.enable()
+        trace.METRICS.enable()
         with trace.recording() as recorder:
             with trace.staged_span(
                 trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "outer"
@@ -405,7 +405,7 @@ class TestStagedSpanBridge:
                     pass
         # Two spans in the tree, one stage credit (outermost frame only).
         assert len(list(recorder.roots[0].walk())) == 2
-        assert instrument.totals()[trace.LIST_ALGEBRA].calls == 1
+        assert trace.METRICS.totals()[trace.LIST_ALGEBRA].calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -455,16 +455,16 @@ class TestTracedRetrieval:
     def test_span_rollup_reconciles_with_instrument_totals(self):
         """The acceptance criterion: per-stage totals from the span tree
         reconcile (within 5%; exactly, by construction) with the legacy
-        instrument.totals() for the same run, under parallelism=4."""
+        trace.METRICS.totals() for the same run, under parallelism=4."""
         database = tiny_database(n_videos=6)
         formula = parse(QUERY)
-        instrument.enable()
+        trace.METRICS.enable()
         result = top_k_across_videos(
             RetrievalEngine(), formula, database, k=5,
             parallelism=4, profile=True,
         )
-        instrument.disable()
-        legacy = instrument.totals()
+        trace.METRICS.disable()
+        legacy = trace.METRICS.totals()
         rollup = result.profile.stage_totals()
         for stage in (trace.ATOM_SCORING, trace.LIST_ALGEBRA, trace.TOP_K):
             assert stage in rollup, f"missing {stage} in span rollup"
@@ -477,15 +477,38 @@ class TestTracedRetrieval:
     def test_query_and_video_latency_histograms_populate(self):
         database = tiny_database()
         formula = parse(QUERY)
-        instrument.enable()
+        trace.METRICS.enable()
         top_k_across_videos(
             RetrievalEngine(), formula, database, k=3, profile=True
         )
-        instrument.disable()
-        summaries = instrument.histograms()
-        assert summaries[instrument.QUERY_LATENCY].count == 1
-        assert summaries[instrument.VIDEO_LATENCY].count == len(
+        trace.METRICS.disable()
+        summaries = trace.METRICS.histograms()
+        assert summaries[trace.QUERY_LATENCY].count == 1
+        assert summaries[trace.VIDEO_LATENCY].count == len(
             list(database.videos())
+        )
+
+    @pytest.mark.parametrize("parallelism", [None, 2])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_sharded_query_is_one_query_latency_sample(
+        self, shards, parallelism
+    ):
+        """Regression: scatter-gather queries never reached
+        ``query-seconds``.  One sharded query is one sample — not one per
+        shard — plus one ``video-seconds`` sample per evaluated video."""
+        from repro.shard import ShardedCorpus
+
+        database = tiny_database(n_videos=4)
+        corpus = ShardedCorpus.from_database(database, shards)
+        trace.METRICS.enable()
+        result = corpus.top_k(
+            RetrievalEngine(), parse(QUERY), k=3, parallelism=parallelism
+        )
+        trace.METRICS.disable()
+        summaries = trace.METRICS.histograms()
+        assert summaries[trace.QUERY_LATENCY].count == 1
+        assert summaries[trace.VIDEO_LATENCY].count == sum(
+            outcome.ok for outcome in result.outcomes
         )
 
     @pytest.mark.parametrize("parallelism", [None, 2])
@@ -507,7 +530,7 @@ class TestTracedRetrieval:
         fallbacks = [
             (owner, emitted)
             for owner, emitted in root.all_events()
-            if emitted.name == instrument.ATOM_FALLBACK
+            if emitted.name == trace.ATOM_FALLBACK
         ]
         assert fallbacks, "no atom-fallback events recorded"
         parents = {}
@@ -526,6 +549,6 @@ class TestTracedRetrieval:
             assert trace.KIND_VIDEO in kinds
             assert trace.KIND_QUERY in kinds
         # The fallback also bumped the global counter, as before.
-        assert instrument.counters().get(instrument.ATOM_FALLBACK, 0) >= len(
+        assert trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0) >= len(
             fallbacks
         )

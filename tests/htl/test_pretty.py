@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from repro.errors import HTLTypeError
 from repro.htl import ast, parse, pretty, pretty_term
+from repro.htl.pretty import clip
 
 from tests.htl.strategies import formulas
 
@@ -76,6 +77,17 @@ class TestGolden:
 
     def test_term_rendering(self):
         assert pretty_term(ast.AttrFunc("f", (ast.ObjectVar("x"),))) == "f(x)"
+
+
+class TestClip:
+    @pytest.mark.parametrize("limit", [48, 60, 72])
+    def test_cuts_only_past_the_limit(self, limit):
+        for length in (limit - 1, limit):
+            text = "x" * length
+            assert clip(text, limit) == text
+        cut = clip("x" * (limit + 1), limit)
+        assert cut == "x" * (limit - 3) + "..."
+        assert len(cut) == limit
 
 
 class TestRoundTrip:

@@ -6,7 +6,7 @@ tests replay the exact backoff schedule without touching the clock.
 
 import pytest
 
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.errors import InjectedFaultError, ShardError
 from repro.model.database import VideoDatabase
 from repro.shard import DEFAULT_RETRY, RetryPolicy, Shard
@@ -77,13 +77,13 @@ class TestShardRetry:
         state, load = flaky_loader(failures=2)
         sleeps = []
         shard = make_shard(load, RetryPolicy(attempts=3), sleeps)
-        before = instrument.counters().get(instrument.SHARD_LOAD_RETRIED, 0)
+        before = trace.METRICS.counters().get(trace.SHARD_LOAD_RETRIED, 0)
         database = shard.database()
         assert isinstance(database, VideoDatabase)
         assert state["loads"] == 1
         assert len(sleeps) == 2  # one backoff per recovered failure
         assert sleeps[0] < sleeps[1]  # exponential growth, jitter pinned
-        after = instrument.counters().get(instrument.SHARD_LOAD_RETRIED, 0)
+        after = trace.METRICS.counters().get(trace.SHARD_LOAD_RETRIED, 0)
         assert after - before == 2
         assert shard.breaker.state == resilience.CLOSED
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import instrument, resilience, trace
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import (
     OUTCOME_OK,
@@ -208,16 +208,16 @@ class TestObservability:
         assert len(shard_spans) == 4
 
     def test_shard_loaded_counter(self, corpus):
-        was_enabled = instrument.is_enabled()
-        instrument.enable()
+        was_enabled = trace.METRICS.is_enabled()
+        trace.METRICS.enable()
         try:
             sharded = ShardedCorpus.from_database(corpus, 3)
             sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
-            counters = instrument.counters()
+            counters = trace.METRICS.counters()
         finally:
             if not was_enabled:
-                instrument.disable()
-        assert counters.get(instrument.SHARD_LOADED) == 3
+                trace.METRICS.disable()
+        assert counters.get(trace.SHARD_LOADED) == 3
 
     def test_database_load_is_memoized(self, corpus):
         sharded = ShardedCorpus.from_database(corpus, 2)

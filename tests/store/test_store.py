@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core import instrument
+from repro.core import trace
 from repro.core.engine import RetrievalEngine
 from repro.errors import (
     StoreCorruptionError,
@@ -106,14 +106,14 @@ class TestRoundTrip:
         assert loaded.verified and not loaded.recovered
 
     def test_save_bumps_counters(self, store, database):
-        before = instrument.counters().get(
-            instrument.STORE_SNAPSHOT_SAVED, 0
+        before = trace.METRICS.counters().get(
+            trace.STORE_SNAPSHOT_SAVED, 0
         )
         store.save(database)
         store.load()
-        counters = instrument.counters()
-        assert counters[instrument.STORE_SNAPSHOT_SAVED] == before + 1
-        assert counters.get(instrument.STORE_SNAPSHOT_LOADED, 0) >= 1
+        counters = trace.METRICS.counters()
+        assert counters[trace.STORE_SNAPSHOT_SAVED] == before + 1
+        assert counters.get(trace.STORE_SNAPSHOT_LOADED, 0) >= 1
 
     def test_loaded_queries_match_original(self, store, database):
         formula = parse("exists x . present(x) and type(x) = 'train'")
@@ -176,17 +176,17 @@ class TestRecovery:
         second = store.save(database)
         damaged_path = os.path.join(second.path, VIDEOS_ARTIFACT)
         original = damage(damaged_path)
-        before = instrument.counters().get(
-            instrument.STORE_ARTIFACT_QUARANTINED, 0
+        before = trace.METRICS.counters().get(
+            trace.STORE_ARTIFACT_QUARANTINED, 0
         )
         loaded = store.load()
         assert loaded.snapshot_id == first.snapshot_id
         assert database_to_dict(loaded.database) == reference
         kinds = [action.kind for action in loaded.actions]
         assert "quarantined" in kinds and "fallback" in kinds
-        counters = instrument.counters()
-        assert counters[instrument.STORE_ARTIFACT_QUARANTINED] == before + 1
-        assert counters.get(instrument.STORE_SNAPSHOT_FALLBACK, 0) >= 1
+        counters = trace.METRICS.counters()
+        assert counters[trace.STORE_ARTIFACT_QUARANTINED] == before + 1
+        assert counters.get(trace.STORE_SNAPSHOT_FALLBACK, 0) >= 1
         # The damaged bytes are preserved in quarantine, not deleted.
         moved = [
             action.quarantined_to
@@ -226,12 +226,12 @@ class TestRecovery:
         reference = database_to_dict(database)
         info = store.save(database)
         damage(os.path.join(info.path, INDEX_ARTIFACT))
-        before = instrument.counters().get(instrument.STORE_INDEX_REBUILT, 0)
+        before = trace.METRICS.counters().get(trace.STORE_INDEX_REBUILT, 0)
         loaded = store.load()
         # Derived damage: same snapshot, rebuilt index, equal database.
         assert loaded.snapshot_id == info.snapshot_id
         assert database_to_dict(loaded.database) == reference
-        assert instrument.counters()[instrument.STORE_INDEX_REBUILT] > before
+        assert trace.METRICS.counters()[trace.STORE_INDEX_REBUILT] > before
         assert not any(
             action.kind == "fallback" for action in loaded.actions
         )
@@ -240,14 +240,14 @@ class TestRecovery:
         reference = database_to_dict(database)
         info = store.save(database)
         os.remove(store.manifest_path)
-        before = instrument.counters().get(
-            instrument.STORE_MANIFEST_RECOVERED, 0
+        before = trace.METRICS.counters().get(
+            trace.STORE_MANIFEST_RECOVERED, 0
         )
         loaded = store.load()
         assert loaded.snapshot_id == info.snapshot_id
         assert database_to_dict(loaded.database) == reference
         assert (
-            instrument.counters()[instrument.STORE_MANIFEST_RECOVERED]
+            trace.METRICS.counters()[trace.STORE_MANIFEST_RECOVERED]
             == before + 1
         )
 

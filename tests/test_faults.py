@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.core import instrument, resilience
+from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.simlist import set_invariant_checks
 from repro.core.topk import top_k_across_videos
@@ -164,13 +164,13 @@ class TestInjectorMechanics:
         assert resilience._fault_hook is None
 
     def test_injection_counted(self, corpus):
-        instrument.reset()
+        trace.METRICS.reset()
         injector = FaultInjector(
             [FaultSpec(resilience.SITE_LIST_MERGE, max_faults=1)]
         )
         with pytest.raises(InjectedFaultError):
             injector.trip(resilience.SITE_LIST_MERGE)
-        assert instrument.counters()[instrument.FAULT_INJECTED] == 1
+        assert trace.METRICS.counters()[trace.FAULT_INJECTED] == 1
 
     def test_negative_skip_rejected(self):
         with pytest.raises(ValueError, match="skip"):
@@ -413,7 +413,7 @@ class TestCorruptionBoundary:
 
 class TestRecoveryPaths:
     def test_index_faults_recover_through_naive_atoms(self, corpus):
-        instrument.reset()
+        trace.METRICS.reset()
         formula = parse(CHAOS_QUERY)
         video = next(iter(corpus.videos()))
         fault_free = RetrievalEngine().evaluate_video(
@@ -425,7 +425,7 @@ class TestRecoveryPaths:
                     formula, video, database=corpus
                 )
         assert recovered == fault_free
-        assert instrument.counters().get(instrument.ATOM_FALLBACK, 0) > 0
+        assert trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0) > 0
 
     def test_atom_score_site_fires_per_scored_segment_with_a_warm_scorer(
         self,
