@@ -10,11 +10,14 @@ static optimizer keeps the written order while the planner evaluates
 the selective side first and short-circuits the expensive side wherever
 the rare type is absent.
 
-Three claims are gated:
+Four claims are gated:
 
 * **Work** — the planned engine scores *strictly fewer* segments than
   the structural-order engine (exact counts from the per-video picture
   systems, not timings).
+* **Plan count** — the cold sweep builds exactly one plan per distinct
+  (formula, statistics signature) pair: a plan is a function of that
+  key, so the count is exact, not a bound.
 * **Plan-cache warmth** — a warm repeat of the corpus sweep runs zero
   additional support probes and builds zero additional plans: planning
   cost is paid once per (formula, index-shape), not per query.
@@ -33,6 +36,7 @@ import pytest
 
 from repro.bench.reporting import write_report_json
 from repro.core.engine import EngineConfig, RetrievalEngine
+from repro.core.planner import Statistics
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
 from repro.model.database import VideoDatabase
@@ -146,14 +150,20 @@ def test_planner_work_cache_and_identity(report):
         f"{structural_scored} — statistics-driven ordering saved nothing"
     )
 
-    # -- plan-cache warmth gate ------------------------------------------
-    # One settle sweep first: the cold run's observed latencies feed the
-    # adaptive loop, which may retire the initial plans once to
-    # recalibrate the cost model's time unit (that one replan is the
-    # design, not a cache failure).  After settling, a warm sweep must be
-    # pure cache hits: no support probes, no plan builds.
-    _sweep(planned_engine, planned_db)
+    # -- plan-count gate -------------------------------------------------
     stats_after_cold = planned_engine.planner.stats
+    index_shapes = {
+        Statistics.from_pictures(video.root.pictures_at_level(2)).signature
+        for video in planned_db.videos()
+    }
+    assert stats_after_cold.plans_built == len(index_shapes), (
+        f"cold sweep built {stats_after_cold.plans_built} plans for "
+        f"{len(index_shapes)} distinct (formula, statistics signature) pairs"
+    )
+
+    # -- plan-cache warmth gate ------------------------------------------
+    # A warm sweep must be pure cache hits: no support probes, no plan
+    # builds.
     warm_seconds, warm = best_of(
         lambda: _sweep(planned_engine, planned_db), repeat=1
     )
@@ -214,10 +224,14 @@ def test_planner_work_cache_and_identity(report):
             "planned_warm_seconds": warm_seconds,
             "plans_built": stats_after_warm.plans_built,
             "cache_hits": stats_after_warm.cache_hits,
-            "replans": stats_after_warm.replans,
             "support_probes": stats_after_warm.support_probes,
             "skipped_subformulas": stats_after_warm.skipped_subformulas,
+            "distinct_index_shapes": len(index_shapes),
             "work_gate": "planned_scored < structural_scored",
+            "plan_count_gate": (
+                "cold plans_built == distinct (formula, statistics "
+                "signature) pairs"
+            ),
             "warm_gate": (
                 "warm sweep adds no support probes and builds no plans"
             ),

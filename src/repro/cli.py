@@ -636,9 +636,8 @@ def cmd_explain(arguments: argparse.Namespace) -> int:
 def _explain_plan(arguments: argparse.Namespace, formula) -> int:
     """Compile the query's cost-based plan against a dataset and print it.
 
-    The query is also evaluated once so the report can put the observed
-    wall-clock next to the cost model's estimate — the pair the adaptive
-    re-planner compares.
+    Nothing is evaluated: a plan is a function of the formula and the
+    index statistics alone, and its cost is in counted units.
     """
     import json
 
@@ -647,11 +646,14 @@ def _explain_plan(arguments: argparse.Namespace, formula) -> int:
     video = database.get(video_name)
     level = _resolve_level(video, arguments.level)
     engine = RetrievalEngine()
-    pictures = video.root.pictures_at_level(level)
     plan = engine.planner.plan_for(
-        formula, pictures, level, engine.config, generation=database.generation
+        formula,
+        video.root.pictures_at_level(level),
+        level,
+        engine.config,
+        generation=database.video_generation(video_name),
+        video=video_name,
     )
-    engine.evaluate_video(formula, video, level=level, database=database)
     if arguments.json:
         print(json.dumps(plan.to_dict(), indent=2, sort_keys=True))
         return 0

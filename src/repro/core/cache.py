@@ -256,9 +256,7 @@ class PlanCache:
     Structurally a sibling of :class:`EvaluationCache` — same FIFO
     eviction, same generation-counter ``sync`` — but values are opaque
     (:class:`repro.core.planner.QueryPlan` objects; typed ``Any`` here so
-    the cache layer never imports the planner) and entries can also be
-    dropped *individually*: adaptive re-planning retires exactly the plan
-    whose estimates drifted, keeping the rest warm.
+    the cache layer never imports the planner).
     """
 
     def __init__(self, max_plans: int = DEFAULT_MAX_PLANS):
@@ -341,16 +339,6 @@ class PlanCache:
         """Drop all cached plans (counters are kept)."""
         with self._lock:
             self._clear_locked()
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one plan (adaptive re-plan); True if it was cached."""
-        with self._lock:
-            if key in self._plans:
-                del self._plans[key]
-                self._untag_locked(key)
-                self._invalidations += 1
-                return True
-            return False
 
     def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:

@@ -17,7 +17,6 @@ Two evaluation modes (DESIGN.md §2):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -66,7 +65,7 @@ class EngineConfig:
     ``plan`` enables the cost-based query planner (DESIGN.md §13):
     statistics-driven join evaluation order with inner-join operand
     short-circuits, per-atom indexed-vs-naive strategy choice, and plan
-    caching with adaptive re-planning.  Plans never change results —
+    caching.  Plans never change results —
     ``plan=False`` restores the structural evaluation order exactly.
     """
 
@@ -236,14 +235,7 @@ class RetrievalEngine:
             trace.bump("cache-list-miss")
         context = self._context(formula, video, level, database, atomic_lists)
         context.plan = self._plan_for(formula, context, database)
-        if context.plan is None:
-            result = self._table(formula, context).closed_list()
-        else:
-            started = time.perf_counter()
-            result = self._table(formula, context).closed_list()
-            self.planner.observe(
-                context.plan, time.perf_counter() - started
-            )
+        result = self._table(formula, context).closed_list()
         if use_cache and key is not None:
             cache.put_list(key, result)
         return result
@@ -573,10 +565,7 @@ class RetrievalEngine:
         ):
             schema = self._schema_table(formula, context)
             if schema is not None:
-                if self.planner is not None:
-                    self.planner.record_skip()
-                else:  # plan supplied via context without a planner
-                    trace.bump(planning.PLAN_SKIPPED_SUBFORMULA)
+                self.planner.record_skip()
                 return schema
         return self._table(formula, context)
 

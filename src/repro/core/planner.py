@@ -31,14 +31,12 @@ The planner compiles an (engine-)formula into a :class:`QueryPlan`:
   share one plan, so multi-video top-k plans once per distinct index
   shape; the database generation counter invalidates on mutation, exactly
   like :class:`~repro.core.cache.EvaluationCache`.
-* **adaptive feedback** — every planned evaluation reports its wall-clock
-  back via :meth:`Planner.observe`.  When the observed time diverges from
-  the estimate by more than ``replan_ratio`` for ``min_observations``
-  consecutive runs, the cached plan is dropped (``plan-replan``), the
-  model's ``unit_seconds`` is recalibrated from the observations — and,
-  when stage metrics are enabled, the score/merge cost ratio is refit
-  from the :class:`~repro.core.trace.MetricsRegistry` stage totals — so
-  the rebuilt plan's estimates track the machine it is running on.
+
+A plan is a pure function of that key: costs are counted work (formula
+shape, posting-list lengths, pool sizes — the paper's own §3/§4 pricing),
+never wall-clock, so plan choice and every counter downstream of it
+repeat exactly under a seed (DESIGN.md §13, *Why there is no feedback
+loop*).
 
 The module is engine-agnostic: it imports the picture layer and the cache
 but never :mod:`repro.core.engine` (the engine imports *it*), and
@@ -49,7 +47,7 @@ but never :mod:`repro.core.engine` (the engine imports *it*), and
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -88,7 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PLAN_BUILT = "plan-built"
 PLAN_CACHE_HIT = "plan-cache-hit"
 PLAN_CACHE_MISS = "plan-cache-miss"
-PLAN_REPLAN = "plan-replan"
 PLAN_FAILED = "plan-failed"
 PLAN_SKIPPED_SUBFORMULA = "plan-subformula-skipped"
 
@@ -227,10 +224,8 @@ class Statistics:
 class CostModel:
     """Relative per-operation costs, in abstract units.
 
-    ``unit_seconds`` converts units to wall-clock for the adaptive loop;
-    it starts at a rough laptop-scale default and is recalibrated from
-    observed evaluations.  ``score_cost`` is the unit (one recursive
-    ``score()`` of a stored segment); the others are relative to it.
+    ``score_cost`` is the unit (one recursive ``score()`` of a stored
+    segment); the others are relative to it.
     """
 
     score_cost: float = 1.0
@@ -244,47 +239,6 @@ class CostModel:
     ref_cost: float = 1.0
     #: Estimated elementary ranges per free attribute variable.
     attr_boxes: int = 4
-    #: Seconds per cost unit (recalibrated by observation).
-    unit_seconds: float = 2e-6
-    #: Re-plan when observed/estimated seconds diverge beyond this factor.
-    replan_ratio: float = 4.0
-    #: ... for at least this many consecutive observations.
-    min_observations: int = 2
-
-    def seconds(self, cost: float) -> float:
-        return cost * self.unit_seconds
-
-    def recalibrated(self, observed_seconds: float, cost: float) -> "CostModel":
-        """A model whose unit matches one observed (seconds, cost) pair.
-
-        When stage metrics are enabled, the score/merge ratio is also
-        refit from the measured per-call stage costs — observed atom
-        scoring vs. list algebra seconds-per-call — closing the loop from
-        the :class:`~repro.core.trace.MetricsRegistry` histograms back
-        into the estimates.
-        """
-        changes: Dict[str, Any] = {}
-        if cost > 0 and observed_seconds > 0:
-            changes["unit_seconds"] = observed_seconds / cost
-        if trace.METRICS.is_enabled():
-            totals = trace.METRICS.totals()
-            scoring = totals.get(trace.ATOM_SCORING)
-            algebra = totals.get(trace.LIST_ALGEBRA)
-            if (
-                scoring is not None
-                and algebra is not None
-                and scoring.calls
-                and algebra.calls
-                and scoring.seconds > 0
-            ):
-                per_score = scoring.seconds / scoring.calls
-                per_merge = algebra.seconds / algebra.calls
-                changes["merge_cost"] = max(
-                    1e-4, self.score_cost * per_merge / per_score
-                )
-        if not changes:
-            return self
-        return replace(self, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -323,58 +277,24 @@ class AtomChoice:
     match_rate: Optional[float] = None
 
 
+@dataclass(frozen=True, eq=False)
 class QueryPlan:
     """A compiled evaluation plan for one (formula, index-shape, config).
 
-    Immutable decisions (``strategies``, ``swapped``, ``nodes``) plus the
-    mutable observation state the adaptive loop updates under the
-    planner's lock.
+    An immutable value: worker threads share one cached plan with no
+    lock.  Plans compare by identity (``eq=False``) — the cache key, not
+    the plan, is what equality of plans means.
     """
 
-    __slots__ = (
-        "key",
-        "formula",
-        "signature",
-        "level",
-        "strategies",
-        "swapped",
-        "nodes",
-        "atoms",
-        "estimated_cost",
-        "estimated_seconds",
-        "observations",
-        "observed_seconds",
-        "divergent_streak",
-        "retired",
-    )
-
-    def __init__(
-        self,
-        key: Hashable,
-        formula: ast.Formula,
-        signature: Tuple[Any, ...],
-        level: int,
-        strategies: Mapping[str, str],
-        swapped: FrozenSet[str],
-        nodes: Mapping[str, NodeEstimate],
-        atoms: Mapping[str, AtomChoice],
-        estimated_cost: float,
-        estimated_seconds: float,
-    ):
-        self.key = key
-        self.formula = formula
-        self.signature = signature
-        self.level = level
-        self.strategies = dict(strategies)
-        self.swapped = swapped
-        self.nodes = dict(nodes)
-        self.atoms = dict(atoms)
-        self.estimated_cost = estimated_cost
-        self.estimated_seconds = estimated_seconds
-        self.observations = 0
-        self.observed_seconds = 0.0
-        self.divergent_streak = 0
-        self.retired = False
+    key: Hashable
+    formula: ast.Formula
+    signature: Tuple[Any, ...]
+    level: int
+    strategies: Mapping[str, str]
+    swapped: FrozenSet[str]
+    nodes: Mapping[str, NodeEstimate]
+    atoms: Mapping[str, AtomChoice]
+    estimated_cost: float
 
     # -- engine hooks ---------------------------------------------------
     def atom_use_index(self, key: str) -> Optional[bool]:
@@ -393,15 +313,7 @@ class QueryPlan:
         """Human-readable plan: tree with order/strategy/cost annotations."""
         lines: List[str] = []
         self._describe(self.formula, 0, lines)
-        lines.append(
-            f"estimated cost: {self.estimated_cost:.1f} units "
-            f"(~{self.estimated_seconds * 1000:.3f} ms)"
-        )
-        if self.observations:
-            lines.append(
-                f"observed: {self.observed_seconds * 1000:.3f} ms "
-                f"(ewma over {self.observations} run(s))"
-            )
+        lines.append(f"estimated cost: {self.estimated_cost:.1f} units")
         return "\n".join(lines)
 
     def _describe(
@@ -445,9 +357,6 @@ class QueryPlan:
         """A JSON-safe document of the plan (the CLI's ``--json`` form)."""
         return {
             "estimated_cost": self.estimated_cost,
-            "estimated_seconds": self.estimated_seconds,
-            "observations": self.observations,
-            "observed_seconds": self.observed_seconds,
             "level": self.level,
             "signature": repr(self.signature),
             "tree": self._node_doc(self.formula),
@@ -492,13 +401,12 @@ class PlannerStats:
     plans_built: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    replans: int = 0
     support_probes: int = 0
     skipped_subformulas: int = 0
 
 
 class Planner:
-    """Builds, caches and adaptively revises query plans.
+    """Builds and caches query plans.
 
     Thread-safe: one planner is shared across ``top_k_across_videos``
     worker threads exactly like the evaluation cache.
@@ -515,7 +423,6 @@ class Planner:
         self._plans_built = 0
         self._cache_hits = 0
         self._cache_misses = 0
-        self._replans = 0
         self._support_probes = 0
         self._skipped = 0
 
@@ -527,7 +434,6 @@ class Planner:
                 plans_built=self._plans_built,
                 cache_hits=self._cache_hits,
                 cache_misses=self._cache_misses,
-                replans=self._replans,
                 support_probes=self._support_probes,
                 skipped_subformulas=self._skipped,
             )
@@ -602,47 +508,7 @@ class Planner:
             nodes=builder.nodes,
             atoms=builder.atoms,
             estimated_cost=total.cost,
-            estimated_seconds=self.model.seconds(total.cost),
         )
-
-    # -- adaptive feedback ----------------------------------------------
-    def observe(self, plan: QueryPlan, seconds: float) -> None:
-        """Report one planned evaluation's wall-clock back to the model.
-
-        Tracks an exponentially-weighted observed time per plan; when it
-        stays outside ``replan_ratio`` of the estimate for
-        ``min_observations`` consecutive runs, the plan is retired from
-        the cache, the model recalibrated, and the next evaluation
-        re-plans with estimates fitted to the observations.
-        """
-        model = self.model
-        with self._lock:
-            plan.observations += 1
-            if plan.observations == 1:
-                plan.observed_seconds = seconds
-            else:
-                plan.observed_seconds = (
-                    0.5 * plan.observed_seconds + 0.5 * seconds
-                )
-            estimate = max(plan.estimated_seconds, 1e-9)
-            ratio = plan.observed_seconds / estimate
-            divergent = (
-                ratio > model.replan_ratio or ratio < 1.0 / model.replan_ratio
-            )
-            if not divergent:
-                plan.divergent_streak = 0
-                return
-            plan.divergent_streak += 1
-            if plan.divergent_streak < model.min_observations or plan.retired:
-                return
-            plan.retired = True
-            plan.divergent_streak = 0
-            self._replans += 1
-            self.model = model.recalibrated(
-                plan.observed_seconds, plan.estimated_cost
-            )
-        self.cache.invalidate(plan.key)
-        trace.bump(PLAN_REPLAN)
 
 
 # ---------------------------------------------------------------------------

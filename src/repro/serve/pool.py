@@ -1,14 +1,14 @@
 """Warm engine pools: the compute side of the serving layer.
 
-A server must not pay a snapshot load, an index build, or a cold
-evaluation cache on a request's critical path.  :class:`EnginePool`
-front-loads all three: the corpus is loaded **once** (from an in-memory
-database, a :class:`repro.store.Store` snapshot, or a sharded layout),
-:meth:`EnginePool.warm` touches every video's picture index at the
-serving level, and each worker keeps its own long-lived
-:class:`~repro.core.engine.RetrievalEngine` whose caches and compiled
-plans persist across requests (per-worker engines: the caches are the
-mutable state, so workers never contend on them).
+A server must not pay a snapshot load or an index build on a request's
+critical path.  :class:`EnginePool` front-loads both: the corpus is
+loaded **once** (from an in-memory database, a :class:`repro.store.Store`
+snapshot, or a sharded layout) and :meth:`EnginePool.warm` touches every
+video's picture index at the serving level.  Each worker keeps its own
+long-lived :class:`~repro.core.engine.RetrievalEngine`; the only state
+that persists across its requests is the planner's plan cache (no
+evaluation cache is constructed — query results are recomputed per
+request).
 
 Every worker carries a :class:`~repro.core.resilience.CircuitBreaker`:
 repeated failures take the worker out of rotation (the server bounces
@@ -86,7 +86,7 @@ class EnginePool:
     """N warm workers over one shared corpus (database or sharded).
 
     The corpus objects are immutable at serving time, so workers share
-    them; each worker's engine owns its own caches.  Exactly one of
+    them; each worker's engine owns its own plan cache.  Exactly one of
     ``database`` / ``corpus`` is set.
     """
 
@@ -175,12 +175,7 @@ class EnginePool:
         also triggers every shard's (memoized) snapshot load, so the
         first real request pays neither disk nor index build.
         """
-        warmed = 0
-        for database in self._databases():
-            for video in database.videos():
-                video.root.pictures_at_level(min(level, video.n_levels))
-                warmed += 1
-        return warmed
+        return self.refresh(None, level)
 
     def refresh(
         self, video_names: Optional[Sequence[str]] = None, level: int = 2
@@ -188,9 +183,9 @@ class EnginePool:
         """Re-warm after a live ingest batch landed (checkpoint/commit).
 
         ``video_names`` limits the work to the videos the batch touched
-        (``None`` re-warms everything).  Per-worker caches need no
-        explicit drop: engines sync against per-video generation stamps,
-        so each touched video's stale entries fall on its next query.
+        (``None`` re-warms everything).  Per-worker plan caches need no
+        explicit drop: planners sync against per-video generation stamps,
+        so each touched video's stale plans fall on its next query.
         Rebuilding the picture indexes here moves that cost off the
         serving path.  Returns the number of videos re-warmed.
 

@@ -1,12 +1,14 @@
 """Unit tests for the cost-based query planner (DESIGN.md §13)."""
 
+import random
+import time
+
 import pytest
 
 from repro.core import planner as planning
 from repro.core.cache import PlanCache
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.planner import (
-    CostModel,
     Planner,
     Statistics,
     has_picture_atoms,
@@ -252,58 +254,6 @@ class TestPlanCache:
         assert cache.get("c") == 3
         assert cache.stats().entries == 2
 
-    def test_invalidate_single_key(self):
-        cache = PlanCache()
-        cache.put("a", 1)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        assert cache.get("a") is None
-
-
-# ---------------------------------------------------------------------------
-# adaptive feedback
-# ---------------------------------------------------------------------------
-class TestAdaptiveFeedback:
-    def _plan(self, planner):
-        pictures = PictureRetrievalSystem(skewed_segments())
-        return planner.plan_for(
-            parse("exists x . present(x)"), pictures, 2, EngineConfig()
-        )
-
-    def test_converging_observations_keep_plan(self):
-        planner = Planner()
-        plan = self._plan(planner)
-        for __ in range(5):
-            planner.observe(plan, plan.estimated_seconds)
-        assert planner.stats.replans == 0
-        assert plan.observations == 5
-
-    def test_divergence_retires_plan_and_recalibrates(self):
-        planner = Planner()
-        plan = self._plan(planner)
-        slow = plan.estimated_seconds * 100
-        planner.observe(plan, slow)
-        assert planner.stats.replans == 0  # one bad run is not a trend
-        planner.observe(plan, slow)
-        assert planner.stats.replans == 1
-        assert plan.retired
-        # The cached entry is gone: the next request re-plans with the
-        # recalibrated unit.
-        rebuilt = self._plan(planner)
-        assert rebuilt is not plan
-        assert planner.model.unit_seconds > CostModel().unit_seconds
-        assert rebuilt.estimated_seconds == pytest.approx(
-            slow, rel=0.5
-        )  # estimates now in the observed regime
-
-    def test_retired_plan_not_replanned_twice(self):
-        planner = Planner()
-        plan = self._plan(planner)
-        slow = plan.estimated_seconds * 100
-        for __ in range(6):
-            planner.observe(plan, slow)
-        assert planner.stats.replans == 1
-
 
 # ---------------------------------------------------------------------------
 # engine integration
@@ -380,22 +330,6 @@ class TestEngineIntegration:
             or engine.planner.stats.plans_built == 0
         )
 
-    def test_observed_seconds_fed_back(self):
-        database = self._database()
-        video = database.get("vid")
-        engine = RetrievalEngine()
-        formula = parse("exists x . present(x)")
-        engine.evaluate_video(formula, video, database=database)
-        plan = engine.planner.plan_for(
-            formula,
-            video.root.pictures_at_level(2),
-            2,
-            engine.config,
-            generation=database.generation,
-        )
-        assert plan.observations >= 1
-        assert plan.observed_seconds > 0
-
     def test_malformed_atom_raises_even_when_skippable(self):
         """Attr-var misuse raises whether or not the operand is skipped."""
         from repro.errors import HTLTypeError
@@ -421,6 +355,87 @@ class TestEngineIntegration:
             except Exception as error:  # pragma: no cover - diagnostic
                 outcomes.append(type(error).__name__)
         assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# determinism
+# ---------------------------------------------------------------------------
+STREAM_TEMPLATES = (
+    "exists x . (present(x) and (eventually type(x) = '{kind}'))",
+    "exists x . ((eventually present(x)) and (eventually type(x) = '{kind}'))",
+    "exists x . ((type(x) = '{kind}') until present(x))",
+    "exists x . exists y . "
+    "(present(x) and eventually (present(y) and type(y) = '{kind}'))",
+)
+
+
+class RecordingPlanner(Planner):
+    """Keeps every decision ``plan_for`` handed out, per plan key."""
+
+    def __init__(self):
+        super().__init__()
+        self.decisions = {}
+
+    def plan_for(self, *args, **kwargs):
+        plan = super().plan_for(*args, **kwargs)
+        self.decisions.setdefault(repr(plan.key), []).append(
+            (tuple(sorted(plan.strategies.items())), tuple(sorted(plan.swapped)))
+        )
+        return plan
+
+
+def run_seeded_stream(seed=16, n_videos=6, n_requests=24):
+    """One seeded multi-video request stream on one engine, serially.
+
+    A few (length, rare-count) shapes recur across the videos, so some
+    share a statistics signature and some do not; requests repeat, so
+    the plan cache sees hits as well as misses.
+    """
+    from repro.core.topk import top_k_across_videos
+
+    rng = random.Random(seed)
+    database = VideoDatabase()
+    for position in range(n_videos):
+        database.add(
+            skewed_video(
+                f"vid{position}",
+                n=rng.choice((12, 20, 20)),
+                rare=rng.choice((0, 2, 2, 5)),
+            )
+        )
+    engine = RetrievalEngine(planner=RecordingPlanner())
+    rankings = []
+    for __ in range(n_requests):
+        text = rng.choice(STREAM_TEMPLATES).format(
+            kind=rng.choice(("person", "plane", "car"))
+        )
+        result = top_k_across_videos(
+            engine, parse(text), database, k=3, prune=False
+        )
+        rankings.append(
+            [(s.video, s.segment_id, s.actual, s.maximum) for s in result]
+        )
+    return engine.planner, rankings
+
+
+class TestPlanDeterminism:
+    def test_plans_do_not_depend_on_the_clock(self, monkeypatch):
+        """Same seed, a clock running 1000x slower: same plans, same
+        counters, same bytes out."""
+        planner, rankings = run_seeded_stream()
+        real = time.perf_counter
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "perf_counter", lambda: real() * 1000.0)
+            slow_planner, slow_rankings = run_seeded_stream()
+        assert planner.stats.plans_built > 1
+        assert planner.stats.cache_hits > 0
+        assert slow_planner.stats == planner.stats
+        assert slow_planner.decisions == planner.decisions
+        assert all(
+            len(set(decisions)) == 1
+            for decisions in planner.decisions.values()
+        )
+        assert repr(slow_rankings) == repr(rankings)
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +466,7 @@ class TestPlanObservability:
         database.add(skewed_video("a"))
         database.add(skewed_video("b"))
         database.add(skewed_video("c"))
-        # Wall-clock on a 20-segment corpus is dominated by overhead, so
-        # pin the feedback loop open: this test is about cache sharing.
-        engine = RetrievalEngine(
-            planner=Planner(model=CostModel(replan_ratio=1e9))
-        )
+        engine = RetrievalEngine()
         from repro.core.topk import top_k_across_videos
 
         top_k_across_videos(

@@ -141,9 +141,9 @@ def expiring_steps(database, formula, prune, at=2):
     return sum(steps[: at + 1]) - 1
 
 
-def run(row, shards, parallelism, lenient, fault):
+def run(row, shards, parallelism, lenient, fault, engine=None):
     database, formula, prune = build(row)
-    engine = RetrievalEngine()
+    engine = engine or RetrievalEngine()
     options = {"parallelism": parallelism, "prune": prune}
     if fault == "none":
         options["lenient"] = lenient
@@ -210,3 +210,16 @@ def test_every_path_gives_the_direct_serial_answer(
     assert result.partial == (fault == "named")
     if fault == "named":
         assert list(ledger(result, exact).values()).count(OUTCOME_FAILED) == 1
+
+
+@pytest.mark.parametrize("shards", [None, 1, 2, 4])
+@pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
+def test_serial_paths_repeat_their_planner_counters(row, shards):
+    """A plan is a function of formula and index shape, so running one
+    serial path twice from cold repeats every planner counter."""
+    stats = []
+    for __ in range(2):
+        engine = RetrievalEngine()
+        run(row, shards, None, False, "none", engine=engine)
+        stats.append(engine.planner.stats)
+    assert stats[0] == stats[1]

@@ -207,6 +207,32 @@ class TestResilienceFlags:
         assert "partial result" in out
 
 
+class TestExplainPlan:
+    QUERY = "exists x . (present(x) and (eventually type(x) = 'person'))"
+
+    def test_plan_is_printed_without_evaluating(self, capsys):
+        code, out, __ = run_cli(capsys, "explain", "--plan", self.QUERY)
+        assert code == 0
+        assert "estimated cost:" in out and "units" in out
+        assert " ms" not in out and "observed" not in out
+        # One plan_for and no evaluation behind it: nothing hit the cache.
+        assert "planner: 1 plan(s) built, 0 cache hit(s)" in out
+
+    def test_plan_json_carries_cost_in_units_only(self, capsys):
+        import json
+
+        code, out, __ = run_cli(
+            capsys, "explain", "--plan", "--json", self.QUERY
+        )
+        assert code == 0
+        assert set(json.loads(out)) == {
+            "estimated_cost",
+            "level",
+            "signature",
+            "tree",
+        }
+
+
 class TestTrace:
     def test_trace_renders_span_tree_and_reports(self, capsys):
         code, out, __ = run_cli(
