@@ -90,9 +90,11 @@ def test_multivideo_topk_fast_path(corpus, report):
     warm_engine = RetrievalEngine(cache=cache)
     # Populate the cache, then time repeated-query latency.
     top_k_across_videos(warm_engine, FORMULA, corpus, K)
+    populated = cache.stats()
     warm_seconds, warm_result = best_of(
         lambda: top_k_across_videos(warm_engine, FORMULA, corpus, K)
     )
+    stats = cache.stats()
 
     pruned_seconds, pruned_result = best_of(
         lambda: top_k_across_videos(
@@ -111,15 +113,22 @@ def test_multivideo_topk_fast_path(corpus, report):
         )
     )
 
-    # Acceptance: identical rankings, and the warm cache pays off >= 5x.
+    # Acceptance: identical rankings, and the warm cache does what the
+    # cold/warm time ratio stood for — every warm query answered from the
+    # whole-query list memo, no subformula table built or even looked up.
+    # The ratio itself is reported, not gated: it falls whenever the cold
+    # path gets faster (quick mode 8.2x -> 4.0x, full mode 64x -> 23x when
+    # the object universe stopped being re-walked per request: cold 71.5
+    # -> 24.8 ms, warm 1.1 ms before and after); the counts repeat exactly.
     assert warm_result == baseline
     assert pruned_result == baseline
     assert parallel_result == baseline
     speedup = cold_seconds / warm_seconds
-    assert speedup >= 5.0, (
-        f"warm cache only {speedup:.1f}x faster than cold "
-        f"({warm_seconds:.4f}s vs {cold_seconds:.4f}s)"
-    )
+    assert stats.misses == populated.misses, (stats, populated)
+    assert stats.table_hits == populated.table_hits, (stats, populated)
+    # (the videos pruning skips are never looked up at all)
+    warm_hits = stats.list_hits - populated.list_hits
+    assert warm_hits == populated.list_entries * REPEAT, (stats, populated)
 
     rows = {
         "Videos": N_VIDEOS,
@@ -132,7 +141,6 @@ def test_multivideo_topk_fast_path(corpus, report):
     }
     report("Multi-video top-k fast path (seconds)", rows)
 
-    stats = cache.stats()
     payload = {
         "n_videos": N_VIDEOS,
         "n_segments": N_SEGMENTS,

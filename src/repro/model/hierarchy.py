@@ -14,6 +14,7 @@ numbered from 1, matching the similarity-list convention.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -27,7 +28,16 @@ if TYPE_CHECKING:  # model is a lower layer than pictures
 class VideoNode:
     """One video segment in the hierarchy tree."""
 
-    __slots__ = ("metadata", "children", "parent", "level", "index", "_pictures")
+    __slots__ = (
+        "metadata",
+        "children",
+        "_parent",
+        "level",
+        "index",
+        "_pictures",
+        "_universe",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -36,7 +46,7 @@ class VideoNode:
     ):
         self.metadata = metadata if metadata is not None else SegmentMetadata()
         self.children: List[VideoNode] = list(children)
-        self.parent: Optional[VideoNode] = None
+        self._parent: Optional["weakref.ref[VideoNode]"] = None
         self.level: int = 0  # assigned when attached to a Video
         self.index: int = 0  # 1-based position among siblings
         # level -> PictureRetrievalSystem over the descendants at that
@@ -45,6 +55,27 @@ class VideoNode:
         # engine's throwaway sequence context) is what lets repeated
         # queries skip re-building the metadata index and scorer.
         self._pictures: Optional[Dict[int, object]] = None
+        # On a video's root only: the object ids of the whole tree in
+        # first-seen order (Video.object_universe), with the lifetime of
+        # _pictures — dropped wherever that is dropped.
+        self._universe: Optional[Dict[str, None]] = None
+
+    @property
+    def parent(self) -> Optional["VideoNode"]:
+        """The segment one level up; None at the root.
+
+        Held weakly, so the tree has no reference cycle: a video nobody
+        holds any more — replaced in its database, or dropped with it —
+        is freed at once, not at the cycle collector's next full pass
+        (which the query path, allocating few containers, rarely
+        triggers).  A node kept on its own does not keep its ancestors.
+        """
+        parent = self._parent
+        return None if parent is None else parent()
+
+    @parent.setter
+    def parent(self, node: Optional["VideoNode"]) -> None:
+        self._parent = None if node is None else weakref.ref(node)
 
     def add_child(self, child: "VideoNode") -> "VideoNode":
         """Append a child segment and return it (builder convenience)."""
@@ -52,6 +83,7 @@ class VideoNode:
         node: Optional[VideoNode] = self
         while node is not None:
             node._pictures = None
+            node._universe = None
             node = node.parent
         return child
 
@@ -78,9 +110,11 @@ class VideoNode:
         return system
 
     def invalidate_pictures(self) -> None:
-        """Drop cached picture systems on this node and all descendants."""
+        """Drop cached picture systems (and, on a root, the cached object
+        universe) on this node and all descendants."""
         for node in self.walk():
             node._pictures = None
+            node._universe = None
 
     def install_pictures(
         self, level: int, system: "PictureRetrievalSystem"
@@ -213,11 +247,25 @@ class Video:
         return self.root.walk()
 
     def object_universe(self) -> List[str]:
-        """All universal object ids appearing anywhere in the video."""
-        seen: Dict[str, None] = {}
-        for node in self.root.walk():
-            for object_id in node.metadata.object_ids():
-                seen.setdefault(object_id, None)
+        """All universal object ids appearing anywhere in the video, in
+        first-seen (pre-order) order; the caller owns the returned list.
+
+        The first call walks the hierarchy and keeps the result on the
+        root, beside the cached picture systems and with their lifetime:
+        ``add_child`` anywhere in the tree and ``invalidate_pictures`` on
+        the root drop it, :meth:`append_segments` extends it in place.
+        Mutating a segment's metadata in place does *not* invalidate —
+        call ``root.invalidate_pictures()`` after such edits, as for
+        :meth:`VideoNode.pictures_at_level`.
+        """
+        root = self.root
+        seen = root._universe
+        if seen is None:
+            seen = {}
+            for node in root.walk():
+                for object_id in node.metadata.object_ids():
+                    seen.setdefault(object_id, None)
+            root._universe = seen
         return list(seen)
 
     # -- incremental growth -----------------------------------------------
@@ -246,6 +294,12 @@ class Video:
         root = self.root
         pictures = root._pictures
         root._pictures = None
+        if root._universe is not None:
+            # New children come last in the pre-order walk, so their
+            # first-seen ids extend the cached order exactly.
+            for metadata in segments:
+                for object_id in metadata.object_ids():
+                    root._universe.setdefault(object_id, None)
         added: List[VideoNode] = []
         for position, metadata in enumerate(
             segments, start=len(root.children) + 1

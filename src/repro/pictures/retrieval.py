@@ -16,8 +16,8 @@ representative value per range suffices.
 
 Two evaluation paths produce every table (DESIGN.md §7):
 
-* the **naive scan** walks every (binding × segment) pair through the
-  recursive scorer — the definitional oracle, kept verbatim;
+* the **naive scan** scores every (binding × segment) pair, every ``∃``
+  over its full pool — the definitional oracle;
 * the **index-driven path** (default) asks the support-set analysis of
   :mod:`repro.pictures.support` which segments can score differently from
   the binding's *baseline* (its score on an empty segment), sweeps only
@@ -27,7 +27,10 @@ Two evaluation paths produce every table (DESIGN.md §7):
 
 The two are list-for-list identical (property-tested); ``use_index``
 selects per system or per call, and ``EngineConfig(naive_atoms=True)``
-forces the naive path engine-wide.
+forces the naive path engine-wide.  Both score through a kernel compiled
+once per sweep (:func:`repro.pictures.scoring.compile_atom`), which is
+bit-identical to the interpreting reference :func:`~repro.pictures.
+scoring.score`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,12 @@ from repro.htl.variables import (
 )
 from repro.model.metadata import SegmentMetadata
 from repro.pictures.index import MetadataIndex
-from repro.pictures.scoring import eval_term, max_similarity, score
+from repro.pictures.scoring import (
+    compile_atom,
+    eval_term,
+    exists_pool,
+    max_similarity,
+)
 from repro.pictures.support import AtomSupport, SupportAnalyzer
 
 #: The representative empty segment baselines are scored on.
@@ -437,6 +445,10 @@ class PictureRetrievalSystem:
         fingerprint are scored once (run-compressed scoring).
         """
         n_segments = len(self.segments)
+        # Compiled per sweep and dropped with it; each job's binding is
+        # its own dict, which the kernel rebinds in place and restores.
+        kernel = compile_atom(atom, narrow=True)
+        pool = exists_pool(pool) if pool else ()
         # Jobs with an unbounded support — no candidate set, or one the
         # density cutoff demoted — visit every segment; materialising
         # their (near-)universal postings into the per-segment job lists
@@ -453,9 +465,7 @@ class PictureRetrievalSystem:
             # Baseline fills every off-candidate gap; scored on the
             # empty representative segment with ∃-pools narrowed.
             resilience.fault(resilience.SITE_ATOM_SCORE)
-            job.baseline = score(
-                atom, _EMPTY_SEGMENT, job.binding, pool, narrow=True
-            )
+            job.baseline = kernel(_EMPTY_SEGMENT, job.binding, pool)
             self.stats.baseline_scores += 1
         trace = self.trace_scored
         profiles = self.index.segment_profiles()
@@ -489,9 +499,7 @@ class PictureRetrievalSystem:
                     plan = job.support.plan
                     if plan is None:
                         resilience.fault(resilience.SITE_ATOM_SCORE)
-                        actual = score(
-                            atom, segment, job.binding, pool, narrow=True
-                        )
+                        actual = kernel(segment, job.binding, pool)
                         scored_count += 1
                     else:
                         # Second level: segments that agree on the
@@ -500,9 +508,7 @@ class PictureRetrievalSystem:
                         actual = job.memo.get(fingerprint)
                         if actual is None:
                             resilience.fault(resilience.SITE_ATOM_SCORE)
-                            actual = score(
-                                atom, segment, job.binding, pool, narrow=True
-                            )
+                            actual = kernel(segment, job.binding, pool)
                             job.memo[fingerprint] = actual
                             scored_count += 1
                         else:
@@ -558,6 +564,11 @@ class PictureRetrievalSystem:
         if budget is not None:
             budget.charge(1, site="atom-scoring")
         pending = 0
+        # The definitional sweep: every ∃ iterates its full pool.  The
+        # kernel rebinds in place, so it gets a copy of the caller's dict.
+        kernel = compile_atom(atom, narrow=False)
+        binding = dict(binding)
+        pool = exists_pool(pool) if pool else ()
         values: Dict[int, float] = {}
         for segment_id, segment in enumerate(self.segments, start=1):
             if budget is not None:
@@ -565,7 +576,7 @@ class PictureRetrievalSystem:
                 if pending >= 256:
                     budget.charge(pending, site="atom-scoring")
                     pending = 0
-            actual = score(atom, segment, binding, pool)
+            actual = kernel(segment, binding, pool)
             if actual > SIM_EPS:
                 values[segment_id] = actual
         if budget is not None and pending:

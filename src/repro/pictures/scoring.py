@@ -8,9 +8,13 @@ satisfied conditions, each scaled by the confidence of the meta-data facts
 it matched.  Confidences below 1 are how fractional similarity values such
 as the paper's 9.787 arise.
 
-The same scorer backs both the picture-retrieval table builder and the
-naive reference-semantics oracle, so atom-level agreement is by
-construction; the list/table algebra is what the oracle then cross-checks.
+Two implementations of one function: :func:`score` interprets the
+formula per call and is the reference — the §2.5 oracle
+(:mod:`repro.core.semantics`) and the property tests call it;
+:func:`compile_atom` decides everything that depends on the formula alone
+once and returns the kernel the table builder sweeps with.  The two agree
+bit for bit (``tests/pictures/test_compiled.py``), so the list/table
+algebra is what the oracle then cross-checks.
 
 Semantics of the pieces (``w`` is the condition weight, default 1):
 
@@ -29,8 +33,9 @@ Semantics of the pieces (``w`` is the condition weight, default 1):
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple, Union
+import operator
+from itertools import product
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple, Union
 
 from repro.errors import UnsupportedFormulaError
 from repro.htl import ast
@@ -283,11 +288,20 @@ def _narrowed_pool(
     narrowing, as does the freak case of the fresh id itself being named
     by the segment's meta-data.
     """
-    analysis = _exists_narrowing(formula)
-    if analysis is None:
-        return pool
+    safe, needs_rel = _narrowing_of(formula.sub, frozenset(formula.vars))
+    return _narrow(segment, pool, needs_rel) if safe else pool
+
+
+def _narrow(
+    segment: SegmentMetadata, pool: Sequence[str], needs_rel: bool
+) -> Sequence[str]:
+    """``pool`` cut to the members one segment can tell from the fresh id.
+
+    ``needs_rel``: the quantified variables occur as relationship
+    arguments, so ids named by the segment's relationship tuples count.
+    """
     relevant = set(segment.object_ids())
-    if analysis:  # variables occur as relationship arguments
+    if needs_rel:
         for relationship in segment.relationships:
             for arg in relationship.args:
                 if isinstance(arg, str):
@@ -298,13 +312,6 @@ def _narrowed_pool(
     narrowed = [object_id for object_id in pool if object_id in relevant]
     narrowed.append(FRESH_OBJECT_ID)
     return narrowed
-
-
-@lru_cache(maxsize=None)
-def _exists_narrowing(formula: ast.Exists) -> Optional[bool]:
-    """``None`` if narrowing is unsafe, else whether rel args matter."""
-    safe, needs_rel = _narrowing_of(formula.sub, frozenset(formula.vars))
-    return needs_rel if safe else None
 
 
 def _narrowing_of(
@@ -369,3 +376,333 @@ def _term_occurrences(
             return True, False
         return _term_occurrences(holder, targets)
     return False, False
+
+
+# ---------------------------------------------------------------------------
+# compiled kernel
+# ---------------------------------------------------------------------------
+#: ``kernel(segment, binding, pool) -> actual similarity``.
+Kernel = Callable[[SegmentMetadata, Binding, Sequence[str]], float]
+
+_TermKernel = Callable[
+    [SegmentMetadata, Binding], Optional[Tuple[Union[str, int, float], float]]
+]
+
+#: "The variable had no value" in a kernel's save/restore of a binding.
+_UNBOUND = object()
+
+_ORDERED = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def compile_atom(formula: ast.Formula, narrow: bool = False) -> Kernel:
+    """:func:`score` with everything that depends on the formula alone
+    decided once: ``compile_atom(f, narrow)(segment, binding, pool)``
+    equals ``score(f, segment, binding, universe, narrow)`` bit for bit.
+
+    One walk of the atom picks, per node, the closure for its kind, the
+    shape of each term (constant / variable / segment attribute /
+    ``attr(var)`` / nested), the maximum of each ``¬`` operand, the
+    comparison operator and — with ``narrow`` — the ∃-narrowing analysis;
+    the returned kernel only does the per-segment work.  :func:`score`
+    stays the reference the property tests compare against
+    (``tests/pictures/test_compiled.py``).  The contract:
+
+    * ``pool`` is ``exists_pool(universe)`` for a non-empty universe and
+      empty otherwise — the caller builds it once per sweep, not the
+      kernel once per ``∃``.  An empty pool makes every outermost ``∃``
+      range over the segment's own objects (plus the fresh id), segment
+      by segment, as an empty ``universe`` does in :func:`score`.
+    * ``narrow`` narrows each ``∃``'s own iteration (:func:`_narrow`);
+      nested quantifiers still receive the full pool.
+    * ``∃`` and ``[y ← q]`` rebind their variables in ``binding`` in
+      place and restore them — value or absence — before returning, so a
+      shadowed outer variable is intact afterwards and ``binding`` reads
+      the same after the call as before.  Hand the kernel a dict no other
+      thread uses during the call; after an exception the dict may hold
+      a half-done rebinding.  The kernel itself keeps no state: one
+      kernel may run on several threads over separate bindings.
+    * Compilation never raises and never scores.  An unresolved
+      ``looks_like`` raises :class:`~repro.errors.SignatureError` and an
+      unscorable node :class:`~repro.errors.UnsupportedFormulaError` when
+      a *call* reaches it, exactly where :func:`score` would (the kernel
+      hands such nodes to :func:`score` / :func:`eval_term`), so building
+      a table over zero segments raises nothing.
+    * ``looks_like`` goes through
+      :func:`~repro.pictures.signature.looks_like_score` and with it the
+      atom's request-scoped clip scorer.
+
+    Nothing is cached: callers compile per table build and drop the
+    kernel (DESIGN.md §7 has the measurement behind that).
+    """
+    if isinstance(formula, ast.Truth):
+        return lambda segment, binding, pool: 1.0
+    if isinstance(formula, ast.Present):
+        return _present_kernel(formula.var.name)
+    if isinstance(formula, ast.Compare):
+        return _compare_kernel(formula)
+    if isinstance(formula, ast.Rel):
+        return _rel_kernel(formula)
+    if isinstance(formula, ast.Weighted):
+        weight = formula.weight
+        weighted = compile_atom(formula.sub, narrow)
+        return lambda segment, binding, pool: weight * weighted(
+            segment, binding, pool
+        )
+    if isinstance(formula, (ast.And, ast.Or)):
+        left = compile_atom(formula.left, narrow)
+        right = compile_atom(formula.right, narrow)
+        if isinstance(formula, ast.And):
+            return lambda segment, binding, pool: left(
+                segment, binding, pool
+            ) + right(segment, binding, pool)
+        return lambda segment, binding, pool: max(
+            left(segment, binding, pool), right(segment, binding, pool)
+        )
+    if isinstance(formula, ast.Not):
+        try:
+            maximum = max_similarity(formula.sub)
+        except UnsupportedFormulaError:
+            return _reference_kernel(formula, narrow)
+        negated = compile_atom(formula.sub, narrow)
+        return lambda segment, binding, pool: maximum - negated(
+            segment, binding, pool
+        )
+    if isinstance(formula, ast.Exists):
+        return _exists_kernel(formula, narrow)
+    if isinstance(formula, ast.Freeze):
+        return _freeze_kernel(formula, narrow)
+    if isinstance(formula, ast.LooksLike):
+        return lambda segment, binding, pool: looks_like_score(
+            formula, segment.signature
+        )
+    return _reference_kernel(formula, narrow)
+
+
+def _reference_kernel(formula: ast.Formula, narrow: bool) -> Kernel:
+    """A node only :func:`score` can answer — with its typed error."""
+    return lambda segment, binding, pool: score(
+        formula, segment, binding, pool, narrow
+    )
+
+
+def _present_kernel(name: str) -> Kernel:
+    def present(
+        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+    ) -> float:
+        object_id = binding.get(name)
+        if not isinstance(object_id, str):
+            return 0.0
+        instance = segment.object(object_id)
+        return instance.confidence if instance is not None else 0.0
+
+    return present
+
+
+def _compare_kernel(formula: ast.Compare) -> Kernel:
+    left_of = _term_kernel(formula.left)
+    right_of = _term_kernel(formula.right)
+    holds = _comparator(formula.op)
+
+    def compare(
+        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+    ) -> float:
+        left = left_of(segment, binding)
+        right = right_of(segment, binding)
+        if left is None or right is None:
+            return 0.0
+        if holds(left[0], right[0]):
+            return left[1] * right[1]
+        return 0.0
+
+    return compare
+
+
+def _comparator(op: str) -> Callable[[object, object], bool]:
+    """:func:`compare_values` with the operator already chosen."""
+    if op == "=":
+        return operator.eq
+    if op == "!=":
+        return operator.ne
+    ordered = _ORDERED[op]
+
+    def holds(left: object, right: object) -> bool:
+        if (_is_number(left) and _is_number(right)) or (
+            isinstance(left, str) and isinstance(right, str)
+        ):
+            return ordered(left, right)
+        return False
+
+    return holds
+
+
+def _rel_kernel(formula: ast.Rel) -> Kernel:
+    name = formula.name
+    args = tuple(_term_kernel(arg) for arg in formula.args)
+
+    def rel(
+        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+    ) -> float:
+        values = []
+        confidence = 1.0
+        for arg_of in args:
+            evaluated = arg_of(segment, binding)
+            if evaluated is None:
+                return 0.0
+            values.append(evaluated[0])
+            confidence *= evaluated[1]
+        match = segment.find_relationship(name, tuple(values))
+        if match is None:
+            return 0.0
+        return confidence * match.confidence
+
+    return rel
+
+
+def _exists_kernel(formula: ast.Exists, narrow: bool) -> Kernel:
+    names = formula.vars
+    sub = compile_atom(formula.sub, narrow)
+    # None: iterate the whole pool; else what _narrow needs to know.
+    needs_rel: Optional[bool] = None
+    if narrow:
+        safe, rel = _narrowing_of(formula.sub, frozenset(names))
+        if safe:
+            needs_rel = rel
+
+    if len(names) == 1:
+        return _exists_one_kernel(names[0], sub, needs_rel)
+
+    def exists(
+        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+    ) -> float:
+        if not pool:
+            pool = exists_pool(list(segment.object_ids()))
+        iterate = (
+            pool if needs_rel is None else _narrow(segment, pool, needs_rel)
+        )
+        saved = [binding.get(name, _UNBOUND) for name in names]
+        best = 0.0
+        for values in product(iterate, repeat=len(names)):
+            for name, object_id in zip(names, values):
+                binding[name] = object_id
+            actual = sub(segment, binding, pool)
+            if actual > best:
+                best = actual
+        for name, value in zip(names, saved):
+            if value is _UNBOUND:
+                del binding[name]
+            else:
+                binding[name] = value
+        return best
+
+    return exists
+
+
+def _exists_one_kernel(
+    name: str, sub: Kernel, needs_rel: Optional[bool]
+) -> Kernel:
+    """The one-variable ``∃`` — the sweep's inner loop — without the
+    tuple-per-assignment machinery of the general case."""
+
+    def exists_one(
+        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+    ) -> float:
+        if not pool:
+            pool = exists_pool(list(segment.object_ids()))
+        iterate = (
+            pool if needs_rel is None else _narrow(segment, pool, needs_rel)
+        )
+        saved = binding.get(name, _UNBOUND)
+        best = 0.0
+        for object_id in iterate:
+            binding[name] = object_id
+            actual = sub(segment, binding, pool)
+            if actual > best:
+                best = actual
+        if saved is _UNBOUND:
+            del binding[name]
+        else:
+            binding[name] = saved
+        return best
+
+    return exists_one
+
+
+def _freeze_kernel(formula: ast.Freeze, narrow: bool) -> Kernel:
+    var = formula.var
+    captured_of = _term_kernel(formula.func)
+    sub = compile_atom(formula.sub, narrow)
+
+    def freeze(
+        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+    ) -> float:
+        captured = captured_of(segment, binding)
+        if captured is None:
+            return 0.0
+        saved = binding.get(var, _UNBOUND)
+        binding[var] = captured[0]
+        actual = sub(segment, binding, pool)
+        if saved is _UNBOUND:
+            del binding[var]
+        else:
+            binding[var] = saved
+        return actual
+
+    return freeze
+
+
+def _term_kernel(term: ast.Term) -> _TermKernel:
+    """:func:`eval_term` with the term's shape already decided."""
+    if isinstance(term, ast.Const):
+        constant = (term.value, 1.0)
+        return lambda segment, binding: constant
+    if isinstance(term, (ast.ObjectVar, ast.AttrVar)):
+        name = term.name
+        return lambda segment, binding: (
+            (binding[name], 1.0) if name in binding else None
+        )
+    if not isinstance(term, ast.AttrFunc):
+        return lambda segment, binding: eval_term(term, segment, binding)
+    attribute = term.name
+    if not term.args:
+
+        def segment_attribute(segment: SegmentMetadata, binding: Binding):
+            fact = segment.segment_attribute(attribute)
+            return None if fact is None else (fact.value, fact.confidence)
+
+        return segment_attribute
+    holder = term.args[0]
+    if isinstance(holder, (ast.ObjectVar, ast.AttrVar)):
+        holder_name = holder.name
+
+        def attribute_of_variable(segment: SegmentMetadata, binding: Binding):
+            # An unbound holder reads None, which is not a str either.
+            object_id = binding.get(holder_name)
+            if not isinstance(object_id, str):
+                return None
+            fact = segment.object_attribute(object_id, attribute)
+            if fact is None:
+                return None
+            # × the variable's own confidence, as eval_term does.
+            return fact.value, fact.confidence * 1.0
+
+        return attribute_of_variable
+    holder_of = _term_kernel(holder)
+
+    def attribute_of_term(segment: SegmentMetadata, binding: Binding):
+        held = holder_of(segment, binding)
+        if held is None:
+            return None
+        object_id, holder_confidence = held
+        if not isinstance(object_id, str):
+            return None
+        fact = segment.object_attribute(object_id, attribute)
+        if fact is None:
+            return None
+        return fact.value, fact.confidence * holder_confidence
+
+    return attribute_of_term

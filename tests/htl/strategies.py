@@ -146,3 +146,72 @@ def non_temporal_formulas(draw, allow_attr_vars=False):
         max_leaves=5,
     )
     return draw(formula)
+
+
+#: The signature windows of generated (resolved) ``looks_like`` atoms.
+CLIP = ((1.0, 2.0, 1.0, 4.0), (3.0, 1.0, 1.0, 1.0))
+
+
+@st.composite
+def picture_atoms(draw):
+    """Non-temporal formulas reaching every branch of the picture scorer.
+
+    :func:`non_temporal_formulas` plus resolved ``looks_like``, weights,
+    ``bool`` and ``float`` constants (cross-type comparisons), attribute
+    variables, ``∃`` over one or two variables — nested ones re-bind
+    outer names, one shape does so on purpose — and the freeze operator
+    with its variable drawn from attribute *and* object variable names.
+    """
+    any_constant = st.one_of(
+        constants,
+        st.booleans().map(ast.Const),
+        st.sampled_from([0.5, 50.0]).map(ast.Const),
+    )
+    term_pool = st.one_of(object_vars, attr_vars, any_constant, attr_funcs())
+    base = st.one_of(
+        st.just(ast.Truth()),
+        object_vars.map(ast.Present),
+        st.tuples(
+            st.sampled_from(ast.COMPARISON_OPS), term_pool, term_pool
+        ).map(lambda triple: ast.Compare(*triple)),
+        relationships(),
+        st.sampled_from([0.0, 0.6, 0.9]).map(
+            lambda theta: ast.LooksLike(theta=theta, clip=CLIP)
+        ),
+    )
+    quantified = st.lists(
+        st.sampled_from(OBJECT_VARS), min_size=1, max_size=2, unique=True
+    ).map(tuple)
+
+    def shadowed(pair):
+        outer, inner = pair
+        return ast.Exists(
+            ("x",),
+            ast.And(
+                ast.And(ast.Present(ast.ObjectVar("x")), outer),
+                ast.Exists(("x",), inner),
+            ),
+        )
+
+    formula = st.recursive(
+        base,
+        lambda children: st.one_of(
+            st.tuples(children, children).map(lambda pair: ast.And(*pair)),
+            st.tuples(children, children).map(lambda pair: ast.Or(*pair)),
+            children.map(ast.Not),
+            st.tuples(st.sampled_from([0.5, 2.5]), children).map(
+                lambda pair: ast.Weighted(*pair)
+            ),
+            st.tuples(quantified, children).map(
+                lambda pair: ast.Exists(*pair)
+            ),
+            st.tuples(children, children).map(shadowed),
+            st.tuples(
+                st.sampled_from(ATTR_VARS + OBJECT_VARS[:2]),
+                attr_funcs(),
+                children,
+            ).map(lambda triple: ast.Freeze(*triple)),
+        ),
+        max_leaves=6,
+    )
+    return draw(formula)

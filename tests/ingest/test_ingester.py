@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.cache import EvaluationCache
 from repro.core.engine import RetrievalEngine
+from repro.core.topk import top_k_across_videos
 from repro.errors import IngestError
 from repro.htl import parse
 from repro.ingest import Ingester, initialise
@@ -16,6 +17,10 @@ from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
 from repro.serve import EnginePool
 from repro.workloads.synthetic import random_similarity_list
+
+
+def rows(result):
+    return [(hit.video, hit.segment_id, hit.actual) for hit in result]
 
 
 def make_segments(n, seed=0):
@@ -67,6 +72,38 @@ def test_incremental_append_equals_rebuild_from_scratch(tmp_path):
     assert RetrievalEngine().evaluate_video(
         formula, live, database=ingester.database
     ) == RetrievalEngine().evaluate_video(formula, oracle, database=oracle_db)
+    ingester.close()
+
+
+def test_appended_object_is_visible_to_the_next_query(tmp_path):
+    """The object universe cached on a video's root is extended by the
+    append: a segment whose only object was never seen before ranks as
+    in a cold rebuild (a stale ∃-pool would score it 0)."""
+    first = make_segments(5, seed=2)
+    newcomer = SegmentMetadata(
+        objects=[make_object("newcomer", "person", confidence=0.5)]
+    )
+    formula = parse("exists x . present(x)")
+
+    ingester = initialise(tmp_path, seed_database())
+    ingester.add_video("live0", first)
+    ingester.commit()
+    live = ingester.database.get("live0")
+    engine = RetrievalEngine()
+    engine.evaluate_video(formula, live, database=ingester.database)
+    assert "newcomer" not in live.object_universe()  # cached by the query
+
+    ingester.append_segments("live0", [newcomer])
+    ingester.commit()
+
+    oracle_db = seed_database()
+    oracle_db.add(flat_video("live0", make_segments(5, seed=2) + [newcomer]))
+    assert live.object_universe() == oracle_db.get("live0").object_universe()
+    ranked = top_k_across_videos(engine, formula, ingester.database, 20)
+    assert rows(ranked) == rows(
+        top_k_across_videos(RetrievalEngine(), formula, oracle_db, 20)
+    )
+    assert ("live0", 6, 0.5) in rows(ranked)
     ingester.close()
 
 

@@ -1,5 +1,8 @@
 """Tests for the hierarchical video model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import HierarchyError, ModelError, UnknownLevelError
@@ -95,6 +98,22 @@ class TestNavigation:
         with pytest.raises(UnknownLevelError):
             video.level_of("frame")
 
+    def test_a_dropped_video_is_freed_without_the_cycle_collector(self):
+        """Parent links are weak, so the tree is acyclic: dropping the
+        last reference frees it by reference count."""
+        gc.disable()
+        try:
+            video = three_level_video()
+            video.root.pictures_at_level(3)
+            shot = video.root.children[0].children[0]
+            assert shot.parent.parent is video.root
+            assert video.root.parent is None
+            alive = [weakref.ref(node) for node in video.segments()]
+            del video, shot
+            assert not any(ref() is not None for ref in alive)
+        finally:
+            gc.enable()
+
     def test_object_universe(self):
         segments = [
             SegmentMetadata(objects=[make_object("a", "t")]),
@@ -102,6 +121,105 @@ class TestNavigation:
         ]
         video = flat_video("v", segments)
         assert video.object_universe() == ["a", "b"]
+
+
+def cold_universe(video):
+    """What a walk of the tree yields, whatever the root has cached."""
+    seen = {}
+    for node in video.root.walk():
+        for object_id in node.metadata.object_ids():
+            seen.setdefault(object_id, None)
+    return list(seen)
+
+
+def segment_with(*object_ids):
+    return SegmentMetadata(
+        objects=[make_object(object_id, "t") for object_id in object_ids]
+    )
+
+
+class TestObjectUniverseLifetime:
+    """The universe lives on the root beside the picture systems and is
+    dropped or extended wherever they are (DESIGN.md §6)."""
+
+    def test_second_call_does_not_walk(self, monkeypatch):
+        video = flat_video("v", [segment_with("a"), segment_with("b", "a")])
+        first = video.object_universe()
+        walks = []
+        walk = VideoNode.walk
+        monkeypatch.setattr(
+            VideoNode, "walk", lambda node: walks.append(node) or walk(node)
+        )
+        assert video.object_universe() == first == ["a", "b"]
+        assert not walks
+
+    def test_the_caller_owns_the_returned_list(self):
+        video = flat_video("v", [segment_with("a")])
+        video.object_universe().append("intruder")
+        assert video.object_universe() == ["a"]
+
+    def test_add_child_at_any_depth_invalidates(self):
+        video = three_level_video()
+        scene = video.root.children[1]
+        scene.children[0].metadata = segment_with("a")
+        video.root.invalidate_pictures()
+        assert video.object_universe() == ["a"]
+        for parent, object_id in ((scene, "deep"), (video.root, "shallow")):
+            parent.add_child(VideoNode(metadata=segment_with(object_id, "a")))
+            assert object_id in video.object_universe()
+            assert video.object_universe() == cold_universe(video)
+
+    def test_in_place_edits_need_invalidate_pictures(self):
+        video = flat_video("v", [segment_with("a")])
+        assert video.object_universe() == ["a"]
+        video.root.children[0].metadata.add_object(make_object("b", "t"))
+        assert video.object_universe() == ["a"]  # the documented staleness
+        video.root.invalidate_pictures()
+        assert video.object_universe() == ["a", "b"] == cold_universe(video)
+
+    def test_append_segments_extends_in_first_seen_order(self):
+        video = flat_video("v", [segment_with("b"), segment_with("a", "b")])
+        assert video.object_universe() == ["b", "a"]
+        video.append_segments([segment_with("a", "new"), segment_with("z", "b")])
+        assert video.object_universe() == ["b", "a", "new", "z"]
+        assert video.object_universe() == cold_universe(video)
+        # A universe never asked for stays unbuilt until the first query.
+        fresh = flat_video("w", [segment_with("b")])
+        fresh.append_segments([segment_with("c")])
+        assert fresh.root._universe is None
+        assert fresh.object_universe() == ["b", "c"]
+
+    def test_a_replaced_video_starts_cold(self):
+        database = VideoDatabase()
+        database.add(flat_video("v", [segment_with("a")]))
+        assert database.get("v").object_universe() == ["a"]
+        database.replace(flat_video("v", [segment_with("b")]))
+        assert database.get("v").root._universe is None
+        assert database.get("v").object_universe() == ["b"]
+
+    def test_store_reload_and_wal_recovery_start_cold(self, tmp_path):
+        from repro.ingest import initialise, recover
+        from repro.store import Store
+
+        database = VideoDatabase()
+        video = database.add(flat_video("v", [segment_with("b", "a")]))
+        assert video.object_universe() == ["b", "a"]
+        store = Store(tmp_path / "store")
+        store.save(database)
+        reloaded = store.load().database.get("v")
+        assert reloaded.root._universe is None
+        assert reloaded.object_universe() == ["b", "a"]
+
+        with initialise(tmp_path / "live", database) as ingester:
+            ingester.append_segments("v", [segment_with("c", "a")])
+            assert ingester.database.get("v").object_universe() == [
+                "b", "a", "c",
+            ]  # fmt: skip
+        state = recover(tmp_path / "live")
+        state.wal.close()
+        recovered = state.database.get("v")
+        assert recovered.root._universe is None
+        assert recovered.object_universe() == ["b", "a", "c"]
 
 
 class TestFlatVideo:
