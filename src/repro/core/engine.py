@@ -57,8 +57,7 @@ class EngineConfig:
 
     ``until_threshold`` is the minimum fractional similarity the left
     operand of ``until`` must keep (paper §2.5).  ``join_mode`` selects the
-    paper's inner join or the definitional outer join.  ``prune_atoms``
-    forwards to the picture system's relevant-evaluation pruning.
+    paper's inner join or the definitional outer join.
     ``naive_atoms`` forces the picture system's naive full-scan path for
     every atom table (the index-driven path is the default; the flag is
     the escape hatch and the oracle's configuration, see DESIGN.md §7).
@@ -71,7 +70,6 @@ class EngineConfig:
 
     until_threshold: float = ops.DEFAULT_UNTIL_THRESHOLD
     join_mode: str = INNER
-    prune_atoms: bool = False
     allow_extensions: bool = False
     naive_atoms: bool = False
     plan: bool = True
@@ -704,7 +702,6 @@ class RetrievalEngine:
         return pictures.similarity_table(
                 formula,
                 universe=context.universe or None,
-                prune=self.config.prune_atoms,
                 use_index=use_index,
             )
 

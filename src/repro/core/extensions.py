@@ -26,7 +26,8 @@ from __future__ import annotations
 import bisect
 from typing import List, Tuple
 
-from repro.core.ops import max_merge_lists
+from repro.core import resilience
+from repro.core.ops import max_merge_lists, pointwise_lists
 from repro.core.simlist import SIM_EPS, SimilarityList
 from repro.errors import SimilarityListInvariantError
 
@@ -35,21 +36,15 @@ def or_lists(left: SimilarityList, right: SimilarityList) -> SimilarityList:
     """Similarity list of ``f = g ∨ h``: pointwise maximum of actuals.
 
     ``m(f) = max(m(g), m(h))``; every actual is bounded by its own
-    operand's maximum, hence by the output maximum.
+    operand's maximum, hence by the output maximum.  Charged to the step
+    budget like the ``∧`` merge it shares its walk with.
     """
-    maximum = max(left.maximum, right.maximum)
-    boundaries = sorted(
-        {entry.begin for entry in left}
-        | {entry.end + 1 for entry in left}
-        | {entry.begin for entry in right}
-        | {entry.end + 1 for entry in right}
+    budget = resilience.current_budget()
+    if budget is not None:
+        budget.charge(len(left) + len(right) + 1, site="list-merge")
+    return pointwise_lists(
+        left, right, max, max(left.maximum, right.maximum)
     )
-    pieces: List[Tuple[Tuple[int, int], float]] = []
-    for start, stop in zip(boundaries, boundaries[1:]):
-        value = max(left.actual_at(start), right.actual_at(start))
-        if value > SIM_EPS:
-            pieces.append(((start, stop - 1), value))
-    return SimilarityList.from_entries(pieces, maximum)
 
 
 def fuzzy_and_lists(
@@ -62,18 +57,14 @@ def fuzzy_and_lists(
     conjunct score zero — exact-match behaviour at the extremes, graded in
     between.
     """
-    boundaries = sorted(
-        {entry.begin for entry in left}
-        | {entry.end + 1 for entry in left}
-        | {entry.begin for entry in right}
-        | {entry.end + 1 for entry in right}
+    left_maximum = left.maximum
+    right_maximum = right.maximum
+    return pointwise_lists(
+        left,
+        right,
+        lambda a, b: min(a / left_maximum, b / right_maximum),
+        1.0,
     )
-    pieces: List[Tuple[Tuple[int, int], float]] = []
-    for start, stop in zip(boundaries, boundaries[1:]):
-        value = min(left.fraction_at(start), right.fraction_at(start))
-        if value > SIM_EPS:
-            pieces.append(((start, stop - 1), value))
-    return SimilarityList.from_entries(pieces, 1.0)
 
 
 def bounded_eventually(
@@ -127,20 +118,27 @@ def bounded_always(
     boundaries.add(1)
     boundaries.add(axis_end + 1)
     ordered = sorted(boundaries)
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    begins = [entry.begin for entry in operand.entries]
+    pieces: List[Tuple[int, int, float]] = []
     for start, stop in zip(ordered, ordered[1:]):
-        value = _window_min(operand, start, min(start + window, axis_end))
+        value = _window_min(
+            operand, begins, start, min(start + window, axis_end)
+        )
         if value > SIM_EPS:
-            pieces.append(((start, stop - 1), value))
-    return SimilarityList.from_entries(pieces, operand.maximum)
+            pieces.append((start, stop - 1, value))
+    return SimilarityList.from_sorted_pieces(pieces, operand.maximum)
 
 
-def _window_min(operand: SimilarityList, lo: int, hi: int) -> float:
-    """Minimum actual over ``[lo, hi]`` (0 when any gap intersects)."""
+def _window_min(
+    operand: SimilarityList, begins: List[int], lo: int, hi: int
+) -> float:
+    """Minimum actual over ``[lo, hi]`` (0 when any gap intersects).
+
+    ``begins`` is the operand's entry begins, built once by the caller.
+    """
     worst = operand.maximum
     cursor = lo
     entries = operand.entries
-    begins = [entry.begin for entry in entries]
     index = bisect.bisect_right(begins, cursor) - 1
     if index < 0:
         return 0.0
@@ -163,7 +161,6 @@ def _pointwise_max_of_spans(
     if not spans:
         return SimilarityList.empty(maximum)
     singletons = [
-        SimilarityList.from_entries([((begin, end), actual)], maximum)
-        for begin, end, actual in spans
+        SimilarityList.from_sorted_pieces([span], maximum) for span in spans
     ]
     return max_merge_lists(singletons)

@@ -7,8 +7,9 @@ beat the SQL baseline in the paper's §4.2 experiments.
 
 Complexities match the paper's analysis:
 
-* :func:`and_lists` — ``O(len(L1) + len(L2))`` on sorted lists (lists are
-  kept sorted by construction; :func:`sorted_entries` re-sorts defensively).
+* :func:`and_lists` — ``O(len(L1) + len(L2))``: one call of
+  :func:`pointwise_lists`, the two-cursor walk every pointwise connective
+  shares (lists are kept sorted by construction).
 * :func:`next_list` — ``O(len(L))``.
 * :func:`until_lists` — ``O(len(L1) + len(L2))`` plus the bisections used to
   locate each run's candidate window.
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.intervals import Interval, coalesce
@@ -41,86 +43,81 @@ def and_lists(left: SimilarityList, right: SimilarityList) -> SimilarityList:
 
     Per §2.5 the combined value at a segment is ``(a1+a2, m1+m2)``; a segment
     on only one input list keeps its single value ("even if one of a1 and a2
-    is zero ... we still may consider f to be partially satisfied").  The
-    modified merge walks both sorted entry arrays once.
+    is zero ... we still may consider f to be partially satisfied").
     """
     budget = resilience.current_budget()
     if budget is not None:
         budget.charge(len(left) + len(right) + 1, site="list-merge")
     resilience.fault(resilience.SITE_LIST_MERGE)
-    maximum = left.maximum + right.maximum
-    boundaries = _critical_points(left, right)
-    pieces: List[Tuple[Tuple[int, int], float]] = []
-    left_index = 0
-    right_index = 0
-    for start, stop in zip(boundaries, boundaries[1:]):
-        # values are constant on [start, stop - 1]
-        left_value, left_index = _constant_value_at(left, start, left_index)
-        right_value, right_index = _constant_value_at(right, start, right_index)
-        total = left_value + right_value
-        if total > SIM_EPS:
-            pieces.append(((start, stop - 1), total))
     return resilience.fault_value(
         resilience.SITE_LIST_MERGE,
-        SimilarityList.from_entries(pieces, maximum),
+        pointwise_lists(
+            left, right, operator.add, left.maximum + right.maximum
+        ),
     )
 
 
-def _critical_points(
-    left: SimilarityList, right: SimilarityList
-) -> List[int]:
-    """Sorted distinct positions where either input list may change value.
+def pointwise_lists(
+    left: SimilarityList,
+    right: SimilarityList,
+    combine: Callable[[float, float], float],
+    maximum: float,
+) -> SimilarityList:
+    """The "modified merge" of §3.1, once, for every pointwise connective.
 
-    Each list's boundary stream ``begin_1, end_1+1, begin_2, end_2+1, …``
-    is already non-decreasing (entries are sorted with disjoint intervals,
-    so ``begin_{i+1} >= end_i + 1``), so a two-pointer merge with
-    duplicate suppression yields the sorted union in
-    ``O(len(left) + len(right))`` — no set, no sort.
+    The value on each run of the ordered union of both lists' runs is
+    ``combine(left actual, right actual)``; a side that is off-list there
+    contributes ``0.0``, and stretches where both are off-list are skipped
+    (``combine(0.0, 0.0)`` is taken to be zero).  Two cursors that only
+    move forward: ``combine`` is called once per run of the union, at most
+    ``2 * (len(left) + len(right)) - 1`` times.
     """
-    left_stream = _boundary_stream(left)
-    right_stream = _boundary_stream(right)
-    points: List[int] = []
-    i = 0
-    j = 0
-    left_len = len(left_stream)
-    right_len = len(right_stream)
-    while i < left_len or j < right_len:
-        if j >= right_len or (i < left_len and left_stream[i] <= right_stream[j]):
-            value = left_stream[i]
-            i += 1
+    runs: List[Tuple[int, int, float]] = []
+    emit = runs.append
+    left_entries = left.entries
+    right_entries = right.entries
+    left_len = len(left_entries)
+    right_len = len(right_entries)
+    i = j = 0
+    done = 0  # every id <= done has been emitted or skipped
+    while i < left_len and j < right_len:
+        left_entry = left_entries[i]
+        right_entry = right_entries[j]
+        left_begin = left_entry.interval.begin
+        right_begin = right_entry.interval.begin
+        left_end = left_entry.interval.end
+        right_end = right_entry.interval.end
+        if left_begin <= done:  # an entry already walked up to ``done``
+            left_begin = done + 1
+        if right_begin <= done:
+            right_begin = done + 1
+        if left_begin < right_begin:
+            done = left_end if left_end < right_begin else right_begin - 1
+            emit((left_begin, done, combine(left_entry.actual, 0.0)))
+        elif right_begin < left_begin:
+            done = right_end if right_end < left_begin else left_begin - 1
+            emit((right_begin, done, combine(0.0, right_entry.actual)))
         else:
-            value = right_stream[j]
+            done = left_end if left_end < right_end else right_end
+            emit(
+                (
+                    left_begin,
+                    done,
+                    combine(left_entry.actual, right_entry.actual),
+                )
+            )
+        if left_end == done:
+            i += 1
+        if right_end == done:
             j += 1
-        if not points or points[-1] != value:
-            points.append(value)
-    return points
-
-
-def _boundary_stream(sim_list: SimilarityList) -> List[int]:
-    """The non-decreasing ``begin, end+1`` stream of one list's entries."""
-    stream: List[int] = []
-    for entry in sim_list:
-        if not stream or stream[-1] != entry.begin:
-            stream.append(entry.begin)
-        stream.append(entry.end + 1)
-    return stream
-
-
-def _constant_value_at(
-    sim_list: SimilarityList, position: int, hint: int
-) -> Tuple[float, int]:
-    """Value of the list at ``position`` using a monotone cursor ``hint``.
-
-    Callers must probe with non-decreasing positions; the cursor then never
-    moves backwards, giving an overall linear walk.
-    """
-    entries = sim_list.entries
-    index = hint
-    while index < len(entries) and entries[index].end < position:
-        index += 1
-    if index < len(entries) and entries[index].begin <= position:
-        return entries[index].actual, index
-    return 0.0, index
+    # At most one side has entries left, the first possibly half-walked.
+    for entry in left_entries[i:]:
+        begin = max(entry.interval.begin, done + 1)
+        emit((begin, entry.interval.end, combine(entry.actual, 0.0)))
+    for entry in right_entries[j:]:
+        begin = max(entry.interval.begin, done + 1)
+        emit((begin, entry.interval.end, combine(0.0, entry.actual)))
+    return SimilarityList.from_sorted_pieces(runs, maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +264,19 @@ def eventually_list(operand: SimilarityList) -> SimilarityList:
     Equivalent to ``true until g`` with the left list covering the whole
     axis; implemented directly in one backward scan.
     """
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    pieces: List[Tuple[int, int, float]] = []
     running_max = 0.0
     upper = 0
     for entry in reversed(operand.entries):
         if entry.actual > running_max:
             if running_max > SIM_EPS and entry.end + 1 <= upper:
-                pieces.append(((entry.end + 1, upper), running_max))
+                pieces.append((entry.end + 1, upper, running_max))
             running_max = entry.actual
             upper = entry.end
     if running_max > SIM_EPS:
-        pieces.append(((1, upper), running_max))
-    return SimilarityList.from_entries(pieces, operand.maximum)
+        pieces.append((1, upper, running_max))
+    pieces.reverse()  # the backward scan emits the last run first
+    return SimilarityList.from_sorted_pieces(pieces, operand.maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +316,14 @@ def max_merge_lists(lists: Sequence[SimilarityList]) -> SimilarityList:
 
     heap: List[float] = []  # negated actuals
     expired: Dict[float, int] = {}
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    pieces: List[Tuple[int, int, float]] = []
     index = 0
     previous_position: Optional[int] = None
     previous_value = 0.0
     while index < len(events):
         position = events[index][0]
         if previous_position is not None and previous_value > SIM_EPS:
-            pieces.append(((previous_position, position - 1), previous_value))
+            pieces.append((previous_position, position - 1, previous_value))
         while index < len(events) and events[index][0] == position:
             __, kind, actual = events[index]
             if kind == 0:
@@ -335,7 +333,7 @@ def max_merge_lists(lists: Sequence[SimilarityList]) -> SimilarityList:
             index += 1
         previous_value = _heap_max(heap, expired)
         previous_position = position
-    return SimilarityList.from_entries(pieces, maximum)
+    return SimilarityList.from_sorted_pieces(pieces, maximum)
 
 
 def _heap_max(heap: List[float], expired: Dict[float, int]) -> float:
@@ -371,7 +369,7 @@ def always_list(operand: SimilarityList, axis_end: int) -> SimilarityList:
     # Positive exactly where [u, axis_end] lies inside one trailing block of
     # contiguous entries; the value at u is the running minimum of the
     # actual values encountered while scanning that block backwards.
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    pieces: List[Tuple[int, int, float]] = []
     running_min: Optional[float] = None
     next_begin = 0  # begin of the previously processed (later) entry
     for entry in reversed(entries):
@@ -387,7 +385,7 @@ def always_list(operand: SimilarityList, axis_end: int) -> SimilarityList:
                 break  # gap in coverage: earlier segments all score zero
             running_min = min(running_min, entry.actual)
         if running_min > SIM_EPS:
-            pieces.append(((entry.begin, clipped_end), running_min))
+            pieces.append((entry.begin, clipped_end, running_min))
         next_begin = entry.begin
     pieces.reverse()
-    return SimilarityList.from_entries(pieces, operand.maximum)
+    return SimilarityList.from_sorted_pieces(pieces, operand.maximum)

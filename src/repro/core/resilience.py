@@ -607,11 +607,7 @@ def evaluate_with_fallback(
         breaker = context.breaker("engine")
         if breaker.allow():
             try:
-                naive = _Engine(
-                    replace(
-                        engine.config, naive_atoms=True, prune_atoms=False
-                    )
-                )
+                naive = _Engine(replace(engine.config, naive_atoms=True))
                 result = naive.evaluate_video(
                     formula, video, level=level, database=database
                 )

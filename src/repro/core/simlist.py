@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.intervals import Interval
@@ -96,8 +97,9 @@ class SimEntry:
 class SimilarityList:
     """Canonical similarity list for one formula over one video.
 
-    Construct with :meth:`from_entries` (normalising) or
-    :meth:`from_raw` (trusting, for the hot path of the merge algorithms).
+    Construct with :meth:`from_entries` (normalising unordered outside
+    input), :meth:`from_sorted_pieces` (normalising runs already in id
+    order — what the merge algorithms emit) or :meth:`from_raw` (trusting).
     """
 
     __slots__ = ("_entries", "_maximum", "_begin_keys")
@@ -120,29 +122,19 @@ class SimilarityList:
     ) -> "SimilarityList":
         """Build from ``((begin, end), actual)`` pairs, normalising.
 
-        Input may be unsorted; intervals must be disjoint.  Zero-valued
-        entries are dropped and adjacent equal-valued entries coalesced.
+        The constructor for outside input: it may be unsorted and of any
+        numeric type; intervals must be disjoint, and each is validated on
+        its own.  Zero-valued entries are dropped and adjacent equal-valued
+        entries coalesced — by :meth:`from_sorted_pieces`, once sorted.
         """
-        raw = [
-            SimEntry(Interval(int(b), int(e)), float(a))
-            for (b, e), a in entries
-        ]
-        raw.sort(key=lambda entry: entry.begin)
-        normalised: List[SimEntry] = []
-        for entry in raw:
-            if entry.actual <= SIM_EPS:
-                continue
-            if (
-                normalised
-                and normalised[-1].end + 1 == entry.begin
-                and abs(normalised[-1].actual - entry.actual) <= SIM_EPS
-            ):
-                previous = normalised.pop()
-                entry = SimEntry(
-                    Interval(previous.begin, entry.end), previous.actual
-                )
-            normalised.append(entry)
-        return cls(normalised, maximum)
+        pieces = []
+        for (begin, end), actual in entries:
+            begin, end = int(begin), int(end)
+            if not 1 <= begin <= end:
+                Interval(begin, end)  # raises the typed error
+            pieces.append((begin, end, float(actual)))
+        pieces.sort(key=itemgetter(0))
+        return cls.from_sorted_pieces(pieces, maximum)
 
     @classmethod
     def from_raw(
@@ -165,11 +157,11 @@ class SimilarityList:
     ) -> "SimilarityList":
         """Build from ``(begin, end, actual)`` runs already in begin order.
 
-        The index-driven atom evaluator emits baseline runs over posting
-        gaps interleaved with per-segment scores, in ascending id order;
-        this constructor normalises (drops ≤ 0 runs, coalesces adjacent
-        equal-valued runs) in one linear pass with no sort and no
-        per-segment expansion.
+        The one normalising loop: it drops ≤ 0 runs and coalesces adjacent
+        equal-valued runs in one linear pass, with no sort and no
+        per-segment expansion.  Every producer that emits in ascending id
+        order — the list algebra's merges and scans, the atom evaluators —
+        hands its runs straight here.
         """
         normalised: List[SimEntry] = []
         # Accumulate the open run in locals; one SimEntry per *final* run
@@ -204,13 +196,13 @@ class SimilarityList:
         cls, values: Dict[int, float], maximum: float
     ) -> "SimilarityList":
         """Build from a ``{segment_id: actual}`` map (test oracle helper)."""
-        entries: List[Tuple[Tuple[int, int], float]] = []
-        for segment_id in sorted(values):
-            actual = values[segment_id]
-            if actual <= SIM_EPS:
-                continue
-            entries.append(((segment_id, segment_id), actual))
-        return cls.from_entries(entries, maximum)
+        return cls.from_sorted_pieces(
+            (
+                (segment_id, segment_id, values[segment_id])
+                for segment_id in sorted(values)
+            ),
+            maximum,
+        )
 
     # ------------------------------------------------------------------
     # invariants

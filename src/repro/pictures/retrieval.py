@@ -196,19 +196,15 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]] = None,
-        prune: bool = False,
         use_index: Optional[bool] = None,
     ) -> SimilarityTable:
         """The similarity table of a non-temporal formula.
 
         ``universe`` is the pool object variables (free and inner-∃ alike)
-        range over; it defaults to the sequence's objects.  With
-        ``prune=True``, bindings whose variables never co-occur with the
-        atom's object conditions are skipped — the "relevant evaluations"
-        reading of the paper; the default enumerates every binding, which
-        is what the definitional semantics prescribe under partial
-        matching.  ``use_index`` overrides the system-wide path selection
-        for this call (``None`` keeps the system default).
+        range over; it defaults to the sequence's objects.  Every binding
+        is enumerated, which is what the definitional semantics prescribe
+        under partial matching.  ``use_index`` overrides the system-wide
+        path selection for this call (``None`` keeps the system default).
 
         Every table build is one ``atom-scoring`` stage block, and — when
         a trace recorder is active — one ``atom-sweep`` span annotated
@@ -221,13 +217,13 @@ class PictureRetrievalSystem:
             clip(pretty(atom), 60),
         ) as span:
             if span is None:
-                return self._similarity_table(atom, universe, prune, use_index)
+                return self._similarity_table(atom, universe, use_index)
             before = (
                 self.stats.bindings,
                 self.stats.segments_scored,
                 self.stats.fingerprint_hits,
             )
-            table = self._similarity_table(atom, universe, prune, use_index)
+            table = self._similarity_table(atom, universe, use_index)
             span.attrs["rows"] = len(table.rows)
             span.attrs["bindings"] = self.stats.bindings - before[0]
             span.attrs["segments-scored"] = (
@@ -242,7 +238,6 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]],
-        prune: bool,
         use_index: Optional[bool],
     ) -> SimilarityTable:
         if not is_non_temporal(atom):
@@ -256,14 +251,7 @@ class PictureRetrievalSystem:
         attr_vars = sorted(free_attr_vars(atom))
         maximum = max_similarity(atom)
 
-        candidate_pool = (
-            self._pruned_candidates(atom, object_vars, pool)
-            if prune
-            else {name: pool for name in object_vars}
-        )
-        bindings = itertools.product(
-            *(candidate_pool[name] for name in object_vars)
-        )
+        bindings = itertools.product(pool, repeat=len(object_vars))
 
         if indexed:
             # Degraded fallback (DESIGN.md §8): under an active resilience
@@ -569,7 +557,7 @@ class PictureRetrievalSystem:
         kernel = compile_atom(atom, narrow=False)
         binding = dict(binding)
         pool = exists_pool(pool) if pool else ()
-        values: Dict[int, float] = {}
+        pieces: List[Tuple[int, int, float]] = []
         for segment_id, segment in enumerate(self.segments, start=1):
             if budget is not None:
                 pending += 1
@@ -578,10 +566,10 @@ class PictureRetrievalSystem:
                     pending = 0
             actual = kernel(segment, binding, pool)
             if actual > SIM_EPS:
-                values[segment_id] = actual
+                pieces.append((segment_id, segment_id, actual))
         if budget is not None and pending:
             budget.charge(pending, site="atom-scoring")
-        return SimilarityList.from_segment_values(values, maximum)
+        return SimilarityList.from_sorted_pieces(pieces, maximum)
 
     def _attr_var_rows(
         self,
@@ -655,35 +643,6 @@ class PictureRetrievalSystem:
                 else:
                     exact_bounds.add(value)
         return int_bounds, exact_bounds
-
-    def _pruned_candidates(
-        self,
-        atom: ast.Formula,
-        object_vars: List[str],
-        pool: Sequence[str],
-    ) -> Dict[str, List[str]]:
-        """Heuristic candidate narrowing from top-level type constraints."""
-        candidates = {name: list(pool) for name in object_vars}
-        for node in atom.walk():
-            if (
-                isinstance(node, ast.Compare)
-                and node.op == "="
-                and isinstance(node.left, ast.AttrFunc)
-                and node.left.name == "type"
-                and len(node.left.args) == 1
-                and isinstance(node.left.args[0], ast.ObjectVar)
-                and isinstance(node.right, ast.Const)
-                and isinstance(node.right.value, str)
-            ):
-                name = node.left.args[0].name
-                if name in candidates:
-                    typed = set(self.index.object_ids_of_type(node.right.value))
-                    candidates[name] = [
-                        object_id
-                        for object_id in candidates[name]
-                        if object_id in typed
-                    ]
-        return candidates
 
 
 # ---------------------------------------------------------------------------

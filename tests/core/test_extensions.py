@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import resilience
+from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.extensions import (
     bounded_always,
     bounded_eventually,
@@ -11,8 +13,13 @@ from repro.core.extensions import (
     or_lists,
 )
 from repro.core.ops import eventually_list
+from repro.core.resilience import QueryBudget
 from repro.core.simlist import SimilarityList
-from repro.errors import SimilarityListInvariantError
+from repro.errors import BudgetExceededError, SimilarityListInvariantError
+from repro.htl.parser import parse
+from repro.model.database import VideoDatabase
+from repro.model.hierarchy import flat_video
+from repro.model.metadata import SegmentMetadata
 
 from tests.core.test_simlist import similarity_lists
 
@@ -44,6 +51,27 @@ class TestOrLists:
     @given(similarity_lists())
     def test_idempotent(self, sim):
         assert or_lists(sim, sim) == sim
+
+    def test_charges_the_step_budget_like_and(self):
+        """A ``∨``-only query over long registered lists used to cost the
+        budget its ``engine-table`` steps and nothing else.  (Atomic
+        references join only through ``∧`` inside a non-temporal formula,
+        hence the ``next``.)"""
+        n = 5000
+        video = flat_video("v", [SegmentMetadata() for _ in range(2 * n)])
+        database = VideoDatabase()
+        database.add(video)
+        for name, offset in (("P1", 1), ("P2", 2)):
+            runs = ((2 * k + offset, 2 * k + offset, 1.0) for k in range(n))
+            database.register_atomic(
+                name, "v", SimilarityList.from_sorted_pieces(runs, 4.0)
+            )
+        engine = RetrievalEngine(EngineConfig(allow_extensions=True))
+        for connective in ("and", "or"):
+            query = parse(f"next $P1 {connective} next $P2")
+            with resilience.scope(budget=QueryBudget(max_steps=100)):
+                with pytest.raises(BudgetExceededError, match="list-merge"):
+                    engine.evaluate_video(query, video, database=database)
 
 
 class TestFuzzyAnd:

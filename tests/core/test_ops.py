@@ -5,25 +5,34 @@ the paper's §2.5 definitions (the property tests), and the worked UNTIL
 example of Figure 2 is reproduced entry for entry.
 """
 
+import collections
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS
+from repro.core import resilience
+from repro.core.engine import RetrievalEngine
 from repro.core.intervals import Interval
+from repro.core.extensions import fuzzy_and_lists, or_lists
 from repro.core.ops import (
     always_list,
     and_lists,
     eventually_list,
     max_merge_lists,
     next_list,
+    pointwise_lists,
     threshold_runs,
     until_lists,
     until_runs,
 )
 from repro.core.simlist import SIM_EPS, SimilarityList
+from repro.core.topk import top_k_across_videos
 from repro.errors import SimilarityListInvariantError
+from repro.htl.parser import parse
 
-from tests.core.test_simlist import similarity_lists
+from tests.core.test_simlist import run_pieces, similarity_lists
 
 
 def naive_and(left, right, horizon):
@@ -329,26 +338,139 @@ class TestMaxMerge:
             assert merged.actual_at(i) == pytest.approx(expected)
 
 
-class TestCriticalPoints:
-    @given(similarity_lists(), similarity_lists())
-    @settings(max_examples=60)
-    def test_two_pointer_matches_set_union(self, left, right):
-        from repro.core.ops import _critical_points
+#: Actual values with many ties, so unions produce adjacent equal-valued
+#: runs (which must coalesce), plus sums that are not exactly representable.
+TIED_ACTUALS = st.sampled_from([0.1, 0.2, 0.5, 1.0, 2.5, 10.0]) | st.floats(
+    0.5, 10.0, allow_nan=False
+)
 
-        expected = sorted(
-            {
-                point
-                for sim in (left, right)
-                for entry in sim
-                for point in (entry.begin, entry.end + 1)
-            }
+
+@st.composite
+def tied_lists(draw, maximum=10.0):
+    return SimilarityList.from_sorted_pieces(
+        draw(run_pieces(TIED_ACTUALS)), maximum
+    )
+
+
+def exact(sim):
+    return sim.maximum, [(e.begin, e.end, repr(e.actual)) for e in sim]
+
+
+class TestPointwiseWalk:
+    """The one two-cursor walk under ``∧`` (sum), ``∨`` (max) and fuzzy
+    ``∧`` (min of fractions) against a per-segment dict reference."""
+
+    @given(tied_lists(), tied_lists(maximum=40.0))
+    @example(SimilarityList.empty(10.0), SimilarityList.empty(40.0))
+    @settings(max_examples=150)
+    def test_matches_per_segment_reference(self, left, right):
+        mine = left.to_segment_values()
+        theirs = right.to_segment_values()
+        connectives = [
+            (and_lists, lambda a, b: a + b, left.maximum + right.maximum),
+            (or_lists, max, max(left.maximum, right.maximum)),
+            (
+                fuzzy_and_lists,
+                lambda a, b: min(a / left.maximum, b / right.maximum),
+                1.0,
+            ),
+        ]
+        for connective, combine, maximum in connectives:
+            reference = SimilarityList.from_segment_values(
+                {
+                    i: combine(mine.get(i, 0.0), theirs.get(i, 0.0))
+                    for i in mine.keys() | theirs.keys()
+                },
+                maximum,
+            )
+            assert exact(connective(left, right)) == exact(reference)
+
+    def test_adjacent_equal_runs_coalesce_and_zero_results_vanish(self):
+        left = SimilarityList.from_entries([((1, 4), 2.0)], 4.0)
+        right = SimilarityList.from_entries([((5, 9), 2.0)], 4.0)
+        assert exact(or_lists(left, right)) == (4.0, [(1, 9, "2.0")])
+        assert exact(and_lists(left, right)) == (8.0, [(1, 9, "2.0")])
+        assert not fuzzy_and_lists(left, right)  # disjoint supports
+
+    def test_one_combine_per_run_of_the_union(self):
+        """Linear, not ``n log n`` and not per segment: two staggered
+        20 000-entry lists, runs five ids long."""
+        n = 20_000
+        left = SimilarityList.from_sorted_pieces(
+            ((8 * k + 1, 8 * k + 5, 1.0 + k % 7) for k in range(n)), 10.0
         )
-        assert _critical_points(left, right) == expected
+        right = SimilarityList.from_sorted_pieces(
+            ((8 * k + 4, 8 * k + 8, 2.0 + k % 5) for k in range(n)), 10.0
+        )
+        assert len(left) == len(right) == n
+        calls = []
 
-    def test_empty_lists(self):
-        from repro.core.ops import _critical_points
+        def counted_sum(a, b):
+            calls.append(1)
+            return a + b
 
-        empty = SimilarityList.empty(1.0)
-        assert _critical_points(empty, empty) == []
-        one = SimilarityList.from_entries([((2, 4), 1.0)], 1.0)
-        assert _critical_points(one, empty) == [2, 5]
+        walked = pointwise_lists(left, right, counted_sum, 20.0)
+        assert len(calls) <= 2 * (len(left) + len(right)) + 1
+        assert exact(walked) == exact(and_lists(left, right))
+        assert walked.support_size() == 8 * n
+
+
+#: Recorded at the parent commit (three merge bodies, two coalescing
+#: loops) by running this very loop: the smoke-size ``temporal`` stream of
+#: the end-to-end benchmark under seed 7.
+PARENT_STEPS = {"engine-table": 159, "list-merge": 795}
+PARENT_RANKINGS = {
+    "$P1 and $P2": [
+        ("vid000", 99, 31.45749473488332), ("vid001", 98, 29.335541393180087),
+        ("vid001", 99, 29.335541393180087), ("vid002", 58, 26.853287320727443),
+        ("vid001", 46, 22.064544200858276), ("vid002", 6, 19.5),
+        ("vid002", 163, 19.5), ("vid001", 135, 19.0), ("vid001", 136, 19.0),
+        ("vid001", 137, 19.0),
+    ],
+    "$P1 until $P2": [("vid002", 6, 19.5)]
+    + [("vid001", i, 19.0) for i in range(135, 144)],
+    "$P1 and eventually $P2": [
+        ("vid001", i, 37.39896209043479) for i in range(93, 100)
+    ]
+    + [("vid000", i, 37.0) for i in range(52, 55)],
+    "($P1 and next $P3) until ($P2 and eventually $P4)": [("vid002", 6, 39.0)]
+    + [("vid000", i, 37.0) for i in range(84, 93)],
+    "$P1 and ($P2 until ($P3 and eventually $P4))": [
+        ("vid002", 163, 47.96220053615542)
+    ]
+    + [("vid000", i, 44.702633513399306) for i in range(55, 61)]
+    + [("vid000", i, 40.471250778630704) for i in range(177, 180)],
+    "eventually ($P1 and next ($P2 until $P3))": [
+        ("vid001", i, 32.16566049224062) for i in range(1, 11)
+    ],
+}  # fmt: skip
+
+
+class _SiteBudget(resilience.QueryBudget):
+    """An unlimited budget that remembers which site charged what."""
+
+    def __init__(self):
+        super().__init__(max_steps=10**9)
+        self.by_site = collections.Counter()
+
+    def charge(self, n=1, site=""):
+        self.by_site[site] += n
+        super().charge(n, site)
+
+
+def test_temporal_smoke_stream_is_the_parents(tmp_path):
+    database, __, stream = WORKLOADS["temporal"](
+        7, SMOKE, str(tmp_path)
+    ).inputs()
+    assert set(stream) == set(PARENT_RANKINGS)
+    engine = RetrievalEngine()
+    budget = _SiteBudget()
+    for text in stream:
+        result = top_k_across_videos(
+            engine, parse(text), database, K, level=LEVEL, budget=budget
+        )
+        ranking = [
+            (hit.video, hit.segment_id, hit.actual) for hit in result.segments
+        ]
+        assert ranking == PARENT_RANKINGS[text]  # exact floats
+    assert budget.by_site == PARENT_STEPS

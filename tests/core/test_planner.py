@@ -226,7 +226,7 @@ class TestPlanCache:
         plan = planner.plan_for(formula, pictures, 2, EngineConfig())
         other_level = planner.plan_for(formula, pictures, 1, EngineConfig())
         other_config = planner.plan_for(
-            formula, pictures, 2, EngineConfig(prune_atoms=True)
+            formula, pictures, 2, EngineConfig(join_mode=OUTER)
         )
         assert other_level is not plan
         assert other_config is not plan

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.simlist import SimEntry, SimilarityList, SimilarityValue
 from repro.core.intervals import Interval
 from repro.errors import (
+    InvalidIntervalError,
     InvalidSimilarityError,
     SimilarityListInvariantError,
 )
@@ -169,6 +170,24 @@ def similarity_lists(draw, max_id=80, maximum=10.0):
     return SimilarityList.from_entries(entries, maximum)
 
 
+@st.composite
+def run_pieces(draw, actuals, max_size=8):
+    """Ascending disjoint ``(begin, end, actual)`` runs: gaps of 0-3 ids
+    (so runs may touch), lengths 1-4, values drawn from ``actuals``."""
+    pieces = []
+    cursor = 1
+    for gap, length, actual in draw(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(1, 4), actuals),
+            max_size=max_size,
+        )
+    ):
+        begin = cursor + gap
+        cursor = begin + length
+        pieces.append((begin, cursor - 1, actual))
+    return pieces
+
+
 class TestRoundTripProperties:
     @given(similarity_lists())
     def test_segment_expansion_round_trips(self, sim):
@@ -207,3 +226,37 @@ class TestFromSortedPieces:
     def test_round_trips_entries(self, sim):
         pieces = [(entry.begin, entry.end, entry.actual) for entry in sim]
         assert SimilarityList.from_sorted_pieces(pieces, sim.maximum) == sim
+
+    @given(
+        run_pieces(st.sampled_from([0.0, 1e-12, 0.5, 1.0, 2.5]), max_size=10),
+        st.randoms(use_true_random=False),
+    )
+    def test_from_entries_is_sort_then_this(self, pieces, rng):
+        """Unordered input, with zero runs and adjacent ties: sorting it
+        and handing it to the one normalising loop is all ``from_entries``
+        adds (bar coercion and per-piece interval validation)."""
+        shuffled = [((begin, end), actual) for begin, end, actual in pieces]
+        rng.shuffle(shuffled)
+        mine = SimilarityList.from_entries(shuffled, 4.0)
+        assert mine.entries == (
+            SimilarityList.from_sorted_pieces(pieces, 4.0).entries
+        )
+        assert mine == SimilarityList.from_segment_values(
+            {
+                segment_id: actual
+                for begin, end, actual in pieces
+                for segment_id in range(begin, end + 1)
+            },
+            4.0,
+        )
+
+    def test_from_entries_validates_each_piece(self):
+        """A reversed or off-axis piece must not hide inside a coalesced
+        run or behind a zero value."""
+        for bad in (
+            [((1, 3), 1.0), ((4, 2), 1.0)],
+            [((0, 2), 0.0)],
+            [((5, 4), 0.0), ((1, 2), 1.0)],
+        ):
+            with pytest.raises(InvalidIntervalError):
+                SimilarityList.from_entries(bad, 4.0)

@@ -145,9 +145,12 @@ class TestIndexedEqualsNaive:
     @settings(max_examples=40, deadline=None)
     @given(segments=segment_lists(), atom=nontemporal_atoms())
     def test_pruned_tables_identical(self, segments, atom):
+        """A pool narrower than the sequence's objects: what the deleted
+        ``prune=`` knob built, and what a caller's ``universe`` still can."""
         system = PictureRetrievalSystem(segments)
-        indexed = system.similarity_table(atom, prune=True, use_index=True)
-        naive = system.similarity_table(atom, prune=True, use_index=False)
+        universe = system.universe[::2]
+        indexed = system.similarity_table(atom, universe, use_index=True)
+        naive = system.similarity_table(atom, universe, use_index=False)
         assert_tables_equal(indexed, naive)
 
     @settings(max_examples=40, deadline=None)

@@ -99,12 +99,6 @@ class TestObjectVariableTables:
         by_object = {row.objects[0]: row.sim for row in table.rows}
         assert list(by_object) == ["jw"]
 
-    def test_pruning_by_type(self, system):
-        table = system.similarity_table(
-            parse("present(x) and type(x) = 'airplane'"), prune=True
-        )
-        assert {row.objects[0] for row in table.rows} == {"p1", "p2"}
-
 
 class TestAttributeVariableTables:
     def test_integer_partition(self, system):
