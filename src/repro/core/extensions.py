@@ -85,8 +85,8 @@ def bounded_eventually(
             f"window must be non-negative, got {window}"
         )
     stretched = [
-        (max(entry.begin - window, 1), entry.end, entry.actual)
-        for entry in operand
+        (max(begin - window, 1), end, actual)
+        for begin, end, actual in operand.runs()
     ]
     return _pointwise_max_of_spans(stretched, operand.maximum)
 
@@ -106,50 +106,36 @@ def bounded_always(
     if axis_end < 1:
         return SimilarityList.empty(operand.maximum)
     boundaries = set()
-    for entry in operand:
-        for bound in (
-            entry.begin,
-            entry.end + 1,
-            entry.begin - window,
-            entry.end + 1 - window,
-        ):
+    for begin, end in zip(operand.begins, operand.ends):
+        for bound in (begin, end + 1, begin - window, end + 1 - window):
             if 1 <= bound <= axis_end + 1:
                 boundaries.add(bound)
     boundaries.add(1)
     boundaries.add(axis_end + 1)
     ordered = sorted(boundaries)
-    begins = [entry.begin for entry in operand.entries]
     pieces: List[Tuple[int, int, float]] = []
     for start, stop in zip(ordered, ordered[1:]):
-        value = _window_min(
-            operand, begins, start, min(start + window, axis_end)
-        )
+        value = _window_min(operand, start, min(start + window, axis_end))
         if value > SIM_EPS:
             pieces.append((start, stop - 1, value))
     return SimilarityList.from_sorted_pieces(pieces, operand.maximum)
 
 
-def _window_min(
-    operand: SimilarityList, begins: List[int], lo: int, hi: int
-) -> float:
-    """Minimum actual over ``[lo, hi]`` (0 when any gap intersects).
-
-    ``begins`` is the operand's entry begins, built once by the caller.
-    """
+def _window_min(operand: SimilarityList, lo: int, hi: int) -> float:
+    """Minimum actual over ``[lo, hi]`` (0 when any gap intersects)."""
+    begins, ends, actuals = operand.begins, operand.ends, operand.actuals
     worst = operand.maximum
     cursor = lo
-    entries = operand.entries
     index = bisect.bisect_right(begins, cursor) - 1
     if index < 0:
         return 0.0
     while cursor <= hi:
-        if index >= len(entries):
+        if index >= len(begins):
             return 0.0
-        entry = entries[index]
-        if cursor < entry.begin or cursor > entry.end:
+        if cursor < begins[index] or cursor > ends[index]:
             return 0.0
-        worst = min(worst, entry.actual)
-        cursor = entry.end + 1
+        worst = min(worst, actuals[index])
+        cursor = ends[index] + 1
         index += 1
     return worst
 

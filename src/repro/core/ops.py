@@ -22,17 +22,23 @@ from __future__ import annotations
 import bisect
 import heapq
 import operator
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import sys
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import resilience
-from repro.core.intervals import Interval, coalesce
-from repro.core.simlist import SIM_EPS, SimEntry, SimilarityList
+from repro.core.intervals import Interval
+from repro.core.simlist import SIM_EPS, SimilarityList
 from repro.errors import SimilarityListInvariantError
 
 #: Default minimum fractional similarity the left operand of ``until`` must
 #: keep while waiting for the right operand (paper §2.5: "g is satisfied
 #: with a minimum threshold value").
 DEFAULT_UNTIL_THRESHOLD = 0.5
+
+#: What a cursor of :func:`pointwise_lists` reads once its list is
+#: exhausted: a run that begins after every segment id.
+_PAST_END = sys.maxsize
+_NO_RUN = (_PAST_END, _PAST_END, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -69,55 +75,63 @@ def pointwise_lists(
     ``combine(left actual, right actual)``; a side that is off-list there
     contributes ``0.0``, and stretches where both are off-list are skipped
     (``combine(0.0, 0.0)`` is taken to be zero).  Two cursors that only
-    move forward: ``combine`` is called once per run of the union, at most
-    ``2 * (len(left) + len(right)) - 1`` times.
+    move forward over the operands' columns: ``combine`` is called once
+    per run of the union, at most ``2 * (len(left) + len(right)) - 1``
+    times.  The output columns are normalised as they are written — a run
+    at or below ``SIM_EPS`` is dropped, a run adjacent to the open one and
+    within ``SIM_EPS`` of its (first) value extends it — exactly as
+    :meth:`SimilarityList.from_sorted_pieces` would.
     """
-    runs: List[Tuple[int, int, float]] = []
-    emit = runs.append
-    left_entries = left.entries
-    right_entries = right.entries
-    left_len = len(left_entries)
-    right_len = len(right_entries)
-    i = j = 0
-    done = 0  # every id <= done has been emitted or skipped
-    while i < left_len and j < right_len:
-        left_entry = left_entries[i]
-        right_entry = right_entries[j]
-        left_begin = left_entry.interval.begin
-        right_begin = right_entry.interval.begin
-        left_end = left_entry.interval.end
-        right_end = right_entry.interval.end
-        if left_begin <= done:  # an entry already walked up to ``done``
-            left_begin = done + 1
-        if right_begin <= done:
-            right_begin = done + 1
+    lefts = left.runs()
+    rights = right.runs()
+    # The run under each cursor, its begin moved past what is already
+    # walked; an exhausted side reads as a run beyond every id.
+    left_begin, left_end, left_actual = next(lefts, _NO_RUN)
+    right_begin, right_end, right_actual = next(rights, _NO_RUN)
+    begins: List[int] = []
+    ends: List[int] = []
+    actuals: List[float] = []
+    # The open output run; none while run_end == 0 (ids are 1-based), and
+    # run_actual == 0.0 then keeps the first kept run from extending it.
+    run_begin = run_end = 0
+    run_actual = 0.0
+    while left_begin < _PAST_END or right_begin < _PAST_END:
+        # ``done``: every id up to it is emitted or skipped by this step.
         if left_begin < right_begin:
+            begin = left_begin
             done = left_end if left_end < right_begin else right_begin - 1
-            emit((left_begin, done, combine(left_entry.actual, 0.0)))
+            actual = combine(left_actual, 0.0)
         elif right_begin < left_begin:
+            begin = right_begin
             done = right_end if right_end < left_begin else left_begin - 1
-            emit((right_begin, done, combine(0.0, right_entry.actual)))
+            actual = combine(0.0, right_actual)
         else:
+            begin = left_begin
             done = left_end if left_end < right_end else right_end
-            emit(
-                (
-                    left_begin,
-                    done,
-                    combine(left_entry.actual, right_entry.actual),
-                )
-            )
+            actual = combine(left_actual, right_actual)
         if left_end == done:
-            i += 1
+            left_begin, left_end, left_actual = next(lefts, _NO_RUN)
+        elif left_begin <= done:
+            left_begin = done + 1
         if right_end == done:
-            j += 1
-    # At most one side has entries left, the first possibly half-walked.
-    for entry in left_entries[i:]:
-        begin = max(entry.interval.begin, done + 1)
-        emit((begin, entry.interval.end, combine(entry.actual, 0.0)))
-    for entry in right_entries[j:]:
-        begin = max(entry.interval.begin, done + 1)
-        emit((begin, entry.interval.end, combine(0.0, entry.actual)))
-    return SimilarityList.from_sorted_pieces(runs, maximum)
+            right_begin, right_end, right_actual = next(rights, _NO_RUN)
+        elif right_begin <= done:
+            right_begin = done + 1
+        if actual <= SIM_EPS:
+            continue
+        if run_end + 1 == begin and abs(run_actual - actual) <= SIM_EPS:
+            run_end = done
+            continue
+        if run_end:
+            begins.append(run_begin)
+            ends.append(run_end)
+            actuals.append(run_actual)
+        run_begin, run_end, run_actual = begin, done, actual
+    if run_end:
+        begins.append(run_begin)
+        ends.append(run_end)
+        actuals.append(run_actual)
+    return SimilarityList.from_columns(begins, ends, actuals, maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +143,16 @@ def next_list(operand: SimilarityList) -> SimilarityList:
     A segment with no successor gets actual value 0 (not stored); an
     interval that would start at id 0 is clamped to the 1-based axis.
     """
-    shifted: List[SimEntry] = []
-    for entry in operand:
-        interval = entry.interval.shift(-1)
-        if interval is not None:
-            shifted.append(SimEntry(interval, entry.actual))
-    return SimilarityList.from_raw(shifted, operand.maximum)
+    begins = [begin - 1 for begin in operand.begins]
+    ends = [end - 1 for end in operand.ends]
+    actuals = operand.actuals
+    # Only the first run can touch id 1: it falls off the axis whole
+    # ([1,1]) or loses its first id.
+    if ends and ends[0] < 1:
+        begins, ends, actuals = begins[1:], ends[1:], actuals[1:]
+    elif begins and begins[0] < 1:
+        begins[0] = 1
+    return SimilarityList.from_columns(begins, ends, actuals, operand.maximum)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +167,28 @@ def threshold_runs(
     coalesce adjacent survivors into maximal runs; actual values are
     discarded ("their values are not used any more").
     """
-    kept = [
-        entry.interval
-        for entry in operand
-        if entry.actual / operand.maximum + SIM_EPS >= threshold
+    return [
+        Interval(begin, end)
+        for begin, end in zip(*_threshold_columns(operand, threshold))
     ]
-    return coalesce(kept)
+
+
+def _threshold_columns(
+    operand: SimilarityList, threshold: float
+) -> Tuple[List[int], List[int]]:
+    """:func:`threshold_runs` as ``(begins, ends)`` columns: one forward
+    pass, an adjacent survivor extending the run before it."""
+    run_begins: List[int] = []
+    run_ends: List[int] = []
+    maximum = operand.maximum
+    for begin, end, actual in operand.runs():
+        if actual / maximum + SIM_EPS >= threshold:
+            if run_ends and run_ends[-1] + 1 == begin:
+                run_ends[-1] = end
+            else:
+                run_begins.append(begin)
+                run_ends.append(end)
+    return run_begins, run_ends
 
 
 def until_runs(
@@ -169,65 +203,95 @@ def until_runs(
     runs only reaches itself, hence takes the ``h`` value at that segment.
 
     This follows the paper's backward-merge algorithm, with the
-    ``end(I) + 1`` boundary fix documented in DESIGN.md §2.
+    ``end(I) + 1`` boundary fix documented in DESIGN.md §2.  ``runs`` must
+    be sorted and pairwise disjoint, as :func:`threshold_runs` returns them.
     """
-    begins = [entry.begin for entry in right.entries]
-    ends = [entry.end for entry in right.entries]
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    return _until_columns(
+        [run.begin for run in runs], [run.end for run in runs], right
+    )
 
-    for run in runs:
-        # Candidate window: h entries with end >= run.begin (suffix, since
+
+def _until_columns(
+    run_begins: Sequence[int], run_ends: Sequence[int], right: SimilarityList
+) -> SimilarityList:
+    """:func:`until_runs` over run columns: the pieces inside runs and the
+    pieces outside them are two ascending streams of disjoint intervals,
+    merged in order into the one normalising loop — no sort."""
+    begins, ends, actuals = right.begins, right.ends, right.actuals
+    inside: List[Tuple[int, int, float]] = []
+    # Runs from the last to the first, each scanned backwards: the pieces
+    # come out in descending id order and are reversed once at the end.
+    for run_begin, run_end in zip(reversed(run_begins), reversed(run_ends)):
+        # Candidate window: h entries with end >= run_begin (suffix, since
         # disjoint sorted intervals have increasing ends) and
-        # begin <= run.end + 1 (prefix).
-        low = bisect.bisect_left(ends, run.begin)
-        high = bisect.bisect_right(begins, run.end + 1)
-        if low >= high:
-            continue
-        candidates = right.entries[low:high]
+        # begin <= run_end + 1 (prefix).
+        low = bisect.bisect_left(ends, run_begin)
+        high = bisect.bisect_right(begins, run_end + 1)
         # Build the non-increasing step function
         #   value(u) = max{actual(J) : end(J) >= u}
-        # over u in [run.begin, run.end] by scanning candidates from the
+        # over u in [run_begin, run_end] by scanning candidates from the
         # largest end downwards while keeping a running maximum.
         running_max = 0.0
-        upper = run.end
-        for entry in reversed(candidates):
-            if entry.actual > running_max:
-                if entry.end < upper:
+        upper = run_end
+        for index in range(high - 1, low - 1, -1):
+            actual = actuals[index]
+            if actual > running_max:
+                end = ends[index]
+                if end < upper:
                     if running_max > SIM_EPS:
-                        pieces.append(
-                            ((max(entry.end + 1, run.begin), upper), running_max)
+                        inside.append(
+                            (max(end + 1, run_begin), upper, running_max)
                         )
-                    upper = min(entry.end, run.end)
-                running_max = entry.actual
-            if upper < run.begin:
+                    upper = end
+                running_max = actual
+            if upper < run_begin:
                 break
-        if running_max > SIM_EPS and upper >= run.begin:
-            pieces.append(((run.begin, upper), running_max))
-
+        if running_max > SIM_EPS and upper >= run_begin:
+            inside.append((run_begin, upper, running_max))
+    inside.reverse()
     # Segments covered by h but outside every run take the direct h value.
-    pieces.extend(_outside_run_pieces(runs, right))
-    return SimilarityList.from_entries(pieces, right.maximum)
+    outside = _outside_run_pieces(run_begins, run_ends, right)
+    return SimilarityList.from_sorted_pieces(
+        _merge_ordered(inside, outside), right.maximum
+    )
+
+
+def _merge_ordered(
+    first: List[Tuple[int, int, float]], second: List[Tuple[int, int, float]]
+) -> Iterator[Tuple[int, int, float]]:
+    """Two ascending streams of mutually disjoint pieces as one."""
+    i = j = 0
+    while i < len(first) and j < len(second):
+        if first[i][0] < second[j][0]:
+            yield first[i]
+            i += 1
+        else:
+            yield second[j]
+            j += 1
+    yield from first[i:]
+    yield from second[j:]
 
 
 def _outside_run_pieces(
-    runs: Sequence[Interval], right: SimilarityList
-) -> List[Tuple[Tuple[int, int], float]]:
-    """Portions of each ``h`` entry not covered by any run."""
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    run_begins: Sequence[int], run_ends: Sequence[int], right: SimilarityList
+) -> List[Tuple[int, int, float]]:
+    """Portions of each ``h`` entry not covered by any run, ascending."""
+    pieces: List[Tuple[int, int, float]] = []
+    n_runs = len(run_begins)
     run_index = 0
-    for entry in right:
-        cursor = entry.begin
-        while cursor <= entry.end:
-            while run_index < len(runs) and runs[run_index].end < cursor:
+    for begin, end, actual in right.runs():
+        cursor = begin
+        while cursor <= end:
+            while run_index < n_runs and run_ends[run_index] < cursor:
                 run_index += 1
-            if run_index < len(runs) and runs[run_index].begin <= cursor:
-                cursor = runs[run_index].end + 1
-                continue
-            if run_index < len(runs):
-                gap_end = min(entry.end, runs[run_index].begin - 1)
+            if run_index < n_runs:
+                if run_begins[run_index] <= cursor:
+                    cursor = run_ends[run_index] + 1
+                    continue
+                gap_end = min(end, run_begins[run_index] - 1)
             else:
-                gap_end = entry.end
-            pieces.append(((cursor, gap_end), entry.actual))
+                gap_end = end
+            pieces.append((cursor, gap_end, actual))
             cursor = gap_end + 1
         # The run cursor never needs to rewind: entries and runs are both
         # sorted and disjoint, so probe positions are non-decreasing.
@@ -254,8 +318,7 @@ def until_lists(
     if budget is not None:
         budget.charge(len(left) + len(right) + 1, site="list-merge")
     resilience.fault(resilience.SITE_LIST_MERGE)
-    runs = threshold_runs(left, threshold)
-    return until_runs(runs, right)
+    return _until_columns(*_threshold_columns(left, threshold), right)
 
 
 def eventually_list(operand: SimilarityList) -> SimilarityList:
@@ -267,12 +330,14 @@ def eventually_list(operand: SimilarityList) -> SimilarityList:
     pieces: List[Tuple[int, int, float]] = []
     running_max = 0.0
     upper = 0
-    for entry in reversed(operand.entries):
-        if entry.actual > running_max:
-            if running_max > SIM_EPS and entry.end + 1 <= upper:
-                pieces.append((entry.end + 1, upper, running_max))
-            running_max = entry.actual
-            upper = entry.end
+    for end, actual in zip(
+        reversed(operand.ends), reversed(operand.actuals)
+    ):
+        if actual > running_max:
+            if running_max > SIM_EPS and end + 1 <= upper:
+                pieces.append((end + 1, upper, running_max))
+            running_max = actual
+            upper = end
     if running_max > SIM_EPS:
         pieces.append((1, upper, running_max))
     pieces.reverse()  # the backward scan emits the last run first
@@ -309,9 +374,9 @@ def max_merge_lists(lists: Sequence[SimilarityList]) -> SimilarityList:
     # Events: (position, kind, actual); kind 0 = start, 1 = end-after.
     events: List[Tuple[int, int, float]] = []
     for sim_list in lists:
-        for entry in sim_list:
-            events.append((entry.begin, 0, entry.actual))
-            events.append((entry.end + 1, 1, entry.actual))
+        for begin, end, actual in sim_list.runs():
+            events.append((begin, 0, actual))
+            events.append((end + 1, 1, actual))
     events.sort(key=lambda event: (event[0], event[1]))
 
     heap: List[float] = []  # negated actuals
@@ -363,8 +428,7 @@ def always_list(operand: SimilarityList, axis_end: int) -> SimilarityList:
     soon as any suffix segment is off-list).  Needs the axis length because
     absent segments carry value 0.
     """
-    entries = operand.entries
-    if axis_end < 1 or not entries:
+    if axis_end < 1 or not operand:
         return SimilarityList.empty(operand.maximum)
     # Positive exactly where [u, axis_end] lies inside one trailing block of
     # contiguous entries; the value at u is the running minimum of the
@@ -372,20 +436,24 @@ def always_list(operand: SimilarityList, axis_end: int) -> SimilarityList:
     pieces: List[Tuple[int, int, float]] = []
     running_min: Optional[float] = None
     next_begin = 0  # begin of the previously processed (later) entry
-    for entry in reversed(entries):
-        if entry.begin > axis_end:
+    for begin, end, actual in zip(
+        reversed(operand.begins),
+        reversed(operand.ends),
+        reversed(operand.actuals),
+    ):
+        if begin > axis_end:
             continue  # entirely beyond the axis; irrelevant
-        clipped_end = min(entry.end, axis_end)
+        clipped_end = min(end, axis_end)
         if running_min is None:
             if clipped_end != axis_end:
                 break  # the suffix is not covered at axis_end: all zero
-            running_min = entry.actual
+            running_min = actual
         else:
             if clipped_end + 1 != next_begin:
                 break  # gap in coverage: earlier segments all score zero
-            running_min = min(running_min, entry.actual)
+            running_min = min(running_min, actual)
         if running_min > SIM_EPS:
-            pieces.append((entry.begin, clipped_end, running_min))
-        next_begin = entry.begin
+            pieces.append((begin, clipped_end, running_min))
+        next_begin = begin
     pieces.reverse()
     return SimilarityList.from_sorted_pieces(pieces, operand.maximum)

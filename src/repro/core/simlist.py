@@ -97,17 +97,34 @@ class SimEntry:
 class SimilarityList:
     """Canonical similarity list for one formula over one video.
 
-    Construct with :meth:`from_entries` (normalising unordered outside
-    input), :meth:`from_sorted_pieces` (normalising runs already in id
-    order — what the merge algorithms emit) or :meth:`from_raw` (trusting).
+    The body is three parallel immutable columns — ``begins``, ``ends``,
+    ``actuals`` — one position per run; the list algebra reads and emits
+    columns and never allocates an object per run.  ``entries`` / iteration
+    is a view of :class:`SimEntry` objects built on first access, for
+    callers outside the engine (tests, reporting, serialisation).
+
+    Construct with :meth:`from_entries` (normalising and checking unordered
+    outside input), :meth:`from_sorted_pieces` (normalising runs already in
+    id order — what the atom evaluators and scans emit),
+    :meth:`from_columns` (trusting: the producer's columns are already
+    normalised — what the merge walks emit) or :meth:`from_raw` (trusting,
+    from entry objects).
     """
 
-    __slots__ = ("_entries", "_maximum", "_begin_keys")
+    __slots__ = ("_begins", "_ends", "_actuals", "_maximum", "_view")
 
-    def __init__(self, entries: Sequence[SimEntry], maximum: float):
-        self._entries: Tuple[SimEntry, ...] = tuple(entries)
+    def __init__(
+        self,
+        begins: Sequence[int],
+        ends: Sequence[int],
+        actuals: Sequence[float],
+        maximum: float,
+    ):
+        self._begins: Tuple[int, ...] = tuple(begins)
+        self._ends: Tuple[int, ...] = tuple(ends)
+        self._actuals: Tuple[float, ...] = tuple(actuals)
         self._maximum = float(maximum)
-        self._begin_keys: Optional[List[int]] = None
+        self._view: Optional[Tuple[SimEntry, ...]] = None
         if CHECK_INVARIANTS:
             self._check_invariants()
 
@@ -123,9 +140,12 @@ class SimilarityList:
         """Build from ``((begin, end), actual)`` pairs, normalising.
 
         The constructor for outside input: it may be unsorted and of any
-        numeric type; intervals must be disjoint, and each is validated on
-        its own.  Zero-valued entries are dropped and adjacent equal-valued
-        entries coalesced — by :meth:`from_sorted_pieces`, once sorted.
+        numeric type.  Each interval is validated on its own, intervals
+        must be pairwise disjoint and no actual may exceed ``maximum`` —
+        checked here always, whatever :data:`CHECK_INVARIANTS` says,
+        because nothing upstream vouches for outside input.  Zero-valued
+        entries are dropped and adjacent equal-valued entries coalesced —
+        by :meth:`from_sorted_pieces`, once sorted.
         """
         pieces = []
         for (begin, end), actual in entries:
@@ -134,6 +154,18 @@ class SimilarityList:
                 Interval(begin, end)  # raises the typed error
             pieces.append((begin, end, float(actual)))
         pieces.sort(key=itemgetter(0))
+        previous_end = 0
+        for begin, end, actual in pieces:
+            if begin <= previous_end:
+                raise SimilarityListInvariantError(
+                    "entries must have disjoint intervals; interval "
+                    f"starting at {begin} follows end {previous_end}"
+                )
+            if actual > maximum + SIM_EPS:
+                raise SimilarityListInvariantError(
+                    f"actual {actual} exceeds list maximum {maximum}"
+                )
+            previous_end = end
         return cls.from_sorted_pieces(pieces, maximum)
 
     @classmethod
@@ -142,12 +174,30 @@ class SimilarityList:
     ) -> "SimilarityList":
         """Build from already-normalised entries (invariant-checked only
         when :data:`CHECK_INVARIANTS` is on)."""
-        return cls(entries, maximum)
+        return cls(
+            [entry.interval.begin for entry in entries],
+            [entry.interval.end for entry in entries],
+            [float(entry.actual) for entry in entries],
+            maximum,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        begins: Sequence[int],
+        ends: Sequence[int],
+        actuals: Sequence[float],
+        maximum: float,
+    ) -> "SimilarityList":
+        """Build from already-normalised parallel columns (invariant-checked
+        only when :data:`CHECK_INVARIANTS` is on) — the engine's trusted
+        constructor: no per-run object, no per-run validation."""
+        return cls(begins, ends, actuals, maximum)
 
     @classmethod
     def empty(cls, maximum: float) -> "SimilarityList":
         """A list with no positive-similarity segments."""
-        return cls((), maximum)
+        return cls((), (), (), maximum)
 
     @classmethod
     def from_sorted_pieces(
@@ -157,15 +207,18 @@ class SimilarityList:
     ) -> "SimilarityList":
         """Build from ``(begin, end, actual)`` runs already in begin order.
 
-        The one normalising loop: it drops ≤ 0 runs and coalesces adjacent
-        equal-valued runs in one linear pass, with no sort and no
-        per-segment expansion.  Every producer that emits in ascending id
-        order — the list algebra's merges and scans, the atom evaluators —
-        hands its runs straight here.
+        The one normalising loop for producers that emit pieces: it drops
+        ≤ 0 runs and coalesces adjacent equal-valued runs in one linear
+        pass, with no sort and no per-segment expansion, straight into the
+        columns.  The atom evaluators and the scans of the list algebra
+        hand their runs here; the merge walks normalise as they go and use
+        :meth:`from_columns`.
         """
-        normalised: List[SimEntry] = []
-        # Accumulate the open run in locals; one SimEntry per *final* run
-        # (a piece-per-segment input would otherwise allocate per piece).
+        begins: List[int] = []
+        ends: List[int] = []
+        actuals: List[float] = []
+        # Accumulate the open run in locals; one column position per
+        # *final* run (a piece-per-segment input coalesces as it goes).
         run_begin = run_end = 0
         run_actual = 0.0
         open_run = False
@@ -180,16 +233,16 @@ class SimilarityList:
                 run_end = end
                 continue
             if open_run:
-                normalised.append(
-                    SimEntry(Interval(run_begin, run_end), run_actual)
-                )
+                begins.append(run_begin)
+                ends.append(run_end)
+                actuals.append(run_actual)
             run_begin, run_end, run_actual = begin, end, float(actual)
             open_run = True
         if open_run:
-            normalised.append(
-                SimEntry(Interval(run_begin, run_end), run_actual)
-            )
-        return cls(normalised, maximum)
+            begins.append(run_begin)
+            ends.append(run_end)
+            actuals.append(run_actual)
+        return cls(begins, ends, actuals, maximum)
 
     @classmethod
     def from_segment_values(
@@ -224,24 +277,33 @@ class SimilarityList:
             raise SimilarityListInvariantError(
                 f"list maximum must be positive, got {self._maximum}"
             )
+        if not len(self._begins) == len(self._ends) == len(self._actuals):
+            raise SimilarityListInvariantError(
+                "columns must be parallel, got lengths "
+                f"{len(self._begins)}/{len(self._ends)}/{len(self._actuals)}"
+            )
         previous_end = 0
-        for entry in self._entries:
-            if entry.actual <= 0:
+        for begin, end, actual in self.runs():
+            if actual <= 0:
                 raise SimilarityListInvariantError(
-                    f"non-positive actual value {entry.actual} stored at "
-                    f"{entry.interval}"
+                    f"non-positive actual value {actual} stored at "
+                    f"[{begin},{end}]"
                 )
-            if entry.actual > self._maximum + SIM_EPS:
+            if actual > self._maximum + SIM_EPS:
                 raise SimilarityListInvariantError(
-                    f"actual {entry.actual} exceeds list maximum {self._maximum}"
+                    f"actual {actual} exceeds list maximum {self._maximum}"
                 )
-            if entry.begin <= previous_end:
+            if begin <= previous_end:
                 raise SimilarityListInvariantError(
                     "entries must be sorted with disjoint intervals; "
-                    f"interval starting at {entry.begin} follows end "
+                    f"interval starting at {begin} follows end "
                     f"{previous_end}"
                 )
-            previous_end = entry.end
+            if end < begin:
+                raise SimilarityListInvariantError(
+                    f"interval begin {begin} exceeds end {end}"
+                )
+            previous_end = end
 
     # ------------------------------------------------------------------
     # protocol
@@ -252,39 +314,66 @@ class SimilarityList:
         return self._maximum
 
     @property
+    def begins(self) -> Tuple[int, ...]:
+        """First id of each run, ascending."""
+        return self._begins
+
+    @property
+    def ends(self) -> Tuple[int, ...]:
+        """Last id of each run, parallel to :attr:`begins`."""
+        return self._ends
+
+    @property
+    def actuals(self) -> Tuple[float, ...]:
+        """Actual similarity of each run, parallel to :attr:`begins`."""
+        return self._actuals
+
+    def runs(self) -> Iterator[Tuple[int, int, float]]:
+        """The columns walked in step: ``(begin, end, actual)`` per run."""
+        return zip(self._begins, self._ends, self._actuals)
+
+    @property
     def entries(self) -> Tuple[SimEntry, ...]:
-        return self._entries
+        """The runs as :class:`SimEntry` objects — a view for callers
+        outside the engine, built on first access and kept."""
+        if self._view is None:
+            self._view = tuple(
+                SimEntry(Interval(begin, end), actual)
+                for begin, end, actual in self.runs()
+            )
+        return self._view
 
     def __len__(self) -> int:
         """Number of entries — the paper's ``length(L)``."""
-        return len(self._entries)
+        return len(self._begins)
 
     def __iter__(self) -> Iterator[SimEntry]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._begins)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimilarityList):
             return NotImplemented
         if abs(self._maximum - other._maximum) > SIM_EPS:
             return False
-        if len(self._entries) != len(other._entries):
+        if self._begins != other._begins or self._ends != other._ends:
             return False
         return all(
-            mine.interval == theirs.interval
-            and abs(mine.actual - theirs.actual) <= SIM_EPS
-            for mine, theirs in zip(self._entries, other._entries)
+            abs(mine - theirs) <= SIM_EPS
+            for mine, theirs in zip(self._actuals, other._actuals)
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - lists are not dict keys
-        return hash((self._entries, self._maximum))
+    def __hash__(self) -> int:
+        # Only what ``__eq__`` compares exactly: actuals and the maximum
+        # are equal up to SIM_EPS, so they cannot take part.
+        return hash((self._begins, self._ends))
 
     def __repr__(self) -> str:
         body = ", ".join(
-            f"[{entry.begin},{entry.end}]={entry.actual:g}"
-            for entry in self._entries
+            f"[{begin},{end}]={actual:g}"
+            for begin, end, actual in self.runs()
         )
         return f"SimilarityList(max={self._maximum:g}; {body})"
 
@@ -293,11 +382,9 @@ class SimilarityList:
     # ------------------------------------------------------------------
     def value_at(self, segment_id: int) -> SimilarityValue:
         """Similarity value at one segment (0 when the id is off-list)."""
-        if self._begin_keys is None:
-            self._begin_keys = [entry.begin for entry in self._entries]
-        index = bisect.bisect_right(self._begin_keys, segment_id) - 1
-        if index >= 0 and segment_id <= self._entries[index].end:
-            return SimilarityValue(self._entries[index].actual, self._maximum)
+        index = bisect.bisect_right(self._begins, segment_id) - 1
+        if index >= 0 and segment_id <= self._ends[index]:
+            return SimilarityValue(self._actuals[index], self._maximum)
         return SimilarityValue(0.0, self._maximum)
 
     def actual_at(self, segment_id: int) -> float:
@@ -310,37 +397,43 @@ class SimilarityList:
 
     def segment_ids(self) -> Iterator[int]:
         """Iterate all ids carrying positive similarity, ascending."""
-        for entry in self._entries:
-            yield from entry.interval
+        for begin, end in zip(self._begins, self._ends):
+            yield from range(begin, end + 1)
 
     def to_segment_values(self) -> Dict[int, float]:
         """Expand into a ``{segment_id: actual}`` map (testing helper)."""
         return {
-            segment_id: entry.actual
-            for entry in self._entries
-            for segment_id in entry.interval
+            segment_id: actual
+            for begin, end, actual in self.runs()
+            for segment_id in range(begin, end + 1)
         }
 
     def support_size(self) -> int:
         """Number of distinct segment ids with positive similarity."""
-        return sum(len(entry.interval) for entry in self._entries)
+        return sum(self._ends) - sum(self._begins) + len(self._begins)
 
     def last_id(self) -> int:
         """Largest id on the list, or 0 when the list is empty."""
-        return self._entries[-1].end if self._entries else 0
+        return self._ends[-1] if self._ends else 0
 
     def restricted(self, lo: int, hi: int) -> "SimilarityList":
         """The sub-list covering only ids in ``[lo, hi]``."""
-        clipped: List[SimEntry] = []
-        for entry in self._entries:
-            kept = entry.interval.clamp(lo, hi)
-            if kept is not None:
-                clipped.append(SimEntry(kept, entry.actual))
-        return SimilarityList.from_raw(clipped, self._maximum)
+        begins: List[int] = []
+        ends: List[int] = []
+        actuals: List[float] = []
+        for begin, end, actual in self.runs():
+            begin, end = max(begin, lo), min(end, hi)
+            if begin <= end:
+                begins.append(begin)
+                ends.append(end)
+                actuals.append(actual)
+        return SimilarityList(begins, ends, actuals, self._maximum)
 
     def with_maximum(self, maximum: float) -> "SimilarityList":
         """Same entries under a different maximum (used by ∃ / freeze)."""
-        return SimilarityList.from_raw(self._entries, maximum)
+        return SimilarityList(
+            self._begins, self._ends, self._actuals, maximum
+        )
 
     def scaled(self, factor: float) -> "SimilarityList":
         """Scale every actual value and the maximum by ``factor`` > 0."""
@@ -348,8 +441,9 @@ class SimilarityList:
             raise InvalidSimilarityError(
                 f"scale factor must be positive, got {factor}"
             )
-        scaled_entries = [
-            SimEntry(entry.interval, entry.actual * factor)
-            for entry in self._entries
-        ]
-        return SimilarityList.from_raw(scaled_entries, self._maximum * factor)
+        return SimilarityList(
+            self._begins,
+            self._ends,
+            [actual * factor for actual in self._actuals],
+            self._maximum * factor,
+        )

@@ -64,9 +64,7 @@ class RetrievedSegment:
 def ranked_entries(sim: SimilarityList) -> List[Tuple[int, int, float]]:
     """List entries sorted by descending similarity (the paper's Table 4
     presentation), as ``(begin, end, actual)`` triples."""
-    triples = [
-        (entry.begin, entry.end, entry.actual) for entry in sim.entries
-    ]
+    triples = list(sim.runs())
     triples.sort(key=lambda triple: (-triple[2], triple[0]))
     return triples
 
@@ -126,12 +124,13 @@ def _stream_entries(
     they cannot beat the current k-th score.
     """
     name = _DescStr(video)
-    for entry in sim.entries:
-        if len(heap) == k and entry.actual < heap[0][0]:
+    maximum = sim.maximum
+    for begin, end, actual in sim.runs():
+        if len(heap) == k and actual < heap[0][0]:
             continue
-        last = min(entry.end, entry.begin + k - 1)
-        for segment_id in range(entry.begin, last + 1):
-            item = (entry.actual, name, -segment_id, sim.maximum)
+        last = min(end, begin + k - 1)
+        for segment_id in range(begin, last + 1):
+            item = (actual, name, -segment_id, maximum)
             if len(heap) < k:
                 heapq.heappush(heap, item)
             elif heap[0] < item:
@@ -211,13 +210,13 @@ class BoundExchange:
         k = self.k
         with self._lock:
             heap = self._heap
-            for entry in sim.entries:
-                count = min(entry.end - entry.begin + 1, k)
+            for begin, end, actual in sim.runs():
+                count = min(end - begin + 1, k)
                 for __ in range(count):
                     if len(heap) < k:
-                        heapq.heappush(heap, entry.actual)
-                    elif entry.actual > heap[0]:
-                        heapq.heapreplace(heap, entry.actual)
+                        heapq.heappush(heap, actual)
+                    elif actual > heap[0]:
+                        heapq.heapreplace(heap, actual)
                     else:
                         # Further copies of this value cannot improve.
                         break

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.core.intervals import Interval, coalesce
-from repro.core.simlist import SimEntry, SimilarityList
+from repro.core.simlist import SimilarityList
 from repro.core.tables import SimilarityTable, TableRow
 from repro.errors import HTLTypeError
 from repro.htl import ast
@@ -125,25 +125,30 @@ def restrict_to_intervals(
 
     Paper §3.3: "If the interval of I and J intersect then we generate an
     entry ... whose interval part is this intersection and whose similarity
-    value is same as that from I."  Linear two-pointer merge.
+    value is same as that from I."  Linear two-pointer merge over the
+    list's columns; ``intervals`` must be pairwise disjoint (both callers
+    coalesce them), so the pieces come out in ascending order.
     """
-    pieces: List[Tuple[Tuple[int, int], float]] = []
+    begins, ends, actuals = sim.begins, sim.ends, sim.actuals
+    pieces: List[Tuple[int, int, float]] = []
     entry_index = 0
-    entries = sim.entries
     for interval in sorted(intervals):
-        while entry_index < len(entries) and entries[entry_index].end < interval.begin:
+        while entry_index < len(ends) and ends[entry_index] < interval.begin:
             entry_index += 1
         probe = entry_index
-        while probe < len(entries) and entries[probe].begin <= interval.end:
-            shared = entries[probe].interval.intersection(interval)
-            if shared is not None:
-                pieces.append(
-                    ((shared.begin, shared.end), entries[probe].actual)
+        while probe < len(begins) and begins[probe] <= interval.end:
+            pieces.append(
+                (
+                    max(begins[probe], interval.begin),
+                    min(ends[probe], interval.end),
+                    actuals[probe],
                 )
+            )
             probe += 1
-    # from_entries re-canonicalises: adjacent equal-valued pieces produced
-    # by adjacent capture intervals must coalesce, or list equality breaks.
-    return SimilarityList.from_entries(pieces, sim.maximum)
+    # The normalising loop re-canonicalises: adjacent equal-valued pieces
+    # produced by adjacent capture intervals must coalesce, or list
+    # equality breaks.
+    return SimilarityList.from_sorted_pieces(pieces, sim.maximum)
 
 
 def freeze_join(

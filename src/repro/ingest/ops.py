@@ -186,7 +186,7 @@ def validate(op: IngestOp, database: VideoDatabase) -> None:
                 f"annotation targets level {op.level}"
             )
         n_segments = len(video.nodes_at_level(op.level))
-        last = max((entry.end for entry in op.sim), default=0)
+        last = op.sim.last_id()
         if last > n_segments:
             raise IngestError(
                 f"annotation {op.predicate!r} covers segments up to "

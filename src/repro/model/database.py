@@ -149,7 +149,7 @@ class VideoDatabase:
         sim = self._atomic.get((predicate, video, level))
         if sim is None:
             return None
-        return max((entry.actual for entry in sim.entries), default=0.0)
+        return max(sim.actuals, default=0.0)
 
     def atomic_names(self) -> List[str]:
         """Distinct registered atomic predicate names."""

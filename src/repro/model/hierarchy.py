@@ -15,6 +15,7 @@ numbered from 1, matching the similarity-list convention.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -145,9 +146,15 @@ class VideoNode:
                 f"node at level {self.level} has no ancestors-as-descendants "
                 f"at level {level}"
             )
-        current: List[VideoNode] = [self]
-        for __ in range(level - self.level):
-            current = [child for node in current for child in node.children]
+        if level == self.level:
+            return [self]
+        # One level down — a flat video's segments — is a plain copy;
+        # deeper levels chain the children of the level above.
+        current = list(self.children)
+        for __ in range(level - self.level - 1):
+            current = list(
+                chain.from_iterable(node.children for node in current)
+            )
         return current
 
     def walk(self) -> Iterator["VideoNode"]:

@@ -55,9 +55,7 @@ def _trust_boundary(what: str) -> Iterator[None]:
 def simlist_to_dict(sim: SimilarityList) -> Dict[str, Any]:
     return {
         "maximum": sim.maximum,
-        "entries": [
-            [entry.begin, entry.end, entry.actual] for entry in sim
-        ],
+        "entries": [list(run) for run in sim.runs()],
     }
 
 

@@ -15,7 +15,12 @@ from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS
 from repro.core import resilience
 from repro.core.engine import RetrievalEngine
 from repro.core.intervals import Interval
-from repro.core.extensions import fuzzy_and_lists, or_lists
+from repro.core.extensions import (
+    bounded_always,
+    bounded_eventually,
+    fuzzy_and_lists,
+    or_lists,
+)
 from repro.core.ops import (
     always_list,
     and_lists,
@@ -27,7 +32,7 @@ from repro.core.ops import (
     until_lists,
     until_runs,
 )
-from repro.core.simlist import SIM_EPS, SimilarityList
+from repro.core.simlist import SIM_EPS, SimEntry, SimilarityList
 from repro.core.topk import top_k_across_videos
 from repro.errors import SimilarityListInvariantError
 from repro.htl.parser import parse
@@ -415,6 +420,110 @@ class TestPointwiseWalk:
         assert walked.support_size() == 8 * n
 
 
+class TestColumnWalks:
+    """Every other operator of ``ops.py`` / ``extensions.py`` — all of them
+    read and write columns — against the per-segment dict reference, with
+    ``repr``-identical floats (they select values, they do no arithmetic)."""
+
+    @staticmethod
+    def reference(values, maximum):
+        return exact(SimilarityList.from_segment_values(values, maximum))
+
+    @given(tied_lists())
+    @example(SimilarityList.empty(10.0))
+    @example(SimilarityList.from_sorted_pieces([(1, 1, 2.0)], 10.0))
+    @example(SimilarityList.from_sorted_pieces([(1, 3, 2.0), (4, 4, 1.0)], 10.0))
+    @settings(max_examples=150)
+    def test_next_eventually_always(self, sim):
+        values = sim.to_segment_values()
+        horizon = sim.last_id() + 1
+        ids = range(1, horizon + 1)
+        assert exact(next_list(sim)) == self.reference(
+            {i: values.get(i + 1, 0.0) for i in ids}, sim.maximum
+        )
+        assert exact(eventually_list(sim)) == self.reference(
+            {
+                i: max(values.get(u, 0.0) for u in range(i, horizon + 1))
+                for i in ids
+            },
+            sim.maximum,
+        )
+        for axis_end in (horizon - 1, horizon, max(1, horizon // 2)):
+            assert exact(always_list(sim, axis_end)) == self.reference(
+                {
+                    i: min(values.get(u, 0.0) for u in range(i, axis_end + 1))
+                    for i in range(1, axis_end + 1)
+                },
+                sim.maximum,
+            )
+
+    @given(
+        tied_lists(),
+        tied_lists(maximum=40.0),
+        st.sampled_from([0.01, 0.05, 0.25, 0.5, 1.0]),
+    )
+    @example(SimilarityList.empty(10.0), SimilarityList.empty(40.0), 0.5)
+    @settings(max_examples=200)
+    def test_until(self, left, right, threshold):
+        horizon = max(left.last_id(), right.last_id()) + 1
+        assert exact(until_lists(left, right, threshold)) == self.reference(
+            naive_until(left, right, horizon, threshold), right.maximum
+        )
+        # The public run form is the same computation over Interval runs.
+        assert exact(
+            until_runs(threshold_runs(left, threshold), right)
+        ) == exact(until_lists(left, right, threshold))
+
+    @given(st.lists(tied_lists(), min_size=1, max_size=4))
+    @settings(max_examples=100)
+    def test_max_merge(self, lists):
+        expanded = [sim.to_segment_values() for sim in lists]
+        ids = set().union(*expanded)
+        assert exact(max_merge_lists(lists)) == self.reference(
+            {i: max(values.get(i, 0.0) for values in expanded) for i in ids},
+            10.0,
+        )
+
+    @given(tied_lists(), st.integers(0, 6), st.integers(1, 40))
+    @settings(max_examples=100)
+    def test_bounded_windows(self, sim, window, axis_end):
+        values = sim.to_segment_values()
+        horizon = sim.last_id() + 1
+        assert exact(bounded_eventually(sim, window)) == self.reference(
+            {
+                i: max(values.get(u, 0.0) for u in range(i, i + window + 1))
+                for i in range(1, horizon + 1)
+            },
+            sim.maximum,
+        )
+        assert exact(bounded_always(sim, window, axis_end)) == self.reference(
+            {
+                i: min(
+                    values.get(u, 0.0)
+                    for u in range(i, min(i + window, axis_end) + 1)
+                )
+                for i in range(1, axis_end + 1)
+            },
+            sim.maximum,
+        )
+
+    def test_until_pieces_need_no_sort(self):
+        """Inside-run and outside-run pieces interleave; they reach the
+        normalising loop merged in id order, so nothing sorts them."""
+        left = SimilarityList.from_sorted_pieces(
+            ((10 * k + 1, 10 * k + 6, 8.0) for k in range(50)), 10.0
+        )
+        right = SimilarityList.from_sorted_pieces(
+            ((5 * k + 1, 5 * k + 3, 1.0 + (7 * k) % 9) for k in range(100)),
+            10.0,
+        )
+        result = until_lists(left, right)
+        assert result.begins == tuple(sorted(result.begins))
+        assert exact(result) == self.reference(
+            naive_until(left, right, 501, 0.5), 10.0
+        )
+
+
 #: Recorded at the parent commit (three merge bodies, two coalescing
 #: loops) by running this very loop: the smoke-size ``temporal`` stream of
 #: the end-to-end benchmark under seed 7.
@@ -474,3 +583,28 @@ def test_temporal_smoke_stream_is_the_parents(tmp_path):
         ]
         assert ranking == PARENT_RANKINGS[text]  # exact floats
     assert budget.by_site == PARENT_STEPS
+
+
+def test_temporal_smoke_stream_builds_no_entry_objects(tmp_path, monkeypatch):
+    """The engine path reads and writes columns only: the whole smoke
+    stream — algebra, bound, top-k streaming — constructs no ``SimEntry``."""
+    database, __, stream = WORKLOADS["temporal"](
+        7, SMOKE, str(tmp_path)
+    ).inputs()
+    built = []
+    construct = SimEntry.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimEntry, "__init__", counted)
+    engine = RetrievalEngine()
+    results = [
+        top_k_across_videos(engine, parse(text), database, K, level=LEVEL)
+        for text in stream
+    ]
+    assert all(result.segments for result in results)
+    assert not built
+    # The counter does count: the outside view is where entries come from.
+    assert len(database.atomic_list("P1", "vid000", LEVEL).entries) == len(built)

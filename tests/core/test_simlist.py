@@ -1,10 +1,19 @@
 """Unit and property tests for similarity values and lists."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.simlist import SimEntry, SimilarityList, SimilarityValue
+from repro.core.simlist import (
+    SIM_EPS,
+    SimEntry,
+    SimilarityList,
+    SimilarityValue,
+    set_invariant_checks,
+)
+from repro.core.tables import TableRow
 from repro.core.intervals import Interval
 from repro.errors import (
     InvalidIntervalError,
@@ -260,3 +269,119 @@ class TestFromSortedPieces:
         ):
             with pytest.raises(InvalidIntervalError):
                 SimilarityList.from_entries(bad, 4.0)
+
+
+@pytest.fixture
+def unchecked():
+    """The production setting: no invariant scan on construction."""
+    previous = set_invariant_checks(False)
+    yield
+    set_invariant_checks(previous)
+
+
+class TestColumns:
+    @given(run_pieces(st.floats(0.5, 4.0, allow_nan=False)))
+    def test_columns_and_entry_view_round_trip(self, pieces):
+        sim = SimilarityList.from_sorted_pieces(pieces, 4.0)
+        assert len(sim.begins) == len(sim.ends) == len(sim.actuals) == len(sim)
+        view = sim.entries
+        assert view is sim.entries  # built once, then kept
+        assert list(sim) == list(view)
+        assert [(e.begin, e.end, e.actual) for e in view] == list(
+            zip(sim.begins, sim.ends, sim.actuals)
+        )
+        assert all(e.interval == Interval(e.begin, e.end) for e in view)
+        for rebuilt in (
+            SimilarityList.from_raw(view, 4.0),
+            SimilarityList.from_columns(sim.begins, sim.ends, sim.actuals, 4.0),
+        ):
+            assert rebuilt == sim
+            assert rebuilt.entries == view
+
+    def test_columns_are_immutable(self):
+        begins, ends, actuals = [1, 5], [2, 9], [1.0, 2.0]
+        sim = SimilarityList.from_columns(begins, ends, actuals, 4.0)
+        begins[0] = 7  # the caller's lists are not the list's body
+        assert sim.begins == (1, 5)
+        with pytest.raises(TypeError):
+            sim.actuals[0] = 3.0
+
+    def test_trusted_columns_are_scanned_by_validate(self, unchecked):
+        for begins, ends, actuals in (
+            ([1, 3], [4, 6], [1.0, 1.0]),  # overlapping
+            ([5, 1], [6, 2], [1.0, 1.0]),  # unsorted
+            ([4], [2], [1.0]),  # begin past end
+            ([0], [2], [1.0]),  # off the 1-based axis
+            ([1], [2], [0.0]),  # non-positive value stored
+            ([1], [2], [9.0]),  # above the maximum
+            ([1, 5], [2], [1.0]),  # ragged columns
+        ):
+            bad = SimilarityList.from_columns(begins, ends, actuals, 4.0)
+            with pytest.raises(SimilarityListInvariantError):
+                bad.validate()
+
+    def test_footprint_per_run(self):
+        """Three column slots plus two ints and a float per run — about
+        100 B, against 272 B for an ``Interval`` inside a ``SimEntry``."""
+        n = 100_000
+        pieces = [(3 * k + 1, 3 * k + 2, 1.0 + k % 7) for k in range(n)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # New number objects, as the algebra's arithmetic makes them.
+            sim = SimilarityList.from_sorted_pieces(
+                ((begin + 0, end + 0, actual + 0.0) for begin, end, actual in pieces),
+                10.0,
+            )
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sim) == n
+        assert (after - before) / n <= 120
+
+
+class TestFromEntriesChecksOutsideInput:
+    """``from_entries`` is the outside-input constructor: disjointness and
+    the maximum are checked there always, not only under the test gate."""
+
+    def test_overlap_raises_without_the_gate(self, unchecked):
+        with pytest.raises(SimilarityListInvariantError):
+            SimilarityList.from_entries([((1, 5), 0.5), ((3, 7), 0.6)], 1.0)
+        with pytest.raises(SimilarityListInvariantError):  # also unsorted
+            SimilarityList.from_entries([((5, 9), 0.5), ((1, 5), 0.6)], 1.0)
+        with pytest.raises(SimilarityListInvariantError):  # also zero-valued
+            SimilarityList.from_entries([((1, 5), 0.0), ((5, 7), 0.6)], 1.0)
+
+    def test_actual_above_maximum_raises_without_the_gate(self, unchecked):
+        with pytest.raises(SimilarityListInvariantError):
+            SimilarityList.from_entries([((1, 5), 1.5)], 1.0)
+        # ... but the tolerance __eq__ grants is granted here too.
+        assert SimilarityList.from_entries([((1, 5), 1.0 + SIM_EPS / 2)], 1.0)
+
+    def test_touching_intervals_are_not_overlapping(self, unchecked):
+        sim = SimilarityList.from_entries([((6, 9), 0.6), ((1, 5), 0.5)], 1.0)
+        assert list(zip(sim.begins, sim.ends)) == [(1, 5), (6, 9)]
+
+
+class TestHash:
+    def test_equal_lists_hash_equal(self):
+        one = SimilarityList.from_entries([((2, 4), 1.5), ((8, 8), 3.0)], 3.0)
+        other = SimilarityList.from_entries(
+            [((2, 4), 1.5 + 1e-12), ((8, 8), 3.0 - 1e-12)], 3.0 + 1e-12
+        )
+        assert one == other
+        assert hash(one) == hash(other)
+        assert len({one, other}) == 1
+        assert hash(one) != hash(one.restricted(2, 3))
+
+    def test_rows_holding_lists_hash(self):
+        sim = SimilarityList.from_entries([((2, 4), 1.5)], 3.0)
+        same = SimilarityList.from_entries([((2, 4), 1.5 + 1e-12)], 3.0)
+        assert hash(TableRow(("a",), (), sim)) == hash(TableRow(("a",), (), same))
+
+    def test_hashing_builds_no_entry_view(self, monkeypatch):
+        sim = SimilarityList.from_entries([((2, 4), 1.5)], 3.0)
+        monkeypatch.setattr(
+            SimEntry, "__init__", lambda *args: pytest.fail("entry built")
+        )
+        hash(sim)
