@@ -2,12 +2,12 @@
 
 Not a paper table — this measures the picture-retrieval substrate rewrite
 (ISSUE 2): support-set analysis over the meta-data posting lists, baseline
-runs emitted directly in compressed form, fingerprint-memoized scoring and
-binding batching (DESIGN.md §7).  The workload sweeps segment count and
-object density (the fraction of segments each object appears in); the
-paper's own experiments assume the picture layer answers atomic queries
-"employing indices on the meta-data", which is precisely the path under
-test.
+runs emitted directly in compressed form, one content-profile memo under
+the sweep and binding batching (DESIGN.md §7).  The workload sweeps
+segment count and object density (the fraction of segments each object
+appears in); the paper's own experiments assume the picture layer answers
+atomic queries "employing indices on the meta-data", which is precisely
+the path under test.
 
 Emits ``BENCH_pictures.json`` in the current working directory.  Set
 ``BENCH_QUICK=1`` for a seconds-scale run (CI); the committed numbers come
@@ -18,6 +18,10 @@ exactly under the seed, not on the naive/indexed time ratio: that ratio
 has the naive scan as its denominator and falls whenever the scorer gets
 faster (14.9x -> 6.4x on the 5%/5 000 row when the scorer was compiled:
 the naive scan went 0.25 -> 0.11 s, the indexed path stayed at 0.017 s).
+What the code guarantees is that a bounded binding visits exactly its
+candidate set, each visit a kernel call or a profile-memo hit; how the
+visits split between the two depends on how much whole-segment content
+the corpus repeats, so the split is pinned (full mode), not bounded.
 Both times stay in the report, next to the parent commit's.
 """
 
@@ -47,34 +51,31 @@ CONFIGS = (
 )
 N_OBJECTS = 6
 REPEAT = 2 if QUICK else 3
-#: On sparse (<10%) configurations the index-driven path may score at
-#: most this share of the (binding, segment) pairs the naive scan scores.
-#: The committed full-mode rows sit at 0.3-1.2%, the quick row at 1.8%.
-MAX_WORK_SHARE = 0.05
 #: Full mode, by (n_segments, density): the work counters of the committed
 #: report — the seed fixes them, so a full run must reproduce them — and
-#: the times of the parent commit (interpreting scorer) on the machine
-#: that wrote it.
+#: the times of the parent commit (which still had the per-atom
+#: fingerprint memo under the profile memo; the faster of two runs) on
+#: the machine that wrote it.
 COMMITTED = {
     (1_000, 0.05): dict(
-        segments_scored=294, fingerprint_hits=2202, candidate_segments=2496,
-        dense_bindings=0, parent_naive_seconds=0.0437,
-        parent_indexed_seconds=0.0045,
+        segments_scored=1020, fingerprint_hits=1476, candidate_segments=2496,
+        dense_bindings=0, parent_naive_seconds=0.0092,
+        parent_indexed_seconds=0.0021,
     ),
     (5_000, 0.02): dict(
-        segments_scored=324, fingerprint_hits=4830, candidate_segments=5154,
-        dense_bindings=0, parent_naive_seconds=0.2433,
-        parent_indexed_seconds=0.0068,
+        segments_scored=1179, fingerprint_hits=3975, candidate_segments=5154,
+        dense_bindings=0, parent_naive_seconds=0.0440,
+        parent_indexed_seconds=0.0031,
     ),
     (5_000, 0.05): dict(
-        segments_scored=684, fingerprint_hits=11610, candidate_segments=12294,
-        dense_bindings=0, parent_naive_seconds=0.2505,
-        parent_indexed_seconds=0.0169,
+        segments_scored=3219, fingerprint_hits=9075, candidate_segments=12294,
+        dense_bindings=0, parent_naive_seconds=0.0465,
+        parent_indexed_seconds=0.0079,
     ),
     (5_000, 0.50): dict(
-        segments_scored=9543, fingerprint_hits=110457, candidate_segments=0,
-        dense_bindings=24, parent_naive_seconds=0.3689,
-        parent_indexed_seconds=0.2187,
+        segments_scored=105456, fingerprint_hits=14544, candidate_segments=0,
+        dense_bindings=24, parent_naive_seconds=0.0733,
+        parent_indexed_seconds=0.1064,
     ),
 }  # fmt: skip
 WORK_COUNTERS = (
@@ -214,17 +215,18 @@ def test_atom_table_construction(report):
     sparse = [row for row in results if row["density"] < 0.10]
     assert sparse, "no sparse configuration measured"
     for row in sparse:
-        assert row["work_share"] <= MAX_WORK_SHARE, (
-            f"index-driven path scored {row['work_share']:.1%} of the "
-            f"naive scan's pairs at {row['n_segments']} segments / "
-            f"{row['density']:.0%} density (allowed {MAX_WORK_SHARE:.0%})"
+        assert row["dense_bindings"] == 0
+        visited = row["segments_scored"] + row["fingerprint_hits"]
+        assert visited == row["candidate_segments"], (
+            f"index-driven path visited {visited} (binding, segment) pairs "
+            f"for {row['candidate_segments']} candidates at "
+            f"{row['n_segments']} segments / {row['density']:.0%} density"
         )
 
     # Dense regime: near-universal postings must trip the density cutoff
     # (the support analysis demotes them to a direct sweep).  Whether the
     # indexed path then beats the naive scan is reported (``speedup``),
-    # not gated: with the compiled scorer a fingerprint probe costs about
-    # what a score does — ROADMAP item 1, "settle the dense regime".
+    # not gated — ROADMAP item 1, "settle the dense regime".
     dense = [row for row in results if row["density"] >= 0.50]
     assert dense, "no dense configuration measured"
     for row in dense:
@@ -244,7 +246,6 @@ def test_atom_table_construction(report):
         "quick": QUICK,
         "n_objects": N_OBJECTS,
         "atoms": [name for name, __ in ATOMS],
-        "max_work_share_sparse": MAX_WORK_SHARE,
         "configs": results,
     }
     write_report_json(RESULTS_PATH, payload)

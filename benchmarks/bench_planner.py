@@ -77,7 +77,7 @@ def skewed_corpus():
     """16 videos, rare type 'person' in the first 2 only.
 
     Every segment carries a distinct ``height`` attribute so the
-    fingerprint memo cannot collapse the corpus into a handful of
+    content-profile memo cannot collapse the corpus into a handful of
     representatives — scored-segment counts then reflect real sweep
     work, not memo hits.
     """

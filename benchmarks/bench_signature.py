@@ -5,12 +5,14 @@ sweep returns rankings *byte-identical* to the definitional brute-force
 scorer, and it is faster on realistic corpora.  The brute-force oracle
 here deliberately computes the full blended similarity (histogram L1 +
 SSIM pass) for every window of every segment — no L1-bound short-circuit,
-no profile/fingerprint memoisation.  The production path shares the same
+no memoisation.  The production path shares the same
 per-window float recipe (:func:`repro.pictures.signature.window_similarity`),
 so equality is exact, not approximate; the speedup comes from the
-admissible bound skipping SSIM passes and the sweep memoising repeated
-shot signatures (recurring shots are the norm in broadcast footage —
-see the ``clips`` workload).
+admissible bound skipping SSIM passes and the atom's clip scorer scoring
+each distinct signature once (recurring shots are the norm in broadcast
+footage — see the ``clips`` workload).  Every segment here carries its
+own ``shot`` attribute, so no two share a content profile: the sweep's
+memo never hits and every segment reaches the clip scorer.
 
 Emits ``BENCH_signature.json`` in the current working directory.  Set
 ``BENCH_QUICK=1`` for a seconds-scale run (CI).
@@ -33,7 +35,7 @@ from repro.pictures.signature import (
 QUICK = bool(os.environ.get("BENCH_QUICK"))
 N_BINS = 16
 #: (n_segments, distinct-signature bases) configurations: recurring shot
-#: signatures are what the profile memo collapses.
+#: signatures are what the clip scorer's signature → score memo collapses.
 CONFIGS = [(400, 40), (400, 400)] if QUICK else [(4_000, 100), (4_000, 4_000)]
 N_WINDOWS = 4
 THETA = 0.9
@@ -42,10 +44,12 @@ REPEAT = 2 if QUICK else 3
 #: of each pair above); the all-distinct row is informational.
 REQUIRED_SPEEDUP = 1.5 if QUICK else 2.0
 
-#: Full-mode speedups of the kernel this one replaced (per-window
-#: re-normalisation, no clip scorer), by distinct-signature count, measured
-#: at the parent commit on the machine that wrote the committed report.
-PARENT_SPEEDUP = {100: 19.6, 4_000: 2.5}
+#: Full-mode (oracle, indexed) seconds at the parent commit — which still
+#: had a per-atom fingerprint memo keyed on the signature under the sweep,
+#: so its recurring row scored 300 segments, not 12 000 — by
+#: distinct-signature count: the run with the fastest indexed time of six,
+#: on the machine that wrote the committed report.
+PARENT_SECONDS = {100: (0.1431, 0.0065), 4_000: (0.1426, 0.0368)}
 
 RESULTS_PATH = Path("BENCH_signature.json")
 
@@ -133,6 +137,9 @@ def test_signature_retrieval(report):
 
         speedup = oracle_seconds / indexed_seconds
         stats = system.stats
+        parent_oracle, parent_indexed = (
+            (None, None) if QUICK else PARENT_SECONDS[n_bases]
+        )
         results.append(
             {
                 "n_segments": n_segments,
@@ -140,7 +147,8 @@ def test_signature_retrieval(report):
                 "oracle_seconds": oracle_seconds,
                 "indexed_seconds": indexed_seconds,
                 "speedup": speedup,
-                "parent_speedup": None if QUICK else PARENT_SPEEDUP[n_bases],
+                "parent_oracle_seconds": parent_oracle,
+                "parent_indexed_seconds": parent_indexed,
                 "segments_scored": stats.segments_scored,
                 "fingerprint_hits": stats.fingerprint_hits,
                 "matches": len(indexed),

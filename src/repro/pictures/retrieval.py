@@ -21,9 +21,10 @@ Two evaluation paths produce every table (DESIGN.md §7):
 * the **index-driven path** (default) asks the support-set analysis of
   :mod:`repro.pictures.support` which segments can score differently from
   the binding's *baseline* (its score on an empty segment), sweeps only
-  those — all bindings batched per segment, memoizing on the relevant
-  meta-data fingerprint — and emits the baseline over the complement as
-  interval runs directly in compressed form.
+  those — all bindings batched per segment, with one memo under the
+  sweep: candidate segments of identical content (the index's content
+  profile) share a score per binding — and emits the baseline over the
+  complement as interval runs directly in compressed form.
 
 The two are list-for-list identical (property-tested); ``use_index``
 selects per system or per call, and ``EngineConfig(naive_atoms=True)``
@@ -78,7 +79,8 @@ class PictureStats:
     bindings: int = 0
     #: score() invocations against stored segments (the dominant cost).
     segments_scored: int = 0
-    #: candidate (binding, segment) pairs resolved from the fingerprint memo.
+    #: candidate (binding, segment) pairs resolved from the content-profile
+    #: memo — the sweep's only memo; the name predates that.
     fingerprint_hits: int = 0
     #: total candidate-set sizes over all bounded bindings.
     candidate_segments: int = 0
@@ -110,10 +112,9 @@ class _Job:
     binding: Dict[str, Union[str, int, float]]
     support: AtomSupport
     baseline: float = 0.0
-    memo: Dict[tuple, float] = field(default_factory=dict)
-    #: score per segment content profile — sound for every job, plan or
-    #: not, since the score is a pure function of the segment's content
-    #: given the binding and pool.
+    #: score per segment content profile — sound for every job, since
+    #: the score is a pure function of the segment's content given the
+    #: binding and pool.
     profile_memo: Dict[int, float] = field(default_factory=dict)
     scored: List[Tuple[int, float]] = field(default_factory=list)
 
@@ -298,9 +299,7 @@ class PictureRetrievalSystem:
                 )
                 trace.annotate(path="naive-fallback")
             # The bindings iterator may be partially consumed; rebuild it.
-            bindings = itertools.product(
-                *(candidate_pool[name] for name in object_vars)
-            )
+            bindings = itertools.product(pool, repeat=len(object_vars))
         else:
             trace.annotate(path="naive")
 
@@ -429,8 +428,8 @@ class PictureRetrievalSystem:
         """Score all jobs in one ascending pass over candidate segments.
 
         Each segment is visited once for *all* bindings that list it as a
-        candidate; per job, segments with an identical relevant-metadata
-        fingerprint are scored once (run-compressed scoring).
+        candidate; per job, segments with an identical content profile
+        are scored once.
         """
         n_segments = len(self.segments)
         # Compiled per sweep and dropped with it; each job's binding is
@@ -455,7 +454,7 @@ class PictureRetrievalSystem:
             resilience.fault(resilience.SITE_ATOM_SCORE)
             job.baseline = kernel(_EMPTY_SEGMENT, job.binding, pool)
             self.stats.baseline_scores += 1
-        trace = self.trace_scored
+        visited = self.trace_scored
         profiles = self.index.segment_profiles()
         segments = self.segments
         budget = resilience.current_budget()
@@ -480,32 +479,18 @@ class PictureRetrievalSystem:
             for job in itertools.chain(
                 sweep_all, by_segment.get(segment_id, no_jobs)
             ):
-                # First level: segments with identical content (profile)
-                # share a score outright — no probing at all.
+                # Segments with identical content (profile) share a
+                # score outright.
                 actual = job.profile_memo.get(profile)
                 if actual is None:
-                    plan = job.support.plan
-                    if plan is None:
-                        resilience.fault(resilience.SITE_ATOM_SCORE)
-                        actual = kernel(segment, job.binding, pool)
-                        scored_count += 1
-                    else:
-                        # Second level: segments that agree on the
-                        # atom's relevant facts share a score too.
-                        fingerprint = plan.fingerprint(segment)
-                        actual = job.memo.get(fingerprint)
-                        if actual is None:
-                            resilience.fault(resilience.SITE_ATOM_SCORE)
-                            actual = kernel(segment, job.binding, pool)
-                            job.memo[fingerprint] = actual
-                            scored_count += 1
-                        else:
-                            hit_count += 1
+                    resilience.fault(resilience.SITE_ATOM_SCORE)
+                    actual = kernel(segment, job.binding, pool)
                     job.profile_memo[profile] = actual
+                    scored_count += 1
                 else:
                     hit_count += 1
-                if trace is not None:
-                    trace.append((job.objects, segment_id))
+                if visited is not None:
+                    visited.append((job.objects, segment_id))
                 job.scored.append((segment_id, actual))
         if budget is not None and pending:
             budget.charge(pending, site="atom-scoring")

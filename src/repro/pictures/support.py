@@ -6,23 +6,15 @@ formula's similarity at a segment can differ from its **baseline score**
 — the score on a segment with no meta-data at all — only where some fact
 the formula can probe is actually defined.  Those segments are exactly
 what the :class:`~repro.pictures.index.MetadataIndex` posting lists
-enumerate, so per atom and binding we compute:
-
-* a **candidate set**: the union of the posting lists of every fact the
-  formula may probe under the binding (``None`` means "every segment" —
-  the analysis found a construct it cannot bound).  Off the candidate
-  set the score provably equals the baseline, which is nonzero under
-  ``¬`` and ``∨`` — the baseline is emitted as interval runs over the
-  complement, never expanded per segment.
-* an optional **fingerprint plan**: the closed list of fact probes the
-  score depends on.  Two candidate segments with identical probe results
-  have identical scores, so scoring memoizes on the fingerprint —
-  run-compressed scoring.  Quantified (``∃``) variables range over the
-  evaluation pool, which is *fixed across segments*, so their probes are
-  expanded over the pool (presence of each pool id, each pool id's
-  probed attributes); only constructs the analysis cannot close — a
-  nested attribute holder, an unknown node — get ``plan=None`` and are
-  scored per candidate segment.
+enumerate, so per atom and binding we compute a **candidate set**: the
+union of the posting lists of every fact the formula may probe under the
+binding (``None`` means "every segment" — the analysis found a construct
+it cannot bound).  Off the candidate set the score provably equals the
+baseline, which is nonzero under ``¬`` and ``∨`` — the baseline is
+emitted as interval runs over the complement, never expanded per
+segment.  That is all the analysis produces: which candidate segments
+share a score is the sweep's business, and it decides by the index's
+whole-segment content profile alone (:mod:`repro.pictures.retrieval`).
 
 Correctness argument (DESIGN.md §7): the candidate set of every
 construct *over-approximates* the segments where any referenced fact is
@@ -36,19 +28,11 @@ undefined capture scores 0, the freeze baseline).  Off the set every
 probe resolves to "undefined/absent" exactly as on the empty segment,
 so the recursive score follows the identical code path and returns the
 identical float.
-
-Fingerprint purity under ``∃``-narrowing: the scorer's exact pool
-narrowing (:func:`repro.pictures.scoring.score` with ``narrow=True``)
-iterates a segment-dependent subset of the pool but provably returns
-the full-pool score; the full-pool score reads only the probed facts
-(per pool assignment, a quantified variable's value is the — segment
-independent — pool id itself), so equal fingerprints still imply equal
-scores even though the narrowed iteration sets may differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -61,7 +45,6 @@ from typing import (
 
 from repro.core import resilience
 from repro.htl import ast
-from repro.model.metadata import SegmentMetadata
 from repro.pictures.index import MetadataIndex
 from repro.pictures.scoring import FRESH_OBJECT_ID
 
@@ -79,129 +62,12 @@ _Static = Tuple[bool, object]
 _NOT_STATIC: _Static = (False, None)
 
 
-@dataclass
-class Probes:
-    """The closed set of meta-data facts a score can depend on.
-
-    ``pool_presence`` / ``pool_attr_names`` are the pool-expanded probe
-    families of quantified variables: rather than probing every pool id
-    individually, the fingerprint records the segment's present pool
-    members (with confidences, resp. the named attribute facts) — the
-    same information, gathered by iterating the segment's few objects
-    instead of the whole pool.
-    """
-
-    objects: Set[str] = field(default_factory=set)
-    object_attrs: Set[Tuple[str, str]] = field(default_factory=set)
-    segment_attrs: Set[str] = field(default_factory=set)
-    rel_tuples: Set[Tuple[str, tuple]] = field(default_factory=set)
-    rel_names: Set[str] = field(default_factory=set)
-    pool_presence: bool = False
-    pool_attr_names: Set[str] = field(default_factory=set)
-    #: A looks_like atom reads the segment's content signature.
-    signature: bool = False
-
-    def merge(self, other: "Probes") -> None:
-        self.objects |= other.objects
-        self.object_attrs |= other.object_attrs
-        self.segment_attrs |= other.segment_attrs
-        self.rel_tuples |= other.rel_tuples
-        self.rel_names |= other.rel_names
-        self.pool_presence = self.pool_presence or other.pool_presence
-        self.pool_attr_names |= other.pool_attr_names
-        self.signature = self.signature or other.signature
-
-
-class FingerprintPlan:
-    """Compiled probe order: maps a segment to its relevance fingerprint.
-
-    Segments with equal fingerprints are indistinguishable to the atom
-    under its binding, so one score per fingerprint suffices.
-    """
-
-    __slots__ = (
-        "objects",
-        "object_attrs",
-        "segment_attrs",
-        "rel_tuples",
-        "rel_names",
-        "pool_presence",
-        "pool_attr_names",
-        "signature",
-        "pool_set",
-    )
-
-    def __init__(self, probes: Probes, pool: Tuple[str, ...] = ()):
-        self.objects = tuple(sorted(probes.objects))
-        self.object_attrs = tuple(sorted(probes.object_attrs))
-        self.segment_attrs = tuple(sorted(probes.segment_attrs))
-        self.rel_tuples = tuple(
-            sorted(probes.rel_tuples, key=lambda probe: (probe[0], repr(probe[1])))
-        )
-        self.rel_names = tuple(sorted(probes.rel_names))
-        self.pool_presence = probes.pool_presence
-        self.pool_attr_names = tuple(sorted(probes.pool_attr_names))
-        self.signature = probes.signature
-        self.pool_set = frozenset(pool)
-
-    def fingerprint(self, segment: SegmentMetadata) -> tuple:
-        parts: list = []
-        append = parts.append
-        if self.signature:
-            append(segment.signature)
-        for object_id in self.objects:
-            instance = segment.object(object_id)
-            append(None if instance is None else instance.confidence)
-        for object_id, name in self.object_attrs:
-            fact = segment.object_attribute(object_id, name)
-            append(None if fact is None else (fact.value, fact.confidence))
-        for name in self.segment_attrs:
-            fact = segment.segment_attribute(name)
-            append(None if fact is None else (fact.value, fact.confidence))
-        for name, args in self.rel_tuples:
-            match = segment.find_relationship(name, args)
-            append(None if match is None else match.confidence)
-        for name in self.rel_names:
-            append(
-                tuple(
-                    (rel.args, rel.confidence)
-                    for rel in segment.relationships_named(name)
-                )
-            )
-        if self.pool_presence or self.pool_attr_names:
-            pool_set = self.pool_set
-            members = [
-                instance
-                for instance in segment.objects()
-                if instance.object_id in pool_set
-            ]
-            if len(members) > 1:
-                members.sort(key=lambda instance: instance.object_id)
-            if self.pool_presence:
-                append(
-                    tuple(
-                        (instance.object_id, instance.confidence)
-                        for instance in members
-                    )
-                )
-            for name in self.pool_attr_names:
-                facts = []
-                for instance in members:
-                    fact = instance.attribute(name)
-                    if fact is not None:
-                        facts.append(
-                            (instance.object_id, fact.value, fact.confidence)
-                        )
-                append(tuple(facts))
-        return tuple(parts)
-
-
 #: Candidate-density cutoff: a candidate set covering at least this
 #: fraction of the sequence is demoted to "every segment" (DESIGN.md §16).
 #: Near-universal postings make the per-segment candidate bookkeeping
 #: cost more than it saves — the sweep visits (almost) everything either
 #: way — so the analysis reports an unbounded support and the sweep walks
-#: the sequence directly, keeping the fingerprint plan for memoization.
+#: the sequence directly.
 #: Sound by the same contract that makes bounded supports correct:
 #: off-candidate segments score the baseline, and the direct sweep simply
 #: computes that same value.
@@ -214,23 +80,15 @@ class AtomSupport:
 
     ``candidates`` is the sorted tuple of 1-based segment ids where the
     score may differ from the baseline, or ``None`` for "every segment".
-    ``plan`` is the fingerprint plan, or ``None`` when the atom must be
-    scored per candidate segment.  ``dense`` marks a support whose
-    bounded candidate set was demoted to unbounded by the
-    :data:`DENSE_CUTOFF` density rule.
+    ``dense`` marks a support whose bounded candidate set was demoted to
+    unbounded by the :data:`DENSE_CUTOFF` density rule.
     """
 
     candidates: Optional[Tuple[int, ...]]
-    plan: Optional[FingerprintPlan]
     dense: bool = False
 
     def covers(self, segment_id: int) -> bool:
         return self.candidates is None or segment_id in self.candidates
-
-
-#: Internal analysis result: (support ids or None-for-all, probes or
-#: None-for-unfingerprintable).
-_Info = Tuple[Optional[Set[int]], Optional[Probes]]
 
 
 def _union(
@@ -239,17 +97,6 @@ def _union(
     if left is None or right is None:
         return None
     return left | right
-
-
-def _merge_probes(
-    left: Optional[Probes], right: Optional[Probes]
-) -> Optional[Probes]:
-    if left is None or right is None:
-        return None
-    merged = Probes()
-    merged.merge(left)
-    merged.merge(right)
-    return merged
 
 
 class SupportAnalyzer:
@@ -267,11 +114,12 @@ class SupportAnalyzer:
         pool: Sequence[str] = (),
         charge: bool = True,
     ) -> AtomSupport:
-        """Candidate set and fingerprint plan for one (atom, binding).
+        """Candidate set for one (atom, binding).
 
         ``pool`` is the object universe quantified (``∃``) variables
-        range over; their probes are expanded over it.  The fresh-object
-        sentinel carries no meta-data and is dropped.
+        range over; a quantified variable's postings are the union over
+        it.  The fresh-object sentinel carries no meta-data and is
+        dropped.
 
         ``charge=False`` skips the budget step charge: planner probes
         estimate evaluation cost without performing evaluation work, so
@@ -285,11 +133,8 @@ class SupportAnalyzer:
             for object_id in pool
             if isinstance(object_id, str) and object_id != FRESH_OBJECT_ID
         )
-        support, probes = self._formula(
-            atom, binding, frozenset(), frozenset(), pool_ids
-        )
+        support = self._formula(atom, binding, frozenset(), pool_ids)
         candidates = None if support is None else tuple(sorted(support))
-        plan = None if probes is None else FingerprintPlan(probes, pool_ids)
         dense = False
         if (
             candidates is not None
@@ -303,7 +148,7 @@ class SupportAnalyzer:
             # atom as a sweep.
             candidates = None
             dense = True
-        return AtomSupport(candidates, plan, dense)
+        return AtomSupport(candidates, dense)
 
     def _pool_postings(self, pool: Tuple[str, ...]) -> Set[int]:
         """Union of the pool ids' presence posting lists (do not mutate)."""
@@ -324,10 +169,7 @@ class SupportAnalyzer:
         (undefined) — used to restrict the attribute-variable boundary
         scan to segments that can contribute a value.
         """
-        support, __, ___, static = self._term(
-            term, binding, frozenset(), frozenset(), ()
-        )
-        known, value = static
+        support, (known, value) = self._term(term, binding, frozenset(), ())
         if known:
             if value is _UNDEFINED:
                 return ()
@@ -343,35 +185,27 @@ class SupportAnalyzer:
         term: ast.Term,
         binding: Binding,
         exists_vars: FrozenSet[str],
-        frozen_vars: FrozenSet[str],
         pool: Tuple[str, ...],
-    ) -> Tuple[Optional[Set[int]], Optional[Probes], bool, _Static]:
-        """(support, probes, fingerprintable, static value) of a term."""
+    ) -> Tuple[Optional[Set[int]], _Static]:
+        """(support, static value) of a term."""
         if isinstance(term, ast.Const):
-            return set(), Probes(), True, (True, term.value)
+            return set(), (True, term.value)
         if isinstance(term, (ast.ObjectVar, ast.AttrVar)):
             name = term.name
             if name in exists_vars:
                 # Quantified object variable: per pool assignment its
-                # value is the (segment-independent) pool id itself, so
-                # the bare occurrence adds no probes.
-                return set(), Probes(), True, _NOT_STATIC
-            if name in frozen_vars:
-                # Freeze-captured attribute variable: its value is a
-                # function of the capture probe, which the enclosing
-                # Freeze analysis adds to the plan.
-                return set(), Probes(), True, _NOT_STATIC
+                # value is the (segment-independent) pool id itself.
+                return set(), _NOT_STATIC
             if name in binding:
-                return set(), Probes(), True, (True, binding[name])
+                return set(), (True, binding[name])
             # Unbound and unquantified: eval_term is None everywhere.
-            return set(), Probes(), True, (True, _UNDEFINED)
+            return set(), (True, _UNDEFINED)
         if isinstance(term, ast.AttrFunc):
             if not term.args:
-                support = set(
-                    self._index.segments_with_attribute_name(term.name)
+                return (
+                    set(self._index.segments_with_attribute_name(term.name)),
+                    _NOT_STATIC,
                 )
-                probes = Probes(segment_attrs={term.name})
-                return support, probes, True, _NOT_STATIC
             holder = term.args[0]
             if (
                 isinstance(holder, (ast.ObjectVar, ast.AttrVar))
@@ -379,36 +213,30 @@ class SupportAnalyzer:
             ):
                 # Quantified holder: per assignment the access reads one
                 # pool id's attribute, and it is defined only where that
-                # pool object is present — probe the named attribute of
-                # every present pool member.
-                probes = Probes(pool_attr_names={term.name})
-                support = set(self._pool_postings(pool))
-                return support, probes, True, _NOT_STATIC
-            holder_support, holder_probes, holder_fp, holder_static = (
-                self._term(holder, binding, exists_vars, frozen_vars, pool)
+                # pool object is present.
+                return set(self._pool_postings(pool)), _NOT_STATIC
+            holder_support, (known, value) = self._term(
+                holder, binding, exists_vars, pool
             )
-            known, value = holder_static
             if known:
                 if isinstance(value, str):
-                    support = set(self._index.segments_with_object(value))
-                    probes = _merge_probes(
-                        holder_probes, Probes(object_attrs={(value, term.name)})
+                    return (
+                        set(self._index.segments_with_object(value)),
+                        _NOT_STATIC,
                     )
-                    return support, probes, holder_fp, _NOT_STATIC
                 # Non-string holder (including _UNDEFINED): the attribute
                 # access is undefined on every segment.
-                return set(), Probes(), True, (True, _UNDEFINED)
-            # Holder varies by segment (a nested attribute access or a
-            # freeze capture): the access can only be defined where the
-            # segment holds some object, but which object is probed is
-            # itself segment-dependent — not a closed probe set.
+                return set(), (True, _UNDEFINED)
+            # Holder varies by segment (a nested attribute access): the
+            # access can only be defined where the segment holds some
+            # object.
             support = _union(
                 set(self._index.segments_with_any_object()), holder_support
             )
-            return support, None, False, _NOT_STATIC
+            return support, _NOT_STATIC
         # Unknown term kind: no bound derivable; scoring will raise the
         # same error the naive path raises.
-        return None, None, False, _NOT_STATIC
+        return None, _NOT_STATIC
 
     # ------------------------------------------------------------------
     # formulas
@@ -418,124 +246,68 @@ class SupportAnalyzer:
         formula: ast.Formula,
         binding: Binding,
         exists_vars: FrozenSet[str],
-        frozen_vars: FrozenSet[str],
         pool: Tuple[str, ...],
-    ) -> _Info:
+    ) -> Optional[Set[int]]:
+        """Support of a formula: candidate segment ids, or None for all."""
         if isinstance(formula, ast.Truth):
-            return set(), Probes()
+            return set()
         if isinstance(formula, ast.Present):
             name = formula.var.name
             if name in exists_vars:
                 # Some assignment scores nonzero exactly where a pool
-                # object is present; probe the present pool members.
-                return (
-                    set(self._pool_postings(pool)),
-                    Probes(pool_presence=True),
-                )
+                # object is present.
+                return set(self._pool_postings(pool))
             value = binding.get(name)
             if isinstance(value, str):
-                return (
-                    set(self._index.segments_with_object(value)),
-                    Probes(objects={value}),
-                )
+                return set(self._index.segments_with_object(value))
             # Non-string or missing binding: scores 0 on every segment.
-            return set(), Probes()
+            return set()
         if isinstance(formula, ast.Compare):
-            l_support, l_probes, l_fp, __ = self._term(
-                formula.left, binding, exists_vars, frozen_vars, pool
+            return _union(
+                self._term(formula.left, binding, exists_vars, pool)[0],
+                self._term(formula.right, binding, exists_vars, pool)[0],
             )
-            r_support, r_probes, r_fp, __ = self._term(
-                formula.right, binding, exists_vars, frozen_vars, pool
-            )
-            probes = _merge_probes(l_probes, r_probes)
-            if not (l_fp and r_fp):
-                probes = None
-            return _union(l_support, r_support), probes
         if isinstance(formula, ast.Rel):
-            support: Optional[Set[int]] = set(
-                self._index.segments_with_relationship(formula.name)
-            )
-            probes: Optional[Probes] = Probes()
-            statics = []
-            for arg in formula.args:
-                __, arg_probes, arg_fp, arg_static = self._term(
-                    arg, binding, exists_vars, frozen_vars, pool
-                )
-                probes = _merge_probes(probes, arg_probes)
-                if not arg_fp:
-                    probes = None
-                statics.append(arg_static)
-            if probes is not None:
-                if all(known for known, __ in statics):
-                    values = tuple(value for __, value in statics)
-                    if any(value is _UNDEFINED for value in values):
-                        # An undefined argument zeroes the predicate
-                        # everywhere — constant, no probes needed.
-                        return set(), Probes()
-                    probes.rel_tuples.add((formula.name, values))
-                else:
-                    # Argument values vary by segment: the score depends
-                    # on the full list of same-named relationships.
-                    probes.rel_names.add(formula.name)
-            return support, probes
-        if isinstance(formula, ast.Weighted):
-            return self._formula(
-                formula.sub, binding, exists_vars, frozen_vars, pool
-            )
+            statics = [
+                self._term(arg, binding, exists_vars, pool)[1]
+                for arg in formula.args
+            ]
+            if all(known for known, __ in statics) and any(
+                value is _UNDEFINED for __, value in statics
+            ):
+                # An undefined argument zeroes the predicate
+                # everywhere — constant, no candidates.
+                return set()
+            return set(self._index.segments_with_relationship(formula.name))
+        if isinstance(formula, (ast.Weighted, ast.Not)):
+            return self._formula(formula.sub, binding, exists_vars, pool)
         if isinstance(formula, (ast.And, ast.Or)):
-            l_support, l_probes = self._formula(
-                formula.left, binding, exists_vars, frozen_vars, pool
-            )
-            r_support, r_probes = self._formula(
-                formula.right, binding, exists_vars, frozen_vars, pool
-            )
-            return _union(l_support, r_support), _merge_probes(
-                l_probes, r_probes
-            )
-        if isinstance(formula, ast.Not):
-            return self._formula(
-                formula.sub, binding, exists_vars, frozen_vars, pool
+            return _union(
+                self._formula(formula.left, binding, exists_vars, pool),
+                self._formula(formula.right, binding, exists_vars, pool),
             )
         if isinstance(formula, ast.LooksLike):
             # The score reads the segment's content signature and nothing
             # else.  A segment without one scores the atom's baseline
             # (0, exactly the representative empty segment's score), so
-            # the signature-bearing segments are a sound candidate set;
-            # the fingerprint is the signature itself.
-            return (
-                set(self._index.segments_with_signature()),
-                Probes(signature=True),
-            )
+            # the signature-bearing segments are a sound candidate set.
+            return set(self._index.segments_with_signature())
         if isinstance(formula, ast.Exists):
-            # Quantified variables shadow outer bindings and freezes.
-            inner_exists = exists_vars | frozenset(formula.vars)
-            inner_frozen = frozen_vars - frozenset(formula.vars)
-            support, probes = self._formula(
-                formula.sub, binding, inner_exists, inner_frozen, pool
+            # Quantified variables shadow outer bindings.  The body's
+            # support with the variables marked quantified contains the
+            # support under every pool assignment.
+            return self._formula(
+                formula.sub,
+                binding,
+                exists_vars | frozenset(formula.vars),
+                pool,
             )
-            # The body's support with the variables marked quantified
-            # contains the support under every pool assignment, and the
-            # pool is fixed across segments, so the body's pool-expanded
-            # probes close over everything the max can depend on.
-            return support, probes
         if isinstance(formula, ast.Freeze):
-            func_support, func_probes, func_fp, __ = self._term(
-                formula.func, binding, exists_vars, frozen_vars, pool
-            )
-            inner_frozen = frozen_vars | {formula.var}
-            inner_exists = exists_vars - {formula.var}
-            __, sub_probes = self._formula(
-                formula.sub, binding, inner_exists, inner_frozen, pool
-            )
             # Off the capture's support the capture is undefined and the
             # whole freeze scores 0 — its baseline — so the body's
-            # support is not needed for candidates, only its probes for
-            # the fingerprint.
-            probes = _merge_probes(func_probes, sub_probes)
-            if not func_fp:
-                probes = None
-            return func_support, probes
+            # support is not needed.
+            return self._term(formula.func, binding, exists_vars, pool)[0]
         # AtomicRef or any non-temporal construct the scorer does not
         # handle: no bound derivable; scoring raises exactly as the
         # naive path would.
-        return None, None
+        return None

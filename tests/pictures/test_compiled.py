@@ -16,7 +16,7 @@ import threading
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e import streams
@@ -25,7 +25,11 @@ from repro.core import resilience
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.semantics import ReferenceContext, reference_list
 from repro.core.topk import top_k_across_videos
-from repro.errors import SignatureError, UnsupportedFormulaError
+from repro.errors import (
+    HTLTypeError,
+    SignatureError,
+    UnsupportedFormulaError,
+)
 from repro.htl import ast
 from repro.htl.classify import is_non_temporal
 from repro.htl.parser import parse
@@ -366,11 +370,14 @@ class TestTablesUnchanged:
 #: this very loop: the kernel does the same work, only faster.  ``dense``
 #: reads 0 on the indexed counters because the planner prices every one
 #: of its atoms to the naive sweep, which only the step budget sees.
+#: ``sparse`` was re-recorded when the fingerprint memo was deleted: the
+#: 32 pairs it used to resolve are scored (250 + 32 = 282 candidates,
+#: 456 + 32 = 488 fault-site visits); every other value is unchanged.
 PARENT_WORK = {
     "sparse": dict(
-        tables=43, bindings=103, segments_scored=250, fingerprint_hits=32,
+        tables=43, bindings=103, segments_scored=282, fingerprint_hits=0,
         candidate_segments=282, unbounded_bindings=0, dense_bindings=0,
-        baseline_scores=103, budget_steps=1087, atom_score_visits=456,
+        baseline_scores=103, budget_steps=1087, atom_score_visits=488,
     ),
     "dense": dict(
         tables=0, bindings=0, segments_scored=0, fingerprint_hits=0,
@@ -409,6 +416,26 @@ def test_same_work_as_the_interpreting_scorer(name, tmp_path):
         resilience.SITE_ATOM_SCORE, 0
     )
     assert work == PARENT_WORK[name]
+
+
+@given(picture_atoms(), st.lists(segments(), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_every_visited_pair_is_scored_or_a_memo_hit(formula, drawn):
+    """One memo, one path: a visited (binding, segment) pair is a kernel
+    call or a content-profile hit, and a bounded binding visits exactly
+    its candidates.  The empty tail keeps supports under the density
+    cutoff, so they stay bounded wherever the analysis can bound them."""
+    sequence = drawn + [SegmentMetadata() for __ in range(len(drawn) + 1)]
+    system = PictureRetrievalSystem(sequence)
+    try:
+        system.similarity_table(formula, use_index=True)
+    except HTLTypeError:
+        assume(False)
+    stats = system.stats
+    assert stats.dense_bindings == 0
+    assert stats.segments_scored + stats.fingerprint_hits == (
+        stats.candidate_segments + stats.unbounded_bindings * len(sequence)
+    )
 
 
 class TestNothingIsKeptPerFormula:

@@ -8,6 +8,8 @@ These tests check that claim property-style, plus the soundness of the
 analysis itself (nothing outside the candidate set is ever visited).
 """
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from repro.model.metadata import (
 )
 from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.pictures.scoring import FRESH_OBJECT_ID
+from repro.pictures.support import AtomSupport
 from tests.integration.strategies import (
     HEIGHTS,
     KINDS,
@@ -293,7 +296,7 @@ class TestSupportSoundness:
         assert system.stats.segments_scored <= 3
         assert system.stats.candidate_segments == 3
 
-    def test_fingerprint_memo_collapses_identical_segments(self):
+    def test_profile_memo_collapses_identical_segments(self):
         segments = [
             SegmentMetadata(objects=[make_object("o1", "person")])
             for __ in range(100)
@@ -301,6 +304,30 @@ class TestSupportSoundness:
         system = PictureRetrievalSystem(segments)
         atom = parse("present(x)")
         system.similarity_table(atom, use_index=True)
-        # all 100 candidates share one fingerprint: scored once
+        # all 100 candidates share one content profile: scored once
         assert system.stats.segments_scored == 1
         assert system.stats.fingerprint_hits == 99
+
+    def test_segments_differing_off_the_atom_are_each_scored(self):
+        # The content profile is the only memo: candidates that agree on
+        # every fact the atom reads but differ elsewhere share no entry,
+        # so each is scored — to the same value.
+        segments = [SegmentMetadata() for __ in range(10)]
+        for position, kind in ((2, "talk"), (7, "action")):
+            segments[position] = SegmentMetadata(
+                objects=[make_object("o1", "person")],
+                attributes={"kind": kind},
+            )
+        system = PictureRetrievalSystem(segments)
+        table = system.similarity_table(parse("present(x)"), use_index=True)
+        assert system.stats.candidate_segments == 2
+        assert system.stats.segments_scored == 2
+        assert system.stats.fingerprint_hits == 0
+        (row,) = table.rows
+        assert row.sim.actual_at(3) == row.sim.actual_at(8) > 0
+
+    def test_atom_support_is_candidates_and_dense(self):
+        assert [f.name for f in dataclasses.fields(AtomSupport)] == [
+            "candidates",
+            "dense",
+        ]

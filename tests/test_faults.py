@@ -427,6 +427,36 @@ class TestRecoveryPaths:
         assert recovered == fault_free
         assert trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0) > 0
 
+    @pytest.mark.parametrize(
+        "site", [resilience.SITE_ATOM_SCORE, resilience.SITE_INDEX_LOOKUP]
+    )
+    def test_open_atom_falls_back_to_the_naive_table(self, corpus, site):
+        """The per-atom fallback rebuilds the binding iterator the failed
+        sweep consumed: an open atom gets every row back, and the
+        engine-level hop is not needed."""
+        video = next(iter(corpus.videos()))
+        pictures = PictureRetrievalSystem(
+            [node.metadata for node in video.nodes_at_level(2)]
+        )
+        atom = parse("present(x)")
+        naive = pictures.similarity_table(atom, use_index=False)
+        assert len(naive.rows) > 1
+        trace.METRICS.reset()
+        with resilience.scope():
+            with inject(FaultSpec(site, max_faults=1)) as chaos:
+                with trace.recording() as recorder:
+                    recovered = pictures.similarity_table(atom)
+        assert chaos.injected
+        assert recovered.object_vars == naive.object_vars
+        assert recovered.rows == naive.rows
+        assert recovered.maximum == naive.maximum
+        (sweep,) = recorder.roots
+        assert sweep.kind == trace.KIND_ATOM_SWEEP
+        assert sweep.attrs["path"] == "naive-fallback"
+        counters = trace.METRICS.counters()
+        assert counters.get(trace.ATOM_FALLBACK, 0) == 1
+        assert trace.ENGINE_FALLBACK not in counters
+
     def test_atom_score_site_fires_per_scored_segment_with_a_warm_scorer(
         self,
     ):
