@@ -271,7 +271,8 @@ class AtomChoice:
     strategy: str
     bindings: int
     candidates: Optional[int]
-    indexed_cost: float
+    #: ``None`` when the probe was unbounded: the only plan is naive.
+    indexed_cost: Optional[float]
     naive_cost: float
     selectivity: float
     match_rate: Optional[float] = None
@@ -330,14 +331,17 @@ class QueryPlan:
             )
         choice = self.atoms.get(key)
         if choice is not None:
-            candidates = (
-                "all" if choice.candidates is None else str(choice.candidates)
-            )
+            if choice.indexed_cost is None:
+                sweep = f"naive scan (naive {choice.naive_cost:.1f})"
+            else:
+                sweep = (
+                    f"candidates {choice.candidates}/segment sweep "
+                    f"(indexed {choice.indexed_cost:.1f} vs "
+                    f"naive {choice.naive_cost:.1f})"
+                )
             notes.append(
                 f"strategy={choice.strategy}, bindings {choice.bindings}, "
-                f"candidates {candidates}/segment sweep "
-                f"(indexed {choice.indexed_cost:.1f} vs "
-                f"naive {choice.naive_cost:.1f})"
+                + sweep
             )
             if choice.match_rate is not None:
                 notes.append(f"signature match rate {choice.match_rate:.2f}")
@@ -635,18 +639,21 @@ class _PlanBuilder:
             # that cannot clear θ, roughly halving the per-segment score
             # work for non-matching signatures (DESIGN.md §16).
             score_cost *= 0.5 + 0.5 * match_rate
-        if candidates is None:
-            indexed = bindings * (
-                model.analysis_cost + n * score_cost * dedup
-            )
-        else:
+        naive = bindings * max(1, n) * score_cost
+        # An unbounded probe has no indexed price: the indexed path
+        # would analyse the binding and then route it to the naive scan.
+        indexed: Optional[float] = None
+        if candidates is not None:
             indexed = bindings * (
                 model.analysis_cost
                 + model.baseline_cost
                 + candidates * score_cost * dedup
             )
-        naive = bindings * max(1, n) * score_cost
-        strategy = STRATEGY_INDEXED if indexed <= naive else STRATEGY_NAIVE
+        strategy = (
+            STRATEGY_INDEXED
+            if indexed is not None and indexed <= naive
+            else STRATEGY_NAIVE
+        )
         selectivity = self._atom_selectivity(
             atom, representative, object_vars, candidates
         )
@@ -765,17 +772,16 @@ class _PlanBuilder:
     def _probe_candidates(
         self, atom: ast.Formula, binding: Dict[str, Any]
     ) -> Optional[int]:
-        """Candidate-set size under the representative binding (None: all)."""
+        """Candidate-set size under the representative binding (None:
+        the indexed path would route it to the naive scan)."""
         self.probes += 1
         try:
-            support = self.pictures.atom_support(
+            candidates = self.pictures.atom_support(
                 atom, binding, self.pool, charge=False
             )
         except Exception:
             return None
-        if support.candidates is None:
-            return None
-        return len(support.candidates)
+        return None if candidates is None else len(candidates)
 
     def _atom_selectivity(
         self,

@@ -3,14 +3,13 @@
 from repro.pictures.index import MetadataIndex
 from repro.pictures.retrieval import PictureRetrievalSystem, PictureStats
 from repro.pictures.scoring import max_similarity, score
-from repro.pictures.support import AtomSupport, SupportAnalyzer
+from repro.pictures.support import SupportAnalyzer
 
 __all__ = [
     "PictureRetrievalSystem",
     "PictureStats",
     "MetadataIndex",
     "SupportAnalyzer",
-    "AtomSupport",
     "score",
     "max_similarity",
 ]

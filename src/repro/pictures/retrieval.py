@@ -24,14 +24,18 @@ Two evaluation paths produce every table (DESIGN.md §7):
   those — all bindings batched per segment, with one memo under the
   sweep: candidate segments of identical content (the index's content
   profile) share a score per binding — and emits the baseline over the
-  complement as interval runs directly in compressed form.
+  complement as interval runs directly in compressed form.  A binding
+  the analysis cannot bound, or whose candidates cover at least
+  :data:`DENSE_CUTOFF` of the sequence, is *routed*: it takes the naive
+  scan's own loop, so the sweep has one shape.
 
 The two are list-for-list identical (property-tested); ``use_index``
 selects per system or per call, and ``EngineConfig(naive_atoms=True)``
-forces the naive path engine-wide.  Both score through a kernel compiled
-once per sweep (:func:`repro.pictures.scoring.compile_atom`), which is
-bit-identical to the interpreting reference :func:`~repro.pictures.
-scoring.score`.
+forces the naive path engine-wide.  Both score through a kernel
+(:func:`repro.pictures.scoring.compile_atom`) — compiled once per table
+build on the index-driven path, once per binding on the naive one —
+which is bit-identical to the interpreting reference
+:func:`~repro.pictures.scoring.score`.
 """
 
 from __future__ import annotations
@@ -60,15 +64,25 @@ from repro.htl.variables import (
 from repro.model.metadata import SegmentMetadata
 from repro.pictures.index import MetadataIndex
 from repro.pictures.scoring import (
+    Binding,
+    Kernel,
     compile_atom,
     eval_term,
     exists_pool,
     max_similarity,
 )
-from repro.pictures.support import AtomSupport, SupportAnalyzer
+from repro.pictures.support import SupportAnalyzer
 
 #: The representative empty segment baselines are scored on.
 _EMPTY_SEGMENT = SegmentMetadata()
+
+#: Candidate-density cutoff (DESIGN.md §16): a binding whose candidate
+#: set covers at least this fraction of the sequence is routed to the
+#: naive scan, like an unbounded one.  The sweep would visit (almost)
+#: every segment anyway, and its per-segment bookkeeping costs more than
+#: the baseline runs it saves.  Sound either way: off the candidates the
+#: score is the baseline, which the scan simply computes.
+DENSE_CUTOFF = 0.5
 
 
 @dataclass
@@ -82,14 +96,15 @@ class PictureStats:
     #: candidate (binding, segment) pairs resolved from the content-profile
     #: memo — the sweep's only memo; the name predates that.
     fingerprint_hits: int = 0
-    #: total candidate-set sizes over all bounded bindings.
+    #: total candidate-set sizes over all swept bindings.
     candidate_segments: int = 0
-    #: bindings whose support analysis could not bound the candidates.
+    #: bindings routed to the naive scan: the support analysis could not
+    #: bound them, or the density cutoff applied.
     unbounded_bindings: int = 0
-    #: bindings whose near-universal candidate set the density cutoff
-    #: demoted to a direct sweep (a subset of ``unbounded_bindings``).
+    #: routed bindings whose candidate set the density cutoff caught (a
+    #: subset of ``unbounded_bindings``).
     dense_bindings: int = 0
-    #: baseline scores computed (one per bounded binding).
+    #: baseline scores computed (one per swept binding).
     baseline_scores: int = 0
 
     def reset(self) -> None:
@@ -108,9 +123,8 @@ class _Job:
     """One similarity list under construction during the batched sweep."""
 
     objects: Tuple[str, ...]
-    box: tuple
-    binding: Dict[str, Union[str, int, float]]
-    support: AtomSupport
+    binding: Binding
+    candidates: Tuple[int, ...]
     baseline: float = 0.0
     #: score per segment content profile — sound for every job, since
     #: the score is a pure function of the segment's content given the
@@ -175,11 +189,13 @@ class PictureRetrievalSystem:
     def atom_support(
         self,
         atom: ast.Formula,
-        binding: Dict[str, Union[str, int, float]],
+        binding: Binding,
         universe: Optional[Sequence[str]] = None,
         charge: bool = True,
-    ) -> AtomSupport:
-        """The support analysis of one (atom, binding) pair.
+    ) -> Optional[Tuple[int, ...]]:
+        """The sorted candidates the index-driven path sweeps for one
+        (atom, binding) pair — ``None`` when it routes the binding to the
+        naive scan (:meth:`_sweep_candidates`).
 
         ``universe`` is the ∃-pool the analysis expands quantified
         probes over; it must match the pool the table was (or will be)
@@ -190,7 +206,23 @@ class PictureRetrievalSystem:
         changes how many steps evaluating it is charged.
         """
         pool = list(universe) if universe is not None else self._universe
-        return self._analyzer.atom_support(atom, binding, pool, charge=charge)
+        return self._sweep_candidates(
+            self._analyzer.atom_support(atom, binding, pool, charge=charge)
+        )
+
+    def _sweep_candidates(
+        self, support: Optional[Set[int]]
+    ) -> Optional[Tuple[int, ...]]:
+        """The density rule: ``None`` (route to the naive scan) for an
+        unbounded support or one of at least ``DENSE_CUTOFF · n``
+        candidates, else the candidates in ascending order.  The length
+        is tested before the sort, so a dense set is never ordered."""
+        n_segments = len(self.segments)
+        if support is None or (
+            n_segments and len(support) >= DENSE_CUTOFF * n_segments
+        ):
+            return None
+        return tuple(sorted(support))
 
     # ------------------------------------------------------------------
     def similarity_table(
@@ -303,22 +335,18 @@ class PictureRetrievalSystem:
         else:
             trace.annotate(path="naive")
 
+        # Open tables keep only relevant (non-empty) evaluations; a closed
+        # atom always keeps its single row so downstream joins see the
+        # evaluation even at similarity zero.
+        keep_empty = not object_vars and not attr_vars
         rows: List[TableRow] = []
         for values in bindings:
-            binding = dict(zip(object_vars, values))
-            if attr_vars:
-                rows.extend(
-                    self._attr_var_rows(
-                        atom, binding, tuple(values), attr_vars, pool, maximum
-                    )
-                )
-            else:
+            for box, binding in self._boxes(
+                atom, dict(zip(object_vars, values)), attr_vars, indexed=False
+            ):
                 sim = self._score_list(atom, binding, pool, maximum)
-                # Open tables keep only relevant (non-empty) evaluations;
-                # a closed atom always keeps its single row so downstream
-                # joins see the evaluation even at similarity zero.
-                if sim or not object_vars:
-                    rows.append(TableRow(tuple(values), (), sim))
+                if sim or keep_empty:
+                    rows.append(TableRow(tuple(values), box, sim))
         return SimilarityTable(object_vars, attr_vars, rows, maximum)
 
     def similarity_list(
@@ -333,6 +361,33 @@ class PictureRetrievalSystem:
         )
         return table.closed_list()
 
+    def _boxes(
+        self,
+        atom: ast.Formula,
+        binding: Binding,
+        attr_vars: List[str],
+        indexed: bool,
+    ) -> Iterator[Tuple[tuple, Binding]]:
+        """Every elementary-range box of the free attribute variables
+        (paper §3.3), with a private copy of ``binding`` extended by one
+        representative value per range — one ``((), copy)`` when there
+        are none."""
+        per_var_ranges = [
+            _elementary_ranges(
+                self._boundary_values(atom, name, binding, indexed)
+            )
+            for name in attr_vars
+        ]
+        for box in itertools.product(*per_var_ranges):
+            extended = dict(binding)
+            for name, value_range in zip(attr_vars, box):
+                sample = _range_sample(value_range)
+                if sample is None:
+                    break
+                extended[name] = sample
+            else:
+                yield box, extended
+
     # ------------------------------------------------------------------
     # index-driven path
     # ------------------------------------------------------------------
@@ -345,85 +400,61 @@ class PictureRetrievalSystem:
         pool: Sequence[str],
         maximum: float,
     ) -> List[TableRow]:
-        """Build every row of one table in a single batched sweep."""
+        """Build every row of one table: routed bindings by the naive
+        scan's loop, the rest in a single batched sweep."""
         self.stats.tables += 1
+        # Compiled per table build and dropped with it; each binding is
+        # its own dict, which the kernel rebinds in place and restores.
+        kernel = compile_atom(atom, narrow=True)
+        kernel_pool = exists_pool(pool) if pool else ()
+        # (objects, box, routed list or sweep job), in binding order.
+        slots: List[Tuple[Tuple[str, ...], tuple, object]] = []
         jobs: List[_Job] = []
         for values in bindings:
-            binding = dict(zip(object_vars, values))
-            if attr_vars:
-                jobs.extend(
-                    self._attr_var_jobs(
-                        atom, binding, tuple(values), attr_vars, pool
-                    )
-                )
-            else:
-                jobs.append(
-                    self._make_job(atom, tuple(values), (), binding, pool)
-                )
-        self._sweep(atom, jobs, pool)
+            objects = tuple(values)
+            for box, binding in self._boxes(
+                atom, dict(zip(object_vars, values)), attr_vars, indexed=True
+            ):
+                job = self._make_job(atom, objects, binding, pool)
+                if job is None:
+                    built = self._scan(kernel, binding, kernel_pool, maximum)
+                else:
+                    jobs.append(job)
+                    built = job
+                slots.append((objects, box, built))
+        self._sweep(kernel, jobs, kernel_pool)
+        keep_empty = not object_vars and not attr_vars
         rows: List[TableRow] = []
-        for job in jobs:
-            sim = resilience.fault_value(
-                resilience.SITE_ATOM_SCORE, self._emit(job, maximum)
-            )
-            if attr_vars:
-                keep = bool(sim)
-            else:
-                keep = bool(sim) or not object_vars
-            if keep:
-                rows.append(TableRow(job.objects, job.box, sim))
+        for objects, box, built in slots:
+            if isinstance(built, _Job):
+                built = self._emit(built, maximum)
+            sim = resilience.fault_value(resilience.SITE_ATOM_SCORE, built)
+            if sim or keep_empty:
+                rows.append(TableRow(objects, box, sim))
         return rows
 
     def _make_job(
         self,
         atom: ast.Formula,
         objects: Tuple[str, ...],
-        box: tuple,
-        binding: Dict[str, Union[str, int, float]],
+        binding: Binding,
         pool: Sequence[str],
-    ) -> _Job:
+    ) -> Optional[_Job]:
+        """The sweep job of one binding, or ``None`` to route it."""
         self.stats.bindings += 1
         resilience.fault(resilience.SITE_INDEX_LOOKUP)
         support = self._analyzer.atom_support(atom, binding, pool)
-        if support.candidates is None:
+        candidates = self._sweep_candidates(support)
+        if candidates is None:
             self.stats.unbounded_bindings += 1
-            if support.dense:
+            if support is not None:
                 self.stats.dense_bindings += 1
-        else:
-            self.stats.candidate_segments += len(support.candidates)
-        return _Job(objects, box, binding, support)
-
-    def _attr_var_jobs(
-        self,
-        atom: ast.Formula,
-        binding: Dict[str, Union[str, int, float]],
-        objects: Tuple[str, ...],
-        attr_vars: List[str],
-        pool: Sequence[str],
-    ) -> List[_Job]:
-        per_var_ranges = [
-            _elementary_ranges(
-                self._boundary_values(atom, name, binding, indexed=True)
-            )
-            for name in attr_vars
-        ]
-        jobs: List[_Job] = []
-        for box in itertools.product(*per_var_ranges):
-            extended = dict(binding)
-            skip = False
-            for name, value_range in zip(attr_vars, box):
-                sample = _range_sample(value_range)
-                if sample is None:
-                    skip = True
-                    break
-                extended[name] = sample
-            if skip:
-                continue
-            jobs.append(self._make_job(atom, objects, box, extended, pool))
-        return jobs
+            return None
+        self.stats.candidate_segments += len(candidates)
+        return _Job(objects, binding, candidates)
 
     def _sweep(
-        self, atom: ast.Formula, jobs: List[_Job], pool: Sequence[str]
+        self, kernel: Kernel, jobs: List[_Job], pool: Sequence[str]
     ) -> None:
         """Score all jobs in one ascending pass over candidate segments.
 
@@ -431,23 +462,9 @@ class PictureRetrievalSystem:
         candidate; per job, segments with an identical content profile
         are scored once.
         """
-        n_segments = len(self.segments)
-        # Compiled per sweep and dropped with it; each job's binding is
-        # its own dict, which the kernel rebinds in place and restores.
-        kernel = compile_atom(atom, narrow=True)
-        pool = exists_pool(pool) if pool else ()
-        # Jobs with an unbounded support — no candidate set, or one the
-        # density cutoff demoted — visit every segment; materialising
-        # their (near-)universal postings into the per-segment job lists
-        # would cost more than it saves, so they sweep directly.
-        sweep_all: List[_Job] = []
         by_segment: Dict[int, List[_Job]] = {}
         for job in jobs:
-            candidates = job.support.candidates
-            if candidates is None:
-                sweep_all.append(job)
-                continue
-            for segment_id in candidates:
+            for segment_id in job.candidates:
                 by_segment.setdefault(segment_id, []).append(job)
             # Baseline fills every off-candidate gap; scored on the
             # empty representative segment with ∃-pools narrowed.
@@ -461,11 +478,7 @@ class PictureRetrievalSystem:
         scored_count = 0
         hit_count = 0
         pending = 0
-        segment_ids: Sequence[int] = (
-            range(1, n_segments + 1) if sweep_all else sorted(by_segment)
-        )
-        no_jobs: List[_Job] = []
-        for segment_id in segment_ids:
+        for segment_id in sorted(by_segment):
             segment = segments[segment_id - 1]
             profile = profiles[segment_id - 1]
             if budget is not None:
@@ -476,9 +489,7 @@ class PictureRetrievalSystem:
                 if pending >= 256:
                     budget.charge(pending, site="atom-scoring")
                     pending = 0
-            for job in itertools.chain(
-                sweep_all, by_segment.get(segment_id, no_jobs)
-            ):
+            for job in by_segment[segment_id]:
                 # Segments with identical content (profile) share a
                 # score outright.
                 actual = job.profile_memo.get(profile)
@@ -525,23 +536,35 @@ class PictureRetrievalSystem:
     def _score_list(
         self,
         atom: ast.Formula,
-        binding: Dict[str, Union[str, int, float]],
+        binding: Binding,
         pool: Sequence[str],
         maximum: float,
     ) -> SimilarityList:
         # Budget accounting mirrors the indexed path — one step per
-        # binding (the analysis-shaped cost) plus block charges per 256
-        # segments — so a step budget sees comparable consumption
-        # whichever strategy the planner (or config) picked.
+        # binding (what its support analysis charges) plus the scan's
+        # per-segment steps — so a step budget sees comparable
+        # consumption whichever strategy the planner (or config) picked.
         budget = resilience.current_budget()
         if budget is not None:
             budget.charge(1, site="atom-scoring")
-        pending = 0
-        # The definitional sweep: every ∃ iterates its full pool.  The
-        # kernel rebinds in place, so it gets a copy of the caller's dict.
+        # The definitional sweep: every ∃ iterates its full pool.
         kernel = compile_atom(atom, narrow=False)
-        binding = dict(binding)
-        pool = exists_pool(pool) if pool else ()
+        return self._scan(
+            kernel, binding, exists_pool(pool) if pool else (), maximum
+        )
+
+    def _scan(
+        self,
+        kernel: Kernel,
+        binding: Binding,
+        pool: Sequence[str],
+        maximum: float,
+    ) -> SimilarityList:
+        """One binding's list by the full scan: the kernel on every
+        segment, one budget step each (charged in blocks of 256).
+        ``binding`` must be private — the kernel rebinds it in place."""
+        budget = resilience.current_budget()
+        pending = 0
         pieces: List[Tuple[int, int, float]] = []
         for segment_id, segment in enumerate(self.segments, start=1):
             if budget is not None:
@@ -556,42 +579,12 @@ class PictureRetrievalSystem:
             budget.charge(pending, site="atom-scoring")
         return SimilarityList.from_sorted_pieces(pieces, maximum)
 
-    def _attr_var_rows(
-        self,
-        atom: ast.Formula,
-        binding: Dict[str, Union[str, int, float]],
-        objects: Tuple[str, ...],
-        attr_vars: List[str],
-        pool: Sequence[str],
-        maximum: float,
-    ) -> List[TableRow]:
-        per_var_ranges = [
-            _elementary_ranges(self._boundary_values(atom, name, binding))
-            for name in attr_vars
-        ]
-        rows: List[TableRow] = []
-        for box in itertools.product(*per_var_ranges):
-            extended = dict(binding)
-            skip = False
-            for name, value_range in zip(attr_vars, box):
-                sample = _range_sample(value_range)
-                if sample is None:
-                    skip = True
-                    break
-                extended[name] = sample
-            if skip:
-                continue
-            sim = self._score_list(atom, extended, pool, maximum)
-            if sim:
-                rows.append(TableRow(objects, box, sim))
-        return rows
-
     def _boundary_values(
         self,
         atom: ast.Formula,
         attr_var: str,
-        binding: Dict[str, Union[str, int, float]],
-        indexed: bool = False,
+        binding: Binding,
+        indexed: bool,
     ) -> "Tuple[Set[int], Set[Union[str, float]]]":
         """Values the variable is compared against, across the sequence.
 

@@ -32,7 +32,6 @@ identical float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
@@ -62,35 +61,6 @@ _Static = Tuple[bool, object]
 _NOT_STATIC: _Static = (False, None)
 
 
-#: Candidate-density cutoff: a candidate set covering at least this
-#: fraction of the sequence is demoted to "every segment" (DESIGN.md §16).
-#: Near-universal postings make the per-segment candidate bookkeeping
-#: cost more than it saves — the sweep visits (almost) everything either
-#: way — so the analysis reports an unbounded support and the sweep walks
-#: the sequence directly.
-#: Sound by the same contract that makes bounded supports correct:
-#: off-candidate segments score the baseline, and the direct sweep simply
-#: computes that same value.
-DENSE_CUTOFF = 0.5
-
-
-@dataclass(frozen=True)
-class AtomSupport:
-    """Result of the analysis for one (atom, binding) pair.
-
-    ``candidates`` is the sorted tuple of 1-based segment ids where the
-    score may differ from the baseline, or ``None`` for "every segment".
-    ``dense`` marks a support whose bounded candidate set was demoted to
-    unbounded by the :data:`DENSE_CUTOFF` density rule.
-    """
-
-    candidates: Optional[Tuple[int, ...]]
-    dense: bool = False
-
-    def covers(self, segment_id: int) -> bool:
-        return self.candidates is None or segment_id in self.candidates
-
-
 def _union(
     left: Optional[Set[int]], right: Optional[Set[int]]
 ) -> Optional[Set[int]]:
@@ -113,13 +83,14 @@ class SupportAnalyzer:
         binding: Binding,
         pool: Sequence[str] = (),
         charge: bool = True,
-    ) -> AtomSupport:
-        """Candidate set for one (atom, binding).
+    ) -> Optional[Set[int]]:
+        """Candidate set for one (atom, binding), unordered (None = all).
 
-        ``pool`` is the object universe quantified (``∃``) variables
-        range over; a quantified variable's postings are the union over
-        it.  The fresh-object sentinel carries no meta-data and is
-        dropped.
+        The exact over-approximation and nothing else: whether a large
+        set is worth walking is the caller's policy.  ``pool`` is the
+        object universe quantified (``∃``) variables range over; a
+        quantified variable's postings are the union over it.  The
+        fresh-object sentinel carries no meta-data and is dropped.
 
         ``charge=False`` skips the budget step charge: planner probes
         estimate evaluation cost without performing evaluation work, so
@@ -133,22 +104,7 @@ class SupportAnalyzer:
             for object_id in pool
             if isinstance(object_id, str) and object_id != FRESH_OBJECT_ID
         )
-        support = self._formula(atom, binding, frozenset(), pool_ids)
-        candidates = None if support is None else tuple(sorted(support))
-        dense = False
-        if (
-            candidates is not None
-            and self._index.n_segments
-            and len(candidates) >= DENSE_CUTOFF * self._index.n_segments
-        ):
-            # Density cutoff: materialising near-universal postings in the
-            # sweep's per-segment job lists costs more than the baseline
-            # runs they would save.  Demote to an unbounded support — the
-            # sweep walks the sequence directly and the planner prices the
-            # atom as a sweep.
-            candidates = None
-            dense = True
-        return AtomSupport(candidates, dense)
+        return self._formula(atom, binding, frozenset(), pool_ids)
 
     def _pool_postings(self, pool: Tuple[str, ...]) -> Set[int]:
         """Union of the pool ids' presence posting lists (do not mutate)."""

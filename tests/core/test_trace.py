@@ -52,6 +52,9 @@ def tiny_database(n_videos=4, n_segments=10, seed=7):
             if rng.random() < 0.4:
                 objects.append(make_object(f"p{index}", "person"))
             segments.append(SegmentMetadata(objects=objects))
+        # An object-free tail keeps every support under the density
+        # cutoff, so QUERY's atoms stay on the index-driven path.
+        segments.extend(SegmentMetadata() for __ in range(n_segments))
         database.add(flat_video(f"v{position}", segments))
     return database
 

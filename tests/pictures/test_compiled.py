@@ -6,7 +6,7 @@ call, and no state.  The property here checks that against ``score`` on
 every scorer branch; the table-level tests check that the four call
 sites in ``retrieval.py`` still build the tables the naive scan, the
 naive engine and the §2.5 reference semantics build, compiling once per
-sweep and leaving nothing behind.
+indexed table build and leaving nothing behind.
 """
 
 import dataclasses
@@ -421,21 +421,42 @@ def test_same_work_as_the_interpreting_scorer(name, tmp_path):
 @given(picture_atoms(), st.lists(segments(), max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_every_visited_pair_is_scored_or_a_memo_hit(formula, drawn):
-    """One memo, one path: a visited (binding, segment) pair is a kernel
-    call or a content-profile hit, and a bounded binding visits exactly
-    its candidates.  The empty tail keeps supports under the density
-    cutoff, so they stay bounded wherever the analysis can bound them."""
-    sequence = drawn + [SegmentMetadata() for __ in range(len(drawn) + 1)]
-    system = PictureRetrievalSystem(sequence)
+    """One memo, one sweep shape: a visited (binding, segment) pair is a
+    kernel call or a content-profile hit, and a swept binding visits
+    exactly its candidates.  Routed bindings visit nothing."""
+    system = PictureRetrievalSystem(drawn)
     try:
         system.similarity_table(formula, use_index=True)
     except HTLTypeError:
         assume(False)
     stats = system.stats
-    assert stats.dense_bindings == 0
     assert stats.segments_scored + stats.fingerprint_hits == (
-        stats.candidate_segments + stats.unbounded_bindings * len(sequence)
+        stats.candidate_segments
     )
+
+
+def test_a_routed_binding_charges_what_the_naive_scan_charges():
+    """Per routed binding, one step for the analysis plus one per
+    segment: exactly the naive scan's one step per binding plus one per
+    segment, across the 256-segment charge blocks."""
+    segments = [
+        SegmentMetadata(
+            objects=[make_object("o1", "person"), make_object("o2", "car")]
+        )
+        if position % 3
+        else SegmentMetadata()
+        for position in range(600)
+    ]
+    system = PictureRetrievalSystem(segments)
+    atom = parse("present(x)")
+    steps = {}
+    for use_index in (True, False):
+        budget = resilience.QueryBudget(max_steps=10**9)
+        with resilience.scope(budget):
+            system.similarity_table(atom, use_index=use_index)
+        steps[use_index] = budget.steps
+    assert system.stats.dense_bindings == 2
+    assert steps[True] == steps[False] == 2 * (1 + len(segments))
 
 
 class TestNothingIsKeptPerFormula:

@@ -8,8 +8,6 @@ These tests check that claim property-style, plus the soundness of the
 analysis itself (nothing outside the candidate set is ever visited).
 """
 
-import dataclasses
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +23,6 @@ from repro.model.metadata import (
 )
 from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.pictures.scoring import FRESH_OBJECT_ID
-from repro.pictures.support import AtomSupport
 from tests.integration.strategies import (
     HEIGHTS,
     KINDS,
@@ -277,10 +274,10 @@ class TestSupportSoundness:
         object_vars = table.object_vars
         for objects, segment_id in system.trace_scored:
             binding = dict(zip(object_vars, objects))
-            support = system.atom_support(atom, binding)
-            assert support.covers(segment_id), (
+            candidates = system.atom_support(atom, binding)
+            assert segment_id in candidates, (
                 f"scored segment {segment_id} outside candidates "
-                f"{support.candidates} for binding {binding}"
+                f"{candidates} for binding {binding}"
             )
 
     def test_sparse_workload_scores_few_segments(self):
@@ -297,10 +294,11 @@ class TestSupportSoundness:
         assert system.stats.candidate_segments == 3
 
     def test_profile_memo_collapses_identical_segments(self):
+        # o1 in 100 of 250 segments: under the density cutoff, so swept.
         segments = [
             SegmentMetadata(objects=[make_object("o1", "person")])
             for __ in range(100)
-        ]
+        ] + [SegmentMetadata() for __ in range(150)]
         system = PictureRetrievalSystem(segments)
         atom = parse("present(x)")
         system.similarity_table(atom, use_index=True)
@@ -325,9 +323,3 @@ class TestSupportSoundness:
         assert system.stats.fingerprint_hits == 0
         (row,) = table.rows
         assert row.sim.actual_at(3) == row.sim.actual_at(8) > 0
-
-    def test_atom_support_is_candidates_and_dense(self):
-        assert [f.name for f in dataclasses.fields(AtomSupport)] == [
-            "candidates",
-            "dense",
-        ]

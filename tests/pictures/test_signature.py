@@ -4,8 +4,9 @@ The ``looks_like`` predicate (DESIGN.md §16) claims to be just another
 closed non-temporal atom: the indexed sweep, the naive oracle, the
 planned engine and the structural engine must all agree exactly under
 ¬/∨/∃/freeze composition, the L1 bound must be admissible (pruning never
-changes a thresholded score), and the dense-regime cutoff must demote
-near-universal candidate sets without changing any ranking.  These tests
+changes a thresholded score), and the dense-regime cutoff must route
+near-universal candidate sets to the naive scan without changing any
+ranking.  These tests
 check those claims property-style, mirroring ``test_index_driven.py``.
 """
 
@@ -36,7 +37,9 @@ from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import segment_from_dict, segment_to_dict
-from repro.pictures.retrieval import PictureRetrievalSystem
+from repro.pictures import retrieval
+from repro.pictures.retrieval import DENSE_CUTOFF, PictureRetrievalSystem
+from repro.pictures.scoring import compile_atom
 from repro.pictures.signature import (
     ClipScorer,
     average_histograms,
@@ -53,7 +56,7 @@ from repro.pictures.signature import (
     window_bound,
     window_similarity,
 )
-from repro.pictures.support import DENSE_CUTOFF
+from repro.pictures.support import SupportAnalyzer
 from repro.shard import ShardedCorpus
 from tests.integration.strategies import KINDS, TYPES, segment_metadata
 from tests.pictures.test_index_driven import assert_tables_equal
@@ -638,8 +641,7 @@ class TestIndexedEqualsNaive:
         object_vars = table.object_vars
         for objects, segment_id in system.trace_scored:
             binding = dict(zip(object_vars, objects))
-            support = system.atom_support(atom, binding)
-            assert support.covers(segment_id)
+            assert segment_id in system.atom_support(atom, binding)
 
 
 # ---------------------------------------------------------------------------
@@ -654,36 +656,35 @@ class TestDenseCutoff:
             )
         return segments
 
+    def test_analysis_returns_the_exact_candidates(self):
+        # No policy in the analysis: 15 signed of 20 is over the cutoff,
+        # and the analysis still reports exactly those 15.
+        system = PictureRetrievalSystem(self.corpus(15, 20))
+        atom = looks_like_atom([PALETTE[0]], 0.5)
+        support = SupportAnalyzer(system.index).atom_support(atom, {})
+        assert support == set(range(1, 16))
+
     def test_sparse_signature_support_stays_bounded(self):
         # 3 signed of 20: below the cutoff, candidates are explicit.
         system = PictureRetrievalSystem(self.corpus(3, 20))
         atom = looks_like_atom([PALETTE[0]], 0.5)
-        support = system.atom_support(atom, {}, charge=False)
-        assert support.candidates == (1, 2, 3)
-        assert not support.dense
-
-    def test_dense_signature_support_demoted_to_sweep(self):
-        # 15 signed of 20: at/over the cutoff, the posting list is
-        # demoted — no candidate materialisation, plan retained.
-        system = PictureRetrievalSystem(self.corpus(15, 20))
-        atom = looks_like_atom([PALETTE[0]], 0.5)
-        support = system.atom_support(atom, {}, charge=False)
-        assert support.candidates is None
-        assert support.dense
-        assert support.covers(20)  # a sweep covers everything
+        assert system.atom_support(atom, {}, charge=False) == (1, 2, 3)
 
     def test_cutoff_boundary(self):
         atom = looks_like_atom([PALETTE[0]], 0.5)
         just_under = PictureRetrievalSystem(self.corpus(9, 20))
-        assert not just_under.atom_support(atom, {}, charge=False).dense
+        assert just_under.atom_support(atom, {}, charge=False) == tuple(
+            range(1, 10)
+        )
         at_cutoff = PictureRetrievalSystem(
             self.corpus(int(DENSE_CUTOFF * 20), 20)
         )
-        assert at_cutoff.atom_support(atom, {}, charge=False).dense
+        assert at_cutoff.atom_support(atom, {}, charge=False) is None
 
-    def test_dense_metadata_atom_demoted_too(self):
-        # The bugfix is not signature-specific: a near-universal object
-        # posting takes the same direct-sweep path.
+    def test_routed_rows_are_the_naive_scans(self):
+        # The rule is not signature-specific: a near-universal object
+        # posting is routed too, and its rows are the naive scan's, bit
+        # for bit.
         segments = [
             SegmentMetadata(objects=[make_object("o1", "person")])
             if position % 10 < 6
@@ -691,17 +692,56 @@ class TestDenseCutoff:
             for position in range(40)
         ]
         system = PictureRetrievalSystem(segments)
+        system.trace_scored = []
         atom = parse("exists x . present(x)")
-        indexed = system.similarity_list(atom, use_index=True)
-        assert system.stats.dense_bindings > 0
-        assert indexed == system.similarity_list(atom, use_index=False)
+        indexed = system.similarity_table(atom, use_index=True)
+        naive = system.similarity_table(atom, use_index=False)
+        assert indexed.rows == naive.rows
+        for mine, theirs in zip(indexed.rows, naive.rows):
+            assert repr(mine.sim.actuals) == repr(theirs.sim.actuals)
+        assert system.stats.dense_bindings == 1
+        assert system.stats.unbounded_bindings == 1
+        assert system.trace_scored == []
 
-    def test_dense_rankings_still_exact(self):
+    def test_routed_bindings_record_no_visits(self):
         system = PictureRetrievalSystem(self.corpus(18, 20))
+        system.trace_scored = []
         atom = looks_like_atom([PALETTE[0], PALETTE[3]], 0.6)
         indexed = system.similarity_list(atom, use_index=True)
-        assert system.stats.dense_bindings > 0
         assert indexed == system.similarity_list(atom, use_index=False)
+        assert system.stats.dense_bindings == 1
+        assert system.stats.segments_scored == 0
+        assert system.stats.fingerprint_hits == 0
+        assert system.trace_scored == []
+
+    def test_one_compilation_when_routed_and_swept_mix(self, monkeypatch):
+        # o1 is in 30 of 40 segments (routed), o2 in 2 (swept): one
+        # table build, one kernel, both kinds of binding.
+        segments = [
+            SegmentMetadata(
+                objects=[make_object("o1", "person")]
+                + ([make_object("o2", "person")] if position < 2 else [])
+            )
+            if position < 30
+            else SegmentMetadata()
+            for position in range(40)
+        ]
+        system = PictureRetrievalSystem(segments)
+        compiled = []
+        monkeypatch.setattr(
+            retrieval,
+            "compile_atom",
+            lambda atom, narrow: compiled.append(narrow)
+            or compile_atom(atom, narrow),
+        )
+        atom = parse("present(x)")
+        indexed = system.similarity_table(atom, use_index=True)
+        assert compiled == [True]
+        assert system.stats.dense_bindings == 1
+        assert system.stats.candidate_segments == 2
+        assert indexed.rows == system.similarity_table(
+            atom, use_index=False
+        ).rows
 
     def test_sparse_workload_unaffected_by_cutoff(self):
         # The sparse regime (the §7 speedup) must keep its tight bound:

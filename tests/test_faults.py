@@ -66,6 +66,10 @@ def chaos_database(n_videos=4, n_segments=12, seed=5):
             if rng.random() < 0.35:
                 objects.append(make_object(f"p{index}", "person"))
             segments.append(SegmentMetadata(objects=objects))
+        # An object-free tail keeps every support under the density
+        # cutoff, so the planner keeps the index-driven path the faults
+        # target instead of routing the atoms to the naive scan.
+        segments.extend(SegmentMetadata() for __ in range(n_segments))
         database.add(flat_video(f"v{position}", segments))
     return database
 
@@ -465,10 +469,11 @@ class TestRecoveryPaths:
         ``atom-score`` site is still visited once per scored segment —
         and still fires there."""
         signatures = [(3.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)]
+        # 9 signed of 19 segments: under the density cutoff, so swept.
         segments = [
             SegmentMetadata(signature=signatures[index % 3])
             for index in range(9)
-        ]
+        ] + [SegmentMetadata() for __ in range(10)]
         atom = looks_like_atom([signatures[0]], 0.9)
 
         def visits_of(system):
