@@ -10,10 +10,9 @@ DESIGN.md §8).  Two questions:
    on the sparse 5k-segment configuration in full mode.
 
 2. How expensive is degraded operation?  With faults injected at the
-   index-lookup site, every atom falls back to the naive oracle scorer
-   (after the atom-index breaker opens).  The recovered ranking must be
-   exactly the fault-free one; the benchmark reports the latency ratio of
-   the degraded path.
+   index-lookup site, every failing indexed atom table is rebuilt by the
+   naive scan.  The recovered ranking must be exactly the fault-free one;
+   the benchmark reports the latency ratio of the degraded path.
 
 Emits ``BENCH_chaos.json`` in the current working directory.  Set
 ``BENCH_QUICK=1`` for a seconds-scale run (CI) with a relaxed overhead

@@ -23,7 +23,6 @@ from repro.core import (
     EngineConfig,
     EvaluationCache,
     QueryBudget,
-    ResiliencePolicy,
     RetrievalEngine,
     SimilarityList,
     SimilarityValue,
@@ -52,6 +51,5 @@ __all__ = [
     "top_k_across_videos",
     "TopKResult",
     "QueryBudget",
-    "ResiliencePolicy",
     "__version__",
 ]

@@ -31,8 +31,6 @@ from repro.core.resilience import (
     CircuitBreaker,
     QueryBudget,
     ResilienceContext,
-    ResiliencePolicy,
-    evaluate_with_fallback,
 )
 from repro.core.tables import INNER, OUTER, SimilarityTable, TableRow
 from repro.core.topk import (
@@ -84,7 +82,5 @@ __all__ = [
     "ranked_entries",
     "QueryBudget",
     "CircuitBreaker",
-    "ResiliencePolicy",
     "ResilienceContext",
-    "evaluate_with_fallback",
 ]

@@ -1,4 +1,4 @@
-"""Fault-tolerant query execution: budgets, breakers, degraded fallbacks.
+"""Fault-tolerant query execution: budgets, breakers, fault sites.
 
 The ROADMAP's north star is a production-scale retrieval service, and a
 service cannot afford what the bare engine does today on bad input or bad
@@ -11,27 +11,22 @@ engine threads through (DESIGN.md §8):
   merges, top-k streaming) via :func:`current_budget`.  Overruns raise
   the typed :class:`~repro.errors.BudgetExceededError`.
 * :class:`CircuitBreaker` — a deterministic closed/open/half-open
-  breaker that takes a repeatedly failing degraded path out of rotation
-  and probes it again after a cooldown.
-* :class:`ResiliencePolicy` / :class:`ResilienceContext` — how a caller
-  opts into lenient (best-effort, partial-result) execution and the
-  degraded fallback chain; the context travels in a thread-local so the
-  picture substrate and the top-k worker threads see the same budget,
-  policy and breakers without signature plumbing.
-* :func:`evaluate_with_fallback` — the degraded chain for one video:
-  primary engine → naive-atom engine (the index-free oracle
-  configuration) → SQL baseline (type (1) formulas over registered
-  atomic lists only).  Every hop is recorded through the always-on event
-  counters of :mod:`repro.core.trace`.
+  breaker that takes a repeatedly failing component (a serving worker,
+  a shard load) out of rotation and probes it again after a cooldown.
+* :class:`ResilienceContext` — one query's budget and whether it is
+  lenient (best-effort, partial-result).  It travels in a thread-local
+  so the picture substrate and the top-k worker threads see the same
+  budget without signature plumbing.  An active context also arms the
+  one degraded path: a failing index-driven atom table is rebuilt by the
+  naive scan (:meth:`repro.pictures.retrieval.PictureRetrievalSystem.
+  similarity_table`), counted as ``atom-fallback``.
 * Fault sites — named hook points (:data:`FAULT_SITES`) where the
   deterministic injector of :mod:`repro.testing.faults` can raise,
   delay, or corrupt values.  With no hook installed each site costs one
   global ``None`` check.
 
 Lives under :mod:`repro.core` next to :mod:`repro.core.trace` so
-the picture layer and the list algebra can import it without cycles; the
-engine/SQL imports inside :func:`evaluate_with_fallback` are deferred
-for the same reason.
+the picture layer and the list algebra can import it without cycles.
 """
 
 from __future__ import annotations
@@ -39,18 +34,10 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core import trace
 from repro.errors import BudgetExceededError, CircuitOpenError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.engine import RetrievalEngine
-    from repro.core.simlist import SimilarityList
-    from repro.htl import ast
-    from repro.model.database import VideoDatabase
-    from repro.model.hierarchy import Video
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +297,7 @@ class CircuitBreaker:
     breaker, failure re-opens it for another cooldown.  Counted in probe
     calls rather than wall-clock so chaos tests replay identically.
 
-    Thread-safe; breakers are shared across the top-k worker pool.
+    Thread-safe; a breaker may be probed from several threads.
     """
 
     __slots__ = (
@@ -401,72 +388,29 @@ class CircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# policy and context
+# context
 # ---------------------------------------------------------------------------
-STRICT = "strict"
-LENIENT = "lenient"
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """How much degradation a query tolerates.
-
-    ``mode`` — :data:`STRICT` propagates the first per-video failure out
-    of ``top_k_across_videos``; :data:`LENIENT` records it in the result's
-    per-video outcomes and keeps ranking the rest (``partial=True``).
-    ``atom_fallback`` — a failing index-driven atom table is rebuilt with
-    the naive oracle scorer for that call.  ``engine_fallback`` — a
-    failing whole-video evaluation is retried on the naive-atom engine
-    and, for type (1) formulas over registered atomic lists, on the SQL
-    baseline.  The breaker knobs govern every breaker the context mints.
-    """
-
-    mode: str = STRICT
-    atom_fallback: bool = True
-    engine_fallback: bool = True
-    breaker_threshold: int = 3
-    breaker_cooldown: int = 8
-
-    def __post_init__(self) -> None:
-        if self.mode not in (STRICT, LENIENT):
-            raise ValueError(f"unknown resilience mode {self.mode!r}")
-
-    @property
-    def lenient(self) -> bool:
-        return self.mode == LENIENT
-
-
 class ResilienceContext:
-    """One query's budget, policy, and breaker registry.
+    """One query's budget and failure mode.
+
+    ``lenient`` — a per-video failure is recorded in the result's
+    outcomes and the rest still ranks (``partial=True``) instead of
+    propagating out of ``top_k_across_videos``.  Any active context also
+    arms the one degraded path: a failing index-driven atom table is
+    rebuilt by the naive scan (DESIGN.md §8).
 
     Installed in a thread-local by :func:`activate`; worker threads
     re-install the submitting thread's context so the whole fan-out sees
-    one budget and one set of breakers.
+    one budget.
     """
 
-    __slots__ = ("policy", "budget", "_breakers", "_lock")
+    __slots__ = ("budget", "lenient")
 
     def __init__(
-        self,
-        policy: Optional[ResiliencePolicy] = None,
-        budget: Optional[QueryBudget] = None,
+        self, budget: Optional[QueryBudget] = None, lenient: bool = False
     ):
-        self.policy = policy or ResiliencePolicy()
         self.budget = budget
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._lock = threading.Lock()
-
-    def breaker(self, name: str) -> CircuitBreaker:
-        """The named breaker, minted on first use with the policy's knobs."""
-        with self._lock:
-            breaker = self._breakers.get(name)
-            if breaker is None:
-                breaker = self._breakers[name] = CircuitBreaker(
-                    name,
-                    failure_threshold=self.policy.breaker_threshold,
-                    cooldown=self.policy.breaker_cooldown,
-                )
-            return breaker
+        self.lenient = lenient
 
 
 _tls = threading.local()
@@ -496,152 +440,9 @@ def activate(context: Optional[ResilienceContext]) -> Iterator[None]:
 
 @contextmanager
 def scope(
-    budget: Optional[QueryBudget] = None,
-    policy: Optional[ResiliencePolicy] = None,
+    budget: Optional[QueryBudget] = None, lenient: bool = False
 ) -> Iterator[ResilienceContext]:
     """Convenience: build a context and activate it in one step."""
-    context = ResilienceContext(policy=policy, budget=budget)
+    context = ResilienceContext(budget, lenient)
     with activate(context):
         yield context
-
-
-# ---------------------------------------------------------------------------
-# the degraded fallback chain
-# ---------------------------------------------------------------------------
-def _is_type1_over_atomics(formula: "ast.Formula") -> bool:
-    """True when every leaf is an AtomicRef (the SQL baseline's class)."""
-    from repro.htl import ast as _ast
-    from repro.htl.classify import FormulaClass, paper_class
-
-    try:
-        if paper_class(formula) is not FormulaClass.TYPE1:
-            return False
-    except Exception:
-        return False
-    return all(
-        not isinstance(node, (_ast.Present, _ast.Compare, _ast.Rel))
-        for node in formula.walk()
-    )
-
-
-def _sql_baseline(
-    engine: "RetrievalEngine",
-    formula: "ast.Formula",
-    video: "Video",
-    level: int,
-    database: "VideoDatabase",
-) -> "SimilarityList":
-    """Last hop of the chain: re-evaluate on the SQL baseline system.
-
-    Only defined for type (1) formulas whose atomic lists are registered
-    for this video and level, under the paper's default inner-join
-    configuration (the SQL translation implements exactly that mode);
-    anything else raises so the caller surfaces the original failure.
-    """
-    from repro.core.tables import INNER
-    from repro.errors import UnsupportedFormulaError
-    from repro.htl import ast as _ast
-    from repro.sqlbaseline.system import SQLRetrievalSystem
-
-    if engine.config.join_mode != INNER:
-        raise UnsupportedFormulaError(
-            "the SQL baseline implements the paper's inner-join mode only"
-        )
-    if not _is_type1_over_atomics(formula):
-        raise UnsupportedFormulaError(
-            "the SQL baseline evaluates type (1) formulas over registered "
-            "atomic lists only"
-        )
-    names = {
-        node.name for node in formula.walk() if isinstance(node, _ast.AtomicRef)
-    }
-    lists = {}
-    for name in sorted(names):
-        sim = database.atomic_list(name, video.name, level)
-        if sim is None:
-            raise UnsupportedFormulaError(
-                f"atomic predicate {name!r} has no similarity list "
-                f"registered for video {video.name!r} at level {level}"
-            )
-        lists[name] = sim
-    system = SQLRetrievalSystem(threshold=engine.config.until_threshold)
-    system.load_segments(len(video.nodes_at_level(level)))
-    for name, sim in lists.items():
-        system.load_atomic(name, sim)
-    return system.evaluate(formula)
-
-
-def evaluate_with_fallback(
-    engine: "RetrievalEngine",
-    formula: "ast.Formula",
-    video: "Video",
-    level: int,
-    database: Optional["VideoDatabase"],
-    context: Optional[ResilienceContext] = None,
-) -> "SimilarityList":
-    """Evaluate one video through the degraded fallback chain.
-
-    Chain: the configured engine (index-driven atoms, with the per-atom
-    fallback of the picture layer underneath) → a naive-atom engine (the
-    oracle configuration, no cache) → the SQL baseline (type (1) over
-    registered atomics only).  :class:`~repro.errors.BudgetExceededError`
-    is never absorbed — a blown deadline must abort, not degrade.  When
-    every hop fails, the *primary* error propagates; hops are guarded by
-    the context's ``engine`` and ``engine-sql`` breakers so a wedged
-    fallback path stops being probed.  Every engaged hop bumps the
-    matching :mod:`repro.core.trace` counter.
-    """
-    from repro.core.engine import RetrievalEngine as _Engine
-
-    if context is None:
-        context = current()
-    try:
-        return engine.evaluate_video(
-            formula, video, level=level, database=database
-        )
-    except BudgetExceededError:
-        raise
-    except Exception as primary:
-        if context is None or not context.policy.engine_fallback:
-            raise
-        breaker = context.breaker("engine")
-        if breaker.allow():
-            try:
-                naive = _Engine(replace(engine.config, naive_atoms=True))
-                result = naive.evaluate_video(
-                    formula, video, level=level, database=database
-                )
-                breaker.record_success()
-                trace.METRICS.count(trace.ENGINE_FALLBACK)
-                trace.event(
-                    trace.ENGINE_FALLBACK,
-                    f"primary engine failed with {type(primary).__name__}; "
-                    "naive-atom engine answered",
-                )
-                return result
-            except BudgetExceededError:
-                raise
-            except Exception:
-                breaker.record_failure()
-        else:
-            trace.METRICS.count("breaker-engine-refused")
-            trace.event(
-                "breaker-engine-refused",
-                "engine breaker open; skipping the naive-atom hop",
-            )
-        sql_breaker = context.breaker("engine-sql")
-        if database is not None and sql_breaker.allow():
-            try:
-                result = _sql_baseline(engine, formula, video, level, database)
-                sql_breaker.record_success()
-                trace.METRICS.count(trace.SQL_FALLBACK)
-                trace.event(
-                    trace.SQL_FALLBACK,
-                    "naive-atom hop unavailable; SQL baseline answered",
-                )
-                return result
-            except BudgetExceededError:
-                raise
-            except Exception:
-                sql_breaker.record_failure()
-        raise primary

@@ -24,7 +24,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -436,7 +436,6 @@ def top_k_across_videos(
     parallelism: Optional[int] = None,
     prune: bool = True,
     budget: Optional[resilience.QueryBudget] = None,
-    policy: Optional[resilience.ResiliencePolicy] = None,
     lenient: bool = False,
     profile: bool = False,
     exchange: Optional[BoundExchange] = None,
@@ -453,14 +452,15 @@ def top_k_across_videos(
     the serial unpruned scan (see the module docstring for why).
 
     Resilience (DESIGN.md §8): ``budget`` bounds the whole fan-out by
-    wall-clock and cooperative steps; ``policy`` configures the degraded
-    fallback chain; ``lenient=True`` (or a lenient policy) turns per-video
+    wall-clock and cooperative steps; ``lenient=True`` turns per-video
     failures into recorded :class:`VideoOutcome` entries instead of
     raising, returning a ``partial=True`` :class:`TopKResult` that still
     ranks every video that did evaluate.  In strict mode (the default) the
     first failure propagates after pending sibling evaluations are
-    cancelled.  With none of the three knobs set and no ambient
-    :func:`repro.core.resilience.scope` active, the call runs exactly the
+    cancelled.  Either knob, or an ambient
+    :func:`repro.core.resilience.scope`, also arms the one degraded path:
+    a failing index-driven atom table is rebuilt by the naive scan.  With
+    neither knob set and no ambient scope, the call runs exactly the
     pre-resilience fast path.
 
     Observability (DESIGN.md §10): ``profile=True`` — or an ambient
@@ -468,7 +468,7 @@ def top_k_across_videos(
     (query → video → subformula → atom-sweep/list-op/top-k spans) and
     attaches its root to ``TopKResult.profile``.  Per-video spans carry
     the :class:`VideoOutcome` status, budget-step consumption and cache
-    hit/miss deltas; fallbacks and breaker trips appear as span events.
+    hit/miss deltas; atom fallbacks appear as span events.
     With metrics enabled (``trace.METRICS.enable()``), query and per-video
     latencies additionally feed the ``query-seconds`` /
     ``video-seconds`` histograms.
@@ -496,7 +496,7 @@ def top_k_across_videos(
         getattr(engine, "planner", None),
         lambda: _rank_database(
             engine, formula, database, k, level, parallelism, prune,
-            budget, policy, lenient, exchange,
+            budget, lenient, exchange,
         ),
         k=k,
         level=level,
@@ -694,7 +694,6 @@ def _rank_database(
     parallelism: Optional[int],
     prune: bool,
     budget: Optional[resilience.QueryBudget],
-    policy: Optional[resilience.ResiliencePolicy],
     lenient: bool,
     exchange: Optional[BoundExchange],
 ) -> TopKResult:
@@ -705,46 +704,24 @@ def _rank_database(
     spans, so per-video spans nest query → shard → video.
     """
     ambient = resilience.current()
-    resilient = (
-        budget is not None
-        or policy is not None
-        or lenient
-        or ambient is not None
-    )
-    context: Optional[resilience.ResilienceContext] = None
-    if resilient:
-        if policy is None:
-            policy = (
-                ambient.policy
-                if ambient is not None
-                else resilience.ResiliencePolicy()
-            )
-        if lenient and not policy.lenient:
-            policy = replace(policy, mode=resilience.LENIENT)
-        if budget is None and ambient is not None:
+    if ambient is not None:
+        if budget is None:
             budget = ambient.budget
-        if (
-            ambient is not None
-            and ambient.policy is policy
-            and ambient.budget is budget
-        ):
-            context = ambient  # reuse the ambient breakers
-        else:
-            context = resilience.ResilienceContext(policy, budget)
+        lenient = lenient or ambient.lenient
+    context = (
+        resilience.ResilienceContext(budget, lenient)
+        if ambient is not None or budget is not None or lenient
+        else None
+    )
     active_budget = context.budget if context is not None else None
 
     def evaluate(video: Video) -> SimilarityList:
         started = time.perf_counter() if trace.METRICS.is_enabled() else None
         try:
             resilience.fault(resilience.SITE_TOPK_WORKER)
-            if context is not None and context.policy.engine_fallback:
-                sim = resilience.evaluate_with_fallback(
-                    engine, formula, video, level, database, context
-                )
-            else:
-                sim = engine.evaluate_video(
-                    formula, video, level=level, database=database
-                )
+            sim = engine.evaluate_video(
+                formula, video, level=level, database=database
+            )
             sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
             if context is not None:
                 # Trust boundary: a corrupted list must not enter the
@@ -787,8 +764,7 @@ def _rank_database(
         counter interleaves siblings, so read it as fan-out pressure, not
         isolated cost).  A raising step closes the span with its
         ``error`` attribute set.  Pool workers install the submitting
-        thread's context here so the whole fan-out shares one budget and
-        one set of breakers.
+        thread's context here so the whole fan-out shares one budget.
         """
         with resilience.activate(context):
             recorder = trace.current()
@@ -813,7 +789,7 @@ def _rank_database(
         visit,
         lambda video, error: _lost_outcome(video.name, error),
         parallelism,
-        strict=context is None or not context.policy.lenient,
+        strict=context is None or not context.lenient,
     )
     with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
         return TopKResult(

@@ -98,9 +98,6 @@ TOP_K = "top-k"
 #: (fallbacks, breaker trips, budget overruns), so the bookkeeping cost is
 #: paid only when something already went wrong.
 ATOM_FALLBACK = "atom-fallback"
-ATOM_BREAKER_OPEN = "atom-breaker-open"
-ENGINE_FALLBACK = "engine-fallback"
-SQL_FALLBACK = "sql-fallback"
 BUDGET_EXCEEDED = "budget-exceeded"
 BREAKER_OPENED = "breaker-opened"
 BREAKER_RECOVERED = "breaker-recovered"

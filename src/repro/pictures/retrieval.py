@@ -287,51 +287,31 @@ class PictureRetrievalSystem:
         bindings = itertools.product(pool, repeat=len(object_vars))
 
         if indexed:
-            # Degraded fallback (DESIGN.md §8): under an active resilience
-            # context with atom_fallback, a failing index-driven build is
-            # redone with the naive oracle scorer for this call, and the
-            # "atom-index" breaker takes the indexed path out of rotation
-            # after repeated failures.  Budget overruns always propagate —
+            # The one degraded path (DESIGN.md §8): under an active
+            # resilience context, a failing index-driven build is redone
+            # by the naive scan below.  Budget overruns always propagate —
             # a blown deadline must abort, not degrade.
-            context = resilience.current()
-            if context is None or not context.policy.atom_fallback:
-                trace.annotate(path="indexed")
+            trace.annotate(path="indexed")
+            try:
                 rows = self._indexed_rows(
                     atom, bindings, object_vars, attr_vars, pool, maximum
                 )
-                return SimilarityTable(object_vars, attr_vars, rows, maximum)
-            breaker = context.breaker("atom-index")
-            if breaker.allow():
-                try:
-                    rows = self._indexed_rows(
-                        atom, bindings, object_vars, attr_vars, pool, maximum
-                    )
-                    table = SimilarityTable(
-                        object_vars, attr_vars, rows, maximum
-                    )
-                    breaker.record_success()
-                    trace.annotate(path="indexed")
-                    return table
-                except BudgetExceededError:
+            except BudgetExceededError:
+                raise
+            except Exception as exc:
+                if resilience.current() is None:
                     raise
-                except Exception as exc:
-                    breaker.record_failure()
-                    trace.METRICS.count(trace.ATOM_FALLBACK)
-                    trace.event(
-                        trace.ATOM_FALLBACK,
-                        f"indexed sweep failed with {type(exc).__name__}; "
-                        "redoing with the naive oracle scorer",
-                    )
-                    trace.annotate(path="naive-fallback")
-            else:
-                trace.METRICS.count(trace.ATOM_BREAKER_OPEN)
+                trace.METRICS.count(trace.ATOM_FALLBACK)
                 trace.event(
-                    trace.ATOM_BREAKER_OPEN,
-                    "atom-index breaker refused the indexed path",
+                    trace.ATOM_FALLBACK,
+                    f"indexed sweep failed with {type(exc).__name__}; "
+                    "redoing with the naive oracle scorer",
                 )
                 trace.annotate(path="naive-fallback")
-            # The bindings iterator may be partially consumed; rebuild it.
-            bindings = itertools.product(pool, repeat=len(object_vars))
+                # The failed sweep may have consumed part of the bindings.
+                bindings = itertools.product(pool, repeat=len(object_vars))
+            else:
+                return SimilarityTable(object_vars, attr_vars, rows, maximum)
         else:
             trace.annotate(path="naive")
 

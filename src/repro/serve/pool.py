@@ -49,20 +49,10 @@ class PooledWorker:
 
     __slots__ = ("name", "engine", "breaker", "served", "_lock")
 
-    def __init__(
-        self,
-        name: str,
-        engine: RetrievalEngine,
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 8,
-    ):
+    def __init__(self, name: str, engine: RetrievalEngine):
         self.name = name
         self.engine = engine
-        self.breaker = CircuitBreaker(
-            name,
-            failure_threshold=breaker_threshold,
-            cooldown=breaker_cooldown,
-        )
+        self.breaker = CircuitBreaker(name)
         self.served = 0
         self._lock = threading.Lock()
 
@@ -97,8 +87,6 @@ class EnginePool:
         database: Optional[VideoDatabase] = None,
         corpus=None,
         config: Optional[EngineConfig] = None,
-        breaker_threshold: int = 3,
-        breaker_cooldown: int = 8,
     ):
         if n_workers < 1:
             raise ServeError(f"a pool needs >= 1 worker, got {n_workers}")
@@ -110,12 +98,7 @@ class EnginePool:
         self._corpus = corpus
         self.config = config or EngineConfig()
         self.workers: Tuple[PooledWorker, ...] = tuple(
-            PooledWorker(
-                f"worker-{position}",
-                RetrievalEngine(self.config),
-                breaker_threshold=breaker_threshold,
-                breaker_cooldown=breaker_cooldown,
-            )
+            PooledWorker(f"worker-{position}", RetrievalEngine(self.config))
             for position in range(n_workers)
         )
 

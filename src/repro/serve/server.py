@@ -20,8 +20,8 @@ runs its own thread against its own engine, pulls the
 highest-priority queued ticket, re-derives the request's
 :class:`~repro.core.resilience.QueryBudget` from its SLA deadline minus
 time already queued, and executes under the existing resilience layer
-(lenient partial results, degraded fallback chain, budget charging in
-the hot loops).  A worker whose circuit breaker is open bounces work
+(lenient partial results, the naive-scan atom fallback, budget charging
+in the hot loops).  A worker whose circuit breaker is open bounces work
 back to the *front* of its class queue for a sibling; a request whose
 attempts are exhausted degrades to the pool's typed partial result
 rather than an opaque error.

@@ -358,7 +358,6 @@ class ShardedCorpus:
         prune: bool = True,
         bound_exchange: bool = True,
         budget: Optional[resilience.QueryBudget] = None,
-        policy: Optional[resilience.ResiliencePolicy] = None,
         lenient: bool = False,
         profile: bool = False,
     ) -> TopKResult:
@@ -381,7 +380,7 @@ class ShardedCorpus:
         """
         if k <= 0:
             return TopKResult([])
-        strict = not self._lenient(policy, lenient)
+        strict = not self._lenient(lenient)
         exchange = BoundExchange(k) if (prune and bound_exchange) else None
 
         def scatter() -> TopKResult:
@@ -411,7 +410,7 @@ class ShardedCorpus:
                         return lost_shard(shard, failure)
                     return _rank_database(
                         engine, formula, database, k, level, None, prune,
-                        budget_of[shard], policy, not strict, exchange,
+                        budget_of[shard], not strict, exchange,
                     )
 
             def lost_shard(shard: Shard, error: BaseException) -> TopKResult:
@@ -441,8 +440,6 @@ class ShardedCorpus:
             exchange=bound_exchange,
         )
 
-    def _lenient(self, policy, lenient) -> bool:
-        if lenient or (policy is not None and policy.lenient):
-            return True
+    def _lenient(self, lenient: bool) -> bool:
         ambient = resilience.current()
-        return ambient is not None and ambient.policy.lenient
+        return lenient or (ambient is not None and ambient.lenient)

@@ -1,11 +1,10 @@
-"""Unit tests for the resilience layer: budgets, breakers, fallbacks."""
+"""Unit tests for the resilience layer: budgets, breakers, contexts."""
 
 import threading
 
 import pytest
 
 from repro.core import resilience, trace
-from repro.core.engine import RetrievalEngine
 from repro.core.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -13,19 +12,9 @@ from repro.core.resilience import (
     CircuitBreaker,
     QueryBudget,
     ResilienceContext,
-    ResiliencePolicy,
-    evaluate_with_fallback,
 )
-from repro.core.simlist import SimilarityList
-from repro.errors import (
-    BudgetExceededError,
-    CircuitOpenError,
-    UnsupportedFormulaError,
-)
-from repro.htl import parse
-from repro.model.database import VideoDatabase
-from repro.model.hierarchy import flat_video
-from repro.model.metadata import SegmentMetadata, make_object
+from repro.errors import BudgetExceededError, CircuitOpenError
+from repro.model.metadata import SegmentMetadata
 from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.pictures.signature import looks_like_atom
 
@@ -196,23 +185,12 @@ class TestCircuitBreaker:
 
 
 class TestPolicyAndContext:
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(mode="yolo")
-
-    def test_lenient_property(self):
-        assert not ResiliencePolicy().lenient
-        assert ResiliencePolicy(mode=resilience.LENIENT).lenient
-
-    def test_breakers_are_minted_once_with_policy_knobs(self):
-        context = ResilienceContext(
-            ResiliencePolicy(breaker_threshold=7, breaker_cooldown=11)
-        )
-        breaker = context.breaker("engine")
-        assert breaker is context.breaker("engine")
-        assert breaker.failure_threshold == 7
-        assert breaker.cooldown == 11
-        assert context.breaker("other") is not breaker
+    def test_scope_defaults_to_strict(self):
+        with resilience.scope() as context:
+            assert context.budget is None
+            assert not context.lenient
+        with resilience.scope(lenient=True) as context:
+            assert context.lenient
 
     def test_scope_installs_and_restores(self):
         assert resilience.current() is None
@@ -242,186 +220,3 @@ class TestPolicyAndContext:
                 assert resilience.current() is inner
             assert resilience.current() is outer
 
-
-def _video_with_trains(name="v"):
-    return flat_video(
-        name,
-        [
-            SegmentMetadata(objects=[make_object("a", "train")]),
-            SegmentMetadata(),
-            SegmentMetadata(objects=[make_object("a", "train")]),
-        ],
-    )
-
-
-class _ExplodingEngine(RetrievalEngine):
-    """Primary path always fails; the naive fallback is a real engine."""
-
-    def evaluate_video(self, *args, **kwargs):
-        raise RuntimeError("primary engine down")
-
-
-class TestEvaluateWithFallback:
-    def test_primary_success_needs_no_context(self):
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        formula = parse("exists x . present(x)")
-        engine = RetrievalEngine()
-        direct = engine.evaluate_video(formula, video, database=database)
-        assert (
-            evaluate_with_fallback(engine, formula, video, 2, database)
-            == direct
-        )
-
-    def test_engine_failure_falls_back_to_naive(self):
-        trace.METRICS.reset()
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        formula = parse("exists x . present(x)")
-        oracle = RetrievalEngine().evaluate_video(
-            formula, video, database=database
-        )
-        context = ResilienceContext()
-        result = evaluate_with_fallback(
-            _ExplodingEngine(), formula, video, 2, database, context
-        )
-        assert result == oracle
-        assert trace.METRICS.counters()[trace.ENGINE_FALLBACK] == 1
-
-    def test_no_context_propagates_primary_error(self):
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        with pytest.raises(RuntimeError, match="primary engine down"):
-            evaluate_with_fallback(
-                _ExplodingEngine(),
-                parse("exists x . present(x)"),
-                video,
-                2,
-                database,
-                None,
-            )
-
-    def test_fallback_disabled_by_policy(self):
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        context = ResilienceContext(ResiliencePolicy(engine_fallback=False))
-        with pytest.raises(RuntimeError, match="primary engine down"):
-            evaluate_with_fallback(
-                _ExplodingEngine(),
-                parse("exists x . present(x)"),
-                video,
-                2,
-                database,
-                context,
-            )
-
-    def test_budget_error_never_degrades(self):
-        class DeadlineEngine(RetrievalEngine):
-            def evaluate_video(self, *args, **kwargs):
-                raise BudgetExceededError("deadline blown")
-
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        context = ResilienceContext()
-        with pytest.raises(BudgetExceededError):
-            evaluate_with_fallback(
-                DeadlineEngine(),
-                parse("exists x . present(x)"),
-                video,
-                2,
-                database,
-                context,
-            )
-
-    def test_sql_baseline_recovers_type1_queries(self, monkeypatch):
-        trace.METRICS.reset()
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        sim = SimilarityList.from_entries([((1, 2), 3.0)], 4.0)
-        database.register_atomic("P1", video.name, sim)
-        formula = parse("eventually atomic('P1')")
-        # Break *every* engine evaluation — primary and naive alike — so
-        # only the SQL hop can answer.
-        monkeypatch.setattr(
-            RetrievalEngine,
-            "evaluate_video",
-            lambda self, *a, **k: (_ for _ in ()).throw(
-                RuntimeError("engines down")
-            ),
-        )
-        context = ResilienceContext()
-        result = evaluate_with_fallback(
-            RetrievalEngine(), formula, video, 2, database, context
-        )
-        assert result.maximum == pytest.approx(4.0)
-        assert result.support_size() > 0
-        assert trace.METRICS.counters()[trace.SQL_FALLBACK] == 1
-
-    def test_type2_queries_cannot_use_sql_and_raise_primary(self, monkeypatch):
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        monkeypatch.setattr(
-            RetrievalEngine,
-            "evaluate_video",
-            lambda self, *a, **k: (_ for _ in ()).throw(
-                RuntimeError("engines down")
-            ),
-        )
-        context = ResilienceContext()
-        with pytest.raises(RuntimeError, match="engines down"):
-            evaluate_with_fallback(
-                RetrievalEngine(),
-                parse("exists x . present(x)"),
-                video,
-                2,
-                database,
-                context,
-            )
-
-    def test_breaker_opens_after_repeated_engine_failures(self, monkeypatch):
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        monkeypatch.setattr(
-            RetrievalEngine,
-            "evaluate_video",
-            lambda self, *a, **k: (_ for _ in ()).throw(
-                RuntimeError("engines down")
-            ),
-        )
-        context = ResilienceContext(ResiliencePolicy(breaker_threshold=2))
-        formula = parse("exists x . present(x)")
-        for __ in range(2):
-            with pytest.raises(RuntimeError):
-                evaluate_with_fallback(
-                    RetrievalEngine(), formula, video, 2, database, context
-                )
-        assert context.breaker("engine").state == OPEN
-
-
-class TestSqlBaselineGuards:
-    def test_outer_join_mode_rejected(self):
-        from repro.core.engine import EngineConfig
-        from repro.core.resilience import _sql_baseline
-        from repro.core.tables import OUTER
-
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        engine = RetrievalEngine(EngineConfig(join_mode=OUTER))
-        with pytest.raises(UnsupportedFormulaError, match="inner-join"):
-            _sql_baseline(
-                engine, parse("atomic('P1')"), video, 2, database
-            )
-
-    def test_unregistered_atom_rejected(self):
-        from repro.core.resilience import _sql_baseline
-
-        database = VideoDatabase()
-        video = database.add(_video_with_trains())
-        with pytest.raises(UnsupportedFormulaError, match="no similarity"):
-            _sql_baseline(
-                RetrievalEngine(),
-                parse("atomic('ghost')"),
-                video,
-                2,
-                database,
-            )

@@ -296,11 +296,6 @@ class RecordingEngine(RetrievalEngine):
         )
 
 
-NO_FALLBACK_LENIENT = resilience.ResiliencePolicy(
-    mode=resilience.LENIENT, atom_fallback=False, engine_fallback=False
-)
-
-
 class TestTopKResult:
     def test_sequence_protocol_and_list_equality(self):
         database = two_video_database()
@@ -341,7 +336,7 @@ class TestLenientMode:
         formula = parse("exists x . present(x)")
         engine = RecordingEngine(fail_for=["beta"])
         result = top_k_across_videos(
-            engine, formula, database, k=4, policy=NO_FALLBACK_LENIENT
+            engine, formula, database, k=4, lenient=True
         )
         assert result.partial
         assert result.failed_videos == ["beta"]
@@ -349,32 +344,12 @@ class TestLenientMode:
         assert isinstance(result.outcome_for("beta").error, RuntimeError)
         assert {s.video for s in result} == {"alpha"}
 
-    def test_default_lenient_policy_recovers_via_fallback(self):
-        database = two_video_database()
-        formula = parse("exists x . present(x)")
-        baseline = top_k_across_videos(
-            RetrievalEngine(), formula, database, k=4
-        )
-        engine = RecordingEngine(fail_for=["beta"])
-        result = top_k_across_videos(
-            engine, formula, database, k=4, lenient=True
-        )
-        # The naive-engine fallback answered for beta: full ranking, no
-        # degradation recorded.
-        assert result == baseline
-        assert not result.partial
-
     def test_strict_mode_raises_first_failure(self):
         database = two_video_database()
         formula = parse("exists x . present(x)")
         engine = RecordingEngine(fail_for=["beta"])
         with pytest.raises(RuntimeError, match="beta"):
-            top_k_across_videos(
-                engine, formula, database, k=4,
-                policy=resilience.ResiliencePolicy(
-                    atom_fallback=False, engine_fallback=False
-                ),
-            )
+            top_k_across_videos(engine, formula, database, k=4)
 
     def test_budget_timeout_marks_remaining_videos(self):
         database = two_video_database()
@@ -409,8 +384,7 @@ class TestLenientMode:
         formula = parse("exists x . present(x)")
         engine = RecordingEngine()
         with resilience.scope(
-            budget=resilience.QueryBudget(max_steps=1),
-            policy=resilience.ResiliencePolicy(mode=resilience.LENIENT),
+            budget=resilience.QueryBudget(max_steps=1), lenient=True
         ):
             result = top_k_across_videos(engine, formula, database, k=4)
         assert result.partial
@@ -451,7 +425,7 @@ class TestParallelCancellation:
         engine = RecordingEngine(fail_for=["vid02"])
         result = top_k_across_videos(
             engine, formula, database, k=6,
-            parallelism=3, prune=False, policy=NO_FALLBACK_LENIENT,
+            parallelism=3, prune=False, lenient=True,
         )
         assert result.partial
         assert result.failed_videos == ["vid02"]

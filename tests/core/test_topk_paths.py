@@ -95,16 +95,6 @@ PATHS = [(None, None), (None, 4)] + [
     (shards, parallelism) for shards in (1, 2, 4) for parallelism in (None, 4)
 ]
 
-NO_FALLBACK = {
-    False: resilience.ResiliencePolicy(
-        atom_fallback=False, engine_fallback=False
-    ),
-    True: resilience.ResiliencePolicy(
-        mode=resilience.LENIENT, atom_fallback=False, engine_fallback=False
-    ),
-}
-
-
 def build(row):
     __, corpus, text, prune = row
     if corpus == "clips":
@@ -144,11 +134,7 @@ def expiring_steps(database, formula, prune, at=2):
 def run(row, shards, parallelism, lenient, fault, engine=None):
     database, formula, prune = build(row)
     engine = engine or RetrievalEngine()
-    options = {"parallelism": parallelism, "prune": prune}
-    if fault == "none":
-        options["lenient"] = lenient
-    else:
-        options["policy"] = NO_FALLBACK[lenient]
+    options = {"parallelism": parallelism, "prune": prune, "lenient": lenient}
     if fault == "named":
         engine = RecordingEngine([never_pruned(database, formula)])
     if fault == "budget":

@@ -14,6 +14,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
@@ -40,17 +41,54 @@ from repro.testing.faults import (
     corrupt_similarity_list,
     inject,
 )
+from tests.htl.strategies import picture_atoms
+from tests.pictures.test_compiled import segments as drawn_segments
 
 #: Default chaos seeds; override one via CHAOS_SEED for CI sweeps.
 SEEDS = [11, 1997, 20260806]
 if os.environ.get("CHAOS_SEED"):
     SEEDS = [int(os.environ["CHAOS_SEED"])]
 
-#: Exercises every fault site: metadata atoms (index lookups + scoring),
-#: conjunction and eventually (list merges), multi-video (top-k workers).
+#: Exercises every query-path fault site: metadata atoms (index lookups
+#: + scoring), conjunction and eventually (list merges), multi-video
+#: (top-k workers).
 CHAOS_QUERY = (
     "(exists x . present(x) and type(x) = 'train') "
     "and eventually (exists y . present(y))"
+)
+
+#: The chaos property's query shapes, one per temporal combinator plus a
+#: variable bound across one (a type-2 query).  Each shape reaches the
+#: ``list-merge`` site through a different operator, and every shape
+#: visits all four query-path sites (the chaos cases assert it).
+CHAOS_QUERIES = {
+    "eventually": CHAOS_QUERY,
+    "until": (
+        "(exists x . present(x) and type(x) = 'person') "
+        "until (exists y . present(y) and type(y) = 'train')"
+    ),
+    "next": (
+        "(exists x . present(x) and type(x) = 'train') "
+        "and next (exists y . present(y) and type(y) = 'person')"
+    ),
+    "not": (
+        "eventually (exists x . present(x) and type(x) = 'person') "
+        "and not (exists y . present(y) and type(y) = 'train')"
+    ),
+    "type-2": (
+        "exists x . (present(x) and type(x) = 'train' "
+        "and eventually present(x))"
+    ),
+}
+
+#: The fault sites a query visits.  The other sites of
+#: ``resilience.FAULT_SITES`` sit on the store, shard, serve, ingest and
+#: analyzer paths, which have chaos suites of their own.
+QUERY_SITES = (
+    resilience.SITE_INDEX_LOOKUP,
+    resilience.SITE_ATOM_SCORE,
+    resilience.SITE_LIST_MERGE,
+    resilience.SITE_TOPK_WORKER,
 )
 
 
@@ -68,7 +106,8 @@ def chaos_database(n_videos=4, n_segments=12, seed=5):
             segments.append(SegmentMetadata(objects=objects))
         # An object-free tail keeps every support under the density
         # cutoff, so the planner keeps the index-driven path the faults
-        # target instead of routing the atoms to the naive scan.
+        # target instead of routing the atoms to the naive scan (the
+        # chaos cases assert that every site is visited).
         segments.extend(SegmentMetadata() for __ in range(n_segments))
         database.add(flat_video(f"v{position}", segments))
     return database
@@ -79,10 +118,9 @@ def corpus():
     return chaos_database()
 
 
-@pytest.fixture(scope="module")
-def baseline(corpus):
-    """The fault-free ranking plus a per-segment value oracle."""
-    formula = parse(CHAOS_QUERY)
+def fault_free(corpus, text):
+    """The fault-free ranking of ``text`` plus a per-segment value oracle."""
+    formula = parse(text)
     ranking = top_k_across_videos(
         RetrievalEngine(), formula, corpus, k=6, prune=False
     )
@@ -94,6 +132,19 @@ def baseline(corpus):
         for segment_id, actual in sim.to_segment_values().items():
             values[(video.name, segment_id)] = actual
     return ranking, values
+
+
+@pytest.fixture(scope="module")
+def baselines(corpus):
+    return {
+        shape: fault_free(corpus, text)
+        for shape, text in CHAOS_QUERIES.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def baseline(baselines):
+    return baselines["eventually"]
 
 
 class TestInjectorMechanics:
@@ -304,16 +355,17 @@ class TestShortWrite:
 
 
 class TestChaosProperty:
-    """The acceptance property, swept over sites × modes × seeds."""
+    """The acceptance property, swept over shapes × sites × modes × seeds."""
 
+    @pytest.mark.parametrize("shape", CHAOS_QUERIES)
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("mode", [RAISE, CORRUPT])
-    @pytest.mark.parametrize("site", resilience.FAULT_SITES)
+    @pytest.mark.parametrize("site", QUERY_SITES)
     def test_never_a_silently_wrong_ranking(
-        self, site, mode, seed, corpus, baseline
+        self, site, mode, seed, shape, corpus, baselines
     ):
-        expected, values = baseline
-        formula = parse(CHAOS_QUERY)
+        expected, values = baselines[shape]
+        formula = parse(CHAOS_QUERIES[shape])
         spec = FaultSpec(site, mode=mode, rate=0.6, max_faults=5)
         with inject(spec, seed=seed) as chaos:
             try:
@@ -322,7 +374,10 @@ class TestChaosProperty:
                     prune=False, lenient=True,
                 )
             except ReproError:
-                return  # a typed error is an acceptable outcome
+                result = None  # a typed error is an acceptable outcome
+        assert chaos.visits.get(site, 0) > 0, f"{site!r} never visited"
+        if result is None:
+            return
         if result.partial:
             # Best-effort: the failures are named, and every ranked
             # segment still carries its exact fault-free value.
@@ -342,27 +397,27 @@ class TestChaosProperty:
                 f"faults at {site!r} ({mode})"
             )
 
+    @pytest.mark.parametrize("shape", CHAOS_QUERIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("site", resilience.FAULT_SITES)
+    @pytest.mark.parametrize("site", QUERY_SITES)
     def test_strict_mode_is_exact_or_typed_error(
-        self, site, seed, corpus, baseline
+        self, site, seed, shape, corpus, baselines
     ):
-        expected, __ = baseline
-        formula = parse(CHAOS_QUERY)
+        expected, __ = baselines[shape]
+        formula = parse(CHAOS_QUERIES[shape])
         spec = FaultSpec(site, rate=0.6, max_faults=5)
-        with inject(spec, seed=seed):
+        with inject(spec, seed=seed) as chaos:
             try:
                 result = top_k_across_videos(
-                    RetrievalEngine(), formula, corpus, k=6, prune=False,
-                    policy=resilience.ResiliencePolicy(
-                        atom_fallback=False, engine_fallback=False
-                    ),
+                    RetrievalEngine(), formula, corpus, k=6, prune=False
                 )
             except ReproError:
-                return
+                result = None
             except Exception as error:  # pragma: no cover - the assertion
                 pytest.fail(f"untyped error escaped: {error!r}")
-        assert result == expected
+        assert chaos.visits.get(site, 0) > 0, f"{site!r} never visited"
+        if result is not None:
+            assert result == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_parallel_chaos_is_safe_too(self, seed, corpus, baseline):
@@ -372,12 +427,7 @@ class TestChaosProperty:
         with inject(spec, seed=seed):
             result = top_k_across_videos(
                 RetrievalEngine(), formula, corpus, k=6,
-                prune=False, parallelism=3,
-                policy=resilience.ResiliencePolicy(
-                    mode=resilience.LENIENT,
-                    atom_fallback=False,
-                    engine_fallback=False,
-                ),
+                prune=False, parallelism=3, lenient=True,
             )
         if result.partial:
             assert result.failed_videos
@@ -436,8 +486,7 @@ class TestRecoveryPaths:
     )
     def test_open_atom_falls_back_to_the_naive_table(self, corpus, site):
         """The per-atom fallback rebuilds the binding iterator the failed
-        sweep consumed: an open atom gets every row back, and the
-        engine-level hop is not needed."""
+        sweep consumed: an open atom gets every row back, counted once."""
         video = next(iter(corpus.videos()))
         pictures = PictureRetrievalSystem(
             [node.metadata for node in video.nodes_at_level(2)]
@@ -457,9 +506,44 @@ class TestRecoveryPaths:
         (sweep,) = recorder.roots
         assert sweep.kind == trace.KIND_ATOM_SWEEP
         assert sweep.attrs["path"] == "naive-fallback"
-        counters = trace.METRICS.counters()
-        assert counters.get(trace.ATOM_FALLBACK, 0) == 1
-        assert trace.ENGINE_FALLBACK not in counters
+        assert trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0) == 1
+
+    @pytest.mark.parametrize("mode", [RAISE, CORRUPT])
+    @pytest.mark.parametrize(
+        "site", [resilience.SITE_INDEX_LOOKUP, resilience.SITE_ATOM_SCORE]
+    )
+    @given(
+        atom=picture_atoms(),
+        drawn=st.lists(drawn_segments(), max_size=5),
+        max_faults=st.integers(1, 3),
+        seed=st.sampled_from(SEEDS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_faulted_indexed_table_is_the_naive_table(
+        self, site, mode, atom, drawn, max_faults, seed
+    ):
+        """The one degraded path: under a resilience scope, whatever a
+        fault does to the indexed build, the table handed out is the naive
+        scan's, row for row — or both paths raise the same typed error.
+        An empty tail longer than the drawn prefix keeps every bounded
+        support under the density cutoff, so the indexed path runs.
+        ``index-lookup`` passes no value, so CORRUPT there never fires and
+        the row checks the fault-free indexed table instead."""
+        pictures = PictureRetrievalSystem(
+            drawn + [SegmentMetadata() for __ in range(len(drawn) + 1)]
+        )
+
+        def table_or_error(**options):
+            try:
+                table = pictures.similarity_table(atom, **options)
+            except ReproError as error:
+                return type(error)
+            return table.object_vars, table.attr_vars, table.rows
+
+        naive = table_or_error(use_index=False)
+        spec = FaultSpec(site, mode=mode, max_faults=max_faults)
+        with resilience.scope(), inject(spec, seed=seed):
+            assert table_or_error() == naive
 
     def test_atom_score_site_fires_per_scored_segment_with_a_warm_scorer(
         self,
