@@ -4,11 +4,14 @@ Not a paper table — this measures the statistics-driven planner
 (:mod:`repro.core.planner`, ISSUE 7, DESIGN.md §13) on a
 skewed-selectivity corpus: a rare object type appears in 2 of 16 videos
 while a common type appears everywhere.  The benchmark query conjoins
-an everywhere-true atom with a rare-type atom whose *structural* costs
-tie exactly — only posting-list statistics can tell them apart — so the
-static optimizer keeps the written order while the planner evaluates
-the selective side first and short-circuits the expensive side wherever
-the rare type is absent.
+an everywhere-true atom with a rare-type atom of the same shape (one
+free variable, one temporal operator) — only posting-list statistics can
+tell them apart — so structural order (``EngineConfig(plan=False)``)
+keeps the written order while the planner evaluates the selective side
+first and short-circuits the expensive side wherever the rare type is
+absent.  The planner prices each side in counted visits (bindings ×
+candidates, or × segments when the density rule routes the binding); it
+does not choose an atom's path.
 
 Four claims are gated:
 

@@ -4,7 +4,7 @@
 Shows the pieces a downstream user combines in practice:
 
 1. define named predicates as metadata queries (macros),
-2. inspect a query (classification, optimizer rewrites, evaluation plan),
+2. inspect a query (classification, evaluation plan),
 3. evaluate with both join modes and with the full-language extensions,
 4. persist the annotated database to JSON and reload it.
 
@@ -16,7 +16,6 @@ import tempfile
 
 from repro import EngineConfig, RetrievalEngine, parse, pretty
 from repro.core.explain import explain
-from repro.core.optimizer import optimize
 from repro.htl import paper_class, skeleton_class
 from repro.htl.macros import PredicateRegistry
 from repro.model.serialize import dump_database, load_database
@@ -36,25 +35,22 @@ def main() -> None:
         "Couple", "weight(8.0, exists x, y . man_woman_pair(x, y))"
     )
     query = registry.expand(
-        parse("atomic('Couple') and eventually eventually atomic('Train')")
+        parse("atomic('Couple') and eventually atomic('Train')")
     )
     print("expanded query:")
     print(" ", pretty(query)[:76], "...\n")
 
-    # 2. Inspect: class, rewrites, plan.
+    # 2. Inspect: class and plan.
     print(f"paper class:    {paper_class(query).name}")
     print(f"skeleton class: {skeleton_class(query).name}")
-    optimized = optimize(query)
-    if optimized != query:
-        print("optimizer collapsed the double 'eventually'.")
     print()
-    print(explain(optimized))
+    print(explain(query))
     print()
 
     # 3. Evaluate in both modes; on this query they agree.
     for mode in ("inner", "outer"):
         engine = RetrievalEngine(EngineConfig(join_mode=mode))
-        result = engine.evaluate_video(optimized, video)
+        result = engine.evaluate_video(query, video)
         print(
             f"{mode:>5} mode: best shot scores "
             f"{max(entry.actual for entry in result):g} / {result.maximum:g}"
@@ -83,9 +79,9 @@ def main() -> None:
     restored = load_database(path)
     engine = RetrievalEngine()
     again = engine.evaluate_video(
-        optimized, restored.get("making-of-casablanca")
+        query, restored.get("making-of-casablanca")
     )
-    original = engine.evaluate_video(optimized, video)
+    original = engine.evaluate_video(query, video)
     print(f"database round-trip through {path}")
     print(f"results identical after reload: {again == original}")
     with open(path, "r", encoding="utf-8") as handle:

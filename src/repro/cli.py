@@ -183,15 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain_cmd.add_argument("query", help="HTL query text")
     explain_cmd.add_argument(
-        "--optimize",
-        action="store_true",
-        help="apply the rewrite rules before explaining",
-    )
-    explain_cmd.add_argument(
         "--plan",
         action="store_true",
         help="compile and show the cost-based query plan against a dataset "
-        "(evaluation order, per-atom strategy, estimated vs. observed cost)",
+        "(evaluation order and estimated cost in visits per node)",
     )
     explain_cmd.add_argument(
         "--dataset",
@@ -618,15 +613,8 @@ def cmd_classify(arguments: argparse.Namespace) -> int:
 
 def cmd_explain(arguments: argparse.Namespace) -> int:
     from repro.core.explain import explain
-    from repro.core.optimizer import optimize
 
     formula = parse(arguments.query)
-    if arguments.optimize:
-        optimized = optimize(formula)
-        if optimized != formula:
-            if not arguments.json:
-                print(f"rewritten: {pretty(optimized)}\n")
-        formula = optimized
     if arguments.plan:
         return _explain_plan(arguments, formula)
     print(explain(formula))
@@ -637,7 +625,7 @@ def _explain_plan(arguments: argparse.Namespace, formula) -> int:
     """Compile the query's cost-based plan against a dataset and print it.
 
     Nothing is evaluated: a plan is a function of the formula and the
-    index statistics alone, and its cost is in counted units.
+    index statistics alone, and its cost is in counted visits.
     """
     import json
 

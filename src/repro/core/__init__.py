@@ -3,7 +3,6 @@
 from repro.core.cache import CacheStats, EvaluationCache
 from repro.core.engine import EngineConfig, RetrievalEngine, actual_upper_bound
 from repro.core.explain import explain
-from repro.core.optimizer import optimize
 from repro.core.extensions import (
     bounded_always,
     bounded_eventually,
@@ -71,7 +70,6 @@ __all__ = [
     "CacheStats",
     "actual_upper_bound",
     "set_invariant_checks",
-    "optimize",
     "explain",
     "RetrievedSegment",
     "TopKResult",

@@ -63,8 +63,7 @@ class EngineConfig:
     the escape hatch and the oracle's configuration, see DESIGN.md §7).
     ``plan`` enables the cost-based query planner (DESIGN.md §13):
     statistics-driven join evaluation order with inner-join operand
-    short-circuits, per-atom indexed-vs-naive strategy choice, and plan
-    caching.  Plans never change results —
+    short-circuits, and plan caching.  Plans never change results —
     ``plan=False`` restores the structural evaluation order exactly.
     """
 
@@ -690,20 +689,13 @@ class RetrievalEngine:
                 "conditions through conjunction; found one under "
                 f"{type(formula).__name__}"
             )
-        pictures = context.ensure_pictures()
-        # Per-atom strategy: the plan's cost-based indexed-vs-naive choice
-        # overrides the blanket config switch (both paths are proven to
-        # build identical tables, so this is perf-only).
-        use_index = not self.config.naive_atoms
-        if context.plan is not None:
-            choice = context.plan.atom_use_index(ast.structural_key(formula))
-            if choice is not None:
-                use_index = choice
-        return pictures.similarity_table(
-                formula,
-                universe=context.universe or None,
-                use_index=use_index,
-            )
+        # The picture layer routes each binding by its density rule
+        # (DESIGN.md §7); the plan only orders joins.
+        return context.ensure_pictures().similarity_table(
+            formula,
+            universe=context.universe or None,
+            use_index=not self.config.naive_atoms,
+        )
 
     # -- level modal operators ------------------------------------------------
     def _level_table(

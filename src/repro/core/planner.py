@@ -1,13 +1,12 @@
 """Cost-based query planning over metadata-index statistics.
 
 The engine's structural recursion evaluates conjunctions and joins in the
-order the query was written, and picks the indexed vs. naive atom path by
-a blanket config switch.  Both choices leave cheap wins on the table once
+order the query was written.  That leaves cheap wins on the table once
 the :class:`~repro.pictures.index.MetadataIndex` exists: posting-list
-lengths, content-profile dedup ratios and ∃-pool sizes predict which
-subformula is cheap and which is selective *before* anything is scored —
-the paper's own §4 direction (its SQL baseline gets a real optimizer) and
-the algorithmic program of Sistla's follow-up on sequence databases.
+lengths and ∃-pool sizes predict which subformula is cheap and which is
+selective *before* anything is scored — the paper's own §4 direction (its
+SQL baseline gets a real optimizer) and the algorithmic program of
+Sistla's follow-up on sequence databases.
 
 The planner compiles an (engine-)formula into a :class:`QueryPlan`:
 
@@ -20,10 +19,11 @@ The planner compiles an (engine-)formula into a :class:`QueryPlan`:
   maximises how often that happens.  The plan never rewrites the formula:
   conjunct *grouping* is semantically significant under the inner join, so
   ordering decisions are per-node evaluation orders, not tree rebuilds.
-* **per-atom strategy** — indexed vs. naive scan, chosen by comparing the
-  estimated cost of the support-analysis + candidate sweep against the
-  full ``bindings × segments`` scan, instead of the blanket
-  ``EngineConfig(naive_atoms=...)`` switch.
+* **per-atom visits** — the (binding, segment) pairs the atom's table
+  build will touch: ``bindings × candidates`` when the representative
+  binding's support probe is bounded, ``bindings × segments`` when the
+  picture layer's density rule routes it to the naive scan.  The plan
+  does not choose the path; the picture layer routes each binding.
 * **plan caching** — plans are cached in a
   :class:`~repro.core.cache.PlanCache` keyed by the formula's structural
   key, the level, the engine config and the index's *statistics
@@ -39,9 +39,7 @@ repeat exactly under a seed (DESIGN.md §13, *Why there is no feedback
 loop*).
 
 The module is engine-agnostic: it imports the picture layer and the cache
-but never :mod:`repro.core.engine` (the engine imports *it*), and
-:mod:`repro.core.optimizer` reuses :func:`structural_cost` /
-:func:`order_conjuncts` as its statistics-free fallback ordering.
+but never :mod:`repro.core.engine` (the engine imports *it*).
 """
 
 from __future__ import annotations
@@ -71,12 +69,7 @@ from repro.htl.classify import is_non_temporal
 from repro.htl.pretty import clip, pretty
 from repro.htl.variables import free_attr_vars, free_object_vars
 from repro.model.metadata import SegmentMetadata
-from repro.pictures.scoring import (
-    FRESH_OBJECT_ID,
-    exists_pool,
-    max_similarity,
-    score,
-)
+from repro.pictures.scoring import FRESH_OBJECT_ID, exists_pool, score
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pictures.retrieval import PictureRetrievalSystem
@@ -89,52 +82,17 @@ PLAN_CACHE_MISS = "plan-cache-miss"
 PLAN_FAILED = "plan-failed"
 PLAN_SKIPPED_SUBFORMULA = "plan-subformula-skipped"
 
-#: Per-atom strategies.
-STRATEGY_INDEXED = "indexed"
-STRATEGY_NAIVE = "naive"
+#: Plan costs are counted in *visits*: one (binding, segment) pair an atom
+#: table build scores or reads from its memo.  The other prices are fixed
+#: in the same unit.  One list or table merge step, per segment:
+MERGE_VISITS = 0.05
+#: Resolving one registered atomic list:
+REF_VISITS = 1.0
+#: Elementary ranges assumed per free attribute variable:
+ATTR_BOXES = 4
 
 #: The representative empty segment baselines are probed on.
 _EMPTY_SEGMENT = SegmentMetadata()
-
-
-# ---------------------------------------------------------------------------
-# statistics-free fallback (the old optimizer heuristic)
-# ---------------------------------------------------------------------------
-def structural_cost(conjunct: ast.Formula) -> Tuple[int, int, int]:
-    """Purely structural evaluation-cost heuristic for join ordering.
-
-    Lower sorts first: fewer free object variables (smaller tables to
-    join), fewer temporal operators (cheaper lists), smaller overall
-    size.  This is the planner's fallback when no index statistics exist
-    — e.g. :func:`repro.core.optimizer.optimize` rewriting a formula with
-    no video in sight.
-    """
-    n_vars = len(free_object_vars(conjunct))
-    n_temporal = sum(
-        1
-        for node in conjunct.walk()
-        if isinstance(node, ast.TEMPORAL_OPERATORS)
-    )
-    size = sum(1 for __ in conjunct.walk())
-    return (n_vars, n_temporal, size)
-
-
-def order_conjuncts(
-    conjuncts: Sequence[ast.Formula],
-    key: Optional[Any] = None,
-) -> List[ast.Formula]:
-    """Stable cheapest-first ordering of a conjunct list.
-
-    ``key`` maps a conjunct to a sortable rank (default
-    :func:`structural_cost`); original position breaks ties, so the sort
-    is stable and deterministic.
-    """
-    ranker = structural_cost if key is None else key
-    ordered = sorted(
-        enumerate(conjuncts),
-        key=lambda pair: (ranker(pair[1]), pair[0]),
-    )
-    return [conjunct for __, conjunct in ordered]
 
 
 def has_picture_atoms(formula: ast.Formula) -> bool:
@@ -175,8 +133,6 @@ class Statistics:
     """
 
     n_segments: int
-    n_profiles: int
-    pool_size: int
     signature: Tuple[Any, ...]
 
     @classmethod
@@ -202,43 +158,7 @@ class Statistics:
             pools.get("signature_segments", 0),
             families,
         )
-        return cls(
-            n_segments=raw["n_segments"],
-            n_profiles=raw["n_profiles"],
-            pool_size=pools["universe"],
-            signature=signature,
-        )
-
-    @property
-    def dedup_factor(self) -> float:
-        """Fraction of distinct content profiles (scoring work per sweep)."""
-        if not self.n_segments:
-            return 1.0
-        return self.n_profiles / self.n_segments
-
-
-# ---------------------------------------------------------------------------
-# cost model
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class CostModel:
-    """Relative per-operation costs, in abstract units.
-
-    ``score_cost`` is the unit (one recursive ``score()`` of a stored
-    segment); the others are relative to it.
-    """
-
-    score_cost: float = 1.0
-    #: One support analysis per (atom, binding).
-    analysis_cost: float = 0.5
-    #: One baseline score on the empty representative segment.
-    baseline_cost: float = 1.0
-    #: Per segment, per list/table merge step.
-    merge_cost: float = 0.05
-    #: Resolving one registered atomic list.
-    ref_cost: float = 1.0
-    #: Estimated elementary ranges per free attribute variable.
-    attr_boxes: int = 4
+        return cls(n_segments=raw["n_segments"], signature=signature)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +166,7 @@ class CostModel:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class NodeEstimate:
-    """Estimated evaluation cost (units) and row selectivity of a node.
+    """Estimated evaluation cost (visits) and row selectivity of a node.
 
     ``selectivity`` estimates the probability the node's table has any
     row at all — the quantity inner-join short-circuits care about — so
@@ -259,23 +179,20 @@ class NodeEstimate:
 
 @dataclass(frozen=True)
 class AtomChoice:
-    """The strategy decision for one picture atom.
+    """The counted work of one picture atom.
 
-    ``match_rate`` is the sampled fraction of stored signatures that
-    clear the atom's ``looks_like`` thresholds (DESIGN.md §16) — the
-    signature-atom selectivity statistic; ``None`` for atoms without
-    signature predicates.
+    ``visits`` is ``bindings × candidates`` for a bounded probe and
+    ``bindings × segments`` for a routed one — for a closed atom exactly
+    the table build's ``candidate_segments + segments ×
+    unbounded_bindings``.
     """
 
     description: str
-    strategy: str
     bindings: int
+    #: ``None`` when the probe was routed to the naive scan.
     candidates: Optional[int]
-    #: ``None`` when the probe was unbounded: the only plan is naive.
-    indexed_cost: Optional[float]
-    naive_cost: float
+    visits: int
     selectivity: float
-    match_rate: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +208,6 @@ class QueryPlan:
     formula: ast.Formula
     signature: Tuple[Any, ...]
     level: int
-    strategies: Mapping[str, str]
     swapped: FrozenSet[str]
     nodes: Mapping[str, NodeEstimate]
     atoms: Mapping[str, AtomChoice]
@@ -299,11 +215,13 @@ class QueryPlan:
 
     # -- engine hooks ---------------------------------------------------
     def atom_use_index(self, key: str) -> Optional[bool]:
-        """Indexed-path choice for an atom key (None: no decision)."""
-        strategy = self.strategies.get(key)
-        if strategy is None:
-            return None
-        return strategy == STRATEGY_INDEXED
+        """Always ``None``: a plan makes no indexed-vs-naive decision.
+
+        The picture layer's density rule routes each binding
+        (DESIGN.md §7).  Kept so callers written against the old
+        per-atom choice read "no decision" and keep the default path.
+        """
+        return None
 
     def right_first(self, formula: ast.Formula) -> bool:
         """Should the engine evaluate this join's right operand first?"""
@@ -311,10 +229,10 @@ class QueryPlan:
 
     # -- rendering ------------------------------------------------------
     def describe(self) -> str:
-        """Human-readable plan: tree with order/strategy/cost annotations."""
+        """Human-readable plan: tree with order/visits/cost annotations."""
         lines: List[str] = []
         self._describe(self.formula, 0, lines)
-        lines.append(f"estimated cost: {self.estimated_cost:.1f} units")
+        lines.append(f"estimated cost: {self.estimated_cost:.1f} visits")
         return "\n".join(lines)
 
     def _describe(
@@ -331,20 +249,15 @@ class QueryPlan:
             )
         choice = self.atoms.get(key)
         if choice is not None:
-            if choice.indexed_cost is None:
-                sweep = f"naive scan (naive {choice.naive_cost:.1f})"
-            else:
-                sweep = (
-                    f"candidates {choice.candidates}/segment sweep "
-                    f"(indexed {choice.indexed_cost:.1f} vs "
-                    f"naive {choice.naive_cost:.1f})"
-                )
-            notes.append(
-                f"strategy={choice.strategy}, bindings {choice.bindings}, "
-                + sweep
+            per_binding = (
+                "routed to the naive scan"
+                if choice.candidates is None
+                else f"candidates {choice.candidates}"
             )
-            if choice.match_rate is not None:
-                notes.append(f"signature match rate {choice.match_rate:.2f}")
+            notes.append(
+                f"visits {choice.visits}: bindings {choice.bindings}, "
+                + per_binding
+            )
         if isinstance(formula, (ast.And, ast.Until)):
             notes.append(
                 "evaluate right first"
@@ -377,13 +290,9 @@ class QueryPlan:
             doc["selectivity"] = estimate.selectivity
         choice = self.atoms.get(key)
         if choice is not None:
-            doc["strategy"] = choice.strategy
+            doc["visits"] = choice.visits
             doc["bindings"] = choice.bindings
             doc["candidates"] = choice.candidates
-            doc["indexed_cost"] = choice.indexed_cost
-            doc["naive_cost"] = choice.naive_cost
-            if choice.match_rate is not None:
-                doc["signature_match_rate"] = choice.match_rate
         if isinstance(formula, (ast.And, ast.Until)):
             doc["order"] = (
                 "right-first" if key in self.swapped else "left-first"
@@ -416,12 +325,7 @@ class Planner:
     worker threads exactly like the evaluation cache.
     """
 
-    def __init__(
-        self,
-        model: Optional[CostModel] = None,
-        cache: Optional[PlanCache] = None,
-    ):
-        self.model = model or CostModel()
+    def __init__(self, cache: Optional[PlanCache] = None):
         self.cache = cache if cache is not None else PlanCache()
         self._lock = threading.Lock()
         self._plans_built = 0
@@ -496,7 +400,7 @@ class Planner:
         config: Hashable,
         key: Hashable,
     ) -> QueryPlan:
-        builder = _PlanBuilder(self.model, pictures, stats, config)
+        builder = _PlanBuilder(pictures, stats, config)
         total = builder.estimate(formula)
         with self._lock:
             self._plans_built += 1
@@ -507,7 +411,6 @@ class Planner:
             formula=formula,
             signature=stats.signature,
             level=level,
-            strategies=builder.strategies,
             swapped=frozenset(builder.swapped),
             nodes=builder.nodes,
             atoms=builder.atoms,
@@ -523,22 +426,21 @@ class _PlanBuilder:
 
     def __init__(
         self,
-        model: CostModel,
         pictures: "PictureRetrievalSystem",
         stats: Statistics,
         config: Any,
     ):
-        self.model = model
         self.pictures = pictures
         self.stats = stats
         self.config = config
         self.pool: List[str] = exists_pool(pictures.universe)
-        self.strategies: Dict[str, str] = {}
         self.swapped: Set[str] = set()
         self.nodes: Dict[str, NodeEstimate] = {}
         self.atoms: Dict[str, AtomChoice] = {}
         self.probes = 0
         self._inner = getattr(config, "join_mode", INNER) == INNER
+        #: One merge step over the sequence.
+        self._merge = MERGE_VISITS * max(1, stats.n_segments)
 
     def estimate(self, formula: ast.Formula) -> NodeEstimate:
         key = ast.structural_key(formula)
@@ -550,12 +452,10 @@ class _PlanBuilder:
         return result
 
     def _estimate(self, formula: ast.Formula) -> NodeEstimate:
-        model = self.model
-        n = self.stats.n_segments
         if isinstance(formula, ast.AtomicRef):
             # Registered list lookup; row-free only when unregistered
             # (which raises anyway), so selectivity 1.
-            return NodeEstimate(model.ref_cost, 1.0)
+            return NodeEstimate(REF_VISITS, 1.0)
         if is_non_temporal(formula):
             if any(
                 isinstance(node, ast.AtomicRef) for node in formula.walk()
@@ -563,7 +463,7 @@ class _PlanBuilder:
                 if isinstance(formula, ast.And):
                     return self._join(formula)
                 # The engine rejects refs under anything but ∧; cost moot.
-                return NodeEstimate(model.ref_cost, 1.0)
+                return NodeEstimate(REF_VISITS, 1.0)
             return self._atom(formula)
         if isinstance(formula, (ast.And, ast.Until)):
             return self._join(formula)
@@ -576,8 +476,7 @@ class _PlanBuilder:
                 + right.selectivity
                 - left.selectivity * right.selectivity,
             )
-            cost = left.cost + right.cost + model.merge_cost * max(1, n)
-            return NodeEstimate(cost, sel)
+            return NodeEstimate(left.cost + right.cost + self._merge, sel)
         if isinstance(
             formula,
             (ast.Next, ast.Eventually, ast.Always, ast.Exists, ast.Freeze),
@@ -585,23 +484,19 @@ class _PlanBuilder:
             # Unary operators transform rows in place: a row-free input
             # stays row-free and vice versa, so selectivity is preserved.
             sub = self.estimate(formula.sub)
-            return NodeEstimate(
-                sub.cost + model.merge_cost * max(1, n), sub.selectivity
-            )
+            return NodeEstimate(sub.cost + self._merge, sub.selectivity)
         if isinstance(formula, ast.LEVEL_OPERATORS):
             # One descent per outer node; statistics describe the outer
             # level, so this is a deliberately crude upper-ish bound.
             sub = self.estimate(formula.sub)
             return NodeEstimate(
-                sub.cost * max(1, n), sub.selectivity
+                sub.cost * max(1, self.stats.n_segments), sub.selectivity
             )
-        return NodeEstimate(model.merge_cost * max(1, n), 1.0)
+        return NodeEstimate(self._merge, 1.0)
 
     def _join(self, formula: ast.Formula) -> NodeEstimate:
         left = self.estimate(formula.left)
         right = self.estimate(formula.right)
-        model = self.model
-        join_cost = model.merge_cost * max(1, self.stats.n_segments)
         if self._inner:
             # Expected cost of each evaluation order: the second operand
             # runs only when the first produced rows (otherwise the
@@ -610,66 +505,36 @@ class _PlanBuilder:
             right_first = right.cost + right.selectivity * left.cost
             if right_first < left_first:
                 self.swapped.add(ast.structural_key(formula))
-            cost = min(left_first, right_first) + join_cost
+            cost = min(left_first, right_first) + self._merge
         else:
             # Outer joins always evaluate both sides; order is moot.
-            cost = left.cost + right.cost + join_cost
+            cost = left.cost + right.cost + self._merge
         return NodeEstimate(cost, left.selectivity * right.selectivity)
 
     # -- atoms ----------------------------------------------------------
     def _atom(self, atom: ast.Formula) -> NodeEstimate:
-        key = ast.structural_key(atom)
-        model = self.model
-        n = self.stats.n_segments
         object_vars = sorted(free_object_vars(atom))
-        attr_vars = sorted(free_attr_vars(atom))
         typed_pool = self._typed_candidates(atom, object_vars)
-        bindings = 1
+        bindings = ATTR_BOXES ** len(free_attr_vars(atom))
         for name in object_vars:
             bindings *= len(typed_pool[name])
-        if attr_vars:
-            bindings *= model.attr_boxes ** len(attr_vars)
         representative = self._representative_binding(object_vars, typed_pool)
         candidates = self._probe_candidates(atom, representative)
-        dedup = self.stats.dedup_factor
-        match_rate = self._signature_match_rate(atom)
-        score_cost = model.score_cost
-        if match_rate is not None:
-            # The L1-bound short-circuit skips the SSIM pass on windows
-            # that cannot clear θ, roughly halving the per-segment score
-            # work for non-matching signatures (DESIGN.md §16).
-            score_cost *= 0.5 + 0.5 * match_rate
-        naive = bindings * max(1, n) * score_cost
-        # An unbounded probe has no indexed price: the indexed path
-        # would analyse the binding and then route it to the naive scan.
-        indexed: Optional[float] = None
-        if candidates is not None:
-            indexed = bindings * (
-                model.analysis_cost
-                + model.baseline_cost
-                + candidates * score_cost * dedup
-            )
-        strategy = (
-            STRATEGY_INDEXED
-            if indexed is not None and indexed <= naive
-            else STRATEGY_NAIVE
-        )
+        # A swept binding visits its candidates; a routed one (unbounded
+        # or dense) is scanned over every segment.
+        per_binding = self.stats.n_segments if candidates is None else candidates
+        visits = bindings * per_binding
         selectivity = self._atom_selectivity(
             atom, representative, object_vars, candidates
         )
-        self.strategies[key] = strategy
-        self.atoms[key] = AtomChoice(
+        self.atoms[ast.structural_key(atom)] = AtomChoice(
             description=clip(pretty(atom), 60),
-            strategy=strategy,
             bindings=bindings,
             candidates=candidates,
-            indexed_cost=indexed,
-            naive_cost=naive,
+            visits=visits,
             selectivity=selectivity,
-            match_rate=match_rate,
         )
-        cost = indexed if strategy == STRATEGY_INDEXED else naive
-        return NodeEstimate(cost, selectivity)
+        return NodeEstimate(visits, selectivity)
 
     def _typed_candidates(
         self, atom: ast.Formula, object_vars: Sequence[str]
@@ -743,31 +608,6 @@ class _PlanBuilder:
                     best = (object_id, length)
             binding[name] = best[0] if best is not None else FRESH_OBJECT_ID
         return binding
-
-    def _signature_match_rate(self, atom: ast.Formula) -> Optional[float]:
-        """Sampled match rate of the atom's ``looks_like`` predicates.
-
-        ``None`` when the atom has none (no discount applies).  With
-        several signature predicates the *widest* rate is kept — a
-        conservative (least-discounting) combination.
-        """
-        from repro.pictures.signature import (
-            looks_like_atoms,
-            sample_positions,
-            signature_match_rate,
-        )
-
-        nodes = looks_like_atoms(atom)
-        if not nodes:
-            return None
-        # Only the sampled segments are touched; a sample no longer than
-        # the cap is scored whole.
-        segments = self.pictures.segments
-        sample = [
-            segments[position].signature
-            for position in sample_positions(len(segments))
-        ]
-        return max(signature_match_rate(node, sample) for node in nodes)
 
     def _probe_candidates(
         self, atom: ast.Formula, binding: Dict[str, Any]

@@ -523,7 +523,7 @@ class PictureRetrievalSystem:
         # Budget accounting mirrors the indexed path — one step per
         # binding (what its support analysis charges) plus the scan's
         # per-segment steps — so a step budget sees comparable
-        # consumption whichever strategy the planner (or config) picked.
+        # consumption whichever path the density rule (or config) picked.
         budget = resilience.current_budget()
         if budget is not None:
             budget.charge(1, site="atom-scoring")

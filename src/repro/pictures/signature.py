@@ -256,9 +256,9 @@ class ClipScorer:
 
     Built once per resolved :class:`~repro.htl.ast.LooksLike` atom
     object (:func:`clip_scorer`) and shared by everything that scores
-    that object during a request — the planner's match-rate sample, the
-    indexed sweep and the naive oracle scan, of every video, shard and
-    worker thread.  Two things are kept (DESIGN.md §16):
+    that object during a request — the indexed sweep and the naive
+    oracle scan, of every video, shard and worker thread.  Two things
+    are kept (DESIGN.md §16):
 
     * each clip window *prepared* once — bin count, mass-normalised
       vector, mean, variance, deviations from the mean — so a signature
@@ -408,42 +408,10 @@ def looks_like_score(
 
 
 # ---------------------------------------------------------------------------
-# planner statistics
+# formula inspection
 # ---------------------------------------------------------------------------
 def looks_like_atoms(formula: ast.Formula) -> List[ast.LooksLike]:
     """Every ``looks_like`` atom inside a formula, in pre-order."""
     return [
         node for node in formula.walk() if isinstance(node, ast.LooksLike)
     ]
-
-
-def sample_positions(count: int, sample_cap: int = 64) -> range:
-    """At most ``sample_cap`` evenly strided positions in ``range(count)``.
-
-    The stride is the *ceiling* of ``count / sample_cap``: a floored
-    stride lets ``range(0, count, stride)`` run to almost twice the cap.
-    """
-    return range(0, count, max(1, -(-count // max(1, sample_cap))))
-
-
-def signature_match_rate(
-    atom: ast.LooksLike,
-    signatures: Sequence[Optional[Window]],
-    sample_cap: int = 64,
-) -> float:
-    """Estimated fraction of segments whose signature clears the atom's θ.
-
-    The planner's selectivity statistic for signature atoms: an evenly
-    strided deterministic sample of at most ``sample_cap`` segment
-    signatures (:func:`sample_positions`) is scored against the clip.
-    Signature-less segments count as non-matching (they score 0).  An
-    unresolved atom has no measurable clip; it reports 1.0 (no pricing
-    information).  The sample is scored through the atom's scorer, so
-    its scores are the first memo entries of the sweep that follows.
-    """
-    if not atom.resolved or not signatures:
-        return 1.0
-    positions = sample_positions(len(signatures), sample_cap)
-    score = clip_scorer(atom).score
-    matched = sum(score(signatures[position]) > 0.0 for position in positions)
-    return matched / len(positions)

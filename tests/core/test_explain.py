@@ -97,15 +97,6 @@ class TestCLIExplain:
         out = capsys.readouterr().out
         assert "plan for:" in out
 
-    def test_cli_explain_optimize(self, capsys):
-        from repro.cli import main
-
-        assert main(
-            ["explain", "--optimize", "eventually eventually $P1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "rewritten:" in out
-
     def test_cli_explain_plan(self, capsys):
         from repro.cli import main
 
@@ -118,7 +109,7 @@ class TestCLIExplain:
         ) == 0
         out = capsys.readouterr().out
         assert "plan for" in out
-        assert "strategy=" in out
+        assert "visits" in out and "strategy" not in out
         assert "planner:" in out
 
     def test_cli_explain_plan_json(self, capsys):
@@ -139,9 +130,13 @@ class TestCLIExplain:
         doc = json.loads(capsys.readouterr().out)
         assert "tree" in doc
         assert doc["estimated_cost"] > 0
-        strategies = [
-            node.get("strategy")
-            for node in _walk_plan_tree(doc["tree"])
-            if "strategy" in node
+        atoms = [
+            node for node in _walk_plan_tree(doc["tree"]) if "visits" in node
         ]
-        assert strategies and set(strategies) <= {"indexed", "naive"}
+        assert atoms
+        for node in _walk_plan_tree(doc["tree"]):
+            assert "strategy" not in node
+        for node in atoms:
+            per_binding = node["candidates"]
+            if per_binding is not None:
+                assert node["visits"] == node["bindings"] * per_binding

@@ -4,7 +4,11 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from benchmarks.e2e.streams import MIX_A_FIXED
+from benchmarks.e2e.workloads import LEVEL, SMOKE, WORKLOADS
 from repro.core import planner as planning
 from repro.core.cache import PlanCache
 from repro.core.engine import EngineConfig, RetrievalEngine
@@ -12,16 +16,21 @@ from repro.core.planner import (
     Planner,
     Statistics,
     has_picture_atoms,
-    order_conjuncts,
-    structural_cost,
 )
 from repro.core.tables import OUTER
+from repro.errors import HTLTypeError
 from repro.htl import ast, parse
+from repro.htl.pretty import pretty
+from repro.htl.variables import is_closed
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.pictures.index import MetadataIndex
 from repro.pictures.retrieval import PictureRetrievalSystem
+from repro.pictures.scoring import exists_pool
+from repro.pictures.signature import resolve_clips
+from tests.htl.strategies import picture_atoms
+from tests.pictures.test_compiled import picture_subformulas, segments
 
 
 def skewed_segments(n=20, rare=2):
@@ -37,36 +46,6 @@ def skewed_segments(n=20, rare=2):
 
 def skewed_video(name="vid", n=20, rare=2):
     return flat_video(name, skewed_segments(n, rare))
-
-
-# ---------------------------------------------------------------------------
-# structural fallback (the old optimizer heuristic)
-# ---------------------------------------------------------------------------
-class TestStructuralCost:
-    def test_tuple_shape_matches_old_heuristic(self):
-        formula = parse("exists x . eventually present(x)")
-        n_vars, n_temporal, size = structural_cost(formula)
-        assert n_vars == 0  # closed formula: x is bound
-        assert n_temporal == 1
-        assert size == 3
-
-    def test_free_vars_dominate(self):
-        open_atom = parse("exists x . present(x)").sub
-        closed = parse("eventually eventually eventually $A")
-        # Free object variables are the dominant cost driver: one free var
-        # outranks any number of temporal operators.
-        assert structural_cost(closed) < structural_cost(open_atom)
-
-    def test_order_conjuncts_is_stable(self):
-        a = parse("$A")
-        b = parse("$B")
-        c = parse("eventually $C")
-        assert order_conjuncts([a, b, c]) == [a, b, c]
-        assert order_conjuncts([c, a, b]) == [a, b, c]
-
-    def test_order_conjuncts_custom_key(self):
-        a, b = parse("$A"), parse("eventually $B")
-        assert order_conjuncts([a, b], key=lambda f: 0) == [a, b]
 
 
 class TestHasPictureAtoms:
@@ -131,9 +110,8 @@ class TestIndexStats:
             != Statistics.from_pictures(large).signature
         )
 
-    def test_empty_statistics_dedup_factor(self):
+    def test_empty_statistics(self):
         stats = Statistics.from_pictures(PictureRetrievalSystem([]))
-        assert stats.dedup_factor == 1.0
         assert stats.n_segments == 0
 
 
@@ -162,17 +140,22 @@ class TestPlanConstruction:
         plan = Planner().plan_for(formula, pictures, 2, config)
         assert not plan.swapped
 
-    def test_every_picture_atom_gets_a_strategy(self):
+    def test_every_picture_atom_is_priced_in_visits(self):
         pictures = PictureRetrievalSystem(skewed_segments())
         formula = parse(
             "exists x . (present(x) and (eventually type(x) = 'person'))"
         )
         plan = Planner().plan_for(formula, pictures, 2, EngineConfig())
         assert len(plan.atoms) == 2
-        assert all(
-            choice.strategy in ("indexed", "naive")
-            for choice in plan.atoms.values()
-        )
+        for key, choice in plan.atoms.items():
+            per_binding = (
+                len(pictures.segments)
+                if choice.candidates is None
+                else choice.candidates
+            )
+            assert choice.visits == choice.bindings * per_binding
+            assert plan.nodes[key].cost == choice.visits
+            assert plan.atom_use_index(key) is None
 
     def test_probes_do_not_touch_picture_stats(self):
         """Planning must not inflate the system's evaluation counters."""
@@ -196,11 +179,109 @@ class TestPlanConstruction:
         )
         plan = Planner().plan_for(formula, pictures, 2, EngineConfig())
         text = plan.describe()
-        assert "strategy=" in text
+        assert "visits" in text and "strategy" not in text
         assert "evaluate right first" in text
         doc = plan.to_dict()
         assert doc["tree"]["children"]
         assert doc["estimated_cost"] == pytest.approx(plan.estimated_cost)
+
+
+def atom_choice(atom, pictures):
+    """The plan's counted work for one atom planned on its own."""
+    plan = Planner().plan_for(atom, pictures, LEVEL, EngineConfig())
+    return plan.atoms[ast.structural_key(atom)]
+
+
+def observed_visits(pictures, build):
+    """``candidate_segments + n × unbounded_bindings`` over one call."""
+    stats = pictures.stats
+    before = (stats.candidate_segments, stats.unbounded_bindings)
+    build()
+    swept = stats.candidate_segments - before[0]
+    routed = stats.unbounded_bindings - before[1]
+    return swept + len(pictures.segments) * routed
+
+
+@given(picture_atoms().filter(is_closed), st.lists(segments(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_closed_atom_visits_are_what_the_table_build_visits(atom, drawn):
+    """A closed atom has one binding, the one the planner probes, so its
+    planned visits are the build's counted work exactly: the candidates
+    it sweeps, or every segment when the density rule routes it."""
+    pictures = PictureRetrievalSystem(drawn)
+    universe = exists_pool(pictures.universe)
+    try:
+        # ``bool`` constants have no HTL text, so the plan's description
+        # of them raises; the atom then never reaches a plan.
+        choice = atom_choice(atom, pictures)
+        observed = observed_visits(
+            pictures, lambda: pictures.similarity_table(atom, universe)
+        )
+    except HTLTypeError:
+        assume(False)
+    assert choice.bindings == 1
+    assert choice.visits == observed
+
+
+#: The closed picture atoms of the fixed ``mix-a`` queries.
+CLOSED_SMOKE_ATOMS = sorted(
+    {
+        pretty(atom)
+        for text in MIX_A_FIXED
+        for atom in picture_subformulas(parse(text))
+        if is_closed(atom)
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def smoke_inputs(tmp_path_factory):
+    """The end-to-end benchmark's smoke-size inputs under seed 7."""
+    built = {}
+
+    def inputs(name):
+        if name not in built:
+            workdir = str(tmp_path_factory.mktemp(name))
+            built[name] = WORKLOADS[name](7, SMOKE, workdir).inputs()
+        return built[name]
+
+    return inputs
+
+
+@pytest.mark.parametrize("workload", ["sparse", "dense"])
+@pytest.mark.parametrize("text", CLOSED_SMOKE_ATOMS)
+def test_smoke_atom_visits_are_counted_exactly(workload, text, smoke_inputs):
+    """Under a seed, each closed atom's planned visits equal what the
+    engine's table build of that atom visits, video by video."""
+    database, clips, __ = smoke_inputs(workload)
+    atom = resolve_clips(parse(text), clips)
+    for video in database.videos():
+        pictures = video.root.pictures_at_level(LEVEL)
+        universe = exists_pool(video.object_universe())
+        assert atom_choice(atom, pictures).visits == observed_visits(
+            pictures, lambda: pictures.similarity_table(atom, universe)
+        )
+
+
+def test_dense_smoke_atom_is_routed_per_binding(smoke_inputs):
+    """On the ``dense`` smoke corpus the old planner sent this atom to the
+    naive scan outright.  Now it enters the indexed path, the density
+    rule routes its binding, and its rows are the scan's."""
+    database, __, __ = smoke_inputs("dense")
+    atom = parse(MIX_A_FIXED[0])
+    engine = RetrievalEngine()
+    for video in database.videos():
+        pictures = video.root.pictures_at_level(LEVEL)
+        choice = atom_choice(atom, pictures)
+        assert choice.candidates is None
+        assert choice.visits == len(pictures.segments)
+        before = pictures.stats.dense_bindings
+        engine.evaluate_video(atom, video, LEVEL)
+        assert pictures.stats.dense_bindings > before
+        universe = exists_pool(video.object_universe())
+        indexed = pictures.similarity_table(atom, universe)
+        naive = pictures.similarity_table(atom, universe, use_index=False)
+        assert indexed.rows == naive.rows
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +460,12 @@ class RecordingPlanner(Planner):
     def plan_for(self, *args, **kwargs):
         plan = super().plan_for(*args, **kwargs)
         self.decisions.setdefault(repr(plan.key), []).append(
-            (tuple(sorted(plan.strategies.items())), tuple(sorted(plan.swapped)))
+            (
+                tuple(
+                    sorted((key, c.visits) for key, c in plan.atoms.items())
+                ),
+                tuple(sorted(plan.swapped)),
+            )
         )
         return plan
 

@@ -51,7 +51,7 @@ class TestExamples:
     def test_library_tour(self):
         out = run_example("library_tour.py")
         assert "results identical after reload: True" in out
-        assert "optimizer collapsed" in out
+        assert "plan for:" in out
 
     def test_analyzer_pipeline(self):
         out = run_example("analyzer_pipeline.py")

@@ -367,22 +367,28 @@ class TestTablesUnchanged:
 
 
 #: Recorded at the parent commit (the interpreting scorer) by running
-#: this very loop: the kernel does the same work, only faster.  ``dense``
-#: reads 0 on the indexed counters because the planner prices every one
-#: of its atoms to the naive sweep, which only the step budget sees.
+#: this very loop: the kernel does the same work, only faster.
 #: ``sparse`` was re-recorded when the fingerprint memo was deleted: the
 #: 32 pairs it used to resolve are scored (250 + 32 = 282 candidates,
-#: 456 + 32 = 488 fault-site visits); every other value is unchanged.
+#: 456 + 32 = 488 fault-site visits).  Both rows were re-recorded when
+#: the planner stopped choosing indexed vs. naive per atom: every atom
+#: now enters the indexed path and the density rule routes each binding.
+#: On ``dense`` (0 indexed tables before) 80 of 86 bindings are routed
+#: and 6 have empty support, so they skip the scan (3097 → 2917 budget
+#: steps).  On ``sparse`` the 12 ``looks_like`` tables once planned naive
+#: are routed: +12 tables, bindings and routed bindings, +12 fault-site
+#: visits.  ``segments_scored`` / ``fingerprint_hits`` /
+#: ``candidate_segments`` and the budget steps of ``sparse`` are unchanged.
 PARENT_WORK = {
     "sparse": dict(
-        tables=43, bindings=103, segments_scored=282, fingerprint_hits=0,
-        candidate_segments=282, unbounded_bindings=0, dense_bindings=0,
-        baseline_scores=103, budget_steps=1087, atom_score_visits=488,
+        tables=55, bindings=115, segments_scored=282, fingerprint_hits=0,
+        candidate_segments=282, unbounded_bindings=12, dense_bindings=12,
+        baseline_scores=103, budget_steps=1087, atom_score_visits=500,
     ),
     "dense": dict(
-        tables=0, bindings=0, segments_scored=0, fingerprint_hits=0,
-        candidate_segments=0, unbounded_bindings=0, dense_bindings=0,
-        baseline_scores=0, budget_steps=3097, atom_score_visits=0,
+        tables=38, bindings=86, segments_scored=0, fingerprint_hits=0,
+        candidate_segments=0, unbounded_bindings=80, dense_bindings=80,
+        baseline_scores=6, budget_steps=2917, atom_score_visits=92,
     ),
 }  # fmt: skip
 

@@ -49,8 +49,6 @@ from repro.pictures.signature import (
     looks_like_atoms,
     looks_like_score,
     resolve_clips,
-    sample_positions,
-    signature_match_rate,
     ssim_score,
     unresolved_clip_names,
     window_bound,
@@ -339,37 +337,6 @@ class TestWindowSimilarity:
         atom = looks_like_atom(windows, theta)
         assert looks_like_score(atom, signature) == expected
 
-    def test_match_rate_counts_clearing_segments(self):
-        atom = looks_like_atom([PALETTE[0]], 0.97)
-        signatures = [PALETTE[0], PALETTE[1], PALETTE[2], None]
-        rate = signature_match_rate(atom, signatures)
-        matching = sum(
-            1 for s in signatures if looks_like_score(atom, s) > 0.0
-        )
-        assert rate == matching / len(signatures)
-        assert signature_match_rate(atom, []) == 1.0
-        unresolved = ast.LooksLike(theta=0.5, name="q")
-        assert signature_match_rate(unresolved, signatures) == 1.0
-
-    @pytest.mark.parametrize("count", [1, 63, 64, 65, 127, 250, 320, 8000])
-    def test_match_rate_sample_respects_its_cap(self, count, monkeypatch):
-        assert 1 <= len(sample_positions(count, 64)) <= 64
-        # Every signature distinct: kernel runs == segments sampled.
-        signatures = [(1.0 + position, 1.0) for position in range(count)]
-        sampled = count_kernel_runs(monkeypatch)
-        atom = looks_like_atom([(0.5, 0.5)], 0.9)
-        rate = signature_match_rate(atom, signatures)
-        assert sampled == [
-            signatures[position] for position in sample_positions(count, 64)
-        ]
-        assert rate == sum(
-            looks_like_score(atom, s) > 0.0 for s in sampled
-        ) / len(sampled)
-        # Signature-less segments count as non-matching, as before.
-        assert signature_match_rate(atom, [None] * count) == 0.0
-        unresolved = ast.LooksLike(theta=0.5, name="q")
-        assert signature_match_rate(unresolved, signatures) == 1.0
-
 
 # ---------------------------------------------------------------------------
 # the clip scorer: prepared windows + signature → score memo on the atom
@@ -482,7 +449,7 @@ class TestClipScorer:
         for __ in range(2):
             formula = resolve_clips(parse(text), clips)
             top_k_across_videos(engine, formula, database, 5, prune=False)
-            # Planner sample, sweep or oracle scan, three videos: one
+            # Sweep or oracle scan, three videos: one
             # kernel run per distinct signature — and a new request (a
             # newly resolved formula) starts from an empty memo.
             assert sorted(runs) == sorted(bases)

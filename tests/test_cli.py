@@ -213,7 +213,7 @@ class TestExplainPlan:
     def test_plan_is_printed_without_evaluating(self, capsys):
         code, out, __ = run_cli(capsys, "explain", "--plan", self.QUERY)
         assert code == 0
-        assert "estimated cost:" in out and "units" in out
+        assert "estimated cost:" in out and "visits" in out
         assert " ms" not in out and "observed" not in out
         # One plan_for and no evaluation behind it: nothing hit the cache.
         assert "planner: 1 plan(s) built, 0 cache hit(s)" in out

@@ -73,3 +73,50 @@ def test_syntax_errors_carry_positions():
     assert "line 3" in str(error)
     sql_error = SQLSyntaxError("bad", line=2, column=5)
     assert "line 2" in str(sql_error)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.core", "optimize"),
+        ("repro.core.planner", "CostModel"),
+        ("repro.core.planner", "STRATEGY_INDEXED"),
+        ("repro.core.planner", "STRATEGY_NAIVE"),
+        ("repro.core.planner", "structural_cost"),
+        ("repro.core.planner", "order_conjuncts"),
+        ("repro.pictures.signature", "signature_match_rate"),
+        ("repro.pictures.signature", "sample_positions"),
+    ],
+)
+def test_deleted_names_stay_deleted(module, name):
+    """The unsound formula rewriter and the planner's hand-set weights
+    and per-atom strategy are gone; nothing re-exports them."""
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_optimizer_module_is_gone():
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.core.optimizer")
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("AtomChoice", "strategy"),
+        ("AtomChoice", "indexed_cost"),
+        ("AtomChoice", "naive_cost"),
+        ("AtomChoice", "match_rate"),
+        ("QueryPlan", "strategies"),
+        ("Statistics", "dedup_factor"),
+    ],
+)
+def test_plans_carry_no_strategy_or_weights(owner, name):
+    """A plan counts visits; it neither picks an atom path nor prices
+    one with a weight, a dedup ratio or a sampled match rate."""
+    import dataclasses
+
+    from repro.core import planner
+
+    cls = getattr(planner, owner)
+    assert name not in {field.name for field in dataclasses.fields(cls)}
+    assert not hasattr(cls, name)
