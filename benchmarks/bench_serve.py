@@ -45,6 +45,7 @@ from repro.serve.request import (
     STATUS_SHED,
     QueryRequest,
 )
+from repro.shard import ShardedCorpus
 from repro.workloads.synthetic import random_similarity_list
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
@@ -157,7 +158,7 @@ def shed_burst(corpus, classes):
     Returns every ticket's terminal result plus the closing stats; the
     caller checks that shedding happened, hit only batch, and balanced.
     """
-    pool = EnginePool.from_database(corpus, N_WORKERS)
+    pool = EnginePool(ShardedCorpus.from_database(corpus), N_WORKERS)
     capacity = 4
     server = RetrievalServer(pool, classes=classes, capacity=capacity)
     tickets = []
@@ -206,7 +207,7 @@ def test_serve_overload_sla_and_shedding(corpus, report):
     interactive_deadline = classes["interactive"].deadline_ms
 
     # -- overload phase: 2x closed-loop clients vs pooled workers -------
-    pool = EnginePool.from_database(corpus, N_WORKERS)
+    pool = EnginePool(ShardedCorpus.from_database(corpus), N_WORKERS)
     server = RetrievalServer(pool, classes=classes)
     with server:
         results, rejected, elapsed_s = closed_loop(

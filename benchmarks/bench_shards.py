@@ -8,9 +8,9 @@ the running global k-th-best score flowing back through a
 
 Two claims are gated here:
 
-* **Identity** — every sharded configuration (any shard count, with or
-  without the exchange) returns the byte-identical ranking of the
-  unsharded serial scan.
+* **Identity** — every sharded configuration (any shard count, and the
+  naive scatter-gather baseline) returns the byte-identical ranking of
+  the unsharded serial scan.
 * **Pruning** — on the sparse corpus, the bound exchange scores
   *strictly fewer* segments than naive scatter-gather (each shard
   pruning only against its own local heap).  Segment counts are exact,
@@ -35,12 +35,18 @@ import pytest
 
 from repro.bench.reporting import write_report_json
 from repro.core.engine import RetrievalEngine
-from repro.core.topk import OUTCOME_OK, OUTCOME_PRUNED, top_k_across_videos
+from repro.core.topk import (
+    OUTCOME_OK,
+    OUTCOME_PRUNED,
+    TopKResult,
+    top_k_across_videos,
+)
 from repro.htl import parse
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata
 from repro.shard import ShardedCorpus
+from repro.store import split_database
 from repro.workloads.synthetic import random_similarity_list
 
 QUICK = bool(os.environ.get("BENCH_QUICK"))
@@ -120,15 +126,21 @@ def dense_corpus():
 
 
 def _pruning_row(database, n_shards):
-    """Deterministic (serial-scatter) naive vs exchange segment counts."""
+    """Deterministic (serial-scatter) naive vs exchange segment counts.
+
+    Naive scatter-gather is every shard ranked on its own — pruning only
+    against its local heap — and the results merged.
+    """
     engine = RetrievalEngine()
+    naive = TopKResult.merge(
+        *(
+            top_k_across_videos(engine, FORMULA, part, K)
+            for part in split_database(database, n_shards)
+        ),
+        k=K,
+    )
     corpus = ShardedCorpus.from_database(database, n_shards)
-    naive = corpus.top_k(
-        engine, FORMULA, K, parallelism=None, bound_exchange=False
-    )
-    exchange = corpus.top_k(
-        engine, FORMULA, K, parallelism=None, bound_exchange=True
-    )
+    exchange = corpus.top_k(engine, FORMULA, K, parallelism=None)
     assert naive == exchange
     return {
         "naive_scored": scored_segments(naive),

@@ -668,29 +668,10 @@ def _run_across(
     arguments: argparse.Namespace,
     engine: RetrievalEngine,
     formula,
-    database: VideoDatabase,
-    level: int,
-) -> int:
-    results = top_k_across_videos(
-        engine,
-        formula,
-        database,
-        k=arguments.top,
-        level=level,
-        parallelism=arguments.parallel,
-        budget=_run_budget(arguments),
-        lenient=arguments.lenient,
-    )
-    return _print_across(arguments, results)
-
-
-def _run_across_sharded(
-    arguments: argparse.Namespace,
-    engine: RetrievalEngine,
-    formula,
     corpus,
     level: int,
 ) -> int:
+    """Rank a corpus for ``--across``, ``--shards N`` and ``--shard-dir``."""
     results = corpus.top_k(
         engine,
         formula,
@@ -700,11 +681,8 @@ def _run_across_sharded(
         budget=_run_budget(arguments),
         lenient=arguments.lenient,
     )
-    print(f"scatter-gather over {corpus.n_shards} shard(s)")
-    return _print_across(arguments, results)
-
-
-def _print_across(arguments: argparse.Namespace, results) -> int:
+    if arguments.shards is not None or arguments.shard_dir is not None:
+        print(f"scatter-gather over {corpus.n_shards} shard(s)")
     n_videos = len(results.outcomes)
     print(f"Top {arguments.top} segments across {n_videos} videos:")
     for rank, segment in enumerate(results, start=1):
@@ -785,7 +763,7 @@ def cmd_run(arguments: argparse.Namespace) -> int:
 
         corpus = ShardedCorpus.from_directory(arguments.shard_dir)
         level = 2 if arguments.level is None else int(arguments.level)
-        return _run_across_sharded(arguments, engine, formula, corpus, level)
+        return _run_across(arguments, engine, formula, corpus, level)
     video_name, loader = _DATASETS[arguments.dataset]
     database: VideoDatabase = loader()
     video = database.get(video_name)
@@ -802,13 +780,11 @@ def cmd_run(arguments: argparse.Namespace) -> int:
                 arguments.by_example or [], database, arguments.level
             ),
         )
-    if arguments.shards is not None:
+    if arguments.across:
         from repro.shard import ShardedCorpus
 
-        corpus = ShardedCorpus.from_database(database, arguments.shards)
-        return _run_across_sharded(arguments, engine, formula, corpus, level)
-    if arguments.across:
-        return _run_across(arguments, engine, formula, database, level)
+        corpus = ShardedCorpus.from_database(database, arguments.shards or 1)
+        return _run_across(arguments, engine, formula, corpus, level)
     budget = _run_budget(arguments)
     if budget is not None:
         with resilience.scope(budget=budget):
@@ -1018,18 +994,23 @@ def cmd_shard(arguments: argparse.Namespace) -> int:
 
 
 def _serve_pool(arguments: argparse.Namespace):
+    """One pool over one corpus, from ``--shard-dir``, ``--store`` or
+    ``--dataset``."""
     from repro.serve import EnginePool
+    from repro.shard import ShardedCorpus
+    from repro.store import Store
 
     if arguments.shard_dir is not None and arguments.store_dir is not None:
         raise ServeError("--shard-dir and --store are mutually exclusive")
     if arguments.shard_dir is not None:
-        return EnginePool.from_shard_layout(
-            arguments.shard_dir, arguments.workers
-        )
-    if arguments.store_dir is not None:
-        return EnginePool.from_store(arguments.store_dir, arguments.workers)
-    __, loader = _DATASETS[arguments.dataset]
-    return EnginePool.from_database(loader(), arguments.workers)
+        corpus = ShardedCorpus.from_directory(arguments.shard_dir)
+    elif arguments.store_dir is not None:
+        loaded = Store(arguments.store_dir).load()
+        corpus = ShardedCorpus.from_database(loaded.database)
+    else:
+        __, loader = _DATASETS[arguments.dataset]
+        corpus = ShardedCorpus.from_database(loader())
+    return EnginePool(corpus, arguments.workers)
 
 
 def _serve_lines(arguments: argparse.Namespace):

@@ -173,33 +173,6 @@ class RetrievalEngine:
                 formula, video, level, database, atomic_lists
             )
 
-    def trace_video(
-        self,
-        formula: ast.Formula,
-        video: Video,
-        level: int = 2,
-        database: Optional[VideoDatabase] = None,
-        atomic_lists: Optional[Dict[str, SimilarityList]] = None,
-        recorder: Optional[trace.TraceRecorder] = None,
-    ) -> Tuple[SimilarityList, trace.Span]:
-        """Evaluate one video and return ``(similarity list, root span)``.
-
-        The traces-on-request entry point (DESIGN.md §10): installs a
-        recorder (a fresh one unless given), evaluates exactly like
-        :meth:`evaluate_video`, and hands back the span tree — one span
-        per subformula node, named with its ``explain`` plan description.
-        """
-        active = recorder if recorder is not None else trace.TraceRecorder()
-        with trace.recording(active):
-            sim = self.evaluate_video(
-                formula,
-                video,
-                level=level,
-                database=database,
-                atomic_lists=atomic_lists,
-            )
-        return sim, active.roots[-1]
-
     def _evaluate_video(
         self,
         formula: ast.Formula,

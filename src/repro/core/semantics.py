@@ -88,7 +88,9 @@ def maximum_similarity(
                 f"atomic predicate {formula.name!r} has no registered list"
             )
         return resolved.maximum
-    if is_non_temporal(formula):
+    if is_non_temporal(formula) and not any(
+        isinstance(node, ast.AtomicRef) for node in formula.walk()
+    ):
         return max_similarity(formula)
     if isinstance(formula, ast.And):
         return maximum_similarity(formula.left, context) + maximum_similarity(

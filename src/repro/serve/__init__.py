@@ -8,8 +8,11 @@ The package turns the batch-oriented retrieval stack
 service::
 
     from repro.serve import EnginePool, QueryRequest, RetrievalServer
+    from repro.shard import ShardedCorpus
+    from repro.store import Store
 
-    pool = EnginePool.from_store("snapshots/", n_workers=4)
+    database = Store("snapshots/").load().database
+    pool = EnginePool(ShardedCorpus.from_database(database), n_workers=4)
     with RetrievalServer(pool) as server:
         result = server.query("exists x . present(x)", k=5,
                               sla="interactive")

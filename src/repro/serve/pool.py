@@ -1,10 +1,14 @@
 """Warm engine pools: the compute side of the serving layer.
 
 A server must not pay a snapshot load or an index build on a request's
-critical path.  :class:`EnginePool` front-loads both: the corpus is
-loaded **once** (from an in-memory database, a :class:`repro.store.Store`
-snapshot, or a sharded layout) and :meth:`EnginePool.warm` touches every
-video's picture index at the serving level.  Each worker keeps its own
+critical path.  :class:`EnginePool` front-loads both: it serves one
+:class:`~repro.shard.ShardedCorpus` — a sharded layout, or any in-memory
+database (a built-in dataset, a loaded :class:`repro.store.Store`
+snapshot, an ingester's live database) as
+``ShardedCorpus.from_database(database)`` — whose shards load **once**,
+and :meth:`EnginePool.warm` touches every video's picture index at the
+serving level.  Every request is one ``corpus.top_k`` call.  Each worker
+keeps its own
 long-lived :class:`~repro.core.engine.RetrievalEngine`; the only state
 that persists across its requests is the planner's plan cache (no
 evaluation cache is constructed — query results are recomputed per
@@ -22,21 +26,16 @@ well-formed answer instead of an opaque exception.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import resilience
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.resilience import CircuitBreaker, QueryBudget
-from repro.core.topk import (
-    OUTCOME_FAILED,
-    TopKResult,
-    VideoOutcome,
-    top_k_across_videos,
-)
+from repro.core.topk import OUTCOME_FAILED, TopKResult, VideoOutcome
 from repro.errors import ServeError
 from repro.htl import parse
-from repro.model.database import VideoDatabase
 from repro.serve.request import QueryRequest
+from repro.shard import ShardedCorpus
 
 #: The trivial health-probe query: satisfiable on any corpus with
 #: object metadata, cheap even naively, and exercising parse → plan →
@@ -73,29 +72,23 @@ class PooledWorker:
 
 
 class EnginePool:
-    """N warm workers over one shared corpus (database or sharded).
+    """N warm workers over one shared :class:`~repro.shard.ShardedCorpus`.
 
     The corpus objects are immutable at serving time, so workers share
-    them; each worker's engine owns its own plan cache.  Exactly one of
-    ``database`` / ``corpus`` is set.
+    them; each worker's engine owns its own plan cache.  An in-memory
+    database is served as ``ShardedCorpus.from_database(database)``.
     """
 
     def __init__(
         self,
+        corpus: ShardedCorpus,
         n_workers: int,
         *,
-        database: Optional[VideoDatabase] = None,
-        corpus=None,
         config: Optional[EngineConfig] = None,
     ):
         if n_workers < 1:
             raise ServeError(f"a pool needs >= 1 worker, got {n_workers}")
-        if (database is None) == (corpus is None):
-            raise ServeError(
-                "a pool serves exactly one corpus: pass database= or corpus="
-            )
-        self._database = database
-        self._corpus = corpus
+        self.corpus = corpus
         self.config = config or EngineConfig()
         self.workers: Tuple[PooledWorker, ...] = tuple(
             PooledWorker(f"worker-{position}", RetrievalEngine(self.config))
@@ -104,48 +97,17 @@ class EnginePool:
 
     # -- constructors ----------------------------------------------------
     @classmethod
-    def from_database(
-        cls, database: VideoDatabase, n_workers: int, **kwargs
-    ) -> "EnginePool":
-        return cls(n_workers, database=database, **kwargs)
-
-    @classmethod
-    def from_corpus(cls, corpus, n_workers: int, **kwargs) -> "EnginePool":
-        """Serve a :class:`repro.shard.ShardedCorpus` (scatter-gather)."""
-        return cls(n_workers, corpus=corpus, **kwargs)
-
-    @classmethod
-    def from_store(
-        cls, path, n_workers: int, *, verify: bool = True, **kwargs
-    ) -> "EnginePool":
-        """Load the newest intact snapshot once and serve it warm."""
-        from repro.store import Store
-
-        loaded = Store(path).load(verify=verify)
-        return cls(n_workers, database=loaded.database, **kwargs)
-
-    @classmethod
     def from_shard_layout(cls, path, n_workers: int, **kwargs) -> "EnginePool":
         """Serve a sharded store layout written by ``shard split``."""
-        from repro.shard import ShardedCorpus
-
-        return cls(
-            n_workers, corpus=ShardedCorpus.from_directory(path), **kwargs
-        )
+        return cls(ShardedCorpus.from_directory(path), n_workers, **kwargs)
 
     # -- introspection ---------------------------------------------------
     @property
     def n_workers(self) -> int:
         return len(self.workers)
 
-    @property
-    def sharded(self) -> bool:
-        return self._corpus is not None
-
     def video_names(self) -> List[str]:
-        if self._corpus is not None:
-            return list(self._corpus.video_names)
-        return list(self._database.names())
+        return self.corpus.video_names
 
     def healthy_workers(self) -> List[PooledWorker]:
         return [worker for worker in self.workers if worker.healthy]
@@ -154,9 +116,9 @@ class EnginePool:
     def warm(self, level: int = 2) -> int:
         """Build every video's picture index at the serving level.
 
-        Returns the number of videos warmed.  For a sharded corpus this
-        also triggers every shard's (memoized) snapshot load, so the
-        first real request pays neither disk nor index build.
+        Returns the number of videos warmed.  This also triggers every
+        shard's (memoized) load, so the first real request pays neither
+        disk nor index build.
         """
         return self.refresh(None, level)
 
@@ -178,18 +140,13 @@ class EnginePool:
         """
         wanted = None if video_names is None else set(video_names)
         warmed = 0
-        for database in self._databases():
-            for video in database.videos():
+        for shard in self.corpus.shards:
+            for video in shard.database().videos():
                 if wanted is not None and video.name not in wanted:
                     continue
                 video.root.pictures_at_level(min(level, video.n_levels))
                 warmed += 1
         return warmed
-
-    def _databases(self) -> Sequence[VideoDatabase]:
-        if self._corpus is not None:
-            return [shard.database() for shard in self._corpus.shards]
-        return [self._database]
 
     def probe(self, worker: PooledWorker, *, deadline_ms: float = 1_000.0) -> bool:
         """Health-check one worker with the trivial probe query.
@@ -217,20 +174,9 @@ class EnginePool:
         budget: Optional[QueryBudget],
     ) -> TopKResult:
         """Run one request on one worker's engine (no retry logic here)."""
-        if self._corpus is not None:
-            return self._corpus.top_k(
-                worker.engine,
-                request.formula,
-                request.k,
-                level=request.level,
-                parallelism=request.parallelism,
-                budget=budget,
-                lenient=request.lenient,
-            )
-        return top_k_across_videos(
+        return self.corpus.top_k(
             worker.engine,
             request.formula,
-            self._database,
             request.k,
             level=request.level,
             parallelism=request.parallelism,
@@ -251,5 +197,4 @@ class EnginePool:
         )
 
     def __repr__(self) -> str:
-        backend = "corpus" if self.sharded else "database"
-        return f"EnginePool({self.n_workers} workers over a {backend})"
+        return f"EnginePool({self.n_workers} workers over {self.corpus!r})"

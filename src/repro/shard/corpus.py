@@ -9,6 +9,11 @@ limit: the corpus is partitioned into N shards (each owning its own
 evaluations over an executor, then *gathers* with
 :meth:`~repro.core.topk.TopKResult.merge`.
 
+It is also the one corpus every served and CLI ranking runs over: an
+unsharded database is ``ShardedCorpus.from_database(database)``, one
+shard that *is* the database, queried exactly as
+``top_k_across_videos`` queries it.
+
 The gather is not a passive merge: all shards share one
 :class:`~repro.core.topk.BoundExchange`, so the running global
 k-th-best score flows back into still-running shards and prunes their
@@ -22,9 +27,10 @@ dead or corrupt shard surfaces as a batch of ``failed``
 :class:`~repro.core.topk.VideoOutcome` entries named from the layout
 manifest — lenient queries degrade to the surviving shards
 (``partial=True``), strict queries raise :class:`~repro.errors.ShardError`
-with the load failure chained.  A query budget is sliced across shards:
-the wall-clock deadline is shared (it is a point in time), the step
-ceiling is divided so the whole scatter respects the caller's total.
+with the load failure chained.  A query budget is sliced across two or
+more shards: the wall-clock deadline is shared (it is a point in time),
+the step ceiling is divided so the whole scatter respects the caller's
+total.
 
 Shards execute on a thread-pool executor: the corpus objects are
 in-process Python structures (per-shard stores load into the same
@@ -158,7 +164,7 @@ class Shard:
 
     __slots__ = (
         "shard_id",
-        "videos",
+        "_videos",
         "retry",
         "breaker",
         "_loader",
@@ -179,7 +185,7 @@ class Shard:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.shard_id = shard_id
-        self.videos: Tuple[str, ...] = tuple(videos)
+        self._videos: Tuple[str, ...] = tuple(videos)
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self.breaker = resilience.CircuitBreaker(f"shard-{shard_id}-load")
         self._loader = loader
@@ -187,6 +193,16 @@ class Shard:
         self._lock = threading.Lock()
         self._rng = rng
         self._sleep = sleep
+
+    @property
+    def videos(self) -> Tuple[str, ...]:
+        """The videos the shard owns: its database's once loaded (so a
+        shard over a live database names videos added since), else the
+        ones it was built with."""
+        database = self._database
+        if database is None:
+            return self._videos
+        return tuple(database.names())
 
     def database(self) -> VideoDatabase:
         """The shard's database, loading (and memoizing) on first use."""
@@ -281,12 +297,20 @@ class ShardedCorpus:
     def from_database(
         cls,
         database: VideoDatabase,
-        n_shards: int,
+        n_shards: int = 1,
         *,
         retry: Optional[RetryPolicy] = None,
     ) -> "ShardedCorpus":
-        """Partition an in-memory database (round-robin, no disk)."""
-        parts = split_database(database, n_shards)
+        """Partition an in-memory database (round-robin, no disk).
+
+        One shard, the default, is the database object itself rather
+        than a copy, so rankings and :attr:`video_names` follow videos
+        added to it after the corpus was built.
+        """
+        if n_shards == 1:
+            parts = [database]
+        else:
+            parts = split_database(database, n_shards)
         return cls(
             [
                 Shard(
@@ -356,7 +380,6 @@ class ShardedCorpus:
         *,
         parallelism: Optional[int] = None,
         prune: bool = True,
-        bound_exchange: bool = True,
         budget: Optional[resilience.QueryBudget] = None,
         lenient: bool = False,
         profile: bool = False,
@@ -367,10 +390,12 @@ class ShardedCorpus:
         concurrently (videos within a shard evaluate serially; the
         per-video thread pool and the per-shard executor compose badly,
         and shards are the coarser, better-balanced unit).
-        ``bound_exchange=False`` degrades to naive scatter-gather —
-        every shard prunes only against its own heap — which is the
-        measured baseline of ``benchmarks/bench_shards.py``, not a mode
-        anyone should serve from.
+
+        A one-shard corpus runs exactly as :func:`top_k_across_videos`
+        over its database: ``parallelism`` goes to the per-video
+        fan-out, the caller's ``budget`` object is used whole rather
+        than sliced, and no :class:`BoundExchange` is built (the shard's
+        own heap is the global one).
 
         Rankings are identical to the unsharded serial scan: per-shard
         top-k sets are exact for their videos (exchange pruning only
@@ -381,12 +406,14 @@ class ShardedCorpus:
         if k <= 0:
             return TopKResult([])
         strict = not self._lenient(lenient)
-        exchange = BoundExchange(k) if (prune and bound_exchange) else None
+        single = self.n_shards == 1
+        exchange = BoundExchange(k) if prune and not single else None
 
         def scatter() -> TopKResult:
-            budget_of = dict(
-                zip(self.shards, slice_budget(budget, self.n_shards))
+            budgets = (
+                [budget] if single else slice_budget(budget, self.n_shards)
             )
+            budget_of = dict(zip(self.shards, budgets))
 
             def run_shard(shard: Shard) -> TopKResult:
                 with trace.span(
@@ -409,7 +436,8 @@ class ShardedCorpus:
                             raise failure
                         return lost_shard(shard, failure)
                     return _rank_database(
-                        engine, formula, database, k, level, None, prune,
+                        engine, formula, database, k, level,
+                        parallelism if single else None, prune,
                         budget_of[shard], not strict, exchange,
                     )
 
@@ -424,20 +452,24 @@ class ShardedCorpus:
                 )
 
             results = _fan_out(
-                self.shards, run_shard, lost_shard, parallelism, strict
+                self.shards,
+                run_shard,
+                lost_shard,
+                None if single else parallelism,
+                strict,
             )
             return TopKResult.merge(*results, k=k)
 
         return _run_query(
-            f"sharded top-{k}",
+            f"top-{k}",
             formula,
             profile,
-            None,
+            getattr(engine, "planner", None),
             scatter,
             k=k,
             level=level,
             shards=self.n_shards,
-            exchange=bound_exchange,
+            parallelism=parallelism if parallelism else 1,
         )
 
     def _lenient(self, lenient: bool) -> bool:

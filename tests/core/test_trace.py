@@ -415,15 +415,17 @@ class TestStagedSpanBridge:
 # integration: traced retrieval
 # ---------------------------------------------------------------------------
 class TestTracedRetrieval:
-    def test_trace_video_returns_matching_result_and_tree(self):
+    def test_traced_video_returns_matching_result_and_tree(self):
         database = tiny_database()
         video = next(iter(database.videos()))
         formula = parse(QUERY)
         engine = RetrievalEngine()
         plain = engine.evaluate_video(formula, video, database=database)
-        traced, root = RetrievalEngine().trace_video(
-            formula, video, database=database
-        )
+        with trace.recording() as recorder:
+            traced = RetrievalEngine().evaluate_video(
+                formula, video, database=database
+            )
+        root = recorder.roots[-1]
         assert traced == plain
         assert root.kind == trace.KIND_EVALUATE
         kinds = {node.kind for node in root.walk()}

@@ -15,7 +15,8 @@ from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
-from repro.serve import EnginePool
+from repro.serve import EnginePool, QueryRequest
+from repro.shard import ShardedCorpus
 from repro.workloads.synthetic import random_similarity_list
 
 
@@ -178,7 +179,7 @@ def test_auto_commit_batches_by_record_count(tmp_path):
 
 def test_pool_refresh_as_commit_listener(tmp_path):
     ingester = initialise(tmp_path, seed_database())
-    pool = EnginePool.from_database(ingester.database, 2)
+    pool = EnginePool(ShardedCorpus.from_database(ingester.database), 2)
     pool.warm()
     ingester.add_listener(pool.refresh)
     ingester.add_video("live0", make_segments(3))
@@ -188,6 +189,15 @@ def test_pool_refresh_as_commit_listener(tmp_path):
     assert live.root._pictures is not None
     system = live.root.pictures_at_level(2)
     assert len(system.segments) == 3
+    # The pool's one shard is the ingester's database, not a copy: it
+    # ranks and names a video added after the pool was built.
+    request = QueryRequest(parse("exists x . present(x)"), k=20)
+    ranked = pool.execute(pool.workers[0], request, None)
+    assert "live0" in {hit.video for hit in ranked}
+    assert ranked == top_k_across_videos(
+        RetrievalEngine(), request.formula, ingester.database, 20
+    )
+    assert "live0" in pool.degraded_result(RuntimeError()).failed_videos
     # ...and an append keeps extending the same warm system.
     ingester.append_segments("live0", make_segments(2, seed=8))
     ingester.commit()

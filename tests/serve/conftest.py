@@ -12,6 +12,7 @@ from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
 from repro.serve import EnginePool, RetrievalServer, SLAClass
+from repro.shard import ShardedCorpus
 
 from tests.shard.conftest import graded_corpus
 
@@ -52,7 +53,7 @@ def reference(corpus):
 
 @pytest.fixture
 def pool(corpus):
-    return EnginePool.from_database(corpus, 2)
+    return EnginePool(ShardedCorpus.from_database(corpus), 2)
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ class TestAdmissionEdge:
         dispatch: the worker resolves timed-out without touching an
         engine (attempts stays 0)."""
         now = [0.0]
-        pool = EnginePool.from_database(corpus, 1)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 1)
         server = RetrievalServer(
             pool, classes=serve_classes(), clock=lambda: now[0]
         )
@@ -57,7 +57,7 @@ class TestAdmissionEdge:
 
     def test_exactly_at_deadline_is_timed_out(self, corpus):
         now = [0.0]
-        pool = EnginePool.from_database(corpus, 1)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 1)
         server = RetrievalServer(
             pool, classes=serve_classes(), clock=lambda: now[0]
         )
@@ -104,9 +104,7 @@ class TestStepSlicing:
                 "batch", deadline_ms=30_000.0, max_steps=2, priority=0
             )
         )
-        pool = EnginePool.from_corpus(
-            ShardedCorpus.from_database(corpus, 3), 1
-        )
+        pool = EnginePool(ShardedCorpus.from_database(corpus, 3), 1)
         with RetrievalServer(pool, classes=classes) as server:
             strict = server.query(
                 FORMULA_TEXT, K, sla="batch", lenient=False
@@ -131,9 +129,7 @@ class TestStepSlicing:
                 priority=0,
             )
         )
-        pool = EnginePool.from_corpus(
-            ShardedCorpus.from_database(corpus, 3), 1
-        )
+        pool = EnginePool(ShardedCorpus.from_database(corpus, 3), 1)
         with RetrievalServer(pool, classes=classes) as server:
             result = server.query(FORMULA_TEXT, K, sla="batch")
         assert result.status == STATUS_COMPLETED
@@ -148,7 +144,7 @@ class TestExhaustionMidDrain:
         classes = serve_classes(
             batch=SLAClass("batch", deadline_ms=1.0, priority=0)
         )
-        pool = EnginePool.from_database(corpus, 1)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 1)
         # initial_service_ms=0: the backlog estimator must not reject
         # these 1ms-deadline requests before the drain race under test.
         server = RetrievalServer(
@@ -176,7 +172,7 @@ class TestExhaustionMidDrain:
                 "batch", deadline_ms=30_000.0, max_steps=1, priority=0
             )
         )
-        pool = EnginePool.from_database(corpus, 1)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 1)
         server = RetrievalServer(pool, classes=classes).start(warm=False)
         ticket = server.submit(request_for(sla="batch", lenient=False))
         stats = server.close()  # drain waits for the in-flight overrun

@@ -28,6 +28,7 @@ from repro.serve.request import (
     STATUS_TIMED_OUT,
     TERMINAL_STATUSES,
 )
+from repro.shard import ShardedCorpus
 from repro.testing.faults import FaultSpec, inject
 
 from tests.serve.conftest import (
@@ -89,7 +90,7 @@ def run_storm(server, n_requests, slas=("interactive", "standard", "batch")):
 
 class TestAdmitFaults:
     def test_admission_faults_never_lose_requests(self, corpus, reference):
-        pool = EnginePool.from_database(corpus, 2)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 2)
         server = RetrievalServer(pool, classes=serve_classes()).start(
             warm=False
         )
@@ -115,7 +116,7 @@ class TestWorkerFaults:
     def test_worker_faults_retry_or_degrade_never_corrupt(
         self, corpus, reference
     ):
-        pool = EnginePool.from_database(corpus, 2)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 2)
         server = RetrievalServer(
             pool, classes=serve_classes(), max_attempts=2
         ).start(warm=False)
@@ -140,7 +141,7 @@ class TestWorkerFaults:
 
 class TestDrainFaults:
     def test_drain_fault_cannot_leak_tickets(self, corpus, reference):
-        pool = EnginePool.from_database(corpus, 2)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 2)
         server = RetrievalServer(pool, classes=serve_classes()).start(
             warm=False
         )
@@ -160,7 +161,7 @@ class TestFullStorm:
     def test_all_sites_at_once_conserve_and_never_corrupt(
         self, corpus, reference
     ):
-        pool = EnginePool.from_database(corpus, 3)
+        pool = EnginePool(ShardedCorpus.from_database(corpus), 3)
         server = RetrievalServer(
             pool, classes=serve_classes(), max_attempts=2
         ).start(warm=False)

@@ -72,9 +72,7 @@ class TestResults:
         assert result.raise_for_status() is result.topk
 
     def test_sharded_pool_matches_the_direct_query(self, corpus, reference):
-        pool = EnginePool.from_corpus(
-            ShardedCorpus.from_database(corpus, 3), 2
-        )
+        pool = EnginePool(ShardedCorpus.from_database(corpus, 3), 2)
         with RetrievalServer(pool, classes=serve_classes()) as server:
             result = server.query(FORMULA_TEXT, K)
         assert result.status == STATUS_COMPLETED

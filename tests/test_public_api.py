@@ -86,12 +86,40 @@ def test_syntax_errors_carry_positions():
         ("repro.core.planner", "order_conjuncts"),
         ("repro.pictures.signature", "signature_match_rate"),
         ("repro.pictures.signature", "sample_positions"),
+        ("repro.core.engine", "RetrievalEngine.trace_video"),
+        ("repro.serve", "EnginePool.from_database"),
+        ("repro.serve", "EnginePool.from_corpus"),
+        ("repro.serve", "EnginePool.from_store"),
+        ("repro.serve", "EnginePool.sharded"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
-    """The unsound formula rewriter and the planner's hand-set weights
-    and per-atom strategy are gone; nothing re-exports them."""
-    assert not hasattr(importlib.import_module(module), name)
+    """The unsound formula rewriter, the planner's hand-set weights and
+    per-atom strategy, the one-video tracing wrapper and the pool's
+    per-input constructors are gone; nothing re-exports them."""
+    owner = importlib.import_module(module)
+    *path, leaf = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, leaf)
+
+
+@pytest.mark.parametrize(
+    "module, function, parameter",
+    [
+        ("repro.serve", "EnginePool.__init__", "database"),
+        ("repro.shard", "ShardedCorpus.top_k", "bound_exchange"),
+    ],
+)
+def test_deleted_parameters_stay_deleted(module, function, parameter):
+    """A pool serves one corpus, and a sharded query has no naive
+    scatter-gather mode."""
+    import inspect
+
+    owner = importlib.import_module(module)
+    for part in function.split("."):
+        owner = getattr(owner, part)
+    assert parameter not in inspect.signature(owner).parameters
 
 
 def test_optimizer_module_is_gone():
