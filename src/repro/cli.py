@@ -541,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--dir",
             dest="ingest_dir",
             required=True,
-            help="ingest root directory (base/, wal.log, deltas/)",
+            help="ingest root directory (base/, wal.log)",
         )
 
     ingest_init = ingest_actions.add_parser(
@@ -574,14 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     ingest_checkpoint = ingest_actions.add_parser(
-        "checkpoint", help="fold the committed WAL into a delta snapshot"
+        "checkpoint",
+        help="save the committed state as a snapshot and reset the WAL",
     )
     _ingest_common(ingest_checkpoint)
-    ingest_checkpoint.add_argument(
-        "--full",
-        action="store_true",
-        help="merge the whole delta chain into one artifact",
-    )
 
     ingest_recover = ingest_actions.add_parser(
         "recover", help="replay the committed state and report provenance"
@@ -1204,18 +1200,15 @@ def cmd_ingest(arguments: argparse.Namespace) -> int:
         return 0
     if arguments.ingest_command == "checkpoint":
         with Ingester(arguments.ingest_dir) as ingester:
-            info = ingester.checkpoint(full=arguments.full)
+            info = ingester.checkpoint()
             if info is None:
                 print("nothing to checkpoint: no videos dirty")
                 return 0
-            kind = "full" if info.full else "incremental"
             print(
-                f"checkpointed ({kind}) {info.delta}: "
-                f"{len(info.videos)} video(s) through WAL sequence "
+                f"checkpointed {info.snapshot_id}: "
+                f"{len(ingester.database)} video(s) through WAL sequence "
                 f"{info.wal_through}"
             )
-            if info.superseded:
-                print(f"superseded: {', '.join(info.superseded)}")
         return 0
     state = recover(arguments.ingest_dir, verify=not arguments.no_verify)
     state.wal.close()
@@ -1223,7 +1216,6 @@ def cmd_ingest(arguments: argparse.Namespace) -> int:
         f"recovered {state.snapshot_id}"
         f" ({'verified' if state.verified else 'unverified'}):"
         f" {len(state.database)} video(s),"
-        f" {len(state.deltas)} delta(s),"
         f" {state.replayed} WAL record(s) replayed,"
         f" {state.skipped} skipped"
     )

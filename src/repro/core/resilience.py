@@ -75,12 +75,11 @@ SITE_SERVE_DRAIN = "serve-drain"
 #: of one framed WAL record (``short_write`` here leaves a real torn
 #: record on disk), the fsync that makes a batch durable (a raise models
 #: a crash before the commit marker moves), every record read on the
-#: replay path (``corrupt`` flips bits in committed bytes), and the
-#: delta-manifest replace that is a checkpoint's commit point.
+#: replay path (``corrupt`` flips bits in committed bytes).  A
+#: checkpoint is a store snapshot, faulted at the store's write sites.
 SITE_WAL_APPEND = "wal-append"
 SITE_WAL_FSYNC = "wal-fsync"
 SITE_WAL_REPLAY = "wal-replay"
-SITE_COMPACT_COMMIT = "compact-commit"
 #: Analyzer fault site of :mod:`repro.analyzer.annotate` (DESIGN.md §16):
 #: the construction of one shot's content signature.  A raise here models
 #: a failing feature extractor — annotation degrades to signature-less
@@ -103,7 +102,6 @@ FAULT_SITES = (
     SITE_WAL_APPEND,
     SITE_WAL_FSYNC,
     SITE_WAL_REPLAY,
-    SITE_COMPACT_COMMIT,
     SITE_SIGNATURE_BUILD,
 )
 

@@ -242,11 +242,12 @@ class StoreVersionError(StoreError):
 class IngestError(ReproError):
     """Base class for the streaming-ingest layer (:mod:`repro.ingest`).
 
-    Raised for structural problems of an ingest directory (missing or
-    malformed WAL commit marker, an unreadable delta manifest), for
-    operations rejected before they reach the WAL (unknown video, a
-    non-flat hierarchy, an annotation past the segment range), and as
-    the base of :class:`WALCorruptionError`.  ``path`` points at the
+    Raised for structural problems of an ingest directory (a missing,
+    malformed or foreign-format WAL commit marker; a snapshot fallback
+    the WAL no longer covers; a damaged format-1 delta chain under
+    migration), for operations rejected before they reach the WAL
+    (unknown video, a non-flat hierarchy, an annotation past the segment
+    range), and as the base of :class:`WALCorruptionError`.  ``path`` points at the
     ingest root (or the specific file) the failure concerns, when known.
     """
 

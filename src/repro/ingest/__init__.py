@@ -3,13 +3,14 @@
 The append-oriented mutation path of the corpus: a write-ahead log with
 a strict commit point (:mod:`repro.ingest.wal`), typed operations whose
 apply path is shared between live ingest and recovery
-(:mod:`repro.ingest.ops`), replay that reconstructs exactly the
-committed prefix (:mod:`repro.ingest.recover`), and log compaction into
-checkpoint deltas (:mod:`repro.ingest.compact`).  The front door is
-:class:`~repro.ingest.ingester.Ingester` / :func:`initialise`.
+(:mod:`repro.ingest.ops`), checkpoints that are snapshots of the
+:mod:`repro.store` under ``base/`` carrying the WAL watermark, and
+replay of the committed records above that watermark, which
+reconstructs exactly the committed prefix (:mod:`repro.ingest.recover`).
+The front door is :class:`~repro.ingest.ingester.Ingester` /
+:func:`initialise`.
 """
 
-from repro.ingest.compact import CheckpointInfo, Compactor, read_manifest
 from repro.ingest.ingester import Ingester, initialise
 from repro.ingest.layout import IngestLayout
 from repro.ingest.ops import (
@@ -29,8 +30,6 @@ __all__ = [
     "AddAnnotations",
     "AddVideo",
     "AppendSegments",
-    "CheckpointInfo",
-    "Compactor",
     "IngestLayout",
     "IngestOp",
     "Ingester",
@@ -42,7 +41,6 @@ __all__ = [
     "encode_op",
     "encode_record",
     "initialise",
-    "read_manifest",
     "recover",
     "validate",
 ]

@@ -12,8 +12,9 @@ Every mutation follows the same discipline:
 
 :meth:`commit` is the durability boundary — records batch in the OS
 buffer until one fsync covers them all (the paper-era "group commit").
-:meth:`checkpoint` folds everything committed so far into a delta
-(:class:`~repro.ingest.compact.Compactor`) and resets the WAL.
+:meth:`checkpoint` saves the database as a snapshot of the ``base/``
+store, watermarked with the last committed WAL sequence, and resets the
+WAL.
 
 Listeners (e.g. a serving pool's ``refresh``) fire after each commit
 with the names of the videos that batch touched — commit is when the
@@ -26,15 +27,15 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core import trace
 from repro.core.simlist import SimilarityList
 from repro.errors import IngestError
 from repro.ingest import ops
-from repro.ingest.compact import CheckpointInfo, Compactor
 from repro.ingest.layout import IngestLayout, PathLike
 from repro.ingest.recover import RecoveredState, recover
 from repro.model.database import VideoDatabase
 from repro.model.metadata import SegmentMetadata
-from repro.store import Store
+from repro.store import SnapshotInfo, Store
 
 Listener = Callable[[Tuple[str, ...]], None]
 
@@ -47,9 +48,8 @@ def initialise(
 ) -> "Ingester":
     """Create a fresh ingest directory seeded with ``database``.
 
-    Writes the base snapshot exactly once — checkpoints never rewrite
-    it (see :mod:`repro.ingest.compact` for why).  Refuses a root that
-    already holds an ingest directory.
+    Writes the store's first snapshot (``wal_through`` 0).  Refuses a
+    root that already holds an ingest directory.
     """
     layout = IngestLayout(root)
     if os.path.exists(layout.wal_commit_path) or os.path.exists(
@@ -71,7 +71,7 @@ class Ingester:
     """Crash-safe streaming mutations over one ingest directory.
 
     Opening an ingester *is* recovery: the constructor replays the
-    committed state (base + deltas + WAL) and resumes from it, so the
+    committed state (snapshot + WAL) and resumes from it, so the
     code path a crash exercises is the code path every clean start
     exercises too.
     """
@@ -97,9 +97,9 @@ class Ingester:
         )
         self.database: VideoDatabase = self.recovered.database
         self._wal = self.recovered.wal
-        self._compactor = Compactor(self.layout, fsync=fsync)
-        # Videos with committed-but-not-checkpointed WAL records; the
-        # next checkpoint must fold exactly these.
+        self._store = Store(self.layout.base_dir, keep=keep, fsync=fsync)
+        # Videos changed since the last checkpoint; none means there is
+        # nothing to checkpoint.
         self._dirty: List[str] = list(self.recovered.dirty)
         # Videos touched since the last commit (listener payload).
         self._uncommitted: List[str] = []
@@ -109,7 +109,7 @@ class Ingester:
     # -- introspection ---------------------------------------------------
     @property
     def dirty(self) -> Tuple[str, ...]:
-        """Videos the next checkpoint will fold into a delta."""
+        """Videos changed since the last checkpoint."""
         return tuple(self._dirty)
 
     @property
@@ -191,24 +191,24 @@ class Ingester:
                 listener(batch)
         return batch
 
-    def checkpoint(self, full: bool = False) -> Optional[CheckpointInfo]:
-        """Fold the committed WAL into a delta and reset the log.
+    def checkpoint(self) -> Optional[SnapshotInfo]:
+        """Save the database as a store snapshot and reset the log.
 
-        Commits first (a checkpoint must never fold records the WAL has
-        not made durable).  ``full=True`` merges the whole delta chain
-        into one artifact.  Returns ``None`` when nothing needed doing.
+        Commits first (a snapshot must never hold records the WAL has
+        not made durable).  The snapshot's ``wal_through`` is the last
+        committed sequence, and the store's manifest replace is the
+        checkpoint's one commit point.  Returns ``None`` when no video
+        changed since the last checkpoint.
         """
         self._guard()
         self.commit()
-        info = self._compactor.checkpoint(
-            self.database,
-            dirty=self._dirty,
-            wal_through=self._wal.last_committed_sequence,
-            full=full,
-        )
-        if info is None:
+        if not self._dirty:
             return None
-        # Only after the manifest committed is it safe to drop the log.
+        info = self._store.save(
+            self.database, wal_through=self._wal.last_committed_sequence
+        )
+        trace.METRICS.count(trace.INGEST_CHECKPOINT)
+        # Only after the snapshot committed is it safe to drop the log.
         self._wal.reset()
         self._dirty = []
         return info

@@ -4,11 +4,10 @@ Everything the crash-safe ingest path persists lives under a single
 root::
 
     <root>/
-      base/             # a repro.store.Store: the seed snapshot corpus
+      base/             # a repro.store.Store: every checkpoint is one
+                        # of its snapshots, watermarked by wal_through
       wal.log           # framed, CRC-checksummed append-only records
       wal.commit.json   # the WAL's strict commit point (atomic replace)
-      deltas/           # delta-NNNNNN.json checkpoint artifacts
-      DELTAS.json       # the checkpoint commit point: ordered delta chain
       quarantine/       # damaged bytes are moved here, never deleted
 
 The layout object is pure path arithmetic — construction creates
@@ -24,8 +23,6 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 WAL_LOG_NAME = "wal.log"
 WAL_COMMIT_NAME = "wal.commit.json"
-DELTAS_DIR_NAME = "deltas"
-DELTAS_MANIFEST_NAME = "DELTAS.json"
 BASE_DIR_NAME = "base"
 QUARANTINE_DIR_NAME = "quarantine"
 
@@ -51,28 +48,8 @@ class IngestLayout:
         return os.path.join(self.root, WAL_COMMIT_NAME)
 
     @property
-    def deltas_dir(self) -> str:
-        return os.path.join(self.root, DELTAS_DIR_NAME)
-
-    @property
-    def deltas_manifest_path(self) -> str:
-        return os.path.join(self.root, DELTAS_MANIFEST_NAME)
-
-    @property
     def quarantine_dir(self) -> str:
         return os.path.join(self.root, QUARANTINE_DIR_NAME)
-
-    def quarantine_path(self, name: str) -> str:
-        """A fresh path under quarantine/ (suffixed if already taken)."""
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        candidate = os.path.join(self.quarantine_dir, name)
-        attempt = 0
-        while os.path.exists(candidate):
-            attempt += 1
-            candidate = os.path.join(
-                self.quarantine_dir, f"{name}.{attempt}"
-            )
-        return candidate
 
     def __repr__(self) -> str:
         return f"IngestLayout({self.root!r})"

@@ -47,7 +47,11 @@ from repro.core import resilience, trace
 from repro.errors import IngestError, InjectedFaultError, WALCorruptionError
 from repro.ingest.layout import IngestLayout, PathLike
 from repro.ingest.ops import IngestOp, encode_op
-from repro.store.atomic import atomic_write_json, canonical_json_bytes
+from repro.store.atomic import (
+    atomic_write_json,
+    canonical_json_bytes,
+    quarantine_path,
+)
 
 MAGIC = b"WL"
 _HEADER = struct.Struct(">2sII")
@@ -123,16 +127,23 @@ class WriteAheadLog:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
-            return {
-                "offset": int(document["offset"]),
-                "records": int(document["records"]),
-                "next_sequence": int(document["next_sequence"]),
-            }
+            version = document.get("format")
+            if version == FORMAT_VERSION:
+                return {
+                    "offset": int(document["offset"]),
+                    "records": int(document["records"]),
+                    "next_sequence": int(document["next_sequence"]),
+                }
         except Exception as error:
             raise IngestError(
                 f"WAL commit marker {path!r} unreadable: {error!r}",
                 path=path,
             ) from error
+        raise IngestError(
+            f"WAL commit marker carries format {version!r}; this build "
+            f"reads version {FORMAT_VERSION}",
+            path=path,
+        )
 
     def _write_marker(self) -> None:
         atomic_write_json(
@@ -305,8 +316,9 @@ class WriteAheadLog:
         with open(self.layout.wal_log_path, "rb") as handle:
             handle.seek(self.committed_offset)
             tail = handle.read()
-        destination = self.layout.quarantine_path(
-            f"wal-tail-{self.committed_offset}.bin"
+        destination = quarantine_path(
+            self.layout.quarantine_dir,
+            f"wal-tail-{self.committed_offset}.bin",
         )
         with open(destination, "wb") as handle:
             handle.write(tail)
@@ -376,8 +388,9 @@ class WriteAheadLog:
     def _quarantine_region(
         self, data: bytes, offset: int, record: int
     ) -> str:
-        destination = self.layout.quarantine_path(
-            f"wal-record-{record}-at-{offset}.bin"
+        destination = quarantine_path(
+            self.layout.quarantine_dir,
+            f"wal-record-{record}-at-{offset}.bin",
         )
         with open(destination, "wb") as handle:
             handle.write(data[offset:])

@@ -77,9 +77,10 @@ class VideoDatabase:
     def replace(self, video: Video) -> Video:
         """Swap in a newer copy of an already-registered video.
 
-        Recovery applies checkpoint deltas this way: a delta carries the
-        full document of every video it covers, which supersedes the
-        copy loaded from the base snapshot (or an earlier delta).
+        Kept only for the format-1 delta-chain migration
+        (:mod:`repro.ingest.migrate`): a delta carries the full document
+        of every video it covers, which supersedes the copy loaded from
+        the base snapshot (or an earlier delta).
         """
         if video.name not in self._videos:
             raise ModelError(
@@ -155,25 +156,13 @@ class VideoDatabase:
         """Distinct registered atomic predicate names."""
         return sorted({key[0] for key in self._atomic})
 
-    def video_atomics(
-        self, video: str
-    ) -> List[Tuple[str, int, SimilarityList]]:
-        """Every registered ``(predicate, level, list)`` of one video.
-
-        Checkpoint deltas persist a video's complete annotation set
-        alongside its document, so applying the delta needs no diffing.
-        """
-        return [
-            (predicate, level, sim)
-            for (predicate, name, level), sim in self._atomic.items()
-            if name == video
-        ]
-
     def drop_video_atomics(self, video: str) -> int:
         """Remove every atomic list of one video; returns how many fell.
 
-        Used when a checkpoint delta replaces a video wholesale — its
-        annotation set is re-registered from the delta afterwards.
+        Kept only for the format-1 delta-chain migration
+        (:mod:`repro.ingest.migrate`): a delta replaces a video
+        wholesale, and its annotation set is re-registered from the
+        delta afterwards.
         """
         stale = [key for key in self._atomic if key[1] == video]
         for key in stale:

@@ -98,3 +98,20 @@ def atomic_write_json(
 ) -> Tuple[str, int]:
     """Serialize ``payload`` canonically and write it atomically."""
     return atomic_write_bytes(path, canonical_json_bytes(payload), fsync=fsync)
+
+
+def quarantine_path(directory: PathLike, name: str) -> str:
+    """A fresh path for ``name`` under ``directory``, created if absent.
+
+    ``name`` itself when free, else ``name.1``, ``name.2``, … — damaged
+    bytes moved aside never overwrite earlier evidence.
+    """
+    directory = os.fspath(directory)
+    os.makedirs(directory, exist_ok=True)
+    base = os.path.join(directory, name)
+    target = base
+    suffix = 0
+    while os.path.exists(target):
+        suffix += 1
+        target = f"{base}.{suffix}"
+    return target

@@ -64,6 +64,7 @@ from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.store.atomic import (
     atomic_write_json,
     fsync_directory,
+    quarantine_path,
     sha256_hex,
 )
 
@@ -137,6 +138,8 @@ class SnapshotInfo:
     path: str
     artifacts: Dict[str, Dict[str, Any]]
     pruned: Tuple[str, ...] = ()
+    #: highest ingest WAL sequence the snapshot folds in (0: none)
+    wal_through: int = 0
 
 
 @dataclass
@@ -147,6 +150,8 @@ class StoreLoad:
     snapshot_id: str
     verified: bool
     actions: List[RecoveryAction] = field(default_factory=list)
+    #: the loaded snapshot's ``wal_through`` (0 when it predates the key)
+    wal_through: int = 0
 
     @property
     def recovered(self) -> bool:
@@ -268,13 +273,7 @@ class Store:
         Quarantined artifacts are preserved verbatim for post-mortem —
         the store never deletes evidence of corruption.
         """
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        base = os.path.join(self.quarantine_dir, label)
-        target = base
-        suffix = 0
-        while os.path.exists(target):
-            suffix += 1
-            target = f"{base}.{suffix}"
+        target = quarantine_path(self.quarantine_dir, label)
         shutil.move(path, target)
         trace.METRICS.count(trace.STORE_ARTIFACT_QUARANTINED)
         trace.event(
@@ -356,8 +355,14 @@ class Store:
             }
         return documents
 
-    def save(self, database: VideoDatabase) -> SnapshotInfo:
+    def save(
+        self, database: VideoDatabase, wal_through: int = 0
+    ) -> SnapshotInfo:
         """Write a new snapshot and commit it atomically.
+
+        ``wal_through`` is the highest ingest WAL sequence the database
+        already holds (:mod:`repro.ingest` checkpoints); it is recorded
+        in ``snapshot.json`` and committed by the same manifest replace.
 
         Write order is the crash-safety argument: every artifact and the
         per-snapshot manifest are atomically written and fsynced inside
@@ -411,6 +416,7 @@ class Store:
             "id": snapshot_id,
             "sequence": sequence,
             "artifacts": artifacts,
+            "wal_through": wal_through,
         }
         manifest_digest, manifest_size = atomic_write_json(
             os.path.join(directory, SNAPSHOT_MANIFEST),
@@ -463,6 +469,7 @@ class Store:
             path=directory,
             artifacts=artifacts,
             pruned=pruned,
+            wal_through=wal_through,
         )
 
     # -- manifest --------------------------------------------------------
@@ -615,6 +622,13 @@ class Store:
             artifacts = document.get("artifacts")
             if not isinstance(artifacts, dict):
                 raise ValueError("snapshot manifest lists no artifacts")
+            # Snapshots written before the key existed fold in no WAL.
+            wal_through = document.setdefault("wal_through", 0)
+            if type(wal_through) is not int or wal_through < 0:
+                raise ValueError(
+                    f"wal_through must be a non-negative integer, got "
+                    f"{wal_through!r}"
+                )
             return document
         except StoreVersionError:
             raise
@@ -769,7 +783,8 @@ class Store:
         manifest: Dict[str, Any],
         verify: bool,
         actions: List[RecoveryAction],
-    ) -> Optional[VideoDatabase]:
+    ) -> Optional[Tuple[VideoDatabase, int]]:
+        """The snapshot's database and ``wal_through``, or None."""
         snapshot_manifest = self._read_snapshot_manifest(
             snapshot_id, manifest, verify, actions
         )
@@ -823,7 +838,7 @@ class Store:
                 snapshot_id, INDEX_ARTIFACT, snapshot_manifest, verify, actions
             )
         self._install_indices(database, snapshot_id, index_payload, actions)
-        return database
+        return database, snapshot_manifest["wal_through"]
 
     def load(self, verify: bool = True) -> StoreLoad:
         """Load the newest intact snapshot, recovering as needed.
@@ -850,11 +865,12 @@ class Store:
                 f"store at {self.root!r} has no snapshots", path=self.root
             )
         for position, snapshot_id in enumerate(candidates):
-            database = self._load_snapshot(
+            loaded = self._load_snapshot(
                 snapshot_id, manifest, verify, actions
             )
-            if database is None:
+            if loaded is None:
                 continue
+            database, wal_through = loaded
             if position > 0:
                 trace.METRICS.count(trace.STORE_SNAPSHOT_FALLBACK)
                 trace.event(
@@ -877,6 +893,7 @@ class Store:
                 snapshot_id=snapshot_id,
                 verified=verify,
                 actions=actions,
+                wal_through=wal_through,
             )
         quarantined = tuple(
             action.quarantined_to for action in actions if action.quarantined_to

@@ -2,8 +2,8 @@
 
 The invariant, swept deterministically: with a single fault injected at
 *any* boundary of the ingest protocol — any WAL append (including a
-genuinely torn short write), any commit fsync, any marker/delta/manifest
-write, the compaction commit point — a subsequent :func:`recover`
+genuinely torn short write), any commit fsync, any marker or snapshot
+write of a checkpoint — a subsequent :func:`recover`
 reconstructs **exactly the committed prefix**: the database documents
 equal a rebuild-from-scratch oracle that applied only the operations
 whose commit succeeded, and query rankings match that oracle exactly.
@@ -82,7 +82,7 @@ def scripted_ops():
     ]
 
 
-#: The script interleaves ops with durability and compaction boundaries.
+#: The script interleaves ops with durability and checkpoint boundaries.
 #: Each "commit" advances the oracle's committed prefix; checkpoints are
 #: pure representation changes (state must be identical across them).
 SCRIPT = [
@@ -91,11 +91,11 @@ SCRIPT = [
     ("commit",),
     ("op", 2),
     ("commit",),
-    ("checkpoint", False),
+    ("checkpoint",),
     ("op", 3),
     ("op", 4),
     ("commit",),
-    ("checkpoint", True),
+    ("checkpoint",),
     ("op", 5),
     ("commit",),
 ]
@@ -135,7 +135,7 @@ def run_script(root):
             else:
                 # Ops were committed by the preceding commit step, so a
                 # checkpoint crash never moves the committed prefix.
-                ingester.checkpoint(full=step[1])
+                ingester.checkpoint()
         return committed, False
     except ReproError:
         return committed, True
@@ -178,10 +178,10 @@ CRASH_SITES = [
     (resilience.SITE_WAL_APPEND, RAISE),
     (resilience.SITE_WAL_APPEND, SHORT_WRITE),
     (resilience.SITE_WAL_FSYNC, RAISE),
-    (resilience.SITE_COMPACT_COMMIT, RAISE),
-    # The marker/delta/manifest writes all route through the store's
+    # The marker and snapshot writes all route through the store's
     # atomic-write protocol; faulting it crashes commit and checkpoint
-    # at their inner write steps.
+    # at their inner write steps, the snapshot's manifest replace (the
+    # checkpoint's commit point) included.
     (resilience.SITE_STORE_WRITE, RAISE),
     (resilience.SITE_STORE_FSYNC, RAISE),
 ]

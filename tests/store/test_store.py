@@ -153,6 +153,28 @@ class TestRoundTrip:
             "snap-000002", "snap-000003",
         ]
 
+    def test_wal_through_round_trips(self, store, database):
+        assert store.save(database).wal_through == 0
+        assert store.load().wal_through == 0
+        info = store.save(database, wal_through=7)
+        assert info.wal_through == 7
+        with open(os.path.join(info.path, "snapshot.json")) as handle:
+            assert json.load(handle)["wal_through"] == 7
+        assert store.load().wal_through == 7
+
+    def test_snapshot_without_wal_through_reads_zero(self, store, database):
+        """Stores written before the key existed stay readable."""
+        info = store.save(database, wal_through=7)
+        path = os.path.join(info.path, "snapshot.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        del document["wal_through"]
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        loaded = store.load(verify=False)
+        assert loaded.snapshot_id == info.snapshot_id
+        assert loaded.wal_through == 0
+
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(StoreError):
             Store(tmp_path, keep=0)
@@ -275,6 +297,25 @@ class TestRecovery:
             store.load()
         # A version error is not corruption: nothing was quarantined.
         assert not os.path.isdir(store.quarantine_dir)
+
+    @pytest.mark.parametrize("value", [-1, "3", True, 1.5, None])
+    def test_malformed_wal_through_falls_back(self, store, database, value):
+        first = store.save(database, wal_through=2)
+        second = store.save(database, wal_through=5)
+        path = os.path.join(second.path, "snapshot.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document["wal_through"] = value
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        loaded = store.load(verify=False)
+        assert loaded.snapshot_id == first.snapshot_id
+        assert loaded.wal_through == 2
+        assert any(
+            action.kind == "quarantined"
+            and action.snapshot == second.snapshot_id
+            for action in loaded.actions
+        )
 
     def test_unverified_load_still_rejects_torn_json(self, store, database):
         first = store.save(database)

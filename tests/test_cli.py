@@ -595,12 +595,13 @@ class TestIngest:
 
         code, out, __ = run_cli(capsys, "ingest", "checkpoint", "--dir", root)
         assert code == 0
-        assert "checkpointed (incremental) delta-000001" in out
+        assert "checkpointed snap-000002" in out
+        assert "through WAL sequence 2" in out
 
         code, out, __ = run_cli(capsys, "ingest", "recover", "--dir", root)
         assert code == 0
+        assert "recovered snap-000002" in out
         assert "0 WAL record(s) replayed" in out
-        assert "1 delta(s)" in out
 
     def test_append_survives_recovery_without_checkpoint(
         self, capsys, tmp_path

@@ -91,12 +91,22 @@ def test_syntax_errors_carry_positions():
         ("repro.serve", "EnginePool.from_corpus"),
         ("repro.serve", "EnginePool.from_store"),
         ("repro.serve", "EnginePool.sharded"),
+        ("repro.ingest", "Compactor"),
+        ("repro.ingest", "CheckpointInfo"),
+        ("repro.ingest", "read_manifest"),
+        ("repro.ingest", "RecoveredState.deltas"),
+        ("repro.ingest", "IngestLayout.deltas_dir"),
+        ("repro.ingest", "IngestLayout.deltas_manifest_path"),
+        ("repro.ingest", "IngestLayout.quarantine_path"),
+        ("repro.core.resilience", "SITE_COMPACT_COMMIT"),
+        ("repro.model.database", "VideoDatabase.video_atomics"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
     """The unsound formula rewriter, the planner's hand-set weights and
-    per-atom strategy, the one-video tracing wrapper and the pool's
-    per-input constructors are gone; nothing re-exports them."""
+    per-atom strategy, the one-video tracing wrapper, the pool's
+    per-input constructors and the ingest delta chain are gone; nothing
+    re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
@@ -109,11 +119,13 @@ def test_deleted_names_stay_deleted(module, name):
     [
         ("repro.serve", "EnginePool.__init__", "database"),
         ("repro.shard", "ShardedCorpus.top_k", "bound_exchange"),
+        ("repro.ingest", "Ingester.checkpoint", "full"),
     ],
 )
 def test_deleted_parameters_stay_deleted(module, function, parameter):
-    """A pool serves one corpus, and a sharded query has no naive
-    scatter-gather mode."""
+    """A pool serves one corpus, a sharded query has no naive
+    scatter-gather mode, and a checkpoint is always one whole store
+    snapshot."""
     import inspect
 
     owner = importlib.import_module(module)
@@ -122,9 +134,12 @@ def test_deleted_parameters_stay_deleted(module, function, parameter):
     assert parameter not in inspect.signature(owner).parameters
 
 
-def test_optimizer_module_is_gone():
+@pytest.mark.parametrize(
+    "module", ["repro.core.optimizer", "repro.ingest.compact"]
+)
+def test_deleted_modules_are_gone(module):
     with pytest.raises(ImportError):
-        importlib.import_module("repro.core.optimizer")
+        importlib.import_module(module)
 
 
 @pytest.mark.parametrize(
