@@ -931,7 +931,7 @@ def cmd_store(arguments: argparse.Namespace) -> int:
         return 0 if report.ok else 1
     outcome = store.repair()
     for action in outcome.actions:
-        print(f"  quarantined: {action.quarantined_to or action.artifact}")
+        print(f"  {action.kind}: {action.quarantined_to or action.artifact}")
     print(
         f"repaired: current={outcome.current}, "
         f"retained=[{', '.join(outcome.retained)}], "

@@ -3,7 +3,10 @@
 Public surface:
 
 * :class:`Store` — atomic checksummed snapshots with
-  ``save`` / ``load`` / ``verify`` / ``repair``.
+  ``save`` / ``load`` / ``verify`` / ``repair``.  The last three judge
+  a snapshot with one check, so ``verify`` reports exactly what
+  ``load`` would do and ``repair`` leaves a store both accept without
+  recovery.
 * :func:`atomic_write_bytes` / :func:`atomic_write_json` — the
   temp + fsync + rename primitive every durable artifact goes through
   (also used by the benchmark reports).

@@ -13,17 +13,20 @@ extended down to disk:
   per-snapshot manifest.  The save commits by atomically replacing the
   top-level ``MANIFEST.json``; a crash at any earlier step leaves the
   previous snapshot current and intact.
-* :meth:`Store.load` verifies every artifact against the manifest chain
-  (``MANIFEST.json`` → ``snapshot.json`` → artifact digests).  Damage —
-  truncation, bit rot, a torn write — is *quarantined* (moved aside,
-  never deleted) and load falls back along the snapshot chain to the
-  newest intact one; a damaged derived index is instead rebuilt from
-  the surviving metadata.  Every recovery action is surfaced through
-  :mod:`repro.core.trace` counters and the returned
-  :class:`StoreLoad.actions`.
-* :meth:`Store.verify` is the read-only version of the same checks;
-  :meth:`Store.repair` quarantines everything damaged and rewrites the
-  manifest over the snapshots that remain fully intact.
+* One check, :meth:`Store._check`, judges a snapshot: the manifest
+  chain (``MANIFEST.json`` → ``snapshot.json`` → artifact digests), the
+  JSON parse, the format version, ``wal_through`` and model
+  construction.  Its per-artifact :class:`ArtifactStatus` list is the
+  single answer to "is this snapshot intact?".
+* :meth:`Store.load` acts on that answer.  Damage — truncation, bit
+  rot, a torn write — is *quarantined* (moved aside, never deleted) and
+  load falls back along the snapshot chain to the newest intact one; a
+  damaged derived index is instead rebuilt from the surviving metadata.
+  Every recovery action is surfaced through :mod:`repro.core.trace`
+  counters and the returned :class:`StoreLoad.actions`.
+* :meth:`Store.verify` reports the same check read-only, over the same
+  snapshots in the same order; :meth:`Store.repair` quarantines what it
+  reports damaged and rewrites the manifest over what passed.
 
 Disk faults are injectable at the registered sites
 (:data:`~repro.core.resilience.SITE_STORE_WRITE` /
@@ -39,7 +42,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import resilience, trace
@@ -62,7 +65,9 @@ from repro.model.serialize import (
 from repro.pictures.index import MetadataIndex
 from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.store.atomic import (
+    atomic_write_bytes,
     atomic_write_json,
+    canonical_json_bytes,
     fsync_directory,
     quarantine_path,
     sha256_hex,
@@ -83,6 +88,8 @@ REQUIRED_ARTIFACTS = (VIDEOS_ARTIFACT, ATOMICS_ARTIFACT)
 DERIVED_ARTIFACTS = (INDEX_ARTIFACT,)
 
 _SNAPSHOT_NAME = re.compile(r"^snap-(\d{6,})$")
+#: Quarantine labels of a snapshot's files or whole directory.
+_QUARANTINED_NAME = re.compile(r"^snap-(\d{6,})__")
 
 #: Read errors that mean "could not get bytes off disk" — the artifact
 #: may be fine, so it is skipped, not quarantined.  Injected read faults
@@ -192,24 +199,35 @@ class VerifyReport:
 
     @property
     def ok(self) -> bool:
-        """True when every referenced snapshot is fully intact."""
+        """True when every referenced snapshot is fully intact.
+
+        Damage confined to unreferenced snapshots (the debris of a save
+        that crashed before its commit) is reported but not fatal.
+        """
         return self.manifest_ok and not any(
-            status.damaged and status.fatal for status in self.statuses
+            status.damaged
+            and status.fatal
+            and status.snapshot not in self.unreferenced
+            for status in self.statuses
         )
 
     def intact_snapshots(self) -> List[str]:
-        """Referenced snapshots whose required artifacts all verified."""
+        """Snapshots with no fatal damage, in the order load tries them.
+
+        The first one is the snapshot :meth:`Store.load` returns.
+        """
         damaged = {
             status.snapshot
             for status in self.statuses
             if status.damaged and status.fatal
         }
-        ordered: List[str] = []
-        for status in self.statuses:
-            if status.snapshot not in damaged:
-                if status.snapshot not in ordered:
-                    ordered.append(status.snapshot)
-        return ordered
+        return list(
+            dict.fromkeys(
+                status.snapshot
+                for status in self.statuses
+                if status.snapshot not in damaged
+            )
+        )
 
 
 @dataclass
@@ -220,6 +238,30 @@ class RepairReport:
     current: Optional[str] = None
     retained: List[str] = field(default_factory=list)
     dropped: List[str] = field(default_factory=list)
+
+
+@dataclass
+class _Checked:
+    """One snapshot as :meth:`Store._check` found it."""
+
+    statuses: List[ArtifactStatus] = field(default_factory=list)
+    #: the parsed ``snapshot.json`` and its bytes as read
+    document: Dict[str, Any] = field(default_factory=dict)
+    raw: bytes = b""
+    #: the rebuilt model; None when a fatal status disqualified it
+    database: Optional[VideoDatabase] = None
+    #: the parsed index artifact; None when unlisted or damaged
+    index: Optional[Dict[str, Any]] = None
+
+    def reject(self, artifact: str, detail: str) -> "_Checked":
+        """Mark an artifact that read fine as failing a later rule."""
+        self.statuses = [
+            replace(status, status="malformed", detail=detail)
+            if status.artifact == artifact
+            else status
+            for status in self.statuses
+        ]
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +292,12 @@ class Store:
 
     def snapshot_path(self, snapshot_id: str) -> str:
         return os.path.join(self.snapshots_dir, snapshot_id)
+
+    def _path(self, snapshot_id: str, name: str) -> str:
+        """A snapshot's file, or a root file when ``snapshot_id`` is empty."""
+        if snapshot_id:
+            return os.path.join(self.snapshot_path(snapshot_id), name)
+        return os.path.join(self.root, name)
 
     def _on_disk_snapshots(self) -> List[str]:
         """Snapshot directory names present on disk, oldest first."""
@@ -290,11 +338,7 @@ class Store:
         artifact: str,
         detail: str,
     ) -> None:
-        path = (
-            os.path.join(self.snapshot_path(snapshot_id), artifact)
-            if snapshot_id
-            else os.path.join(self.root, artifact)
-        )
+        path = self._path(snapshot_id, artifact)
         label = f"{snapshot_id}__{artifact}" if snapshot_id else artifact
         quarantined_to = ""
         if os.path.exists(path):
@@ -309,7 +353,32 @@ class Store:
             )
         )
 
-    # -- low-level reads -------------------------------------------------
+    def _record(
+        self, status: ArtifactStatus, actions: List[RecoveryAction]
+    ) -> None:
+        """Load's action for one damaged status: quarantine what is
+        provably bad, skip what is absent or could not be read."""
+        kind = {"missing": "skipped", "unreadable": "unreadable"}.get(
+            status.status
+        )
+        if kind is None:
+            self._quarantine_artifact(
+                actions,
+                status.snapshot,
+                status.artifact,
+                f"{status.status}: {status.detail}",
+            )
+            return
+        actions.append(
+            RecoveryAction(
+                kind=kind,
+                snapshot=status.snapshot,
+                artifact=status.artifact,
+                detail=status.detail,
+            )
+        )
+
+    # -- reads -----------------------------------------------------------
     def _read_bytes(self, path: str) -> bytes:
         """Read a file through the disk-read fault site.
 
@@ -322,19 +391,233 @@ class Store:
             data = handle.read()
         return resilience.fault_value(resilience.SITE_STORE_READ, data)
 
+    def _read_json(
+        self, snapshot_id: str, name: str, entry: Any, fatal: bool = True
+    ) -> Tuple[Optional[Dict[str, Any]], ArtifactStatus, bytes]:
+        """Read one JSON-object file once: ``(payload, status, bytes)``.
+
+        ``entry`` is the ``{"sha256", "bytes"}`` record the file must
+        match, or None to skip that comparison (an unverified load, or a
+        file no manifest vouches for).  ``payload`` is None unless the
+        status is ``"ok"``.
+        """
+
+        def status(kind: str, detail: str = "") -> ArtifactStatus:
+            return ArtifactStatus(snapshot_id, name, kind, fatal, detail)
+
+        path = self._path(snapshot_id, name)
+        if not os.path.exists(path):
+            return None, status("missing", "file missing"), b""
+        try:
+            data = self._read_bytes(path)
+        except _READ_ERRORS as error:
+            return None, status("unreadable", repr(error)), b""
+        if isinstance(entry, dict):
+            if len(data) != entry.get("bytes"):
+                return None, status(
+                    "size-mismatch",
+                    f"manifest says {entry.get('bytes')}, read {len(data)} "
+                    "bytes (truncation/torn write)",
+                ), data
+            if sha256_hex(data) != entry.get("sha256"):
+                return None, status(
+                    "digest-mismatch", "SHA-256 digest mismatch"
+                ), data
+        try:
+            payload = json.loads(data.decode("utf-8"))
+        except ValueError as error:
+            return None, status("malformed", f"unparseable: {error!r}"), data
+        if not isinstance(payload, dict):
+            return None, status("malformed", "not a JSON object"), data
+        return payload, status("ok"), data
+
+    def _read_manifest(
+        self,
+    ) -> Tuple[Optional[Dict[str, Any]], ArtifactStatus]:
+        """The one reader of ``MANIFEST.json``.
+
+        Returns the validated manifest, or None with the status that
+        says why it is unusable.  A foreign format version raises
+        :class:`StoreVersionError`: that is an incompatibility, not
+        damage, so nothing may act on it.
+        """
+        manifest, status, __ = self._read_json("", MANIFEST_NAME, None)
+        if manifest is None:
+            return None, status
+        version = manifest.get("format")
+        if version != STORE_FORMAT_VERSION:
+            raise StoreVersionError(
+                f"store manifest carries format {version!r}; this build "
+                f"reads version {STORE_FORMAT_VERSION}",
+                path=self.manifest_path,
+            )
+        order = manifest.get("order")
+        if not isinstance(order, list) or not isinstance(
+            manifest.get("snapshots"), dict
+        ):
+            problem = "manifest must carry 'order' and 'snapshots'"
+        elif any(_sequence_of(str(name)) is None for name in order):
+            problem = f"manifest lists a malformed id in {order!r}"
+        else:
+            return manifest, status
+        return None, replace(status, status="malformed", detail=problem)
+
+    def _candidates(
+        self, manifest: Optional[Dict[str, Any]]
+    ) -> Tuple[List[str], List[str]]:
+        """The snapshots load tries, in order, and the unreferenced ones.
+
+        The manifest's snapshots come first, newest first (its
+        ``current`` leads when unlisted), then every other snapshot on
+        disk, newest first.  Without a usable manifest every snapshot on
+        disk is a candidate.
+        """
+        on_disk = self._on_disk_snapshots()
+        listed: List[str] = []
+        if manifest is not None:
+            listed = list(dict.fromkeys(reversed(manifest["order"])))
+            current = manifest.get("current")
+            if (
+                isinstance(current, str)
+                and _sequence_of(current) is not None
+                and current not in listed
+            ):
+                listed.insert(0, current)
+        elif not on_disk:
+            raise StoreError(
+                f"no snapshot store at {self.root!r}", path=self.root
+            )
+        unreferenced = [
+            name for name in reversed(on_disk) if name not in listed
+        ]
+        return listed + unreferenced, unreferenced
+
+    # -- the one snapshot check -----------------------------------------
+    def _check(
+        self,
+        snapshot_id: str,
+        manifest: Optional[Dict[str, Any]],
+        verify: bool,
+    ) -> _Checked:
+        """Judge one snapshot: the check load, verify and repair share.
+
+        Reads ``snapshot.json`` and each artifact once and applies, in
+        order: size and digest (when ``verify``, against ``manifest``'s
+        record of ``snapshot.json`` and ``snapshot.json``'s record of
+        each artifact; no manifest means no record to compare), the JSON
+        parse, the format version (a foreign one raises
+        :class:`StoreVersionError`), the artifact table and
+        ``wal_through``, then model construction of the videos and
+        atomics.  The derived index is read only for a snapshot that
+        passed, and its damage is a non-fatal status.
+        """
+        checked = _Checked()
+        expected = (
+            manifest["snapshots"].get(snapshot_id)
+            if manifest is not None and verify
+            else None
+        )
+        document, status, checked.raw = self._read_json(
+            snapshot_id, SNAPSHOT_MANIFEST, expected
+        )
+        checked.statuses.append(status)
+        if document is None:
+            return checked
+        version = document.get("format")
+        if version != STORE_FORMAT_VERSION:
+            raise StoreVersionError(
+                f"snapshot {snapshot_id} carries format {version!r}; "
+                f"this build reads version {STORE_FORMAT_VERSION}",
+                path=self._path(snapshot_id, SNAPSHOT_MANIFEST),
+            )
+        artifacts = document.get("artifacts")
+        # Snapshots written before the key existed fold in no WAL.
+        wal_through = document.setdefault("wal_through", 0)
+        if not isinstance(artifacts, dict):
+            return checked.reject(
+                SNAPSHOT_MANIFEST, "snapshot manifest lists no artifacts"
+            )
+        if type(wal_through) is not int or wal_through < 0:
+            return checked.reject(
+                SNAPSHOT_MANIFEST,
+                f"wal_through must be a non-negative integer, got "
+                f"{wal_through!r}",
+            )
+        checked.document = document
+
+        def read(name: str, fatal: bool) -> Optional[Dict[str, Any]]:
+            entry = artifacts.get(name)
+            if isinstance(entry, dict):
+                payload, status, __ = self._read_json(
+                    snapshot_id, name, entry if verify else None, fatal
+                )
+            else:
+                payload = None
+                status = ArtifactStatus(
+                    snapshot_id, name, "missing", fatal,
+                    "not listed in snapshot manifest",
+                )
+            checked.statuses.append(status)
+            return payload
+
+        videos = read(VIDEOS_ARTIFACT, True)
+        atomics = read(ATOMICS_ARTIFACT, True)
+        if videos is None or atomics is None:
+            return checked
+        try:
+            video_documents = videos["videos"]
+            if not isinstance(video_documents, list):
+                raise ModelError("videos artifact must carry a list")
+            database = database_from_parts(video_documents, [])
+        except (ModelError, KeyError) as error:
+            return checked.reject(
+                VIDEOS_ARTIFACT,
+                f"metadata failed model validation: {error!r}",
+            )
+        try:
+            atomic_documents = atomics["atomics"]
+            if not isinstance(atomic_documents, list):
+                raise ModelError("atomics artifact must carry a list")
+            for atomic in atomic_documents:
+                database.register_atomic(
+                    str(atomic["predicate"]),
+                    str(atomic["video"]),
+                    simlist_from_dict(atomic["list"]),
+                    level=int(atomic.get("level", 2)),
+                )
+        except (ModelError, KeyError, TypeError, ValueError) as error:
+            return checked.reject(
+                ATOMICS_ARTIFACT,
+                f"similarity tables failed validation: {error!r}",
+            )
+        if INDEX_ARTIFACT in artifacts:
+            checked.index = read(INDEX_ARTIFACT, False)
+        checked.database = database
+        return checked
+
     # -- save ------------------------------------------------------------
-    def _next_sequence(self) -> int:
+    def _next_sequence(self, manifest: Optional[Dict[str, Any]]) -> int:
         """One past the highest sequence ever allocated.
 
-        Consults both the disk scan and the manifest's ``highest``
-        watermark so ids are never reused — not even after repair moves
-        a whole snapshot into quarantine (a reused id would make the
-        quarantine labels ambiguous).
+        Counts the snapshots on disk, the ``snap-NNNNNN__…`` names under
+        ``quarantine/`` and the manifest's ``highest`` watermark, so ids
+        are never reused — not even after repair quarantined a whole
+        snapshot and the manifest was later lost (a reused id would make
+        the quarantine labels ambiguous).
         """
-        highest = 0
-        for name in self._on_disk_snapshots():
-            highest = max(highest, _sequence_of(name) or 0)
-        manifest = self._read_manifest_or_none()
+        try:
+            quarantined = os.listdir(self.quarantine_dir)
+        except OSError:
+            quarantined = []
+        sequences = [
+            _sequence_of(name) or 0 for name in self._on_disk_snapshots()
+        ]
+        sequences += [
+            int(match.group(1))
+            for match in map(_QUARANTINED_NAME.match, quarantined)
+            if match
+        ]
+        highest = max(sequences, default=0)
         if manifest is not None:
             try:
                 highest = max(highest, int(manifest.get("highest", 0)))
@@ -342,9 +625,8 @@ class Store:
                 pass
         return highest + 1
 
-    def _index_documents(
-        self, database: VideoDatabase
-    ) -> Dict[str, Dict[str, Any]]:
+    def _index_payload(self, database: VideoDatabase) -> Dict[str, Any]:
+        """The ``index.json`` payload of the database's picture indices."""
         documents: Dict[str, Dict[str, Any]] = {}
         for video in database.videos():
             level = default_level(video)
@@ -353,7 +635,7 @@ class Store:
                 "level": level,
                 "index": system.index.to_dict(),
             }
-        return documents
+        return {"format": STORE_FORMAT_VERSION, "indices": documents}
 
     def save(
         self, database: VideoDatabase, wal_through: int = 0
@@ -373,6 +655,7 @@ class Store:
         crash after it leaves it exactly at the new one.  Old snapshots
         beyond ``keep`` are pruned only after the commit.
         """
+        previous, __ = self._read_manifest()
         try:
             os.makedirs(self.snapshots_dir, exist_ok=True)
         except OSError as error:
@@ -380,7 +663,7 @@ class Store:
                 f"cannot create store at {self.root!r}: {error}",
                 path=self.root,
             ) from error
-        sequence = self._next_sequence()
+        sequence = self._next_sequence(previous)
         snapshot_id = _snapshot_id(sequence)
         directory = self.snapshot_path(snapshot_id)
         try:
@@ -400,10 +683,7 @@ class Store:
                 "format": STORE_FORMAT_VERSION,
                 "atomics": atomics_to_list(database),
             },
-            INDEX_ARTIFACT: {
-                "format": STORE_FORMAT_VERSION,
-                "indices": self._index_documents(database),
-            },
+            INDEX_ARTIFACT: self._index_payload(database),
         }
         artifacts: Dict[str, Dict[str, Any]] = {}
         for name, payload in payloads.items():
@@ -427,12 +707,11 @@ class Store:
             fsync_directory(directory)
             fsync_directory(self.snapshots_dir)
 
-        previous = self._read_manifest_or_none()
         order: List[str] = []
         digests: Dict[str, Dict[str, Any]] = {}
         if previous is not None:
-            for old_id in previous.get("order", []):
-                entry = previous.get("snapshots", {}).get(old_id)
+            for old_id in previous["order"]:
+                entry = previous["snapshots"].get(old_id)
                 if entry is not None and os.path.isdir(
                     self.snapshot_path(old_id)
                 ):
@@ -472,244 +751,7 @@ class Store:
             wal_through=wal_through,
         )
 
-    # -- manifest --------------------------------------------------------
-    def _read_manifest_or_none(self) -> Optional[Dict[str, Any]]:
-        """The parsed top manifest, or None when missing/unusable.
-
-        Used on the save path, which only needs the previous order; the
-        load path goes through :meth:`_load_manifest` for full recovery.
-        """
-        try:
-            with open(self.manifest_path, "rb") as handle:
-                manifest = json.loads(handle.read().decode("utf-8"))
-        except (OSError, ValueError):
-            return None
-        return manifest if isinstance(manifest, dict) else None
-
-    def _recovered_manifest(
-        self, actions: List[RecoveryAction], detail: str
-    ) -> Dict[str, Any]:
-        on_disk = self._on_disk_snapshots()
-        if not on_disk:
-            raise StoreError(
-                f"no snapshot store at {self.root!r}", path=self.root
-            )
-        trace.METRICS.count(trace.STORE_MANIFEST_RECOVERED)
-        trace.event(
-            trace.STORE_MANIFEST_RECOVERED,
-            "manifest missing or damaged; recovered by disk scan",
-        )
-        actions.append(
-            RecoveryAction(
-                kind="manifest-recovered",
-                artifact=MANIFEST_NAME,
-                detail=detail,
-            )
-        )
-        return {
-            "format": STORE_FORMAT_VERSION,
-            "current": on_disk[-1],
-            "order": on_disk,
-            "snapshots": {},
-        }
-
-    def _validate_manifest(self, manifest: Any) -> Dict[str, Any]:
-        if not isinstance(manifest, dict):
-            raise ValueError("manifest must be a JSON object")
-        version = manifest.get("format")
-        if version != STORE_FORMAT_VERSION:
-            raise StoreVersionError(
-                f"store manifest carries format {version!r}; this build "
-                f"reads version {STORE_FORMAT_VERSION}",
-                path=self.manifest_path,
-            )
-        order = manifest.get("order")
-        snapshots = manifest.get("snapshots")
-        if not isinstance(order, list) or not isinstance(snapshots, dict):
-            raise ValueError("manifest must carry 'order' and 'snapshots'")
-        for name in order:
-            if _sequence_of(str(name)) is None:
-                raise ValueError(f"manifest lists malformed id {name!r}")
-        return manifest
-
-    def _load_manifest(
-        self, actions: List[RecoveryAction]
-    ) -> Dict[str, Any]:
-        path = self.manifest_path
-        if not os.path.exists(path):
-            return self._recovered_manifest(
-                actions, "top manifest missing; recovered from disk scan"
-            )
-        try:
-            data = self._read_bytes(path)
-        except _READ_ERRORS as error:
-            actions.append(
-                RecoveryAction(
-                    kind="unreadable",
-                    artifact=MANIFEST_NAME,
-                    detail=repr(error),
-                )
-            )
-            return self._recovered_manifest(
-                actions, "top manifest unreadable; recovered from disk scan"
-            )
-        try:
-            return self._validate_manifest(json.loads(data.decode("utf-8")))
-        except StoreVersionError:
-            raise
-        except Exception as error:
-            self._quarantine_artifact(
-                actions, "", MANIFEST_NAME, f"corrupt manifest: {error!r}"
-            )
-            return self._recovered_manifest(
-                actions, "top manifest corrupt; recovered from disk scan"
-            )
-
-    # -- snapshot loading ------------------------------------------------
-    def _read_snapshot_manifest(
-        self,
-        snapshot_id: str,
-        manifest: Dict[str, Any],
-        verify: bool,
-        actions: List[RecoveryAction],
-    ) -> Optional[Dict[str, Any]]:
-        path = os.path.join(self.snapshot_path(snapshot_id), SNAPSHOT_MANIFEST)
-        if not os.path.exists(path):
-            actions.append(
-                RecoveryAction(
-                    kind="skipped",
-                    snapshot=snapshot_id,
-                    artifact=SNAPSHOT_MANIFEST,
-                    detail="snapshot manifest missing",
-                )
-            )
-            return None
-        try:
-            data = self._read_bytes(path)
-        except _READ_ERRORS as error:
-            actions.append(
-                RecoveryAction(
-                    kind="unreadable",
-                    snapshot=snapshot_id,
-                    artifact=SNAPSHOT_MANIFEST,
-                    detail=repr(error),
-                )
-            )
-            return None
-        expected = manifest.get("snapshots", {}).get(snapshot_id)
-        if verify and isinstance(expected, dict):
-            if len(data) != expected.get("bytes") or sha256_hex(
-                data
-            ) != expected.get("sha256"):
-                self._quarantine_artifact(
-                    actions,
-                    snapshot_id,
-                    SNAPSHOT_MANIFEST,
-                    "snapshot manifest digest mismatch",
-                )
-                return None
-        try:
-            document = json.loads(data.decode("utf-8"))
-            if not isinstance(document, dict):
-                raise ValueError("snapshot manifest must be a JSON object")
-            version = document.get("format")
-            if version != STORE_FORMAT_VERSION:
-                raise StoreVersionError(
-                    f"snapshot {snapshot_id} carries format {version!r}; "
-                    f"this build reads version {STORE_FORMAT_VERSION}",
-                    path=path,
-                )
-            artifacts = document.get("artifacts")
-            if not isinstance(artifacts, dict):
-                raise ValueError("snapshot manifest lists no artifacts")
-            # Snapshots written before the key existed fold in no WAL.
-            wal_through = document.setdefault("wal_through", 0)
-            if type(wal_through) is not int or wal_through < 0:
-                raise ValueError(
-                    f"wal_through must be a non-negative integer, got "
-                    f"{wal_through!r}"
-                )
-            return document
-        except StoreVersionError:
-            raise
-        except Exception as error:
-            self._quarantine_artifact(
-                actions,
-                snapshot_id,
-                SNAPSHOT_MANIFEST,
-                f"corrupt snapshot manifest: {error!r}",
-            )
-            return None
-
-    def _read_artifact(
-        self,
-        snapshot_id: str,
-        name: str,
-        snapshot_manifest: Dict[str, Any],
-        verify: bool,
-        actions: List[RecoveryAction],
-    ) -> Optional[Dict[str, Any]]:
-        """One verified artifact payload, or None after quarantine/skip."""
-        path = os.path.join(self.snapshot_path(snapshot_id), name)
-        entry = snapshot_manifest["artifacts"].get(name)
-        if not isinstance(entry, dict):
-            actions.append(
-                RecoveryAction(
-                    kind="skipped",
-                    snapshot=snapshot_id,
-                    artifact=name,
-                    detail="artifact not listed in snapshot manifest",
-                )
-            )
-            return None
-        if not os.path.exists(path):
-            actions.append(
-                RecoveryAction(
-                    kind="skipped",
-                    snapshot=snapshot_id,
-                    artifact=name,
-                    detail="artifact file missing",
-                )
-            )
-            return None
-        try:
-            data = self._read_bytes(path)
-        except _READ_ERRORS as error:
-            actions.append(
-                RecoveryAction(
-                    kind="unreadable",
-                    snapshot=snapshot_id,
-                    artifact=name,
-                    detail=repr(error),
-                )
-            )
-            return None
-        if verify:
-            if len(data) != entry.get("bytes"):
-                self._quarantine_artifact(
-                    actions,
-                    snapshot_id,
-                    name,
-                    f"size mismatch: manifest says {entry.get('bytes')}, "
-                    f"read {len(data)} bytes (truncation/torn write)",
-                )
-                return None
-            if sha256_hex(data) != entry.get("sha256"):
-                self._quarantine_artifact(
-                    actions, snapshot_id, name, "SHA-256 digest mismatch"
-                )
-                return None
-        try:
-            payload = json.loads(data.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("artifact payload must be a JSON object")
-            return payload
-        except Exception as error:
-            self._quarantine_artifact(
-                actions, snapshot_id, name, f"unparseable artifact: {error!r}"
-            )
-            return None
-
+    # -- load ------------------------------------------------------------
     def _install_indices(
         self,
         database: VideoDatabase,
@@ -723,11 +765,9 @@ class Store:
         rebuild from the (already verified) metadata, never a snapshot
         fallback.
         """
-        documents = (
-            index_payload.get("indices", {})
-            if isinstance(index_payload, dict)
-            else {}
-        )
+        documents = (index_payload or {}).get("indices")
+        if not isinstance(documents, dict):
+            documents = {}
         for video in database.videos():
             level = default_level(video)
             metadata = [
@@ -777,100 +817,51 @@ class Store:
                 system = PictureRetrievalSystem(metadata)
             video.root.install_pictures(level, system)
 
-    def _load_snapshot(
-        self,
-        snapshot_id: str,
-        manifest: Dict[str, Any],
-        verify: bool,
-        actions: List[RecoveryAction],
-    ) -> Optional[Tuple[VideoDatabase, int]]:
-        """The snapshot's database and ``wal_through``, or None."""
-        snapshot_manifest = self._read_snapshot_manifest(
-            snapshot_id, manifest, verify, actions
-        )
-        if snapshot_manifest is None:
-            return None
-        payloads: Dict[str, Dict[str, Any]] = {}
-        for name in REQUIRED_ARTIFACTS:
-            payload = self._read_artifact(
-                snapshot_id, name, snapshot_manifest, verify, actions
-            )
-            if payload is None:
-                return None
-            payloads[name] = payload
-        try:
-            videos = payloads[VIDEOS_ARTIFACT]["videos"]
-            if not isinstance(videos, list):
-                raise ModelError("videos artifact must carry a list")
-            database = database_from_parts(videos, [])
-        except (ModelError, KeyError) as error:
-            self._quarantine_artifact(
-                actions,
-                snapshot_id,
-                VIDEOS_ARTIFACT,
-                f"metadata failed model validation: {error!r}",
-            )
-            return None
-        try:
-            atomics = payloads[ATOMICS_ARTIFACT]["atomics"]
-            if not isinstance(atomics, list):
-                raise ModelError("atomics artifact must carry a list")
-            for atomic in atomics:
-                database.register_atomic(
-                    str(atomic["predicate"]),
-                    str(atomic["video"]),
-                    simlist_from_dict(atomic["list"]),
-                    level=int(atomic.get("level", 2)),
-                )
-        except (ModelError, KeyError, TypeError, ValueError) as error:
-            self._quarantine_artifact(
-                actions,
-                snapshot_id,
-                ATOMICS_ARTIFACT,
-                f"similarity tables failed validation: {error!r}",
-            )
-            return None
-        # The index artifact last: damage here never disqualifies the
-        # snapshot.
-        index_payload = None
-        if INDEX_ARTIFACT in snapshot_manifest["artifacts"]:
-            index_payload = self._read_artifact(
-                snapshot_id, INDEX_ARTIFACT, snapshot_manifest, verify, actions
-            )
-        self._install_indices(database, snapshot_id, index_payload, actions)
-        return database, snapshot_manifest["wal_through"]
-
     def load(self, verify: bool = True) -> StoreLoad:
         """Load the newest intact snapshot, recovering as needed.
 
-        ``verify=False`` skips the digest checks (the benchmark's
-        unverified baseline) but keeps the structural gates — a torn
-        JSON file still surfaces as quarantine-and-fallback, never as a
-        half-built database.
+        Each candidate goes through :meth:`_check`; every damaged status
+        becomes a recovery action — size, digest and malformed damage is
+        quarantined, a missing file is skipped, an unreadable one stays
+        unreadable — and load falls back to the next candidate.
+        ``verify=False`` skips the size and digest comparisons (the
+        benchmark's unverified baseline) but keeps every other rule — a
+        torn JSON file still surfaces as quarantine-and-fallback, never
+        as a half-built database.
         """
         actions: List[RecoveryAction] = []
-        manifest = self._load_manifest(actions)
-        candidates: List[str] = []
-        for name in reversed(manifest.get("order", [])):
-            if name not in candidates:
-                candidates.append(name)
-        current = manifest.get("current")
-        if isinstance(current, str) and current not in candidates:
-            candidates.insert(0, current)
-        for name in reversed(self._on_disk_snapshots()):
-            if name not in candidates:
-                candidates.append(name)
+        manifest, status = self._read_manifest()
+        if manifest is None and status.status != "missing":
+            self._record(status, actions)
+        candidates, __ = self._candidates(manifest)
+        if manifest is None:
+            trace.METRICS.count(trace.STORE_MANIFEST_RECOVERED)
+            trace.event(
+                trace.STORE_MANIFEST_RECOVERED,
+                "manifest missing or damaged; recovered by disk scan",
+            )
+            actions.append(
+                RecoveryAction(
+                    kind="manifest-recovered",
+                    artifact=MANIFEST_NAME,
+                    detail=f"top manifest {status.status}; recovered from "
+                    "disk scan",
+                )
+            )
         if not candidates:
             raise StoreError(
                 f"store at {self.root!r} has no snapshots", path=self.root
             )
         for position, snapshot_id in enumerate(candidates):
-            loaded = self._load_snapshot(
-                snapshot_id, manifest, verify, actions
-            )
-            if loaded is None:
+            checked = self._check(snapshot_id, manifest, verify)
+            for status in checked.statuses:
+                if status.damaged:
+                    self._record(status, actions)
+            if checked.database is None:
                 continue
-            database, wal_through = loaded
+            self._install_indices(
+                checked.database, snapshot_id, checked.index, actions
+            )
             if position > 0:
                 trace.METRICS.count(trace.STORE_SNAPSHOT_FALLBACK)
                 trace.event(
@@ -889,11 +880,11 @@ class Store:
             trace.METRICS.count(trace.STORE_SNAPSHOT_LOADED)
             trace.event(trace.STORE_SNAPSHOT_LOADED, snapshot_id)
             return StoreLoad(
-                database=database,
+                database=checked.database,
                 snapshot_id=snapshot_id,
                 verified=verify,
                 actions=actions,
-                wal_through=wal_through,
+                wal_through=checked.document["wal_through"],
             )
         quarantined = tuple(
             action.quarantined_to for action in actions if action.quarantined_to
@@ -918,132 +909,23 @@ class Store:
         )
 
     # -- verify ----------------------------------------------------------
-    def _artifact_status(
-        self, snapshot_id: str, name: str, entry: Any, fatal: bool
-    ) -> ArtifactStatus:
-        path = os.path.join(self.snapshot_path(snapshot_id), name)
-        if not isinstance(entry, dict):
-            return ArtifactStatus(
-                snapshot_id, name, "malformed", fatal,
-                "no digest entry in snapshot manifest",
-            )
-        if not os.path.exists(path):
-            return ArtifactStatus(snapshot_id, name, "missing", fatal)
-        try:
-            data = self._read_bytes(path)
-        except _READ_ERRORS as error:
-            return ArtifactStatus(
-                snapshot_id, name, "unreadable", fatal, repr(error)
-            )
-        if len(data) != entry.get("bytes"):
-            return ArtifactStatus(
-                snapshot_id, name, "size-mismatch", fatal,
-                f"manifest says {entry.get('bytes')}, file has {len(data)}",
-            )
-        if sha256_hex(data) != entry.get("sha256"):
-            return ArtifactStatus(snapshot_id, name, "digest-mismatch", fatal)
-        return ArtifactStatus(snapshot_id, name, "ok", fatal)
-
-    def verify(self) -> VerifyReport:
-        """Check every referenced artifact against the manifest chain.
-
-        Strictly read-only: nothing is quarantined, moved, or rewritten
-        — :meth:`load` and :meth:`repair` act on what this reports.
-        """
-        report = VerifyReport(manifest_ok=True)
-        manifest = self._read_manifest_or_none()
-        if manifest is None:
-            if not self._on_disk_snapshots():
-                raise StoreError(
-                    f"no snapshot store at {self.root!r}", path=self.root
-                )
-            report.manifest_ok = False
-            report.manifest_detail = "top manifest missing or unparseable"
-            order: List[str] = []
-        else:
-            try:
-                self._validate_manifest(manifest)
-                order = list(manifest.get("order", []))
-            except StoreVersionError:
-                raise
-            except Exception as error:
-                report.manifest_ok = False
-                report.manifest_detail = f"malformed manifest: {error!r}"
-                order = []
-        listed = set(order)
-        for snapshot_id in order:
-            directory = self.snapshot_path(snapshot_id)
-            manifest_entry = (
-                manifest.get("snapshots", {}).get(snapshot_id)
-                if manifest
-                else None
-            )
-            if not os.path.isdir(directory):
-                report.statuses.append(
-                    ArtifactStatus(
-                        snapshot_id, SNAPSHOT_MANIFEST, "missing", True,
-                        "snapshot directory missing",
-                    )
-                )
-                continue
-            path = os.path.join(directory, SNAPSHOT_MANIFEST)
-            try:
-                data = self._read_bytes(path)
-            except FileNotFoundError:
-                report.statuses.append(
-                    ArtifactStatus(snapshot_id, SNAPSHOT_MANIFEST, "missing")
-                )
-                continue
-            except _READ_ERRORS as error:
-                report.statuses.append(
-                    ArtifactStatus(
-                        snapshot_id, SNAPSHOT_MANIFEST, "unreadable", True,
-                        repr(error),
-                    )
-                )
-                continue
-            if isinstance(manifest_entry, dict) and (
-                len(data) != manifest_entry.get("bytes")
-                or sha256_hex(data) != manifest_entry.get("sha256")
-            ):
-                report.statuses.append(
-                    ArtifactStatus(
-                        snapshot_id, SNAPSHOT_MANIFEST, "digest-mismatch"
-                    )
-                )
-                continue
-            try:
-                snapshot_manifest = json.loads(data.decode("utf-8"))
-                artifacts = snapshot_manifest["artifacts"]
-                if not isinstance(artifacts, dict):
-                    raise ValueError("artifacts must be an object")
-            except Exception as error:
-                report.statuses.append(
-                    ArtifactStatus(
-                        snapshot_id, SNAPSHOT_MANIFEST, "malformed", True,
-                        repr(error),
-                    )
-                )
-                continue
-            report.statuses.append(
-                ArtifactStatus(snapshot_id, SNAPSHOT_MANIFEST, "ok")
-            )
-            for name in REQUIRED_ARTIFACTS:
-                report.statuses.append(
-                    self._artifact_status(
-                        snapshot_id, name, artifacts.get(name), fatal=True
-                    )
-                )
-            for name in DERIVED_ARTIFACTS:
-                if name in artifacts:
-                    report.statuses.append(
-                        self._artifact_status(
-                            snapshot_id, name, artifacts.get(name), fatal=False
-                        )
-                    )
-        for name in self._on_disk_snapshots():
-            if name not in listed:
-                report.unreferenced.append(name)
+    def _survey(
+        self,
+    ) -> Tuple[Optional[Dict[str, Any]], VerifyReport, Dict[str, _Checked]]:
+        """The manifest, the report and each candidate's check."""
+        manifest, status = self._read_manifest()
+        candidates, unreferenced = self._candidates(manifest)
+        report = VerifyReport(
+            manifest_ok=manifest is not None,
+            manifest_detail=""
+            if manifest is not None
+            else f"top manifest {status.status}: {status.detail}",
+            unreferenced=unreferenced,
+        )
+        checks: Dict[str, _Checked] = {}
+        for snapshot_id in candidates:
+            checks[snapshot_id] = self._check(snapshot_id, manifest, True)
+            report.statuses.extend(checks[snapshot_id].statuses)
         for directory, __, files in os.walk(self.root):
             if os.path.commonpath(
                 [directory, self.quarantine_dir]
@@ -1054,52 +936,86 @@ class Store:
                     report.stray_files.append(
                         os.path.join(directory, file_name)
                     )
-        return report
+        return manifest, report, checks
+
+    def verify(self) -> VerifyReport:
+        """Run load's check over load's candidates, read-only.
+
+        Every snapshot :meth:`load` would try — the manifest's, then the
+        unreferenced ones on disk — is judged by the same
+        :meth:`_check` in the same order, so ``intact_snapshots()[0]``
+        is the snapshot load returns.  Nothing is quarantined, moved, or
+        rewritten; :meth:`load` and :meth:`repair` act on what this
+        reports.  A foreign format version in any candidate raises
+        :class:`StoreVersionError` (load raises once it reaches one).
+        """
+        return self._survey()[1]
 
     # -- repair ----------------------------------------------------------
-    def repair(self) -> RepairReport:
-        """Quarantine all damage and rewrite the manifest over what's left.
+    def _restore_index(
+        self,
+        snapshot_id: str,
+        checked: _Checked,
+        actions: List[RecoveryAction],
+    ) -> None:
+        """Quarantine an intact snapshot's damaged index and rewrite it.
 
-        After a successful repair, :meth:`verify` reports ``ok`` and
-        :meth:`load` succeeds without any recovery action (or raises the
-        empty-store error when no snapshot survived).  Damaged files and
-        whole torn snapshots are moved to quarantine — never deleted.
+        The rewrite happens only when the bytes rebuilt from the verified
+        metadata match the recorded digest, so ``snapshot.json`` needs no
+        change.  They do for a plain save; an index that ingest extended
+        in place numbers content profiles in append order and does not
+        match, and load then rebuilds it in memory.
         """
-        report = self.verify()
-        outcome = RepairReport()
-        damaged_snapshots = set()
-        for status in report.statuses:
-            if not status.damaged:
-                continue
-            if status.artifact == SNAPSHOT_MANIFEST or status.fatal:
-                damaged_snapshots.add(status.snapshot)
-            elif status.status != "missing":
-                # Non-fatal (derived) damage: quarantine just the file.
+        for status in checked.statuses:
+            if status.damaged and status.status != "missing":
                 self._quarantine_artifact(
-                    outcome.actions,
-                    status.snapshot,
+                    actions,
+                    snapshot_id,
                     status.artifact,
                     f"repair: {status.status}",
                 )
-        for snapshot_id in sorted(damaged_snapshots):
-            directory = self.snapshot_path(snapshot_id)
-            if os.path.isdir(directory):
-                quarantined_to = self._quarantine(
-                    directory, f"{snapshot_id}__snapshot"
-                )
-                outcome.actions.append(
-                    RecoveryAction(
-                        kind="quarantined",
-                        snapshot=snapshot_id,
-                        artifact="*",
-                        detail="repair: snapshot failed verification",
-                        quarantined_to=quarantined_to,
-                    )
-                )
-            outcome.dropped.append(snapshot_id)
+        entry = checked.document["artifacts"].get(INDEX_ARTIFACT)
+        if checked.database is None or not isinstance(entry, dict):
+            return
+        data = canonical_json_bytes(self._index_payload(checked.database))
+        if (len(data), sha256_hex(data)) != (
+            entry.get("bytes"),
+            entry.get("sha256"),
+        ):
+            return
+        atomic_write_bytes(
+            self._path(snapshot_id, INDEX_ARTIFACT), data, fsync=self.fsync
+        )
+        actions.append(
+            RecoveryAction(
+                kind="index-rebuilt",
+                snapshot=snapshot_id,
+                artifact=INDEX_ARTIFACT,
+                detail="repair: rewrote the index from verified metadata",
+            )
+        )
+
+    def repair(self) -> RepairReport:
+        """Quarantine everything verify reports damaged; rewrite the manifest.
+
+        Stray ``*.tmp`` files and every snapshot :meth:`verify` does not
+        report intact — referenced or not — move to quarantine, never
+        deleted.  An intact snapshot's damaged index is rewritten from
+        its metadata.  The new manifest lists the newest ``keep`` intact
+        snapshots with the digests of their ``snapshot.json`` as read.
+        Afterwards :meth:`verify` reports ``ok`` and :meth:`load`
+        succeeds without any recovery action (or raises the empty-store
+        error when no snapshot survived).  A foreign format version
+        raises :class:`StoreVersionError` before anything moves.
+        """
+        manifest, report, checks = self._survey()
+        outcome = RepairReport()
+        # Strays first: some live inside torn snapshot directories that
+        # are about to move.
         for stray in report.stray_files:
-            label = "stray__" + os.path.basename(stray)
-            quarantined_to = self._quarantine(stray, label)
+            quarantined_to = self._quarantine(
+                stray, "stray__" + os.path.basename(stray)
+            )
             outcome.actions.append(
                 RecoveryAction(
                     kind="quarantined",
@@ -1108,49 +1024,45 @@ class Store:
                     quarantined_to=quarantined_to,
                 )
             )
-        # Rebuild the manifest over every remaining intact snapshot,
-        # recomputing the snapshot-manifest digests from disk.
-        intact: List[Tuple[int, str, Dict[str, Any]]] = []
-        for name in self._on_disk_snapshots():
-            path = os.path.join(self.snapshot_path(name), SNAPSHOT_MANIFEST)
-            try:
-                data = self._read_bytes(path)
-                document = json.loads(data.decode("utf-8"))
-                artifacts = document["artifacts"]
-                healthy = all(
-                    self._artifact_status(
-                        name, artifact, artifacts.get(artifact), True
-                    ).status
-                    == "ok"
-                    for artifact in REQUIRED_ARTIFACTS
-                )
-            except Exception:
-                healthy = False
-                data = b""
-            if healthy:
-                sequence = _sequence_of(name) or 0
-                intact.append(
-                    (
-                        sequence,
-                        name,
-                        {"sha256": sha256_hex(data), "bytes": len(data)},
+        intact = report.intact_snapshots()
+        for snapshot_id, checked in checks.items():
+            if snapshot_id in intact:
+                if any(status.damaged for status in checked.statuses):
+                    self._restore_index(snapshot_id, checked, outcome.actions)
+                continue
+            directory = self.snapshot_path(snapshot_id)
+            if os.path.isdir(directory):
+                outcome.actions.append(
+                    RecoveryAction(
+                        kind="quarantined",
+                        snapshot=snapshot_id,
+                        artifact="*",
+                        detail="repair: snapshot failed verification",
+                        quarantined_to=self._quarantine(
+                            directory, f"{snapshot_id}__snapshot"
+                        ),
                     )
                 )
-        intact.sort()
+            outcome.dropped.append(snapshot_id)
+        intact.sort(key=lambda name: _sequence_of(name) or 0)
         retained = intact[-self.keep :]
-        highest = self._next_sequence() - 1
-        manifest = {
+        repaired = {
             "format": STORE_FORMAT_VERSION,
-            "current": retained[-1][1] if retained else None,
-            "order": [name for __, name, ___ in retained],
-            "snapshots": {name: entry for __, name, entry in retained},
-            "highest": highest,
+            "current": retained[-1] if retained else None,
+            "order": retained,
+            "snapshots": {
+                name: {
+                    "sha256": sha256_hex(checks[name].raw),
+                    "bytes": len(checks[name].raw),
+                }
+                for name in retained
+            },
+            "highest": self._next_sequence(manifest) - 1,
         }
-        atomic_write_json(self.manifest_path, manifest, fsync=self.fsync)
+        atomic_write_json(self.manifest_path, repaired, fsync=self.fsync)
         if self.fsync:
             fsync_directory(self.root)
-        outcome.current = manifest["current"]
-        outcome.retained = list(manifest["order"])
-        for __, name, ___ in intact[: -self.keep]:
-            outcome.dropped.append(name)
+        outcome.current = repaired["current"]
+        outcome.retained = retained
+        outcome.dropped.extend(intact[: -self.keep])
         return outcome

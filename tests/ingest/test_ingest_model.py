@@ -3,7 +3,8 @@
 A hypothesis ``RuleBasedStateMachine`` interleaves every way an ingest
 directory changes — add-video, append-segments, annotate, commit,
 checkpoint, crash (immediately, or at an armed fault site), recover /
-reopen, and damage to the newest snapshot — and checks the directory
+reopen, damage to the newest snapshot and an offline ``Store.repair`` of
+the base — and checks the directory
 against an in-memory oracle: a :class:`VideoDatabase` rebuilt from
 scratch by :func:`repro.ingest.ops.apply` over the committed prefix.
 
@@ -48,6 +49,7 @@ from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
+from repro.store import Store
 from repro.testing.faults import RAISE, SHORT_WRITE, FaultSpec, inject
 from repro.workloads.synthetic import random_similarity_list
 
@@ -282,12 +284,27 @@ class IngestDirectory(RuleBasedStateMachine):
         base = os.path.join(self.root, "base")
         with open(os.path.join(base, "MANIFEST.json"), encoding="utf-8") as f:
             current = json.load(f)["current"]
+        if current is None:  # repair left no snapshot
+            return
         path = os.path.join(base, "snapshots", current, artifact)
         if not os.path.exists(path):
             return
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
         self.damaged = True
+
+    @precondition(lambda self: self.ingester is None)
+    @rule()
+    def repair_base(self):
+        """Repair the closed directory's base store, as an operator would."""
+        store = Store(os.path.join(self.root, "base"))
+        outcome = store.repair()
+        self.quarantined.update(
+            action.quarantined_to
+            for action in outcome.actions
+            if action.quarantined_to
+        )
+        assert store.verify().ok, "repair left the base store damaged"
 
     @rule(clean=st.booleans())
     def reopen(self, clean):

@@ -404,3 +404,93 @@ class TestVerifyRepair:
         info = store.save(database)
         # Sequence numbers never rewind, even past a dropped snapshot.
         assert info.sequence == 3
+
+    def test_quarantined_ids_are_not_reused_without_a_manifest(
+        self, store, database
+    ):
+        store.save(database)
+        store.save(database)
+        third = store.save(database)
+        damage(os.path.join(third.path, VIDEOS_ARTIFACT))
+        store.repair()
+        assert os.path.isdir(
+            os.path.join(store.quarantine_dir, "snap-000003__snapshot")
+        )
+        with open(store.manifest_path, "w") as handle:
+            handle.write("{not json")
+        # The manifest's watermark is gone; the quarantine still counts.
+        assert store.save(database).snapshot_id == "snap-000004"
+
+    @staticmethod
+    def rewrite_newest_snapshot_manifest(store, database, key, value):
+        """Two saves, the top manifest lost, one field of the newest
+        ``snapshot.json`` rewritten (no digest left to catch it)."""
+        store.save(database)
+        second = store.save(database)
+        os.remove(store.manifest_path)
+        path = os.path.join(second.path, "snapshot.json")
+        with open(path) as handle:
+            document = json.load(handle)
+        document[key] = value
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+
+    def test_repair_drops_what_load_would_reject(self, store, database):
+        self.rewrite_newest_snapshot_manifest(
+            store, database, "wal_through", -1
+        )
+        report = store.verify()
+        assert report.intact_snapshots() == ["snap-000001"]
+        outcome = store.repair()
+        assert outcome.dropped == ["snap-000002"]
+        assert outcome.current == "snap-000001"
+        assert store.verify().ok
+        loaded = store.load()
+        assert loaded.snapshot_id == "snap-000001"
+        assert loaded.actions == []
+
+    def test_foreign_snapshot_format_stops_verify_and_repair(
+        self, store, database
+    ):
+        self.rewrite_newest_snapshot_manifest(store, database, "format", 99)
+        for operation in (store.verify, store.repair, store.load):
+            with pytest.raises(StoreVersionError):
+                operation()
+        # An incompatibility is not damage: nothing moved or rewritten.
+        assert not os.path.exists(store.quarantine_dir)
+        assert not os.path.exists(store.manifest_path)
+        assert store._on_disk_snapshots() == ["snap-000001", "snap-000002"]
+
+    @pytest.mark.parametrize("mode", ["truncate", "flip", "delete"])
+    def test_repair_rewrites_a_damaged_index(self, store, database, mode):
+        info = store.save(database)
+        path = os.path.join(info.path, INDEX_ARTIFACT)
+        original = open(path, "rb").read()
+        if mode == "delete":
+            os.remove(path)
+        else:
+            damage(path, mode)
+        outcome = store.repair()
+        assert outcome.current == info.snapshot_id
+        assert "index-rebuilt" in [action.kind for action in outcome.actions]
+        assert open(path, "rb").read() == original
+        assert store.verify().ok
+        assert store.load().actions == []
+
+    def test_verify_reports_torn_unreferenced_snapshots(
+        self, store, database
+    ):
+        """A save that died before its commit leaves debris that verify
+        reports (not fatal) and repair sweeps into quarantine."""
+        info = store.save(database)
+        torn = store.snapshot_path("snap-000002")
+        os.makedirs(torn)
+        with open(os.path.join(torn, VIDEOS_ARTIFACT), "w") as handle:
+            handle.write("{}")
+        report = store.verify()
+        assert report.ok and report.unreferenced == ["snap-000002"]
+        assert report.intact_snapshots() == [info.snapshot_id]
+        outcome = store.repair()
+        assert outcome.dropped == ["snap-000002"]
+        assert not os.path.exists(torn)
+        assert store.verify().unreferenced == []
