@@ -1,12 +1,12 @@
-"""Multi-video top-k fast path: cold vs warm-cache vs parallel+pruned.
+"""Multi-video top-k fast path: cold vs warm-cache vs pruned.
 
 Not a paper table — this measures the retrieval fast path added on top of
 the reproduction (ISSUE 1): an :class:`~repro.core.cache.EvaluationCache`
-memoizing subformula tables and whole-query lists, bound-based video
-pruning, and thread-pool fan-out in
-:func:`~repro.core.topk.top_k_across_videos`.  The synthetic corpus is N
-flat videos of M segments with ``P1``/``P2`` similarity lists drawn by
-:mod:`repro.workloads.synthetic` at the paper's ~10% selectivity.
+memoizing subformula tables and whole-query lists, and bound-based video
+pruning in :func:`~repro.core.topk.top_k_across_videos`.  The synthetic
+corpus is N flat videos of M segments with ``P1``/``P2`` similarity
+lists drawn by :mod:`repro.workloads.synthetic` at the paper's ~10%
+selectivity.
 
 Also measured: the cost of the similarity-list invariant scan
 (:data:`repro.core.simlist.CHECK_INVARIANTS`), which the hot path now
@@ -40,7 +40,6 @@ QUICK = bool(os.environ.get("BENCH_QUICK"))
 N_VIDEOS = 8 if QUICK else 32
 N_SEGMENTS = 500 if QUICK else 5_000
 K = 25
-PARALLELISM = max(2, min(4, os.cpu_count() or 2))
 FORMULA = parse("$P1 and eventually $P2")
 REPEAT = 3 if QUICK else 5
 
@@ -82,7 +81,7 @@ def test_multivideo_topk_fast_path(corpus, report):
     cold_engine = RetrievalEngine()
     cold_seconds, baseline = best_of(
         lambda: top_k_across_videos(
-            cold_engine, FORMULA, corpus, K, parallelism=None, prune=False
+            cold_engine, FORMULA, corpus, K, prune=False
         )
     )
 
@@ -98,18 +97,7 @@ def test_multivideo_topk_fast_path(corpus, report):
 
     pruned_seconds, pruned_result = best_of(
         lambda: top_k_across_videos(
-            RetrievalEngine(), FORMULA, corpus, K, parallelism=None, prune=True
-        )
-    )
-
-    parallel_seconds, parallel_result = best_of(
-        lambda: top_k_across_videos(
-            RetrievalEngine(),
-            FORMULA,
-            corpus,
-            K,
-            parallelism=PARALLELISM,
-            prune=True,
+            RetrievalEngine(), FORMULA, corpus, K, prune=True
         )
     )
 
@@ -122,7 +110,6 @@ def test_multivideo_topk_fast_path(corpus, report):
     # -> 24.8 ms, warm 1.1 ms before and after); the counts repeat exactly.
     assert warm_result == baseline
     assert pruned_result == baseline
-    assert parallel_result == baseline
     speedup = cold_seconds / warm_seconds
     assert stats.misses == populated.misses, (stats, populated)
     assert stats.table_hits == populated.table_hits, (stats, populated)
@@ -137,7 +124,6 @@ def test_multivideo_topk_fast_path(corpus, report):
         "Warm cache": f"{warm_seconds:.4f}",
         "Warm speedup": f"{speedup:.1f}x",
         "Pruned": f"{pruned_seconds:.4f}",
-        f"Parallel x{PARALLELISM}+pruned": f"{parallel_seconds:.4f}",
     }
     report("Multi-video top-k fast path (seconds)", rows)
 
@@ -145,12 +131,10 @@ def test_multivideo_topk_fast_path(corpus, report):
         "n_videos": N_VIDEOS,
         "n_segments": N_SEGMENTS,
         "k": K,
-        "parallelism": PARALLELISM,
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "warm_speedup": speedup,
         "pruned_seconds": pruned_seconds,
-        "parallel_seconds": parallel_seconds,
         "cache": {
             "table_hits": stats.table_hits,
             "table_misses": stats.table_misses,

@@ -114,7 +114,7 @@ def corpus_segments_scored(database):
 
 def _sweep(engine, database):
     return top_k_across_videos(
-        engine, FORMULA, database, K, parallelism=None, prune=False
+        engine, FORMULA, database, K, prune=False
     )
 
 

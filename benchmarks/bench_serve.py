@@ -197,7 +197,7 @@ def test_serve_overload_sla_and_shedding(corpus, report):
     for __ in range(3):
         start = time.perf_counter()
         reference = top_k_across_videos(
-            engine, FORMULA, corpus, K, parallelism=None, prune=False
+            engine, FORMULA, corpus, K, prune=False
         )
         elapsed = (time.perf_counter() - start) * 1_000.0
         if serial_ms is None or elapsed < serial_ms:

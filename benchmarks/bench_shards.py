@@ -1,24 +1,26 @@
-"""Sharded scatter-gather top-k: scaling and bound-exchange pruning.
+"""Sharded top-k: scaling and shared-heap pruning.
 
 Not a paper table — this measures the sharded corpus front end
-(:mod:`repro.shard`, ISSUE 6): the corpus is partitioned round-robin
-into N shards and a query scatters per-shard top-k evaluations, with
-the running global k-th-best score flowing back through a
-:class:`~repro.core.topk.BoundExchange` to prune still-running shards.
+(:mod:`repro.shard`): the corpus is partitioned round-robin into N
+shards and a query runs them one after another, streaming every shard's
+videos into one size-k heap, so the running global k-th-best score
+prunes later shards' videos.
 
 Two claims are gated here:
 
 * **Identity** — every sharded configuration (any shard count, and the
   naive scatter-gather baseline) returns the byte-identical ranking of
   the unsharded serial scan.
-* **Pruning** — on the sparse corpus, the bound exchange scores
-  *strictly fewer* segments than naive scatter-gather (each shard
-  pruning only against its own local heap).  Segment counts are exact,
-  not timed: shards run serially here so the schedule is deterministic.
+* **Pruning** — on the sparse corpus, the shared heap scores *strictly
+  fewer* segments than naive scatter-gather (each shard pruning only
+  against its own local heap).  Segment counts are exact, not timed:
+  shards run in a fixed order, so the schedule is deterministic.  The
+  JSON keeps the ``exchange_*`` key names of the bound exchange the
+  shared heap replaced, so its trajectory stays comparable.
 
 The dense (50% selectivity) corpus is tracked but not gated: high
-density compresses the spread between per-video bounds, so the exchange
-may win little there — when it stops winning at all, the run reports
+density compresses the spread between per-video bounds, so the shared
+heap may win little there — when it stops winning at all, the run reports
 the regression loudly (``dense_regressed`` in the JSON, a ``!`` row in
 the table) without failing CI.
 
@@ -126,7 +128,7 @@ def dense_corpus():
 
 
 def _pruning_row(database, n_shards):
-    """Deterministic (serial-scatter) naive vs exchange segment counts.
+    """Deterministic naive vs shared-heap segment counts.
 
     Naive scatter-gather is every shard ranked on its own — pruning only
     against its local heap — and the results merged.
@@ -140,7 +142,7 @@ def _pruning_row(database, n_shards):
         k=K,
     )
     corpus = ShardedCorpus.from_database(database, n_shards)
-    exchange = corpus.top_k(engine, FORMULA, K, parallelism=None)
+    exchange = corpus.top_k(engine, FORMULA, K)
     assert naive == exchange
     return {
         "naive_scored": scored_segments(naive),
@@ -161,35 +163,33 @@ def test_shard_scaling_and_pruning(sparse_corpus, dense_corpus, report):
     engine = RetrievalEngine()
     serial_seconds, serial = best_of(
         lambda: top_k_across_videos(
-            engine, FORMULA, sparse_corpus, K, parallelism=None, prune=False
+            engine, FORMULA, sparse_corpus, K, prune=False
         )
     )
     expected = [(r.video, r.segment_id, r.actual, r.maximum) for r in serial]
 
-    # -- scaling vs shard count (parallel scatter, exchange on) ----------
+    # -- scaling vs shard count (one shared heap, pruning on) ------------
     scaling = {}
     for n_shards in SHARD_COUNTS:
         corpus = ShardedCorpus.from_database(sparse_corpus, n_shards)
         seconds, result = best_of(
-            lambda corpus=corpus, n=n_shards: corpus.top_k(
-                engine, FORMULA, K, parallelism=n
-            )
+            lambda corpus=corpus: corpus.top_k(engine, FORMULA, K)
         )
         assert result == serial, f"ranking diverged at {n_shards} shard(s)"
         scaling[n_shards] = seconds
 
-    # -- pruning effectiveness (serial scatter => deterministic counts) --
+    # -- pruning effectiveness (fixed shard order => exact counts) -------
     sparse = _pruning_row(sparse_corpus, 4)
     dense = _pruning_row(dense_corpus, 4)
     assert sparse["ranking"] == expected
 
     total = N_VIDEOS * N_SEGMENTS
-    # The gate: on the sparse corpus the exchange must beat naive
+    # The gate: on the sparse corpus the shared heap must beat naive
     # scatter-gather outright, or cross-shard bound flow is dead weight.
     assert sparse["exchange_scored"] < sparse["naive_scored"], (
-        f"bound exchange scored {sparse['exchange_scored']} segments, "
-        f"naive scatter-gather {sparse['naive_scored']} — the exchange "
-        f"pruned nothing beyond local heaps"
+        f"shared heap scored {sparse['exchange_scored']} segments, "
+        f"naive scatter-gather {sparse['naive_scored']} — it pruned "
+        f"nothing beyond local heaps"
     )
 
     # Tracked, not gated: report a dense regression loudly.
@@ -201,12 +201,12 @@ def test_shard_scaling_and_pruning(sparse_corpus, dense_corpus, report):
             else ""
         )
         report(
-            "Sharded scatter-gather pruning (segments scored, 4 shards)",
+            "Sharded pruning (segments scored, 4 shards)",
             {
                 "Corpus": label + marker,
                 "Total": total,
                 "Naive": row["naive_scored"],
-                "Exchange": row["exchange_scored"],
+                "Shared heap": row["exchange_scored"],
                 "Saved": f"{1 - row['exchange_scored'] / row['naive_scored']:.0%}",
                 "Pruned videos": (
                     f"{row['naive_pruned_videos']}->"
@@ -215,7 +215,7 @@ def test_shard_scaling_and_pruning(sparse_corpus, dense_corpus, report):
             },
         )
     report(
-        "Sharded scatter-gather scaling (seconds, sparse corpus)",
+        "Sharded scaling (seconds, sparse corpus)",
         {
             "Videos": N_VIDEOS,
             "Segments/video": N_SEGMENTS,
@@ -258,7 +258,7 @@ def test_shard_scaling_and_pruning(sparse_corpus, dense_corpus, report):
     )
     if dense_regressed:
         print(
-            "\nWARNING: dense-corpus bound exchange no longer beats naive "
+            "\nWARNING: dense-corpus shared heap no longer beats naive "
             f"scatter-gather ({dense['exchange_scored']} vs "
             f"{dense['naive_scored']} segments scored)"
         )

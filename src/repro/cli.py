@@ -249,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --top)",
     )
     run.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=None,
-        help="evaluate videos on this many threads (with --across)",
-    )
-    run.add_argument(
         "--lenient",
         action="store_true",
         help="best-effort mode: report failed videos instead of aborting "
@@ -321,12 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=5,
         help="rank this many segments across the dataset (default: 5)",
-    )
-    trace_cmd.add_argument(
-        "--parallel",
-        type=_positive_int,
-        default=None,
-        help="evaluate videos on this many threads",
     )
     trace_cmd.add_argument(
         "--json",
@@ -673,7 +661,6 @@ def _run_across(
         formula,
         arguments.top,
         level=level,
-        parallelism=arguments.parallel,
         budget=_run_budget(arguments),
         lenient=arguments.lenient,
     )
@@ -836,7 +823,6 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
             database,
             k=arguments.top,
             level=level,
-            parallelism=arguments.parallel,
             profile=True,
         )
         if arguments.json:
@@ -1234,8 +1220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # exit 2, before any dataset is loaded or query parsed.
         if arguments.across and arguments.top < 1:
             parser.error("--across requires --top >= 1")
-        if arguments.parallel is not None and not arguments.across:
-            parser.error("--parallel requires --across")
         if arguments.lenient and not arguments.across:
             parser.error("--lenient requires --across")
         if arguments.shards is not None and arguments.shard_dir is not None:

@@ -24,8 +24,8 @@ VideoDatabase` bumps a counter on every mutation (``add`` /
 generation via :meth:`sync`.  The cache therefore serves one database at a
 time; point a fresh cache at a second database rather than alternating.
 
-The cache is thread-safe — ``top_k_across_videos(parallelism=...)`` shares
-one instance across its worker threads.
+The cache is thread-safe, so one instance may serve queries running on
+several threads.
 """
 
 from __future__ import annotations

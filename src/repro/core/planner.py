@@ -321,8 +321,8 @@ class PlannerStats:
 class Planner:
     """Builds and caches query plans.
 
-    Thread-safe: one planner is shared across ``top_k_across_videos``
-    worker threads exactly like the evaluation cache.
+    Thread-safe, like the evaluation cache: one planner may serve
+    engines on several threads.
     """
 
     def __init__(self, cache: Optional[PlanCache] = None):

@@ -15,8 +15,8 @@ engine threads through (DESIGN.md §8):
   a shard load) out of rotation and probes it again after a cooldown.
 * :class:`ResilienceContext` — one query's budget and whether it is
   lenient (best-effort, partial-result).  It travels in a thread-local
-  so the picture substrate and the top-k worker threads see the same
-  budget without signature plumbing.  An active context also arms the
+  so the picture substrate sees the query's budget without signature
+  plumbing.  An active context also arms the
   one degraded path: a failing index-driven atom table is rebuilt by the
   naive scan (:meth:`repro.pictures.retrieval.PictureRetrievalSystem.
   similarity_table`), counted as ``atom-fallback``.
@@ -57,8 +57,8 @@ SITE_STORE_WRITE = "store-write"
 SITE_STORE_FSYNC = "store-fsync"
 SITE_STORE_READ = "store-read"
 #: Shard fault site of :mod:`repro.shard`: the load of one shard's
-#: database at scatter time.  A raise here models a dead or corrupt
-#: shard — lenient queries degrade to the surviving shards, strict
+#: database when a query reaches it.  A raise here models a dead or
+#: corrupt shard — lenient queries degrade to the surviving shards, strict
 #: queries abort with :class:`~repro.errors.ShardError`.
 SITE_SHARD_LOAD = "shard-load"
 #: Serving fault sites of :mod:`repro.serve` (DESIGN.md §14): admission
@@ -167,9 +167,9 @@ class QueryBudget:
     (``benchmarks/bench_chaos_recovery.py``).
 
     ``clock`` is injectable for deterministic tests and must be monotone.
-    A budget may be shared across threads: the step counter is duplicated
-    per thread only in the sense that charges race benignly (the count is
-    advisory, the deadline is authoritative).
+    One budget belongs to one query, which runs on one thread: every
+    video and every shard of the query charges this one object, so
+    ``steps`` is the whole query's work.
     """
 
     __slots__ = (
@@ -397,9 +397,8 @@ class ResilienceContext:
     arms the one degraded path: a failing index-driven atom table is
     rebuilt by the naive scan (DESIGN.md §8).
 
-    Installed in a thread-local by :func:`activate`; worker threads
-    re-install the submitting thread's context so the whole fan-out sees
-    one budget.
+    Installed in a thread-local by :func:`activate`, so concurrent
+    requests on server worker threads each see their own.
     """
 
     __slots__ = ("budget", "lenient")

@@ -194,53 +194,57 @@ class SimilarityTable:
         right_by_key: Dict[Tuple[str, ...], List[TableRow]] = {}
         for row in other.rows:
             right_by_key.setdefault(right_key(row), []).append(row)
+        # A match covers only its partner's values of the partner's
+        # exclusive object variables, so outer-mode consumption is kept
+        # per such assignment (see ``_unmatched_rows``).
+        left_own = _key_extractor(self.object_vars, left_only_obj)
+        right_own = _key_extractor(other.object_vars, right_only_obj)
 
         out_rows: List[TableRow] = []
-        matched_right_boxes: Dict[int, List[Box]] = {}
+        matched_right: Dict[int, List[Tuple[Tuple[str, ...], Box]]] = {}
         for left_row in self.rows:
             key = left_key(left_row)
             partners = right_by_key.get(key, [])
             left_box = left_full_box(left_row)
-            consumed: List[Box] = []
+            consumed: List[Tuple[Tuple[str, ...], Box]] = []
             for right_row in partners:
                 right_box = right_full_box(right_row)
                 shared = _box_intersect(left_box, right_box)
                 if shared is None:
                     continue
-                consumed.append(shared)
-                matched_right_boxes.setdefault(
-                    id(right_row), []
-                ).append(shared)
+                consumed.append((right_own(right_row), shared))
+                matched_right.setdefault(id(right_row), []).append(
+                    (left_own(left_row), shared)
+                )
                 merged = op(left_row.sim, right_row.sim)
-                out_rows.extend(
-                    _joined_rows(
+                out_rows.append(
+                    _joined_row(
                         key, left_row, right_row, self, other,
-                        shared, merged, universe,
+                        (), shared, merged,
                     )
                 )
             if mode == OUTER:
                 merged = op(left_row.sim, empty_right)
                 if merged or not consumed:
-                    for remainder in _box_difference_many(left_box, consumed):
-                        out_rows.extend(
-                            _joined_rows(
-                                key, left_row, None, self, other,
-                                remainder, merged, universe,
-                            )
+                    out_rows.extend(
+                        _unmatched_rows(
+                            key, left_row, None, self, other,
+                            left_box, consumed, merged, universe,
                         )
+                    )
         if mode == OUTER:
             for right_row in other.rows:
                 right_box = right_full_box(right_row)
-                consumed = matched_right_boxes.get(id(right_row), [])
+                consumed = matched_right.get(id(right_row), [])
                 merged = op(empty_left, right_row.sim)
                 if merged or not consumed:
-                    for remainder in _box_difference_many(right_box, consumed):
-                        out_rows.extend(
-                            _joined_rows(
-                                right_key(right_row), None, right_row,
-                                self, other, remainder, merged, universe,
-                            )
+                    out_rows.extend(
+                        _unmatched_rows(
+                            right_key(right_row), None, right_row,
+                            self, other, right_box, consumed, merged,
+                            universe,
                         )
+                    )
         return SimilarityTable(
             out_object_vars, out_attr_vars, out_rows, out_maximum
         )
@@ -304,54 +308,75 @@ def _box_extractor(
     return lambda row: tuple(row.ranges[p] for p in positions)
 
 
-def _joined_rows(
+def _joined_row(
+    key: Tuple[str, ...],
+    left_row: Optional[TableRow],
+    right_row: Optional[TableRow],
+    left_table: "SimilarityTable",
+    right_table: "SimilarityTable",
+    assignment: Tuple[str, ...],
+    box: Box,
+    merged: SimilarityList,
+) -> TableRow:
+    """Assemble one output row in the canonical column order.
+
+    ``box`` already spans every output attribute dimension.  When one
+    input row is absent (outer-join remainder), ``assignment`` gives the
+    values of the other side's exclusive object variables, in that
+    side's column order.
+    """
+    objects: List[str] = list(key)
+    filler = iter(assignment)
+    for row, table, partner in (
+        (left_row, left_table, right_table),
+        (right_row, right_table, left_table),
+    ):
+        for position, name in enumerate(table.object_vars):
+            if name not in partner.object_vars:
+                objects.append(
+                    next(filler) if row is None else row.objects[position]
+                )
+    return TableRow(tuple(objects), box, merged)
+
+
+def _unmatched_rows(
     key: Tuple[str, ...],
     left_row: Optional[TableRow],
     right_row: Optional[TableRow],
     left_table: "SimilarityTable",
     right_table: "SimilarityTable",
     box: Box,
+    consumed: Sequence[Tuple[Tuple[str, ...], Box]],
     merged: SimilarityList,
     universe: Sequence[str],
 ) -> List[TableRow]:
-    """Assemble output rows in the canonical column order.
+    """Outer-join remainder of the one present input row.
 
-    ``box`` already spans every output attribute dimension.  When one
-    input row is absent (outer-join remainder), the other side's exclusive
-    object variables are expanded over ``universe`` — the partial
-    similarity holds for every assignment of those variables.
+    The absent side's exclusive object variables are expanded over
+    ``universe`` — the partial similarity holds for every assignment of
+    them.  ``consumed`` pairs each match the row took part in with the
+    partner's values of those variables, and a match covers that
+    assignment only: every other assignment keeps the whole box.
     """
-    objects: List[Optional[str]] = list(key)
-    missing = 0
-    for name in left_table.object_vars:
-        if name not in right_table.object_vars:
-            if left_row is not None:
-                objects.append(
-                    left_row.objects[left_table.object_vars.index(name)]
-                )
-            else:
-                objects.append(None)
-                missing += 1
-    for name in right_table.object_vars:
-        if name not in left_table.object_vars:
-            if right_row is not None:
-                objects.append(
-                    right_row.objects[right_table.object_vars.index(name)]
-                )
-            else:
-                objects.append(None)
-                missing += 1
-    if not missing:
-        return [TableRow(tuple(objects), box, merged)]  # type: ignore[arg-type]
+    present, absent = (
+        (left_table, right_table) if right_row is None
+        else (right_table, left_table)
+    )
+    missing = sum(
+        1 for name in absent.object_vars if name not in present.object_vars
+    )
+    covered: Dict[Tuple[str, ...], List[Box]] = {}
+    for assignment, shared in consumed:
+        covered.setdefault(assignment, []).append(shared)
     rows: List[TableRow] = []
     for assignment in itertools.product(universe, repeat=missing):
-        filled = list(objects)
-        cursor = 0
-        for position, value in enumerate(filled):
-            if value is None:
-                filled[position] = assignment[cursor]
-                cursor += 1
-        rows.append(TableRow(tuple(filled), box, merged))  # type: ignore[arg-type]
+        for remainder in _box_difference_many(box, covered.get(assignment, [])):
+            rows.append(
+                _joined_row(
+                    key, left_row, right_row, left_table, right_table,
+                    assignment, remainder, merged,
+                )
+            )
     return rows
 
 

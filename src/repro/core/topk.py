@@ -6,23 +6,22 @@ retrieved; here, k may be a parameter specified by the user."
 
 Multi-video retrieval is the fast path here: :func:`top_k_across_videos`
 streams interval entries into a bounded size-k heap (never expanding a
-similarity list into per-segment rows), skips videos whose admissible
+similarity list into per-segment rows) and skips videos whose admissible
 upper bound (:func:`repro.core.engine.actual_upper_bound`) cannot crack
-the current k-th score, and optionally fans the per-video evaluations out
-over a thread pool.  All three features preserve the exact ranking of the
-naive serial scan: the k best segments under the total order
-``(-actual, video, segment_id)`` are a canonical set, independent of
-evaluation or merge order, and pruning only ever skips videos whose every
+the current k-th score.  Videos evaluate one after another on the calling
+thread; a sharded query (:meth:`repro.shard.ShardedCorpus.top_k`) streams
+every shard's videos into the same heap.  Both features preserve the
+exact ranking of the naive scan: the k best segments under the total
+order ``(-actual, video, segment_id)`` are a canonical set, independent
+of evaluation order, and pruning only ever skips videos whose every
 segment ranks strictly below the current k-th.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -162,68 +161,6 @@ def _video_bound(
 
 
 # ---------------------------------------------------------------------------
-# cross-shard bound exchange
-# ---------------------------------------------------------------------------
-class BoundExchange:
-    """A shared lower bound on the global k-th-best similarity score.
-
-    The cross-shard gather protocol (DESIGN.md §12): every shard streams
-    its evaluated entries into its *local* size-k heap as usual, but also
-    publishes the entry values here.  The exchange keeps the k best
-    published values in a min-heap, so :meth:`threshold` is the running
-    k-th-best score *across all shards* — a sound pruning floor
-    everywhere, because the final global k-th score can only be at least
-    this good.  A lagging shard therefore prunes videos against the
-    leaders' scores long before its own heap fills.
-
-    Only scalar values cross the exchange — never segments — so the
-    per-publish cost is O(entries · k) comparisons and the merge step
-    stays provenance-preserving (:meth:`TopKResult.merge`).
-
-    Thread-safe: one exchange is shared by every shard worker of a
-    scatter-gather query.
-    """
-
-    __slots__ = ("k", "_heap", "_lock", "published")
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self._heap: List[float] = []
-        self._lock = threading.Lock()
-        #: Total values folded in, for observability (monotone).
-        self.published = 0
-
-    def threshold(self) -> Optional[float]:
-        """The k-th-best published value, or None before k are known."""
-        with self._lock:
-            return self._heap[0] if len(self._heap) == self.k else None
-
-    def publish(self, sim: SimilarityList) -> None:
-        """Fold one similarity list's entry values into the exchange.
-
-        An entry spanning ``n`` segments contributes ``min(n, k)``
-        candidates at its value — exactly the segments it could place in
-        a global top-k.
-        """
-        k = self.k
-        with self._lock:
-            heap = self._heap
-            for begin, end, actual in sim.runs():
-                count = min(end - begin + 1, k)
-                for __ in range(count):
-                    if len(heap) < k:
-                        heapq.heappush(heap, actual)
-                    elif actual > heap[0]:
-                        heapq.heapreplace(heap, actual)
-                    else:
-                        # Further copies of this value cannot improve.
-                        break
-                self.published += count
-
-
-# ---------------------------------------------------------------------------
 # per-video provenance
 # ---------------------------------------------------------------------------
 #: Outcome statuses recorded by :func:`top_k_across_videos` per video.
@@ -336,13 +273,14 @@ class TopKResult(Sequence):
     ) -> "TopKResult":
         """Provenance-preserving union of several results.
 
-        The gather half of scatter-gather: segments are unioned,
-        deduplicated by ``(video, segment id)`` keeping the highest
-        actual value, re-ranked under the canonical total order
-        ``(-actual, video, segment id)``, and truncated to ``k`` when
-        given.  Because the top-k set under a total order is canonical,
-        merging per-shard top-k results of disjoint shards reproduces
-        the unsharded ranking exactly.
+        The gather of independent per-corpus queries (the naive
+        scatter-gather baseline of ``benchmarks/bench_shards.py``):
+        segments are unioned, deduplicated by ``(video, segment id)``
+        keeping the highest actual value, re-ranked under the canonical
+        total order ``(-actual, video, segment id)``, and truncated to
+        ``k`` when given.  Because the top-k set under a total order is
+        canonical, merging per-shard top-k results of disjoint shards
+        reproduces the unsharded ranking exactly.
 
         Outcomes are unioned by video.  When two results report the same
         video (overlapping corpora, retried queries), the most
@@ -433,12 +371,10 @@ def top_k_across_videos(
     k: int,
     level: int = 2,
     *,
-    parallelism: Optional[int] = None,
     prune: bool = True,
     budget: Optional[resilience.QueryBudget] = None,
     lenient: bool = False,
     profile: bool = False,
-    exchange: Optional[BoundExchange] = None,
 ) -> TopKResult:
     """Evaluate the query on every video and rank segments globally.
 
@@ -447,21 +383,19 @@ def top_k_across_videos(
     of the video segment within the video".
 
     ``prune=True`` skips a video when its admissible upper bound is
-    strictly below the current k-th score; ``parallelism >= 2`` evaluates
-    videos on that many threads.  Both knobs return rankings identical to
-    the serial unpruned scan (see the module docstring for why).
+    strictly below the current k-th score; the ranking is identical to the
+    unpruned scan (see the module docstring for why).
 
-    Resilience (DESIGN.md §8): ``budget`` bounds the whole fan-out by
+    Resilience (DESIGN.md §8): ``budget`` bounds the whole query by
     wall-clock and cooperative steps; ``lenient=True`` turns per-video
     failures into recorded :class:`VideoOutcome` entries instead of
     raising, returning a ``partial=True`` :class:`TopKResult` that still
     ranks every video that did evaluate.  In strict mode (the default) the
-    first failure propagates after pending sibling evaluations are
-    cancelled.  Either knob, or an ambient
-    :func:`repro.core.resilience.scope`, also arms the one degraded path:
-    a failing index-driven atom table is rebuilt by the naive scan.  With
-    neither knob set and no ambient scope, the call runs exactly the
-    pre-resilience fast path.
+    first failure propagates and later videos never run.  Either knob, or
+    an ambient :func:`repro.core.resilience.scope`, also arms the one
+    degraded path: a failing index-driven atom table is rebuilt by the
+    naive scan.  With neither knob set and no ambient scope, the call runs
+    exactly the pre-resilience fast path.
 
     Observability (DESIGN.md §10): ``profile=True`` — or an ambient
     :func:`repro.core.trace.recording` — collects a hierarchical trace
@@ -473,34 +407,32 @@ def top_k_across_videos(
     latencies additionally feed the ``query-seconds`` /
     ``video-seconds`` histograms.
 
-    Sharding (DESIGN.md §12): ``exchange`` shares a
-    :class:`BoundExchange` with sibling calls over other shards, so the
-    pruning floor is the running *global* k-th-best score, not just this
-    call's local heap.  Evaluated lists are published back into the
-    exchange.  The ranking this call returns is still its own corpus's
-    top-k; :meth:`TopKResult.merge` assembles the global answer.
-
     Planning (DESIGN.md §13): when the engine carries a planner, each
     video's evaluation runs under a compiled query plan.  Plans are keyed
     by the index's *statistics signature*, so videos — and shards — whose
-    indices summarise identically reuse one plan across the whole
-    fan-out; traced queries annotate the per-query ``plans-built`` /
+    indices summarise identically reuse one plan across the whole query;
+    traced queries annotate the per-query ``plans-built`` /
     ``plan-reuses`` / ``plan-skips`` deltas on the query span.
     """
     if k <= 0:
         return TopKResult([])
+    context = _query_context(budget, lenient)
+
+    def rank() -> TopKResult:
+        heap: List[_HeapItem] = []
+        outcomes = _rank_database(
+            engine, formula, database, k, level, prune, context, heap
+        )
+        return _ranked(heap, outcomes)
+
     return _run_query(
         f"top-{k}",
         formula,
         profile,
         getattr(engine, "planner", None),
-        lambda: _rank_database(
-            engine, formula, database, k, level, parallelism, prune,
-            budget, lenient, exchange,
-        ),
+        rank,
         k=k,
         level=level,
-        parallelism=parallelism if parallelism else 1,
     )
 
 
@@ -523,7 +455,7 @@ def _run_query(
 
     Videos (and shards) with identical index shapes share one compiled
     plan — the planner's cache key is the statistics signature, not the
-    video name — so a fan-out typically builds a handful of plans and
+    video name — so a query typically builds a handful of plans and
     reuses them everywhere; given a ``planner``, the span carries its
     per-query deltas to make that reuse visible.
     """
@@ -568,111 +500,56 @@ def _run_query(
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
-#: What a pool worker returns when the fan-out was stopped before it ran.
-_SKIPPED = object()
-
 
 def _fan_out(
     items: Sequence[_Item],
     step: Callable[[_Item], _Result],
     lost: Callable[[_Item, BaseException], _Result],
-    parallelism: Optional[int],
     strict: bool,
 ) -> List[_Result]:
-    """``step(item)`` for every item; results in submission order.
+    """``step(item)`` for every item, in order.
 
-    The one fan-out behind both the per-video loop and the shard scatter.
-    Steps run inline when ``parallelism`` is None or <= 1, on a thread
-    pool of that many workers otherwise; workers adopt the submitting
-    thread's trace position, so the spans they open stay children of the
-    caller's span.
-
-    A step that raises ends the fan-out in strict mode: items that have
-    not started are dropped and the first failure in submission order
-    propagates.  In lenient mode the item's result is ``lost(item,
-    error)`` instead; a :class:`BudgetExceededError` is additionally the
-    whole query's deadline, so every item that has not started is
+    The one loop behind both the per-video loop and the shard loop.  A
+    step that raises ends the loop in strict mode: the failure propagates
+    and later items never run.  In lenient mode the item's result is
+    ``lost(item, error)`` instead; a :class:`BudgetExceededError` is
+    additionally the whole query's deadline, so every later item is
     ``lost`` to it without running.
     """
     results: List[_Result] = []
     abort: Optional[BaseException] = None
-    if parallelism is None or parallelism <= 1:
-        for item in items:
-            if abort is not None:
-                results.append(lost(item, abort))
-                continue
-            try:
-                results.append(step(item))
-            except Exception as exc:
-                if strict:
-                    raise
-                if isinstance(exc, BudgetExceededError):
-                    abort = exc
-                results.append(lost(item, exc))
-        return results
-
-    def stops(exc: BaseException) -> bool:
-        return strict or isinstance(exc, BudgetExceededError)
-
-    #: Failures that stop the fan-out, in completion order; non-empty is
-    #: the cancel flag workers check before starting.
-    stopped: List[BaseException] = []
-    token = trace.capture()
-
-    def work(item: _Item):
-        if stopped:
-            return _SKIPPED
-        with trace.adopt(token):
-            return step(item)
-
-    def note_failure(future) -> None:
-        # Out-of-order early cancellation: a stopping failure holds back
-        # siblings that have not started yet, even before the collecting
-        # loop reaches this future in submission order.
-        if not future.cancelled():
-            exc = future.exception()
-            if exc is not None and stops(exc):
-                stopped.append(exc)
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(work, item) for item in items]
-        for future in futures:
-            future.add_done_callback(note_failure)
-        for item, future in zip(items, futures):
-            if abort is not None and future.cancel():
-                results.append(lost(item, abort))
-                continue
-            try:
-                result = future.result()
-            except Exception as exc:
-                if abort is None and stops(exc):
-                    abort = exc
-                results.append(lost(item, exc))
-                continue
-            if result is _SKIPPED:
-                result = lost(item, abort or stopped[0])
-            results.append(result)
-    if strict and abort is not None:
-        raise abort
+    for item in items:
+        if abort is not None:
+            results.append(lost(item, abort))
+            continue
+        try:
+            results.append(step(item))
+        except Exception as exc:
+            if strict:
+                raise
+            if isinstance(exc, BudgetExceededError):
+                abort = exc
+            results.append(lost(item, exc))
     return results
 
 
-def _prune_floor(
-    local_worst: Optional[float], exchange: Optional[BoundExchange]
-) -> Optional[float]:
-    """The tightest admissible pruning floor currently known.
+def _query_context(
+    budget: Optional[resilience.QueryBudget], lenient: bool
+) -> Optional[resilience.ResilienceContext]:
+    """One query's resilience context, resolved once at the top.
 
-    Both sources are sound lower bounds on the final k-th-best global
-    score — the local heap once it holds k segments, and the cross-shard
-    exchange once k values have been published anywhere — so their max
-    is too.
+    Explicit knobs win over an ambient :func:`repro.core.resilience.scope`
+    (its budget fills in a missing ``budget``, its ``lenient`` is or-ed
+    in); with neither, None selects the pre-resilience fast path.
     """
-    remote = exchange.threshold() if exchange is not None else None
-    if local_worst is None:
-        return remote
-    if remote is None:
-        return local_worst
-    return max(local_worst, remote)
+    ambient = resilience.current()
+    if ambient is not None:
+        if budget is None:
+            budget = ambient.budget
+        lenient = lenient or ambient.lenient
+    elif budget is None and not lenient:
+        return None
+    return resilience.ResilienceContext(budget, lenient)
 
 
 def _lost_outcome(video: str, error: BaseException) -> VideoOutcome:
@@ -685,35 +562,36 @@ def _lost_outcome(video: str, error: BaseException) -> VideoOutcome:
     return VideoOutcome(video, status, error)
 
 
+def _ranked(
+    heap: List[_HeapItem], outcomes: List[VideoOutcome]
+) -> TopKResult:
+    """The query's answer: its heap best-first, plus the outcome ledger."""
+    with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
+        return TopKResult(
+            _drain(heap),
+            outcomes,
+            partial=any(o.degraded for o in outcomes),
+        )
+
+
 def _rank_database(
     engine: RetrievalEngine,
     formula: ast.Formula,
     database: VideoDatabase,
     k: int,
     level: int,
-    parallelism: Optional[int],
     prune: bool,
-    budget: Optional[resilience.QueryBudget],
-    lenient: bool,
-    exchange: Optional[BoundExchange],
-) -> TopKResult:
-    """The top-k of one database's videos, with no query-level bookkeeping.
+    context: Optional[resilience.ResilienceContext],
+    heap: List[_HeapItem],
+) -> List[VideoOutcome]:
+    """Stream one database's videos into ``heap``, the query's size-k heap.
 
-    :func:`top_k_across_videos` runs this inside :func:`_run_query`; the
-    shard scatter runs it once per shard inside its own query and shard
-    spans, so per-video spans nest query → shard → video.
+    Returns one outcome per video, in database order.
+    :func:`top_k_across_videos` runs this once; the shard loop runs it
+    once per shard over the same heap, so the pruning floor is always the
+    k-th score of every video evaluated so far, whichever shard owns it.
     """
-    ambient = resilience.current()
-    if ambient is not None:
-        if budget is None:
-            budget = ambient.budget
-        lenient = lenient or ambient.lenient
-    context = (
-        resilience.ResilienceContext(budget, lenient)
-        if ambient is not None or budget is not None or lenient
-        else None
-    )
-    active_budget = context.budget if context is not None else None
+    budget = context.budget if context is not None else None
 
     def evaluate(video: Video) -> SimilarityList:
         started = time.perf_counter() if trace.METRICS.is_enabled() else None
@@ -734,68 +612,45 @@ def _rank_database(
                     trace.VIDEO_LATENCY, time.perf_counter() - started
                 )
 
-    heap: List[_HeapItem] = []
-    lock = threading.Lock()
-
     def step(video: Video) -> VideoOutcome:
-        if prune:
-            with lock:
-                worst = heap[0][0] if len(heap) == k else None
-            floor = _prune_floor(worst, exchange)
-            if floor is not None:
-                bound = _video_bound(formula, video, level, database)
-                if bound is not None and bound < floor - SIM_EPS:
-                    trace.annotate(bound=bound)
-                    return VideoOutcome(video.name, OUTCOME_PRUNED)
+        if prune and len(heap) == k:
+            bound = _video_bound(formula, video, level, database)
+            if bound is not None and bound < heap[0][0] - SIM_EPS:
+                trace.annotate(bound=bound)
+                return VideoOutcome(video.name, OUTCOME_PRUNED)
         sim = evaluate(video)
-        with lock, trace.staged_span(
+        with trace.staged_span(
             trace.TOP_K, trace.KIND_TOPK, "stream-entries"
         ):
             _stream_entries(heap, k, sim, video.name)
-        if exchange is not None:
-            exchange.publish(sim)
         return VideoOutcome(video.name, OUTCOME_OK)
 
     def visit(video: Video) -> VideoOutcome:
         """One per-video step, inside a ``video`` span when tracing.
 
         The span carries the outcome status and the step's budget-step
-        delta (exact serially; under a thread pool the shared step
-        counter interleaves siblings, so read it as fan-out pressure, not
-        isolated cost).  A raising step closes the span with its
-        ``error`` attribute set.  Pool workers install the submitting
-        thread's context here so the whole fan-out shares one budget.
+        delta.  A raising step closes the span with its ``error``
+        attribute set.
         """
-        with resilience.activate(context):
-            recorder = trace.current()
-            if recorder is None:
-                return step(video)
-            steps_before = (
-                active_budget.steps if active_budget is not None else 0
-            )
-            with recorder.span(trace.KIND_VIDEO, video.name) as video_span:
-                outcome = step(video)
-                if active_budget is not None:
-                    video_span.attrs["budget-steps"] = (
-                        active_budget.steps - steps_before
-                    )
-                video_span.attrs["status"] = outcome.status
-                return outcome
+        recorder = trace.current()
+        if recorder is None:
+            return step(video)
+        steps_before = budget.steps if budget is not None else 0
+        with recorder.span(trace.KIND_VIDEO, video.name) as video_span:
+            outcome = step(video)
+            if budget is not None:
+                video_span.attrs["budget-steps"] = budget.steps - steps_before
+            video_span.attrs["status"] = outcome.status
+            return outcome
 
     videos = list(database.videos())
     trace.annotate(videos=len(videos))
-    outcomes = _fan_out(
-        videos,
-        visit,
-        lambda video, error: _lost_outcome(video.name, error),
-        parallelism,
-        strict=context is None or not context.lenient,
-    )
-    with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
-        return TopKResult(
-            _drain(heap),
-            outcomes,
-            partial=any(o.degraded for o in outcomes),
+    with resilience.activate(context):
+        return _fan_out(
+            videos,
+            visit,
+            lambda video, error: _lost_outcome(video.name, error),
+            strict=context is None or not context.lenient,
         )
 
 

@@ -17,9 +17,8 @@ vs. ranking — and this module is where that attribution lives:
 * :class:`TraceRecorder` / :class:`Span` — hierarchical per-query trace
   spans (query → video → subformula → atom-sweep / list-op / top-k) with
   wall-clock, call counts, counter deltas and events attached per span.
-  The recorder is installed in a thread-local by :func:`recording`;
-  worker threads join a fan-out with :func:`capture`/:func:`adopt`, so
-  the span tree stays correctly parented under the top-k thread pool.
+  The recorder is installed in a thread-local by :func:`recording`, so
+  concurrent requests on server worker threads keep separate trees.
 * :func:`staged_span` — the bridge: one ``perf_counter`` pair per
   instrumented region feeds *both* the legacy stage totals and the span,
   so a span tree's per-stage rollup reconciles with
@@ -46,7 +45,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Tuple,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "current",
     "current_span",
     "recording",
-    "capture",
-    "adopt",
     "span",
     "staged_span",
     "event",
@@ -600,10 +596,8 @@ class TraceRecorder:
 
     Spans attach to their parent at close; the parent is whatever span
     was innermost on the opening thread, so the tree mirrors the dynamic
-    call structure.  Worker threads of a fan-out join the submitting
-    thread's tree via :func:`capture`/:func:`adopt`.  All cross-thread
-    mutation (child attachment, events, counter deltas on shared parent
-    spans) is serialised on one lock.
+    call structure.  All mutation (child attachment, events, counter
+    deltas on shared parent spans) is serialised on one lock.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
@@ -699,42 +693,6 @@ def recording(
     _tls.span = None
     try:
         yield active
-    finally:
-        _tls.recorder = previous_recorder
-        _tls.span = previous_span
-
-
-class TraceToken(NamedTuple):
-    """A portable handle to one thread's trace position (see :func:`adopt`)."""
-
-    recorder: Optional[TraceRecorder]
-    span: Optional[Span]
-
-
-def capture() -> TraceToken:
-    """Capture this thread's recorder and innermost span for a worker."""
-    return TraceToken(
-        getattr(_tls, "recorder", None), getattr(_tls, "span", None)
-    )
-
-
-@contextmanager
-def adopt(token: TraceToken) -> Iterator[None]:
-    """Install a captured trace position on this (worker) thread.
-
-    Spans the worker opens become children of the captured span, so a
-    thread-pool fan-out keeps correct parentage.  A token captured with
-    no recorder active makes this a no-op.
-    """
-    if token.recorder is None:
-        yield
-        return
-    previous_recorder = getattr(_tls, "recorder", None)
-    previous_span = getattr(_tls, "span", None)
-    _tls.recorder = token.recorder
-    _tls.span = token.span
-    try:
-        yield
     finally:
         _tls.recorder = previous_recorder
         _tls.span = previous_span

@@ -179,7 +179,6 @@ class EnginePool:
             request.formula,
             request.k,
             level=request.level,
-            parallelism=request.parallelism,
             budget=budget,
             lenient=request.lenient,
         )

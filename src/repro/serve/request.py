@@ -50,7 +50,6 @@ class QueryRequest:
     sla: str = "standard"
     lenient: bool = True
     profile: bool = False
-    parallelism: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:

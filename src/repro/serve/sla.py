@@ -10,9 +10,9 @@ class carries the whole contract the server enforces for it:
   180ms of a 200ms SLA executes under a 20ms budget, and one that
   waited past its whole deadline terminates ``timed-out`` without
   touching an engine at all.
-* ``max_steps`` — the cooperative step ceiling per request, sliced
-  across shards by the existing :func:`repro.shard.corpus.slice_budget`
-  when the pool serves a sharded corpus.
+* ``max_steps`` — the cooperative step ceiling per request; a sharded
+  corpus runs every shard under the request's one budget, so the
+  ceiling bounds the whole query.
 * ``queue_limit`` — how many requests of this class may wait at once;
   the class's admission-control backstop.
 * ``priority`` — dispatch and shedding rank.  Higher priorities are

@@ -1,19 +1,16 @@
-"""Sharded corpus: scatter-gather top-k with bound-exchange pruning.
+"""Sharded corpus: one top-k heap streamed through every shard.
 
 Public surface:
 
 * :class:`ShardedCorpus` — partitioned corpus front end; ``top_k`` runs
-  the scatter-gather query (DESIGN.md §12).
+  the query over every shard (DESIGN.md §12).
 * :class:`Shard` — one shard: id, owned videos, lazy loader.
 * :class:`RetryPolicy` — jittered exponential backoff for transient
   shard-load faults, behind a per-shard circuit breaker.
-* :func:`slice_budget` — split one query budget into per-shard slices.
 
 The on-disk layout lives in :mod:`repro.store.sharding`
-(``save_sharded`` / ``load_layout``); the query-side plumbing
-(:class:`~repro.core.topk.BoundExchange`,
-:meth:`~repro.core.topk.TopKResult.merge`) lives in
-:mod:`repro.core.topk`.
+(``save_sharded`` / ``load_layout``); the ranking plumbing shared with
+``top_k_across_videos`` lives in :mod:`repro.core.topk`.
 """
 
 from repro.shard.corpus import (
@@ -21,7 +18,6 @@ from repro.shard.corpus import (
     RetryPolicy,
     Shard,
     ShardedCorpus,
-    slice_budget,
 )
 
 __all__ = [
@@ -29,5 +25,4 @@ __all__ = [
     "RetryPolicy",
     "Shard",
     "ShardedCorpus",
-    "slice_budget",
 ]

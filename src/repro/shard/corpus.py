@@ -1,43 +1,34 @@
-"""Scatter-gather top-k over a sharded corpus (DESIGN.md §12).
+"""Top-k over a sharded corpus (DESIGN.md §12).
 
-``top_k_across_videos`` fans one thread pool over one in-process
-database, so corpus size is bounded by a single index build and a single
-snapshot load.  :class:`ShardedCorpus` is the horizontal step past that
-limit: the corpus is partitioned into N shards (each owning its own
+``top_k_across_videos`` ranks one in-process database, so corpus size is
+bounded by a single index build and a single snapshot load.
+:class:`ShardedCorpus` is the horizontal step past that limit: the corpus
+is partitioned into N shards (each owning its own
 :class:`~repro.store.Store` snapshot directory and metadata indices, see
-:mod:`repro.store.sharding`), and a query *scatters* per-shard top-k
-evaluations over an executor, then *gathers* with
-:meth:`~repro.core.topk.TopKResult.merge`.
+:mod:`repro.store.sharding`), each loaded lazily on first use.
 
 It is also the one corpus every served and CLI ranking runs over: an
 unsharded database is ``ShardedCorpus.from_database(database)``, one
 shard that *is* the database, queried exactly as
 ``top_k_across_videos`` queries it.
 
-The gather is not a passive merge: all shards share one
-:class:`~repro.core.topk.BoundExchange`, so the running global
-k-th-best score flows back into still-running shards and prunes their
-videos through the existing admissible per-video upper bounds.  A
-lagging shard full of weak videos does next to no scoring once the
-leaders have published k good values — the bound exchange is what makes
-scatter-gather cheaper than N independent queries, not just wider.
+A query runs the shards one after another on the calling thread and
+streams every shard's videos into one size-k heap, so the running global
+k-th-best score prunes later shards' videos through the existing
+admissible per-video upper bounds.  A shard full of weak videos does next
+to no scoring once earlier shards have filled the heap with good values.
+Threads would buy nothing here: evaluation and store loading (JSON
+parsing) both hold the GIL, and measured queries ran slower on a pool
+(DESIGN.md §6).
 
 Failure semantics compose with the resilience layer (DESIGN.md §8): a
 dead or corrupt shard surfaces as a batch of ``failed``
 :class:`~repro.core.topk.VideoOutcome` entries named from the layout
 manifest — lenient queries degrade to the surviving shards
 (``partial=True``), strict queries raise :class:`~repro.errors.ShardError`
-with the load failure chained.  A query budget is sliced across two or
-more shards: the wall-clock deadline is shared (it is a point in time),
-the step ceiling is divided so the whole scatter respects the caller's
-total.
-
-Shards execute on a thread-pool executor: the corpus objects are
-in-process Python structures (per-shard stores load into the same
-interpreter), so threads share them for free where a process pool would
-pay a full pickle of every shard per query; the evaluation hot loops are
-the same ones ``top_k_across_videos`` already fans out.  Multi-process
-(and later multi-host) placement only changes each shard's loader.
+with the load failure chained.  Every shard runs under the caller's one
+:class:`~repro.core.resilience.QueryBudget`; once it is spent, the
+remaining shards are not loaded and their videos read ``timed-out``.
 """
 
 from __future__ import annotations
@@ -51,11 +42,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import (
-    BoundExchange,
     TopKResult,
+    VideoOutcome,
     _fan_out,
+    _HeapItem,
     _lost_outcome,
+    _query_context,
     _rank_database,
+    _ranked,
     _run_query,
 )
 from repro.errors import ShardError
@@ -69,46 +63,14 @@ from repro.store.sharding import (
 )
 
 
-def slice_budget(
-    budget: Optional[resilience.QueryBudget], n_shards: int
-) -> List[Optional[resilience.QueryBudget]]:
-    """Derive per-shard budget slices from one query budget.
-
-    The deadline is a point in time, so every slice carries the parent's
-    *remaining* wall-clock; the step ceiling is work, so the parent's
-    remaining steps are divided across shards (remainder to the earliest
-    shards, minimum one step each).  An already-expired parent raises
-    here, before any shard is touched.
-    """
-    if budget is None:
-        return [None] * n_shards
-    budget.checkpoint("shard-scatter")
-    deadline = budget.remaining_ms()
-    if deadline is not None:
-        deadline = max(deadline, 0.001)
-    steps = None
-    if budget.max_steps is not None:
-        steps = max(1, budget.max_steps - budget.steps)
-    base, extra = divmod(steps, n_shards) if steps is not None else (0, 0)
-    slices: List[Optional[resilience.QueryBudget]] = []
-    for position in range(n_shards):
-        max_steps = None
-        if steps is not None:
-            max_steps = max(1, base + (1 if position < extra else 0))
-        slices.append(
-            resilience.QueryBudget(deadline_ms=deadline, max_steps=max_steps)
-        )
-    return slices
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Jittered exponential backoff for transient shard-load faults.
 
     ``attempts`` bounds total tries (1 = the old no-retry behaviour).
     The nth retry sleeps ``base_delay_ms × multiplier^(n-1)`` capped at
-    ``max_delay_ms``, then scaled into ``[1-jitter, 1)`` of itself so a
-    scatter's workers do not hammer a recovering disk in lockstep.
+    ``max_delay_ms``, then scaled into ``[1-jitter, 1)`` of itself so
+    concurrent queries do not hammer a recovering disk in lockstep.
     Defaults are sized for in-process stores: three tries inside ~50ms.
     """
 
@@ -268,7 +230,7 @@ def _store_loader(
 
 
 class ShardedCorpus:
-    """A corpus partitioned into shards, queried by scatter-gather top-k."""
+    """A corpus partitioned into shards, ranked through one top-k heap."""
 
     def __init__(self, shards: Sequence[Shard]):
         if not shards:
@@ -378,100 +340,78 @@ class ShardedCorpus:
         k: int,
         level: int = 2,
         *,
-        parallelism: Optional[int] = None,
         prune: bool = True,
         budget: Optional[resilience.QueryBudget] = None,
         lenient: bool = False,
         profile: bool = False,
     ) -> TopKResult:
-        """Scatter the query over every shard and gather the global top-k.
+        """Run the query over every shard and gather the global top-k.
 
-        ``parallelism`` is the number of *shard* workers running
-        concurrently (videos within a shard evaluate serially; the
-        per-video thread pool and the per-shard executor compose badly,
-        and shards are the coarser, better-balanced unit).
+        Shards run one after another, and every shard streams its videos
+        into the query's one size-k heap under the caller's one budget
+        object: a later shard prunes against the k-th score of every
+        video evaluated so far, and the caller's step count and clock see
+        the whole query.  A one-shard corpus ranks exactly as
+        :func:`top_k_across_videos` ranks its database.
 
-        A one-shard corpus runs exactly as :func:`top_k_across_videos`
-        over its database: ``parallelism`` goes to the per-video
-        fan-out, the caller's ``budget`` object is used whole rather
-        than sliced, and no :class:`BoundExchange` is built (the shard's
-        own heap is the global one).
-
-        Rankings are identical to the unsharded serial scan: per-shard
-        top-k sets are exact for their videos (exchange pruning only
-        skips videos that cannot crack the *global* k-th score), and the
-        merge of exact disjoint top-k sets under the canonical total
-        order is the global top-k.
+        Rankings are identical to the unsharded scan: pruning only skips
+        videos that cannot crack the global k-th score, and the top-k set
+        under the canonical total order does not depend on which shard
+        evaluated a video first.
         """
         if k <= 0:
             return TopKResult([])
-        strict = not self._lenient(lenient)
-        single = self.n_shards == 1
-        exchange = BoundExchange(k) if prune and not single else None
+        context = _query_context(budget, lenient)
+        strict = context is None or not context.lenient
+        heap: List[_HeapItem] = []
 
-        def scatter() -> TopKResult:
-            budgets = (
-                [budget] if single else slice_budget(budget, self.n_shards)
-            )
-            budget_of = dict(zip(self.shards, budgets))
-
-            def run_shard(shard: Shard) -> TopKResult:
-                with trace.span(
-                    trace.KIND_SHARD, shard.shard_id, videos=len(shard.videos)
-                ):
-                    try:
-                        database = shard.database()
-                    except Exception as error:
-                        trace.METRICS.count(trace.SHARD_FAILED)
-                        trace.event(
-                            trace.SHARD_FAILED,
-                            f"{shard.shard_id}: {type(error).__name__}",
-                        )
-                        failure = ShardError(
-                            f"shard {shard.shard_id} failed to load: {error}",
-                            shard=shard.shard_id,
-                        )
-                        failure.__cause__ = error
-                        if strict:
-                            raise failure
-                        return lost_shard(shard, failure)
-                    return _rank_database(
-                        engine, formula, database, k, level,
-                        parallelism if single else None, prune,
-                        budget_of[shard], not strict, exchange,
+        def run_shard(shard: Shard) -> List[VideoOutcome]:
+            if context is not None and context.budget is not None:
+                # A spent budget loads no more shards: they are lost to
+                # it, as later videos are within one shard.
+                context.budget.checkpoint("shard-start")
+            with trace.span(
+                trace.KIND_SHARD, shard.shard_id, videos=len(shard.videos)
+            ):
+                try:
+                    database = shard.database()
+                except Exception as error:
+                    trace.METRICS.count(trace.SHARD_FAILED)
+                    trace.event(
+                        trace.SHARD_FAILED,
+                        f"{shard.shard_id}: {type(error).__name__}",
                     )
-
-            def lost_shard(shard: Shard, error: BaseException) -> TopKResult:
-                # The layout manifest names the shard's videos, so the
-                # degradation is visible per video even though the
-                # shard's own store never answered.
-                return TopKResult(
-                    [],
-                    [_lost_outcome(name, error) for name in shard.videos],
-                    partial=True,
+                    failure = ShardError(
+                        f"shard {shard.shard_id} failed to load: {error}",
+                        shard=shard.shard_id,
+                    )
+                    failure.__cause__ = error
+                    if strict:
+                        raise failure
+                    return lost_shard(shard, failure)
+                return _rank_database(
+                    engine, formula, database, k, level, prune, context, heap
                 )
 
-            results = _fan_out(
-                self.shards,
-                run_shard,
-                lost_shard,
-                None if single else parallelism,
-                strict,
-            )
-            return TopKResult.merge(*results, k=k)
+        def lost_shard(
+            shard: Shard, error: BaseException
+        ) -> List[VideoOutcome]:
+            # The layout manifest names the shard's videos, so the
+            # degradation is visible per video even though the shard's
+            # own store never answered.
+            return [_lost_outcome(name, error) for name in shard.videos]
+
+        def rank() -> TopKResult:
+            per_shard = _fan_out(self.shards, run_shard, lost_shard, strict)
+            return _ranked(heap, [o for part in per_shard for o in part])
 
         return _run_query(
             f"top-{k}",
             formula,
             profile,
             getattr(engine, "planner", None),
-            scatter,
+            rank,
             k=k,
             level=level,
             shards=self.n_shards,
-            parallelism=parallelism if parallelism else 1,
         )
-
-    def _lenient(self, lenient: bool) -> bool:
-        ambient = resilience.current()
-        return lenient or (ambient is not None and ambient.lenient)

@@ -15,10 +15,10 @@ Chaos tests drive it through the :func:`inject` context manager::
     assert chaos.injected  # the run really was perturbed
 
 Determinism: the injector draws from one ``random.Random(seed)`` in site
-visit order, so a serial run replays exactly under the same seed.  Under
-``parallelism >= 2`` the visit order races; chaos properties asserted
-over parallel runs must therefore be order-independent ("never a silently
-wrong ranking"), not sequence-exact.
+visit order, and a query visits its sites in one fixed order on one
+thread, so a run replays exactly under the same seed: the same ranking,
+the same outcome ledger and the same ``visits``.  Only concurrent
+requests (server workers sharing one injector) interleave their visits.
 
 Corruption never fabricates a plausible list: :func:`corrupt_similarity_list`
 always builds an *invariant-violating* one through the public
@@ -161,7 +161,7 @@ class FaultInjector:
     and ``corrupt(site, value)`` for corruption specs — plus bookkeeping:
     ``visits`` counts every pass through each site, ``injected`` records
     each firing as ``(site, sequence, mode)`` in firing order.
-    Thread-safe; one injector may serve a parallel top-k fan-out.
+    Thread-safe; one injector may serve concurrent server workers.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], seed: int = 0):

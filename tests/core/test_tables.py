@@ -214,6 +214,21 @@ class TestOuterJoin:
         assert len(joined.rows) == 1
         assert joined.rows[0].sim.actual_at(5) == pytest.approx(2.0)
 
+    def test_match_covers_only_the_partners_own_assignment(self):
+        """A right row matched by the left row ``x=a`` still holds, with an
+        empty left list, for every other ``x`` of the universe."""
+        left = table(("x",), [(("a",), (), sim([((3, 3), 1.0)], 1.0))], 1.0)
+        right = table(("y",), [(("b",), (), sim([((2, 2), 1.0)], 1.0))], 1.0)
+
+        def op(a, b):
+            return until_lists(a, b, 0.5)
+
+        joined = left.combine(right, op, mode=OUTER, universe=("a", "b"))
+        by_objects = {row.objects: row.sim for row in joined.rows}
+        assert by_objects[("a", "b")].actual_at(2) == pytest.approx(1.0)
+        assert by_objects[("b", "b")].actual_at(2) == pytest.approx(1.0)
+        assert ("b", "a") not in by_objects
+
 
 class TestProjectExists:
     def test_projection_max_merges(self):

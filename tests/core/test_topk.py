@@ -125,7 +125,7 @@ class TestAcrossVideos:
 
 
 # ---------------------------------------------------------------------------
-# the multi-video fast path: streaming heap, pruning, parallel fan-out
+# the multi-video fast path: streaming heap and pruning
 # ---------------------------------------------------------------------------
 def synthetic_corpus(n_videos=8, n_segments=300, seed=23):
     rng = random.Random(seed)
@@ -176,41 +176,22 @@ class TestFastPathIdentity:
         engine = RetrievalEngine()
         formula = parse(text)
         expected = oracle_top_k(engine, formula, database, k)
-        got = top_k_across_videos(
-            engine, formula, database, k, parallelism=None, prune=False
-        )
+        got = top_k_across_videos(engine, formula, database, k, prune=False)
         assert [
             (r.video, r.segment_id, r.actual, r.maximum) for r in got
         ] == expected
 
     @pytest.mark.parametrize("text", CORPUS_FORMULAS)
-    @pytest.mark.parametrize(
-        "parallelism,prune", [(None, True), (4, False), (4, True)]
-    )
-    def test_pruned_and_parallel_identical_to_serial(
-        self, text, parallelism, prune
-    ):
+    def test_pruned_identical_to_unpruned(self, text):
         database = synthetic_corpus()
         formula = parse(text)
-        serial = top_k_across_videos(
-            RetrievalEngine(), formula, database, 12,
-            parallelism=None, prune=False,
+        unpruned = top_k_across_videos(
+            RetrievalEngine(), formula, database, 12, prune=False
         )
-        fast = top_k_across_videos(
-            RetrievalEngine(cache=EvaluationCache()), formula, database, 12,
-            parallelism=parallelism, prune=prune,
+        pruned = top_k_across_videos(
+            RetrievalEngine(cache=EvaluationCache()), formula, database, 12
         )
-        assert fast == serial
-
-    def test_metadata_formula_parallel(self):
-        database = two_video_database()
-        engine = RetrievalEngine()
-        formula = parse("exists x . present(x) and type(x) = 'train'")
-        serial = top_k_across_videos(engine, formula, database, k=4)
-        parallel = top_k_across_videos(
-            engine, formula, database, k=4, parallelism=3
-        )
-        assert parallel == serial
+        assert pruned == unpruned
 
     def test_prune_without_registered_bound_is_safe(self):
         # Metadata atoms have only structural bounds; unregistered $refs
@@ -391,21 +372,17 @@ class TestLenientMode:
         assert result.outcome_for("alpha").status == OUTCOME_TIMED_OUT
 
 
-class TestParallelCancellation:
-    def test_worker_exception_propagates_and_cancels_siblings(self):
+class TestFailureHandling:
+    def test_failure_propagates_and_stops_later_videos(self):
         database = synthetic_corpus(n_videos=6, n_segments=30)
         formula = parse("$P1 and $P2")
         engine = RecordingEngine(fail_for=["vid00"])
         with pytest.raises(RuntimeError, match="vid00"):
-            top_k_across_videos(
-                engine, formula, database, k=5,
-                parallelism=1, prune=False,
-            )
-        # With one worker the failure lands before any sibling starts; the
-        # cancellation event must stop every later video from evaluating.
+            top_k_across_videos(engine, formula, database, k=5, prune=False)
+        # Strict mode: no video after the failing one evaluates.
         assert engine.calls == ["vid00"]
 
-    def test_parallel_lenient_keeps_ranking_other_videos(self):
+    def test_lenient_keeps_ranking_other_videos(self):
         database = synthetic_corpus(n_videos=5, n_segments=40)
         formula = parse("$P1 and $P2")
         # The expected partial answer is the exact ranking over the corpus
@@ -424,33 +401,31 @@ class TestParallelCancellation:
         )
         engine = RecordingEngine(fail_for=["vid02"])
         result = top_k_across_videos(
-            engine, formula, database, k=6,
-            parallelism=3, prune=False, lenient=True,
+            engine, formula, database, k=6, prune=False, lenient=True
         )
         assert result.partial
         assert result.failed_videos == ["vid02"]
         assert result == expected
 
-    def test_parallel_resilient_matches_serial(self):
+    def test_lenient_pruned_matches_plain(self):
         database = synthetic_corpus(n_videos=5, n_segments=60)
         formula = parse("$P1 until $P2")
-        serial = top_k_across_videos(
+        plain = top_k_across_videos(
             RetrievalEngine(), formula, database, k=8, prune=False
         )
-        parallel = top_k_across_videos(
-            RetrievalEngine(), formula, database, k=8,
-            parallelism=4, lenient=True,
+        lenient = top_k_across_videos(
+            RetrievalEngine(), formula, database, k=8, lenient=True
         )
-        assert parallel == serial
-        assert not parallel.partial
+        assert lenient == plain
+        assert not lenient.partial
 
 # ---------------------------------------------------------------------------
-# sharding primitives: provenance-preserving merge, bound exchange
+# sharding primitives: provenance-preserving merge, the pruning floor
 # ---------------------------------------------------------------------------
 from repro.core import trace  # noqa: E402
 from repro.core.intervals import Interval  # noqa: E402
 from repro.core.simlist import SimEntry, SimilarityList  # noqa: E402
-from repro.core.topk import BoundExchange, RetrievedSegment  # noqa: E402
+from repro.core.topk import RetrievedSegment, _stream_entries  # noqa: E402
 
 
 def _seg(video, segment_id, actual, maximum=20.0):
@@ -554,48 +529,43 @@ class TestTopKResultMerge:
         assert not merged.partial
 
 
-class TestBoundExchange:
-    def test_no_threshold_before_k_published(self):
-        exchange = BoundExchange(3)
-        assert exchange.threshold() is None
-        exchange.publish(
-            SimilarityList.from_raw([SimEntry(Interval(1, 2), 4.0)], 20.0)
-        )
-        # Only 2 candidate values so far — below k, still no threshold.
-        assert exchange.threshold() is None
+class TestPruningFloor:
+    """The query heap's k-th score is the floor every shard prunes
+    against: each entry counts once per segment, up to k."""
 
-    def test_threshold_is_kth_best(self):
-        exchange = BoundExchange(2)
+    @staticmethod
+    def floor(heap, k):
+        return heap[0][0] if len(heap) == k else None
+
+    def stream(self, heap, k, entries, video="v"):
+        _stream_entries(heap, k, SimilarityList.from_raw(entries, 20.0), video)
+
+    def test_no_floor_before_k_segments(self):
+        heap = []
+        self.stream(heap, 3, [SimEntry(Interval(1, 2), 4.0)])
+        # Only 2 candidate segments so far — below k, still no floor.
+        assert self.floor(heap, 3) is None
+
+    def test_floor_is_kth_best(self):
+        heap = []
         entries = [
             SimEntry(Interval(1, 1), 5.0),
             SimEntry(Interval(2, 2), 9.0),
             SimEntry(Interval(3, 3), 7.0),
         ]
-        exchange.publish(SimilarityList.from_raw(entries, 20.0))
-        assert exchange.threshold() == pytest.approx(7.0)
+        self.stream(heap, 2, entries)
+        assert self.floor(heap, 2) == pytest.approx(7.0)
 
     def test_runs_count_per_segment(self):
         # A run of 4 segments at one value is 4 candidate answers.
-        exchange = BoundExchange(3)
-        exchange.publish(
-            SimilarityList.from_raw([SimEntry(Interval(1, 4), 6.0)], 20.0)
-        )
-        assert exchange.threshold() == pytest.approx(6.0)
+        heap = []
+        self.stream(heap, 3, [SimEntry(Interval(1, 4), 6.0)])
+        assert self.floor(heap, 3) == pytest.approx(6.0)
 
-    def test_threshold_only_improves(self):
-        exchange = BoundExchange(1)
-        exchange.publish(
-            SimilarityList.from_raw([SimEntry(Interval(1, 1), 3.0)], 20.0)
-        )
-        exchange.publish(
-            SimilarityList.from_raw([SimEntry(Interval(1, 1), 1.0)], 20.0)
-        )
-        assert exchange.threshold() == pytest.approx(3.0)
-        exchange.publish(
-            SimilarityList.from_raw([SimEntry(Interval(1, 1), 8.0)], 20.0)
-        )
-        assert exchange.threshold() == pytest.approx(8.0)
-
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BoundExchange(0)
+    def test_floor_only_improves_across_videos(self):
+        heap = []
+        self.stream(heap, 1, [SimEntry(Interval(1, 1), 3.0)], "a")
+        self.stream(heap, 1, [SimEntry(Interval(1, 1), 1.0)], "b")
+        assert self.floor(heap, 1) == pytest.approx(3.0)
+        self.stream(heap, 1, [SimEntry(Interval(1, 1), 8.0)], "c")
+        assert self.floor(heap, 1) == pytest.approx(8.0)

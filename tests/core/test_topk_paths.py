@@ -1,9 +1,10 @@
 """One path table for the ranked fan-out.
 
 ``top_k_across_videos`` and ``ShardedCorpus.top_k`` share one per-video
-step, one ordered fan-out and one query wrapper (DESIGN.md §6, §12), so
-every way of running a query — direct or through 1/2/4 shards, serial or
-on a pool, strict or lenient — must give the direct serial run's answer.
+step, one ordered loop, one heap and one query wrapper (DESIGN.md §6,
+§12), so every way of running a query — direct or through 1/2/4 shards,
+strict or lenient, on indexed or naive atoms, planned or not — must give
+the direct indexed run's answer.
 Each row below is a corpus + query; each column a path; each fault a way
 for a video to go missing.
 """
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from repro.core import resilience
-from repro.core.engine import RetrievalEngine, actual_upper_bound
+from repro.core.engine import EngineConfig, RetrievalEngine, actual_upper_bound
 from repro.core.topk import (
     OUTCOME_FAILED,
     OUTCOME_PRUNED,
@@ -90,10 +91,16 @@ ROWS = [
     ("looks-like", "clips", "looks_like('anchor', 0.9)", True),
 ]
 
-#: (shards, parallelism); shards None is the direct database.
-PATHS = [(None, None), (None, 4)] + [
-    (shards, parallelism) for shards in (1, 2, 4) for parallelism in (None, 4)
-]
+#: Shard counts; None is the direct database.
+PATHS = [None, 1, 2, 4]
+
+#: Engine configurations a path may run under; none changes a result
+#: (DESIGN.md §7 for naive atoms, §13 for the planner).
+CONFIGS = {
+    "indexed": EngineConfig(),
+    "naive-atoms": EngineConfig(naive_atoms=True),
+    "unplanned": EngineConfig(plan=False),
+}
 
 def build(row):
     __, corpus, text, prune = row
@@ -131,12 +138,12 @@ def expiring_steps(database, formula, prune, at=2):
     return sum(steps[: at + 1]) - 1
 
 
-def run(row, shards, parallelism, lenient, fault, engine=None):
+def run(row, shards, lenient, fault, engine=None, config=None):
     database, formula, prune = build(row)
-    engine = engine or RetrievalEngine()
-    options = {"parallelism": parallelism, "prune": prune, "lenient": lenient}
+    engine = engine or RetrievalEngine(config)
+    options = {"prune": prune, "lenient": lenient}
     if fault == "named":
-        engine = RecordingEngine([never_pruned(database, formula)])
+        engine = RecordingEngine([never_pruned(database, formula)], config=config)
     if fault == "budget":
         options["budget"] = resilience.QueryBudget(
             max_steps=expiring_steps(database, formula, prune)
@@ -162,27 +169,25 @@ def ledger(result, exact):
     }
 
 
+@pytest.mark.parametrize("config", list(CONFIGS))
 @pytest.mark.parametrize("fault", ["none", "named", "budget"])
 @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
-@pytest.mark.parametrize(
-    "shards,parallelism",
-    PATHS,
-    ids=[f"shards={s}-parallelism={p}" for s, p in PATHS],
-)
+@pytest.mark.parametrize("shards", PATHS, ids=[f"shards={s}" for s in PATHS])
 @pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
 def test_every_path_gives_the_direct_serial_answer(
-    row, shards, parallelism, lenient, fault
+    row, shards, lenient, fault, config
 ):
+    config = CONFIGS[config]
     n_videos = len(build(row)[0].names())
     if fault != "none" and not lenient:
         expected = RuntimeError if fault == "named" else BudgetExceededError
         with pytest.raises(expected):
-            run(row, None, None, lenient, fault)
+            run(row, None, lenient, fault)
         with pytest.raises(expected):
-            run(row, shards, parallelism, lenient, fault)
+            run(row, shards, lenient, fault, config=config)
         return
-    reference = run(row, None, None, lenient, fault)
-    result = run(row, shards, parallelism, lenient, fault)
+    reference = run(row, None, lenient, fault)
+    result = run(row, shards, lenient, fault, config=config)
     assert len(result.outcomes) == len(reference.outcomes) == n_videos
     if fault == "budget":
         statuses = [outcome.status for outcome in reference.outcomes]
@@ -198,7 +203,7 @@ def test_every_path_gives_the_direct_serial_answer(
         assert list(ledger(result, exact).values()).count(OUTCOME_FAILED) == 1
 
 
-@pytest.mark.parametrize("shards", [None, 1, 2, 4])
+@pytest.mark.parametrize("shards", PATHS)
 @pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
 def test_serial_paths_repeat_their_planner_counters(row, shards):
     """A plan is a function of formula and index shape, so running one
@@ -206,6 +211,6 @@ def test_serial_paths_repeat_their_planner_counters(row, shards):
     stats = []
     for __ in range(2):
         engine = RetrievalEngine()
-        run(row, shards, None, False, "none", engine=engine)
+        run(row, shards, False, "none", engine=engine)
         stats.append(engine.planner.stats)
     assert stats[0] == stats[1]

@@ -6,9 +6,9 @@ Covers the observability layer of DESIGN.md §10 in four tiers:
   percentiles, atomic drain;
 * concurrency — N threads hammering spans + counters + histograms while
   the registry is drained/reset, with exact conservation asserted;
-* span trees — parentage (including across a thread pool via
-  capture/adopt), events, counter deltas, error recording, export;
-* integration — a traced parallel top-k whose per-stage span rollup
+* span trees — parentage, events, counter deltas, error recording,
+  export;
+* integration — a traced top-k whose per-stage span rollup
   reconciles with ``trace.METRICS.totals()``, and a chaos run whose
   fault-injected fallbacks surface as span events with correct
   parentage.
@@ -323,34 +323,6 @@ class TestSpans:
             trace.event("loose", "no span open")
         assert [e.name for e in recorder.orphan_events] == ["loose"]
 
-    def test_capture_adopt_parent_across_pool(self):
-        with trace.recording() as recorder:
-            with recorder.span(trace.KIND_QUERY, "q") as root:
-                token = trace.capture()
-
-                def worker(index):
-                    with trace.adopt(token):
-                        with trace.span(trace.KIND_VIDEO, f"v{index}"):
-                            trace.annotate(worker=index)
-                    return index
-
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    list(pool.map(worker, range(8)))
-        assert len(root.children) == 8
-        assert {child.name for child in root.children} == {
-            f"v{index}" for index in range(8)
-        }
-        assert all(
-            child.attrs["worker"] == int(child.name[1:])
-            for child in root.children
-        )
-
-    def test_adopt_without_recorder_is_noop(self):
-        token = trace.capture()
-        assert token.recorder is None
-        with trace.adopt(token):
-            assert trace.current() is None
-
     def test_to_dict_is_json_safe_and_render_text_nests(self):
         with trace.recording() as recorder:
             with recorder.span(trace.KIND_QUERY, "q", obj=object()) as root:
@@ -433,17 +405,12 @@ class TestTracedRetrieval:
         assert trace.KIND_ATOM_SWEEP in kinds
         assert trace.KIND_LIST_OP in kinds
 
-    @pytest.mark.parametrize("parallelism", [None, 4])
-    def test_profiled_topk_matches_unprofiled(self, parallelism):
+    def test_profiled_topk_matches_unprofiled(self):
         database = tiny_database()
         formula = parse(QUERY)
-        plain = top_k_across_videos(
-            RetrievalEngine(), formula, database, k=5,
-            parallelism=parallelism,
-        )
+        plain = top_k_across_videos(RetrievalEngine(), formula, database, k=5)
         profiled = top_k_across_videos(
-            RetrievalEngine(), formula, database, k=5,
-            parallelism=parallelism, profile=True,
+            RetrievalEngine(), formula, database, k=5, profile=True
         )
         assert profiled.segments == plain.segments
         assert plain.profile is None
@@ -460,13 +427,12 @@ class TestTracedRetrieval:
     def test_span_rollup_reconciles_with_instrument_totals(self):
         """The acceptance criterion: per-stage totals from the span tree
         reconcile (within 5%; exactly, by construction) with the legacy
-        trace.METRICS.totals() for the same run, under parallelism=4."""
+        trace.METRICS.totals() for the same run."""
         database = tiny_database(n_videos=6)
         formula = parse(QUERY)
         trace.METRICS.enable()
         result = top_k_across_videos(
-            RetrievalEngine(), formula, database, k=5,
-            parallelism=4, profile=True,
+            RetrievalEngine(), formula, database, k=5, profile=True
         )
         trace.METRICS.disable()
         legacy = trace.METRICS.totals()
@@ -493,12 +459,9 @@ class TestTracedRetrieval:
             list(database.videos())
         )
 
-    @pytest.mark.parametrize("parallelism", [None, 2])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_sharded_query_is_one_query_latency_sample(
-        self, shards, parallelism
-    ):
-        """Regression: scatter-gather queries never reached
+    def test_sharded_query_is_one_query_latency_sample(self, shards):
+        """Regression: sharded queries never reached
         ``query-seconds``.  One sharded query is one sample — not one per
         shard — plus one ``video-seconds`` sample per evaluated video."""
         from repro.shard import ShardedCorpus
@@ -506,9 +469,7 @@ class TestTracedRetrieval:
         database = tiny_database(n_videos=4)
         corpus = ShardedCorpus.from_database(database, shards)
         trace.METRICS.enable()
-        result = corpus.top_k(
-            RetrievalEngine(), parse(QUERY), k=3, parallelism=parallelism
-        )
+        result = corpus.top_k(RetrievalEngine(), parse(QUERY), k=3)
         trace.METRICS.disable()
         summaries = trace.METRICS.histograms()
         assert summaries[trace.QUERY_LATENCY].count == 1
@@ -516,8 +477,7 @@ class TestTracedRetrieval:
             outcome.ok for outcome in result.outcomes
         )
 
-    @pytest.mark.parametrize("parallelism", [None, 2])
-    def test_chaos_fallbacks_appear_as_span_events(self, parallelism):
+    def test_chaos_fallbacks_appear_as_span_events(self):
         """Fault-injected index failures must surface as atom-fallback
         events on the atom-sweep span that absorbed them, with the span
         correctly parented under its video and query spans."""
@@ -528,8 +488,7 @@ class TestTracedRetrieval:
                 FaultSpec(resilience.SITE_INDEX_LOOKUP), seed=3
             ):
                 result = top_k_across_videos(
-                    RetrievalEngine(), formula, database, k=5,
-                    parallelism=parallelism, profile=True,
+                    RetrievalEngine(), formula, database, k=5, profile=True
                 )
         root = result.profile
         fallbacks = [

@@ -97,3 +97,28 @@ class TestDivergence:
         outer = OUTER.evaluate_video(formula, video)
         assert inner == outer
         assert inner.actual_at(1) == pytest.approx(4.0)
+
+
+class TestOuterJoinOverDisjointVariables:
+    def test_partner_match_covers_only_its_own_assignment(self):
+        """``x = o1`` satisfies the until's left side and so matches the
+        ``y = o3`` witness, but ``x = o3`` satisfies no left row: the
+        witness must still count for it.  x = y = o3 at segment 2 scores
+        present(x) = 1 plus until = 1."""
+        video = flat_video(
+            "disjoint-vars",
+            [
+                SegmentMetadata(),
+                SegmentMetadata(objects=[make_object("o3", "plane")]),
+                SegmentMetadata(
+                    objects=[make_object("o1", "plane", height=100)]
+                ),
+            ],
+        )
+        formula = parse(
+            "exists x, y . next (present(x) and "
+            "(height(x) > 50 until present(y)))"
+        )
+        outer = OUTER.evaluate_video(formula, video)
+        assert outer.actual_at(1) == pytest.approx(2.0)
+        assert outer.actual_at(2) == pytest.approx(2.0)

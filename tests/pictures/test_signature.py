@@ -519,7 +519,7 @@ class TestClipScorer:
         assert all(scorer is clip_scorer(atom) for scorer, __ in seen)
         assert all(scores == expected for __, scores in seen)
 
-    def test_parallel_and_sharded_rows_equal_serial(self):
+    def test_sharded_rows_equal_direct(self):
         database, bases = shared_signature_corpus(n_videos=4)
         clips = {"q": (bases[0], bases[3])}
         text = "looks_like('q', 0.9) and eventually (exists x . present(x))"
@@ -532,22 +532,15 @@ class TestClipScorer:
         def fresh():
             return resolve_clips(parse(text), clips)
 
-        serial = rows(
+        direct = rows(
             top_k_across_videos(
                 RetrievalEngine(), fresh(), database, 6, prune=False
             )
         )
-        assert serial
-        threaded = top_k_across_videos(
-            RetrievalEngine(), fresh(), database, 6, prune=False, parallelism=4
-        )
-        assert rows(threaded) == serial
+        assert direct
         corpus = ShardedCorpus.from_database(database, 2)
-        for parallelism in (None, 2):
-            sharded = corpus.top_k(
-                RetrievalEngine(), fresh(), 6, parallelism=parallelism
-            )
-            assert rows(sharded) == serial
+        sharded = corpus.top_k(RetrievalEngine(), fresh(), 6)
+        assert rows(sharded) == direct
 
 
 # ---------------------------------------------------------------------------

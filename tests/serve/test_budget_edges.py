@@ -1,8 +1,9 @@
 """QueryBudget edge cases at the serving boundaries (DESIGN.md §14).
 
 Covers the corners where the SLA-derived budget meets the pool:
-admission with zero/negative remaining, step ceilings sliced across a
-sharded pool, and budgets exhausting while the server is draining.
+admission with zero/negative remaining, one step ceiling over every
+shard of a sharded pool, and budgets exhausting while the server is
+draining.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from repro.serve import (
     SLAClass,
 )
 from repro.serve.request import STATUS_COMPLETED, STATUS_TIMED_OUT
-from repro.shard import ShardedCorpus, slice_budget
+from repro.shard import ShardedCorpus
 
 from tests.serve.conftest import (
     FORMULA_TEXT,
@@ -79,26 +80,25 @@ class TestAdmissionEdge:
         assert remaining <= 1_000.0
 
 
-class TestStepSlicing:
-    def test_step_ceiling_slices_across_the_sharded_pool(self, corpus):
-        """An SLA step ceiling flows submit → budget → scatter, where
-        slice_budget divides it across shards (remainder to the
-        earliest)."""
+class TestSharedStepBudget:
+    def test_step_ceiling_covers_every_shard_of_the_pool(self, corpus):
+        """An SLA step ceiling flows submit → budget → every shard: the
+        sharded pool charges the request's one budget object."""
         sla = SLAClass(
-            "batch", deadline_ms=30_000.0, max_steps=10, priority=0
+            "batch", deadline_ms=30_000.0, max_steps=1_000_000, priority=0
         )
         budget = sla.budget(queued_ms=0.0)
-        slices = slice_budget(budget, 3)
-        assert [s.max_steps for s in slices] == [4, 3, 3]
-        assert all(s.remaining_ms() > 0 for s in slices)
+        pool = EnginePool(ShardedCorpus.from_database(corpus, 3), 1)
+        pool.execute(pool.workers[0], request_for(sla="batch"), budget)
+        assert 0 < budget.steps <= sla.max_steps
 
     def test_tiny_step_budget_times_out_strict_degrades_lenient(
         self, corpus
     ):
-        """A 2-step batch budget over 3 shards (min one step each)
-        cannot finish scoring.  Strict: the typed budget error resolves
-        the request timed-out, no partial ranking leaks.  Lenient: an
-        explicitly partial ranking with timed-out video outcomes."""
+        """A 2-step batch budget over 3 shards cannot finish scoring.
+        Strict: the typed budget error resolves the request timed-out,
+        no partial ranking leaks.  Lenient: an explicitly partial
+        ranking with timed-out video outcomes."""
         classes = serve_classes(
             batch=SLAClass(
                 "batch", deadline_ms=30_000.0, max_steps=2, priority=0

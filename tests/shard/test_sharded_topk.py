@@ -1,8 +1,8 @@
-"""Scatter-gather top-k: identity, budgets, tracing, bound exchange.
+"""Sharded top-k: identity, the shared budget, tracing, one heap.
 
-Ranking identity over 1, 2 and 4 shards, serial and parallel, is one
-row set of the differential matrix (``tests/test_differential.py``);
-the cases here are the corners it does not draw.
+Ranking identity over 1, 2 and 4 shards is one row set of the
+differential matrix (``tests/test_differential.py``); the cases here are
+the corners it does not draw.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.core.topk import (
 )
 from repro.errors import BudgetExceededError
 from repro.htl import parse
-from repro.shard import ShardedCorpus, slice_budget
+from repro.shard import ShardedCorpus
 from repro.store import split_database
 
 from tests.core.test_topk_paths import skewed_corpus
@@ -35,7 +35,7 @@ def unsharded(corpus, text, k):
 
 def naive_scatter_gather(engine, formula, corpus, n_shards, k):
     """Every shard pruning only against its own heap: the baseline the
-    bound exchange is measured against."""
+    shared heap is measured against."""
     return TopKResult.merge(
         *(
             top_k_across_videos(engine, formula, part, k)
@@ -54,18 +54,6 @@ class TestRankingIdentity:
         got = sharded.top_k(RetrievalEngine(), parse(text), 10)
         assert got == expected
 
-    @pytest.mark.parametrize("parallelism", [None, 2, 8])
-    def test_parallel_flag(self, corpus, parallelism):
-        expected = unsharded(corpus, "$P1 and $P2", 7)
-        sharded = ShardedCorpus.from_database(corpus, 3)
-        got = sharded.top_k(
-            RetrievalEngine(),
-            parse("$P1 and $P2"),
-            7,
-            parallelism=parallelism,
-        )
-        assert got == expected
-
     def test_more_shards_than_videos(self):
         corpus = graded_corpus(n_videos=3)
         expected = unsharded(corpus, "$P1", 5)
@@ -79,13 +67,13 @@ class TestRankingIdentity:
         assert not result.outcomes
 
 
-class TestBoundExchangePruning:
-    def test_exchange_prunes_more_than_local_heaps(self, corpus):
+class TestSharedHeapPruning:
+    def test_shared_heap_prunes_more_than_local_heaps(self, corpus):
         engine = RetrievalEngine()
         formula = parse("$P1 and $P2")
         naive = naive_scatter_gather(engine, formula, corpus, 4, 3)
         sharded = ShardedCorpus.from_database(corpus, 4)
-        exchanged = sharded.top_k(engine, formula, 3, parallelism=None)
+        exchanged = sharded.top_k(engine, formula, 3)
         assert naive == exchanged
 
         def evaluated(result):
@@ -101,7 +89,7 @@ class TestBoundExchangePruning:
             for o in exchanged.outcomes
         )
 
-    def test_prune_false_disables_the_exchange(self, corpus):
+    def test_prune_false_disables_pruning(self, corpus):
         sharded = ShardedCorpus.from_database(corpus, 3)
         result = sharded.top_k(
             RetrievalEngine(), parse("$P1 and $P2"), 5, prune=False
@@ -109,34 +97,123 @@ class TestBoundExchangePruning:
         assert all(o.status == OUTCOME_OK for o in result.outcomes)
 
 
-class TestBudgetSlicing:
-    def test_no_budget_means_no_slices(self):
-        assert slice_budget(None, 3) == [None, None, None]
+class FakeClock:
+    """A monotone clock that advances one second per read."""
 
-    def test_steps_divided_with_remainder_to_early_shards(self):
-        parent = resilience.QueryBudget(max_steps=10)
-        slices = slice_budget(parent, 3)
-        assert [piece.max_steps for piece in slices] == [4, 3, 3]
+    def __init__(self):
+        self.now = 0.0
 
-    def test_minimum_one_step_each(self):
-        parent = resilience.QueryBudget(max_steps=2)
-        slices = slice_budget(parent, 4)
-        assert all(piece.max_steps >= 1 for piece in slices)
+    def __call__(self):
+        self.now += 1.0
+        return self.now
 
-    def test_deadline_is_shared_wall_clock(self):
-        parent = resilience.QueryBudget(deadline_ms=60_000)
-        slices = slice_budget(parent, 2)
-        for piece in slices:
-            assert piece.deadline_ms is not None
-            assert piece.deadline_ms <= 60_000
 
-    def test_expired_parent_raises_before_scatter(self):
-        import time
+def charge_log(monkeypatch):
+    """Every step charged to any budget, in order."""
+    charges = []
+    charge = resilience.QueryBudget.charge
 
-        parent = resilience.QueryBudget(deadline_ms=0.5)
-        time.sleep(0.01)
+    def logged(budget, n=1, site=""):
+        charges.append(n)
+        return charge(budget, n, site)
+
+    monkeypatch.setattr(resilience.QueryBudget, "charge", logged)
+    return charges
+
+
+class TestSharedBudget:
+    @pytest.mark.parametrize(
+        "lenient", [False, True], ids=["strict", "lenient"]
+    )
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_expired_budget_answers_alike_on_every_shard_count(
+        self, corpus, n_shards, lenient
+    ):
+        """Regression: a spent budget raised out of a lenient query over
+        two or more shards, where one shard gave a partial answer."""
+        clock = FakeClock()
+        budget = resilience.QueryBudget(deadline_ms=0.5, clock=clock)
+        sharded = ShardedCorpus.from_database(corpus, n_shards)
+
+        def run():
+            return sharded.top_k(
+                RetrievalEngine(),
+                parse("$P1 and $P2"),
+                5,
+                budget=budget,
+                lenient=lenient,
+            )
+
+        if not lenient:
+            with pytest.raises(BudgetExceededError):
+                run()
+            return
+        result = run()
+        assert result.partial
+        assert result == []
+        assert [o.status for o in result.outcomes] == [
+            OUTCOME_TIMED_OUT
+        ] * len(corpus.names())
+
+    def test_step_ceiling_below_the_shard_count_holds(
+        self, corpus, monkeypatch
+    ):
+        """Regression: per-shard slices took at least one step each, so a
+        2-step ceiling over 4 shards allowed 4 steps."""
+        charges = charge_log(monkeypatch)
+        result = ShardedCorpus.from_database(corpus, 4).top_k(
+            RetrievalEngine(),
+            parse("$P1 and $P2"),
+            5,
+            budget=resilience.QueryBudget(max_steps=2),
+            lenient=True,
+        )
+        assert result.partial
+        assert sum(charges) <= 2 + charges[-1]
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_callers_budget_counts_every_shards_steps(
+        self, corpus, n_shards
+    ):
+        """Regression: slices were charged instead of the caller's
+        budget, whose ``steps`` read 0 after a sharded query."""
+
+        def steps(n):
+            budget = resilience.QueryBudget(max_steps=10**9)
+            ShardedCorpus.from_database(corpus, n).top_k(
+                RetrievalEngine(),
+                parse("$P1 and $P2"),
+                5,
+                prune=False,
+                budget=budget,
+            )
+            return budget.steps
+
+        assert steps(n_shards) == steps(1) > 0
+
+    def test_injected_clock_expires_a_sharded_query(self, corpus):
+        """Regression: slices were built on ``time.monotonic`` and dropped
+        the caller's clock and ``check_interval``."""
+        sharded = ShardedCorpus.from_database(corpus, 4)
+        formula = parse("$P1 and $P2")
+
+        def budget():
+            return resilience.QueryBudget(
+                deadline_ms=20_000, clock=FakeClock(), check_interval=1
+            )
+
         with pytest.raises(BudgetExceededError):
-            slice_budget(parent, 2)
+            sharded.top_k(RetrievalEngine(), formula, 5, budget=budget())
+        ledgers = [
+            sharded.top_k(
+                RetrievalEngine(), formula, 5, budget=budget(), lenient=True
+            ).to_payload()
+            for __ in range(2)
+        ]
+        assert ledgers[0] == ledgers[1]
+        statuses = list(ledgers[0]["outcomes"].values())
+        assert OUTCOME_OK in statuses
+        assert OUTCOME_TIMED_OUT in statuses
 
     def test_strict_budget_overrun_propagates(self, corpus):
         sharded = ShardedCorpus.from_database(corpus, 3)
@@ -234,10 +311,10 @@ class TestObservability:
         got = {key: sharded.profile.attrs.get(key) for key in keys}
         assert got == expected
 
-    def test_parallel_spans_keep_parentage(self, corpus):
+    def test_shard_spans_keep_parentage(self, corpus):
         sharded = ShardedCorpus.from_database(corpus, 4)
         result = sharded.top_k(
-            RetrievalEngine(), parse("$P1"), 4, parallelism=4, profile=True
+            RetrievalEngine(), parse("$P1"), 4, profile=True
         )
         shard_spans = [
             node for node in result.profile.children

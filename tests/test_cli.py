@@ -131,21 +131,6 @@ class TestValidation:
             main(["run", "--level", "0", "atomic('Moving-Train')"])
         assert excinfo.value.code == 2
 
-    def test_zero_parallel_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "run",
-                    "--across",
-                    "--top",
-                    "2",
-                    "--parallel",
-                    "0",
-                    "atomic('Moving-Train')",
-                ]
-            )
-        assert excinfo.value.code == 2
-
     def test_across_requires_top(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--across", "atomic('Moving-Train')"])
@@ -250,7 +235,7 @@ class TestTrace:
         assert "Latency percentiles" in out
         assert "Top 2 segments" in out
 
-    def test_trace_parallel_keeps_parentage(self, capsys):
+    def test_trace_keeps_video_parentage(self, capsys):
         code, out, __ = run_cli(
             capsys,
             "trace",
@@ -259,11 +244,8 @@ class TestTrace:
             "western",
             "--top",
             "3",
-            "--parallel",
-            "2",
         )
         assert code == 0
-        assert "parallelism=2" in out
         assert "(video)" in out
 
     def test_trace_json_export(self, capsys):

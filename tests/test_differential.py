@@ -156,10 +156,8 @@ def matrix(corpora, formula, k, join_mode):
             engine(), formula, database, k, **options
         )
 
-    def sharded(corpus, parallelism=None):
-        return lambda: corpus.top_k(
-            engine(), formula, k, parallelism=parallelism
-        )
+    def sharded(corpus):
+        return lambda: corpus.top_k(engine(), formula, k)
 
     def pooled(n_shards):
         def run():
@@ -179,12 +177,10 @@ def matrix(corpora, formula, k, join_mode):
         "structural": lambda: top_k_across_videos(
             engine(plan=False), formula, database, k
         ),
-        "parallel": direct(parallelism=4),
     }
     for n_shards in (1, 2, 4):
         corpus = ShardedCorpus.from_database(database, n_shards)
         rows[f"shards={n_shards}"] = sharded(corpus)
-        rows[f"shards={n_shards} parallel"] = sharded(corpus, n_shards)
     rows["pool shards=1"] = pooled(1)
     rows["pool shards=2"] = pooled(2)
     rows["store reloaded"] = sharded(ShardedCorpus.from_database(reloaded))

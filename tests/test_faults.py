@@ -420,15 +420,23 @@ class TestChaosProperty:
             assert result == expected
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_parallel_chaos_is_safe_too(self, seed, corpus, baseline):
+    def test_chaos_replays_exactly(self, seed, corpus, baseline):
+        """A query visits its fault sites in one fixed order, so one seed
+        run twice gives the same ranking, ledger and site visits."""
         expected, values = baseline
         formula = parse(CHAOS_QUERY)
         spec = FaultSpec(resilience.SITE_TOPK_WORKER, rate=0.5, max_faults=3)
-        with inject(spec, seed=seed):
-            result = top_k_across_videos(
-                RetrievalEngine(), formula, corpus, k=6,
-                prune=False, parallelism=3, lenient=True,
+        runs = []
+        for __ in range(2):
+            with inject(spec, seed=seed) as chaos:
+                result = top_k_across_videos(
+                    RetrievalEngine(), formula, corpus, k=6,
+                    prune=False, lenient=True,
+                )
+            runs.append(
+                (result.to_payload(), dict(chaos.visits), chaos.injected)
             )
+        assert runs[0] == runs[1]
         if result.partial:
             assert result.failed_videos
             for segment in result:

@@ -100,13 +100,21 @@ def test_syntax_errors_carry_positions():
         ("repro.ingest", "IngestLayout.quarantine_path"),
         ("repro.core.resilience", "SITE_COMPACT_COMMIT"),
         ("repro.model.database", "VideoDatabase.video_atomics"),
+        ("repro.core.topk", "BoundExchange"),
+        ("repro.shard", "slice_budget"),
+        ("repro.shard.corpus", "slice_budget"),
+        ("repro.core.trace", "capture"),
+        ("repro.core.trace", "adopt"),
+        ("repro.core.trace", "TraceToken"),
+        ("repro.serve", "QueryRequest.parallelism"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
     """The unsound formula rewriter, the planner's hand-set weights and
     per-atom strategy, the one-video tracing wrapper, the pool's
-    per-input constructors and the ingest delta chain are gone; nothing
-    re-exports them."""
+    per-input constructors, the ingest delta chain and the intra-query
+    thread pools (with their bound exchange, budget slices and trace
+    hand-off) are gone; nothing re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
@@ -120,18 +128,39 @@ def test_deleted_names_stay_deleted(module, name):
         ("repro.serve", "EnginePool.__init__", "database"),
         ("repro.shard", "ShardedCorpus.top_k", "bound_exchange"),
         ("repro.ingest", "Ingester.checkpoint", "full"),
+        ("repro.core.topk", "top_k_across_videos", "parallelism"),
+        ("repro.core.topk", "top_k_across_videos", "exchange"),
+        ("repro.shard", "ShardedCorpus.top_k", "parallelism"),
     ],
 )
 def test_deleted_parameters_stay_deleted(module, function, parameter):
     """A pool serves one corpus, a sharded query has no naive
-    scatter-gather mode, and a checkpoint is always one whole store
-    snapshot."""
+    scatter-gather mode, a query runs on one thread, and a checkpoint is
+    always one whole store snapshot."""
     import inspect
 
     owner = importlib.import_module(module)
     for part in function.split("."):
         owner = getattr(owner, part)
     assert parameter not in inspect.signature(owner).parameters
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--across", "--top", "2", "--parallel", "2", "$P1"],
+        ["trace", "--parallel", "2", "exists x . present(x)"],
+    ],
+    ids=["run", "trace"],
+)
+def test_deleted_cli_flags_are_usage_errors(argv, capsys):
+    """``--parallel`` is gone from ``run`` and ``trace``."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--parallel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
