@@ -8,10 +8,6 @@ corpus is N flat videos of M segments with ``P1``/``P2`` similarity
 lists drawn by :mod:`repro.workloads.synthetic` at the paper's ~10%
 selectivity.
 
-Also measured: the cost of the similarity-list invariant scan
-(:data:`repro.core.simlist.CHECK_INVARIANTS`), which the hot path now
-skips by default.
-
 Emits ``BENCH_multivideo.json`` next to the current working directory so
 CI logs carry machine-readable numbers.  Set ``BENCH_QUICK=1`` for a
 seconds-scale run.
@@ -28,7 +24,6 @@ import pytest
 from repro.bench.reporting import write_report_json
 from repro.core.cache import EvaluationCache
 from repro.core.engine import RetrievalEngine
-from repro.core.simlist import set_invariant_checks
 from repro.core.topk import top_k_across_videos
 from repro.htl import parse
 from repro.model.database import VideoDatabase
@@ -145,41 +140,3 @@ def test_multivideo_topk_fast_path(corpus, report):
         "rankings_identical": True,
     }
     write_report_json(RESULTS_PATH, payload)
-
-
-def test_invariant_check_overhead(report):
-    """The satellite micro-fix: what the O(n) invariant scan used to cost.
-
-    Measured where it bites — the list merges of :mod:`repro.core.ops`,
-    which construct a fresh (previously always re-validated) list per
-    operator application.
-    """
-    from repro.core.ops import and_lists, until_lists
-
-    rng = random.Random(7)
-    size = 20_000 if QUICK else 200_000
-    left = random_similarity_list(size, rng=rng)
-    right = random_similarity_list(size, rng=rng)
-
-    def merge():
-        return until_lists(left, and_lists(left, right).scaled(0.5))
-
-    previous = set_invariant_checks(False)
-    try:
-        unchecked_seconds, unchecked = best_of(merge)
-        set_invariant_checks(True)
-        checked_seconds, checked = best_of(merge)
-    finally:
-        set_invariant_checks(previous)
-
-    assert checked == unchecked
-    report(
-        "Similarity-list invariant-scan overhead (seconds, P1∧P2 then until)",
-        {
-            "Segments": size,
-            "Entries": len(left) + len(right),
-            "Checks off (default)": f"{unchecked_seconds:.5f}",
-            "Checks on (tests)": f"{checked_seconds:.5f}",
-            "Overhead": f"{checked_seconds / unchecked_seconds:.2f}x",
-        },
-    )

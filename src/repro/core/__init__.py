@@ -20,12 +20,7 @@ from repro.core.ops import (
     until_lists,
     until_runs,
 )
-from repro.core.simlist import (
-    SimEntry,
-    SimilarityList,
-    SimilarityValue,
-    set_invariant_checks,
-)
+from repro.core.simlist import SimEntry, SimilarityList, SimilarityValue
 from repro.core.resilience import (
     CircuitBreaker,
     QueryBudget,
@@ -69,7 +64,6 @@ __all__ = [
     "EvaluationCache",
     "CacheStats",
     "actual_upper_bound",
-    "set_invariant_checks",
     "explain",
     "RetrievedSegment",
     "TopKResult",

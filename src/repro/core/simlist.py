@@ -31,23 +31,6 @@ from repro.errors import InvalidSimilarityError, SimilarityListInvariantError
 #: Tolerance used when comparing floating-point similarity values.
 SIM_EPS = 1e-9
 
-#: When True, every constructed list runs the full O(n) invariant scan.
-#: Off by default: the merge algorithms of :mod:`repro.core.ops` construct
-#: a list per operator application, and re-validating inputs they produce
-#: by construction dominated profile time on large workloads.  The test
-#: suite switches it on globally (tests/conftest.py), so invariants stay
-#: property-checked where it matters.
-CHECK_INVARIANTS = False
-
-
-def set_invariant_checks(enabled: bool) -> bool:
-    """Toggle list invariant checking; returns the previous setting."""
-    global CHECK_INVARIANTS
-    previous = CHECK_INVARIANTS
-    CHECK_INVARIANTS = bool(enabled)
-    return previous
-
-
 @dataclass(frozen=True)
 class SimilarityValue:
     """The pair ``(actual, maximum)`` of paper §2.5."""
@@ -105,10 +88,13 @@ class SimilarityList:
 
     Construct with :meth:`from_entries` (normalising and checking unordered
     outside input), :meth:`from_sorted_pieces` (normalising runs already in
-    id order — what the atom evaluators and scans emit),
+    id order — what the atom evaluators and scans emit) or
     :meth:`from_columns` (trusting: the producer's columns are already
-    normalised — what the merge walks emit) or :meth:`from_raw` (trusting,
-    from entry objects).
+    normalised — what the merge walks emit).  The trusted constructors
+    scan nothing; :meth:`validate` does, at the two places a list enters
+    or leaves the algebra from code it cannot vouch for: each atom-table
+    row the picture layer hands over, and each final per-video list before
+    it is ranked.
     """
 
     __slots__ = ("_begins", "_ends", "_actuals", "_maximum", "_view")
@@ -125,8 +111,6 @@ class SimilarityList:
         self._actuals: Tuple[float, ...] = tuple(actuals)
         self._maximum = float(maximum)
         self._view: Optional[Tuple[SimEntry, ...]] = None
-        if CHECK_INVARIANTS:
-            self._check_invariants()
 
     # ------------------------------------------------------------------
     # construction
@@ -140,13 +124,17 @@ class SimilarityList:
         """Build from ``((begin, end), actual)`` pairs, normalising.
 
         The constructor for outside input: it may be unsorted and of any
-        numeric type.  Each interval is validated on its own, intervals
-        must be pairwise disjoint and no actual may exceed ``maximum`` —
-        checked here always, whatever :data:`CHECK_INVARIANTS` says,
-        because nothing upstream vouches for outside input.  Zero-valued
-        entries are dropped and adjacent equal-valued entries coalesced —
-        by :meth:`from_sorted_pieces`, once sorted.
+        numeric type.  ``maximum`` must be positive, each interval is
+        validated on its own, intervals must be pairwise disjoint and no
+        actual may exceed ``maximum`` — checked on every call, because
+        nothing upstream vouches for outside input.  Zero-valued entries
+        are dropped and adjacent equal-valued entries coalesced — by
+        :meth:`from_sorted_pieces`, once sorted.
         """
+        if not maximum > 0:
+            raise SimilarityListInvariantError(
+                f"list maximum must be positive, got {maximum}"
+            )
         pieces = []
         for (begin, end), actual in entries:
             begin, end = int(begin), int(end)
@@ -169,19 +157,6 @@ class SimilarityList:
         return cls.from_sorted_pieces(pieces, maximum)
 
     @classmethod
-    def from_raw(
-        cls, entries: Sequence[SimEntry], maximum: float
-    ) -> "SimilarityList":
-        """Build from already-normalised entries (invariant-checked only
-        when :data:`CHECK_INVARIANTS` is on)."""
-        return cls(
-            [entry.interval.begin for entry in entries],
-            [entry.interval.end for entry in entries],
-            [float(entry.actual) for entry in entries],
-            maximum,
-        )
-
-    @classmethod
     def from_columns(
         cls,
         begins: Sequence[int],
@@ -189,9 +164,9 @@ class SimilarityList:
         actuals: Sequence[float],
         maximum: float,
     ) -> "SimilarityList":
-        """Build from already-normalised parallel columns (invariant-checked
-        only when :data:`CHECK_INVARIANTS` is on) — the engine's trusted
-        constructor: no per-run object, no per-run validation."""
+        """Build from already-normalised parallel columns — the engine's
+        trusted constructor: no per-run object, no scan (call
+        :meth:`validate` for one)."""
         return cls(begins, ends, actuals, maximum)
 
     @classmethod
@@ -261,19 +236,16 @@ class SimilarityList:
     # invariants
     # ------------------------------------------------------------------
     def validate(self) -> "SimilarityList":
-        """Run the full invariant scan now, regardless of the global gate.
+        """Run the full O(runs) invariant scan.
 
-        The resilience layer calls this at trust boundaries — e.g. before
-        ``top_k_across_videos`` streams a worker-produced list into the
-        shared heap — so a corrupted list surfaces as a typed
+        Called on every query at the trust boundaries — each atom-table
+        row leaving the picture layer, and each final per-video list
+        before ``top_k_across_videos`` streams it into the query heap —
+        so a corrupted list surfaces as a typed
         :class:`~repro.errors.SimilarityListInvariantError` instead of a
         silently wrong ranking.  Returns ``self`` for chaining.
         """
-        self._check_invariants()
-        return self
-
-    def _check_invariants(self) -> None:
-        if self._maximum <= 0:
+        if not self._maximum > 0:
             raise SimilarityListInvariantError(
                 f"list maximum must be positive, got {self._maximum}"
             )
@@ -304,6 +276,7 @@ class SimilarityList:
                     f"interval begin {begin} exceeds end {end}"
                 )
             previous_end = end
+        return self
 
     # ------------------------------------------------------------------
     # protocol

@@ -601,11 +601,9 @@ def _rank_database(
                 formula, video, level=level, database=database
             )
             sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
-            if context is not None:
-                # Trust boundary: a corrupted list must not enter the
-                # shared heap as a silently wrong ranking.
-                sim.validate()
-            return sim
+            # Trust boundary: a corrupted list must not enter the
+            # query heap as a silently wrong ranking.
+            return sim.validate()
         finally:
             if started is not None:
                 trace.METRICS.observe(

@@ -64,8 +64,8 @@ def simlist_from_dict(payload: Dict[str, Any]) -> SimilarityList:
 
     Every entry is routed through the :class:`SimilarityValue` range
     gate (so a negative or above-maximum actual raises instead of being
-    silently normalised away) and the rebuilt list runs the full
-    invariant scan regardless of the global gate.
+    silently normalised away); :meth:`SimilarityList.from_entries` then
+    checks the maximum, each interval and disjointness.
     """
     with _trust_boundary("similarity-list"):
         maximum = float(payload["maximum"])
@@ -73,7 +73,7 @@ def simlist_from_dict(payload: Dict[str, Any]) -> SimilarityList:
         for begin, end, actual in payload["entries"]:
             SimilarityValue(float(actual), maximum)  # range gate
             entries.append(((int(begin), int(end)), float(actual)))
-    return SimilarityList.from_entries(entries, maximum).validate()
+    return SimilarityList.from_entries(entries, maximum)
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,11 @@ class PictureRetrievalSystem:
         for objects, box, built in slots:
             if isinstance(built, _Job):
                 built = self._emit(built, maximum)
-            sim = resilience.fault_value(resilience.SITE_ATOM_SCORE, built)
+            # Trust boundary: a bad row raises here, inside the degraded
+            # path's ``try``, so a scope rebuilds the table naively.
+            sim = resilience.fault_value(
+                resilience.SITE_ATOM_SCORE, built
+            ).validate()
             if sim or keep_empty:
                 rows.append(TableRow(objects, box, sim))
         return rows

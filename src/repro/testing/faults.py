@@ -21,14 +21,16 @@ the same outcome ledger and the same ``visits``.  Only concurrent
 requests (server workers sharing one injector) interleave their visits.
 
 Corruption never fabricates a plausible list: :func:`corrupt_similarity_list`
-always builds an *invariant-violating* one through the public
-:meth:`~repro.core.simlist.SimilarityList.from_raw`.  With the invariant
-gate on (the test suite's default) the violation raises right at the
-site; with the gate off it is caught by the trust-boundary
-``validate()`` call before ``top_k_across_videos`` streams the list into
-the shared heap.  Either way the corruption surfaces as a typed
-:class:`~repro.errors.SimilarityListInvariantError`, never as a wrong
-answer.
+always builds an *invariant-violating* one through the trusted
+:meth:`~repro.core.simlist.SimilarityList.from_columns`, which scans
+nothing.  The production code checks lists where they enter the list
+algebra: an atom-table row is validated as it leaves the picture layer
+(the ``atom-score`` site), and a final per-video list before
+``top_k_across_videos`` streams it into the query heap (the
+``topk-worker`` site).  A corrupted row under a resilience scope is
+rebuilt by the naive scan; everywhere else the corruption surfaces as a
+typed :class:`~repro.errors.SimilarityListInvariantError`, never as a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import resilience, trace
-from repro.core.intervals import Interval
-from repro.core.simlist import SimEntry, SimilarityList
+from repro.core.simlist import SimilarityList
 from repro.errors import InjectedFaultError
 
 #: Injection modes.
@@ -112,22 +113,20 @@ def corrupt_similarity_list(
     list is guaranteed to fail
     :meth:`~repro.core.simlist.SimilarityList.validate`.
     """
-    entries: List[SimEntry] = list(sim.entries)
-    if not entries:
-        return SimilarityList.from_raw(
-            [SimEntry(Interval(1, 1), -1.0)], sim.maximum
-        )
-    first = entries[0]
-    choice = rng.randrange(3)
-    if choice == 0:
-        bad = [first] + entries  # first interval overlaps itself
-    elif choice == 1:
-        bad = [SimEntry(first.interval, -abs(first.actual))] + entries[1:]
+    begins, ends, actuals = list(sim.begins), list(sim.ends), list(sim.actuals)
+    if not begins:
+        begins, ends, actuals = [1], [1], [-1.0]
     else:
-        bad = [
-            SimEntry(first.interval, sim.maximum * 2.0 + 1.0)
-        ] + entries[1:]
-    return SimilarityList.from_raw(bad, sim.maximum)
+        choice = rng.randrange(3)
+        if choice == 0:  # the first interval overlaps itself
+            begins.insert(0, begins[0])
+            ends.insert(0, ends[0])
+            actuals.insert(0, actuals[0])
+        elif choice == 1:
+            actuals[0] = -abs(actuals[0])
+        else:
+            actuals[0] = sim.maximum * 2.0 + 1.0
+    return SimilarityList.from_columns(begins, ends, actuals, sim.maximum)
 
 
 def corrupt_bytes(data: bytes, rng: random.Random) -> bytes:

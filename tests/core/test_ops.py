@@ -358,6 +358,8 @@ def tied_lists(draw, maximum=10.0):
 
 
 def exact(sim):
+    """A walk output's exact value, after the full invariant scan."""
+    sim.validate()
     return sim.maximum, [(e.begin, e.end, repr(e.actual)) for e in sim]
 
 

@@ -11,7 +11,6 @@ from repro.core.simlist import (
     SimEntry,
     SimilarityList,
     SimilarityValue,
-    set_invariant_checks,
 )
 from repro.core.tables import TableRow
 from repro.core.intervals import Interval
@@ -81,14 +80,9 @@ class TestConstruction:
             SimilarityList.from_entries([((1, 5), 9.0)], maximum=4.0)
 
     def test_raw_requires_normalised(self):
+        unsorted = SimilarityList.from_columns([5, 1], [9, 4], [1.0, 1.0], 2.0)
         with pytest.raises(SimilarityListInvariantError):
-            SimilarityList.from_raw(
-                [
-                    SimEntry(Interval(5, 9), 1.0),
-                    SimEntry(Interval(1, 4), 1.0),
-                ],
-                maximum=2.0,
-            )
+            unsorted.validate()
 
     def test_from_segment_values(self):
         sim = SimilarityList.from_segment_values(
@@ -271,14 +265,6 @@ class TestFromSortedPieces:
                 SimilarityList.from_entries(bad, 4.0)
 
 
-@pytest.fixture
-def unchecked():
-    """The production setting: no invariant scan on construction."""
-    previous = set_invariant_checks(False)
-    yield
-    set_invariant_checks(previous)
-
-
 class TestColumns:
     @given(run_pieces(st.floats(0.5, 4.0, allow_nan=False)))
     def test_columns_and_entry_view_round_trip(self, pieces):
@@ -291,12 +277,14 @@ class TestColumns:
             zip(sim.begins, sim.ends, sim.actuals)
         )
         assert all(e.interval == Interval(e.begin, e.end) for e in view)
-        for rebuilt in (
-            SimilarityList.from_raw(view, 4.0),
-            SimilarityList.from_columns(sim.begins, sim.ends, sim.actuals, 4.0),
-        ):
-            assert rebuilt == sim
-            assert rebuilt.entries == view
+        rebuilt = SimilarityList.from_columns(
+            [e.begin for e in view],
+            [e.end for e in view],
+            [e.actual for e in view],
+            4.0,
+        )
+        assert rebuilt == sim
+        assert rebuilt.entries == view
 
     def test_columns_are_immutable(self):
         begins, ends, actuals = [1, 5], [2, 9], [1.0, 2.0]
@@ -306,17 +294,22 @@ class TestColumns:
         with pytest.raises(TypeError):
             sim.actuals[0] = 3.0
 
-    def test_trusted_columns_are_scanned_by_validate(self, unchecked):
-        for begins, ends, actuals in (
-            ([1, 3], [4, 6], [1.0, 1.0]),  # overlapping
-            ([5, 1], [6, 2], [1.0, 1.0]),  # unsorted
-            ([4], [2], [1.0]),  # begin past end
-            ([0], [2], [1.0]),  # off the 1-based axis
-            ([1], [2], [0.0]),  # non-positive value stored
-            ([1], [2], [9.0]),  # above the maximum
-            ([1, 5], [2], [1.0]),  # ragged columns
+    def test_trusted_columns_are_scanned_by_validate(self):
+        """The trusted constructor scans nothing; ``validate()`` catches
+        every invariant violation with the typed error."""
+        for begins, ends, actuals, maximum in (
+            ([1, 3], [4, 6], [1.0, 1.0], 4.0),  # overlapping
+            ([5, 1], [6, 2], [1.0, 1.0], 4.0),  # unsorted
+            ([4], [2], [1.0], 4.0),  # begin past end
+            ([0], [2], [1.0], 4.0),  # off the 1-based axis
+            ([1], [2], [0.0], 4.0),  # zero value stored
+            ([1], [2], [-2.0], 4.0),  # negative value stored
+            ([1], [2], [9.0], 4.0),  # above the maximum
+            ([1, 5], [2], [1.0], 4.0),  # ragged columns
+            ([], [], [], 0.0),  # zero maximum
+            ([], [], [], -2.0),  # negative maximum
         ):
-            bad = SimilarityList.from_columns(begins, ends, actuals, 4.0)
+            bad = SimilarityList.from_columns(begins, ends, actuals, maximum)
             with pytest.raises(SimilarityListInvariantError):
                 bad.validate()
 
@@ -341,10 +334,17 @@ class TestColumns:
 
 
 class TestFromEntriesChecksOutsideInput:
-    """``from_entries`` is the outside-input constructor: disjointness and
-    the maximum are checked there always, not only under the test gate."""
+    """``from_entries`` is the outside-input constructor: the maximum and
+    disjointness are checked there on every call — no list scan runs
+    after it inside the algebra."""
 
-    def test_overlap_raises_without_the_gate(self, unchecked):
+    @pytest.mark.parametrize("maximum", [0.0, -2.0])
+    def test_non_positive_maximum_raises(self, maximum):
+        # A zero maximum would divide by zero in fraction_at.
+        with pytest.raises(SimilarityListInvariantError):
+            SimilarityList.from_entries([], maximum)
+
+    def test_overlap_raises_without_the_gate(self):
         with pytest.raises(SimilarityListInvariantError):
             SimilarityList.from_entries([((1, 5), 0.5), ((3, 7), 0.6)], 1.0)
         with pytest.raises(SimilarityListInvariantError):  # also unsorted
@@ -352,13 +352,13 @@ class TestFromEntriesChecksOutsideInput:
         with pytest.raises(SimilarityListInvariantError):  # also zero-valued
             SimilarityList.from_entries([((1, 5), 0.0), ((5, 7), 0.6)], 1.0)
 
-    def test_actual_above_maximum_raises_without_the_gate(self, unchecked):
+    def test_actual_above_maximum_raises_without_the_gate(self):
         with pytest.raises(SimilarityListInvariantError):
             SimilarityList.from_entries([((1, 5), 1.5)], 1.0)
         # ... but the tolerance __eq__ grants is granted here too.
         assert SimilarityList.from_entries([((1, 5), 1.0 + SIM_EPS / 2)], 1.0)
 
-    def test_touching_intervals_are_not_overlapping(self, unchecked):
+    def test_touching_intervals_are_not_overlapping(self):
         sim = SimilarityList.from_entries([((6, 9), 0.6), ((1, 5), 0.5)], 1.0)
         assert list(zip(sim.begins, sim.ends)) == [(1, 5), (6, 9)]
 

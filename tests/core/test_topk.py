@@ -538,7 +538,13 @@ class TestPruningFloor:
         return heap[0][0] if len(heap) == k else None
 
     def stream(self, heap, k, entries, video="v"):
-        _stream_entries(heap, k, SimilarityList.from_raw(entries, 20.0), video)
+        sim = SimilarityList.from_columns(
+            [entry.begin for entry in entries],
+            [entry.end for entry in entries],
+            [entry.actual for entry in entries],
+            20.0,
+        )
+        _stream_entries(heap, k, sim, video)
 
     def test_no_floor_before_k_segments(self):
         heap = []

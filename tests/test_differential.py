@@ -2,10 +2,11 @@
 
 One seeded corpus (object metadata, content signatures and registered
 atomics whose ceilings differ per video, so pruning has teeth) is ranked
-by every execution path a query can take: the planned, structural and
-parallel engines, 1/2/4 in-memory shards run serially and on a pool, the
-warm engine pool over 1 and 2 shards, a ``Store`` snapshot reloaded into
-a one-shard corpus, and a ``save_sharded`` layout reopened from disk.
+by every execution path a query can take: the planned and structural
+engines, 1/2/4 in-memory shards, the warm engine pool over 1 and 2
+shards, a ``Store`` snapshot reloaded into a one-shard corpus, the same
+corpus ingested through the WAL and recovered with no checkpoint, and a
+``save_sharded`` layout reopened from disk.
 Each row must return exactly the ``(video, segment_id, actual, maximum)``
 list of the oracle row — naive atom tables, structural order, no pruning
 — or raise the same typed error.
@@ -30,6 +31,7 @@ from repro.core.topk import top_k_across_videos
 from repro.errors import ReproError
 from repro.htl import ast, parse
 from repro.htl.variables import free_object_vars
+from repro.ingest import initialise, recover
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import (
@@ -118,16 +120,42 @@ def seeded_corpus(n_videos=6, n_segments=8, seed=28):
     return database
 
 
+def wal_recovered(database, root):
+    """``database`` ingested op by op through the WAL — each video, then
+    its P1/P2 lists, one commit, no checkpoint — and recovered."""
+    with initialise(root, fsync=False) as ingester:
+        for video in database.videos():
+            ingester.add_video(
+                video.name,
+                [node.metadata for node in video.nodes_at_level(LEVEL)],
+            )
+            for name in ("P1", "P2"):
+                ingester.add_annotations(
+                    video.name, name, database.atomic_list(name, video.name)
+                )
+        ingester.commit()
+    recovered = recover(root, fsync=False)
+    recovered.wal.close()
+    assert recovered.replayed == 3 * len(database.names())
+    return recovered.database
+
+
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
-    """The corpus in memory, reloaded from a snapshot, and reopened from
-    a two-shard layout on disk (built once: loads are memoized)."""
+    """The corpus in memory, reloaded from a snapshot, recovered from the
+    WAL, and reopened from a two-shard layout on disk (built once: loads
+    are memoized)."""
     database = seeded_corpus()
     root = tmp_path_factory.mktemp("differential")
     Store(root / "store").save(database)
     reloaded = Store(root / "store").load().database
     save_sharded(database, root / "shards", 2)
-    return database, reloaded, ShardedCorpus.from_directory(root / "shards")
+    return (
+        database,
+        reloaded,
+        wal_recovered(database, root / "wal"),
+        ShardedCorpus.from_directory(root / "shards"),
+    )
 
 
 def ranking(result):
@@ -145,7 +173,7 @@ def outcome(run):
 def matrix(corpora, formula, k, join_mode):
     """Row name → zero-argument run, the oracle row first.  Every row
     gets a fresh engine, so no plan cache carries over between them."""
-    database, reloaded, layout = corpora
+    database, reloaded, recovered, layout = corpora
     config = EngineConfig(join_mode=join_mode)
 
     def engine(**overrides):
@@ -184,6 +212,7 @@ def matrix(corpora, formula, k, join_mode):
     rows["pool shards=1"] = pooled(1)
     rows["pool shards=2"] = pooled(2)
     rows["store reloaded"] = sharded(ShardedCorpus.from_database(reloaded))
+    rows["wal recovered"] = sharded(ShardedCorpus.from_database(recovered))
     rows["shard layout"] = sharded(layout)
     return rows
 

@@ -10,8 +10,7 @@ import inspect
 import pytest
 
 from repro import errors
-from repro.core.intervals import Interval
-from repro.core.simlist import SimEntry, SimilarityList
+from repro.core.simlist import SimilarityList
 
 
 def public_exception_classes():
@@ -113,42 +112,9 @@ class TestDocumentedAttributes:
 
 
 class TestInvariantRejection:
-    """Each similarity-list invariant violation raises the typed error.
-
-    The suite runs with CHECK_INVARIANTS on (tests/conftest.py), so plain
-    construction through from_raw must catch all of these; validate()
-    covers the gate-off path and is exercised in tests/test_faults.py.
-    """
-
-    def test_overlapping_intervals_rejected(self):
-        entries = [
-            SimEntry(Interval(1, 5), 2.0),
-            SimEntry(Interval(4, 8), 2.0),
-        ]
-        with pytest.raises(errors.SimilarityListInvariantError):
-            SimilarityList.from_raw(entries, 4.0)
-
-    def test_unsorted_entries_rejected(self):
-        entries = [
-            SimEntry(Interval(6, 8), 2.0),
-            SimEntry(Interval(1, 2), 2.0),
-        ]
-        with pytest.raises(errors.SimilarityListInvariantError):
-            SimilarityList.from_raw(entries, 4.0)
-
-    def test_non_positive_actual_rejected(self):
-        with pytest.raises(errors.SimilarityListInvariantError):
-            SimilarityList.from_raw([SimEntry(Interval(1, 1), 0.0)], 4.0)
-        with pytest.raises(errors.SimilarityListInvariantError):
-            SimilarityList.from_raw([SimEntry(Interval(1, 1), -2.0)], 4.0)
-
-    def test_actual_above_maximum_rejected(self):
-        with pytest.raises(errors.SimilarityListInvariantError):
-            SimilarityList.from_raw([SimEntry(Interval(1, 1), 9.0)], 4.0)
-
-    def test_non_positive_maximum_rejected(self):
-        with pytest.raises(errors.SimilarityListInvariantError):
-            SimilarityList.from_raw((), 0.0)
+    """Each invariant violation raises the typed error from ``validate()``;
+    the cases live in ``tests/core/test_simlist.py::TestColumns::
+    test_trusted_columns_are_scanned_by_validate``."""
 
     def test_validate_returns_self_on_well_formed_lists(self):
         sim = SimilarityList.from_entries([((1, 3), 2.0)], 4.0)

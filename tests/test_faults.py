@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
-from repro.core.simlist import set_invariant_checks
 from repro.core.topk import top_k_across_videos
 from repro.errors import (
     InjectedFaultError,
@@ -263,20 +262,14 @@ class TestCorruptor:
         from repro.core.simlist import SimilarityList
 
         rng = random.Random(seed)
-        previous = set_invariant_checks(False)
-        try:
-            for sim in (
-                SimilarityList.from_entries(
-                    [((1, 3), 2.0), ((5, 5), 6.0)], 8.0
-                ),
-                SimilarityList.from_entries([((2, 2), 1.0)], 1.0),
-                SimilarityList.empty(4.0),
-            ):
-                bad = corrupt_similarity_list(sim, rng)
-                with pytest.raises(SimilarityListInvariantError):
-                    bad.validate()
-        finally:
-            set_invariant_checks(previous)
+        for sim in (
+            SimilarityList.from_entries([((1, 3), 2.0), ((5, 5), 6.0)], 8.0),
+            SimilarityList.from_entries([((2, 2), 1.0)], 1.0),
+            SimilarityList.empty(4.0),
+        ):
+            bad = corrupt_similarity_list(sim, rng)
+            with pytest.raises(SimilarityListInvariantError):
+                bad.validate()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_corrupted_bytes_always_differ(self, seed):
@@ -448,29 +441,75 @@ class TestChaosProperty:
 
 
 class TestCorruptionBoundary:
-    def test_gate_off_corruption_caught_at_topk_boundary(self, corpus):
-        # With the construction-time invariant gate off (the production
-        # default), a corrupted worker list must still be caught by the
-        # trust-boundary validate() before it reaches the shared heap.
+    """Lists are checked where they enter the list algebra, as shipped:
+    each atom-table row and each final per-video list."""
+
+    def test_corruption_caught_at_topk_boundary(self, corpus):
+        # A corrupted worker list is caught by the trust-boundary
+        # validate() before it reaches the query heap.
         formula = parse(CHAOS_QUERY)
-        previous = set_invariant_checks(False)
-        try:
-            with inject(
-                FaultSpec(
-                    resilience.SITE_TOPK_WORKER, mode=CORRUPT, max_faults=1
-                ),
-                seed=2,
-            ):
-                result = top_k_across_videos(
-                    RetrievalEngine(), formula, corpus, k=6,
-                    prune=False, lenient=True,
-                )
-        finally:
-            set_invariant_checks(previous)
+        with inject(
+            FaultSpec(resilience.SITE_TOPK_WORKER, mode=CORRUPT, max_faults=1),
+            seed=2,
+        ):
+            result = top_k_across_videos(
+                RetrievalEngine(), formula, corpus, k=6,
+                prune=False, lenient=True,
+            )
         assert result.partial
         assert len(result.failed_videos) == 1
         failed = result.outcome_for(result.failed_videos[0])
         assert isinstance(failed.error, SimilarityListInvariantError)
+
+    def test_corruption_raises_at_topk_boundary_outside_a_scope(self, corpus):
+        assert resilience.current() is None
+        with inject(
+            FaultSpec(resilience.SITE_TOPK_WORKER, mode=CORRUPT, max_faults=1),
+            seed=2,
+        ):
+            with pytest.raises(SimilarityListInvariantError):
+                top_k_across_videos(
+                    RetrievalEngine(), parse(CHAOS_QUERY), corpus, k=6,
+                    prune=False,
+                )
+
+    #: Seeds and shapes where a corrupted atom row, left unchecked,
+    #: merges into a valid-looking but wrong ranking.
+    ATOM_ROW_CASES = [(20260806, "eventually"), (1997, "type-2")]
+
+    @staticmethod
+    def atom_row_corruption():
+        return FaultSpec(
+            resilience.SITE_ATOM_SCORE, mode=CORRUPT, rate=0.6, max_faults=5
+        )
+
+    @pytest.mark.parametrize("seed, shape", ATOM_ROW_CASES)
+    def test_corrupt_atom_rows_are_rebuilt_naively(
+        self, seed, shape, corpus, baselines
+    ):
+        expected, __ = baselines[shape]
+        trace.METRICS.reset()
+        with inject(self.atom_row_corruption(), seed=seed) as chaos:
+            result = top_k_across_videos(
+                RetrievalEngine(), parse(CHAOS_QUERIES[shape]), corpus,
+                k=6, prune=False, lenient=True,
+            )
+        assert chaos.injected
+        assert not result.partial
+        assert result == expected
+        assert trace.METRICS.counters().get(trace.ATOM_FALLBACK, 0) > 0
+
+    @pytest.mark.parametrize("seed, shape", ATOM_ROW_CASES)
+    def test_corrupt_atom_rows_raise_outside_a_scope(
+        self, seed, shape, corpus
+    ):
+        assert resilience.current() is None
+        with inject(self.atom_row_corruption(), seed=seed):
+            with pytest.raises(SimilarityListInvariantError):
+                top_k_across_videos(
+                    RetrievalEngine(), parse(CHAOS_QUERIES[shape]), corpus,
+                    k=6, prune=False,
+                )
 
 
 class TestRecoveryPaths:

@@ -107,14 +107,19 @@ def test_syntax_errors_carry_positions():
         ("repro.core.trace", "adopt"),
         ("repro.core.trace", "TraceToken"),
         ("repro.serve", "QueryRequest.parallelism"),
+        ("repro.core.simlist", "CHECK_INVARIANTS"),
+        ("repro.core.simlist", "set_invariant_checks"),
+        ("repro.core", "set_invariant_checks"),
+        ("repro.core.simlist", "SimilarityList.from_raw"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
     """The unsound formula rewriter, the planner's hand-set weights and
     per-atom strategy, the one-video tracing wrapper, the pool's
-    per-input constructors, the ingest delta chain and the intra-query
+    per-input constructors, the ingest delta chain, the intra-query
     thread pools (with their bound exchange, budget slices and trace
-    hand-off) are gone; nothing re-exports them."""
+    hand-off) and the global list-invariant switch (with the entry-object
+    constructor it guarded) are gone; nothing re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
