@@ -6,19 +6,18 @@ Shows the pieces a downstream user combines in practice:
 1. define named predicates as metadata queries (macros),
 2. inspect a query (classification, evaluation plan),
 3. evaluate with both join modes and with the full-language extensions,
-4. persist the annotated database to JSON and reload it.
+4. persist the annotated database as a store snapshot and reload it.
 
 Run:  python examples/library_tour.py
 """
 
-import json
 import tempfile
 
 from repro import EngineConfig, RetrievalEngine, parse, pretty
 from repro.core.explain import explain
 from repro.htl import paper_class, skeleton_class
 from repro.htl.macros import PredicateRegistry
-from repro.model.serialize import dump_database, load_database
+from repro.store import Store
 from repro.workloads.casablanca import casablanca_database
 
 
@@ -70,23 +69,17 @@ def main() -> None:
         f"{either.support_size()} shots\n"
     )
 
-    # 4. Persist and reload.
-    with tempfile.NamedTemporaryFile(
-        mode="w", suffix=".json", delete=False
-    ) as handle:
-        path = handle.name
-    dump_database(database, path)
-    restored = load_database(path)
-    engine = RetrievalEngine()
-    again = engine.evaluate_video(
-        query, restored.get("making-of-casablanca")
-    )
-    original = engine.evaluate_video(query, video)
-    print(f"database round-trip through {path}")
-    print(f"results identical after reload: {again == original}")
-    with open(path, "r", encoding="utf-8") as handle:
-        size = len(handle.read())
-    print(f"JSON size: {size} bytes")
+    # 4. Persist as an atomic, checksummed store snapshot and reload.
+    with tempfile.TemporaryDirectory() as root:
+        saved = Store(root).save(database)
+        restored = Store(root).load().database
+        engine = RetrievalEngine()
+        again = engine.evaluate_video(
+            query, restored.get("making-of-casablanca")
+        )
+        original = engine.evaluate_video(query, video)
+        print(f"database round-trip through snapshot {saved.snapshot_id}")
+        print(f"results identical after reload: {again == original}")
 
 
 if __name__ == "__main__":

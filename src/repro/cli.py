@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.bench.reporting import similarity_table_text
 from repro.core import resilience
 from repro.core.engine import EngineConfig, RetrievalEngine
-from repro.core.topk import top_k_across_videos, top_k_segments
+from repro.core.topk import top_k_segments
 from repro.errors import (
     BudgetExceededError,
     CircuitOpenError,
@@ -55,6 +55,7 @@ from repro.errors import (
 )
 from repro.htl import parse, paper_class, pretty, skeleton_class
 from repro.model.database import VideoDatabase
+from repro.shard import ShardedCorpus
 from repro.sqlbaseline.system import SQLRetrievalSystem
 from repro.workloads.casablanca import casablanca_database
 from repro.workloads.clips import clips_database
@@ -742,8 +743,6 @@ def cmd_run(arguments: argparse.Namespace) -> int:
         # A layout on disk replaces the built-in dataset entirely; there
         # is no single video to resolve level names against, so only
         # numeric levels are accepted (validated in main()).
-        from repro.shard import ShardedCorpus
-
         corpus = ShardedCorpus.from_directory(arguments.shard_dir)
         level = 2 if arguments.level is None else int(arguments.level)
         return _run_across(arguments, engine, formula, corpus, level)
@@ -764,8 +763,6 @@ def cmd_run(arguments: argparse.Namespace) -> int:
             ),
         )
     if arguments.across:
-        from repro.shard import ShardedCorpus
-
         corpus = ShardedCorpus.from_database(database, arguments.shards or 1)
         return _run_across(arguments, engine, formula, corpus, level)
     budget = _run_budget(arguments)
@@ -817,13 +814,8 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
     was_enabled = trace.METRICS.is_enabled()
     trace.METRICS.enable()
     try:
-        results = top_k_across_videos(
-            engine,
-            formula,
-            database,
-            k=arguments.top,
-            level=level,
-            profile=True,
+        results = ShardedCorpus.from_database(database).top_k(
+            engine, formula, arguments.top, level=level, profile=True
         )
         if arguments.json:
             print(
@@ -979,7 +971,6 @@ def _serve_pool(arguments: argparse.Namespace):
     """One pool over one corpus, from ``--shard-dir``, ``--store`` or
     ``--dataset``."""
     from repro.serve import EnginePool
-    from repro.shard import ShardedCorpus
     from repro.store import Store
 
     if arguments.shard_dir is not None and arguments.store_dir is not None:

@@ -391,9 +391,10 @@ class CircuitBreaker:
 class ResilienceContext:
     """One query's budget and failure mode.
 
-    ``lenient`` — a per-video failure is recorded in the result's
-    outcomes and the rest still ranks (``partial=True``) instead of
-    propagating out of ``top_k_across_videos``.  Any active context also
+    ``lenient`` — a per-video or per-shard failure is recorded in the
+    result's outcomes and the rest still ranks (``partial=True``)
+    instead of propagating out of the ranking loop
+    (:meth:`repro.shard.ShardedCorpus.top_k`).  Any active context also
     arms the one degraded path: a failing index-driven atom table is
     rebuilt by the naive scan (DESIGN.md §8).
 

@@ -1,49 +1,31 @@
-"""Top-k retrieval and ranked presentation (paper §1).
+"""Top-k results and ranked presentation (paper §1).
 
 "Under our similarity based retrieval, the k top video segments that have
 the highest similarity values with respect to the user query will be
 retrieved; here, k may be a parameter specified by the user."
 
-Multi-video retrieval is the fast path here: :func:`top_k_across_videos`
-streams interval entries into a bounded size-k heap (never expanding a
-similarity list into per-segment rows) and skips videos whose admissible
-upper bound (:func:`repro.core.engine.actual_upper_bound`) cannot crack
-the current k-th score.  Videos evaluate one after another on the calling
-thread; a sharded query (:meth:`repro.shard.ShardedCorpus.top_k`) streams
-every shard's videos into the same heap.  Both features preserve the
-exact ranking of the naive scan: the k best segments under the total
-order ``(-actual, video, segment_id)`` are a canonical set, independent
-of evaluation order, and pruning only ever skips videos whose every
-segment ranks strictly below the current k-th.
+This module holds what a ranking *is*: the result types
+(:class:`RetrievedSegment`, :class:`VideoOutcome`, :class:`TopKResult`
+with its provenance-preserving :meth:`TopKResult.merge`) and the bounded
+size-k heap every ranking streams interval entries through, under the
+total order ``(-actual, video, segment_id)``.  :func:`top_k_segments`
+ranks one list through that heap.  The multi-video query loop — pruning,
+budgets, failures, traces — lives in :mod:`repro.shard.corpus`;
+:func:`top_k_across_videos` runs a database there as a one-shard corpus.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from collections.abc import Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core import resilience, trace
-from repro.core.engine import RetrievalEngine, actual_upper_bound
-from repro.core.planner import Planner
-from repro.core.simlist import SIM_EPS, SimilarityList, SimilarityValue
-from repro.errors import BudgetExceededError, UnsupportedFormulaError
+from repro.core.engine import RetrievalEngine
+from repro.core.simlist import SimilarityList, SimilarityValue
 from repro.htl import ast
-from repro.htl.pretty import clip, pretty
 from repro.model.database import VideoDatabase
-from repro.model.hierarchy import Video
 
 
 @dataclass(frozen=True)
@@ -66,27 +48,6 @@ def ranked_entries(sim: SimilarityList) -> List[Tuple[int, int, float]]:
     triples = list(sim.runs())
     triples.sort(key=lambda triple: (-triple[2], triple[0]))
     return triples
-
-
-def top_k_segments(
-    sim: SimilarityList, k: int, video: str = ""
-) -> List[RetrievedSegment]:
-    """The k highest-similarity segments of one list.
-
-    Ties break on ascending segment id, so results are deterministic.
-    Intervals are expanded lazily in rank order — no full expansion.
-    """
-    if k <= 0:
-        return []
-    results: List[RetrievedSegment] = []
-    for begin, end, actual in ranked_entries(sim):
-        for segment_id in range(begin, end + 1):
-            results.append(
-                RetrievedSegment(video, segment_id, actual, sim.maximum)
-            )
-            if len(results) == k:
-                return results
-    return results
 
 
 class _DescStr:
@@ -147,23 +108,25 @@ def _drain(heap: List[_HeapItem]) -> List[RetrievedSegment]:
     ]
 
 
-def _video_bound(
-    formula: ast.Formula,
-    video: Video,
-    level: int,
-    database: VideoDatabase,
-) -> Optional[float]:
-    """Admissible per-video upper bound, or None when none is derivable."""
-    try:
-        return actual_upper_bound(formula, video, level, database)
-    except UnsupportedFormulaError:
-        return None
+def top_k_segments(
+    sim: SimilarityList, k: int, video: str = ""
+) -> List[RetrievedSegment]:
+    """The k highest-similarity segments of one list.
+
+    Ties break on ascending segment id, so results are deterministic.
+    Entries stream through the query heap — no full expansion.
+    """
+    if k <= 0:
+        return []
+    heap: List[_HeapItem] = []
+    _stream_entries(heap, k, sim, video)
+    return _drain(heap)
 
 
 # ---------------------------------------------------------------------------
 # per-video provenance
 # ---------------------------------------------------------------------------
-#: Outcome statuses recorded by :func:`top_k_across_videos` per video.
+#: Outcome statuses recorded per video by a multi-video query.
 OUTCOME_OK = "ok"
 OUTCOME_PRUNED = "pruned"
 OUTCOME_FAILED = "failed"
@@ -376,280 +339,26 @@ def top_k_across_videos(
     lenient: bool = False,
     profile: bool = False,
 ) -> TopKResult:
-    """Evaluate the query on every video and rank segments globally.
+    """Evaluate the query on every video of ``database`` and rank segments
+    globally: the database as a one-shard corpus.
 
-    Multiple videos are handled exactly as the paper prescribes — "using
-    two numbers one of which gives the video id and the other gives the id
-    of the video segment within the video".
-
-    ``prune=True`` skips a video when its admissible upper bound is
-    strictly below the current k-th score; the ranking is identical to the
-    unpruned scan (see the module docstring for why).
-
-    Resilience (DESIGN.md §8): ``budget`` bounds the whole query by
-    wall-clock and cooperative steps; ``lenient=True`` turns per-video
-    failures into recorded :class:`VideoOutcome` entries instead of
-    raising, returning a ``partial=True`` :class:`TopKResult` that still
-    ranks every video that did evaluate.  In strict mode (the default) the
-    first failure propagates and later videos never run.  Either knob, or
-    an ambient :func:`repro.core.resilience.scope`, also arms the one
-    degraded path: a failing index-driven atom table is rebuilt by the
-    naive scan.  With neither knob set and no ambient scope, the call runs
-    exactly the pre-resilience fast path.
-
-    Observability (DESIGN.md §10): ``profile=True`` — or an ambient
-    :func:`repro.core.trace.recording` — collects a hierarchical trace
-    (query → video → subformula → atom-sweep/list-op/top-k spans) and
-    attaches its root to ``TopKResult.profile``.  Per-video spans carry
-    the :class:`VideoOutcome` status, budget-step consumption and cache
-    hit/miss deltas; atom fallbacks appear as span events.
-    With metrics enabled (``trace.METRICS.enable()``), query and per-video
-    latencies additionally feed the ``query-seconds`` /
-    ``video-seconds`` histograms.
-
-    Planning (DESIGN.md §13): when the engine carries a planner, each
-    video's evaluation runs under a compiled query plan.  Plans are keyed
-    by the index's *statistics signature*, so videos — and shards — whose
-    indices summarise identically reuse one plan across the whole query;
-    traced queries annotate the per-query ``plans-built`` /
-    ``plan-reuses`` / ``plan-skips`` deltas on the query span.
+    See :meth:`repro.shard.ShardedCorpus.top_k` for ``prune``, ``budget``,
+    ``lenient`` and ``profile``; the trace tree is query → shard → video.
     """
-    if k <= 0:
-        return TopKResult([])
-    context = _query_context(budget, lenient)
+    # Imported here, not at the top: repro.shard.corpus imports this
+    # module's result types and heap helpers.
+    from repro.shard.corpus import ShardedCorpus
 
-    def rank() -> TopKResult:
-        heap: List[_HeapItem] = []
-        outcomes = _rank_database(
-            engine, formula, database, k, level, prune, context, heap
-        )
-        return _ranked(heap, outcomes)
-
-    return _run_query(
-        f"top-{k}",
+    return ShardedCorpus.from_database(database).top_k(
+        engine,
         formula,
-        profile,
-        getattr(engine, "planner", None),
-        rank,
-        k=k,
-        level=level,
+        k,
+        level,
+        prune=prune,
+        budget=budget,
+        lenient=lenient,
+        profile=profile,
     )
-
-
-def _run_query(
-    label: str,
-    formula: ast.Formula,
-    profile: bool,
-    planner: Optional[Planner],
-    body: Callable[[], TopKResult],
-    **attrs,
-) -> TopKResult:
-    """Run one ranked query's ``body`` under the query-level bookkeeping.
-
-    Shared by :func:`top_k_across_videos` and
-    :meth:`repro.shard.ShardedCorpus.top_k`: one ``query-seconds`` sample
-    per call while metrics are enabled, and — with ``profile=True`` or an
-    ambient recorder — one ``query`` span named ``label: <formula>``
-    carrying ``attrs``, attached to the result's ``profile``.  Untraced
-    and unmetered, this is exactly ``body()``.
-
-    Videos (and shards) with identical index shapes share one compiled
-    plan — the planner's cache key is the statistics signature, not the
-    video name — so a query typically builds a handful of plans and
-    reuses them everywhere; given a ``planner``, the span carries its
-    per-query deltas to make that reuse visible.
-    """
-    started = time.perf_counter() if trace.METRICS.is_enabled() else None
-    try:
-        recorder = trace.current()
-        if recorder is None and not profile:
-            return body()
-        if recorder is None:
-            scope = trace.recording()
-        else:
-            scope = nullcontext(recorder)
-        with scope as recorder:
-            plans_before = planner.stats if planner is not None else None
-            with recorder.span(
-                trace.KIND_QUERY,
-                f"{label}: {clip(pretty(formula), 60)}",
-                **attrs,
-            ) as query_span:
-                result = body()
-                if planner is not None:
-                    plans_after = planner.stats
-                    query_span.attrs["plans-built"] = (
-                        plans_after.plans_built - plans_before.plans_built
-                    )
-                    query_span.attrs["plan-reuses"] = (
-                        plans_after.cache_hits - plans_before.cache_hits
-                    )
-                    query_span.attrs["plan-skips"] = (
-                        plans_after.skipped_subformulas
-                        - plans_before.skipped_subformulas
-                    )
-                result.profile = query_span
-                return result
-    finally:
-        if started is not None:
-            trace.METRICS.observe(
-                trace.QUERY_LATENCY, time.perf_counter() - started
-            )
-
-
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
-
-
-def _fan_out(
-    items: Sequence[_Item],
-    step: Callable[[_Item], _Result],
-    lost: Callable[[_Item, BaseException], _Result],
-    strict: bool,
-) -> List[_Result]:
-    """``step(item)`` for every item, in order.
-
-    The one loop behind both the per-video loop and the shard loop.  A
-    step that raises ends the loop in strict mode: the failure propagates
-    and later items never run.  In lenient mode the item's result is
-    ``lost(item, error)`` instead; a :class:`BudgetExceededError` is
-    additionally the whole query's deadline, so every later item is
-    ``lost`` to it without running.
-    """
-    results: List[_Result] = []
-    abort: Optional[BaseException] = None
-    for item in items:
-        if abort is not None:
-            results.append(lost(item, abort))
-            continue
-        try:
-            results.append(step(item))
-        except Exception as exc:
-            if strict:
-                raise
-            if isinstance(exc, BudgetExceededError):
-                abort = exc
-            results.append(lost(item, exc))
-    return results
-
-
-def _query_context(
-    budget: Optional[resilience.QueryBudget], lenient: bool
-) -> Optional[resilience.ResilienceContext]:
-    """One query's resilience context, resolved once at the top.
-
-    Explicit knobs win over an ambient :func:`repro.core.resilience.scope`
-    (its budget fills in a missing ``budget``, its ``lenient`` is or-ed
-    in); with neither, None selects the pre-resilience fast path.
-    """
-    ambient = resilience.current()
-    if ambient is not None:
-        if budget is None:
-            budget = ambient.budget
-        lenient = lenient or ambient.lenient
-    elif budget is None and not lenient:
-        return None
-    return resilience.ResilienceContext(budget, lenient)
-
-
-def _lost_outcome(video: str, error: BaseException) -> VideoOutcome:
-    """The ledger entry of a video whose evaluation raised or never ran."""
-    status = (
-        OUTCOME_TIMED_OUT
-        if isinstance(error, BudgetExceededError)
-        else OUTCOME_FAILED
-    )
-    return VideoOutcome(video, status, error)
-
-
-def _ranked(
-    heap: List[_HeapItem], outcomes: List[VideoOutcome]
-) -> TopKResult:
-    """The query's answer: its heap best-first, plus the outcome ledger."""
-    with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
-        return TopKResult(
-            _drain(heap),
-            outcomes,
-            partial=any(o.degraded for o in outcomes),
-        )
-
-
-def _rank_database(
-    engine: RetrievalEngine,
-    formula: ast.Formula,
-    database: VideoDatabase,
-    k: int,
-    level: int,
-    prune: bool,
-    context: Optional[resilience.ResilienceContext],
-    heap: List[_HeapItem],
-) -> List[VideoOutcome]:
-    """Stream one database's videos into ``heap``, the query's size-k heap.
-
-    Returns one outcome per video, in database order.
-    :func:`top_k_across_videos` runs this once; the shard loop runs it
-    once per shard over the same heap, so the pruning floor is always the
-    k-th score of every video evaluated so far, whichever shard owns it.
-    """
-    budget = context.budget if context is not None else None
-
-    def evaluate(video: Video) -> SimilarityList:
-        started = time.perf_counter() if trace.METRICS.is_enabled() else None
-        try:
-            resilience.fault(resilience.SITE_TOPK_WORKER)
-            sim = engine.evaluate_video(
-                formula, video, level=level, database=database
-            )
-            sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
-            # Trust boundary: a corrupted list must not enter the
-            # query heap as a silently wrong ranking.
-            return sim.validate()
-        finally:
-            if started is not None:
-                trace.METRICS.observe(
-                    trace.VIDEO_LATENCY, time.perf_counter() - started
-                )
-
-    def step(video: Video) -> VideoOutcome:
-        if prune and len(heap) == k:
-            bound = _video_bound(formula, video, level, database)
-            if bound is not None and bound < heap[0][0] - SIM_EPS:
-                trace.annotate(bound=bound)
-                return VideoOutcome(video.name, OUTCOME_PRUNED)
-        sim = evaluate(video)
-        with trace.staged_span(
-            trace.TOP_K, trace.KIND_TOPK, "stream-entries"
-        ):
-            _stream_entries(heap, k, sim, video.name)
-        return VideoOutcome(video.name, OUTCOME_OK)
-
-    def visit(video: Video) -> VideoOutcome:
-        """One per-video step, inside a ``video`` span when tracing.
-
-        The span carries the outcome status and the step's budget-step
-        delta.  A raising step closes the span with its ``error``
-        attribute set.
-        """
-        recorder = trace.current()
-        if recorder is None:
-            return step(video)
-        steps_before = budget.steps if budget is not None else 0
-        with recorder.span(trace.KIND_VIDEO, video.name) as video_span:
-            outcome = step(video)
-            if budget is not None:
-                video_span.attrs["budget-steps"] = budget.steps - steps_before
-            video_span.attrs["status"] = outcome.status
-            return outcome
-
-    videos = list(database.videos())
-    trace.annotate(videos=len(videos))
-    with resilience.activate(context):
-        return _fan_out(
-            videos,
-            visit,
-            lambda video, error: _lost_outcome(video.name, error),
-            strict=context is None or not context.lenient,
-        )
 
 
 def top_k_videos(

@@ -15,8 +15,9 @@ vs. ranking — and this module is where that attribution lives:
   snapshots-and-clears atomically (counts are conserved across drains by
   construction).
 * :class:`TraceRecorder` / :class:`Span` — hierarchical per-query trace
-  spans (query → video → subformula → atom-sweep / list-op / top-k) with
-  wall-clock, call counts, counter deltas and events attached per span.
+  spans (query → shard → video → subformula → atom-sweep / list-op /
+  top-k) with wall-clock, call counts, counter deltas and events
+  attached per span.
   The recorder is installed in a thread-local by :func:`recording`, so
   concurrent requests on server worker threads keep separate trees.
 * :func:`staged_span` — the bridge: one ``perf_counter`` pair per

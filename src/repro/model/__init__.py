@@ -5,8 +5,6 @@ from repro.model.hierarchy import Video, VideoNode, flat_video, standard_level_n
 from repro.model.serialize import (
     database_from_dict,
     database_to_dict,
-    dump_database,
-    load_database,
     video_from_dict,
     video_to_dict,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "Relationship",
     "Fact",
     "make_object",
-    "dump_database",
-    "load_database",
     "database_to_dict",
     "database_from_dict",
     "video_to_dict",

@@ -1,15 +1,16 @@
-"""JSON persistence for videos, meta-data and similarity lists.
+"""JSON document shapes for videos, meta-data and similarity lists.
 
 The paper assumes a database "that contains the meta-data describing the
-contents of the various videos"; this module gives that database a durable
-form: plain-JSON documents with stable schemas, round-trip safe
-(``loads(dumps(db)) == db`` structurally), so annotated corpora and
-precomputed similarity tables can be shipped with experiments.
+contents of the various videos"; this module gives its parts stable,
+round-trip safe JSON-compatible schemas (``from_dict(to_dict(x)) == x``
+structurally), checked at the trust boundary on the way in.  Files are
+not written here: a :class:`repro.store.Store` snapshot, which writes
+these documents atomically and checksummed, is the one persistence
+format, and the ingest WAL logs the same shapes.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -298,14 +299,3 @@ def database_from_dict(document: Dict[str, Any]) -> VideoDatabase:
             )
     return database_from_parts(videos, atomics)
 
-
-def dump_database(database: VideoDatabase, path: str) -> None:
-    """Write a database to a JSON file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(database_to_dict(database), handle, indent=1)
-
-
-def load_database(path: str) -> VideoDatabase:
-    """Read a database from a JSON file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return database_from_dict(json.load(handle))

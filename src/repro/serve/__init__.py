@@ -2,10 +2,9 @@
 SLA-derived budgets (DESIGN.md §14).
 
 The package turns the batch-oriented retrieval stack
-(:class:`~repro.core.engine.RetrievalEngine`,
-:func:`~repro.core.topk.top_k_across_videos`,
-:class:`~repro.shard.ShardedCorpus`) into a long-lived threaded query
-service::
+(:class:`~repro.core.engine.RetrievalEngine` and the one ranking loop,
+:meth:`ShardedCorpus.top_k <repro.shard.ShardedCorpus.top_k>`) into a
+long-lived threaded query service::
 
     from repro.serve import EnginePool, QueryRequest, RetrievalServer
     from repro.shard import ShardedCorpus

@@ -1,16 +1,20 @@
-"""Sharded corpus: one top-k heap streamed through every shard.
+"""Sharded corpus and the one ranking loop: one top-k heap streamed
+through every shard.
 
 Public surface:
 
-* :class:`ShardedCorpus` — partitioned corpus front end; ``top_k`` runs
-  the query over every shard (DESIGN.md §12).
-* :class:`Shard` — one shard: id, owned videos, lazy loader.
+* :class:`ShardedCorpus` — the corpus every ranked query runs over;
+  ``top_k`` is the query loop (DESIGN.md §6, §12).  An unsharded
+  database is ``ShardedCorpus.from_database(database)``, one shard, and
+  :func:`repro.core.topk.top_k_across_videos` is exactly that query.
+* :class:`Shard` — one shard: id, owned videos, and their database
+  (held from construction in memory, or loaded lazily from a store).
 * :class:`RetryPolicy` — jittered exponential backoff for transient
   shard-load faults, behind a per-shard circuit breaker.
 
 The on-disk layout lives in :mod:`repro.store.sharding`
-(``save_sharded`` / ``load_layout``); the ranking plumbing shared with
-``top_k_across_videos`` lives in :mod:`repro.core.topk`.
+(``save_sharded`` / ``load_layout``); the result types and the size-k
+heap live in :mod:`repro.core.topk`.
 """
 
 from repro.shard.corpus import (

@@ -1,25 +1,24 @@
-"""Top-k over a sharded corpus (DESIGN.md §12).
+"""The one ranking loop: top-k over a corpus of shards (DESIGN.md §6, §12).
 
-``top_k_across_videos`` ranks one in-process database, so corpus size is
-bounded by a single index build and a single snapshot load.
-:class:`ShardedCorpus` is the horizontal step past that limit: the corpus
-is partitioned into N shards (each owning its own
-:class:`~repro.store.Store` snapshot directory and metadata indices, see
-:mod:`repro.store.sharding`), each loaded lazily on first use.
+Every ranked query runs here.  A corpus is partitioned into shards,
+each owning its videos' database: an in-memory shard holds its database
+from construction, a store shard (its own :class:`~repro.store.Store`
+snapshot directory and metadata indices, see :mod:`repro.store.sharding`)
+loads it lazily on first use.  An unsharded database is
+``ShardedCorpus.from_database(database)``, one shard that *is* the
+database — which is all :func:`repro.core.topk.top_k_across_videos`
+does.
 
-It is also the one corpus every served and CLI ranking runs over: an
-unsharded database is ``ShardedCorpus.from_database(database)``, one
-shard that *is* the database, queried exactly as
-``top_k_across_videos`` queries it.
-
-A query runs the shards one after another on the calling thread and
-streams every shard's videos into one size-k heap, so the running global
-k-th-best score prunes later shards' videos through the existing
-admissible per-video upper bounds.  A shard full of weak videos does next
-to no scoring once earlier shards have filled the heap with good values.
-Threads would buy nothing here: evaluation and store loading (JSON
-parsing) both hold the GIL, and measured queries ran slower on a pool
-(DESIGN.md §6).
+:meth:`ShardedCorpus.top_k` runs the shards one after another on the
+calling thread and streams every shard's videos into one size-k heap
+(never expanding a similarity list into per-segment rows), so the
+running global k-th-best score prunes later videos — whichever shard
+owns them — through their admissible upper bounds.  The k best segments
+under the total order ``(-actual, video, segment_id)`` are a canonical
+set, independent of evaluation order, so neither pruning nor sharding
+changes a ranking.  Threads would buy nothing here: evaluation and store
+loading (JSON parsing) both hold the GIL, and measured queries ran slower
+on a pool (DESIGN.md §6).
 
 Failure semantics compose with the resilience layer (DESIGN.md §8): a
 dead or corrupt shard surfaces as a batch of ``failed``
@@ -36,25 +35,34 @@ from __future__ import annotations
 import random
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import resilience, trace
-from repro.core.engine import RetrievalEngine
+from repro.core.engine import RetrievalEngine, actual_upper_bound
+from repro.core.planner import Planner
+from repro.core.simlist import SIM_EPS
 from repro.core.topk import (
+    OUTCOME_FAILED,
+    OUTCOME_OK,
+    OUTCOME_PRUNED,
+    OUTCOME_TIMED_OUT,
     TopKResult,
     VideoOutcome,
-    _fan_out,
+    _drain,
     _HeapItem,
-    _lost_outcome,
-    _query_context,
-    _rank_database,
-    _ranked,
-    _run_query,
+    _stream_entries,
 )
-from repro.errors import ShardError
+from repro.errors import (
+    BudgetExceededError,
+    ShardError,
+    UnsupportedFormulaError,
+)
 from repro.htl import ast
+from repro.htl.pretty import clip, pretty
 from repro.model.database import VideoDatabase
+from repro.model.hierarchy import Video
 from repro.store.sharding import (
     ShardLayout,
     load_layout,
@@ -108,13 +116,16 @@ DEFAULT_RETRY = RetryPolicy()
 
 
 class Shard:
-    """One shard: an id, the videos it owns, and a lazy database loader.
+    """One shard: an id, the videos it owns, and their database.
 
+    ``source`` is the database itself (an in-memory shard holds it from
+    construction) or a loader that reads it from a store on first use.
     The loader runs at most once per successful load (memoized under a
-    lock); every load attempt passes the ``shard-load`` fault site first,
-    so the chaos suite can kill a shard deterministically.  Load
-    failures are not cached — a shard that recovers on disk recovers on
-    the next query.
+    lock); every :meth:`database` call — in-memory shards included —
+    passes the ``shard-load`` fault site and the load breaker first, so
+    the chaos suite can kill a shard deterministically.  Load failures
+    are not cached — a shard that recovers on disk recovers on the next
+    query.
 
     Transient faults retry under the shard's :class:`RetryPolicy`
     behind a per-shard circuit breaker: a shard that keeps failing
@@ -140,7 +151,7 @@ class Shard:
         self,
         shard_id: str,
         videos: Sequence[str],
-        loader: Callable[[], VideoDatabase],
+        source: Union[VideoDatabase, Callable[[], VideoDatabase]],
         *,
         retry: Optional[RetryPolicy] = None,
         rng: Callable[[], float] = random.random,
@@ -150,8 +161,12 @@ class Shard:
         self._videos: Tuple[str, ...] = tuple(videos)
         self.retry = retry if retry is not None else DEFAULT_RETRY
         self.breaker = resilience.CircuitBreaker(f"shard-{shard_id}-load")
-        self._loader = loader
         self._database: Optional[VideoDatabase] = None
+        self._loader: Optional[Callable[[], VideoDatabase]] = None
+        if isinstance(source, VideoDatabase):
+            self._database = source
+        else:
+            self._loader = source
         self._lock = threading.Lock()
         self._rng = rng
         self._sleep = sleep
@@ -167,7 +182,10 @@ class Shard:
         return tuple(database.names())
 
     def database(self) -> VideoDatabase:
-        """The shard's database, loading (and memoizing) on first use."""
+        """The shard's database, loading (and memoizing) on first use.
+
+        ``shard-loaded`` counts loads, so an in-memory shard never
+        counts one."""
         if not self.breaker.allow():
             raise ShardError(
                 f"shard {self.shard_id} load breaker is open; failing fast",
@@ -278,7 +296,7 @@ class ShardedCorpus:
                 Shard(
                     shard_id(position),
                     part.names(),
-                    lambda part=part: part,
+                    part,
                     retry=retry,
                 )
                 for position, part in enumerate(parts)
@@ -345,73 +363,246 @@ class ShardedCorpus:
         lenient: bool = False,
         profile: bool = False,
     ) -> TopKResult:
-        """Run the query over every shard and gather the global top-k.
+        """Evaluate the query on every video and rank segments globally.
 
-        Shards run one after another, and every shard streams its videos
-        into the query's one size-k heap under the caller's one budget
-        object: a later shard prunes against the k-th score of every
-        video evaluated so far, and the caller's step count and clock see
-        the whole query.  A one-shard corpus ranks exactly as
-        :func:`top_k_across_videos` ranks its database.
+        Videos are ranked exactly as the paper prescribes — "using two
+        numbers one of which gives the video id and the other gives the
+        id of the video segment within the video" — under the total
+        order ``(-actual, video, segment_id)``.  Shards run one after
+        another, and every shard streams its videos into the query's one
+        size-k heap under the caller's one budget object: a later shard
+        prunes against the k-th score of every video evaluated so far,
+        and the caller's step count and clock see the whole query.
 
-        Rankings are identical to the unsharded scan: pruning only skips
-        videos that cannot crack the global k-th score, and the top-k set
-        under the canonical total order does not depend on which shard
-        evaluated a video first.
+        ``prune=True`` skips a video when its admissible upper bound
+        (:func:`repro.core.engine.actual_upper_bound`) is strictly below
+        the current k-th score.  Rankings are identical to the unpruned,
+        unsharded scan: pruning only skips videos that cannot crack the
+        k-th score, and the top-k set under a total order does not
+        depend on which shard evaluated a video first.
+
+        Resilience (DESIGN.md §8): ``budget`` bounds the whole query by
+        wall-clock and cooperative steps; ``lenient=True`` turns
+        per-video and per-shard failures into recorded
+        :class:`~repro.core.topk.VideoOutcome` entries instead of
+        raising, returning a ``partial=True`` result that still ranks
+        every video that did evaluate.  In strict mode (the default) the
+        first failure propagates and later videos never run.  Either
+        knob, or an ambient :func:`repro.core.resilience.scope`, also
+        arms the one degraded path: a failing index-driven atom table is
+        rebuilt by the naive scan.
+
+        Observability (DESIGN.md §10): ``profile=True`` — or an ambient
+        :func:`repro.core.trace.recording` — collects the trace tree
+        query → shard → video → subformula → atom-sweep/list-op/top-k
+        and attaches its root to ``TopKResult.profile``.  Video spans
+        carry the outcome status and budget-step consumption.  With
+        metrics enabled, query and per-video latencies feed the
+        ``query-seconds`` / ``video-seconds`` histograms.
+
+        Planning (DESIGN.md §13): videos and shards whose indices
+        summarise identically share one compiled plan, so a traced
+        query annotates the per-query ``plans-built`` / ``plan-reuses``
+        / ``plan-skips`` deltas on its query span.
         """
         if k <= 0:
             return TopKResult([])
         context = _query_context(budget, lenient)
-        strict = context is None or not context.lenient
-        heap: List[_HeapItem] = []
-
-        def run_shard(shard: Shard) -> List[VideoOutcome]:
-            if context is not None and context.budget is not None:
-                # A spent budget loads no more shards: they are lost to
-                # it, as later videos are within one shard.
-                context.budget.checkpoint("shard-start")
-            with trace.span(
-                trace.KIND_SHARD, shard.shard_id, videos=len(shard.videos)
-            ):
-                try:
-                    database = shard.database()
-                except Exception as error:
-                    trace.METRICS.count(trace.SHARD_FAILED)
-                    trace.event(
-                        trace.SHARD_FAILED,
-                        f"{shard.shard_id}: {type(error).__name__}",
+        started = time.perf_counter() if trace.METRICS.is_enabled() else None
+        try:
+            recorder = trace.current()
+            if recorder is None and not profile:
+                return self._rank(engine, formula, k, level, prune, context)
+            if recorder is None:
+                scope = trace.recording()
+            else:
+                scope = nullcontext(recorder)
+            planner: Optional[Planner] = getattr(engine, "planner", None)
+            with scope as recorder:
+                plans_before = planner.stats if planner is not None else None
+                with recorder.span(
+                    trace.KIND_QUERY,
+                    f"top-{k}: {clip(pretty(formula), 60)}",
+                    k=k,
+                    level=level,
+                    shards=self.n_shards,
+                ) as query_span:
+                    result = self._rank(
+                        engine, formula, k, level, prune, context
                     )
-                    failure = ShardError(
-                        f"shard {shard.shard_id} failed to load: {error}",
-                        shard=shard.shard_id,
-                    )
-                    failure.__cause__ = error
-                    if strict:
-                        raise failure
-                    return lost_shard(shard, failure)
-                return _rank_database(
-                    engine, formula, database, k, level, prune, context, heap
+                    if planner is not None:
+                        plans_after = planner.stats
+                        query_span.attrs["plans-built"] = (
+                            plans_after.plans_built - plans_before.plans_built
+                        )
+                        query_span.attrs["plan-reuses"] = (
+                            plans_after.cache_hits - plans_before.cache_hits
+                        )
+                        query_span.attrs["plan-skips"] = (
+                            plans_after.skipped_subformulas
+                            - plans_before.skipped_subformulas
+                        )
+                    result.profile = query_span
+                    return result
+        finally:
+            if started is not None:
+                trace.METRICS.observe(
+                    trace.QUERY_LATENCY, time.perf_counter() - started
                 )
 
-        def lost_shard(
-            shard: Shard, error: BaseException
-        ) -> List[VideoOutcome]:
-            # The layout manifest names the shard's videos, so the
-            # degradation is visible per video even though the shard's
-            # own store never answered.
-            return [_lost_outcome(name, error) for name in shard.videos]
+    def _rank(
+        self,
+        engine: RetrievalEngine,
+        formula: ast.Formula,
+        k: int,
+        level: int,
+        prune: bool,
+        context: Optional[resilience.ResilienceContext],
+    ) -> TopKResult:
+        """The one ranking loop: shards outside, videos inside, one heap.
 
-        def rank() -> TopKResult:
-            per_shard = _fan_out(self.shards, run_shard, lost_shard, strict)
-            return _ranked(heap, [o for part in per_shard for o in part])
+        The result holds one outcome per video, shard by shard in
+        database order.  A failure ends the query in strict mode.  In lenient mode it
+        costs only the videos it touched: one video, or every video of a
+        shard that did not load (named from the layout manifest, so the
+        damage is visible per video even though the shard's own store
+        never answered).  An exhausted budget is the whole query's
+        deadline: every later video is lost to it without running, and
+        no later shard is loaded.
+        """
+        strict = context is None or not context.lenient
+        budget = context.budget if context is not None else None
+        heap: List[_HeapItem] = []
+        outcomes: List[VideoOutcome] = []
+        abort: Optional[BaseException] = None
 
-        return _run_query(
-            f"top-{k}",
-            formula,
-            profile,
-            getattr(engine, "planner", None),
-            rank,
-            k=k,
-            level=level,
-            shards=self.n_shards,
+        def visit(database: VideoDatabase, video: Video) -> VideoOutcome:
+            """Prune, or evaluate and stream one video, inside a ``video``
+            span carrying its status and budget-step delta when tracing."""
+            recorder = trace.current()
+            if recorder is None:
+                return step(database, video)
+            steps_before = budget.steps if budget is not None else 0
+            with recorder.span(trace.KIND_VIDEO, video.name) as video_span:
+                outcome = step(database, video)
+                if budget is not None:
+                    video_span.attrs["budget-steps"] = (
+                        budget.steps - steps_before
+                    )
+                video_span.attrs["status"] = outcome.status
+                return outcome
+
+        def step(database: VideoDatabase, video: Video) -> VideoOutcome:
+            if prune and len(heap) == k:
+                try:
+                    bound = actual_upper_bound(formula, video, level, database)
+                except UnsupportedFormulaError:
+                    bound = None
+                if bound is not None and bound < heap[0][0] - SIM_EPS:
+                    trace.annotate(bound=bound)
+                    return VideoOutcome(video.name, OUTCOME_PRUNED)
+            started = (
+                time.perf_counter() if trace.METRICS.is_enabled() else None
+            )
+            try:
+                resilience.fault(resilience.SITE_TOPK_WORKER)
+                sim = engine.evaluate_video(
+                    formula, video, level=level, database=database
+                )
+                sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
+                # Trust boundary: a corrupted list must not enter the
+                # query heap as a silently wrong ranking.
+                sim.validate()
+            finally:
+                if started is not None:
+                    trace.METRICS.observe(
+                        trace.VIDEO_LATENCY, time.perf_counter() - started
+                    )
+            with trace.staged_span(
+                trace.TOP_K, trace.KIND_TOPK, "stream-entries"
+            ):
+                _stream_entries(heap, k, sim, video.name)
+            return VideoOutcome(video.name, OUTCOME_OK)
+
+        def lose(names: Sequence[str], error: BaseException) -> None:
+            """The one failure rule, for a video and for a whole shard."""
+            nonlocal abort
+            if strict:
+                raise error
+            if isinstance(error, BudgetExceededError):
+                abort = error
+            outcomes.extend(_lost_outcome(name, error) for name in names)
+
+        for shard in self.shards:
+            if abort is not None:
+                lose(shard.videos, abort)
+                continue
+            try:
+                if budget is not None:
+                    budget.checkpoint("shard-start")
+                with trace.span(
+                    trace.KIND_SHARD, shard.shard_id, videos=len(shard.videos)
+                ):
+                    database = _load(shard)
+                    with resilience.activate(context):
+                        for video in list(database.videos()):
+                            if abort is not None:
+                                lose([video.name], abort)
+                                continue
+                            try:
+                                outcomes.append(visit(database, video))
+                            except Exception as error:
+                                lose([video.name], error)
+            except Exception as error:
+                lose(shard.videos, error)
+        with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
+            return TopKResult(
+                _drain(heap),
+                outcomes,
+                partial=any(o.degraded for o in outcomes),
+            )
+
+
+def _query_context(
+    budget: Optional[resilience.QueryBudget], lenient: bool
+) -> Optional[resilience.ResilienceContext]:
+    """One query's resilience context, resolved once at the top.
+
+    Explicit knobs win over an ambient :func:`repro.core.resilience.scope`
+    (its budget fills in a missing ``budget``, its ``lenient`` is or-ed
+    in); with neither, None selects the pre-resilience fast path.
+    """
+    ambient = resilience.current()
+    if ambient is not None:
+        if budget is None:
+            budget = ambient.budget
+        lenient = lenient or ambient.lenient
+    elif budget is None and not lenient:
+        return None
+    return resilience.ResilienceContext(budget, lenient)
+
+
+def _load(shard: Shard) -> VideoDatabase:
+    """The shard's database, or a :class:`ShardError` naming the shard
+    with the load failure chained."""
+    try:
+        return shard.database()
+    except Exception as error:
+        trace.METRICS.count(trace.SHARD_FAILED)
+        trace.event(
+            trace.SHARD_FAILED, f"{shard.shard_id}: {type(error).__name__}"
         )
+        raise ShardError(
+            f"shard {shard.shard_id} failed to load: {error}",
+            shard=shard.shard_id,
+        ) from error
+
+
+def _lost_outcome(video: str, error: BaseException) -> VideoOutcome:
+    """The ledger entry of a video whose evaluation raised or never ran."""
+    status = (
+        OUTCOME_TIMED_OUT
+        if isinstance(error, BudgetExceededError)
+        else OUTCOME_FAILED
+    )
+    return VideoOutcome(video, status, error)

@@ -25,9 +25,9 @@ always builds an *invariant-violating* one through the trusted
 :meth:`~repro.core.simlist.SimilarityList.from_columns`, which scans
 nothing.  The production code checks lists where they enter the list
 algebra: an atom-table row is validated as it leaves the picture layer
-(the ``atom-score`` site), and a final per-video list before
-``top_k_across_videos`` streams it into the query heap (the
-``topk-worker`` site).  A corrupted row under a resilience scope is
+(the ``atom-score`` site), and a final per-video list before the ranking
+loop (:meth:`repro.shard.ShardedCorpus.top_k`) streams it into the query
+heap (the ``topk-worker`` site).  A corrupted row under a resilience scope is
 rebuilt by the naive scan; everywhere else the corruption surfaces as a
 typed :class:`~repro.errors.SimilarityListInvariantError`, never as a
 wrong answer.

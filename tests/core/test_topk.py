@@ -69,6 +69,30 @@ class TestTopKSegments:
         best = top_k_segments(sim, 1)[0]
         assert best.fraction == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ranks_as_a_one_video_query_for_every_k(self, seed, tied):
+        """One list through the query heap ranks as the query loop ranks a
+        one-video corpus registering it, for every k up to past the
+        list's support."""
+        rng = random.Random(seed)
+        sim = random_similarity_list(40, rng=rng)
+        if tied:
+            sim = SimilarityList.from_entries(
+                [
+                    ((entry.begin, entry.end), float(rng.randint(1, 3)))
+                    for entry in sim
+                ],
+                sim.maximum,
+            )
+        database = VideoDatabase()
+        database.add(flat_video("v", [SegmentMetadata() for __ in range(40)]))
+        database.register_atomic("P", "v", sim)
+        for k in range(sim.support_size() + 3):
+            assert top_k_segments(sim, k, "v") == top_k_across_videos(
+                RetrievalEngine(), parse("$P"), database, k, prune=False
+            )
+
 
 def two_video_database():
     database = VideoDatabase()

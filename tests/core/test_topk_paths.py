@@ -1,10 +1,10 @@
 """One path table for the ranked fan-out.
 
-``top_k_across_videos`` and ``ShardedCorpus.top_k`` share one per-video
-step, one ordered loop, one heap and one query wrapper (DESIGN.md §6,
-§12), so every way of running a query — direct or through 1/2/4 shards,
-strict or lenient, on indexed or naive atoms, planned or not — must give
-the direct indexed run's answer.
+Every ranked query runs the one loop of ``ShardedCorpus.top_k``, and
+``top_k_across_videos`` runs a database there as a one-shard corpus
+(DESIGN.md §6, §12), so every way of running a query — direct or through
+1/2/4 shards, strict or lenient, on indexed or naive atoms, planned or
+not — must give the direct indexed run's answer.
 Each row below is a corpus + query; each column a path; each fault a way
 for a video to go missing.
 """
@@ -131,7 +131,7 @@ def expiring_steps(database, formula, prune, at=2):
     )
     steps = [
         span.attrs["budget-steps"]
-        for span in traced.profile.children
+        for span in traced.profile.walk()
         if span.kind == "video"
     ]
     assert steps[at] > 0

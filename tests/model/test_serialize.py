@@ -20,8 +20,6 @@ from repro.model.hierarchy import Video, VideoNode, flat_video
 from repro.model.serialize import (
     database_from_dict,
     database_to_dict,
-    dump_database,
-    load_database,
     segment_from_dict,
     segment_to_dict,
     simlist_from_dict,
@@ -100,11 +98,11 @@ class TestVideos:
 
 
 class TestDatabases:
-    def test_casablanca_round_trip_preserves_query_results(self, tmp_path):
+    def test_casablanca_round_trip_preserves_query_results(self):
         original = casablanca_database()
-        path = tmp_path / "db.json"
-        dump_database(original, str(path))
-        restored = load_database(str(path))
+        restored = database_from_dict(
+            json.loads(json.dumps(database_to_dict(original)))
+        )
 
         engine = RetrievalEngine()
         formula = query1()

@@ -19,7 +19,7 @@ from repro.core.topk import (
 from repro.errors import BudgetExceededError
 from repro.htl import parse
 from repro.shard import ShardedCorpus
-from repro.store import split_database
+from repro.store import save_sharded, split_database
 
 from tests.core.test_topk_paths import skewed_corpus
 from tests.shard.conftest import graded_corpus
@@ -322,17 +322,27 @@ class TestObservability:
         ]
         assert len(shard_spans) == 4
 
-    def test_shard_loaded_counter(self, corpus):
+    def test_shard_loaded_counter(self, corpus, tmp_path):
+        """``shard-loaded`` counts store loads: once per store shard, and
+        never for an in-memory shard, which holds its database."""
+        save_sharded(corpus, tmp_path, 3)
         was_enabled = trace.METRICS.is_enabled()
         trace.METRICS.enable()
         try:
-            sharded = ShardedCorpus.from_database(corpus, 3)
-            sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
-            counters = trace.METRICS.counters()
+            counts = []
+            for sharded in (
+                ShardedCorpus.from_database(corpus, 3),
+                ShardedCorpus.from_directory(tmp_path),
+            ):
+                before = trace.METRICS.counters().get(trace.SHARD_LOADED, 0)
+                sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
+                sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
+                after = trace.METRICS.counters().get(trace.SHARD_LOADED, 0)
+                counts.append(after - before)
         finally:
             if not was_enabled:
                 trace.METRICS.disable()
-        assert counters.get(trace.SHARD_LOADED) == 3
+        assert counts == [0, 3]
 
     def test_database_load_is_memoized(self, corpus):
         sharded = ShardedCorpus.from_database(corpus, 2)

@@ -5,11 +5,19 @@ atomics whose ceilings differ per video, so pruning has teeth) is ranked
 by every execution path a query can take: the planned and structural
 engines, 1/2/4 in-memory shards, the warm engine pool over 1 and 2
 shards, a ``Store`` snapshot reloaded into a one-shard corpus, the same
-corpus ingested through the WAL and recovered with no checkpoint, and a
-``save_sharded`` layout reopened from disk.
+corpus ingested through the WAL and recovered with no checkpoint, a
+``save_sharded`` layout reopened from disk, and the paper's §4 SQL
+baseline (per-video lists from the relational engine, ranked with
+``top_k_segments`` and ``TopKResult.merge``).
 Each row must return exactly the ``(video, segment_id, actual, maximum)``
 list of the oracle row — naive atom tables, structural order, no pruning
 — or raise the same typed error.
+
+The SQL row runs where the SQL systems are defined: on type (1) and
+type (2) formulas (:func:`repro.htl.classify.skeleton_class`).  Type (2)
+formulas join per-object tables, and the SQL system joins them as the
+paper does, so under ``join_mode="outer"`` only type (1) formulas, which
+join nothing, have an SQL row.
 
 Under ``join_mode="outer"`` the oracle row is itself checked, video by
 video, against the definitional semantics of paper §2.5
@@ -21,15 +29,15 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.semantics import ReferenceContext, reference_list
 from repro.core.tables import INNER, OUTER
-from repro.core.topk import top_k_across_videos
+from repro.core.topk import TopKResult, top_k_across_videos, top_k_segments
 from repro.errors import ReproError
-from repro.htl import ast, parse
+from repro.htl import FormulaClass, ast, parse, skeleton_class
 from repro.htl.variables import free_object_vars
 from repro.ingest import initialise, recover
 from repro.model.database import VideoDatabase
@@ -42,6 +50,7 @@ from repro.model.metadata import (
 )
 from repro.serve import EnginePool, QueryRequest
 from repro.shard import ShardedCorpus
+from repro.sqlbaseline import SQLRetrievalSystem, Type2SQLSystem
 from repro.store import Store, save_sharded
 from repro.workloads.synthetic import random_similarity_list
 
@@ -170,6 +179,49 @@ def outcome(run):
         return ("raised", type(error).__name__)
 
 
+def sql_class(formula, join_mode):
+    """The formula's class when the SQL row runs on it, else None."""
+    kind = skeleton_class(formula)
+    if kind == FormulaClass.TYPE1 or (
+        kind == FormulaClass.TYPE2 and join_mode == INNER
+    ):
+        return kind
+    return None
+
+
+def sql_list(formula, video, database):
+    """One video's list from the SQL baseline: registered atomics through
+    the type (1) system, picture atoms through the type (2) system."""
+    names = {
+        node.name
+        for node in formula.walk()
+        if isinstance(node, ast.AtomicRef)
+    }
+    if not names:
+        return Type2SQLSystem().evaluate_on_video(formula, video, LEVEL)
+    system = SQLRetrievalSystem()
+    system.load_segments(len(video.nodes_at_level(LEVEL)))
+    for name in names:
+        system.load_atomic(
+            name, database.atomic_list(name, video.name, LEVEL)
+        )
+    return system.evaluate(formula)
+
+
+def sql_row(database, formula, k):
+    return TopKResult.merge(
+        *(
+            TopKResult(
+                top_k_segments(
+                    sql_list(formula, video, database), k, video.name
+                )
+            )
+            for video in database.videos()
+        ),
+        k=k,
+    )
+
+
 def matrix(corpora, formula, k, join_mode):
     """Row name → zero-argument run, the oracle row first.  Every row
     gets a fresh engine, so no plan cache carries over between them."""
@@ -214,6 +266,8 @@ def matrix(corpora, formula, k, join_mode):
     rows["store reloaded"] = sharded(ShardedCorpus.from_database(reloaded))
     rows["wal recovered"] = sharded(ShardedCorpus.from_database(recovered))
     rows["shard layout"] = sharded(layout)
+    if sql_class(formula, join_mode) is not None:
+        rows["sql baseline"] = lambda: sql_row(database, formula, k)
     return rows
 
 
@@ -242,12 +296,15 @@ def check_oracle_row(database, formula, join_mode):
 
 
 def assert_matrix_agrees(corpora, formula, k, join_mode):
+    """Every row against the oracle; returns the class the SQL row ran
+    on, or None when it skipped the formula."""
     rows = matrix(corpora, formula, k, join_mode)
     expected = outcome(rows.pop("oracle"))
     for name, run in rows.items():
         assert outcome(run) == expected, name
     if isinstance(expected, list):
         check_oracle_row(corpora[0], formula, join_mode)
+    return sql_class(formula, join_mode)
 
 
 def close(formula):
@@ -269,18 +326,38 @@ def queries():
     ).map(close)
 
 
-@settings(
-    max_examples=60,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+#: One generated case of each class the SQL row covers, so the row can
+#: never pass vacuously: a bare closed atom is type (1), an ∃ over a
+#: temporal body is type (2).
+TYPE1_EXAMPLE = close(ast.Present(ast.ObjectVar("x")))
+TYPE2_EXAMPLE = close(
+    ast.Until(ast.Present(ast.ObjectVar("x")), ast.Present(ast.ObjectVar("y")))
 )
-@given(
-    formula=queries(),
-    k=st.sampled_from([1, 5, 100]),
-    join_mode=st.sampled_from([INNER, OUTER]),
-)
-def test_every_row_gives_the_oracle_ranking(corpora, formula, k, join_mode):
-    assert_matrix_agrees(corpora, formula, k, join_mode)
+
+
+def test_every_row_gives_the_oracle_ranking(corpora):
+    sql_ran = set()
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.data_too_large,
+        ],
+    )
+    @given(
+        formula=queries(),
+        k=st.sampled_from([1, 5, 100]),
+        join_mode=st.sampled_from([INNER, OUTER]),
+    )
+    @example(formula=TYPE1_EXAMPLE, k=5, join_mode=INNER)
+    @example(formula=TYPE2_EXAMPLE, k=5, join_mode=INNER)
+    def check(formula, k, join_mode):
+        sql_ran.add(assert_matrix_agrees(corpora, formula, k, join_mode))
+
+    check()
+    assert {FormulaClass.TYPE1, FormulaClass.TYPE2} <= sql_ran
 
 
 #: The registered-list queries the shard suite's identity cases ranked.
@@ -296,4 +373,5 @@ REGISTERED = [
 @pytest.mark.parametrize("k", [10, 100_000])
 @pytest.mark.parametrize("text", REGISTERED)
 def test_registered_lists_agree(corpora, text, k, join_mode):
-    assert_matrix_agrees(corpora, parse(text), k, join_mode)
+    sql_ran = assert_matrix_agrees(corpora, parse(text), k, join_mode)
+    assert sql_ran == FormulaClass.TYPE1

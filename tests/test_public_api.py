@@ -111,6 +111,10 @@ def test_syntax_errors_carry_positions():
         ("repro.core.simlist", "set_invariant_checks"),
         ("repro.core", "set_invariant_checks"),
         ("repro.core.simlist", "SimilarityList.from_raw"),
+        ("repro.model", "dump_database"),
+        ("repro.model", "load_database"),
+        ("repro.model.serialize", "dump_database"),
+        ("repro.model.serialize", "load_database"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -118,8 +122,10 @@ def test_deleted_names_stay_deleted(module, name):
     per-atom strategy, the one-video tracing wrapper, the pool's
     per-input constructors, the ingest delta chain, the intra-query
     thread pools (with their bound exchange, budget slices and trace
-    hand-off) and the global list-invariant switch (with the entry-object
-    constructor it guarded) are gone; nothing re-exports them."""
+    hand-off), the global list-invariant switch (with the entry-object
+    constructor it guarded) and the plain-JSON database files (a store
+    snapshot is the one persistence format) are gone; nothing re-exports
+    them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
