@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, List, Tuple, Union
 
 from repro.errors import HTLTypeError
@@ -419,14 +418,16 @@ TEMPORAL_OPERATORS = (Next, Until, Eventually, Always)
 # ---------------------------------------------------------------------------
 # structural cache keys
 # ---------------------------------------------------------------------------
+#: Instance-dict slot memoising a node's structural key.  Like the clip
+#: scorer's slot (:mod:`repro.pictures.signature`) it is outside the
+#: dataclass fields, so ``==``, ``hash`` and ``dataclasses.replace`` never
+#: see it, and it lives exactly as long as its node.
+_KEY_SLOT = "_structural_key"
+
+
 def _key_parts(value: object, out: List[str]) -> None:
     if isinstance(value, (Term, Formula)):
-        out.append(type(value).__name__)
-        out.append("(")
-        for spec in dataclasses.fields(value):
-            _key_parts(getattr(value, spec.name), out)
-            out.append(",")
-        out.append(")")
+        out.append(structural_key(value))
     elif isinstance(value, tuple):
         out.append("[")
         for item in value:
@@ -437,19 +438,27 @@ def _key_parts(value: object, out: List[str]) -> None:
         out.append(repr(value))
 
 
-@lru_cache(maxsize=8192)
 def structural_key(node: Union[Formula, Term]) -> str:
     """A stable structural cache key for a formula or term.
 
     Two nodes have equal keys iff they are structurally equal, and the key
     is a deterministic string (unlike ``hash``, which is salted per process
     for the string fields), so it can serve as a memoization key that
-    survives serialization.  Keys are memoized per structurally-distinct
-    node, making repeated keying of the same subformula O(1).
+    survives serialization.  Each node memoises its own key, built from
+    its children's, so repeated keying of a subformula is O(1) and no
+    module-level table keeps a request's formula alive.
     """
-    parts: List[str] = []
-    _key_parts(node, parts)
-    return "".join(parts)
+    slots = vars(node)
+    key = slots.get(_KEY_SLOT)
+    if key is None:
+        parts = [type(node).__name__, "("]
+        for spec in dataclasses.fields(node):
+            _key_parts(getattr(node, spec.name), parts)
+            parts.append(",")
+        parts.append(")")
+        # setdefault is atomic: racing threads end up sharing one key.
+        key = slots.setdefault(_KEY_SLOT, "".join(parts))
+    return key
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,15 @@ class SegmentMetadata:
         """The object instance by universal id, or None when absent."""
         return self._objects.get(object_id)
 
+    def object_map(self) -> Mapping[str, ObjectInstance]:
+        """The segment's objects by universal id, in insertion order.
+
+        The live mapping, not a copy — read it, never mutate it (use
+        :meth:`add_object`).  The compiled atom kernel iterates it and
+        tests membership in it once per ``∃`` call.
+        """
+        return self._objects
+
     def objects(self) -> Iterator[ObjectInstance]:
         """Iterate all objects of the segment."""
         return iter(self._objects.values())

@@ -20,7 +20,7 @@ reuse a score across same-profile segments without re-probing anything.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
 from repro.model.metadata import AttrValue, SegmentMetadata
@@ -173,14 +173,17 @@ class MetadataIndex:
         )
         self.n_profiles = len(profile_ids)
         # Retained so append_segments assigns the same profile ids a full
-        # rebuild would.  None after from_dict: the persisted document has
-        # no content keys, so appends to a restored index open a fresh id
-        # space above n_profiles (equal ids still imply equal content —
-        # only cross-boundary sharing is lost).
+        # rebuild would.  None after from_dict — the persisted document has
+        # no content keys — until the first append rebuilds them from the
+        # segments the index covers.
         self._profile_keys: Optional[Dict[tuple, int]] = profile_ids
 
     # -- incremental maintenance ----------------------------------------------
-    def append_segments(self, segments: Sequence[SegmentMetadata]) -> int:
+    def append_segments(
+        self,
+        segments: Sequence[SegmentMetadata],
+        covered: Sequence[SegmentMetadata] = (),
+    ) -> int:
         """Extend the index over ``segments`` appended after the current
         sequence; returns the new segment count.
 
@@ -189,11 +192,30 @@ class MetadataIndex:
         continue the 1-based numbering, and because appends only ever add
         larger ids at the tails of posting tuples, the result is
         element-for-element identical to an index built over the full
-        sequence (property-tested), except possibly for profile ids after
-        a :meth:`from_dict` restore (see ``_profile_keys``).
+        sequence (property-tested).
+
+        ``covered`` is the sequence the index already covers.  Only an
+        index restored by :meth:`from_dict` reads it, once: its first
+        append rebuilds the content keys of the restored profile ids, so
+        its appends reuse them as a rebuild would.
         """
         if not segments:
             return self.n_segments
+        if self._profile_keys is None:
+            if len(covered) != self.n_segments:
+                raise ModelError(
+                    f"a restored index over {self.n_segments} segments "
+                    f"needs them to append; {len(covered)} given"
+                )
+            # Equal ids mean equal content: one key per restored profile.
+            keyed = set()
+            self._profile_keys = {}
+            for segment, profile in zip(covered, self._segment_profiles):
+                if profile not in keyed:
+                    keyed.add(profile)
+                    self._profile_keys.setdefault(
+                        _content_key(segment), profile
+                    )
         by_object: Dict[str, List[int]] = {}
         by_type: Dict[str, List[int]] = {}
         by_relationship: Dict[str, List[int]] = {}
@@ -263,8 +285,6 @@ class MetadataIndex:
             with_any_object
         )
         self._with_signature = self._with_signature + tuple(with_signature)
-        if self._profile_keys is None:
-            self._profile_keys = {}
         profiles = list(self._segment_profiles)
         for segment in segments:
             content = _content_key(segment)

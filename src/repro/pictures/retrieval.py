@@ -179,8 +179,8 @@ class PictureRetrievalSystem:
         """
         if not segments:
             return len(self.segments)
+        self.index.append_segments(segments, covered=self.segments)
         self.segments.extend(segments)
-        self.index.append_segments(segments)
         self._analyzer = SupportAnalyzer(self.index)
         self._universe = self.index.all_object_ids()
         trace.METRICS.count(trace.INDEX_APPENDED)
@@ -385,8 +385,10 @@ class PictureRetrievalSystem:
         self.stats.tables += 1
         # Compiled per table build and dropped with it; each binding is
         # its own dict, which the kernel rebinds in place and restores.
+        # The narrowed ∃ asks the pool for membership: a dict answers in
+        # O(1) and iterates in pool order.
         kernel = compile_atom(atom, narrow=True)
-        kernel_pool = exists_pool(pool) if pool else ()
+        kernel_pool = dict.fromkeys(exists_pool(pool)) if pool else ()
         # (objects, box, routed list or sweep job), in binding order.
         slots: List[Tuple[Tuple[str, ...], tuple, object]] = []
         jobs: List[_Job] = []

@@ -35,11 +35,20 @@ from __future__ import annotations
 
 import operator
 from itertools import product
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import UnsupportedFormulaError
 from repro.htl import ast
-from repro.model.metadata import SegmentMetadata
+from repro.model.metadata import ObjectInstance, SegmentMetadata
 from repro.pictures.signature import looks_like_score
 
 #: A binding of variable names (object and attribute alike) to values.
@@ -382,11 +391,16 @@ def _term_occurrences(
 # compiled kernel
 # ---------------------------------------------------------------------------
 #: ``kernel(segment, binding, pool) -> actual similarity``.
-Kernel = Callable[[SegmentMetadata, Binding, Sequence[str]], float]
+Kernel = Callable[[SegmentMetadata, Binding, Collection[str]], float]
 
-_TermKernel = Callable[
-    [SegmentMetadata, Binding], Optional[Tuple[Union[str, int, float], float]]
-]
+#: A term's ``(value, confidence)``, or None when it is undefined.
+_TermValue = Optional[Tuple[Union[str, int, float], float]]
+
+_TermKernel = Callable[[SegmentMetadata, Binding], _TermValue]
+
+#: An object-local ``∃`` body as a function of the object its variable
+#: names: the segment's instance, or None for an id the segment lacks.
+_InstanceKernel = Callable[[Optional[ObjectInstance]], float]
 
 #: "The variable had no value" in a kernel's save/restore of a binding.
 _UNBOUND = object()
@@ -412,13 +426,32 @@ def compile_atom(formula: ast.Formula, narrow: bool = False) -> Kernel:
     stays the reference the property tests compare against
     (``tests/pictures/test_compiled.py``).  The contract:
 
-    * ``pool`` is ``exists_pool(universe)`` for a non-empty universe and
-      empty otherwise — the caller builds it once per sweep, not the
-      kernel once per ``∃``.  An empty pool makes every outermost ``∃``
-      range over the segment's own objects (plus the fresh id), segment
-      by segment, as an empty ``universe`` does in :func:`score`.
-    * ``narrow`` narrows each ``∃``'s own iteration (:func:`_narrow`);
-      nested quantifiers still receive the full pool.
+    * ``pool`` holds ``exists_pool(universe)`` for a non-empty universe
+      and is empty otherwise — the caller builds it once per table
+      build, not the kernel once per ``∃``.  With ``narrow`` the kernel
+      asks ``object_id in pool`` once per segment object, so hand it a
+      collection with O(1) membership that iterates in pool order:
+      ``dict.fromkeys(exists_pool(universe))``.  An empty pool makes
+      every outermost ``∃`` range over the segment's own objects (plus
+      the fresh id), segment by segment, as an empty ``universe`` does
+      in :func:`score`.
+    * ``narrow`` narrows each ``∃``'s own iteration to the segment's
+      objects that are in the pool (plus its relationships' id
+      arguments when the body needs them), then the fresh id — the set
+      :func:`_narrow` keeps, visited in segment order rather than pool
+      order; ``∃`` is a maximum, so the order changes no value.  Nested
+      quantifiers still receive the full pool.  A one-variable ``∃``
+      whose body reads its variable only through ``present(x)`` and
+      ``attr(x)`` — no relationship, segment attribute, other variable,
+      nested ``∃``/freeze or ``looks_like`` — is *object-local*: its body
+      compiles to a function of the object instance, so the ``∃`` is the
+      best of that function over the segment's objects in the pool and
+      its value on no object (the fresh id), with no binding written
+      (:func:`_instance_kernel`).
+    * Attribute reads take the instance's fact, or for ``type`` its type
+      slot when no ``type`` fact exists — what
+      :meth:`~repro.model.metadata.ObjectInstance.attribute` decides,
+      without building a :class:`~repro.model.metadata.Fact` per read.
     * ``∃`` and ``[y ← q]`` rebind their variables in ``binding`` in
       place and restore them — value or absence — before returning, so a
       shadowed outer variable is intact afterwards and ``binding`` reads
@@ -426,12 +459,14 @@ def compile_atom(formula: ast.Formula, narrow: bool = False) -> Kernel:
       thread uses during the call; after an exception the dict may hold
       a half-done rebinding.  The kernel itself keeps no state: one
       kernel may run on several threads over separate bindings.
-    * Compilation never raises and never scores.  An unresolved
+    * Compilation never raises and never reads a segment.  An unresolved
       ``looks_like`` raises :class:`~repro.errors.SignatureError` and an
       unscorable node :class:`~repro.errors.UnsupportedFormulaError` when
       a *call* reaches it, exactly where :func:`score` would (the kernel
       hands such nodes to :func:`score` / :func:`eval_term`), so building
-      a table over zero segments raises nothing.
+      a table over zero segments raises nothing.  When one narrowed
+      ``∃`` can reach two different errors, the one surfacing first
+      follows the kernel's visiting order.
     * ``looks_like`` goes through
       :func:`~repro.pictures.signature.looks_like_score` and with it the
       atom's request-scoped clip scorer.
@@ -492,7 +527,7 @@ def _reference_kernel(formula: ast.Formula, narrow: bool) -> Kernel:
 
 def _present_kernel(name: str) -> Kernel:
     def present(
-        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
     ) -> float:
         object_id = binding.get(name)
         if not isinstance(object_id, str):
@@ -509,7 +544,7 @@ def _compare_kernel(formula: ast.Compare) -> Kernel:
     holds = _comparator(formula.op)
 
     def compare(
-        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
     ) -> float:
         left = left_of(segment, binding)
         right = right_of(segment, binding)
@@ -545,7 +580,7 @@ def _rel_kernel(formula: ast.Rel) -> Kernel:
     args = tuple(_term_kernel(arg) for arg in formula.args)
 
     def rel(
-        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
     ) -> float:
         values = []
         confidence = 1.0
@@ -566,7 +601,7 @@ def _rel_kernel(formula: ast.Rel) -> Kernel:
 def _exists_kernel(formula: ast.Exists, narrow: bool) -> Kernel:
     names = formula.vars
     sub = compile_atom(formula.sub, narrow)
-    # None: iterate the whole pool; else what _narrow needs to know.
+    # None: iterate the whole pool; else what _narrowed needs to know.
     needs_rel: Optional[bool] = None
     if narrow:
         safe, rel = _narrowing_of(formula.sub, frozenset(names))
@@ -574,15 +609,19 @@ def _exists_kernel(formula: ast.Exists, narrow: bool) -> Kernel:
             needs_rel = rel
 
     if len(names) == 1:
-        return _exists_one_kernel(names[0], sub, needs_rel)
+        exists_one = _exists_one_kernel(names[0], sub, needs_rel)
+        local = _instance_kernel(formula.sub, names[0]) if narrow else None
+        if local is None:
+            return exists_one
+        return _exists_local_kernel(local, exists_one)
 
     def exists(
-        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
     ) -> float:
         if not pool:
-            pool = exists_pool(list(segment.object_ids()))
+            pool = _segment_pool(segment)
         iterate = (
-            pool if needs_rel is None else _narrow(segment, pool, needs_rel)
+            pool if needs_rel is None else _narrowed(segment, pool, needs_rel)
         )
         saved = [binding.get(name, _UNBOUND) for name in names]
         best = 0.0
@@ -605,16 +644,16 @@ def _exists_kernel(formula: ast.Exists, narrow: bool) -> Kernel:
 def _exists_one_kernel(
     name: str, sub: Kernel, needs_rel: Optional[bool]
 ) -> Kernel:
-    """The one-variable ``∃`` — the sweep's inner loop — without the
-    tuple-per-assignment machinery of the general case."""
+    """The one-variable ``∃`` without the tuple-per-assignment machinery
+    of the general case."""
 
     def exists_one(
-        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
     ) -> float:
         if not pool:
-            pool = exists_pool(list(segment.object_ids()))
+            pool = _segment_pool(segment)
         iterate = (
-            pool if needs_rel is None else _narrow(segment, pool, needs_rel)
+            pool if needs_rel is None else _narrowed(segment, pool, needs_rel)
         )
         saved = binding.get(name, _UNBOUND)
         best = 0.0
@@ -632,13 +671,71 @@ def _exists_one_kernel(
     return exists_one
 
 
+def _exists_local_kernel(local: _InstanceKernel, generic: Kernel) -> Kernel:
+    """A narrowed one-variable ``∃`` over an object-local body — the
+    sweep's inner loop: ``max(0, f(None), f(instance) for each segment
+    object in the pool)``, which is what the narrowed binding loop
+    computes, since an id the segment lacks binds ``f(None)`` exactly
+    as the fresh id does."""
+    # f(None) is a constant of the formula; the max starts from it.
+    absent = local(None)
+    floor = absent if absent > 0.0 else 0.0
+
+    def exists_local(
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
+    ) -> float:
+        objects = segment.object_map()
+        if FRESH_OBJECT_ID in objects:
+            # The fresh id names a real object: bind and score instead.
+            return generic(segment, binding, pool)
+        best = floor
+        for object_id, instance in objects.items():
+            # An empty pool is the segment's own objects.
+            if not pool or object_id in pool:
+                actual = local(instance)
+                if actual > best:
+                    best = actual
+        return best
+
+    return exists_local
+
+
+def _segment_pool(segment: SegmentMetadata) -> Dict[str, None]:
+    """The pool of an ``∃`` handed an empty one: the segment's own
+    objects and the fresh id."""
+    return dict.fromkeys(exists_pool(list(segment.object_ids())))
+
+
+def _narrowed(
+    segment: SegmentMetadata, pool: Collection[str], needs_rel: bool
+) -> Collection[str]:
+    """What :func:`_narrow` keeps of ``pool``, found from the segment's
+    side: its objects (and with ``needs_rel`` its relationships' id
+    arguments) that are in the pool, in segment order, then the fresh
+    id — O(segment) with a pool of O(1) membership."""
+    relevant: Collection[str] = segment.object_map()
+    if needs_rel:
+        with_args = dict.fromkeys(relevant)
+        for relationship in segment.relationships:
+            for arg in relationship.args:
+                if isinstance(arg, str):
+                    with_args[arg] = None
+        relevant = with_args
+    if FRESH_OBJECT_ID in relevant:
+        # The fresh id cannot faithfully represent dropped members here.
+        return pool
+    narrowed = [object_id for object_id in relevant if object_id in pool]
+    narrowed.append(FRESH_OBJECT_ID)
+    return narrowed
+
+
 def _freeze_kernel(formula: ast.Freeze, narrow: bool) -> Kernel:
     var = formula.var
     captured_of = _term_kernel(formula.func)
     sub = compile_atom(formula.sub, narrow)
 
     def freeze(
-        segment: SegmentMetadata, binding: Binding, pool: Sequence[str]
+        segment: SegmentMetadata, binding: Binding, pool: Collection[str]
     ) -> float:
         captured = captured_of(segment, binding)
         if captured is None:
@@ -675,6 +772,7 @@ def _term_kernel(term: ast.Term) -> _TermKernel:
             return None if fact is None else (fact.value, fact.confidence)
 
         return segment_attribute
+    read = _attribute_reader(attribute)
     holder = term.args[0]
     if isinstance(holder, (ast.ObjectVar, ast.AttrVar)):
         holder_name = holder.name
@@ -684,11 +782,8 @@ def _term_kernel(term: ast.Term) -> _TermKernel:
             object_id = binding.get(holder_name)
             if not isinstance(object_id, str):
                 return None
-            fact = segment.object_attribute(object_id, attribute)
-            if fact is None:
-                return None
-            # × the variable's own confidence, as eval_term does.
-            return fact.value, fact.confidence * 1.0
+            # × the variable's own confidence 1.0, as eval_term does.
+            return read(segment.object(object_id))
 
         return attribute_of_variable
     holder_of = _term_kernel(holder)
@@ -700,9 +795,118 @@ def _term_kernel(term: ast.Term) -> _TermKernel:
         object_id, holder_confidence = held
         if not isinstance(object_id, str):
             return None
-        fact = segment.object_attribute(object_id, attribute)
+        return read(segment.object(object_id), holder_confidence)
+
+    return attribute_of_term
+
+
+def _attribute_reader(attribute: str) -> Callable[..., _TermValue]:
+    """``read(instance, holder_confidence=1.0)``: the instance's
+    ``attribute`` as ``(value, confidence × holder_confidence)``, or None
+    when the instance is None or lacks it — what
+    :meth:`~repro.model.metadata.ObjectInstance.attribute` answers, read
+    in place: an explicit ``type`` fact wins over the type slot."""
+    if attribute == "type":
+
+        def read_type(
+            instance: Optional[ObjectInstance], holder_confidence: float = 1.0
+        ) -> _TermValue:
+            if instance is None:
+                return None
+            fact = instance.attributes.get("type")
+            if fact is None:
+                return instance.type, instance.confidence * holder_confidence
+            return fact.value, fact.confidence * holder_confidence
+
+        return read_type
+
+    def read(
+        instance: Optional[ObjectInstance], holder_confidence: float = 1.0
+    ) -> _TermValue:
+        if instance is None:
+            return None
+        fact = instance.attributes.get(attribute)
         if fact is None:
             return None
         return fact.value, fact.confidence * holder_confidence
 
-    return attribute_of_term
+    return read
+
+
+# ---------------------------------------------------------------------------
+# object-local ∃ bodies
+# ---------------------------------------------------------------------------
+def _instance_kernel(node: ast.Formula, name: str) -> Optional[_InstanceKernel]:
+    """``node`` as a function of the instance the variable ``name``
+    names, or None when ``node`` is not object-local.
+
+    Object-local: ``name`` is read only through ``present(name)`` and
+    attribute accesses ``attr(name)``, combined with constants, ``true``,
+    ``∧``, ``∨``, ``¬`` and weights.  Such a node reads nothing of the
+    segment but the instance (a relationship, a segment attribute,
+    another variable, a nested ``∃`` or freeze and ``looks_like`` all
+    make it None), and on an id the segment lacks it reads what it
+    reads on ``None``.  The closures repeat the binding kernels'
+    arithmetic operand for operand, so the floats are theirs.
+    """
+    if isinstance(node, ast.Truth):
+        return lambda instance: 1.0
+    if isinstance(node, ast.Present):
+        if node.var.name != name:
+            return None
+        return lambda instance: (
+            instance.confidence if instance is not None else 0.0
+        )
+    if isinstance(node, ast.Compare):
+        left_of = _instance_term(node.left, name)
+        right_of = _instance_term(node.right, name)
+        if left_of is None or right_of is None:
+            return None
+        holds = _comparator(node.op)
+
+        def compare(instance: Optional[ObjectInstance]) -> float:
+            left = left_of(instance)
+            right = right_of(instance)
+            if left is None or right is None:
+                return 0.0
+            if holds(left[0], right[0]):
+                return left[1] * right[1]
+            return 0.0
+
+        return compare
+    if isinstance(node, (ast.Weighted, ast.Not)):
+        sub = _instance_kernel(node.sub, name)
+        if sub is None:
+            return None
+        if isinstance(node, ast.Weighted):
+            weight = node.weight
+            return lambda instance: weight * sub(instance)
+        maximum = max_similarity(node.sub)
+        return lambda instance: maximum - sub(instance)
+    if isinstance(node, (ast.And, ast.Or)):
+        left = _instance_kernel(node.left, name)
+        right = _instance_kernel(node.right, name)
+        if left is None or right is None:
+            return None
+        if isinstance(node, ast.And):
+            return lambda instance: left(instance) + right(instance)
+        return lambda instance: max(left(instance), right(instance))
+    return None
+
+
+def _instance_term(
+    term: ast.Term, name: str
+) -> Optional[Callable[[Optional[ObjectInstance]], _TermValue]]:
+    """A comparison operand of an object-local node as a function of the
+    instance — a constant or ``attr(name)`` — or None."""
+    if isinstance(term, ast.Const):
+        constant = (term.value, 1.0)
+        return lambda instance: constant
+    if (
+        isinstance(term, ast.AttrFunc)
+        and term.args
+        and isinstance(term.args[0], (ast.ObjectVar, ast.AttrVar))
+        and term.args[0].name == name
+    ):
+        return _attribute_reader(term.name)
+    return None

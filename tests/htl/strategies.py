@@ -28,8 +28,8 @@ constants = st.one_of(
 
 
 @st.composite
-def attr_funcs(draw, max_args=1):
-    name = draw(st.sampled_from(ATTR_FUNCS))
+def attr_funcs(draw, max_args=1, names=tuple(ATTR_FUNCS)):
+    name = draw(st.sampled_from(names))
     n_args = draw(st.integers(0, max_args))
     args = tuple(draw(object_vars) for __ in range(n_args))
     return ast.AttrFunc(name, args)
@@ -153,7 +153,7 @@ CLIP = ((1.0, 2.0, 1.0, 4.0), (3.0, 1.0, 1.0, 1.0))
 
 
 @st.composite
-def picture_atoms(draw):
+def picture_atoms(draw, attributes=tuple(ATTR_FUNCS)):
     """Non-temporal formulas reaching every branch of the picture scorer.
 
     :func:`non_temporal_formulas` plus resolved ``looks_like``, weights,
@@ -161,13 +161,15 @@ def picture_atoms(draw):
     variables, ``∃`` over one or two variables — nested ones re-bind
     outer names, one shape does so on purpose — and the freeze operator
     with its variable drawn from attribute *and* object variable names.
+    Attribute accesses draw their names from ``attributes``.
     """
+    accesses = attr_funcs(names=attributes)
     any_constant = st.one_of(
         constants,
         st.booleans().map(ast.Const),
         st.sampled_from([0.5, 50.0]).map(ast.Const),
     )
-    term_pool = st.one_of(object_vars, attr_vars, any_constant, attr_funcs())
+    term_pool = st.one_of(object_vars, attr_vars, any_constant, accesses)
     base = st.one_of(
         st.just(ast.Truth()),
         object_vars.map(ast.Present),
@@ -208,7 +210,7 @@ def picture_atoms(draw):
             st.tuples(children, children).map(shadowed),
             st.tuples(
                 st.sampled_from(ATTR_VARS + OBJECT_VARS[:2]),
-                attr_funcs(),
+                accesses,
                 children,
             ).map(lambda triple: ast.Freeze(*triple)),
         ),

@@ -16,7 +16,9 @@ Invariants:
 * the newest committed WAL sequence never rewinds across reopenings;
 * every path recovery names as quarantined exists, for the rest of the
   run;
-* the live ingester's warm rankings equal a cold rebuild's.
+* the live ingester's warm rankings equal a cold rebuild's;
+* every index the appends maintain — over a restored index too —
+  serialises to the bytes a rebuild from its segments writes.
 
 A crash arms one RAISE or SHORT_WRITE fault at a drawn site for the
 next mutating call that reaches it; the short-write length is drawn
@@ -49,7 +51,10 @@ from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
+from repro.pictures.index import MetadataIndex
 from repro.store import Store
+from repro.store.atomic import canonical_json_bytes
+from repro.store.store import default_level
 from repro.testing.faults import RAISE, SHORT_WRITE, FaultSpec, inject
 from repro.workloads.synthetic import random_similarity_list
 
@@ -346,6 +351,18 @@ class IngestDirectory(RuleBasedStateMachine):
         assert rankings(self.ingester.database) == rankings(
             self._oracle(with_pending=True)
         )
+
+    @invariant()
+    def appended_indexes_equal_a_rebuild(self):
+        if self.ingester is None:
+            return
+        for video in self.ingester.database.videos():
+            system = video.root.pictures_at_level(default_level(video))
+            assert canonical_json_bytes(
+                system.index.to_dict()
+            ) == canonical_json_bytes(
+                MetadataIndex(system.segments).to_dict()
+            ), f"the appended index of {video.name!r} is not a rebuild's"
 
 
 @pytest.mark.parametrize("chaos_seed", SEEDS)

@@ -16,7 +16,7 @@ import threading
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e import streams
@@ -35,6 +35,7 @@ from repro.htl.classify import is_non_temporal
 from repro.htl.parser import parse
 from repro.model.metadata import (
     Fact,
+    ObjectInstance,
     Relationship,
     SegmentMetadata,
     make_object,
@@ -52,6 +53,7 @@ from repro.testing.faults import FaultSpec, inject
 from tests.htl.strategies import (
     ATTR_FUNCS,
     ATTR_VARS,
+    CLIP,
     OBJECT_VARS,
     REL_NAMES,
     STRINGS,
@@ -60,6 +62,9 @@ from tests.htl.strategies import (
 from tests.integration.test_engine_vs_oracle import assert_lists_equal
 
 OBJECT_IDS = ["a", "b", "c"]
+#: ``type`` names an attribute too: an explicit ``type`` fact overrides
+#: an object's type slot, which answers ``type(x)`` otherwise.
+ATTRIBUTES = ATTR_FUNCS + ["type"]
 CONFIDENCES = [1.0, 0.5, 0.25]
 VALUES = st.one_of(
     st.integers(-50, 50),
@@ -67,10 +72,13 @@ VALUES = st.one_of(
     st.booleans(),
     st.sampled_from([0.5, 50.0]),
 )
+#: Empty, a video's, one carrying the fresh id, and one that omits some
+#: of a segment's objects (the narrowed ∃ keeps only pool members).
 UNIVERSES = [
     (),
     ("a", "b", "c", "ghost"),
     ("a", FRESH_OBJECT_ID, "b", "c"),
+    ("a",),
 ]
 
 
@@ -81,18 +89,25 @@ def facts(draw):
 
 @st.composite
 def segments(draw):
-    """Segments in the vocabulary of ``tests/htl/strategies.py``."""
+    """Segments in the vocabulary of ``tests/htl/strategies.py``; now and
+    then one names the fresh id as an object or a relationship argument."""
+    present = [object_id for object_id in OBJECT_IDS if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 0:
+        present.append(FRESH_OBJECT_ID)
     objects = [
-        make_object(
+        ObjectInstance(
             object_id,
             draw(st.sampled_from(STRINGS)),
+            attributes=draw(
+                st.dictionaries(st.sampled_from(ATTRIBUTES), facts())
+            ),
             confidence=draw(st.sampled_from(CONFIDENCES)),
-            **draw(st.dictionaries(st.sampled_from(ATTR_FUNCS), facts())),
         )
-        for object_id in OBJECT_IDS
-        if draw(st.booleans())
+        for object_id in present
     ]
-    arguments = st.one_of(st.sampled_from(OBJECT_IDS + ["ghost"]), VALUES)
+    arguments = st.one_of(
+        st.sampled_from(OBJECT_IDS + ["ghost", FRESH_OBJECT_ID]), VALUES
+    )
     relationships = draw(
         st.lists(
             st.builds(
@@ -106,7 +121,7 @@ def segments(draw):
     )
     return SegmentMetadata(
         attributes=draw(
-            st.dictionaries(st.sampled_from(ATTR_FUNCS), facts())
+            st.dictionaries(st.sampled_from(ATTRIBUTES), facts())
         ),
         objects=objects,
         relationships=relationships,
@@ -137,17 +152,92 @@ def outcome(call):
         return type(error), str(error)
 
 
+#: A segment for the pinned examples: a person, a plane whose explicit
+#: ``type`` fact overrides its slot, and a relationship naming an id
+#: outside every universe.
+EXAMPLE_SEGMENT = SegmentMetadata(
+    objects=[
+        make_object("a", "person", confidence=0.5, height=100),
+        ObjectInstance(
+            "b",
+            "plane",
+            attributes={"height": 50, "type": Fact("car", 0.5)},
+            confidence=0.25,
+        ),
+        make_object("c", "person", height=Fact(95, 0.5)),
+    ],
+    relationships=[Relationship("holds_gun", ("ghost",), 0.5)],
+)
+
+
+#: A segment naming the fresh id as one of its objects.
+FRESH_SEGMENT = SegmentMetadata(
+    objects=[
+        make_object(FRESH_OBJECT_ID, "person", confidence=0.5),
+        make_object("a", "plane"),
+    ]
+)
+
+#: The object-local one-variable ∃ shapes of the ``mix-a`` stream.
+OBJECT_LOCAL = [
+    "exists x . present(x) and type(x) = 'person'",
+    "exists x . present(x) and height(x) > 90",
+    "exists y . type(y) = 'plane'",
+    "exists x . not present(x)",
+]
+
+
+def builder_pool(universe):
+    """The pool in the form the indexed table build hands the kernel."""
+    return dict.fromkeys(exists_pool(universe)) if universe else ()
+
+
 class TestKernelEqualsReference:
     @given(
-        picture_atoms(),
+        picture_atoms(attributes=ATTRIBUTES),
         segments() | st.just(_EMPTY_SEGMENT),
         bindings,
         st.sampled_from(UNIVERSES),
         st.booleans(),
+        st.booleans(),
     )
+    # The object-local ∃ shapes of the ``mix-a`` stream, each on a pool
+    # that omits one of the segment's objects.
+    @example(
+        parse(OBJECT_LOCAL[0]), EXAMPLE_SEGMENT, {}, ("a", "b"), True, True
+    )
+    @example(
+        parse(OBJECT_LOCAL[1]), EXAMPLE_SEGMENT, {}, ("b", "c"), True, True
+    )
+    @example(
+        parse(OBJECT_LOCAL[2]), EXAMPLE_SEGMENT, {"y": "a"}, ("a", "b"),
+        True, True,
+    )
+    @example(parse(OBJECT_LOCAL[3]), EXAMPLE_SEGMENT, {}, ("a",), True, True)
+    # The fresh id as a segment's object; a relationship argument that is
+    # a pool member but no object of the segment; a binding loop whose
+    # best object is outside the pool.
+    @example(
+        parse(OBJECT_LOCAL[3]), FRESH_SEGMENT, {}, ("a",), True, True
+    )
+    @example(
+        parse("exists y . holds_gun(y)"), EXAMPLE_SEGMENT, {},
+        ("a", "ghost"), True, True,
+    )
+    @example(
+        parse("exists x . present(x) or kind() = 'battle'"), EXAMPLE_SEGMENT,
+        {}, ("a",), True, True,
+    )  # fmt: skip
     @settings(max_examples=400, deadline=None)
-    def test_bit_identical(self, formula, segment, binding, universe, narrow):
-        pool = exists_pool(universe) if universe else ()
+    def test_bit_identical(
+        self, formula, segment, binding, universe, narrow, keyed
+    ):
+        """``keyed``: the pool as the table build hands it over, else
+        the plain ``exists_pool`` list."""
+        if keyed:
+            pool = builder_pool(universe)
+        else:
+            pool = exists_pool(universe) if universe else ()
         kernel = compile_atom(formula, narrow)
         handed = dict(binding)
         assert outcome(lambda: kernel(segment, handed, pool)) == outcome(
@@ -225,6 +315,111 @@ class TestKernelEqualsReference:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert got == expected
+
+
+class RecordingBinding(dict):
+    """A binding that records every variable a kernel writes to it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.written = []
+
+    def __setitem__(self, name, value):
+        self.written.append(name)
+        super().__setitem__(name, value)
+
+
+class TestObjectLocalExists:
+    """A narrowed one-variable ∃ whose body reads its variable only
+    through ``present`` and attribute accesses scores each instance and
+    binds nothing; every other body goes through the binding loop."""
+
+    @pytest.mark.parametrize("text", OBJECT_LOCAL)
+    def test_scored_per_instance_without_binding_writes(self, text):
+        formula = parse(text)
+        pool = builder_pool(("a", "b", "c", "ghost"))
+        binding = RecordingBinding()
+        local = compile_atom(formula, narrow=True)(
+            EXAMPLE_SEGMENT, binding, pool
+        )
+        assert binding.written == []
+        looped = compile_atom(formula, narrow=False)(
+            EXAMPLE_SEGMENT, binding, pool
+        )
+        assert binding.written
+        assert repr(local) == repr(looped)
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            parse("exists y . holds_gun(y)"),
+            parse("exists x . present(x) and kind() = 'battle'"),
+            parse("exists x . present(x) and present(z)"),
+            parse("exists x . present(x) and type(z) = 'person'"),
+            parse("exists x . type(x) = x"),
+            parse("exists x . [h := height(x)] h > 3"),
+            parse("exists x . exists y . present(x) and present(y)"),
+            ast.Exists(
+                ("x",),
+                ast.And(
+                    ast.Present(ast.ObjectVar("x")),
+                    ast.LooksLike(theta=0.5, clip=CLIP),
+                ),
+            ),
+        ],
+    )
+    def test_other_bodies_bind(self, formula):
+        binding = RecordingBinding({"z": "a"})
+        compile_atom(formula, narrow=True)(
+            EXAMPLE_SEGMENT, binding, builder_pool(("a", "b"))
+        )
+        assert set(binding.written) & set(formula.vars)
+
+    def test_a_segment_naming_the_fresh_id_binds_and_scores(self):
+        """Here the fresh id is a real object, not the stand-in for
+        every absent one, so the ∃ falls back to the binding loop."""
+        formula = parse(OBJECT_LOCAL[3])
+        binding = RecordingBinding()
+        actual = compile_atom(formula, narrow=True)(
+            FRESH_SEGMENT, binding, builder_pool(("a",))
+        )
+        assert binding.written
+        assert actual == score(formula, FRESH_SEGMENT, {}, ("a",), True)
+        # Every pool member is present: no id scores "absent" (1.0).
+        assert actual == 0.5
+
+
+def test_dense_type_reads_build_no_fact(tmp_path, monkeypatch):
+    """An indexed table build of ``mix-a``'s first atom over the ``dense``
+    smoke corpus reads ``type(x)`` from the type slot: it constructs no
+    ``Fact`` and never calls ``ObjectInstance.attribute``."""
+    database, __, __ = WORKLOADS["dense"](7, SMOKE, str(tmp_path)).inputs()
+    counts = {"Fact": 0, "ObjectInstance.attribute": 0}
+    post_init = Fact.__post_init__
+    attribute = ObjectInstance.attribute
+
+    def counting_post_init(self):
+        counts["Fact"] += 1
+        post_init(self)
+
+    def counting_attribute(self, name):
+        counts["ObjectInstance.attribute"] += 1
+        return attribute(self, name)
+
+    monkeypatch.setattr(Fact, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ObjectInstance, "attribute", counting_attribute)
+    atom = parse(OBJECT_LOCAL[0])
+    for video in database.videos():
+        pictures = video.root.pictures_at_level(LEVEL)
+        tables = pictures.stats.tables
+        table = pictures.similarity_table(atom, video.object_universe())
+        assert pictures.stats.tables == tables + 1
+        assert table.rows
+    assert counts == {"Fact": 0, "ObjectInstance.attribute": 0}
+    # The wrappers count: the reference scorer builds a Fact per read.
+    segment = next(s for s in pictures.segments if s.object_map())
+    assert score(atom, segment, {}, video.object_universe()) > 0
+    assert counts["Fact"] > 0 and counts["ObjectInstance.attribute"] > 0
 
 
 class TestErrorsStayLazyAndTyped:

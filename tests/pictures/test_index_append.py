@@ -5,15 +5,16 @@ place via :meth:`MetadataIndex.append_segments` instead of rebuilding
 it.  The contract, property-tested here over random segment lists and
 random split points: build-prefix-then-append is *document-identical*
 to building over the whole sequence — every postings family, the type
-pools, the content profiles, and hence every query answer.  The one
-documented exception is profile ids after a ``from_dict`` restore
-(the persisted document carries no content keys), where equal ids must
-still imply equal content, with only cross-boundary sharing lost.
+pools, the content profiles, and hence every query answer — also after
+a ``from_dict`` restore, whose first append rebuilds the content keys
+the persisted document does not carry from the segments it covers.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ModelError
 from repro.pictures.index import MetadataIndex
 from repro.pictures.retrieval import PictureRetrievalSystem
 from tests.pictures.test_index_driven import (
@@ -30,15 +31,6 @@ def split_segment_lists(draw):
     return segments, cut
 
 
-def partition_of(profiles):
-    """The equivalence classes a profile assignment induces over segment
-    positions — the label-free content of the assignment."""
-    classes = {}
-    for position, profile in enumerate(profiles):
-        classes.setdefault(profile, []).append(position)
-    return sorted(classes.values())
-
-
 class TestAppendEqualsRebuild:
     @settings(max_examples=120, deadline=None)
     @given(data=split_segment_lists())
@@ -50,28 +42,19 @@ class TestAppendEqualsRebuild:
 
     @settings(max_examples=60, deadline=None)
     @given(data=split_segment_lists())
-    def test_append_after_restore_keeps_postings_and_partition(self, data):
+    def test_append_after_restore_is_document_identical(self, data):
         segments, cut = data
-        restored = MetadataIndex.from_dict(MetadataIndex(segments[:cut]).to_dict())
-        restored.append_segments(segments[cut:])
-        whole = MetadataIndex(segments)
-        grown_doc = restored.to_dict()
-        whole_doc = whole.to_dict()
-        grown_profiles = grown_doc.pop("segment_profiles")
-        whole_profiles = whole_doc.pop("segment_profiles")
-        grown_doc.pop("n_profiles")
-        whole_doc.pop("n_profiles")
-        assert grown_doc == whole_doc
-        # The restored index has no content keys for the prefix, so a
-        # suffix segment duplicating prefix content opens a fresh id:
-        # the grown partition refines the full-build one (equal ids
-        # still imply equal content), never merges across it.
-        for grown_class in partition_of(grown_profiles):
-            whole_ids = {whole_profiles[position] for position in grown_class}
-            assert len(whole_ids) == 1, (
-                "a restored-then-appended profile class spans segments "
-                "with different content"
-            )
+        document = MetadataIndex(segments[:cut]).to_dict()
+        restored = MetadataIndex.from_dict(document)
+        restored.append_segments(segments[cut:], covered=segments[:cut])
+        assert restored.to_dict() == MetadataIndex(segments).to_dict()
+        if cut and cut < len(segments):
+            # Without the covered segments the restored profile ids have
+            # no content keys to extend.
+            with pytest.raises(ModelError, match="restored index"):
+                MetadataIndex.from_dict(document).append_segments(
+                    segments[cut:]
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(data=split_segment_lists(), atom=nontemporal_atoms())

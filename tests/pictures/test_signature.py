@@ -481,6 +481,27 @@ class TestClipScorer:
         gc.collect()
         assert scorer() is None
 
+    def test_evaluated_formulas_die_with_their_request(self):
+        """Keying a formula pins nothing: 1 000 evaluated distinct-θ
+        ``looks_like`` requests leave no node (and no clip scorer)
+        alive once the caller drops them.  Each request is planned, which
+        keys it; it gets an engine of its own because the planner's
+        bounded plan cache holds its plans' formulas for the engine's
+        life."""
+        database, bases = shared_signature_corpus()
+        alive = []
+        for step in range(1000):
+            formula = resolve_clips(
+                parse(f"looks_like('q', {0.5 + step / 4000})"),
+                {"q": (bases[0],)},
+            )
+            top_k_across_videos(RetrievalEngine(), formula, database, 3)
+            alive.append(weakref.ref(formula))
+            alive.append(weakref.ref(clip_scorer(formula)))
+        del formula
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
+
     def test_concurrent_fills_agree_and_share_one_scorer(self):
         """No lock guards the scorer: racing threads must still end up
         with one scorer per atom and the definitional score per entry."""
