@@ -73,12 +73,12 @@ def test_table3_eventually_moving_train(benchmark, report):
 
 
 def test_table4_query1(benchmark, database, report):
-    engine = RetrievalEngine()
     video = database.get("making-of-casablanca")
     formula = query1()
 
+    # A fresh engine per round: the list memo would answer a repeat.
     sim = benchmark(
-        engine.evaluate_video, formula, video, 2, database
+        lambda: RetrievalEngine().evaluate_video(formula, video, 2, database)
     )
     assert sim == expected_query1()
     measured = {

@@ -152,13 +152,17 @@ def test_fallback_recovery_latency(report):
                 build_segments(RECOVERY_SEGMENTS, 0.05, rng),
             )
         )
-    engine = RetrievalEngine()
+    planner = RetrievalEngine().planner
     k = 10
 
+    # A fresh engine (one shared planner) per run: the list memo would
+    # answer a repeat without touching the faulty index.
     def fault_free():
+        engine = RetrievalEngine(planner=planner)
         return top_k_across_videos(engine, QUERY, database, k=k)
 
     def degraded():
+        engine = RetrievalEngine(planner=planner)
         with resilience.scope():
             with inject(
                 FaultSpec(resilience.SITE_INDEX_LOOKUP), seed=7

@@ -161,8 +161,11 @@ def test_ingest_while_query_throughput(tmp_path, report):
                 formula, video, database=ingester.database
             )
             first_query = time.perf_counter() - start
+            # The warm query runs on a fresh engine (one shared planner):
+            # it measures a warm index, not a list memo hit.
+            warm_engine = RetrievalEngine(planner=engine.planner)
             start = time.perf_counter()
-            engine.evaluate_video(
+            warm_engine.evaluate_video(
                 formula, video, database=ingester.database
             )
             warm_query = time.perf_counter() - start

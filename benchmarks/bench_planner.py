@@ -166,9 +166,11 @@ def test_planner_work_cache_and_identity(report):
 
     # -- plan-cache warmth gate ------------------------------------------
     # A warm sweep must be pure cache hits: no support probes, no plan
-    # builds.
+    # builds.  It runs on a fresh engine sharing the planner, so the
+    # engine's list memo cannot answer it in the plan cache's place.
+    warm_engine = RetrievalEngine(planner=planned_engine.planner)
     warm_seconds, warm = best_of(
-        lambda: _sweep(planned_engine, planned_db), repeat=1
+        lambda: _sweep(warm_engine, planned_db), repeat=1
     )
     stats_after_warm = planned_engine.planner.stats
     assert [

@@ -21,7 +21,6 @@ Quickstart::
 
 from repro.core import (
     EngineConfig,
-    EvaluationCache,
     QueryBudget,
     RetrievalEngine,
     SimilarityList,
@@ -38,7 +37,6 @@ __version__ = "1.0.0"
 __all__ = [
     "RetrievalEngine",
     "EngineConfig",
-    "EvaluationCache",
     "SimilarityList",
     "SimilarityValue",
     "parse",

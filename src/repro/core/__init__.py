@@ -1,6 +1,5 @@
 """Core similarity-retrieval machinery: lists, tables, engine, oracles."""
 
-from repro.core.cache import CacheStats, EvaluationCache
 from repro.core.engine import EngineConfig, RetrievalEngine, actual_upper_bound
 from repro.core.explain import explain
 from repro.core.extensions import (
@@ -61,8 +60,6 @@ __all__ = [
     "OUTER",
     "RetrievalEngine",
     "EngineConfig",
-    "EvaluationCache",
-    "CacheStats",
     "actual_upper_bound",
     "explain",
     "RetrievedSegment",

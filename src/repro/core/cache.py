@@ -1,238 +1,96 @@
-"""Memoization for the retrieval engine — the multi-video fast path.
+"""The engine's memos: final per-video lists, and compiled query plans.
 
-The engine's structural recursion recomputes every subformula's similarity
-table from scratch on each :meth:`~repro.core.engine.RetrievalEngine.
-evaluate_video` call, and a multi-video ``top_k_across_videos`` repeats the
-whole derivation per video per query.  Sistla's follow-up work on sequence
-databases and the lazy neuro-symbolic evaluators make the same observation:
-most of that work is shared, so cache it.
+The paper's output unit is the similarity list of a formula over one
+video (§3.1), a pure function of the formula and the video's data; a
+request stream that repeats a query recomputes it.  :class:`ListMemo`
+keeps those final lists, one memo per
+:class:`~repro.core.engine.RetrievalEngine`, in the spirit of LazyVLM's
+reuse of its cheap symbolic stage (PAPERS.md).
 
-:class:`EvaluationCache` memoizes two things:
-
-* **similarity tables of subformulas** — keyed by the subformula's stable
-  structural key (:func:`repro.htl.ast.structural_key`), the evaluation
-  scope (video, level, and the position path for level-operator descents)
-  and the engine configuration.  Shared subformulas inside one query, and
-  across queries over the same video, evaluate once.
-* **whole-query similarity lists** — keyed by formula, video, level and
-  configuration, so a repeated query over an unchanged database is a pure
-  lookup.
-
-Invalidation is by *generation*: :class:`~repro.model.database.
-VideoDatabase` bumps a counter on every mutation (``add`` /
-``register_atomic``), and the cache drops everything when it observes a new
-generation via :meth:`sync`.  The cache therefore serves one database at a
-time; point a fresh cache at a second database rather than alternating.
-
-The cache is thread-safe, so one instance may serve queries running on
-several threads.
+The key names one database state of one video: the formula's
+:func:`~repro.htl.ast.structural_key`, the level, the video's name, its
+database stamp (:meth:`repro.model.database.VideoDatabase.stamp`, drawn
+from one process-wide counter) and its root's ``edits`` counter (direct
+hierarchy mutations).  A mutation therefore changes the key instead of
+invalidating an entry: stale entries are never hit and age out of the
+LRU.  The memo is bounded in *accounted* bytes (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.core.simlist import SimilarityList
-from repro.core.tables import SimilarityTable
 
-#: Default capacity bounds (entries, not bytes).  Subformula tables are
-#: small and numerous; whole-query lists are fewer and larger.
-DEFAULT_MAX_TABLES = 4096
-DEFAULT_MAX_LISTS = 1024
+#: The list memo's bound, in accounted bytes.
+LIST_MEMO_BYTES = 1 << 20
+#: An entry's accounted size: a list of ``r`` runs costs
+#: ``RUN_BYTES * r + LIST_BYTES`` (its column tuples and maximum), and the
+#: entry ``ENTRY_BYTES`` (key tuple, value tuple, dict slot and the key
+#: string's header, measured with tracemalloc) plus one byte per
+#: character of its key string.
+RUN_BYTES = 112
+LIST_BYTES = 100
+ENTRY_BYTES = 250
 #: Compiled query plans are tiny (decision maps over structural keys).
 DEFAULT_MAX_PLANS = 512
 
-
-@dataclass(frozen=True)
-class CacheStats:
-    """A snapshot of cache effectiveness counters."""
-
-    table_hits: int
-    table_misses: int
-    list_hits: int
-    list_misses: int
-    invalidations: int
-    table_entries: int
-    list_entries: int
-
-    @property
-    def hits(self) -> int:
-        return self.table_hits + self.list_hits
-
-    @property
-    def misses(self) -> int:
-        return self.table_misses + self.list_misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+#: (structural key, level, video name, database stamp, root edits)
+ListKey = Tuple[str, int, str, int, int]
 
 
-class EvaluationCache:
-    """Bounded, generation-invalidated memo for tables and lists.
+class ListMemo:
+    """A byte-bounded LRU memo of final per-video similarity lists.
 
-    Eviction is FIFO (oldest insertion first) — the access pattern is
-    "one query's subformulas, then the next query's", where recency
-    tracking buys little over insertion order.
+    An entry holds a list's column tuples, never the list object, and a
+    hit hands out a fresh :class:`~repro.core.simlist.SimilarityList`
+    over them: a caller that builds ``.entries`` on its copy cannot grow
+    the memo past its accounting.  ``hits``, ``misses`` and
+    ``evictions`` count since construction; ``nbytes`` is the accounted
+    size of what the memo holds.
     """
 
-    def __init__(
-        self,
-        max_tables: int = DEFAULT_MAX_TABLES,
-        max_lists: int = DEFAULT_MAX_LISTS,
-    ):
+    def __init__(self, max_bytes: int = LIST_MEMO_BYTES):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         self._lock = threading.Lock()
-        self._generation: Optional[int] = None
-        self._video_generations: Dict[str, int] = {}
-        self._tables: Dict[Hashable, SimilarityTable] = {}
-        self._lists: Dict[Hashable, SimilarityList] = {}
-        self.max_tables = max_tables
-        self.max_lists = max_lists
-        self._table_hits = 0
-        self._table_misses = 0
-        self._list_hits = 0
-        self._list_misses = 0
-        self._invalidations = 0
+        self._entries: "OrderedDict[ListKey, Tuple[Any, ...]]" = OrderedDict()
 
-    # ------------------------------------------------------------------
-    # invalidation
-    # ------------------------------------------------------------------
-    def sync(self, generation: int) -> None:
-        """Observe the database generation; drop everything on a change.
+    def __len__(self) -> int:
+        return len(self._entries)
 
-        The coarse legacy protocol, kept for whole-database swaps.  The
-        engine's per-video path (:meth:`sync_video`) makes an ingest of
-        one video invisible to every other video's memoized entries.
-        """
+    def get(self, key: ListKey) -> Optional[SimilarityList]:
         with self._lock:
-            if self._generation is None:
-                self._generation = generation
-            elif self._generation != generation:
-                self._tables.clear()
-                self._lists.clear()
-                self._video_generations.clear()
-                self._invalidations += 1
-                self._generation = generation
+            entry = self._entries.get(key)
+            if entry is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+        begins, ends, actuals, maximum, __ = entry
+        return SimilarityList.from_columns(begins, ends, actuals, maximum)
 
-    def sync_video(self, video_id: str, stamp: int) -> None:
-        """Observe one video's generation stamp; on a change drop only
-        that video's entries.
-
-        Stamps are monotonic per video (:meth:`repro.model.database.
-        VideoDatabase.video_generation`), but the cache only compares for
-        inequality, so it also tolerates a database swap that rewinds a
-        stamp.  Entries of other videos stay warm — the fix for the
-        all-or-nothing invalidation that made any append discard every
-        memoized table.
-        """
+    def put(self, key: ListKey, sim: SimilarityList) -> None:
+        cost = RUN_BYTES * len(sim) + LIST_BYTES + ENTRY_BYTES + len(key[0])
+        if cost > self.max_bytes:
+            return
+        entry = (sim.begins, sim.ends, sim.actuals, sim.maximum, cost)
         with self._lock:
-            known = self._video_generations.get(video_id)
-            if known is None:
-                self._video_generations[video_id] = stamp
-            elif known != stamp:
-                self._video_generations[video_id] = stamp
-                self._drop_video_locked(video_id)
-
-    def invalidate_video(self, video_id: str) -> int:
-        """Drop every entry scoped to one video; returns how many fell.
-
-        Matching is by key shape: list keys carry the video name as a
-        component, table keys carry it inside their ``(video, level)``
-        scope tuple.  A key part merely *containing* the name deeper down
-        can over-match — over-invalidation is safe, under-invalidation is
-        not.
-        """
-        with self._lock:
-            return self._drop_video_locked(video_id)
-
-    def _drop_video_locked(self, video_id: str) -> int:
-        def touches(key: Hashable) -> bool:
-            if not isinstance(key, tuple):
-                return False
-            return any(
-                part == video_id
-                or (isinstance(part, tuple) and video_id in part)
-                for part in key
-            )
-
-        stale_tables = [key for key in self._tables if touches(key)]
-        stale_lists = [key for key in self._lists if touches(key)]
-        for key in stale_tables:
-            del self._tables[key]
-        for key in stale_lists:
-            del self._lists[key]
-        if stale_tables or stale_lists:
-            self._invalidations += 1
-        return len(stale_tables) + len(stale_lists)
-
-    def clear(self) -> None:
-        """Drop all cached entries (counters are kept)."""
-        with self._lock:
-            self._tables.clear()
-            self._lists.clear()
-            self._video_generations.clear()
-
-    # ------------------------------------------------------------------
-    # tables (subformula memoization)
-    # ------------------------------------------------------------------
-    def get_table(self, key: Hashable) -> Optional[SimilarityTable]:
-        with self._lock:
-            table = self._tables.get(key)
-            if table is None:
-                self._table_misses += 1
-            else:
-                self._table_hits += 1
-            return table
-
-    def put_table(self, key: Hashable, table: SimilarityTable) -> None:
-        with self._lock:
-            while len(self._tables) >= self.max_tables:
-                self._tables.pop(next(iter(self._tables)))
-            self._tables[key] = table
-
-    # ------------------------------------------------------------------
-    # lists (whole-query memoization)
-    # ------------------------------------------------------------------
-    def get_list(self, key: Hashable) -> Optional[SimilarityList]:
-        with self._lock:
-            sim = self._lists.get(key)
-            if sim is None:
-                self._list_misses += 1
-            else:
-                self._list_hits += 1
-            return sim
-
-    def put_list(self, key: Hashable, sim: SimilarityList) -> None:
-        with self._lock:
-            while len(self._lists) >= self.max_lists:
-                self._lists.pop(next(iter(self._lists)))
-            self._lists[key] = sim
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                table_hits=self._table_hits,
-                table_misses=self._table_misses,
-                list_hits=self._list_hits,
-                list_misses=self._list_misses,
-                invalidations=self._invalidations,
-                table_entries=len(self._tables),
-                list_entries=len(self._lists),
-            )
-
-    def __repr__(self) -> str:
-        stats = self.stats()
-        return (
-            f"EvaluationCache(tables={stats.table_entries}, "
-            f"lists={stats.list_entries}, hits={stats.hits}, "
-            f"misses={stats.misses})"
-        )
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self.nbytes -= previous[-1]
+            self._entries[key] = entry
+            self.nbytes += cost
+            while self.nbytes > self.max_bytes:
+                __, evicted = self._entries.popitem(last=False)
+                self.nbytes -= evicted[-1]
+                self.evictions += 1
 
 
 @dataclass(frozen=True)
@@ -253,8 +111,7 @@ class PlanCacheStats:
 class PlanCache:
     """Bounded, generation-invalidated memo for compiled query plans.
 
-    Structurally a sibling of :class:`EvaluationCache` — same FIFO
-    eviction, same generation-counter ``sync`` — but values are opaque
+    FIFO eviction and generation-counter ``sync``; values are opaque
     (:class:`repro.core.planner.QueryPlan` objects; typed ``Any`` here so
     the cache layer never imports the planner).
     """

@@ -18,10 +18,10 @@ Two evaluation modes (DESIGN.md §2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core import extensions, ops, planner as planning, resilience, trace
-from repro.core.cache import EvaluationCache
+from repro.core.cache import ListKey, ListMemo
 from repro.core.explain import describe_node
 from repro.core.simlist import SimilarityList, SimilarityValue
 from repro.core.tables import INNER, OUTER, SimilarityTable, TableRow
@@ -88,9 +88,7 @@ class _SequenceContext:
 
     ``owner`` is the hierarchy node whose level-``level`` descendants form
     ``nodes``; when set, the picture-retrieval system is fetched from the
-    node's per-level cache instead of being rebuilt per call.  ``scope`` is
-    the stable identity of this sequence for the evaluation cache (None
-    disables memoization, e.g. for call-specific atomic lists).
+    node's per-level cache instead of being rebuilt per call.
     """
 
     video: Video
@@ -100,7 +98,6 @@ class _SequenceContext:
     pictures: Optional[PictureRetrievalSystem] = None
     universe: Tuple[str, ...] = ()
     owner: Optional[VideoNode] = None
-    scope: Optional[Tuple[Any, ...]] = None
     #: The compiled query plan steering this evaluation (None: structural
     #: order).  Shared down level-operator descents.
     plan: Optional[planning.QueryPlan] = None
@@ -118,22 +115,20 @@ class _SequenceContext:
 class RetrievalEngine:
     """Computes similarity lists for extended conjunctive HTL formulas.
 
-    Pass an :class:`~repro.core.cache.EvaluationCache` to memoize
-    subformula similarity tables within and across queries and whole-query
-    similarity lists across queries.  Caching applies only to evaluations
-    resolvable from a :class:`~repro.model.database.VideoDatabase` (whose
-    generation counter drives invalidation); calls supplying ad-hoc
-    ``atomic_lists`` bypass the cache entirely.
+    Every engine keeps a :class:`~repro.core.cache.ListMemo` of the final
+    per-video lists it computed, keyed by the formula, the level and the
+    video's stamp in its database (DESIGN.md §6): a repeated query over
+    an unchanged video is a lookup.  Calls without a database, or with
+    ad-hoc ``atomic_lists``, bypass the memo.
     """
 
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
-        cache: Optional[EvaluationCache] = None,
         planner: Optional[planning.Planner] = None,
     ):
         self.config = config or EngineConfig()
-        self.cache = cache
+        self.memo = ListMemo()
         if planner is None and self.config.plan:
             planner = planning.Planner()
         self.planner = planner
@@ -181,34 +176,46 @@ class RetrievalEngine:
         database: Optional[VideoDatabase],
         atomic_lists: Optional[Dict[str, SimilarityList]],
     ) -> SimilarityList:
-        self._validate(formula)
-        cache = self.cache
-        use_cache = (
-            cache is not None and database is not None and atomic_lists is None
-        )
-        key: Optional[Tuple[Any, ...]] = None
-        if use_cache:
-            # Per-video sync: an ingest into one video must not evict
-            # every other video's memoized tables and lists.
-            cache.sync_video(video.name, database.video_generation(video.name))
-            key = (
-                "list",
-                ast.structural_key(formula),
-                video.name,
-                level,
-                self.config,
-            )
-            hit = cache.get_list(key)
+        key = self._memo_key(formula, video, level, database, atomic_lists)
+        if key is not None:
+            hit = self.memo.get(key)
             if hit is not None:
+                # A hit costs what one subformula table does, so a
+                # deadline still expires on a query that only hits.
+                _charge_table_step()
                 trace.bump("cache-list-hit")
                 return hit
             trace.bump("cache-list-miss")
+        self._validate(formula)
         context = self._context(formula, video, level, database, atomic_lists)
         context.plan = self._plan_for(formula, context, database)
         result = self._table(formula, context).closed_list()
-        if use_cache and key is not None:
-            cache.put_list(key, result)
+        if key is not None:
+            self.memo.put(key, result)
         return result
+
+    @staticmethod
+    def _memo_key(
+        formula: ast.Formula,
+        video: Video,
+        level: int,
+        database: Optional[VideoDatabase],
+        atomic_lists: Optional[Dict[str, SimilarityList]],
+    ) -> Optional[ListKey]:
+        """The memo key of one evaluation, or None when it is not a pure
+        function of the database's state of ``video``."""
+        if database is None or atomic_lists is not None:
+            return None
+        stamp = database.stamp(video)
+        if stamp is None:
+            return None
+        return (
+            ast.structural_key(formula),
+            level,
+            video.name,
+            stamp,
+            video.root.edits,
+        )
 
     def _plan_for(
         self,
@@ -336,11 +343,6 @@ class RetrievalEngine:
             return None
 
         nodes = video.nodes_at_level(level)
-        cacheable = (
-            self.cache is not None
-            and database is not None
-            and atomic_lists is None
-        )
         return _SequenceContext(
             video=video,
             level=level,
@@ -348,54 +350,18 @@ class RetrievalEngine:
             atomics=resolve,
             universe=tuple(exists_pool(video.object_universe())),
             owner=video.root,
-            scope=(video.name, level) if cacheable else None,
         )
 
     def _table(
         self, formula: ast.Formula, context: _SequenceContext
     ) -> SimilarityTable:
-        """Similarity table of a subformula, memoized when a cache is set.
-
-        The memo key is the subformula's structural key plus the sequence
-        scope and the engine configuration, so a subformula shared between
-        two conjuncts (or between two queries over the same video)
-        evaluates once.  Tables are immutable once built — every combining
-        operation constructs fresh tables — so sharing is safe.
-        """
-        budget = resilience.current_budget()
-        if budget is not None:
-            # Each subformula table costs one cooperative step — so pure
-            # list-algebra queries (registered atomics) are visible to the
-            # step budget too — plus a forced deadline check to stay
-            # responsive between the fine-grained charges of the hot loops.
-            budget.charge(1, site="engine-table")
-            budget.checkpoint(site="engine-table")
+        """Similarity table of a subformula."""
+        _charge_table_step()
         recorder = trace.current()
         if recorder is None:
-            return self._table_memo(formula, context)
-        with recorder.span(trace.KIND_SUBFORMULA, describe_node(formula)):
-            return self._table_memo(formula, context)
-
-    def _table_memo(
-        self, formula: ast.Formula, context: _SequenceContext
-    ) -> SimilarityTable:
-        cache = self.cache
-        if cache is None or context.scope is None:
             return self._compute_table(formula, context)
-        key = (
-            "table",
-            ast.structural_key(formula),
-            context.scope,
-            self.config,
-        )
-        cached = cache.get_table(key)
-        if cached is not None:
-            trace.bump("cache-table-hit")
-            return cached
-        trace.bump("cache-table-miss")
-        table = self._compute_table(formula, context)
-        cache.put_table(key, table)
-        return table
+        with recorder.span(trace.KIND_SUBFORMULA, describe_node(formula)):
+            return self._compute_table(formula, context)
 
     def _compute_table(
         self, formula: ast.Formula, context: _SequenceContext
@@ -707,11 +673,6 @@ class RetrievalEngine:
                 atomics=context.atomics,
                 universe=context.universe,
                 owner=node,
-                scope=(
-                    context.scope + (position, target)
-                    if context.scope is not None
-                    else None
-                ),
                 plan=context.plan,
             )
             child_table = self._table(formula.sub, child_context)
@@ -741,6 +702,17 @@ class RetrievalEngine:
         ]
         rows = [row for row in rows if row.sim]
         return SimilarityTable(columns[0], columns[1], rows, maximum)
+
+
+def _charge_table_step() -> None:
+    """One cooperative budget step per subformula table — so pure
+    list-algebra queries (registered atomics) are visible to the step
+    budget too — plus a forced deadline check to stay responsive between
+    the fine-grained charges of the hot loops."""
+    budget = resilience.current_budget()
+    if budget is not None:
+        budget.charge(1, site="engine-table")
+        budget.checkpoint(site="engine-table")
 
 
 def _structural_maximum(

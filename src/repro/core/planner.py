@@ -29,8 +29,7 @@ The planner compiles an (engine-)formula into a :class:`QueryPlan`:
   key, the level, the engine config and the index's *statistics
   signature*.  Two videos (or shards) whose indices summarise identically
   share one plan, so multi-video top-k plans once per distinct index
-  shape; the database generation counter invalidates on mutation, exactly
-  like :class:`~repro.core.cache.EvaluationCache`.
+  shape; a video's database stamp retires its plans on mutation.
 
 A plan is a pure function of that key: costs are counted work (formula
 shape, posting-list lengths, pool sizes — the paper's own §3/§4 pricing),
@@ -321,8 +320,7 @@ class PlannerStats:
 class Planner:
     """Builds and caches query plans.
 
-    Thread-safe, like the evaluation cache: one planner may serve
-    engines on several threads.
+    Thread-safe: one planner may serve engines on several threads.
     """
 
     def __init__(self, cache: Optional[PlanCache] = None):
@@ -367,9 +365,8 @@ class Planner:
         ``generation`` is a mutation counter that keeps the plan cache
         coherent across index rebuilds.  With ``video`` it is the owning
         video's per-video stamp and only that video's tagged plans retire
-        on a change (:meth:`PlanCache.sync_video`); without it, it is the
-        database-wide counter and any change drops every plan, exactly
-        like :meth:`EvaluationCache.sync`.
+        on a change (:meth:`PlanCache.sync_video`); without it, any change
+        drops every plan.
         """
         if generation is not None:
             if video is not None:

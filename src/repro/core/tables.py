@@ -301,13 +301,6 @@ def _key_extractor(
     return lambda row: tuple(row.objects[p] for p in positions)
 
 
-def _box_extractor(
-    columns: Tuple[str, ...], common: List[str]
-) -> Callable[[TableRow], Box]:
-    positions = [columns.index(name) for name in common]
-    return lambda row: tuple(row.ranges[p] for p in positions)
-
-
 def _joined_row(
     key: Tuple[str, ...],
     left_row: Optional[TableRow],

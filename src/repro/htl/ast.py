@@ -484,11 +484,6 @@ def attr(name: str, *args: Term) -> AttrFunc:
     return AttrFunc(name, tuple(args))
 
 
-def const(value: Union[str, int, float]) -> Const:
-    """Shorthand constant constructor."""
-    return Const(value)
-
-
 def eq(left: Term, right: Term) -> Compare:
     """Shorthand equality comparison."""
     return Compare("=", left, right)

@@ -14,7 +14,6 @@ from repro.htl.ast import (
     AttrFunc,
     AttrVar,
     Compare,
-    Const,
     Exists,
     Formula,
     Freeze,
@@ -96,8 +95,3 @@ def free_attr_vars(formula: Formula) -> FrozenSet[str]:
 def is_closed(formula: Formula) -> bool:
     """True when the formula has no free variables of either kind."""
     return not free_object_vars(formula) and not free_attr_vars(formula)
-
-
-def is_constant_term(term: Term) -> bool:
-    """True when the term is a constant (no variables, no attribute access)."""
-    return isinstance(term, Const)

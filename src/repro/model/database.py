@@ -9,11 +9,16 @@ picture-retrieval system's output into the video-retrieval system.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.simlist import SimilarityList
 from repro.errors import ModelError
 from repro.model.hierarchy import Video
+
+#: One counter for every database of the process: a stamp names one
+#: database state of one video, whichever database drew it.
+_STAMPS = count(1)
 
 
 class VideoDatabase:
@@ -23,32 +28,29 @@ class VideoDatabase:
         self._videos: Dict[str, Video] = {}
         # (predicate name, video name, level) -> similarity list
         self._atomic: Dict[Tuple[str, str, int], SimilarityList] = {}
-        # Bumped on every mutation; EvaluationCache.sync compares it to
-        # decide when memoized results are stale.
-        self._generation = 0
-        # Per-video stamps: each mutation also stamps the one video it
-        # touched with the new global generation, so caches can invalidate
-        # only that video's entries (EvaluationCache.sync_video) instead
-        # of dropping everything on any change.
+        # video name -> the stamp of its last mutation.  Each mutation
+        # draws a fresh stamp, so the engine's list memo keys a video's
+        # state by its stamp and never needs to invalidate.
         self._video_generations: Dict[str, int] = {}
 
-    @property
-    def generation(self) -> int:
-        """Mutation counter: changes whenever cached results would be stale."""
-        return self._generation
-
     def video_generation(self, name: str) -> int:
-        """The monotonic stamp of one video's last mutation (0 if never).
+        """The stamp of one video's last mutation (0 if never).
 
-        Stamps share the global generation's number line, so for any
-        video ``video_generation(name) <= generation``, and two distinct
-        mutations never reuse a stamp.
+        Stamps come from one process-wide counter, so two distinct
+        mutations never share a stamp, in one database or across two.
         """
         return self._video_generations.get(name, 0)
 
-    def video_generations(self) -> Dict[str, int]:
-        """A snapshot of every video's stamp (for checkpoint bookkeeping)."""
-        return dict(self._video_generations)
+    def stamp(self, video: Video) -> Optional[int]:
+        """The stamp of ``video``'s state, or None when this database does
+        not hold that very object (an equal name is not enough)."""
+        if self._videos.get(video.name) is not video:
+            return None
+        return self._video_generations[video.name]
+
+    def _bump(self, name: str) -> int:
+        stamp = self._video_generations[name] = next(_STAMPS)
+        return stamp
 
     def touch(self, name: str) -> int:
         """Declare that a video's content changed in place; returns its
@@ -60,9 +62,7 @@ class VideoDatabase:
         """
         if name not in self._videos:
             raise ModelError(f"cannot touch unknown video {name!r}")
-        self._generation += 1
-        self._video_generations[name] = self._generation
-        return self._generation
+        return self._bump(name)
 
     # -- videos --------------------------------------------------------------
     def add(self, video: Video) -> Video:
@@ -70,8 +70,7 @@ class VideoDatabase:
         if video.name in self._videos:
             raise ModelError(f"video {video.name!r} already in the database")
         self._videos[video.name] = video
-        self._generation += 1
-        self._video_generations[video.name] = self._generation
+        self._bump(video.name)
         return video
 
     def replace(self, video: Video) -> Video:
@@ -87,8 +86,7 @@ class VideoDatabase:
                 f"cannot replace unknown video {video.name!r}"
             )
         self._videos[video.name] = video
-        self._generation += 1
-        self._video_generations[video.name] = self._generation
+        self._bump(video.name)
         return video
 
     def get(self, name: str) -> Video:
@@ -129,8 +127,7 @@ class VideoDatabase:
                 f"cannot register atomic {predicate!r}: no video {video!r}"
             )
         self._atomic[(predicate, video, level)] = sim_list
-        self._generation += 1
-        self._video_generations[video] = self._generation
+        self._bump(video)
 
     def atomic_list(
         self, predicate: str, video: str, level: int = 2
@@ -168,6 +165,5 @@ class VideoDatabase:
         for key in stale:
             del self._atomic[key]
         if stale:
-            self._generation += 1
-            self._video_generations[video] = self._generation
+            self._bump(video)
         return len(stale)

@@ -37,6 +37,7 @@ class VideoNode:
         "index",
         "_pictures",
         "_universe",
+        "edits",
         "__weakref__",
     )
 
@@ -60,6 +61,11 @@ class VideoNode:
         # first-seen order (Video.object_universe), with the lifetime of
         # _pictures — dropped wherever that is dropped.
         self._universe: Optional[Dict[str, None]] = None
+        # On a video's root only: bumped by every mutation that bypasses
+        # the database (add_child reaching the root, invalidate_pictures,
+        # Video.append_segments), so the engine's list memo keys the new
+        # state apart from the old one.
+        self.edits = 0
 
     @property
     def parent(self) -> Optional["VideoNode"]:
@@ -85,6 +91,8 @@ class VideoNode:
         while node is not None:
             node._pictures = None
             node._universe = None
+            if node.parent is None:
+                node.edits += 1
             node = node.parent
         return child
 
@@ -113,6 +121,7 @@ class VideoNode:
     def invalidate_pictures(self) -> None:
         """Drop cached picture systems (and, on a root, the cached object
         universe) on this node and all descendants."""
+        self.edits += 1
         for node in self.walk():
             node._pictures = None
             node._universe = None
@@ -299,6 +308,7 @@ class Video:
         if not segments:
             return []
         root = self.root
+        root.edits += 1
         pictures = root._pictures
         root._pictures = None
         if root._universe is not None:

@@ -8,11 +8,11 @@ snapshot, an ingester's live database) as
 ``ShardedCorpus.from_database(database)`` — whose shards load **once**,
 and :meth:`EnginePool.warm` touches every video's picture index at the
 serving level.  Every request is one ``corpus.top_k`` call.  Each worker
-keeps its own
-long-lived :class:`~repro.core.engine.RetrievalEngine`; the only state
-that persists across its requests is the planner's plan cache (no
-evaluation cache is constructed — query results are recomputed per
-request).
+keeps its own long-lived :class:`~repro.core.engine.RetrievalEngine`;
+what persists across its requests is the planner's plan cache and the
+engine's list memo (:class:`~repro.core.cache.ListMemo`).  Neither needs
+a commit listener: a commit gives each touched video a new stamp, so the
+memo's old entries are never hit again and age out.
 
 Every worker carries a :class:`~repro.core.resilience.CircuitBreaker`:
 repeated failures take the worker out of rotation (the server bounces
@@ -75,8 +75,9 @@ class EnginePool:
     """N warm workers over one shared :class:`~repro.shard.ShardedCorpus`.
 
     The corpus objects are immutable at serving time, so workers share
-    them; each worker's engine owns its own plan cache.  An in-memory
-    database is served as ``ShardedCorpus.from_database(database)``.
+    them; each worker's engine owns its own plan cache and list memo.  An
+    in-memory database is served as
+    ``ShardedCorpus.from_database(database)``.
     """
 
     def __init__(
@@ -128,9 +129,9 @@ class EnginePool:
         """Re-warm after a live ingest batch landed (checkpoint/commit).
 
         ``video_names`` limits the work to the videos the batch touched
-        (``None`` re-warms everything).  Per-worker plan caches need no
-        explicit drop: planners sync against per-video generation stamps,
-        so each touched video's stale plans fall on its next query.
+        (``None`` re-warms everything).  Per-worker plan caches and list
+        memos need no explicit drop: both key on per-video stamps, so a
+        touched video's stale plans and lists are never used again.
         Rebuilding the picture indexes here moves that cost off the
         serving path.  Returns the number of videos re-warmed.
 

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.core.cache import EvaluationCache
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.errors import IngestError
@@ -112,17 +111,15 @@ def test_append_keeps_other_videos_cache_warm(tmp_path):
     ingester = initialise(tmp_path, seed_database())
     ingester.add_video("live0", make_segments(4))
     ingester.commit()
-    cache = EvaluationCache()
-    engine = RetrievalEngine(cache=cache)
+    engine = RetrievalEngine()
     formula = parse("eventually $P1")
     seed_video = ingester.database.get("seed0")
     engine.evaluate_video(formula, seed_video, database=ingester.database)
-    # Streaming into live0 must not cost seed0 its memoized results.
+    # Streaming into live0 must not cost seed0 its memoized list.
     ingester.append_segments("live0", make_segments(2, seed=9))
     ingester.commit()
     engine.evaluate_video(formula, seed_video, database=ingester.database)
-    assert cache.stats().invalidations == 0
-    assert cache.stats().list_hits == 1
+    assert (engine.memo.hits, engine.memo.misses) == (1, 1)
     ingester.close()
 
 
@@ -134,8 +131,7 @@ def test_append_invalidates_only_the_touched_video(tmp_path):
         "live0", "P1", random_similarity_list(4, rng=rng)
     )
     ingester.commit()
-    cache = EvaluationCache()
-    engine = RetrievalEngine(cache=cache)
+    engine = RetrievalEngine()
     formula = parse("eventually $P1")
     live = ingester.database.get("live0")
     stale = engine.evaluate_video(formula, live, database=ingester.database)
@@ -144,7 +140,7 @@ def test_append_invalidates_only_the_touched_video(tmp_path):
     )
     ingester.commit()
     fresh = engine.evaluate_video(formula, live, database=ingester.database)
-    assert cache.stats().invalidations >= 1
+    assert (engine.memo.hits, engine.memo.misses) == (0, 2)
     assert fresh == RetrievalEngine().evaluate_video(
         formula, live, database=ingester.database
     )

@@ -593,13 +593,15 @@ def test_same_work_as_the_interpreting_scorer(name, tmp_path):
     """The smoke-size request stream under seed 7: picture counters,
     budget steps and ``atom-score`` fault-site visits are the parent's."""
     database, clips, stream = WORKLOADS[name](7, SMOKE, str(tmp_path)).inputs()
-    engine = RetrievalEngine()
+    planner = RetrievalEngine().planner
     budget = resilience.QueryBudget(max_steps=10**9)
     never = FaultSpec(resilience.SITE_ATOM_SCORE, rate=0.0)
     with inject(never) as chaos:
         for text in stream:
+            # A fresh engine (one shared planner) per request: a list
+            # memo hit would skip the kernel work this test pins.
             top_k_across_videos(
-                engine,
+                RetrievalEngine(planner=planner),
                 resolve_clips(parse(text), clips),
                 database,
                 K,

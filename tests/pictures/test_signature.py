@@ -445,9 +445,12 @@ class TestClipScorer:
         runs = count_kernel_runs(monkeypatch)
         clips = {"q": (bases[0], bases[3])}
         text = "looks_like('q', 0.9) and eventually (exists x . present(x))"
-        engine = RetrievalEngine(config)
+        planner = RetrievalEngine(config).planner
         for __ in range(2):
             formula = resolve_clips(parse(text), clips)
+            # A fresh engine (one shared planner) per request: a list
+            # memo hit would skip the kernel runs this test counts.
+            engine = RetrievalEngine(config, planner=planner)
             top_k_across_videos(engine, formula, database, 5, prune=False)
             # Sweep or oracle scan, three videos: one
             # kernel run per distinct signature — and a new request (a

@@ -5,8 +5,13 @@ import os
 
 import pytest
 
+from repro.core.engine import RetrievalEngine
+from repro.core.simlist import SimilarityList
 from repro.errors import ShardError
+from repro.htl import parse
 from repro.model.database import VideoDatabase
+from repro.model.hierarchy import flat_video
+from repro.model.metadata import SegmentMetadata
 from repro.shard import Shard, ShardedCorpus
 from repro.store import (
     SHARD_FORMAT_VERSION,
@@ -212,6 +217,20 @@ class TestShardedCorpusConstruction:
         assert sharded.n_shards == 2
         assert len(sharded) == 2
         assert sorted(sharded.video_names) == sorted(corpus.names())
+
+    def test_one_shard_is_the_database_itself(self):
+        # No copy: a video added after the corpus was built is ranked.
+        corpus = graded_corpus(n_videos=2)
+        sharded = ShardedCorpus.from_database(corpus)
+        assert sharded.shards[0].database() is corpus
+        late = flat_video("late", [SegmentMetadata()] * 3)
+        corpus.add(late)
+        corpus.register_atomic(
+            "P1", "late", SimilarityList.from_entries([((2, 2), 99.0)], 99.0)
+        )
+        assert "late" in sharded.video_names
+        top = sharded.top_k(RetrievalEngine(), parse("$P1"), 1)
+        assert [(hit.video, hit.segment_id) for hit in top] == [("late", 2)]
 
     def test_from_directory_is_lazy(self, corpus, tmp_path):
         save_sharded(corpus, tmp_path, 3)

@@ -71,6 +71,13 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
 
+    def test_validation_edges(self):
+        # A constant backoff is allowed; a zero cap is not.
+        flat = RetryPolicy(multiplier=1.0, jitter=0.0)
+        assert flat.backoff_s(3) == flat.backoff_s(1)
+        with pytest.raises(ValueError):
+            RetryPolicy(max_delay_ms=0.0)
+
 
 class TestShardRetry:
     def test_transient_failure_recovers_within_budget(self):

@@ -115,6 +115,15 @@ def test_syntax_errors_carry_positions():
         ("repro.model", "load_database"),
         ("repro.model.serialize", "dump_database"),
         ("repro.model.serialize", "load_database"),
+        ("repro", "EvaluationCache"),
+        ("repro.core", "EvaluationCache"),
+        ("repro.core", "CacheStats"),
+        ("repro.core.cache", "EvaluationCache"),
+        ("repro.core.cache", "CacheStats"),
+        ("repro.htl.ast", "const"),
+        ("repro.htl.variables", "is_constant_term"),
+        ("repro.model.database", "VideoDatabase.generation"),
+        ("repro.model.database", "VideoDatabase.video_generations"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -123,9 +132,10 @@ def test_deleted_names_stay_deleted(module, name):
     per-input constructors, the ingest delta chain, the intra-query
     thread pools (with their bound exchange, budget slices and trace
     hand-off), the global list-invariant switch (with the entry-object
-    constructor it guarded) and the plain-JSON database files (a store
-    snapshot is the one persistence format) are gone; nothing re-exports
-    them."""
+    constructor it guarded), the plain-JSON database files (a store
+    snapshot is the one persistence format), the opt-in evaluation cache
+    (every engine keeps a list memo) and helpers nothing called are
+    gone; nothing re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
@@ -142,12 +152,14 @@ def test_deleted_names_stay_deleted(module, name):
         ("repro.core.topk", "top_k_across_videos", "parallelism"),
         ("repro.core.topk", "top_k_across_videos", "exchange"),
         ("repro.shard", "ShardedCorpus.top_k", "parallelism"),
+        ("repro.core.engine", "RetrievalEngine.__init__", "cache"),
     ],
 )
 def test_deleted_parameters_stay_deleted(module, function, parameter):
     """A pool serves one corpus, a sharded query has no naive
-    scatter-gather mode, a query runs on one thread, and a checkpoint is
-    always one whole store snapshot."""
+    scatter-gather mode, a query runs on one thread, a checkpoint is
+    always one whole store snapshot, and an engine's list memo is not
+    optional."""
     import inspect
 
     owner = importlib.import_module(module)
