@@ -624,7 +624,7 @@ def _explain_plan(arguments: argparse.Namespace, formula) -> int:
         video.root.pictures_at_level(level),
         level,
         engine.config,
-        generation=database.video_generation(video_name),
+        generation=database.stamp(video),
         video=video_name,
     )
     if arguments.json:

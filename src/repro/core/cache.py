@@ -50,11 +50,12 @@ class ListMemo:
     over them: a caller that builds ``.entries`` on its copy cannot grow
     the memo past its accounting.  ``hits``, ``misses`` and
     ``evictions`` count since construction; ``nbytes`` is the accounted
-    size of what the memo holds.
+    size of what the memo holds, at most ``max_bytes``
+    (:data:`LIST_MEMO_BYTES`, read at construction).
     """
 
-    def __init__(self, max_bytes: int = LIST_MEMO_BYTES):
-        self.max_bytes = max_bytes
+    def __init__(self) -> None:
+        self.max_bytes = LIST_MEMO_BYTES
         self.nbytes = 0
         self.hits = 0
         self.misses = 0

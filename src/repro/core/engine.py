@@ -191,7 +191,10 @@ class RetrievalEngine:
         context.plan = self._plan_for(formula, context, database)
         result = self._table(formula, context).closed_list()
         if key is not None:
-            self.memo.put(key, result)
+            # The ranking loop's trust-boundary scan, run before storing:
+            # a list corrupted anywhere in this evaluation raises here
+            # and never becomes a lasting hit.
+            self.memo.put(key, result.validate())
         return result
 
     @staticmethod
@@ -249,7 +252,7 @@ class RetrievalEngine:
                 context.level,
                 self.config,
                 generation=(
-                    database.video_generation(context.video.name)
+                    database.stamp(context.video)
                     if database is not None
                     else None
                 ),

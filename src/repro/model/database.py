@@ -34,16 +34,21 @@ class VideoDatabase:
         self._video_generations: Dict[str, int] = {}
 
     def video_generation(self, name: str) -> int:
-        """The stamp of one video's last mutation (0 if never).
+        """The stamp of the video named ``name`` (0 if unknown).
 
-        Stamps come from one process-wide counter, so two distinct
-        mutations never share a stamp, in one database or across two.
+        The by-name twin of :meth:`stamp`, kept for the end-to-end
+        benchmark's layer profiler (``benchmarks/e2e/layers.py``); the
+        library reads :meth:`stamp`.
         """
         return self._video_generations.get(name, 0)
 
     def stamp(self, video: Video) -> Optional[int]:
         """The stamp of ``video``'s state, or None when this database does
-        not hold that very object (an equal name is not enough)."""
+        not hold that very object (an equal name is not enough).
+
+        Stamps come from one process-wide counter, so two distinct
+        mutations never share a stamp, in one database or across two.
+        """
         if self._videos.get(video.name) is not video:
             return None
         return self._video_generations[video.name]

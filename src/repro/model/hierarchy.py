@@ -61,10 +61,10 @@ class VideoNode:
         # first-seen order (Video.object_universe), with the lifetime of
         # _pictures — dropped wherever that is dropped.
         self._universe: Optional[Dict[str, None]] = None
-        # On a video's root only: bumped by every mutation that bypasses
-        # the database (add_child reaching the root, invalidate_pictures,
-        # Video.append_segments), so the engine's list memo keys the new
-        # state apart from the old one.
+        # Read on a video's root only: bumped there by every mutation
+        # that bypasses the database (add_child, invalidate_pictures on
+        # any node, Video.append_segments), so the engine's list memo
+        # keys the new state apart from the old one.
         self.edits = 0
 
     @property
@@ -120,8 +120,12 @@ class VideoNode:
 
     def invalidate_pictures(self) -> None:
         """Drop cached picture systems (and, on a root, the cached object
-        universe) on this node and all descendants."""
-        self.edits += 1
+        universe) on this node and all descendants, and count an edit on
+        the root."""
+        top = self
+        while top.parent is not None:
+            top = top.parent
+        top.edits += 1
         for node in self.walk():
             node._pictures = None
             node._universe = None

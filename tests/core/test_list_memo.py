@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS
-from repro.core import resilience
+from repro.core import cache, resilience
 from repro.core.cache import ListMemo
 from repro.core.engine import RetrievalEngine
 from repro.core.resilience import QueryBudget
@@ -216,12 +216,13 @@ class TestMemoCounters:
 
 
 class TestByteBound:
-    def test_lru_evicts_the_least_recently_used(self):
+    def test_lru_evicts_the_least_recently_used(self, monkeypatch):
         sim = SimilarityList.from_entries([((1, 1), 1.0)], 2.0)
         probe = ListMemo()
         probe.put(("k0", 2, "v", 1, 0), sim)
         cost = probe.nbytes
-        memo = ListMemo(max_bytes=3 * cost)
+        monkeypatch.setattr(cache, "LIST_MEMO_BYTES", 3 * cost)
+        memo = ListMemo()
         keys = [(f"k{i}", 2, "v", 1, 0) for i in range(4)]
         for key in keys[:3]:
             memo.put(key, sim)
@@ -231,17 +232,19 @@ class TestByteBound:
         assert memo.get(keys[1]) is None  # k1 was the least recent
         assert all(memo.get(key) == sim for key in (keys[0], keys[2], keys[3]))
 
-    def test_a_list_larger_than_the_bound_is_not_stored(self):
+    def test_a_list_larger_than_the_bound_is_not_stored(self, monkeypatch):
         runs = SimilarityList.from_entries(
             [((2 * i + 1, 2 * i + 1), 1.0) for i in range(50)], 2.0
         )
-        memo = ListMemo(max_bytes=1024)
+        monkeypatch.setattr(cache, "LIST_MEMO_BYTES", 1024)
+        memo = ListMemo()
         memo.put(("big", 2, "v", 1, 0), runs)
         assert (len(memo), memo.nbytes, memo.evictions) == (0, 0, 0)
 
-    def test_accounting_is_exact_bookkeeping(self):
+    def test_accounting_is_exact_bookkeeping(self, monkeypatch):
         rng = random.Random(SEED)
-        memo = ListMemo(max_bytes=20_000)
+        monkeypatch.setattr(cache, "LIST_MEMO_BYTES", 20_000)
+        memo = ListMemo()
         for position in range(200):
             sim = random_similarity_list(rng.randrange(1, 120), rng=rng)
             memo.put((f"q{position % 37}", 2, "v", position % 5, 0), sim)
@@ -295,7 +298,7 @@ SMALL_MEMO_COUNTS = {
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_MEMO_COUNTS))
-def test_smoke_stream_counts(name, tmp_path):
+def test_smoke_stream_counts(name, tmp_path, monkeypatch):
     """Seed 7, smoke size, every video evaluated.  With the default
     bound nothing is evicted, so each request's first occurrence misses
     once per video and each repeat hits once per video; under a 16 KiB
@@ -320,9 +323,8 @@ def test_smoke_stream_counts(name, tmp_path):
     assert memo.hits == (len(stream) - distinct) * len(database)
     assert (memo.evictions, len(memo)) == (0, memo.misses)
 
-    small = RetrievalEngine()
-    small.memo = ListMemo(max_bytes=16 * 1024)
-    small_memo = run(small)
+    monkeypatch.setattr(cache, "LIST_MEMO_BYTES", 16 * 1024)
+    small_memo = run(RetrievalEngine())
     assert (
         small_memo.hits,
         small_memo.misses,
@@ -436,6 +438,33 @@ class TestStamps:
         assert after != before
         assert after == ranking(RetrievalEngine(), formula, database)
         assert (engine.memo.hits, engine.memo.misses) == (2, 4)
+
+    def test_invalidate_pictures_below_the_root(self):
+        # An in-place edit under one scene, declared on that scene: the
+        # level operator reads the scene's own picture system.  The edit
+        # retypes an object, so the root's object universe stays right.
+        database = VideoDatabase()
+        car = SegmentMetadata(objects=[make_object("t", "car")])
+        scene = VideoNode(children=[VideoNode(), VideoNode(car)])
+        root = VideoNode(children=[scene, VideoNode(children=[VideoNode()])])
+        video = database.add(
+            Video("deep", root, {1: "video", 2: "scene", 3: "shot"})
+        )
+        engine = RetrievalEngine()
+        formula = parse(
+            "at_next_level(eventually (exists x . type(x) = 'train'))"
+        )
+        before = engine.evaluate_video(formula, video, 2, database)
+        scene.children[1].metadata = SegmentMetadata(
+            objects=[make_object("t", "train")]
+        )
+        scene.invalidate_pictures()
+        after = engine.evaluate_video(formula, video, 2, database)
+        assert after != before
+        assert after == RetrievalEngine().evaluate_video(
+            formula, video, 2, database
+        )
+        assert (engine.memo.hits, engine.memo.misses) == (0, 2)
 
     def test_two_databases_with_the_same_names_and_history(self):
         # Built by the same steps, so a per-database counter would give
@@ -563,6 +592,42 @@ class TestFailures:
         # Every stored list is the fault-free one: the repeat is all hits.
         assert ranking(engine, formula, database) == expected
         assert (engine.memo.hits, engine.memo.misses) == (3, 3)
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_corrupt_merge_never_becomes_a_lasting_hit(self, lenient):
+        # The list-merge site raises nothing inside the engine: the
+        # corrupted conjunction is the evaluation's final list, which the
+        # engine's own scan keeps out of the memo.
+        database = atomic_database()
+        formula = parse("$P1 and $P2")
+        expected = ranking(RetrievalEngine(), formula, database)
+        with inject(
+            FaultSpec(resilience.SITE_LIST_MERGE, rate=0.0)
+        ) as probe:
+            ranking(RetrievalEngine(), formula, database)
+        # A video's last visit is the merge of its rows; the ones before
+        # it probe the output maximum on empty lists.
+        per_video = probe.visits[resilience.SITE_LIST_MERGE] // len(database)
+        skip = per_video * (SEED % len(database)) + per_video - 1
+        engine = RetrievalEngine()
+        spec = FaultSpec(
+            resilience.SITE_LIST_MERGE, CORRUPT, max_faults=1, skip=skip
+        )
+        with inject(spec, seed=SEED) as chaos:
+            if lenient:
+                result = top_k_across_videos(
+                    engine, formula, database, 10**6, prune=False,
+                    lenient=True,
+                )
+                assert len(result.failed_videos) == 1
+            else:
+                with pytest.raises(SimilarityListInvariantError):
+                    ranking(engine, formula, database)
+        assert chaos.injected
+        stored = len(engine.memo)
+        assert ranking(engine, formula, database) == expected
+        assert engine.memo.hits == stored
+        assert len(engine.memo) == len(database)
 
     def test_a_corrupted_copy_never_reaches_the_memo(self):
         # The top-k worker site corrupts the list the engine handed out;
