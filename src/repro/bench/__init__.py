@@ -10,7 +10,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import (
     format_table,
-    perf_table_text,
     similarity_table_text,
 )
 
@@ -23,5 +22,4 @@ __all__ = [
     "compare_systems",
     "format_table",
     "similarity_table_text",
-    "perf_table_text",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.core import trace
 from repro.core.simlist import SimilarityList
@@ -160,18 +160,3 @@ def similarity_table_text(
     if title:
         return f"{title}\n{table}"
     return table
-
-
-def perf_table_text(
-    title: str,
-    rows: Sequence[Tuple[int, float, float]],
-    direct_label: str = "Direct Approach",
-    sql_label: str = "SQL-based",
-) -> str:
-    """A Table 5/6-style performance table (seconds)."""
-    formatted = [
-        (size, f"{direct_time:.4f}", f"{sql_time:.4f}")
-        for size, direct_time, sql_time in rows
-    ]
-    table = format_table(("Size", direct_label, sql_label), formatted)
-    return f"{title}\n{table}"

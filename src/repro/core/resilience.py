@@ -162,9 +162,9 @@ class QueryBudget:
     about to do (entries merged, segments scored, heap pushes).  Steps are
     counted exactly; the clock is consulted only every
     ``check_interval`` steps (and on every :meth:`checkpoint`), so an
-    active budget costs an integer add and compare per charge — measured
-    at under 5% on the sparse-5k atom-table benchmark
-    (``benchmarks/bench_chaos_recovery.py``).
+    active budget costs an integer add and compare per charge
+    (``tests/core/test_resilience.py`` pins the charges, checkpoints and
+    clock reads of an idle budget on the benchmark's smoke streams).
 
     ``clock`` is injectable for deterministic tests and must be monotone.
     One budget belongs to one query, which runs on one thread: every

@@ -237,7 +237,8 @@ class TopKResult(Sequence):
         """Provenance-preserving union of several results.
 
         The gather of independent per-corpus queries (the naive
-        scatter-gather baseline of ``benchmarks/bench_shards.py``):
+        scatter-gather baseline of
+        ``tests/shard/test_sharded_topk.py::TestSharedHeapPruning``):
         segments are unioned, deduplicated by ``(video, segment id)``
         keeping the highest actual value, re-ranked under the canonical
         total order ``(-actual, video, segment id)``, and truncated to
@@ -291,8 +292,8 @@ class TopKResult(Sequence):
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe summary of the ranking and its provenance.
 
-        The shape the serving layer returns to clients (DESIGN.md §14)
-        and the benchmarks embed in ``BENCH_*.json``: ranked segments,
+        The shape the serving layer returns to clients (DESIGN.md §14,
+        ``serve --json``): ranked segments,
         the per-video outcome ledger, and the partial flag.  ``profile``
         is *not* embedded — span trees export separately through
         :func:`repro.bench.reporting.observability_payload`.

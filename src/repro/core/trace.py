@@ -26,9 +26,9 @@ vs. ranking — and this module is where that attribution lives:
   ``METRICS.totals()`` exactly, not approximately.
 
 When no recorder is installed every span site costs one thread-local
-attribute read (gated by ``benchmarks/bench_trace_overhead.py``); when no
-recorder is installed *and* metrics are disabled, :func:`staged_span`
-adds one boolean check on top.
+attribute read and builds no :class:`Span` (``tests/core/test_trace.py``
+counts them); when no recorder is installed *and* metrics are disabled,
+:func:`staged_span` adds one boolean check on top.
 
 Imports nothing from the package, so the engine, the picture layer and
 the store can all import it without cycles.

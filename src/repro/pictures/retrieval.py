@@ -470,7 +470,8 @@ class PictureRetrievalSystem:
             if budget is not None:
                 # Charge in blocks: one budget call per 256 segments keeps
                 # step accounting exact at a fraction of the per-iteration
-                # cost (the <5% gate in bench_chaos_recovery.py).
+                # cost (tests/core/test_resilience.py pins the charges
+                # and clock reads of an idle budget).
                 pending += 1
                 if pending >= 256:
                     budget.charge(pending, site="atom-scoring")

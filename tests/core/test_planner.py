@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from benchmarks.e2e.streams import MIX_A_FIXED
-from benchmarks.e2e.workloads import LEVEL, SMOKE, WORKLOADS
+from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS, rows
 from repro.core import planner as planning
 from repro.core.cache import PlanCache
 from repro.core.engine import EngineConfig, RetrievalEngine
@@ -18,6 +18,7 @@ from repro.core.planner import (
     has_picture_atoms,
 )
 from repro.core.tables import OUTER
+from repro.core.topk import top_k_across_videos
 from repro.errors import HTLTypeError
 from repro.htl import ast, parse
 from repro.htl.pretty import pretty
@@ -284,6 +285,56 @@ def test_dense_smoke_atom_is_routed_per_binding(smoke_inputs):
         assert indexed.rows == naive.rows
 
 
+#: Two conjuncts of one shape (one free variable, one temporal operator):
+#: only index statistics can tell the common side from the rare one.
+SKEWED_QUERY = (
+    "exists x . ((eventually present(x)) and (eventually type(x) = 'person'))"
+)
+
+
+def test_smoke_planner_scores_fewer_segments_and_plans_once(tmp_path):
+    """On the ``sparse`` smoke corpus (one person-rich video of three),
+    seed 7: the planned sweep ranks as structural order does but scores
+    24 segments to its 36; the cold sweep builds one plan per distinct
+    index shape; a warm sweep on a fresh engine sharing the planner runs
+    no support probe and builds no plan."""
+    formula = parse(SKEWED_QUERY)
+
+    def sweep(engine, database):
+        ranked = top_k_across_videos(
+            engine, formula, database, K, level=LEVEL, prune=False
+        )
+        scored = sum(
+            video.root.pictures_at_level(LEVEL).stats.segments_scored
+            for video in database.videos()
+        )
+        return rows(ranked), scored
+
+    planned_db, __, __ = WORKLOADS["sparse"](7, SMOKE, str(tmp_path)).inputs()
+    structural_db, __, __ = WORKLOADS["sparse"](
+        7, SMOKE, str(tmp_path)
+    ).inputs()
+    engine = RetrievalEngine()
+    planned, planned_scored = sweep(engine, planned_db)
+    structural, structural_scored = sweep(
+        RetrievalEngine(EngineConfig(plan=False)), structural_db
+    )
+    assert planned == structural
+    assert (planned_scored, structural_scored) == (24, 36)
+
+    cold = engine.planner.stats
+    shapes = {
+        Statistics.from_pictures(video.root.pictures_at_level(LEVEL)).signature
+        for video in planned_db.videos()
+    }
+    assert cold.plans_built == len(shapes) == 2
+    probes = cold.support_probes
+    warm, __ = sweep(RetrievalEngine(planner=engine.planner), planned_db)
+    assert warm == planned
+    assert engine.planner.stats.support_probes == probes
+    assert engine.planner.stats.plans_built == len(shapes)
+
+
 # ---------------------------------------------------------------------------
 # plan caching
 # ---------------------------------------------------------------------------
@@ -477,8 +528,6 @@ def run_seeded_stream(seed=16, n_videos=6, n_requests=24):
     share a statistics signature and some do not; requests repeat, so
     the plan cache sees hits as well as misses.
     """
-    from repro.core.topk import top_k_across_videos
-
     rng = random.Random(seed)
     database = VideoDatabase()
     for position in range(n_videos):
@@ -536,8 +585,6 @@ class TestPlanObservability:
         engine = RetrievalEngine()
         formula = parse("exists x . present(x)")
         with trace.recording() as recorder:
-            from repro.core.topk import top_k_across_videos
-
             top_k_across_videos(engine, formula, database, k=3)
         root = recorder.roots[-1]
         assert root.attrs["plans-built"] == 1
@@ -553,8 +600,6 @@ class TestPlanObservability:
         database.add(skewed_video("b"))
         database.add(skewed_video("c"))
         engine = RetrievalEngine()
-        from repro.core.topk import top_k_across_videos
-
         top_k_across_videos(
             engine,
             parse("exists x . present(x)"),

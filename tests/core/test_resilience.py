@@ -4,7 +4,9 @@ import threading
 
 import pytest
 
+from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS, rows
 from repro.core import resilience, trace
+from repro.core.engine import RetrievalEngine
 from repro.core.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -13,10 +15,12 @@ from repro.core.resilience import (
     QueryBudget,
     ResilienceContext,
 )
+from repro.core.topk import top_k_across_videos
 from repro.errors import BudgetExceededError, CircuitOpenError
+from repro.htl import parse
 from repro.model.metadata import SegmentMetadata
 from repro.pictures.retrieval import PictureRetrievalSystem
-from repro.pictures.signature import looks_like_atom
+from repro.pictures.signature import looks_like_atom, resolve_clips
 
 
 class FakeClock:
@@ -119,6 +123,68 @@ class TestQueryBudget:
                 charged.append(budget.steps)
             # One step for the binding, one per segment visited.
             assert charged == [301, 301]
+
+
+#: Seed 7, smoke size, the whole stream: ``(steps, charges, checkpoints,
+#: clock reads)`` of one generous deadline budget per request.
+IDLE_BUDGET_WORK = {
+    "sparse": (1087, 321, 113, 125),
+    "dense": (2917, 272, 82, 100),
+    "temporal": (1211, 348, 224, 237),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDLE_BUDGET_WORK))
+def test_idle_budget_reads_the_clock_only_at_checkpoints(
+    name, tmp_path, monkeypatch
+):
+    """An armed deadline that never fires changes no answer.  Its cost is
+    an integer add per charge: the clock is read once at creation, once
+    per checkpoint, and once per ``check_interval`` steps, never per
+    charge."""
+    database, clips, stream = WORKLOADS[name](7, SMOKE, str(tmp_path)).inputs()
+    charges = []
+    checkpoints = []
+    charge, checkpoint = QueryBudget.charge, QueryBudget.checkpoint
+
+    def counted_charge(self, n=1, site=""):
+        charges.append(n)
+        return charge(self, n, site)
+
+    def counted_checkpoint(self, site=""):
+        checkpoints.append(site)
+        return checkpoint(self, site)
+
+    monkeypatch.setattr(QueryBudget, "charge", counted_charge)
+    monkeypatch.setattr(QueryBudget, "checkpoint", counted_checkpoint)
+    reads = []
+    clock = FakeClock()
+
+    def counted_clock():
+        reads.append(None)
+        return clock()
+
+    steps = 0
+    for text in stream:
+        formula = resolve_clips(parse(text), clips)
+
+        def ranked(budget=None):
+            return rows(
+                top_k_across_videos(
+                    RetrievalEngine(), formula, database, K, level=LEVEL,
+                    prune=False, budget=budget,
+                )
+            )
+
+        bare = ranked()
+        budget = QueryBudget(deadline_ms=10**9, clock=counted_clock)
+        assert ranked(budget) == bare
+        steps += budget.steps
+    assert (
+        steps, len(charges), len(checkpoints), len(reads)
+    ) == IDLE_BUDGET_WORK[name]
+    interval_reads = len(reads) - len(stream) - len(checkpoints)
+    assert 0 <= interval_reads <= steps // budget.check_interval
 
 
 class TestCircuitBreaker:

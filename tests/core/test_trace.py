@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS, rows
 from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
@@ -28,6 +29,7 @@ from repro.htl import parse
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
+from repro.pictures.signature import resolve_clips
 from repro.testing.faults import FaultSpec, inject
 
 
@@ -423,6 +425,45 @@ class TestTracedRetrieval:
             video.name for video in database.videos()
         }
         assert all(node.attrs.get("status") == "ok" for node in videos)
+
+    @pytest.mark.parametrize("name", ["dense", "sparse", "temporal"])
+    def test_disabled_tracing_builds_no_spans(
+        self, name, tmp_path, monkeypatch
+    ):
+        """With no recorder installed and metrics off, a span site is one
+        thread-local read: the smoke stream builds no ``Span`` and times
+        no stage.  Profiled with metrics on, the same requests rank
+        alike and build exactly the spans their trees hold."""
+        database, clips, stream = WORKLOADS[name](
+            7, SMOKE, str(tmp_path)
+        ).inputs()
+        built = []
+
+        class CountedSpan(trace.Span):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "Span", CountedSpan)
+
+        def ranked(text, profile):
+            return top_k_across_videos(
+                RetrievalEngine(), resolve_clips(parse(text), clips),
+                database, K, level=LEVEL, prune=False, profile=profile,
+            )
+
+        assert trace.current() is None
+        assert not trace.METRICS.is_enabled()
+        bare = [rows(ranked(text, False)) for text in stream]
+        assert built == []
+        assert trace.METRICS.totals() == {}
+        trace.METRICS.enable()
+        in_trees = 0
+        for text, expected in zip(stream, bare):
+            profiled = ranked(text, True)
+            assert rows(profiled) == expected
+            in_trees += sum(1 for __ in profiled.profile.walk())
+        assert len(built) == in_trees > len(stream)
 
     def test_span_rollup_reconciles_with_instrument_totals(self):
         """The acceptance criterion: per-stage totals from the span tree

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from benchmarks.e2e.corpora import append_batches
+from benchmarks.e2e.workloads import LEVEL, SMOKE, WORKLOADS
 from repro.core.engine import RetrievalEngine
 from repro.core.topk import top_k_across_videos
 from repro.errors import IngestError
@@ -14,6 +16,8 @@ from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
+from repro.pictures import index as index_module
+from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.serve import EnginePool, QueryRequest
 from repro.shard import ShardedCorpus
 from repro.workloads.synthetic import random_similarity_list
@@ -227,3 +231,53 @@ def test_closed_ingester_refuses_mutations(tmp_path):
     ingester.close()
     with pytest.raises(IngestError, match="closed"):
         ingester.add_video("live0", [])
+
+
+def test_append_indexes_only_the_appended_segments(tmp_path, monkeypatch):
+    """A committed append extends the warm picture system in place and
+    builds no index.  The ingester's database is restored from its
+    snapshot, so the first append also rebuilds the content keys of the
+    restored profile ids, once; after that an append, its commit and the
+    next query compute one content key per appended segment.  The
+    extended index is the one a rebuild over the whole sequence gives."""
+    database, __, __ = WORKLOADS["sparse"](7, SMOKE, str(tmp_path)).inputs()
+    batches = append_batches(random.Random(7), 2, SMOKE.live_batch)
+    formula = parse("exists x . present(x) and type(x) = 'person'")
+    keyed = []
+    builds = []
+    content_key = index_module._content_key
+    build = index_module.MetadataIndex.__init__
+
+    def counted_key(segment):
+        keyed.append(segment)
+        return content_key(segment)
+
+    def counted_build(self, segments):
+        builds.append(len(segments))
+        build(self, segments)
+
+    with initialise(tmp_path / "live", database) as ingester:
+        video = ingester.database.get("vid000")
+        RetrievalEngine().evaluate_video(formula, video, LEVEL)
+        pictures = video.root.pictures_at_level(LEVEL)
+        prefix = list(pictures.segments)
+        monkeypatch.setattr(index_module, "_content_key", counted_key)
+        monkeypatch.setattr(
+            index_module.MetadataIndex, "__init__", counted_build
+        )
+        keyed_per_append = []
+        for batch in batches:
+            keyed.clear()
+            ingester.append_segments("vid000", batch)
+            ingester.commit()
+            RetrievalEngine().evaluate_video(formula, video, LEVEL)
+            keyed_per_append.append(len(keyed))
+        monkeypatch.undo()
+    first, second = batches
+    assert keyed_per_append == [len(prefix) + len(first), len(second)]
+    assert builds == []
+    assert video.root.pictures_at_level(LEVEL) is pictures
+    appended = prefix + first + second
+    assert len(video.nodes_at_level(LEVEL)) == len(appended)
+    rebuilt = PictureRetrievalSystem(appended)
+    assert pictures.index.to_dict() == rebuilt.index.to_dict()

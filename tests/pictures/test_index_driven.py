@@ -8,9 +8,11 @@ These tests check that claim property-style, plus the soundness of the
 analysis itself (nothing outside the candidate set is ever visited).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.e2e.workloads import LEVEL, SMOKE, WORKLOADS
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.errors import HTLTypeError
 from repro.htl import ast
@@ -323,3 +325,58 @@ class TestSupportSoundness:
         assert system.stats.fingerprint_hits == 0
         (row,) = table.rows
         assert row.sim.actual_at(3) == row.sim.actual_at(8) > 0
+
+
+# ---------------------------------------------------------------------------
+# sweep work on the end-to-end benchmark's smoke corpora
+# ---------------------------------------------------------------------------
+#: One atom per table shape: open, closed ∃ with a relationship, and a
+#: closed ∃ whose body is a negation (a nonzero baseline).
+SWEEP_ATOMS = [
+    "present(x) and type(x) = 'person'",
+    "exists x . present(x) and holds_gun(x)",
+    "exists x . not present(x)",
+]
+#: Seed 7, every video, every atom above: ``(bindings, segments_scored,
+#: fingerprint_hits, candidate_segments, dense_bindings)`` of the indexed
+#: table builds.
+SMOKE_SWEEP_WORK = {
+    "sparse": (24, 50, 0, 50, 0),
+    "dense": (16, 0, 0, 0, 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_SWEEP_WORK))
+def test_smoke_sweep_visits_exactly_its_candidates(name, tmp_path):
+    """A swept binding visits exactly its candidate set, each visit a
+    kernel call or a profile-memo hit; on ``dense`` the density cutoff
+    routes every binding to the naive scan, so the sweep visits
+    nothing.  Every indexed table equals the naive scan's."""
+    database, __, __ = WORKLOADS[name](7, SMOKE, str(tmp_path)).inputs()
+    work = [0] * 5
+    for video in database.videos():
+        pictures = video.root.pictures_at_level(LEVEL)
+        for text in SWEEP_ATOMS:
+            atom = parse(text)
+            naive = pictures.similarity_table(atom, use_index=False)
+            pictures.stats.reset()
+            indexed = pictures.similarity_table(atom)
+            assert indexed.object_vars == naive.object_vars
+            assert indexed.attr_vars == naive.attr_vars
+            assert indexed.rows == naive.rows
+            stats = pictures.stats
+            assert (
+                stats.segments_scored + stats.fingerprint_hits
+                == stats.candidate_segments
+            )
+            for position, value in enumerate(
+                (
+                    stats.bindings,
+                    stats.segments_scored,
+                    stats.fingerprint_hits,
+                    stats.candidate_segments,
+                    stats.dense_bindings,
+                )
+            ):
+                work[position] += value
+    assert tuple(work) == SMOKE_SWEEP_WORK[name]

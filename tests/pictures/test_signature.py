@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.e2e.workloads import LEVEL, SMOKE, WORKLOADS
 from repro.core.engine import EngineConfig, RetrievalEngine
+from repro.core.simlist import SimilarityList
 from repro.core.topk import top_k_across_videos
 from repro.errors import (
     HTLTypeError,
@@ -457,6 +459,39 @@ class TestClipScorer:
             # newly resolved formula) starts from an empty memo.
             assert sorted(runs) == sorted(bases)
             runs.clear()
+
+    def test_smoke_probe_runs_the_kernel_once_per_distinct_signature(
+        self, tmp_path, monkeypatch
+    ):
+        """The ``sparse`` smoke corpus, seed 7: three videos of 40
+        segments share 40 shot signatures.  One request for the
+        ``probe`` clip runs the kernel 40 times, not 120, and each
+        video's list is the brute-force definition's: the full blended
+        similarity of every window, no bound, no memo."""
+        database, clips, __ = WORKLOADS["sparse"](
+            7, SMOKE, str(tmp_path)
+        ).inputs()
+        runs = count_kernel_runs(monkeypatch)
+        formula = resolve_clips(parse("looks_like('probe', 0.9)"), clips)
+        engine = RetrievalEngine()
+        signatures = []
+        for video in database.videos():
+            segments = video.root.pictures_at_level(LEVEL).segments
+            signatures.extend(segment.signature for segment in segments)
+            values = {}
+            for segment_id, segment in enumerate(segments, start=1):
+                best = max(
+                    window_similarity(segment.signature, window)
+                    for window in formula.clip
+                )
+                if best >= formula.theta:
+                    values[segment_id] = best
+            assert values
+            assert engine.evaluate_video(
+                formula, video, LEVEL
+            ) == SimilarityList.from_segment_values(values, 1.0)
+        assert len(signatures) == 120
+        assert len(runs) == len(set(runs)) == len(set(signatures)) == 40
 
     def test_atoms_never_share_entries(self):
         loose = looks_like_atom([PALETTE[0]], 0.55)

@@ -11,6 +11,7 @@ from repro.serve import (
     QueryRequest,
     RetrievalServer,
     ServeResult,
+    SLAClass,
     Ticket,
 )
 from repro.serve.request import (
@@ -246,6 +247,108 @@ class TestDrain:
         # Admission happened inside one clock reading.
         assert stats.admission_ms["count"] == 1
         assert stats.admission_ms["max"] == 0.0
+
+
+#: One fake-clock tick is one service time: each tick every pooled worker
+#: takes and serves one ticket.
+TICK_S = 1.0
+SLA_CYCLE = ("interactive", "standard", "batch")
+
+
+def drive(server, pool, now, arrivals):
+    """Hand-driven dispatch on a fake clock: at each tick submit that
+    tick's requests, then let every worker serve one queued ticket, then
+    advance the clock.  Runs until the arrivals are spent and the queue
+    is empty; returns the admitted tickets and the rejections."""
+    tickets = []
+    rejected = []
+    tick = 0
+    while tick < len(arrivals) or server._queue.depth():
+        for sla in arrivals[tick] if tick < len(arrivals) else ():
+            try:
+                tickets.append(server.submit(request_for(sla=sla)))
+            except ServeRejected as rejection:
+                rejected.append(rejection)
+        for worker in pool.workers:
+            ticket = server._queue.take(0.0)
+            if ticket is not None:
+                server._serve_one(worker, ticket)
+        now[0] += TICK_S
+        tick += 1
+    return tickets, rejected
+
+
+class TestOverload:
+    """Twice the load the pool can serve, on a fake clock: outcomes are
+    decided by dispatch order and shedding, never by scheduler jitter."""
+
+    def test_twice_the_load_keeps_interactive_inside_its_deadline(
+        self, pool, reference
+    ):
+        """Twelve ticks of four arrivals against two workers.  Strict
+        priority serves every interactive request in the tick it
+        arrives, inside a two-tick deadline, while standard and batch
+        queue behind it; nothing is shed and the ledger balances."""
+        now = [0.0]
+        interactive = SLAClass(
+            "interactive", deadline_ms=2_000.0 * TICK_S, queue_limit=32,
+            priority=2,
+        )
+        server = RetrievalServer(
+            pool,
+            classes=serve_classes(interactive=interactive),
+            clock=lambda: now[0],
+        )
+        server._started = True  # no threads: we drive dispatch by hand
+        cycle = iter(SLA_CYCLE * 16)
+        arrivals = [
+            [next(cycle) for __ in range(2 * pool.n_workers)]
+            for __ in range(12)
+        ]
+        tickets, rejected = drive(server, pool, now, arrivals)
+        stats = server.close()
+        assert stats.conserved and not rejected
+        results = [ticket.result(0.0) for ticket in tickets]
+        assert {result.status for result in results} == {STATUS_COMPLETED}
+        waits = {
+            sla: max(r.total_ms for r in results if r.sla == sla)
+            for sla in SLA_CYCLE
+        }
+        assert waits == {
+            "interactive": 0.0, "standard": 6_000.0, "batch": 16_000.0,
+        }
+        assert all(
+            list(result.topk) == list(reference) for result in results
+        )
+
+    def test_capacity_burst_sheds_only_batch(self, pool, reference):
+        """Twelve batch then four interactive requests into a queue of
+        four, before any worker runs: every shed request is batch and
+        carries a retry hint, batch beyond what it can shed is
+        rejected, and the ledger balances once the queue drains."""
+        now = [0.0]
+        server = RetrievalServer(
+            pool, classes=serve_classes(), capacity=4, clock=lambda: now[0]
+        )
+        server._started = True  # no threads: we drive dispatch by hand
+        tickets, rejected = drive(
+            server, pool, now, [["batch"] * 12 + ["interactive"] * 4]
+        )
+        stats = server.close()
+        assert stats.conserved
+        results = [ticket.result(0.0) for ticket in tickets]
+        shed = [r for r in results if r.status == STATUS_SHED]
+        completed = [r for r in results if r.status == STATUS_COMPLETED]
+        assert [r.sla for r in shed] == ["batch"] * 4
+        assert all(
+            r.retry_after_ms is not None and r.retry_after_ms >= 0.0
+            for r in shed
+        )
+        assert [r.sla for r in completed] == ["interactive"] * 4
+        assert [rejection.sla for rejection in rejected] == ["batch"] * 8
+        assert all(
+            list(result.topk) == list(reference) for result in completed
+        )
 
 
 class TestTicket:

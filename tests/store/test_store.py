@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from benchmarks.e2e.workloads import SMOKE, WORKLOADS
 from repro.core import trace
 from repro.core.engine import RetrievalEngine
 from repro.errors import (
@@ -33,6 +34,7 @@ from repro.store import (
     Store,
     default_level,
 )
+from repro.store import store as store_module
 from repro.workloads.synthetic import random_similarity_list
 
 
@@ -142,6 +144,54 @@ class TestRoundTrip:
         loaded = store.load(verify=False)
         assert not loaded.verified
         assert database_to_dict(loaded.database) == reference
+
+    @pytest.mark.parametrize("name", ["sparse", "temporal"])
+    def test_verified_load_reads_and_hashes_each_file_once(
+        self, name, tmp_path, monkeypatch
+    ):
+        """Verification costs one SHA-256 pass over bytes already read:
+        a verified load reads exactly the files an unverified one does,
+        each once, and hashes each file the manifests vouch for once.
+        Both rebuild the database without a recovery action."""
+        database, __, __ = WORKLOADS[name](7, SMOKE, str(tmp_path)).inputs()
+        reference = database_to_dict(database)
+        store = Store(tmp_path / "store", keep=1)
+        info = store.save(database)
+        reads = []
+        hashed = []
+        read_bytes = Store._read_bytes
+        digest = store_module.sha256_hex
+
+        def counted_read(self, path):
+            data = read_bytes(self, path)
+            reads.append((os.path.basename(path), len(data)))
+            return data
+
+        def counted_digest(data):
+            hashed.append(len(data))
+            return digest(data)
+
+        monkeypatch.setattr(Store, "_read_bytes", counted_read)
+        monkeypatch.setattr(store_module, "sha256_hex", counted_digest)
+        loads = {}
+        for verify in (False, True):
+            reads.clear()
+            hashed.clear()
+            loaded = store.load(verify=verify)
+            assert database_to_dict(loaded.database) == reference
+            assert loaded.verified is verify and not loaded.recovered
+            loads[verify] = (list(reads), sum(hashed), len(hashed))
+        files = loads[False][0]
+        assert sorted(file_name for file_name, __ in files) == sorted(
+            [MANIFEST_NAME, store_module.SNAPSHOT_MANIFEST, *info.artifacts]
+        )
+        assert loads[False][1:] == (0, 0)
+        assert loads[True][0] == files
+        # Every file but the top manifest is vouched for by a digest.
+        vouched = [
+            size for file_name, size in files if file_name != MANIFEST_NAME
+        ]
+        assert loads[True][1:] == (sum(vouched), len(vouched))
 
     def test_retention_prunes_beyond_keep(self, tmp_path, database):
         store = Store(tmp_path / "store", keep=2)

@@ -10,7 +10,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import (
     format_table,
-    perf_table_text,
     similarity_table_text,
 )
 from repro.core.simlist import SimilarityList
@@ -80,11 +79,3 @@ class TestReporting:
         text = similarity_table_text(sim)
         assert "2.5" in text
         assert "2.500" not in text
-
-    def test_perf_table(self):
-        text = perf_table_text(
-            "Table 5", [(10_000, 0.0015, 0.031), (50_000, 0.0075, 0.19)]
-        )
-        assert text.splitlines()[0] == "Table 5"
-        assert "0.0015" in text
-        assert "SQL-based" in text
