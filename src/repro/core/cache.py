@@ -1,4 +1,5 @@
-"""The engine's memos: final per-video lists, and compiled query plans.
+"""The engine's memos: final per-video lists, ``looks_like`` tables, and
+compiled query plans.
 
 The paper's output unit is the similarity list of a formula over one
 video (§3.1), a pure function of the formula and the video's data; a
@@ -14,6 +15,11 @@ from one process-wide counter) and its root's ``edits`` counter (direct
 hierarchy mutations).  A mutation therefore changes the key instead of
 invalidating an entry: stale entries are never hit and age out of the
 LRU.  The memo is bounded in *accounted* bytes (DESIGN.md §6).
+
+:class:`ClipMemo` keeps the θ-free half of ``looks_like`` scoring, one
+:class:`~repro.pictures.signature.ClipTable` per clip value, so every
+request for a clip — whatever its θ — reuses the best similarities
+earlier requests computed (DESIGN.md §16).  It is bounded the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.core.simlist import SimilarityList
+from repro.pictures.signature import Clip, ClipTable, Window
 
 #: The list memo's bound, in accounted bytes.
 LIST_MEMO_BYTES = 1 << 20
@@ -35,6 +42,20 @@ LIST_MEMO_BYTES = 1 << 20
 RUN_BYTES = 112
 LIST_BYTES = 100
 ENTRY_BYTES = 250
+#: The clip memo's bound, in accounted bytes.
+CLIP_MEMO_BYTES = 1 << 20
+#: An entry of a clip table costs ``SIGNATURE_BYTES + SIGNATURE_BIN_BYTES
+#: * n`` for an ``n``-bin signature (key tuple, its floats, the value
+#: float and the dict slot); a table ``TABLE_BYTES + WINDOW_BYTES * w +
+#: CLIP_BIN_BYTES * b`` for a clip of ``w`` windows and ``b`` bins in all
+#: (the clip, its prepared vectors, the table and its registry slot).
+#: Both measured with tracemalloc; a signature tuple the corpus also
+#: holds costs less than it is accounted, so the bound errs safe.
+SIGNATURE_BYTES = 100
+SIGNATURE_BIN_BYTES = 32
+TABLE_BYTES = 510
+WINDOW_BYTES = 275
+CLIP_BIN_BYTES = 97
 #: Compiled query plans are tiny (decision maps over structural keys).
 DEFAULT_MAX_PLANS = 512
 
@@ -92,6 +113,69 @@ class ListMemo:
                 __, evicted = self._entries.popitem(last=False)
                 self.nbytes -= evicted[-1]
                 self.evictions += 1
+
+
+class ClipMemo:
+    """A byte-bounded LRU of θ-free ``looks_like`` tables, one per clip.
+
+    :meth:`table` hands out the table of a clip *value* — a request
+    rebuilds its clip tuple, so identity never repeats — and the engine
+    binds it to the request's atoms
+    (:func:`~repro.pictures.signature.bind_clip_scorers`).  Scorers read
+    ``entries`` without a lock; every write goes through :meth:`store`
+    under the lock, which accounts it, marks the table most recently
+    used and evicts least recently used tables (their ``entries``
+    cleared in place) while ``nbytes`` exceeds ``max_bytes``
+    (:data:`CLIP_MEMO_BYTES`, read at construction).  An evicted table
+    still bound to a live atom stores nothing more; the next request for
+    its clip gets a new table.
+    """
+
+    def __init__(self) -> None:
+        self.max_bytes = CLIP_MEMO_BYTES
+        self.nbytes = 0
+        self.evictions = 0
+        self._lock = threading.Lock()
+        self._tables: "OrderedDict[Clip, ClipTable]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def table(self, clip: Clip) -> ClipTable:
+        with self._lock:
+            table = self._tables.get(clip)
+            if table is None:
+                table = self._tables[clip] = ClipTable(clip, self)
+                table.nbytes = (
+                    TABLE_BYTES
+                    + WINDOW_BYTES * len(clip)
+                    + CLIP_BIN_BYTES * sum(map(len, clip))
+                )
+                self.nbytes += table.nbytes
+                self._evict_locked()
+            else:
+                self._tables.move_to_end(clip)
+        return table
+
+    def store(self, table: ClipTable, signature: Window, best: float) -> None:
+        cost = SIGNATURE_BYTES + SIGNATURE_BIN_BYTES * len(signature)
+        with self._lock:
+            if self._tables.get(table.clip) is not table:
+                return
+            self._tables.move_to_end(table.clip)
+            if signature not in table.entries:
+                table.entries[signature] = best
+                table.nbytes += cost
+                self.nbytes += cost
+            self._evict_locked()
+
+    def _evict_locked(self) -> None:
+        while self.nbytes > self.max_bytes:
+            __, evicted = self._tables.popitem(last=False)
+            self.nbytes -= evicted.nbytes
+            evicted.nbytes = 0
+            evicted.entries.clear()
+            self.evictions += 1
 
 
 @dataclass(frozen=True)

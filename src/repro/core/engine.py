@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.core import extensions, ops, planner as planning, resilience, trace
-from repro.core.cache import ListKey, ListMemo
+from repro.core.cache import ClipMemo, ListKey, ListMemo
 from repro.core.explain import describe_node
 from repro.core.simlist import SimilarityList, SimilarityValue
 from repro.core.tables import INNER, OUTER, SimilarityTable, TableRow
@@ -49,6 +49,7 @@ from repro.pictures.retrieval import (
     _check_attr_var_usage,
 )
 from repro.pictures.scoring import exists_pool, max_similarity
+from repro.pictures.signature import bind_clip_scorers
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,9 @@ class RetrievalEngine:
     per-video lists it computed, keyed by the formula, the level and the
     video's stamp in its database (DESIGN.md §6): a repeated query over
     an unchanged video is a lookup.  Calls without a database, or with
-    ad-hoc ``atomic_lists``, bypass the memo.
+    ad-hoc ``atomic_lists``, bypass the memo.  Its
+    :class:`~repro.core.cache.ClipMemo` keeps every ``looks_like`` clip's
+    best similarity per stored signature, whatever the θ (DESIGN.md §16).
     """
 
     def __init__(
@@ -129,6 +132,7 @@ class RetrievalEngine:
     ):
         self.config = config or EngineConfig()
         self.memo = ListMemo()
+        self.clip_memo = ClipMemo()
         if planner is None and self.config.plan:
             planner = planning.Planner()
         self.planner = planner
@@ -187,6 +191,7 @@ class RetrievalEngine:
                 return hit
             trace.bump("cache-list-miss")
         self._validate(formula)
+        bind_clip_scorers(formula, self.clip_memo.table)
         context = self._context(formula, video, level, database, atomic_lists)
         context.plan = self._plan_for(formula, context, database)
         result = self._table(formula, context).closed_list()

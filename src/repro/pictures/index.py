@@ -57,12 +57,26 @@ def _length_summary(lengths: List[int]) -> Dict[str, float]:
     }
 
 
+#: The content key of a segment with no objects, attributes,
+#: relationships or signature: what :func:`_content_key` would build.
+_NO_CONTENT: tuple = ((), (), (), None)
+
+
 def _content_key(segment: SegmentMetadata) -> tuple:
     """Canonical, order-insensitive key of a segment's full meta-data.
 
     Mixed-type values make direct tuple comparison unsafe, so the sorts
-    key on ``repr`` — deterministic and total over our value types.
+    key on ``repr`` — deterministic and total over our value types.  A
+    metadata-free segment (registered-list corpora hold nothing else)
+    gets the constant :data:`_NO_CONTENT` without building anything.
     """
+    if (
+        segment.signature is None
+        and not segment.object_map()
+        and not segment.attributes
+        and not segment.relationships
+    ):
+        return _NO_CONTENT
     objects = tuple(
         sorted(
             (
@@ -172,11 +186,13 @@ class MetadataIndex:
             for segment in segments
         )
         self.n_profiles = len(profile_ids)
-        # Retained so append_segments assigns the same profile ids a full
-        # rebuild would.  None after from_dict — the persisted document has
-        # no content keys — until the first append rebuilds them from the
-        # segments the index covers.
-        self._profile_keys: Optional[Dict[tuple, int]] = profile_ids
+        # Content keys are most of an index's memory (400 of 437 KB on the
+        # dense benchmark corpus) and only appends read them, so none are
+        # kept: the first append rebuilds one per profile from the
+        # segments the index covers — this sequence, or after from_dict
+        # (whose document has no keys) the caller's ``covered``.
+        self._profile_keys: Optional[Dict[tuple, int]] = None
+        self._built_over: Optional[Sequence[SegmentMetadata]] = segments
 
     # -- incremental maintenance ----------------------------------------------
     def append_segments(
@@ -194,14 +210,19 @@ class MetadataIndex:
         element-for-element identical to an index built over the full
         sequence (property-tested).
 
-        ``covered`` is the sequence the index already covers.  Only an
-        index restored by :meth:`from_dict` reads it, once: its first
-        append rebuilds the content keys of the restored profile ids, so
-        its appends reuse them as a rebuild would.
+        The first append rebuilds the content keys of the current
+        profile ids, one per profile, so appends reuse them as a rebuild
+        would.  It reads them off the sequence the index was built over,
+        or for an index restored by :meth:`from_dict` off ``covered``, the
+        sequence the index already covers; nothing else reads
+        ``covered``.
         """
         if not segments:
             return self.n_segments
         if self._profile_keys is None:
+            if self._built_over is not None:
+                covered = self._built_over
+                self._built_over = None
             if len(covered) != self.n_segments:
                 raise ModelError(
                     f"a restored index over {self.n_segments} segments "
@@ -481,6 +502,7 @@ class MetadataIndex:
             )
             index.n_profiles = int(document["n_profiles"])
             index._profile_keys = None
+            index._built_over = None
         except ModelError:
             raise
         except Exception as error:

@@ -469,7 +469,7 @@ def compile_atom(formula: ast.Formula, narrow: bool = False) -> Kernel:
       follows the kernel's visiting order.
     * ``looks_like`` goes through
       :func:`~repro.pictures.signature.looks_like_score` and with it the
-      atom's request-scoped clip scorer.
+      atom's clip scorer.
 
     Nothing is cached: callers compile per table build and drop the
     kernel (DESIGN.md §7 has the measurement behind that).

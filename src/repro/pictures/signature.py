@@ -20,8 +20,8 @@ Per-window similarity blends two classic recipes:
   mapped from ``[-1, 1]`` to ``[0, 1]``.
 
 ``window_similarity = 0.5·hist + 0.5·ssim`` — both terms are bounded, so
-``0.5·hist + 0.5`` is an admissible upper bound: when it already misses
-θ the SSIM term cannot rescue the window, and scoring skips the
+``0.5·hist + 0.5`` is an admissible upper bound: when it cannot beat the
+best window so far, the SSIM term cannot either, and scoring skips the
 covariance pass entirely.  The short-circuit lives *here*, shared by the
 indexed sweep and the naive oracle, so both paths return bit-identical
 floats by construction.
@@ -34,8 +34,18 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from operator import mul, sub
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import SignatureError, WorkloadError
 from repro.htl import ast
@@ -113,9 +123,18 @@ def clip_from_segments(segments: Sequence[SegmentMetadata]) -> Clip:
 def looks_like_atom(
     clip: Sequence[Sequence[float]], theta: float, name: str = ""
 ) -> ast.LooksLike:
-    """A resolved ``looks_like`` atom over explicit signature windows."""
+    """A resolved ``looks_like`` atom over explicit signature windows.
+
+    A window that already is a tuple of floats is kept as given, so the
+    atoms every request resolves from one clip share its windows rather
+    than each holding a copy.
+    """
     windows = tuple(
-        tuple(float(bin_value) for bin_value in window) for window in clip
+        window
+        if type(window) is tuple
+        and all(type(bin_value) is float for bin_value in window)
+        else tuple(float(bin_value) for bin_value in window)
+        for window in clip
     )
     if not windows:
         raise SignatureError("a looks_like atom needs at least one window")
@@ -251,52 +270,63 @@ def window_bound(first: Sequence[float], second: Sequence[float]) -> float:
     return 0.5 * (1.0 - _l1_distance(first, second) / 2.0) + 0.5
 
 
-class ClipScorer:
-    """Scores stored signatures against one clip at one θ, each once.
+class ClipTable:
+    """Best per-window similarity of stored signatures against one clip.
 
-    Built once per resolved :class:`~repro.htl.ast.LooksLike` atom
-    object (:func:`clip_scorer`) and shared by everything that scores
-    that object during a request — the indexed sweep and the naive
-    oracle scan, of every video, shard and worker thread.  Two things
-    are kept (DESIGN.md §16):
+    The θ-free half of ``looks_like`` scoring (DESIGN.md §16).  Two things
+    are kept:
 
     * each clip window *prepared* once — bin count, mass-normalised
       vector, mean, variance, deviations from the mean — so a signature
       is normalised once per call instead of once per window, and the
       window never again;
-    * a memo ``signature value → score``: a recurring shot signature
-      runs the kernel once, however many segments and videos carry it.
+    * ``entries``, a map ``signature value → best similarity``: a
+      recurring shot signature runs the kernel once, however many
+      segments, videos and thresholds meet it.
 
     Both are filled lazily on the query path and never at index build.
     The arithmetic is that of :func:`window_bound` and
     :func:`window_similarity` operation for operation (same operands,
-    same order, same ``sum``), so every score is bit-identical to the
-    definitional one.  Concurrent fills need no lock: an entry is a pure
-    function of (clip, θ, signature), so racing writers store equal
-    values.  The scorer holds the clip and θ, not the atom — no cycle,
-    so it is freed the moment its atom is.
+    same order, same ``sum``), so every entry is bit-identical to
+    ``max(window_similarity(signature, w) for w in clip)``.  A window
+    whose L1 bound cannot beat the running best skips its SSIM pass:
+    within one window ``similarity ≤ bound`` holds in floating point, so
+    the skipped window could not have raised the maximum.
+
+    Without an ``owner`` a fresh entry goes straight into ``entries`` (a
+    private table, unbounded, freed with its atom).  An owner such as
+    :class:`~repro.core.cache.ClipMemo` gets it through its ``store``
+    method, which accounts and bounds it and may clear ``entries`` in
+    place; ``nbytes`` is what the owner accounts to the table.  The owner
+    is held weakly, so an owner that holds its tables forms no cycle, and
+    a table outliving its owner stores nothing more.  Readers need no
+    lock: an entry is a pure function of (clip, signature), so whatever
+    a concurrent reader sees is either absent or the right float.
     """
 
-    def __init__(self, clip: Clip, theta: float):
-        self._clip = clip
-        self._theta = theta
+    def __init__(self, clip: Clip, owner: Optional[Any] = None):
+        self.clip = clip
+        self.entries: Dict[Window, float] = {}
+        self.nbytes = 0
+        self._owner = None if owner is None else weakref.ref(owner)
         self._windows: Optional[List[tuple]] = None
-        self._memo: Dict[Window, float] = {}
 
-    def score(self, signature: Optional[Window]) -> float:
-        """Best per-window similarity when it clears θ, else 0."""
-        if signature is None:
-            return 0.0
-        known = self._memo.get(signature)
-        if known is None:
-            known = self._memo[signature] = self._compute(signature)
-        return known
+    def fill(self, signature: Window) -> float:
+        """Run the kernel for one signature and keep its entry."""
+        best = self._compute(signature)
+        if self._owner is None:
+            self.entries[signature] = best
+        else:
+            owner = self._owner()
+            if owner is not None:
+                owner.store(self, signature, best)
+        return best
 
     def _prepared_windows(self) -> List[tuple]:
         windows = self._windows
         if windows is None:
             windows = []
-            for window in self._clip:
+            for window in self.clip:
                 count = len(window)
                 total = sum(window)
                 if total <= 0.0:
@@ -318,7 +348,6 @@ class ClipScorer:
         return windows
 
     def _compute(self, signature: Window) -> float:
-        theta = self._theta
         count = len(signature)
         total = sum(signature)
         normalised = deviations = None
@@ -343,8 +372,9 @@ class ClipScorer:
                     )
                 normalised = [value / total for value in signature]
             distance = sum(map(abs, map(sub, normalised, w_normalised)))
-            # window_bound: the SSIM term is at most 1.
-            if 0.5 * (1.0 - distance / 2.0) + 0.5 < theta:
+            # window_bound: the SSIM term is at most 1, so this window
+            # cannot beat a running best its bound does not exceed.
+            if 0.5 * (1.0 - distance / 2.0) + 0.5 <= best:
                 continue
             if deviations is None:
                 mean = total / count
@@ -365,7 +395,33 @@ class ClipScorer:
             )
             if similarity > best:
                 best = similarity
-        return best if best >= theta else 0.0
+        return best
+
+
+class ClipScorer:
+    """The θ half of ``looks_like`` scoring, one per resolved atom object.
+
+    Holds the atom's θ and a :class:`ClipTable` for its clip, and answers
+    ``best if best >= θ else 0``: atoms that differ only in θ share one
+    table's entries but never a threshold.  An engine binds its own
+    table (:func:`bind_clip_scorers`); an atom scored outside an engine
+    gets a private table on first use (:func:`clip_scorer`).  The hit
+    path is one dict read and one comparison, with no lock.
+    """
+
+    def __init__(self, table: ClipTable, theta: float):
+        self.table = table
+        self.theta = theta
+        self._entries = table.entries
+
+    def score(self, signature: Optional[Window]) -> float:
+        """Best per-window similarity when it clears θ, else 0."""
+        if signature is None:
+            return 0.0
+        best = self._entries.get(signature)
+        if best is None:
+            best = self.table.fill(signature)
+        return best if best >= self.theta else 0.0
 
 
 #: Instance-dict slot of an atom's scorer.  Not a dataclass field, so it
@@ -375,7 +431,10 @@ _SCORER_SLOT = "_clip_scorer"
 
 
 def clip_scorer(atom: ast.LooksLike) -> ClipScorer:
-    """The scorer of one resolved atom object, built on first use."""
+    """The scorer of one resolved atom object, built on first use.
+
+    An atom no engine has bound gets a scorer over a private table.
+    """
     scorer = vars(atom).get(_SCORER_SLOT)
     if scorer is None:
         if not atom.resolved:
@@ -385,9 +444,30 @@ def clip_scorer(atom: ast.LooksLike) -> ClipScorer:
             )
         # setdefault is atomic: racing threads end up sharing one scorer.
         scorer = vars(atom).setdefault(
-            _SCORER_SLOT, ClipScorer(atom.clip, atom.theta)
+            _SCORER_SLOT, ClipScorer(ClipTable(atom.clip), atom.theta)
         )
     return scorer
+
+
+def bind_clip_scorers(
+    formula: ast.Formula, table_for: Callable[[Clip], ClipTable]
+) -> None:
+    """Give each resolved, unbound ``looks_like`` atom in ``formula`` a
+    scorer over ``table_for(atom.clip)``.
+
+    An atom that already has a scorer keeps it — bound by another engine
+    or built privately, its entries are the same pure function of
+    (clip, signature).  Unresolved atoms are left to raise when scored.
+    """
+    for node in formula.walk():
+        if (
+            isinstance(node, ast.LooksLike)
+            and node.resolved
+            and _SCORER_SLOT not in vars(node)
+        ):
+            vars(node).setdefault(
+                _SCORER_SLOT, ClipScorer(table_for(node.clip), node.theta)
+            )
 
 
 def looks_like_score(
@@ -398,11 +478,11 @@ def looks_like_score(
     The best per-window similarity when it clears θ, else 0.  A segment
     without a signature (annotation-only metadata, the representative
     empty segment of baseline probes) scores 0 — it cannot look like
-    anything.  Windows whose cheap L1 bound already misses θ skip the
-    SSIM pass; a window with true similarity ≥ θ always survives the
-    bound, so the thresholded result is exactly the unpruned one.  The
-    work happens in the atom's :class:`ClipScorer`, which scores each
-    distinct signature value once.
+    anything.  The atom's :class:`ClipScorer` thresholds the θ-free best
+    similarity its :class:`ClipTable` computes once per distinct
+    signature value; windows whose cheap L1 bound cannot beat the
+    running best skip the SSIM pass, so the best is exactly the unpruned
+    maximum and the thresholded result exactly the definition's.
     """
     return clip_scorer(atom).score(signature)
 

@@ -45,7 +45,6 @@ from typing import (
 from repro.core import resilience
 from repro.htl import ast
 from repro.pictures.index import MetadataIndex
-from repro.pictures.scoring import FRESH_OBJECT_ID
 
 #: A binding of variable names to values (mirrors repro.pictures.scoring).
 Binding = Dict[str, Union[str, int, float]]
@@ -90,7 +89,9 @@ class SupportAnalyzer:
         set is worth walking is the caller's policy.  ``pool`` is the
         object universe quantified (``∃``) variables range over; a
         quantified variable's postings are the union over it.  The
-        fresh-object sentinel carries no meta-data and is dropped.
+        fresh-object sentinel stays in it: no segment carries it, so it
+        adds no postings, unless a segment names it as a real object —
+        then that segment is a candidate like any other.
 
         ``charge=False`` skips the budget step charge: planner probes
         estimate evaluation cost without performing evaluation work, so
@@ -100,9 +101,7 @@ class SupportAnalyzer:
         if charge and budget is not None:
             budget.charge(1, site="atom-scoring")
         pool_ids = tuple(
-            object_id
-            for object_id in pool
-            if isinstance(object_id, str) and object_id != FRESH_OBJECT_ID
+            object_id for object_id in pool if isinstance(object_id, str)
         )
         return self._formula(atom, binding, frozenset(), pool_ids)
 

@@ -64,6 +64,9 @@ from repro.serve.sla import SLAClass, default_classes, validate_classes
 #: work, large enough that idle workers do not spin.
 _IDLE_WAIT_S = 0.02
 
+#: How often :meth:`RetrievalServer.close` re-checks a draining queue.
+_DRAIN_POLL_S = 0.005
+
 #: EWMA smoothing for the service-time estimate feeding admission
 #: control.  0.2 ≈ the last ~10 requests dominate, so the estimate
 #: tracks load shifts within one queue's worth of work.
@@ -576,10 +579,12 @@ class RetrievalServer:
 
         Idempotent.  Admission closes immediately (new submits are
         rejected ``closing``); queued and in-flight work gets the drain
-        timeout to finish; whatever is still unresolved afterwards is
-        swept ``timed-out``.  An injected fault at the ``serve-drain``
-        site is absorbed and counted — a failing drain hook must never
-        leave the ledger unbalanced.
+        timeout to finish — measured on the server's clock and in polls
+        of its sleep, and cut short once no worker thread is alive;
+        whatever is still unresolved afterwards is swept ``timed-out``.
+        An injected fault at the ``serve-drain`` site is absorbed and
+        counted — a failing drain hook must never leave the ledger
+        unbalanced.
         """
         with self._lock:
             already_closed = self._closed
@@ -597,13 +602,20 @@ class RetrievalServer:
             if drain_timeout_ms is not None
             else self.drain_timeout_ms
         )
+        # The wait ends at the deadline, after the timeout's worth of
+        # sleeps (an injected clock may stand still), or once no worker
+        # thread is left to drain anything.
         deadline = self._clock() + timeout_ms / 1000.0
-        while self._clock() < deadline:
+        sleeps_left = timeout_ms / (1000.0 * _DRAIN_POLL_S)
+        while self._clock() < deadline and sleeps_left > 0:
             with self._lock:
                 in_flight = self._in_flight
             if self._queue.depth() == 0 and in_flight == 0:
                 break
-            self._sleep(0.005)
+            if not any(thread.is_alive() for thread in self._threads):
+                break
+            self._sleep(_DRAIN_POLL_S)
+            sleeps_left -= 1
         drained_error = BudgetExceededError(
             "server drained before the request could run",
             site="serve-drain",

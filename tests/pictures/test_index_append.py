@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.model.metadata import Relationship, SegmentMetadata, make_object
 from repro.pictures.index import MetadataIndex
 from repro.pictures.retrieval import PictureRetrievalSystem
 from tests.pictures.test_index_driven import (
@@ -67,3 +68,47 @@ class TestAppendEqualsRebuild:
             grown.similarity_table(atom, use_index=True),
             whole.similarity_table(atom, use_index=True),
         )
+
+
+def content_segments():
+    """Metadata-free segments interleaved with one segment per kind of
+    content, and a repeat of each, with their expected profile ids."""
+    person = [make_object("o1", "person")]
+    kinds = [
+        lambda: SegmentMetadata(objects=person),
+        lambda: SegmentMetadata(attributes={"kind": "a"}),
+        lambda: SegmentMetadata(relationships=[Relationship("near", ("o1",))]),
+        lambda: SegmentMetadata(signature=(1.0, 2.0)),
+    ]
+    segments = [SegmentMetadata()]
+    for make in kinds + kinds:
+        segments += [make(), SegmentMetadata()]
+    return segments, (0, 1, 0, 2, 0, 3, 0, 4, 0, 1, 0, 2, 0, 3, 0, 4, 0)
+
+
+class TestMetadataFreeProfiles:
+    """Metadata-free segments share one constant content key: their
+    profiles are what the full key gave them, fresh, after an append and
+    after a restore's first append."""
+
+    def test_fresh_build(self):
+        segments, expected = content_segments()
+        index = MetadataIndex(segments)
+        assert index.segment_profiles() == expected
+        assert index.n_profiles == 5
+        empty = MetadataIndex([SegmentMetadata() for __ in range(32)])
+        assert empty.segment_profiles() == (0,) * 32
+        assert empty.n_profiles == 1
+
+    @pytest.mark.parametrize("cut", [0, 1, 2, 9, 16, 17])
+    def test_append_and_restored_append(self, cut):
+        segments, expected = content_segments()
+        grown = MetadataIndex(segments[:cut])
+        grown.append_segments(segments[cut:])
+        restored = MetadataIndex.from_dict(
+            MetadataIndex(segments[:cut]).to_dict()
+        )
+        restored.append_segments(segments[cut:], covered=segments[:cut])
+        for index in (grown, restored):
+            assert index.segment_profiles() == expected
+            assert index.n_profiles == 5

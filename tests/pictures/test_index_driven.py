@@ -326,6 +326,24 @@ class TestSupportSoundness:
         (row,) = table.rows
         assert row.sim.actual_at(3) == row.sim.actual_at(8) > 0
 
+    def test_a_segment_naming_the_fresh_id_is_a_candidate(self):
+        """A segment whose only object carries the fresh-object id: the
+        naive scan binds ∃x to it and scores 1, so the support analysis
+        must keep that id's postings."""
+        segments = [
+            SegmentMetadata(objects=[make_object(FRESH_OBJECT_ID, "person")]),
+            SegmentMetadata(),
+            SegmentMetadata(),
+        ]
+        system = PictureRetrievalSystem(segments)
+        atom = parse("exists x . present(x)")
+        indexed = system.similarity_table(atom, use_index=True)
+        assert_tables_equal(
+            indexed, system.similarity_table(atom, use_index=False)
+        )
+        assert indexed.rows[0].sim.actual_at(1) == 1.0
+        assert system.atom_support(atom, {}) == (1,)
+
 
 # ---------------------------------------------------------------------------
 # sweep work on the end-to-end benchmark's smoke corpora

@@ -12,15 +12,19 @@ check those claims property-style, mirroring ``test_index_driven.py``.
 
 import gc
 import math
+import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchmarks.e2e.workloads import LEVEL, SMOKE, WORKLOADS
+from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS
+from repro.core import cache
+from repro.core.cache import ClipMemo
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.simlist import SimilarityList
 from repro.core.topk import top_k_across_videos
@@ -43,8 +47,9 @@ from repro.pictures import retrieval
 from repro.pictures.retrieval import DENSE_CUTOFF, PictureRetrievalSystem
 from repro.pictures.scoring import compile_atom
 from repro.pictures.signature import (
-    ClipScorer,
+    ClipTable,
     average_histograms,
+    bind_clip_scorers,
     clip_from_segments,
     clip_scorer,
     looks_like_atom,
@@ -84,16 +89,16 @@ def signed(segment, signature):
 
 
 def count_kernel_runs(monkeypatch):
-    """Wrap the clip scorer's kernel; the returned list grows by one
+    """Wrap the clip table's kernel; the returned list grows by one
     signature per run."""
     runs = []
-    compute = ClipScorer._compute
+    compute = ClipTable._compute
 
     def counted(self, signature):
         runs.append(signature)
         return compute(self, signature)
 
-    monkeypatch.setattr(ClipScorer, "_compute", counted)
+    monkeypatch.setattr(ClipTable, "_compute", counted)
     return runs
 
 
@@ -367,6 +372,22 @@ def clip_and_signatures(draw):
     return clip, signatures
 
 
+@st.composite
+def theta_sequences(draw):
+    """θ values with the edges 0 and 1, ascending, descending or in a
+    drawn order."""
+    thetas = draw(
+        st.lists(
+            st.one_of(st.sampled_from(SCORER_THETAS), st.floats(0.0, 1.0)),
+            max_size=6,
+        )
+    ) + [0.0, 1.0]
+    order = draw(st.sampled_from(["ascending", "descending", "drawn"]))
+    if order == "drawn":
+        return draw(st.permutations(thetas))
+    return sorted(thetas, reverse=order == "descending")
+
+
 def shared_signature_corpus(n_videos=3, n_segments=20, n_bases=10):
     """Videos whose segments draw their signatures from one shared pool
     (every base in every video); a few segments also carry objects so
@@ -454,11 +475,17 @@ class TestClipScorer:
             # memo hit would skip the kernel runs this test counts.
             engine = RetrievalEngine(config, planner=planner)
             top_k_across_videos(engine, formula, database, 5, prune=False)
-            # Sweep or oracle scan, three videos: one
-            # kernel run per distinct signature — and a new request (a
-            # newly resolved formula) starts from an empty memo.
+            # Sweep or oracle scan, three videos: one kernel run per
+            # distinct signature — and a new engine starts from an
+            # empty clip memo.
             assert sorted(runs) == sorted(bases)
             runs.clear()
+        # The same engine answers a request at a new θ from its memo.
+        formula = resolve_clips(
+            parse(text.replace("0.9", "0.8")), clips
+        )
+        top_k_across_videos(engine, formula, database, 5, prune=False)
+        assert runs == []
 
     def test_smoke_probe_runs_the_kernel_once_per_distinct_signature(
         self, tmp_path, monkeypatch
@@ -493,17 +520,137 @@ class TestClipScorer:
         assert len(signatures) == 120
         assert len(runs) == len(set(runs)) == len(set(signatures)) == 40
 
-    def test_atoms_never_share_entries(self):
+    def test_atoms_share_entries_but_not_thresholds(self, monkeypatch):
+        """Atoms bound to one memo share a clip's entries whatever their
+        θ: the kernel runs once per signature, and each atom applies
+        its own threshold.  Unbound atoms keep private tables."""
+        memo = ClipMemo()
         loose = looks_like_atom([PALETTE[0]], 0.55)
         strict = looks_like_atom([PALETTE[0]], 0.999)
+        bind_clip_scorers(ast.Or(loose, strict), memo.table)
+        runs = count_kernel_runs(monkeypatch)
         assert clip_scorer(loose) is not clip_scorer(strict)
+        assert clip_scorer(loose).table is clip_scorer(strict).table
         assert looks_like_score(loose, PALETTE[1]) > 0.0
         assert looks_like_score(strict, PALETTE[1]) == 0.0
         assert looks_like_score(loose, PALETTE[1]) > 0.0
-        # Structurally equal atoms are still two objects, two scorers.
-        twin = looks_like_atom([PALETTE[0]], 0.55)
-        assert twin == loose
-        assert clip_scorer(twin) is not clip_scorer(loose)
+        assert runs == [PALETTE[1]]
+        # A clip is keyed by value: a separately built equal clip shares.
+        twin = looks_like_atom([PALETTE[0]], 0.7)
+        bind_clip_scorers(twin, memo.table)
+        assert clip_scorer(twin).table is clip_scorer(loose).table
+        assert looks_like_score(twin, PALETTE[1]) > 0.0
+        assert runs == [PALETTE[1]] and len(memo) == 1
+        # A bound scorer is kept by a second memo; an unbound atom gets
+        # a private table that shares nothing.
+        bind_clip_scorers(loose, ClipMemo().table)
+        assert clip_scorer(loose).table is clip_scorer(strict).table
+        lone = looks_like_atom([PALETTE[0]], 0.55)
+        assert lone == loose
+        assert clip_scorer(lone).table is not clip_scorer(loose).table
+
+    def test_failing_signatures_memoize_nothing(self):
+        memo = ClipMemo()
+        atom = looks_like_atom([PALETTE[0]], 0.5)
+        empty_mass = looks_like_atom([(0.0, 0.0, 0.0, 0.0)], 0.5)
+        bind_clip_scorers(ast.Or(atom, empty_mass), memo.table)
+        table = clip_scorer(atom).table
+        accounted = memo.nbytes
+        bad = [
+            ((0.0, 0.0, 0.0, 0.0), "zero-total"),
+            ((0.5, 0.5), "bin count"),
+            ((), "bin count"),
+        ]
+        for __ in range(2):
+            for signature, match in bad:
+                with pytest.raises(SignatureError, match=match):
+                    looks_like_score(atom, signature)
+            with pytest.raises(SignatureError, match="zero-total"):
+                looks_like_score(empty_mass, PALETTE[0])
+        assert table.entries == {}
+        assert clip_scorer(empty_mass).table.entries == {}
+        assert memo.nbytes == accounted
+        assert looks_like_score(atom, PALETTE[0]) == 1.0
+        assert list(table.entries) == [PALETTE[0]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=clip_and_signatures(), thetas=theta_sequences())
+    def test_one_engine_scores_every_theta_as_the_definition(
+        self, drawn, thetas
+    ):
+        """One engine, one clip, a sequence of θ: every request reuses
+        the engine's table, and every list is the definition's, bit
+        for bit."""
+        clip, signatures = drawn
+        video = flat_video(
+            "signed", [SegmentMetadata(signature=s) for s in signatures]
+        )
+        bests = [
+            max(window_similarity(signature, w) for w in clip)
+            for signature in signatures
+        ]
+        engine = RetrievalEngine()
+        for theta in thetas:
+            atom = looks_like_atom(clip, theta)
+            values = {
+                segment_id: best
+                for segment_id, best in enumerate(bests, start=1)
+                if best >= theta and best > 0.0
+            }
+            assert engine.evaluate_video(
+                atom, video
+            ) == SimilarityList.from_segment_values(values, 1.0)
+            assert [looks_like_score(atom, s) for s in signatures] == [
+                best if best >= theta else 0.0 for best in bests
+            ]
+        assert len(engine.clip_memo) == 1
+        (table,) = engine.clip_memo._tables.values()
+        assert table.entries == dict(zip(signatures, bests))
+
+    def test_smoke_round_runs_the_kernel_once_per_distinct_signature(
+        self, tmp_path, monkeypatch
+    ):
+        """The ``dense`` smoke corpus, seed 7: two videos, 60 distinct
+        signatures, four ``looks_like`` requests at four θ.  One
+        ``mix-a`` round on one engine runs the kernel once per distinct
+        (clip, signature), 60 times rather than 240; a second engine
+        starts from an empty memo and runs it 60 times again."""
+        database, clips, stream = WORKLOADS["dense"](
+            7, SMOKE, str(tmp_path)
+        ).inputs()
+        thetas = {
+            formula.theta
+            for text in stream
+            for formula in looks_like_atoms(parse(text))
+        }
+        signatures = {
+            segment.signature
+            for video in database.videos()
+            for segment in video.root.pictures_at_level(LEVEL).segments
+        }
+        assert (len(thetas), len(signatures)) == (4, 60)
+        runs = count_kernel_runs(monkeypatch)
+
+        def run(engine):
+            for text in stream:
+                top_k_across_videos(
+                    engine,
+                    resolve_clips(parse(text), clips),
+                    database,
+                    K,
+                    level=LEVEL,
+                    prune=False,
+                )
+            return engine.clip_memo
+
+        memo = run(RetrievalEngine())
+        assert len(runs) == 60 and set(runs) == signatures
+        assert (len(memo), memo.evictions) == (1, 0)
+        runs.clear()
+        second = RetrievalEngine()
+        assert (len(second.clip_memo), second.clip_memo.nbytes) == (0, 0)
+        run(second)
+        assert len(runs) == 60 and set(runs) == signatures
 
     def test_scorer_dies_with_its_formula(self):
         database, bases = shared_signature_corpus()
@@ -600,6 +747,129 @@ class TestClipScorer:
         corpus = ShardedCorpus.from_database(database, 2)
         sharded = corpus.top_k(RetrievalEngine(), fresh(), 6)
         assert rows(sharded) == direct
+
+
+def accounted_bytes(memo):
+    """What the memo's tables should account, recomputed from scratch."""
+    return sum(
+        cache.TABLE_BYTES
+        + cache.WINDOW_BYTES * len(table.clip)
+        + cache.CLIP_BIN_BYTES * sum(map(len, table.clip))
+        + sum(
+            cache.SIGNATURE_BYTES + cache.SIGNATURE_BIN_BYTES * len(key)
+            for key in table.entries
+        )
+        for table in memo._tables.values()
+    )
+
+
+def four_bins(position):
+    return (1.0 + position, 1.0, 2.0, 3.0)
+
+
+class TestClipMemo:
+    def test_accounted_bytes_match_what_the_memo_allocates(self):
+        """tracemalloc: what the tables keep alive — clips, prepared
+        windows, signature keys and best floats — is their accounted
+        size within ±25% when the memo alone holds the keys."""
+        rng = random.Random(5)
+
+        def vector(n_bins):
+            return tuple(rng.random() + 0.01 for __ in range(n_bins))
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            memo = ClipMemo()
+            base = tracemalloc.get_traced_memory()[0]
+            for n_windows, n_bins in ((1, 16), (4, 16), (2, 64), (3, 4)):
+                table = memo.table(
+                    tuple(vector(n_bins) for __ in range(n_windows))
+                )
+                for __ in range(100):
+                    table.fill(vector(n_bins))
+            del table
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert memo.evictions == 0 and len(memo) == 4
+        assert memo.nbytes == accounted_bytes(memo)
+        assert 0.75 * memo.nbytes <= retained <= 1.25 * memo.nbytes
+
+    def test_lru_eviction(self, monkeypatch):
+        """A 4 KiB bound holds a four-bin table with five entries
+        (2 313 accounted bytes) but not a second one as well: the least
+        recently filled table is evicted and cleared in place.  An atom
+        still bound to it scores right and stores nothing more; the next
+        binding of its clip gets a new table."""
+        monkeypatch.setattr(cache, "CLIP_MEMO_BYTES", 4096)
+        memo = ClipMemo()
+        first = looks_like_atom([PALETTE[0]], 0.0)
+        second = looks_like_atom([PALETTE[2]], 0.0)
+        bind_clip_scorers(ast.Or(first, second), memo.table)
+        evicted = clip_scorer(first).table
+        for position in range(5):
+            looks_like_score(first, four_bins(position))
+        assert memo.nbytes == 2313 + 1173
+        for position in range(3):
+            looks_like_score(second, four_bins(position))
+        assert (memo.evictions, len(memo), evicted.entries) == (1, 1, {})
+        assert memo.nbytes == accounted_bytes(memo) == 1173 + 3 * 228
+        assert looks_like_score(first, PALETTE[0]) == 1.0
+        assert evicted.entries == {}
+        assert memo.nbytes == accounted_bytes(memo) <= memo.max_bytes
+        newer = looks_like_atom([PALETTE[0]], 0.0)
+        bind_clip_scorers(newer, memo.table)
+        assert clip_scorer(newer).table is not evicted
+        assert looks_like_score(newer, PALETTE[0]) == 1.0
+        assert list(clip_scorer(newer).table.entries) == [PALETTE[0]]
+        assert memo.nbytes == accounted_bytes(memo) <= memo.max_bytes
+
+    def test_concurrent_fills_account_each_entry_once(self):
+        """Eight atoms at eight θ, bound to one table, race to fill the
+        same 105 signatures: every score is the definition's and each
+        entry is accounted once."""
+        clip = [PALETTE[0], PALETTE[2]]
+        signatures = [
+            (1.0 + step % 7, 2.0 + step % 5, 1.0, 3.0 + step % 3)
+            for step in range(105)
+        ]
+        bests = [
+            max(window_similarity(signature, w) for w in clip)
+            for signature in signatures
+        ]
+        memo = ClipMemo()
+        atoms = [looks_like_atom(clip, step / 8) for step in range(8)]
+        for atom in atoms:
+            bind_clip_scorers(atom, memo.table)
+        barrier = threading.Barrier(8, timeout=10)
+        seen = {}
+
+        def worker(atom):
+            barrier.wait()
+            seen[atom.theta] = [looks_like_score(atom, s) for s in signatures]
+
+        threads = [
+            threading.Thread(target=worker, args=(atom,)) for atom in atoms
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {
+            atom.theta: [best if best >= atom.theta else 0.0 for best in bests]
+            for atom in atoms
+        }
+        assert len(memo) == 1
+        assert len(clip_scorer(atoms[0]).table.entries) == 105
+        assert memo.nbytes == accounted_bytes(memo)
 
 
 # ---------------------------------------------------------------------------

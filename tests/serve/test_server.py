@@ -207,6 +207,63 @@ class TestDrain:
         assert stats.timed_out == 5
         assert stats.conserved
 
+    @staticmethod
+    def close_under_watchdog(server, drain_timeout_ms):
+        """``server.close(...)`` on a helper thread; fails instead of
+        hanging the suite if close does not return within 10 s."""
+        outcome = []
+        closer = threading.Thread(
+            target=lambda: outcome.append(
+                server.close(drain_timeout_ms=drain_timeout_ms)
+            ),
+            daemon=True,
+        )
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive(), "close() did not return"
+        return outcome[0]
+
+    def test_frozen_clock_without_workers_returns(self, pool):
+        """A clock that stands still, no worker thread, one queued
+        request: nothing can drain it, so close stops waiting at once
+        and sweeps it."""
+        sleeps = []
+        server = RetrievalServer(
+            pool,
+            classes=serve_classes(),
+            clock=lambda: 0.0,
+            sleep=sleeps.append,
+        )
+        server._started = True  # bypass start: no threads, no warmup
+        ticket = server.submit(request_for())
+        stats = self.close_under_watchdog(server, 50.0)
+        assert ticket.result(0.0).status == STATUS_TIMED_OUT
+        assert (stats.timed_out, stats.outstanding) == (1, 0)
+        assert stats.conserved
+        assert sleeps == []
+
+    def test_frozen_clock_waits_the_timeouts_worth_of_sleeps(self, pool):
+        """A clock that stands still and a live worker that never takes
+        the queued request: close sleeps 50 ms / 5 ms = 10 polls, not
+        forever, then sweeps the request."""
+        sleeps = []
+        server = RetrievalServer(
+            pool,
+            classes=serve_classes(),
+            clock=lambda: 0.0,
+            sleep=sleeps.append,
+        )
+        server._started = True
+        idle = threading.Thread(target=server._stop.wait, daemon=True)
+        idle.start()
+        server._threads.append(idle)
+        ticket = server.submit(request_for())
+        stats = self.close_under_watchdog(server, 50.0)
+        assert len(sleeps) == 10
+        assert ticket.result(0.0).status == STATUS_TIMED_OUT
+        assert stats.timed_out == 1 and stats.conserved
+        assert not idle.is_alive()
+
     def test_stats_payload_shape(self, server):
         server.query(FORMULA_TEXT, K)
         payload = server.close().to_payload()
