@@ -58,32 +58,9 @@ def write_report_json(
 
 
 def metrics_payload() -> dict:
-    """The metrics registry as a JSON-safe dict (for ``BENCH_*.json``).
-
-    One coherent snapshot: per-stage totals, event counters, and latency
-    histogram summaries with p50/p95/p99 (DESIGN.md §10).
-    """
-    snapshot = trace.METRICS.snapshot()
-    return {
-        "stages": {
-            name: {"seconds": total.seconds, "calls": total.calls}
-            for name, total in snapshot["stages"].items()
-        },
-        "counters": dict(snapshot["counters"]),
-        "histograms": {
-            name: {
-                "count": summary.count,
-                "total": summary.total,
-                "mean": summary.mean,
-                "min": summary.minimum,
-                "max": summary.maximum,
-                "p50": summary.p50,
-                "p95": summary.p95,
-                "p99": summary.p99,
-            }
-            for name, summary in snapshot["histograms"].items()
-        },
-    }
+    """The metrics registry as a JSON-safe dict (for ``BENCH_*.json``):
+    its event counters.  Timing lives in span trees (DESIGN.md §10)."""
+    return {"counters": trace.METRICS.counters()}
 
 
 def trace_payload(root: trace.Span) -> dict:
@@ -105,38 +82,17 @@ def observability_payload(root: Optional[trace.Span] = None) -> dict:
     return payload
 
 
-def stage_report_text(title: str = "Per-stage timing") -> str:
-    """The accumulated stage totals as an aligned text table."""
+def stage_report_text(
+    root: trace.Span, title: str = "Per-stage timing"
+) -> str:
+    """One span tree's per-stage rollup as an aligned text table."""
     rows = [
         (name, f"{total.seconds:.4f}", total.calls)
-        for name, total in sorted(trace.METRICS.totals().items())
+        for name, total in sorted(root.stage_totals().items())
     ]
     if not rows:
         rows = [("(no stages recorded)", "-", "-")]
     table = format_table(("Stage", "Seconds", "Calls"), rows)
-    return f"{title}\n{table}"
-
-
-def latency_report_text(title: str = "Latency percentiles (ms)") -> str:
-    """The latency histograms as an aligned text table, or "" when none
-    have been recorded (histograms collect only while enabled)."""
-    summaries = trace.METRICS.histograms()
-    if not summaries:
-        return ""
-    rows = [
-        (
-            name,
-            summary.count,
-            f"{summary.p50 * 1000:.3f}",
-            f"{summary.p95 * 1000:.3f}",
-            f"{summary.p99 * 1000:.3f}",
-            f"{summary.maximum * 1000:.3f}",
-        )
-        for name, summary in sorted(summaries.items())
-    ]
-    table = format_table(
-        ("Histogram", "Count", "p50", "p95", "p99", "Max"), rows
-    )
     return f"{title}\n{table}"
 
 

@@ -798,11 +798,7 @@ def cmd_run(arguments: argparse.Namespace) -> int:
 def cmd_trace(arguments: argparse.Namespace) -> int:
     import json
 
-    from repro.bench.reporting import (
-        latency_report_text,
-        observability_payload,
-        stage_report_text,
-    )
+    from repro.bench.reporting import observability_payload, stage_report_text
     from repro.core import trace
 
     video_name, loader = _DATASETS[arguments.dataset]
@@ -811,31 +807,21 @@ def cmd_trace(arguments: argparse.Namespace) -> int:
     formula = parse(arguments.query)
     engine = RetrievalEngine()
     level = _resolve_level(video, arguments.level)
-    was_enabled = trace.METRICS.is_enabled()
-    trace.METRICS.enable()
-    try:
-        results = ShardedCorpus.from_database(database).top_k(
-            engine, formula, arguments.top, level=level, profile=True
-        )
-        if arguments.json:
-            print(
-                json.dumps(
-                    observability_payload(results.profile),
-                    indent=2,
-                    sort_keys=True,
-                )
+    results = ShardedCorpus.from_database(database).top_k(
+        engine, formula, arguments.top, level=level, profile=True
+    )
+    if arguments.json:
+        print(
+            json.dumps(
+                observability_payload(results.profile),
+                indent=2,
+                sort_keys=True,
             )
-            return 0
-        print(trace.render_text(results.profile))
-        print()
-        print(stage_report_text())
-        latency = latency_report_text()
-        if latency:
-            print()
-            print(latency)
-    finally:
-        if not was_enabled:
-            trace.METRICS.disable()
+        )
+        return 0
+    print(trace.render_text(results.profile))
+    print()
+    print(stage_report_text(results.profile))
     print(f"\nTop {arguments.top} segments across "
           f"{len(results.outcomes)} videos:")
     for rank, segment in enumerate(results, start=1):

@@ -187,11 +187,6 @@ class PlanCacheStats:
     invalidations: int
     entries: int
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class PlanCache:
     """Bounded, generation-invalidated memo for compiled query plans.
@@ -243,12 +238,7 @@ class PlanCache:
                 self._video_generations[video_id] = stamp
                 self._drop_video_locked(video_id)
 
-    def invalidate_video(self, video_id: str) -> int:
-        """Drop plans tagged (only) to one video; returns how many fell."""
-        with self._lock:
-            return self._drop_video_locked(video_id)
-
-    def _drop_video_locked(self, video_id: str) -> int:
+    def _drop_video_locked(self, video_id: str) -> None:
         dropped = 0
         for key in self._video_keys.pop(video_id, set()):
             holders = self._key_videos.get(key)
@@ -261,7 +251,6 @@ class PlanCache:
                     dropped += 1
         if dropped:
             self._invalidations += 1
-        return dropped
 
     def _clear_locked(self) -> None:
         self._plans.clear()
@@ -276,11 +265,6 @@ class PlanCache:
                 keys.discard(key)
                 if not keys:
                     del self._video_keys[video_id]
-
-    def clear(self) -> None:
-        """Drop all cached plans (counters are kept)."""
-        with self._lock:
-            self._clear_locked()
 
     def get(self, key: Hashable) -> Optional[Any]:
         with self._lock:

@@ -380,9 +380,7 @@ class RetrievalEngine:
             return self._atom_table(formula, context)
         if isinstance(formula, ast.And):
             left, right = self._join_operands(formula, context)
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "and-merge"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "and-merge"):
                 return left.combine(
                     right,
                     ops.and_lists,
@@ -398,9 +396,7 @@ class RetrievalEngine:
             ) -> SimilarityList:
                 return ops.until_lists(left_list, right_list, threshold)
 
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "until-merge"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "until-merge"):
                 return left.combine(
                     right,
                     until_op,
@@ -417,9 +413,7 @@ class RetrievalEngine:
             right = self._table(formula.right, context)
             # ∨ takes the best disjunct, so an evaluation missing on one
             # side keeps the other side's value: always an outer join.
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "or-merge"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "or-merge"):
                 return left.combine(
                     right,
                     extensions.or_lists,
@@ -428,39 +422,29 @@ class RetrievalEngine:
                 )
         if isinstance(formula, ast.Next):
             table = self._table(formula.sub, context)
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "next-shift"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "next-shift"):
                 return table.map_lists(ops.next_list)
         if isinstance(formula, ast.Eventually):
             table = self._table(formula.sub, context)
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "eventually-scan"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "eventually-scan"):
                 return table.map_lists(ops.eventually_list)
         if isinstance(formula, ast.Always):
             axis_end = len(context.nodes)
             table = self._table(formula.sub, context)
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "always-scan"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "always-scan"):
                 return table.map_lists(
                     lambda sim: ops.always_list(sim, axis_end)
                 )
         if isinstance(formula, ast.Exists):
             table = self._table(formula.sub, context)
             bound = [name for name in formula.vars if name in table.object_vars]
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "exists-projection"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "exists-projection"):
                 return table.project_exists(bound)
         if isinstance(formula, ast.Freeze):
             body = self._table(formula.sub, context)
             segments = [node.metadata for node in context.nodes]
             value_table = build_value_table(formula.func, segments)
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "freeze-join"
-            ):
+            with trace.span(trace.KIND_LIST_OP, "freeze-join"):
                 return freeze_join(body, formula.var, value_table)
         if isinstance(formula, (ast.AtNextLevel, ast.AtLevel, ast.AtNamedLevel)):
             return self._level_table(formula, context)

@@ -73,8 +73,10 @@ from repro.pictures.scoring import FRESH_OBJECT_ID, exists_pool, score
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pictures.retrieval import PictureRetrievalSystem
 
-#: Always-on counter names (flow into the observability payload via
-#: ``trace.METRICS.counters()`` like every other ``trace.bump`` counter).
+#: Span counter names.  ``trace.bump`` attaches them to the calling
+#: thread's innermost span only (read them with ``Span.total_counters()``
+#: on a profiled query); unlike ``METRICS.count`` they never reach
+#: ``trace.METRICS.counters()``, and with tracing off they cost nothing.
 PLAN_BUILT = "plan-built"
 PLAN_CACHE_HIT = "plan-cache-hit"
 PLAN_CACHE_MISS = "plan-cache-miss"

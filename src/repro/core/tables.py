@@ -137,10 +137,6 @@ class SimilarityTable:
             self.object_vars, self.attr_vars, new_rows, new_maximum
         )
 
-    def binding_of(self, row: TableRow) -> Dict[str, str]:
-        """The object-variable binding a row denotes."""
-        return dict(zip(self.object_vars, row.objects))
-
     # ------------------------------------------------------------------
     # join (∧ / until combination, §3.2 first part)
     # ------------------------------------------------------------------

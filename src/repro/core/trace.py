@@ -1,34 +1,31 @@
-"""Per-query tracing and the process metrics registry (DESIGN.md §10).
+"""Per-query tracing and the process counter registry (DESIGN.md §10).
 
 The paper's experimental story (§5, Tables 5–6, Figure 2) attributes
 retrieval cost to individual operators — atom scoring vs. list algebra
 vs. ranking — and this module is where that attribution lives:
 
-* :class:`MetricsRegistry` — the thread-safe home of the flat metrics:
-  event counters (always on), per-stage wall-clock totals and latency
-  histograms with p50/p95/p99 (collected while
-  :meth:`~MetricsRegistry.enable`\\ d).  Callers use the one process-wide
-  instance, :data:`METRICS`, directly; the counter and histogram names
-  are the constants below.  All mutation happens in place under one
-  lock, so a ``reset()`` racing a worker thread can never strand updates
-  in a discarded dict, and :meth:`~MetricsRegistry.drain`
-  snapshots-and-clears atomically (counts are conserved across drains by
-  construction).
 * :class:`TraceRecorder` / :class:`Span` — hierarchical per-query trace
   spans (query → shard → video → subformula → atom-sweep / list-op /
   top-k) with wall-clock, call counts, counter deltas and events
-  attached per span.
+  attached per span.  The span tree is the one source of timing: a
+  span's stage is a function of its kind (:data:`KIND_TO_STAGE`), and
+  :meth:`Span.stage_totals` is the per-stage rollup.
   The recorder is installed in a thread-local by :func:`recording`, so
   concurrent requests on server worker threads keep separate trees.
-* :func:`staged_span` — the bridge: one ``perf_counter`` pair per
-  instrumented region feeds *both* the legacy stage totals and the span,
-  so a span tree's per-stage rollup reconciles with
-  ``METRICS.totals()`` exactly, not approximately.
+* :class:`MetricsRegistry` — the thread-safe home of the process-wide
+  event counters (always on).  Callers use the one instance,
+  :data:`METRICS`, directly; the counter names are the constants below.
+  All mutation happens in place under one lock, so a ``reset()`` racing
+  a worker thread can never strand updates in a discarded dict, and
+  :meth:`~MetricsRegistry.drain` snapshots-and-clears atomically (counts
+  are conserved across drains by construction).
+* :class:`Histogram` — a bounded latency histogram with p50/p95/p99;
+  the server keeps its serve latencies in these and reports them in
+  ``ServeStats``.
 
 When no recorder is installed every span site costs one thread-local
-attribute read and builds no :class:`Span` (``tests/core/test_trace.py``
-counts them); when no recorder is installed *and* metrics are disabled,
-:func:`staged_span` adds one boolean check on top.
+attribute read and returns a shared null context, building no
+:class:`Span` (``tests/core/test_trace.py`` counts them).
 
 Imports nothing from the package, so the engine, the picture layer and
 the store can all import it without cycles.
@@ -75,11 +72,9 @@ __all__ = [
     "current_span",
     "recording",
     "span",
-    "staged_span",
     "event",
     "bump",
     "annotate",
-    "stage_breakdown",
     "render_text",
 ]
 
@@ -90,10 +85,10 @@ ATOM_SCORING = "atom-scoring"
 LIST_ALGEBRA = "list-algebra"
 TOP_K = "top-k"
 
-#: Canonical event-counter names of the resilience layer.  Unlike stage
-#: timings, counters are always on: they record rare control-flow events
-#: (fallbacks, breaker trips, budget overruns), so the bookkeeping cost is
-#: paid only when something already went wrong.
+#: Canonical event-counter names of the resilience layer.  Counters are
+#: always on: they record rare control-flow events (fallbacks, breaker
+#: trips, budget overruns), so the bookkeeping cost is paid only when
+#: something already went wrong.
 ATOM_FALLBACK = "atom-fallback"
 BUDGET_EXCEEDED = "budget-exceeded"
 BREAKER_OPENED = "breaker-opened"
@@ -146,18 +141,9 @@ INDEX_APPENDED = "index-appended"
 #: annotated signature-less (annotation-only metadata) instead.
 SIGNATURE_DEGRADED = "signature-degraded"
 
-#: Canonical latency-histogram names of the top-k layer (seconds).
-QUERY_LATENCY = "query-seconds"
-VIDEO_LATENCY = "video-seconds"
-
-#: Canonical latency-histogram names of the serving layer (seconds).
-SERVE_ADMISSION_LATENCY = "serve-admission-seconds"
-SERVE_QUEUE_WAIT = "serve-queue-wait-seconds"
-SERVE_REQUEST_LATENCY = "serve-request-seconds"
-
 #: Span kinds.  A span's kind says which layer emitted it; the
-#: :data:`KIND_TO_STAGE` map says which legacy stage (if any) its
-#: duration is attributed to.
+#: :data:`KIND_TO_STAGE` map says which stage (if any) its duration is
+#: attributed to.
 KIND_SERVE = "serve"
 KIND_QUERY = "query"
 KIND_SHARD = "shard"
@@ -180,7 +166,7 @@ KIND_TO_STAGE = {
 
 @dataclass
 class StageTotal:
-    """Accumulated wall-clock seconds and entry count of one stage."""
+    """Summed wall-clock seconds and span count of one stage."""
 
     seconds: float = 0.0
     calls: int = 0
@@ -214,8 +200,8 @@ class Histogram:
     deterministically decimates (keeps every other stored sample and
     doubles the sampling stride), so memory stays bounded while the
     percentile estimate remains spread over the whole observation
-    stream.  Not itself thread-safe — the owning registry serialises
-    access under its lock.
+    stream.  Not itself thread-safe — its owner serialises access (the
+    server observes and summarises under its own lock).
     """
 
     __slots__ = ("count", "total", "minimum", "maximum", "_values", "_stride", "_pending")
@@ -265,66 +251,23 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe counters, stage timers, and latency histograms.
+    """Thread-safe, always-on event counters.
 
-    Counters are always on (they record rare control-flow events whose
-    bookkeeping cost is paid only when something already went wrong);
-    stage totals and histograms collect only while enabled.  Every
-    mutation happens **in place** under ``_lock`` — ``enable(reset=True)``
-    and ``reset()`` clear the live dicts rather than rebinding them, so a
-    worker thread mid-update can never write into a discarded dict (the
-    PR 1 parallel-top-k lost-update bug).
+    Counters record rare control-flow events whose bookkeeping cost is
+    paid only when something already went wrong.  Every mutation happens
+    **in place** under ``_lock`` — ``reset()`` clears the live dict
+    rather than rebinding it, so a worker thread mid-update can never
+    write into a discarded dict and lose its update.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._enabled = False
-        self._totals: Dict[str, StageTotal] = {}
         self._counters: Dict[str, int] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        # Per-thread active-stage depth frames: {stage name: depth}.
-        # Only the outermost frame of a name is credited, so nested
-        # same-name stage() blocks no longer double-count wall-clock.
-        self._stage_tls = threading.local()
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def enable(self, reset: bool = True) -> None:
-        """Start collecting stage timings (optionally clearing old data)."""
-        with self._lock:
-            if reset:
-                self._clear_locked()
-            self._enabled = True
-
-    def disable(self) -> None:
-        """Stop collecting; accumulated data stays readable."""
-        self._enabled = False
-
-    def is_enabled(self) -> bool:
-        return self._enabled
 
     def reset(self) -> None:
-        """Clear all totals, counters and histograms (in place, locked)."""
+        """Clear every counter (in place, locked)."""
         with self._lock:
-            self._clear_locked()
-
-    def _clear_locked(self) -> None:
-        self._totals.clear()
-        self._counters.clear()
-        self._histograms.clear()
-
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        """Credit time to a stage directly (thread-safe)."""
-        with self._lock:
-            total = self._totals.get(name)
-            if total is None:
-                total = self._totals[name] = StageTotal()
-            total.seconds += seconds
-            total.calls += calls
+            self._counters.clear()
 
     def count(self, name: str, n: int = 1) -> None:
         """Bump an event counter (thread-safe, always on).
@@ -337,126 +280,24 @@ class MetricsRegistry:
             self._counters[name] = self._counters.get(name, 0) + n
         bump(name, n)
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one latency sample (collected only while enabled)."""
-        if not self._enabled:
-            return
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram()
-            histogram.observe(value)
-
-    # ------------------------------------------------------------------
-    # snapshots
-    # ------------------------------------------------------------------
-    def totals(self) -> Dict[str, StageTotal]:
-        """Snapshot of the per-stage totals (copies, safe to mutate)."""
-        with self._lock:
-            return {
-                name: StageTotal(total.seconds, total.calls)
-                for name, total in self._totals.items()
-            }
-
     def counters(self) -> Dict[str, int]:
         """Snapshot of the event counters (a copy, safe to mutate)."""
         with self._lock:
             return dict(self._counters)
 
-    def histograms(self) -> Dict[str, HistogramSummary]:
-        """Snapshot of every latency histogram's percentile summary."""
-        with self._lock:
-            return {
-                name: histogram.summary()
-                for name, histogram in self._histograms.items()
-            }
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One coherent snapshot of stages + counters + histograms.
-
-        Taken under a single lock acquisition, so the three views are
-        mutually consistent even while worker threads keep writing.
-        """
-        with self._lock:
-            return self._snapshot_locked()
-
-    def drain(self) -> Dict[str, Any]:
-        """Atomically snapshot *and clear* everything.
+    def drain(self) -> Dict[str, int]:
+        """Atomically snapshot *and clear* the counters.
 
         The snapshot and the clear happen under one lock acquisition:
-        every concurrent update lands either wholly before the drain
+        every concurrent bump lands either wholly before the drain
         (visible in the returned snapshot) or wholly after it (visible
         in the next one) — never lost.  This is the conservation
         property the reset-race regression suite hammers.
         """
         with self._lock:
-            snapshot = self._snapshot_locked()
-            self._clear_locked()
-            return snapshot
-
-    def _snapshot_locked(self) -> Dict[str, Any]:
-        return {
-            "stages": {
-                name: StageTotal(total.seconds, total.calls)
-                for name, total in self._totals.items()
-            },
-            "counters": dict(self._counters),
-            "histograms": {
-                name: histogram.summary()
-                for name, histogram in self._histograms.items()
-            },
-        }
-
-    # ------------------------------------------------------------------
-    # stage timing
-    # ------------------------------------------------------------------
-    def _enter_frame(self, name: str) -> bool:
-        """Push one per-thread frame for ``name``; True when outermost."""
-        frames = self._stage_tls.__dict__.setdefault("frames", {})
-        depth = frames.get(name, 0)
-        frames[name] = depth + 1
-        return depth == 0
-
-    def _exit_frame(self, name: str, outermost: bool, seconds: float) -> None:
-        """Pop one frame; credit the stage only for the outermost frame
-        and only if collection is still enabled at exit."""
-        frames = self._stage_tls.__dict__.setdefault("frames", {})
-        depth = frames.get(name, 1) - 1
-        if depth <= 0:
-            frames.pop(name, None)
-        else:
-            frames[name] = depth
-        if outermost and self._enabled:
-            self.add(name, seconds)
-            self.observe(name, seconds)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time the enclosed block against ``name`` when collection is on.
-
-        Semantics:
-
-        * Nested same-name stages count once — only the outermost frame
-          of a name (per thread) is credited, so wrapping a helper that
-          is also wrapped by its caller cannot double-count wall-clock.
-        * A block is credited only when collection is enabled at **both**
-          entry and exit: ``disable()`` mid-block drops the in-flight
-          block (its timing would be torn across the toggle), and
-          ``enable()`` mid-block takes effect at the next stage entry.
-        * When disabled the overhead is one attribute read.
-
-        Every credited block also feeds the stage's latency histogram.
-        """
-        if not self._enabled:
-            yield
-            return
-        outermost = self._enter_frame(name)
-        started = time.perf_counter() if outermost else 0.0
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started if outermost else 0.0
-            self._exit_frame(name, outermost, elapsed)
+            drained = dict(self._counters)
+            self._counters.clear()
+            return drained
 
 
 #: The process-wide registry.
@@ -543,10 +384,9 @@ class Span:
         """Per-stage rollup of the subtree's leaf span durations.
 
         Only kinds in :data:`KIND_TO_STAGE` contribute — container spans
-        overlap their children and would double-count.  Because
-        :func:`staged_span` feeds the legacy stage timers from the same
-        ``perf_counter`` pair, this rollup reconciles with
-        ``METRICS.totals()`` for a traced, metrics-enabled run.
+        overlap their children and would double-count.  Each stage's
+        seconds are the exact sum of its spans' durations and its calls
+        their number.
         """
         totals: Dict[str, StageTotal] = {}
         for node in self.walk():
@@ -725,40 +565,6 @@ def span(kind: str, name: str, **attrs: Any):
     return recorder.span(kind, name, **attrs)
 
 
-@contextmanager
-def staged_span(
-    stage_name: str, kind: str, name: str, **attrs: Any
-) -> Iterator[Optional[Span]]:
-    """Time a region once, crediting both the stage totals and a span.
-
-    With no recorder installed this is exactly ``METRICS.stage(...)``
-    (and a plain pass-through when metrics are disabled too).  With a
-    recorder, the span's ``perf_counter`` pair is the *only* measurement:
-    its duration is credited to the legacy stage under the same
-    outermost-frame and enabled-at-entry-and-exit rules as
-    :meth:`MetricsRegistry.stage` — which is why a trace's per-stage
-    rollup reconciles exactly with ``METRICS.totals()``.
-    """
-    recorder = getattr(_tls, "recorder", None)
-    if recorder is None:
-        if not METRICS._enabled:
-            yield None
-            return
-        with METRICS.stage(stage_name):
-            yield None
-        return
-    entered = METRICS._enabled
-    outermost = METRICS._enter_frame(stage_name) if entered else False
-    opened: Optional[Span] = None
-    try:
-        with recorder.span(kind, name, **attrs) as opened:
-            yield opened
-    finally:
-        if entered:
-            seconds = opened.seconds if opened is not None else 0.0
-            METRICS._exit_frame(stage_name, outermost, seconds)
-
-
 def event(name: str, detail: str = "") -> Optional[SpanEvent]:
     """Emit a point event onto the current span (no-op when tracing off)."""
     recorder = getattr(_tls, "recorder", None)
@@ -790,11 +596,6 @@ def annotate(**attrs: Any) -> None:
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
-def stage_breakdown(root: Span) -> Dict[str, StageTotal]:
-    """Per-stage totals of one span tree (see :meth:`Span.stage_totals`)."""
-    return root.stage_totals()
-
-
 def _format_attrs(node: Span) -> str:
     parts = [f"{key}={_json_safe(value)}" for key, value in node.attrs.items()]
     parts.extend(f"{key}+{value}" for key, value in node.counters.items())

@@ -239,16 +239,12 @@ class PictureRetrievalSystem:
         under partial matching.  ``use_index`` overrides the system-wide
         path selection for this call (``None`` keeps the system default).
 
-        Every table build is one ``atom-scoring`` stage block, and — when
-        a trace recorder is active — one ``atom-sweep`` span annotated
-        with the path taken (indexed / naive / naive-fallback) and the
-        sweep's work-counter deltas (DESIGN.md §10).
+        When a trace recorder is active, every table build is one
+        ``atom-sweep`` span (the ``atom-scoring`` stage) annotated with
+        the path taken (indexed / naive / naive-fallback) and the sweep's
+        work-counter deltas (DESIGN.md §10).
         """
-        with trace.staged_span(
-            trace.ATOM_SCORING,
-            trace.KIND_ATOM_SWEEP,
-            clip(pretty(atom), 60),
-        ) as span:
+        with trace.span(trace.KIND_ATOM_SWEEP, clip(pretty(atom), 60)) as span:
             if span is None:
                 return self._similarity_table(atom, universe, use_index)
             before = (

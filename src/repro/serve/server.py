@@ -80,8 +80,10 @@ class ServeStats:
     The counter block is the conservation ledger; ``queue_depths`` /
     ``in_flight`` / ``healthy_workers`` are point-in-time gauges; the
     ``*_ms`` dicts are latency-histogram summaries (p50/p95/p99, in
-    milliseconds) from the same reservoir histograms the metrics
-    registry uses.
+    milliseconds) of the server's own latency histograms — admission
+    per server, queue wait and end-to-end latency per SLA class.  They
+    are the only serve-latency record: the process metrics registry
+    holds counters only.
     """
 
     submitted: int = 0
@@ -145,8 +147,8 @@ class ServeStats:
 
 
 def _summary(histogram: trace.Histogram) -> Dict[str, float]:
-    """Milliseconds, for the ``*_ms`` fields — the histograms, like the
-    process registry's, are observed in seconds."""
+    """Milliseconds, for the ``*_ms`` fields — the histograms are
+    observed in seconds."""
     summary = histogram.summary()
     return {
         "count": summary.count,
@@ -301,12 +303,11 @@ class RetrievalServer:
                 f"(retry after {rejection.retry_after_ms:.0f}ms)",
             )
             raise
+        admission_s = self._clock() - t0
         with self._lock:
             self._counts["admitted"] += 1
+            self._admission_hist.observe(admission_s)
         trace.METRICS.count(trace.SERVE_ADMITTED)
-        admission_s = self._clock() - t0
-        self._admission_hist.observe(admission_s)
-        trace.METRICS.observe(trace.SERVE_ADMISSION_LATENCY, admission_s)
         return ticket
 
     def query(
@@ -437,10 +438,8 @@ class RetrievalServer:
             "completed",
         ):
             trace.METRICS.count(trace.SERVE_COMPLETED)
-            self._latency_hist[ticket.sla].observe(total_ms / 1000.0)
-            trace.METRICS.observe(
-                trace.SERVE_REQUEST_LATENCY, total_ms / 1000.0
-            )
+            with self._lock:
+                self._latency_hist[ticket.sla].observe(total_ms / 1000.0)
             if error is not None:
                 with self._lock:
                     self._counts["degraded"] += 1
@@ -498,10 +497,9 @@ class RetrievalServer:
                 error=error,
             )
             return
-        self._queue_wait_hist[ticket.sla].observe(queue_ms / 1000.0)
-        trace.METRICS.observe(trace.SERVE_QUEUE_WAIT, queue_ms / 1000.0)
         ticket.dispatched_at = now
         with self._lock:
+            self._queue_wait_hist[ticket.sla].observe(queue_ms / 1000.0)
             self._in_flight += 1
             self._inflight_tickets[ticket.request_id] = ticket
         started = self._clock()
@@ -652,6 +650,15 @@ class RetrievalServer:
             rejected = dict(self._rejected)
             in_flight = self._in_flight
             ewma = self._ewma_service_ms
+            admission_ms = _summary(self._admission_hist)
+            queue_wait_ms = {
+                name: _summary(hist)
+                for name, hist in self._queue_wait_hist.items()
+            }
+            latency_ms = {
+                name: _summary(hist)
+                for name, hist in self._latency_hist.items()
+            }
         return ServeStats(
             submitted=counts["submitted"],
             admitted=counts["admitted"],
@@ -668,13 +675,7 @@ class RetrievalServer:
             healthy_workers=len(self.pool.healthy_workers()),
             n_workers=self.pool.n_workers,
             ewma_service_ms=ewma,
-            admission_ms=_summary(self._admission_hist),
-            queue_wait_ms={
-                name: _summary(hist)
-                for name, hist in self._queue_wait_hist.items()
-            },
-            latency_ms={
-                name: _summary(hist)
-                for name, hist in self._latency_hist.items()
-            },
+            admission_ms=admission_ms,
+            queue_wait_ms=queue_wait_ms,
+            latency_ms=latency_ms,
         )

@@ -396,9 +396,9 @@ class ShardedCorpus:
         :func:`repro.core.trace.recording` — collects the trace tree
         query → shard → video → subformula → atom-sweep/list-op/top-k
         and attaches its root to ``TopKResult.profile``.  Video spans
-        carry the outcome status and budget-step consumption.  With
-        metrics enabled, query and per-video latencies feed the
-        ``query-seconds`` / ``video-seconds`` histograms.
+        carry the outcome status and budget-step consumption; the
+        ``query`` and ``video`` span durations are the query and
+        per-video latencies.
 
         Planning (DESIGN.md §13): videos and shards whose indices
         summarise identically share one compiled plan, so a traced
@@ -408,47 +408,38 @@ class ShardedCorpus:
         if k <= 0:
             return TopKResult([])
         context = _query_context(budget, lenient)
-        started = time.perf_counter() if trace.METRICS.is_enabled() else None
-        try:
-            recorder = trace.current()
-            if recorder is None and not profile:
-                return self._rank(engine, formula, k, level, prune, context)
-            if recorder is None:
-                scope = trace.recording()
-            else:
-                scope = nullcontext(recorder)
-            planner: Optional[Planner] = getattr(engine, "planner", None)
-            with scope as recorder:
-                plans_before = planner.stats if planner is not None else None
-                with recorder.span(
-                    trace.KIND_QUERY,
-                    f"top-{k}: {clip(pretty(formula), 60)}",
-                    k=k,
-                    level=level,
-                    shards=self.n_shards,
-                ) as query_span:
-                    result = self._rank(
-                        engine, formula, k, level, prune, context
+        recorder = trace.current()
+        if recorder is None and not profile:
+            return self._rank(engine, formula, k, level, prune, context)
+        if recorder is None:
+            scope = trace.recording()
+        else:
+            scope = nullcontext(recorder)
+        planner: Optional[Planner] = getattr(engine, "planner", None)
+        with scope as recorder:
+            plans_before = planner.stats if planner is not None else None
+            with recorder.span(
+                trace.KIND_QUERY,
+                f"top-{k}: {clip(pretty(formula), 60)}",
+                k=k,
+                level=level,
+                shards=self.n_shards,
+            ) as query_span:
+                result = self._rank(engine, formula, k, level, prune, context)
+                if planner is not None:
+                    plans_after = planner.stats
+                    query_span.attrs["plans-built"] = (
+                        plans_after.plans_built - plans_before.plans_built
                     )
-                    if planner is not None:
-                        plans_after = planner.stats
-                        query_span.attrs["plans-built"] = (
-                            plans_after.plans_built - plans_before.plans_built
-                        )
-                        query_span.attrs["plan-reuses"] = (
-                            plans_after.cache_hits - plans_before.cache_hits
-                        )
-                        query_span.attrs["plan-skips"] = (
-                            plans_after.skipped_subformulas
-                            - plans_before.skipped_subformulas
-                        )
-                    result.profile = query_span
-                    return result
-        finally:
-            if started is not None:
-                trace.METRICS.observe(
-                    trace.QUERY_LATENCY, time.perf_counter() - started
-                )
+                    query_span.attrs["plan-reuses"] = (
+                        plans_after.cache_hits - plans_before.cache_hits
+                    )
+                    query_span.attrs["plan-skips"] = (
+                        plans_after.skipped_subformulas
+                        - plans_before.skipped_subformulas
+                    )
+                result.profile = query_span
+                return result
 
     def _rank(
         self,
@@ -501,26 +492,15 @@ class ShardedCorpus:
                 if bound is not None and bound < heap[0][0] - SIM_EPS:
                     trace.annotate(bound=bound)
                     return VideoOutcome(video.name, OUTCOME_PRUNED)
-            started = (
-                time.perf_counter() if trace.METRICS.is_enabled() else None
+            resilience.fault(resilience.SITE_TOPK_WORKER)
+            sim = engine.evaluate_video(
+                formula, video, level=level, database=database
             )
-            try:
-                resilience.fault(resilience.SITE_TOPK_WORKER)
-                sim = engine.evaluate_video(
-                    formula, video, level=level, database=database
-                )
-                sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
-                # Trust boundary: a corrupted list must not enter the
-                # query heap as a silently wrong ranking.
-                sim.validate()
-            finally:
-                if started is not None:
-                    trace.METRICS.observe(
-                        trace.VIDEO_LATENCY, time.perf_counter() - started
-                    )
-            with trace.staged_span(
-                trace.TOP_K, trace.KIND_TOPK, "stream-entries"
-            ):
+            sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
+            # Trust boundary: a corrupted list must not enter the
+            # query heap as a silently wrong ranking.
+            sim.validate()
+            with trace.span(trace.KIND_TOPK, "stream-entries"):
                 _stream_entries(heap, k, sim, video.name)
             return VideoOutcome(video.name, OUTCOME_OK)
 
@@ -555,7 +535,7 @@ class ShardedCorpus:
                                 lose([video.name], error)
             except Exception as error:
                 lose(shard.videos, error)
-        with trace.staged_span(trace.TOP_K, trace.KIND_TOPK, "rank"):
+        with trace.span(trace.KIND_TOPK, "rank"):
             return TopKResult(
                 _drain(heap),
                 outcomes,

@@ -1,15 +1,15 @@
-"""Per-query tracing and the metrics registry (repro.core.trace).
+"""Per-query tracing and the counter registry (repro.core.trace).
 
 Covers the observability layer of DESIGN.md §10 in four tiers:
 
-* registry unit semantics — nested stages, mid-block toggles, histogram
-  percentiles, atomic drain;
-* concurrency — N threads hammering spans + counters + histograms while
-  the registry is drained/reset, with exact conservation asserted;
+* histogram unit semantics — percentiles, decimation;
+* concurrency — N threads hammering spans + counters while the registry
+  is drained/reset, with exact conservation asserted;
 * span trees — parentage, events, counter deltas, error recording,
   export;
-* integration — a traced top-k whose per-stage span rollup
-  reconciles with ``trace.METRICS.totals()``, and a chaos run whose
+* integration — a traced top-k whose per-stage rollup is exactly the
+  sum of its leaf spans, one ``query`` span per query at any shard
+  count, span-only planner counters, and a chaos run whose
   fault-injected fallbacks surface as span events with correct
   parentage.
 """
@@ -35,10 +35,8 @@ from repro.testing.faults import FaultSpec, inject
 
 @pytest.fixture(autouse=True)
 def clean_registry():
-    trace.METRICS.disable()
     trace.METRICS.reset()
     yield
-    trace.METRICS.disable()
     trace.METRICS.reset()
 
 
@@ -68,61 +66,8 @@ QUERY = (
 
 
 # ---------------------------------------------------------------------------
-# registry semantics
+# histogram semantics
 # ---------------------------------------------------------------------------
-class TestStageSemantics:
-    def test_nested_same_name_counts_once(self):
-        trace.METRICS.enable()
-        with trace.METRICS.stage("s"):
-            with trace.METRICS.stage("s"):
-                with trace.METRICS.stage("s"):
-                    pass
-        totals = trace.METRICS.totals()
-        assert totals["s"].calls == 1
-
-    def test_nested_different_names_both_count(self):
-        trace.METRICS.enable()
-        with trace.METRICS.stage("outer"):
-            with trace.METRICS.stage("inner"):
-                pass
-        totals = trace.METRICS.totals()
-        assert totals["outer"].calls == 1
-        assert totals["inner"].calls == 1
-
-    def test_sequential_same_name_counts_each(self):
-        trace.METRICS.enable()
-        for __ in range(3):
-            with trace.METRICS.stage("s"):
-                pass
-        assert trace.METRICS.totals()["s"].calls == 3
-
-    def test_disable_mid_block_drops_the_inflight_block(self):
-        # A block is credited only when collection is enabled at both
-        # entry and exit: its timing would otherwise be torn across the
-        # toggle.
-        trace.METRICS.enable()
-        with trace.METRICS.stage("s"):
-            trace.METRICS.disable()
-        assert trace.METRICS.totals().get("s") is None
-
-    def test_enable_mid_block_takes_effect_next_entry(self):
-        with trace.METRICS.stage("s"):
-            trace.METRICS.enable()
-        assert trace.METRICS.totals().get("s") is None
-        with trace.METRICS.stage("s"):
-            pass
-        assert trace.METRICS.totals()["s"].calls == 1
-
-    def test_nested_depth_survives_inner_disable_enable(self):
-        trace.METRICS.enable()
-        with trace.METRICS.stage("s"):
-            with trace.METRICS.stage("s"):
-                pass
-        with trace.METRICS.stage("s"):
-            pass
-        assert trace.METRICS.totals()["s"].calls == 2
-
-
 class TestHistogram:
     def test_percentiles_nearest_rank(self):
         histogram = trace.Histogram()
@@ -156,33 +101,23 @@ class TestHistogram:
         # Percentiles stay spread over the whole stream, not the tail.
         assert histogram.percentile(50) == pytest.approx(n / 2, rel=0.05)
 
-    def test_observe_requires_enabled(self):
-        trace.METRICS.observe("lat", 0.5)
-        assert trace.METRICS.histograms() == {}
-        trace.METRICS.enable()
-        trace.METRICS.observe("lat", 0.5)
-        assert trace.METRICS.histograms()["lat"].count == 1
-
-
 # ---------------------------------------------------------------------------
 # concurrency: the reset-race regression and drain conservation
 # ---------------------------------------------------------------------------
 class TestConcurrency:
-    def test_no_lost_counts_across_enable_reset_cycles(self):
-        """The PR 1 regression: enable(reset=True)/reset() used to rebind
-        the dicts without the lock, stranding concurrent updates in a
-        discarded dict.  Drain snapshots-and-clears atomically, so every
-        update lands in exactly one drained snapshot (or the final one):
-        the sum across >= 100 cycles is conserved exactly."""
+    def test_no_lost_counts_across_drain_cycles(self):
+        """Regression: reset() used to rebind the dicts without the lock,
+        stranding concurrent updates in a discarded dict.  Drain
+        snapshots-and-clears atomically, so every update lands in exactly
+        one drained snapshot (or the final one): the sum across >= 100
+        cycles is conserved exactly."""
         n_threads, n_increments = 8, 4000
         start = threading.Barrier(n_threads + 1)
-        done = threading.Event()
 
         def worker():
             start.wait()
             for __ in range(n_increments):
                 trace.METRICS.count("hits")
-                trace.METRICS.add("stage", 0.001)
 
         threads = [
             threading.Thread(target=worker) for __ in range(n_threads)
@@ -192,60 +127,48 @@ class TestConcurrency:
         start.wait()
 
         drained_counts = 0
-        drained_calls = 0
         cycles = 0
         while any(thread.is_alive() for thread in threads) or cycles < 100:
-            snapshot = trace.METRICS.drain()
-            drained_counts += snapshot["counters"].get("hits", 0)
-            stage = snapshot["stages"].get("stage")
-            drained_calls += stage.calls if stage else 0
+            drained_counts += trace.METRICS.drain().get("hits", 0)
             cycles += 1
             if cycles > 100000:  # safety valve, never expected
                 break
         for thread in threads:
             thread.join()
-        final = trace.METRICS.drain()
-        drained_counts += final["counters"].get("hits", 0)
-        stage = final["stages"].get("stage")
-        drained_calls += stage.calls if stage else 0
-        done.set()
+        drained_counts += trace.METRICS.drain().get("hits", 0)
 
         assert cycles >= 100
         assert drained_counts == n_threads * n_increments
-        assert drained_calls == n_threads * n_increments
 
-    def test_enable_reset_cycles_never_corrupt_the_registry(self):
-        """enable(reset=True) racing stage timers must neither raise nor
-        leave the registry in a torn state."""
+    def test_reset_cycles_never_corrupt_the_registry(self):
+        """reset() racing counters and spans must neither raise nor leave
+        the registry in a torn state."""
         stop = threading.Event()
 
         def worker():
-            while not stop.is_set():
-                trace.METRICS.count("c")
-                with trace.METRICS.stage("s"):
-                    pass
+            with trace.recording():
+                while not stop.is_set():
+                    with trace.span(trace.KIND_TOPK, "s"):
+                        trace.METRICS.count("c")
 
         threads = [threading.Thread(target=worker) for __ in range(4)]
         for thread in threads:
             thread.start()
         try:
             for __ in range(100):
-                trace.METRICS.enable(reset=True)
                 trace.METRICS.reset()
         finally:
             stop.set()
             for thread in threads:
                 thread.join()
-        snapshot = trace.METRICS.snapshot()
-        assert set(snapshot) == {"stages", "counters", "histograms"}
-        for total in snapshot["stages"].values():
-            assert total.calls >= 0 and total.seconds >= 0.0
+        counters = trace.METRICS.counters()
+        assert set(counters) <= {"c"}
+        assert all(value >= 0 for value in counters.values())
 
-    def test_threaded_spans_counters_histograms_cohere(self):
+    def test_threaded_spans_and_counters_cohere(self):
         """The TraceRecorder/registry concurrency suite: N threads each
-        record spans, counters and latency samples; afterwards the
-        recorder holds every root and the snapshot is coherent."""
-        trace.METRICS.enable()
+        record spans and counters; afterwards the recorder holds every
+        root, the registry every count, and each span its own delta."""
         n_threads, n_spans = 8, 50
         recorder = trace.TraceRecorder()
         start = threading.Barrier(n_threads)
@@ -254,25 +177,22 @@ class TestConcurrency:
             start.wait()
             with trace.recording(recorder):
                 for index in range(n_spans):
-                    with trace.staged_span(
-                        trace.TOP_K, trace.KIND_TOPK, f"w{tid}-{index}"
-                    ):
+                    with trace.span(trace.KIND_TOPK, f"w{tid}-{index}"):
                         trace.METRICS.count("visits")
-                        trace.METRICS.observe("lat", 0.001)
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(worker, range(n_threads)))
 
         assert len(recorder.roots) == n_threads * n_spans
-        snapshot = trace.METRICS.snapshot()
-        assert snapshot["counters"]["visits"] == n_threads * n_spans
-        assert snapshot["stages"][trace.TOP_K].calls == n_threads * n_spans
-        assert snapshot["histograms"]["lat"].count == n_threads * n_spans
-        # Every span carries exactly its own counter delta.
-        deltas = sum(
-            node.counters.get("visits", 0) for node in recorder.roots
+        assert trace.METRICS.counters()["visits"] == n_threads * n_spans
+        stage_calls = sum(
+            root.stage_totals()[trace.TOP_K].calls for root in recorder.roots
         )
-        assert deltas == n_threads * n_spans
+        assert stage_calls == n_threads * n_spans
+        # Every span carries exactly its own counter delta.
+        assert all(
+            node.counters == {"visits": 1} for node in recorder.roots
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +203,7 @@ class TestSpans:
         with trace.recording() as recorder:
             with recorder.span(trace.KIND_QUERY, "q") as root:
                 with recorder.span(trace.KIND_VIDEO, "v"):
-                    with trace.staged_span(
-                        trace.ATOM_SCORING, trace.KIND_ATOM_SWEEP, "a"
-                    ):
+                    with trace.span(trace.KIND_ATOM_SWEEP, "a"):
                         trace.bump("rows", 3)
                     trace.event("note", "merged")
         assert recorder.roots == [root]
@@ -339,52 +257,6 @@ class TestSpans:
         assert any("! ping" in line for line in lines)
 
 
-class TestStagedSpanBridge:
-    def test_single_measurement_feeds_both_sinks(self):
-        trace.METRICS.enable()
-        with trace.recording() as recorder:
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "merge"
-            ) as opened:
-                assert opened is not None
-        totals = trace.METRICS.totals()
-        assert totals[trace.LIST_ALGEBRA].calls == 1
-        # Exact reconciliation: the stage credit IS the span duration.
-        assert totals[trace.LIST_ALGEBRA].seconds == pytest.approx(
-            recorder.roots[0].seconds, abs=0.0
-        )
-
-    def test_metrics_disabled_still_produces_span(self):
-        with trace.recording() as recorder:
-            with trace.staged_span(
-                trace.ATOM_SCORING, trace.KIND_ATOM_SWEEP, "a"
-            ):
-                pass
-        assert len(recorder.roots) == 1
-        assert trace.METRICS.totals() == {}
-
-    def test_no_recorder_no_metrics_is_passthrough(self):
-        with trace.staged_span(
-            trace.ATOM_SCORING, trace.KIND_ATOM_SWEEP, "a"
-        ) as opened:
-            assert opened is None
-        assert trace.METRICS.totals() == {}
-
-    def test_nested_same_stage_spans_count_stage_once(self):
-        trace.METRICS.enable()
-        with trace.recording() as recorder:
-            with trace.staged_span(
-                trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "outer"
-            ):
-                with trace.staged_span(
-                    trace.LIST_ALGEBRA, trace.KIND_LIST_OP, "inner"
-                ):
-                    pass
-        # Two spans in the tree, one stage credit (outermost frame only).
-        assert len(list(recorder.roots[0].walk())) == 2
-        assert trace.METRICS.totals()[trace.LIST_ALGEBRA].calls == 1
-
-
 # ---------------------------------------------------------------------------
 # integration: traced retrieval
 # ---------------------------------------------------------------------------
@@ -430,10 +302,10 @@ class TestTracedRetrieval:
     def test_disabled_tracing_builds_no_spans(
         self, name, tmp_path, monkeypatch
     ):
-        """With no recorder installed and metrics off, a span site is one
-        thread-local read: the smoke stream builds no ``Span`` and times
-        no stage.  Profiled with metrics on, the same requests rank
-        alike and build exactly the spans their trees hold."""
+        """With no recorder installed a span site is one thread-local
+        read: the smoke stream builds no ``Span``.  Profiled, the same
+        requests rank alike and build exactly the spans their trees
+        hold."""
         database, clips, stream = WORKLOADS[name](
             7, SMOKE, str(tmp_path)
         ).inputs()
@@ -453,11 +325,8 @@ class TestTracedRetrieval:
             )
 
         assert trace.current() is None
-        assert not trace.METRICS.is_enabled()
         bare = [rows(ranked(text, False)) for text in stream]
         assert built == []
-        assert trace.METRICS.totals() == {}
-        trace.METRICS.enable()
         in_trees = 0
         for text, expected in zip(stream, bare):
             profiled = ranked(text, True)
@@ -466,57 +335,61 @@ class TestTracedRetrieval:
         assert len(built) == in_trees > len(stream)
 
     def test_span_rollup_reconciles_with_instrument_totals(self):
-        """The acceptance criterion: per-stage totals from the span tree
-        reconcile (within 5%; exactly, by construction) with the legacy
-        trace.METRICS.totals() for the same run."""
+        """The span tree is the one timing source: each stage of the
+        rollup is exactly the count and the sum of its leaf spans, and
+        only the three leaf kinds contribute."""
         database = tiny_database(n_videos=6)
         formula = parse(QUERY)
-        trace.METRICS.enable()
         result = top_k_across_videos(
             RetrievalEngine(), formula, database, k=5, profile=True
         )
-        trace.METRICS.disable()
-        legacy = trace.METRICS.totals()
         rollup = result.profile.stage_totals()
-        for stage in (trace.ATOM_SCORING, trace.LIST_ALGEBRA, trace.TOP_K):
-            assert stage in rollup, f"missing {stage} in span rollup"
-            assert stage in legacy, f"missing {stage} in legacy totals"
-            assert rollup[stage].calls == legacy[stage].calls
-            assert rollup[stage].seconds == pytest.approx(
-                legacy[stage].seconds, rel=0.05
-            )
-
-    def test_query_and_video_latency_histograms_populate(self):
-        database = tiny_database()
-        formula = parse(QUERY)
-        trace.METRICS.enable()
-        top_k_across_videos(
-            RetrievalEngine(), formula, database, k=3, profile=True
-        )
-        trace.METRICS.disable()
-        summaries = trace.METRICS.histograms()
-        assert summaries[trace.QUERY_LATENCY].count == 1
-        assert summaries[trace.VIDEO_LATENCY].count == len(
-            list(database.videos())
-        )
+        assert set(rollup) == {
+            trace.ATOM_SCORING, trace.LIST_ALGEBRA, trace.TOP_K
+        }
+        for kind, stage in trace.KIND_TO_STAGE.items():
+            leaves = [
+                node.seconds
+                for node in result.profile.walk()
+                if node.kind == kind
+            ]
+            assert leaves, f"no {kind} span"
+            assert rollup[stage].calls == len(leaves)
+            assert rollup[stage].seconds == sum(leaves)
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_sharded_query_is_one_query_latency_sample(self, shards):
-        """Regression: sharded queries never reached
-        ``query-seconds``.  One sharded query is one sample — not one per
-        shard — plus one ``video-seconds`` sample per evaluated video."""
+        """Regression: sharded queries once lost their query latency.  A
+        query's latency is its ``query`` span: one per sharded query —
+        not one per shard — with one ``video`` span per video, each ok
+        outcome's marked ``status=ok``."""
         from repro.shard import ShardedCorpus
 
         database = tiny_database(n_videos=4)
         corpus = ShardedCorpus.from_database(database, shards)
-        trace.METRICS.enable()
-        result = corpus.top_k(RetrievalEngine(), parse(QUERY), k=3)
-        trace.METRICS.disable()
-        summaries = trace.METRICS.histograms()
-        assert summaries[trace.QUERY_LATENCY].count == 1
-        assert summaries[trace.VIDEO_LATENCY].count == sum(
-            outcome.ok for outcome in result.outcomes
+        result = corpus.top_k(
+            RetrievalEngine(), parse(QUERY), k=3, profile=True
         )
+        nodes = list(result.profile.walk())
+        queries = [node for node in nodes if node.kind == trace.KIND_QUERY]
+        videos = [node for node in nodes if node.kind == trace.KIND_VIDEO]
+        assert queries == [result.profile]
+        assert len(videos) == len(result.outcomes) == 4
+        ok = [node for node in videos if node.attrs["status"] == "ok"]
+        assert len(ok) == sum(outcome.ok for outcome in result.outcomes)
+
+    def test_planner_counters_reach_spans_not_the_registry(self):
+        """``trace.bump`` counters live on spans only: a profiled planned
+        query shows ``plan-built`` in its tree's counters and never in
+        ``METRICS.counters()``."""
+        from repro.core.planner import PLAN_BUILT
+
+        database = tiny_database()
+        result = top_k_across_videos(
+            RetrievalEngine(), parse(QUERY), database, k=3, profile=True
+        )
+        assert result.profile.total_counters().get(PLAN_BUILT, 0) >= 1
+        assert PLAN_BUILT not in trace.METRICS.counters()
 
     def test_chaos_fallbacks_appear_as_span_events(self):
         """Fault-injected index failures must surface as atom-fallback

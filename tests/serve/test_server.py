@@ -129,6 +129,10 @@ class TestResults:
         stats = server.stats()
         assert stats.admitted == 12
         assert stats.conserved
+        # Every request is one sample of each of its latency histograms.
+        assert stats.admission_ms["count"] == 12
+        for histograms in (stats.queue_wait_ms, stats.latency_ms):
+            assert sum(h["count"] for h in histograms.values()) == 12
 
 
 class TestDegradation:

@@ -326,22 +326,16 @@ class TestObservability:
         """``shard-loaded`` counts store loads: once per store shard, and
         never for an in-memory shard, which holds its database."""
         save_sharded(corpus, tmp_path, 3)
-        was_enabled = trace.METRICS.is_enabled()
-        trace.METRICS.enable()
-        try:
-            counts = []
-            for sharded in (
-                ShardedCorpus.from_database(corpus, 3),
-                ShardedCorpus.from_directory(tmp_path),
-            ):
-                before = trace.METRICS.counters().get(trace.SHARD_LOADED, 0)
-                sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
-                sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
-                after = trace.METRICS.counters().get(trace.SHARD_LOADED, 0)
-                counts.append(after - before)
-        finally:
-            if not was_enabled:
-                trace.METRICS.disable()
+        counts = []
+        for sharded in (
+            ShardedCorpus.from_database(corpus, 3),
+            ShardedCorpus.from_directory(tmp_path),
+        ):
+            before = trace.METRICS.counters().get(trace.SHARD_LOADED, 0)
+            sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
+            sharded.top_k(RetrievalEngine(), parse("$P1"), 2)
+            after = trace.METRICS.counters().get(trace.SHARD_LOADED, 0)
+            counts.append(after - before)
         assert counts == [0, 3]
 
     def test_database_load_is_memoized(self, corpus):

@@ -232,7 +232,6 @@ class TestTrace:
         assert "(video)" in out
         assert "(atom-sweep)" in out
         assert "Per-stage timing" in out
-        assert "Latency percentiles" in out
         assert "Top 2 segments" in out
 
     def test_trace_keeps_video_parentage(self, capsys):
@@ -264,7 +263,8 @@ class TestTrace:
         assert set(payload) == {"metrics", "trace"}
         assert payload["trace"]["spans"]["kind"] == "query"
         assert "stage_breakdown" in payload["trace"]
-        assert "histograms" in payload["metrics"]
+        assert set(payload["metrics"]) == {"counters"}
+        assert isinstance(payload["metrics"]["counters"], dict)
 
     def test_trace_parse_error_reported(self, capsys):
         code, __, err = run_cli(capsys, "trace", "and and")

@@ -124,6 +124,29 @@ def test_syntax_errors_carry_positions():
         ("repro.htl.variables", "is_constant_term"),
         ("repro.model.database", "VideoDatabase.generation"),
         ("repro.model.database", "VideoDatabase.video_generations"),
+        ("repro.core.trace", "staged_span"),
+        ("repro.core.trace", "stage_breakdown"),
+        ("repro.core.trace", "QUERY_LATENCY"),
+        ("repro.core.trace", "VIDEO_LATENCY"),
+        ("repro.core.trace", "SERVE_ADMISSION_LATENCY"),
+        ("repro.core.trace", "SERVE_QUEUE_WAIT"),
+        ("repro.core.trace", "SERVE_REQUEST_LATENCY"),
+        ("repro.core.trace", "MetricsRegistry.enable"),
+        ("repro.core.trace", "MetricsRegistry.disable"),
+        ("repro.core.trace", "MetricsRegistry.is_enabled"),
+        ("repro.core.trace", "MetricsRegistry.add"),
+        ("repro.core.trace", "MetricsRegistry.stage"),
+        ("repro.core.trace", "MetricsRegistry.totals"),
+        ("repro.core.trace", "MetricsRegistry.observe"),
+        ("repro.core.trace", "MetricsRegistry.histograms"),
+        ("repro.core.trace", "MetricsRegistry.snapshot"),
+        ("repro.core.trace", "MetricsRegistry._enter_frame"),
+        ("repro.core.trace", "MetricsRegistry._exit_frame"),
+        ("repro.bench.reporting", "latency_report_text"),
+        ("repro.core.tables", "SimilarityTable.binding_of"),
+        ("repro.core.cache", "PlanCache.invalidate_video"),
+        ("repro.core.cache", "PlanCache.clear"),
+        ("repro.core.cache", "PlanCacheStats.hit_rate"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -134,8 +157,10 @@ def test_deleted_names_stay_deleted(module, name):
     hand-off), the global list-invariant switch (with the entry-object
     constructor it guarded), the plain-JSON database files (a store
     snapshot is the one persistence format), the opt-in evaluation cache
-    (every engine keeps a list memo) and helpers nothing called are
-    gone; nothing re-exports them."""
+    (every engine keeps a list memo), the metrics registry's stage
+    timers, latency histograms and enable switch (the span tree is the
+    one timing source) and helpers nothing called are gone; nothing
+    re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
