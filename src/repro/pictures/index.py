@@ -14,7 +14,9 @@ Construction also assigns every segment a **content profile id**: two
 segments share a profile exactly when their full meta-data is equal up
 to reordering (of objects, attributes and relationships).  Scoring is
 invariant under those reorderings, so the index-driven evaluator can
-reuse a score across same-profile segments without re-probing anything.
+reuse a score across same-profile segments without re-probing anything:
+the sweep per candidate, and a routed binding by scoring each profile's
+first segment (:meth:`MetadataIndex.profile_representatives`).
 """
 
 from __future__ import annotations
@@ -180,12 +182,23 @@ class MetadataIndex:
         self._by_attr_name: Dict[str, Tuple[int, ...]] = _frozen(by_attr_name)
         self._with_any_object: Tuple[int, ...] = tuple(with_any_object)
         self._with_signature: Tuple[int, ...] = tuple(with_signature)
-        profile_ids: Dict[tuple, int] = {}
-        self._segment_profiles: Tuple[int, ...] = tuple(
-            profile_ids.setdefault(_content_key(segment), len(profile_ids))
-            for segment in segments
+        # Each segment's first equal-content position; the distinct
+        # ones, in order, are the representatives, and a profile's id is
+        # its representative's rank.
+        first_of: Dict[tuple, int] = {}
+        seen = [
+            first_of.setdefault(content, position)
+            for position, content in enumerate(map(_content_key, segments))
+        ]
+        firsts = tuple(first_of.values())
+        rank = dict(zip(firsts, range(len(firsts))))
+        #: (profile id per segment, first segment position per profile
+        #: id), both 0-based: one attribute, so a reader never pairs new
+        #: ids with old representatives.
+        self._profiles: Tuple[Tuple[int, ...], Tuple[int, ...]] = (
+            tuple(map(rank.__getitem__, seen)),
+            firsts,
         )
-        self.n_profiles = len(profile_ids)
         # Content keys are most of an index's memory (400 of 437 KB on the
         # dense benchmark corpus) and only appends read them, so none are
         # kept: the first append rebuilds one per profile from the
@@ -228,15 +241,13 @@ class MetadataIndex:
                     f"a restored index over {self.n_segments} segments "
                     f"needs them to append; {len(covered)} given"
                 )
-            # Equal ids mean equal content: one key per restored profile.
-            keyed = set()
+            # Equal ids mean equal content: one key per restored profile,
+            # read off its first segment.
             self._profile_keys = {}
-            for segment, profile in zip(covered, self._segment_profiles):
-                if profile not in keyed:
-                    keyed.add(profile)
-                    self._profile_keys.setdefault(
-                        _content_key(segment), profile
-                    )
+            for profile, position in enumerate(self._profiles[1]):
+                self._profile_keys.setdefault(
+                    _content_key(covered[position]), profile
+                )
         by_object: Dict[str, List[int]] = {}
         by_type: Dict[str, List[int]] = {}
         by_relationship: Dict[str, List[int]] = {}
@@ -306,16 +317,16 @@ class MetadataIndex:
             with_any_object
         )
         self._with_signature = self._with_signature + tuple(with_signature)
-        profiles = list(self._segment_profiles)
-        for segment in segments:
+        ids, firsts = map(list, self._profiles)
+        for position, segment in enumerate(segments, start=self.n_segments):
             content = _content_key(segment)
             profile = self._profile_keys.get(content)
             if profile is None:
-                profile = self.n_profiles
+                profile = len(firsts)
                 self._profile_keys[content] = profile
-                self.n_profiles += 1
-            profiles.append(profile)
-        self._segment_profiles = tuple(profiles)
+                firsts.append(position)
+            ids.append(profile)
+        self._profiles = (tuple(ids), tuple(firsts))
         self.n_segments += len(segments)
         return self.n_segments
 
@@ -356,13 +367,33 @@ class MetadataIndex:
         return self._with_signature
 
     # -- content profiles ----------------------------------------------------
+    @property
+    def n_profiles(self) -> int:
+        """The number of distinct content profiles."""
+        return len(self._profiles[1])
+
     def segment_profiles(self) -> Tuple[int, ...]:
         """Per-segment content profile ids, in segment order (0-indexed).
 
         Segments with equal profiles have equal meta-data up to
         reordering, hence equal scores for every atom, binding and pool.
+        Profile ids are ``0 .. n_profiles - 1``, numbered in order of
+        first appearance by a build and by appends; an index restored by
+        :meth:`from_dict` keeps whatever numbering its document carries.
+        Two users read them: the indexed sweep shares a score between
+        candidates of one profile, and a routed binding scores each
+        profile once (:meth:`profile_representatives`).
         """
-        return self._segment_profiles
+        return self._profiles[0]
+
+    def profile_representatives(
+        self,
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(segment_profiles(), firsts)`` read together, where
+        ``firsts[p]`` is the 0-based position of profile ``p``'s first
+        segment.  Derived, never serialised; replaced in one assignment
+        with the profile ids, so the two always describe one sequence."""
+        return self._profiles
 
     # -- introspection --------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -448,7 +479,7 @@ class MetadataIndex:
             "objects_of_type": {
                 key: list(ids) for key, ids in self._objects_of_type.items()
             },
-            "segment_profiles": list(self._segment_profiles),
+            "segment_profiles": list(self._profiles[0]),
             "n_profiles": self.n_profiles,
         }
 
@@ -458,7 +489,13 @@ class MetadataIndex:
 
         Structural junk raises a typed :class:`~repro.errors.ModelError`;
         the caller (the store's load path) treats that as corruption and
-        rebuilds from the surviving metadata instead.
+        rebuilds from the surviving metadata instead.  That covers the
+        content profiles: one id per segment, every id in
+        ``range(n_profiles)`` and every such id used.  An id past the
+        count would collide with the next append's new profile and share
+        a score between two contents.  Any numbering order is accepted
+        (ingest-maintained indexes number in append order), and the
+        representatives are derived here, not read.
         """
         try:
             index = cls.__new__(cls)
@@ -497,10 +534,8 @@ class MetadataIndex:
                 str(key): [str(i) for i in ids]
                 for key, ids in document["objects_of_type"].items()
             }
-            index._segment_profiles = tuple(
-                int(p) for p in document["segment_profiles"]
-            )
-            index.n_profiles = int(document["n_profiles"])
+            ids = tuple(int(p) for p in document["segment_profiles"])
+            n_profiles = int(document["n_profiles"])
             index._profile_keys = None
             index._built_over = None
         except ModelError:
@@ -509,11 +544,29 @@ class MetadataIndex:
             raise ModelError(
                 f"malformed metadata-index payload: {error!r}"
             ) from error
-        if len(index._segment_profiles) != index.n_segments:
+        if len(ids) != index.n_segments:
             raise ModelError(
-                f"metadata-index payload carries {len(index._segment_profiles)} "
+                f"metadata-index payload carries {len(ids)} "
                 f"segment profiles for {index.n_segments} segments"
             )
+        firsts: Dict[int, int] = {}
+        for position, profile in enumerate(ids):
+            firsts.setdefault(profile, position)
+        stray = [p for p in firsts if not 0 <= p < n_profiles]
+        if stray:
+            raise ModelError(
+                f"metadata-index payload numbers segment profile "
+                f"{min(stray)} outside 0..{n_profiles - 1}"
+            )
+        if len(firsts) != n_profiles:
+            raise ModelError(
+                f"metadata-index payload declares {n_profiles} segment "
+                f"profiles but uses {len(firsts)}"
+            )
+        index._profiles = (
+            ids,
+            tuple(firsts[profile] for profile in range(n_profiles)),
+        )
         return index
 
     # -- object universe ------------------------------------------------------

@@ -26,8 +26,10 @@ Two evaluation paths produce every table (DESIGN.md §7):
   profile) share a score per binding — and emits the baseline over the
   complement as interval runs directly in compressed form.  A binding
   the analysis cannot bound, or whose candidates cover at least
-  :data:`DENSE_CUTOFF` of the sequence, is *routed*: it takes the naive
-  scan's own loop, so the sweep has one shape.
+  :data:`DENSE_CUTOFF` of the sequence, is *routed* to a full scan that
+  scores each content profile once, on its first segment, and expands
+  the scores by profile id (the naive scan's own loop when every
+  profile is distinct), so the sweep has one shape.
 
 The two are list-for-list identical (property-tested); ``use_index``
 selects per system or per call, and ``EngineConfig(naive_atoms=True)``
@@ -78,9 +80,10 @@ _EMPTY_SEGMENT = SegmentMetadata()
 
 #: Candidate-density cutoff (DESIGN.md §16): a binding whose candidate
 #: set covers at least this fraction of the sequence is routed to the
-#: naive scan, like an unbounded one.  The sweep would visit (almost)
-#: every segment anyway, and its per-segment bookkeeping costs more than
-#: the baseline runs it saves.  Sound either way: off the candidates the
+#: full scan (:meth:`PictureRetrievalSystem._scan_profiles`), like an
+#: unbounded one.  The sweep would visit (almost) every segment anyway,
+#: and its per-segment bookkeeping costs more than the baseline runs it
+#: saves.  Sound either way: off the candidates the
 #: score is the baseline, which the scan simply computes.
 DENSE_CUTOFF = 0.5
 
@@ -98,7 +101,7 @@ class PictureStats:
     fingerprint_hits: int = 0
     #: total candidate-set sizes over all swept bindings.
     candidate_segments: int = 0
-    #: bindings routed to the naive scan: the support analysis could not
+    #: bindings routed to the full scan: the support analysis could not
     #: bound them, or the density cutoff applied.
     unbounded_bindings: int = 0
     #: routed bindings whose candidate set the density cutoff caught (a
@@ -195,7 +198,7 @@ class PictureRetrievalSystem:
     ) -> Optional[Tuple[int, ...]]:
         """The sorted candidates the index-driven path sweeps for one
         (atom, binding) pair — ``None`` when it routes the binding to the
-        naive scan (:meth:`_sweep_candidates`).
+        full scan (:meth:`_sweep_candidates`).
 
         ``universe`` is the ∃-pool the analysis expands quantified
         probes over; it must match the pool the table was (or will be)
@@ -213,7 +216,7 @@ class PictureRetrievalSystem:
     def _sweep_candidates(
         self, support: Optional[Set[int]]
     ) -> Optional[Tuple[int, ...]]:
-        """The density rule: ``None`` (route to the naive scan) for an
+        """The density rule: ``None`` (route to the full scan) for an
         unbounded support or one of at least ``DENSE_CUTOFF · n``
         candidates, else the candidates in ascending order.  The length
         is tested before the sort, so a dense set is never ordered."""
@@ -376,8 +379,9 @@ class PictureRetrievalSystem:
         pool: Sequence[str],
         maximum: float,
     ) -> List[TableRow]:
-        """Build every row of one table: routed bindings by the naive
-        scan's loop, the rest in a single batched sweep."""
+        """Build every row of one table: routed bindings by a scan per
+        content profile (:meth:`_scan_profiles`), the rest in a single
+        batched sweep."""
         self.stats.tables += 1
         # Compiled per table build and dropped with it; each binding is
         # its own dict, which the kernel rebinds in place and restores.
@@ -395,7 +399,9 @@ class PictureRetrievalSystem:
             ):
                 job = self._make_job(atom, objects, binding, pool)
                 if job is None:
-                    built = self._scan(kernel, binding, kernel_pool, maximum)
+                    built = self._scan_profiles(
+                        kernel, binding, kernel_pool, maximum
+                    )
                 else:
                     jobs.append(job)
                     built = job
@@ -536,6 +542,41 @@ class PictureRetrievalSystem:
             kernel, binding, exists_pool(pool) if pool else (), maximum
         )
 
+    def _scan_profiles(
+        self,
+        kernel: Kernel,
+        binding: Binding,
+        pool: Sequence[str],
+        maximum: float,
+    ) -> SimilarityList:
+        """A routed binding's list: the kernel once per content profile,
+        on the profile's first segment, with each segment reading its
+        profile's score.  Equal profiles mean equal metadata up to
+        reordering, hence equal scores (the sweep's memo relies on the
+        same).  Charges what :meth:`_scan` charges, one step per segment
+        in the same blocks of 256, before scoring.  When every profile
+        is distinct it is :meth:`_scan`, with no extra pass."""
+        profiles, firsts = self.index.profile_representatives()
+        segments = self.segments
+        n_segments = len(segments)
+        if len(firsts) == n_segments:
+            return self._scan(kernel, binding, pool, maximum)
+        budget = resilience.current_budget()
+        if budget is not None:
+            for __ in range(n_segments // 256):
+                budget.charge(256, site="atom-scoring")
+            if n_segments % 256:
+                budget.charge(n_segments % 256, site="atom-scoring")
+        scores = [kernel(segments[first], binding, pool) for first in firsts]
+        pieces = [
+            (segment_id, segment_id, actual)
+            for segment_id, actual in enumerate(
+                map(scores.__getitem__, profiles), start=1
+            )
+            if actual > SIM_EPS
+        ]
+        return SimilarityList.from_sorted_pieces(pieces, maximum)
+
     def _scan(
         self,
         kernel: Kernel,
@@ -544,7 +585,10 @@ class PictureRetrievalSystem:
         maximum: float,
     ) -> SimilarityList:
         """One binding's list by the full scan: the kernel on every
-        segment, one budget step each (charged in blocks of 256).
+        segment, one budget step each (charged in blocks of 256, between
+        kernel calls, so a deadline is checked inside a long scan).  The
+        definitional oracle path (:meth:`_score_list`), and a routed
+        binding's path when no two segments share a profile.
         ``binding`` must be private — the kernel rebinds it in place."""
         budget = resilience.current_budget()
         pending = 0

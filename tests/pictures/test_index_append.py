@@ -112,3 +112,44 @@ class TestMetadataFreeProfiles:
         for index in (grown, restored):
             assert index.segment_profiles() == expected
             assert index.n_profiles == 5
+
+
+class TestRestoredProfilesAreChecked:
+    """``from_dict`` takes untrusted input: every profile id must lie in
+    ``range(n_profiles)`` and every id in that range must be used.  Any
+    numbering order passes (ingest-maintained indexes number in append
+    order)."""
+
+    @staticmethod
+    def document(profiles, n_profiles):
+        segments = [SegmentMetadata() for __ in profiles]
+        document = MetadataIndex(segments).to_dict()
+        document["segment_profiles"] = list(profiles)
+        document["n_profiles"] = n_profiles
+        return document
+
+    @pytest.mark.parametrize(
+        "profiles, n_profiles, message",
+        [
+            ([0, 7, -1], 1, "profile -1 outside 0..0"),
+            ([0, 0, 0], 9, "declares 9 segment profiles but uses 1"),
+            # Accepted, the next append would number its first new
+            # content 1 as well: one score shared by two contents.
+            ([0, 1], 1, "profile 1 outside 0..0"),
+            ([0, 2, 1], 2, "profile 2 outside 0..1"),
+            ([], -1, "declares -1 segment profiles but uses 0"),
+        ],
+    )
+    def test_inconsistent_profiles_are_rejected(
+        self, profiles, n_profiles, message
+    ):
+        with pytest.raises(ModelError, match=message):
+            MetadataIndex.from_dict(self.document(profiles, n_profiles))
+
+    @pytest.mark.parametrize("profiles", [[0, 1, 0], [1, 0, 1], [2, 0, 1]])
+    def test_any_numbering_order_is_accepted(self, profiles):
+        restored = MetadataIndex.from_dict(
+            self.document(profiles, len(set(profiles)))
+        )
+        assert restored.segment_profiles() == tuple(profiles)
+        assert restored.n_profiles == len(set(profiles))

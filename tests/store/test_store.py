@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.e2e.workloads import SMOKE, WORKLOADS
 from repro.core import trace
-from repro.core.engine import RetrievalEngine
+from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.errors import (
     StoreCorruptionError,
     StoreError,
@@ -307,6 +307,49 @@ class TestRecovery:
         assert not any(
             action.kind == "fallback" for action in loaded.actions
         )
+
+    @pytest.mark.parametrize("tamper", ["collapsed", "stray"])
+    def test_unverified_load_rejects_tampered_profiles(
+        self, store, database, tamper
+    ):
+        """Without digests, a well-formed ``index.json`` whose profile ids
+        disagree with its profile count reaches ``from_dict``.  Accepted,
+        the collapsed one would share one score across every segment.
+        It is rejected, the index is rebuilt, and every answer equals
+        the naive oracle's."""
+        info = store.save(database)
+        path = os.path.join(info.path, INDEX_ARTIFACT)
+        with open(path) as handle:
+            payload = json.load(handle)
+        for entry in payload["indices"].values():
+            document = entry["index"]
+            profiles = document["segment_profiles"]
+            if tamper == "collapsed":
+                document["segment_profiles"] = [0] * len(profiles)
+            else:
+                profiles[-1] = document["n_profiles"]
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        loaded = store.load(verify=False)
+        rebuilt = [
+            action for action in loaded.actions
+            if action.kind == "index-rebuilt"
+        ]
+        assert len(rebuilt) == len(list(database.videos()))
+        assert all("rejected" in action.detail for action in rebuilt)
+        oracle = RetrievalEngine(EngineConfig(naive_atoms=True))
+        for text in (
+            "exists x . present(x) and type(x) = 'train' and height(x) = 2",
+            "not (exists x . present(x) and type(x) = 'person')",
+            "kind() = 'battle'",
+        ):
+            formula = parse(text)
+            for video in database.videos():
+                expected = oracle.evaluate_video(formula, video)
+                actual = RetrievalEngine().evaluate_video(
+                    formula, loaded.database.get(video.name)
+                )
+                assert list(actual) == list(expected)
 
     def test_missing_manifest_recovered_by_scan(self, store, database):
         reference = database_to_dict(database)
