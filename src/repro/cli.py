@@ -371,14 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     store_load = store_actions.add_parser(
-        "load", help="load the newest intact snapshot (with recovery)"
+        "load", help="load the newest intact snapshot (digest-checked)"
     )
     _store_common(store_load)
-    store_load.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip digest verification (structural checks remain)",
-    )
 
     store_verify = store_actions.add_parser(
         "verify", help="read-only integrity check of every snapshot"
@@ -572,11 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         "recover", help="replay the committed state and report provenance"
     )
     _ingest_common(ingest_recover)
-    ingest_recover.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip digest verification (structural checks remain)",
-    )
     return parser
 
 
@@ -864,11 +854,10 @@ def cmd_store(arguments: argparse.Namespace) -> int:
             print(f"pruned: {', '.join(info.pruned)}")
         return 0
     if arguments.store_command == "load":
-        loaded = store.load(verify=not arguments.no_verify)
+        loaded = store.load()
         database = loaded.database
         print(
-            f"loaded {loaded.snapshot_id}"
-            f" ({'verified' if loaded.verified else 'unverified'}):"
+            f"loaded {loaded.snapshot_id}:"
             f" {len(database)} video(s),"
             f" {len(database.atomic_names())} atomic predicate(s)"
         )
@@ -1173,11 +1162,10 @@ def cmd_ingest(arguments: argparse.Namespace) -> int:
                 f"{info.wal_through}"
             )
         return 0
-    state = recover(arguments.ingest_dir, verify=not arguments.no_verify)
+    state = recover(arguments.ingest_dir)
     state.wal.close()
     print(
-        f"recovered {state.snapshot_id}"
-        f" ({'verified' if state.verified else 'unverified'}):"
+        f"recovered {state.snapshot_id}:"
         f" {len(state.database)} video(s),"
         f" {state.replayed} WAL record(s) replayed,"
         f" {state.skipped} skipped"

@@ -81,7 +81,6 @@ class Ingester:
         root: PathLike,
         fsync: bool = True,
         keep: int = 2,
-        verify: bool = True,
         auto_commit: Optional[int] = None,
     ):
         if auto_commit is not None and auto_commit < 1:
@@ -92,9 +91,7 @@ class Ingester:
         self.layout = IngestLayout(root)
         self.fsync = fsync
         self.auto_commit = auto_commit
-        self.recovered: RecoveredState = recover(
-            root, verify=verify, fsync=fsync, keep=keep
-        )
+        self.recovered: RecoveredState = recover(root, fsync=fsync, keep=keep)
         self.database: VideoDatabase = self.recovered.database
         self._wal = self.recovered.wal
         self._store = Store(self.layout.base_dir, keep=keep, fsync=fsync)

@@ -36,9 +36,7 @@ DELTAS_DIR_NAME = "deltas"
 DELTAS_FORMAT = 1
 
 
-def _apply_chain(
-    layout: IngestLayout, database: VideoDatabase, verify: bool
-) -> int:
+def _apply_chain(layout: IngestLayout, database: VideoDatabase) -> int:
     """Apply the committed chain in manifest order; returns its watermark."""
     path = os.path.join(layout.root, DELTAS_MANIFEST_NAME)
     try:
@@ -73,7 +71,7 @@ def _apply_chain(
                 path=delta_path,
             ) from error
         entry = entries[name]
-        if verify and (
+        if (
             len(data) != entry.get("bytes")
             or sha256_hex(data) != entry.get("sha256")
         ):
@@ -118,7 +116,6 @@ def migrate_deltas(
     layout: IngestLayout,
     store: Store,
     database: VideoDatabase,
-    verify: bool,
 ) -> Tuple[Optional[SnapshotInfo], List[str]]:
     """Fold a format-1 delta chain into ``store``, if the root holds one.
 
@@ -131,7 +128,7 @@ def migrate_deltas(
     info = None
     moved: List[str] = []
     if os.path.exists(manifest_path):
-        wal_through = _apply_chain(layout, database, verify)
+        wal_through = _apply_chain(layout, database)
         info = store.save(database, wal_through=wal_through)
         moved.append(
             shutil.move(

@@ -12,7 +12,7 @@ The pipeline, in order:
 1. read the WAL commit marker (a marker of a foreign format stops
    recovery before anything is touched);
 2. load the newest intact snapshot of ``base/`` (a
-   :class:`repro.store.Store`, with its own verify/fallback machinery)
+   :class:`repro.store.Store`, with its own digest check and fallback)
    and its ``wal_through`` watermark — migrating a format-1 delta chain
    into a snapshot first, when the root still holds one
    (:mod:`repro.ingest.migrate`);
@@ -57,7 +57,6 @@ class RecoveredState:
     database: VideoDatabase
     wal: WriteAheadLog
     snapshot_id: str
-    verified: bool
     #: highest WAL sequence the loaded snapshot already holds
     wal_through: int = 0
     #: WAL records applied live (sequence above the watermark)
@@ -106,7 +105,6 @@ def _check_wal_covers(
 
 def recover(
     root: PathLike,
-    verify: bool = True,
     fsync: bool = True,
     keep: int = 2,
 ) -> RecoveredState:
@@ -124,7 +122,7 @@ def recover(
     quarantined: List[str] = []
     wal = WriteAheadLog(root, fsync=fsync)
     try:
-        loaded = store.load(verify=verify)
+        loaded = store.load()
         database = loaded.database
         snapshot_id, wal_through = loaded.snapshot_id, loaded.wal_through
         for action in loaded.actions:
@@ -135,7 +133,7 @@ def recover(
             f"loaded base {snapshot_id}: {len(database)} video(s), "
             f"wal_through {wal_through}"
         )
-        migrated, moved = migrate_deltas(layout, store, database, verify)
+        migrated, moved = migrate_deltas(layout, store, database)
         if migrated is not None:
             snapshot_id = migrated.snapshot_id
             wal_through = migrated.wal_through
@@ -189,7 +187,6 @@ def recover(
         database=database,
         wal=wal,
         snapshot_id=snapshot_id,
-        verified=loaded.verified,
         wal_through=wal_through,
         replayed=replayed,
         skipped=skipped,

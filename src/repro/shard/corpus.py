@@ -227,11 +227,9 @@ class Shard:
         return f"Shard({self.shard_id!r}, {len(self.videos)} videos)"
 
 
-def _store_loader(
-    layout: ShardLayout, spec, verify: bool, keep: int
-) -> Callable[[], VideoDatabase]:
+def _store_loader(layout: ShardLayout, spec) -> Callable[[], VideoDatabase]:
     def load() -> VideoDatabase:
-        loaded = layout.store(spec, keep=keep).load(verify=verify)
+        loaded = layout.store(spec).load()
         owned = set(spec.videos)
         held = set(loaded.database.names())
         if held != owned:
@@ -308,8 +306,6 @@ class ShardedCorpus:
         cls,
         root,
         *,
-        verify: bool = True,
-        keep: int = 2,
         retry: Optional[RetryPolicy] = None,
     ) -> "ShardedCorpus":
         """Open a sharded store layout written by
@@ -325,7 +321,7 @@ class ShardedCorpus:
                 Shard(
                     spec.shard_id,
                     spec.videos,
-                    _store_loader(layout, spec, verify, keep),
+                    _store_loader(layout, spec),
                     retry=retry,
                 )
                 for spec in layout.shards

@@ -87,9 +87,9 @@ class ShardLayout:
     def store_path(self, spec: ShardSpec) -> str:
         return os.path.join(self.root, spec.path)
 
-    def store(self, spec: ShardSpec, keep: int = 2) -> Store:
-        """The shard's snapshot store."""
-        return Store(self.store_path(spec), keep=keep)
+    def store(self, spec: ShardSpec) -> Store:
+        """The shard's snapshot store, opened for loading."""
+        return Store(self.store_path(spec))
 
 
 def partition_names(

@@ -155,7 +155,6 @@ class StoreLoad:
 
     database: VideoDatabase
     snapshot_id: str
-    verified: bool
     actions: List[RecoveryAction] = field(default_factory=list)
     #: the loaded snapshot's ``wal_through`` (0 when it predates the key)
     wal_through: int = 0
@@ -397,9 +396,9 @@ class Store:
         """Read one JSON-object file once: ``(payload, status, bytes)``.
 
         ``entry`` is the ``{"sha256", "bytes"}`` record the file must
-        match, or None to skip that comparison (an unverified load, or a
-        file no manifest vouches for).  ``payload`` is None unless the
-        status is ``"ok"``.
+        match, or None for a file no manifest vouches for: the top
+        manifest, or the ``snapshot.json`` of a snapshot found by disk
+        scan.  ``payload`` is None unless the status is ``"ok"``.
         """
 
         def status(kind: str, detail: str = "") -> ArtifactStatus:
@@ -497,14 +496,13 @@ class Store:
         self,
         snapshot_id: str,
         manifest: Optional[Dict[str, Any]],
-        verify: bool,
     ) -> _Checked:
         """Judge one snapshot: the check load, verify and repair share.
 
         Reads ``snapshot.json`` and each artifact once and applies, in
-        order: size and digest (when ``verify``, against ``manifest``'s
-        record of ``snapshot.json`` and ``snapshot.json``'s record of
-        each artifact; no manifest means no record to compare), the JSON
+        order: size and digest (against ``manifest``'s record of
+        ``snapshot.json`` and ``snapshot.json``'s record of each
+        artifact; no manifest means no record to compare), the JSON
         parse, the format version (a foreign one raises
         :class:`StoreVersionError`), the artifact table and
         ``wal_through``, then model construction of the videos and
@@ -514,7 +512,7 @@ class Store:
         checked = _Checked()
         expected = (
             manifest["snapshots"].get(snapshot_id)
-            if manifest is not None and verify
+            if manifest is not None
             else None
         )
         document, status, checked.raw = self._read_json(
@@ -549,7 +547,7 @@ class Store:
             entry = artifacts.get(name)
             if isinstance(entry, dict):
                 payload, status, __ = self._read_json(
-                    snapshot_id, name, entry if verify else None, fatal
+                    snapshot_id, name, entry, fatal
                 )
             else:
                 payload = None
@@ -817,18 +815,22 @@ class Store:
                 system = PictureRetrievalSystem(metadata)
             video.root.install_pictures(level, system)
 
-    def load(self, verify: bool = True) -> StoreLoad:
+    def load(self, *, verify: bool = True) -> StoreLoad:
         """Load the newest intact snapshot, recovering as needed.
 
         Each candidate goes through :meth:`_check`; every damaged status
         becomes a recovery action — size, digest and malformed damage is
         quarantined, a missing file is skipped, an unreadable one stays
-        unreadable — and load falls back to the next candidate.
-        ``verify=False`` skips the size and digest comparisons (the
-        benchmark's unverified baseline) but keeps every other rule — a
-        torn JSON file still surfaces as quarantine-and-fallback, never
-        as a half-built database.
+        unreadable — and load falls back to the next candidate.  Every
+        load compares sizes and digests; ``verify`` accepts only True
+        and is kept for callers that still pass it.
         """
+        if verify is not True:
+            raise StoreError(
+                f"load always checks digests; verify must be True, got "
+                f"{verify!r}",
+                path=self.root,
+            )
         actions: List[RecoveryAction] = []
         manifest, status = self._read_manifest()
         if manifest is None and status.status != "missing":
@@ -853,7 +855,7 @@ class Store:
                 f"store at {self.root!r} has no snapshots", path=self.root
             )
         for position, snapshot_id in enumerate(candidates):
-            checked = self._check(snapshot_id, manifest, verify)
+            checked = self._check(snapshot_id, manifest)
             for status in checked.statuses:
                 if status.damaged:
                     self._record(status, actions)
@@ -882,7 +884,6 @@ class Store:
             return StoreLoad(
                 database=checked.database,
                 snapshot_id=snapshot_id,
-                verified=verify,
                 actions=actions,
                 wal_through=checked.document["wal_through"],
             )
@@ -924,7 +925,7 @@ class Store:
         )
         checks: Dict[str, _Checked] = {}
         for snapshot_id in candidates:
-            checks[snapshot_id] = self._check(snapshot_id, manifest, True)
+            checks[snapshot_id] = self._check(snapshot_id, manifest)
             report.statuses.extend(checks[snapshot_id].statuses)
         for directory, __, files in os.walk(self.root):
             if os.path.commonpath(

@@ -22,20 +22,28 @@ from repro.errors import (
     StoreVersionError,
 )
 from repro.htl import parse
+from repro.ingest import Ingester, IngestLayout, initialise, recover
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import Relationship, SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
+from repro.serve import EnginePool, QueryRequest
+from repro.shard import ShardedCorpus
 from repro.store import (
     ATOMICS_ARTIFACT,
     INDEX_ARTIFACT,
     MANIFEST_NAME,
+    SNAPSHOT_MANIFEST,
     VIDEOS_ARTIFACT,
     Store,
     default_level,
+    load_layout,
+    save_sharded,
 )
 from repro.store import store as store_module
 from repro.workloads.synthetic import random_similarity_list
+
+from tests.store.test_store_agreement import reseal
 
 
 def small_database(n_videos=2, n_segments=8, seed=7):
@@ -91,6 +99,110 @@ def damage(path, mode="truncate"):
     return data
 
 
+def tamper_index(path, tamper):
+    """Rewrite an ``index.json`` so its content profile ids lie.
+
+    ``collapsed`` gives every segment id 0; ``stray`` sets the last id
+    to ``n_profiles``; ``merged`` folds profiles 1 and 2 into one id and
+    renumbers the rest, so the ids stay exactly ``range(n_profiles)``.
+    """
+    with open(path) as handle:
+        payload = json.load(handle)
+    for entry in payload["indices"].values():
+        document = entry["index"]
+        profiles = document["segment_profiles"]
+        if tamper == "collapsed":
+            document["segment_profiles"] = [0] * len(profiles)
+        elif tamper == "stray":
+            profiles[-1] = document["n_profiles"]
+        else:
+            document["segment_profiles"] = [p - (p >= 2) for p in profiles]
+            document["n_profiles"] -= 1
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
+#: Queries whose answers a shared profile score would change.
+TAMPER_QUERIES = (
+    "exists x . present(x) and type(x) = 'train' and height(x) = 2",
+    "not (exists x . present(x) and type(x) = 'person')",
+    "kind() = 'battle'",
+)
+#: Every entry point that loads a snapshot from disk.
+LOAD_PATHS = ["store", "recover", "ingester", "shard-directory", "pool"]
+
+
+def ranking(result):
+    return [(s.video, s.segment_id, s.actual, s.maximum) for s in result]
+
+
+def assert_oracle_answers(database, rank):
+    """``rank(engine, formula, k)`` ranks every segment of every query
+    as the naive-atoms oracle over ``database`` does."""
+    oracle = ShardedCorpus.from_database(database)
+    for text in TAMPER_QUERIES:
+        formula = parse(text)
+        expected = oracle.top_k(
+            RetrievalEngine(EngineConfig(naive_atoms=True)), formula, 100
+        )
+        assert ranking(rank(RetrievalEngine(), formula, 100)) == ranking(
+            expected
+        ), text
+
+
+def open_tampered(path, database, root, tamper):
+    """Save ``database`` as ``path`` keeps it, tamper the newest
+    ``index.json`` of every store underneath, and load it back.
+
+    Returns the recovery action kinds (None where the path exposes
+    none) and a ``rank(engine, formula, k)`` over the loaded corpus.
+    """
+    if path == "store":
+        stores = [root]
+        Store(root).save(database)
+    elif path in ("recover", "ingester"):
+        stores = [IngestLayout(root).base_dir]
+        initialise(root, database, fsync=False).close()
+    else:
+        save_sharded(database, root, 2)
+        layout = load_layout(root)
+        stores = [layout.store_path(spec) for spec in layout.shards]
+    for store_root in stores:
+        store = Store(store_root)
+        newest = store._on_disk_snapshots()[-1]
+        tamper_index(
+            os.path.join(store.snapshot_path(newest), INDEX_ARTIFACT), tamper
+        )
+    if path == "store":
+        loaded = Store(root).load()
+        actions = [action.kind for action in loaded.actions]
+        return actions, ShardedCorpus.from_database(loaded.database).top_k
+    if path in ("recover", "ingester"):
+        if path == "recover":
+            state = recover(root, fsync=False)
+            state.wal.close()
+        else:
+            ingester = Ingester(root, fsync=False)
+            ingester.close()
+            state = ingester.recovered
+        actions = [
+            action.split()[1]
+            for action in state.actions
+            if action.startswith("base: ")
+        ]
+        return actions, ShardedCorpus.from_database(state.database).top_k
+    if path == "shard-directory":
+        return None, ShardedCorpus.from_directory(root).top_k
+    pool = EnginePool.from_shard_layout(root, 1)
+
+    def rank(__, formula, k):
+        # The pool answers with its own worker's engine.
+        request = QueryRequest(formula, k, lenient=False)
+        return pool.execute(pool.workers[0], request, None)
+
+    return None, rank
+
+
 # ---------------------------------------------------------------------------
 # happy path
 # ---------------------------------------------------------------------------
@@ -105,7 +217,7 @@ class TestRoundTrip:
         loaded = store.load()
         assert database_to_dict(loaded.database) == reference
         assert loaded.snapshot_id == info.snapshot_id
-        assert loaded.verified and not loaded.recovered
+        assert not loaded.recovered
 
     def test_save_bumps_counters(self, store, database):
         before = trace.METRICS.counters().get(
@@ -138,21 +250,14 @@ class TestRoundTrip:
                 video.root.descendants_at_level(level)
             )
 
-    def test_unverified_load_round_trips(self, store, database):
-        reference = database_to_dict(database)
-        store.save(database)
-        loaded = store.load(verify=False)
-        assert not loaded.verified
-        assert database_to_dict(loaded.database) == reference
-
     @pytest.mark.parametrize("name", ["sparse", "temporal"])
     def test_verified_load_reads_and_hashes_each_file_once(
         self, name, tmp_path, monkeypatch
     ):
         """Verification costs one SHA-256 pass over bytes already read:
-        a verified load reads exactly the files an unverified one does,
-        each once, and hashes each file the manifests vouch for once.
-        Both rebuild the database without a recovery action."""
+        a load reads each file once and hashes each file the manifests
+        vouch for once, and rebuilds the database without a recovery
+        action."""
         database, __, __ = WORKLOADS[name](7, SMOKE, str(tmp_path)).inputs()
         reference = database_to_dict(database)
         store = Store(tmp_path / "store", keep=1)
@@ -173,25 +278,17 @@ class TestRoundTrip:
 
         monkeypatch.setattr(Store, "_read_bytes", counted_read)
         monkeypatch.setattr(store_module, "sha256_hex", counted_digest)
-        loads = {}
-        for verify in (False, True):
-            reads.clear()
-            hashed.clear()
-            loaded = store.load(verify=verify)
-            assert database_to_dict(loaded.database) == reference
-            assert loaded.verified is verify and not loaded.recovered
-            loads[verify] = (list(reads), sum(hashed), len(hashed))
-        files = loads[False][0]
-        assert sorted(file_name for file_name, __ in files) == sorted(
+        loaded = store.load()
+        assert database_to_dict(loaded.database) == reference
+        assert not loaded.recovered
+        assert sorted(file_name for file_name, __ in reads) == sorted(
             [MANIFEST_NAME, store_module.SNAPSHOT_MANIFEST, *info.artifacts]
         )
-        assert loads[False][1:] == (0, 0)
-        assert loads[True][0] == files
         # Every file but the top manifest is vouched for by a digest.
         vouched = [
-            size for file_name, size in files if file_name != MANIFEST_NAME
+            size for file_name, size in reads if file_name != MANIFEST_NAME
         ]
-        assert loads[True][1:] == (sum(vouched), len(vouched))
+        assert sorted(hashed) == sorted(vouched)
 
     def test_retention_prunes_beyond_keep(self, tmp_path, database):
         store = Store(tmp_path / "store", keep=2)
@@ -221,7 +318,8 @@ class TestRoundTrip:
         del document["wal_through"]
         with open(path, "w") as handle:
             json.dump(document, handle)
-        loaded = store.load(verify=False)
+        reseal(store, info.snapshot_id, SNAPSHOT_MANIFEST)
+        loaded = store.load()
         assert loaded.snapshot_id == info.snapshot_id
         assert loaded.wal_through == 0
 
@@ -309,47 +407,44 @@ class TestRecovery:
         )
 
     @pytest.mark.parametrize("tamper", ["collapsed", "stray"])
-    def test_unverified_load_rejects_tampered_profiles(
+    def test_resealed_tampered_profiles_are_rejected(
         self, store, database, tamper
     ):
-        """Without digests, a well-formed ``index.json`` whose profile ids
-        disagree with its profile count reaches ``from_dict``.  Accepted,
-        the collapsed one would share one score across every segment.
-        It is rejected, the index is rebuilt, and every answer equals
-        the naive oracle's."""
+        """A well-formed ``index.json`` whose profile ids disagree with
+        its profile count, re-sealed up the digest chain, passes the
+        digest check and reaches ``from_dict``.  Accepted, the collapsed
+        one would share one score across every segment.  It is
+        rejected, the index is rebuilt, and every answer equals the
+        naive oracle's."""
         info = store.save(database)
-        path = os.path.join(info.path, INDEX_ARTIFACT)
-        with open(path) as handle:
-            payload = json.load(handle)
-        for entry in payload["indices"].values():
-            document = entry["index"]
-            profiles = document["segment_profiles"]
-            if tamper == "collapsed":
-                document["segment_profiles"] = [0] * len(profiles)
-            else:
-                profiles[-1] = document["n_profiles"]
-        with open(path, "w") as handle:
-            json.dump(payload, handle)
-        loaded = store.load(verify=False)
+        tamper_index(os.path.join(info.path, INDEX_ARTIFACT), tamper)
+        reseal(store, info.snapshot_id, INDEX_ARTIFACT)
+        loaded = store.load()
         rebuilt = [
             action for action in loaded.actions
             if action.kind == "index-rebuilt"
         ]
         assert len(rebuilt) == len(list(database.videos()))
         assert all("rejected" in action.detail for action in rebuilt)
-        oracle = RetrievalEngine(EngineConfig(naive_atoms=True))
-        for text in (
-            "exists x . present(x) and type(x) = 'train' and height(x) = 2",
-            "not (exists x . present(x) and type(x) = 'person')",
-            "kind() = 'battle'",
-        ):
-            formula = parse(text)
-            for video in database.videos():
-                expected = oracle.evaluate_video(formula, video)
-                actual = RetrievalEngine().evaluate_video(
-                    formula, loaded.database.get(video.name)
-                )
-                assert list(actual) == list(expected)
+        assert_oracle_answers(
+            database, ShardedCorpus.from_database(loaded.database).top_k
+        )
+
+    @pytest.mark.parametrize("path", LOAD_PATHS)
+    @pytest.mark.parametrize("tamper", ["merged", "collapsed", "stray"])
+    def test_tampered_index_never_changes_an_answer(
+        self, tmp_path, database, tamper, path
+    ):
+        """Every way a snapshot is loaded — a store, ingest recovery, an
+        ingester, a shard layout, a serving pool — catches a tampered
+        ``index.json`` by its digest, with the chain as the save wrote
+        it.  The merged tamper keeps the ids exactly
+        ``range(n_profiles)``, so ``from_dict`` alone would accept it
+        and share one score between two contents."""
+        actions, rank = open_tampered(path, database, tmp_path / path, tamper)
+        if actions is not None:
+            assert "index-rebuilt" in actions
+        assert_oracle_answers(database, rank)
 
     def test_missing_manifest_recovered_by_scan(self, store, database):
         reference = database_to_dict(database)
@@ -401,7 +496,8 @@ class TestRecovery:
         document["wal_through"] = value
         with open(path, "w") as handle:
             json.dump(document, handle)
-        loaded = store.load(verify=False)
+        reseal(store, second.snapshot_id, SNAPSHOT_MANIFEST)
+        loaded = store.load()
         assert loaded.snapshot_id == first.snapshot_id
         assert loaded.wal_through == 2
         assert any(
@@ -410,12 +506,19 @@ class TestRecovery:
             for action in loaded.actions
         )
 
-    def test_unverified_load_still_rejects_torn_json(self, store, database):
+    def test_resealed_torn_json_falls_back(self, store, database):
+        """A torn file whose digests were recorded after the tear passes
+        the digest check; the JSON parse still rejects it."""
         first = store.save(database)
         second = store.save(database)
         damage(os.path.join(second.path, VIDEOS_ARTIFACT))
-        loaded = store.load(verify=False)
+        reseal(store, second.snapshot_id, VIDEOS_ARTIFACT)
+        loaded = store.load()
         assert loaded.snapshot_id == first.snapshot_id
+        assert any(
+            action.kind == "quarantined" and "malformed" in action.detail
+            for action in loaded.actions
+        )
 
 
 # ---------------------------------------------------------------------------

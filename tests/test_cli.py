@@ -296,7 +296,7 @@ class TestStore:
 
         code, out, __ = run_cli(capsys, "store", "load", "--dir", root)
         assert code == 0
-        assert "loaded snap-000001 (verified)" in out
+        assert "loaded snap-000001: " in out
 
     def test_load_reports_recovery_actions(self, capsys, tmp_path):
         import os
@@ -347,15 +347,6 @@ class TestStore:
         code, __, err = run_cli(capsys, "store", "load", "--dir", root)
         assert code == EXIT_CODES[errors.StoreCorruptionError]
         assert "no intact snapshot" in err
-
-    def test_unverified_load(self, capsys, tmp_path):
-        root = str(tmp_path / "store")
-        run_cli(capsys, "store", "save", "--dir", root)
-        code, out, __ = run_cli(
-            capsys, "store", "load", "--dir", root, "--no-verify"
-        )
-        assert code == 0
-        assert "(unverified)" in out
 
     def test_store_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -178,13 +178,23 @@ def test_deleted_names_stay_deleted(module, name):
         ("repro.core.topk", "top_k_across_videos", "exchange"),
         ("repro.shard", "ShardedCorpus.top_k", "parallelism"),
         ("repro.core.engine", "RetrievalEngine.__init__", "cache"),
+        ("repro.ingest", "recover", "verify"),
+        ("repro.ingest", "Ingester.__init__", "verify"),
+        ("repro.ingest.migrate", "migrate_deltas", "verify"),
+        ("repro.shard", "ShardedCorpus.from_directory", "verify"),
+        ("repro.shard", "ShardedCorpus.from_directory", "keep"),
+        ("repro.store.sharding", "ShardLayout.store", "keep"),
+        ("repro.store", "Store._check", "verify"),
+        ("repro.store", "StoreLoad.__init__", "verified"),
+        ("repro.ingest", "RecoveredState.__init__", "verified"),
     ],
 )
 def test_deleted_parameters_stay_deleted(module, function, parameter):
     """A pool serves one corpus, a sharded query has no naive
     scatter-gather mode, a query runs on one thread, a checkpoint is
-    always one whole store snapshot, and an engine's list memo is not
-    optional."""
+    always one whole store snapshot, an engine's list memo is not
+    optional, and every snapshot load checks its digests (a load-only
+    corpus keeps no retention count)."""
     import inspect
 
     owner = importlib.import_module(module)
@@ -193,22 +203,44 @@ def test_deleted_parameters_stay_deleted(module, function, parameter):
     assert parameter not in inspect.signature(owner).parameters
 
 
+@pytest.mark.parametrize("value", [False, None, 1])
+def test_store_load_has_no_unverified_mode(value, tmp_path):
+    """``Store.load`` keeps a keyword-only ``verify`` that accepts only
+    True; any other value raises instead of skipping the digests."""
+    from repro.errors import StoreError
+    from repro.model.database import VideoDatabase
+    from repro.store import Store
+
+    store = Store(tmp_path)
+    store.save(VideoDatabase())
+    with pytest.raises(StoreError):
+        store.load(verify=value)
+    with pytest.raises(TypeError):
+        store.load(value)
+    assert not store.load(verify=True).recovered
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["run", "--across", "--top", "2", "--parallel", "2", "$P1"],
-        ["trace", "--parallel", "2", "exists x . present(x)"],
+        (["run", "--across", "--top", "2", "--parallel", "2", "$P1"],
+         "--parallel"),
+        (["trace", "--parallel", "2", "exists x . present(x)"], "--parallel"),
+        (["store", "load", "--dir", "unused", "--no-verify"], "--no-verify"),
+        (["ingest", "recover", "--dir", "unused", "--no-verify"],
+         "--no-verify"),
     ],
-    ids=["run", "trace"],
+    ids=["run", "trace", "store-load", "ingest-recover"],
 )
-def test_deleted_cli_flags_are_usage_errors(argv, capsys):
-    """``--parallel`` is gone from ``run`` and ``trace``."""
+def test_deleted_cli_flags_are_usage_errors(argv, flag, capsys):
+    """``--parallel`` is gone from ``run`` and ``trace``, and
+    ``--no-verify`` from ``store load`` and ``ingest recover``."""
     from repro.cli import main
 
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    assert "--parallel" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
