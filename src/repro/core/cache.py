@@ -35,13 +35,14 @@ from repro.pictures.signature import Clip, ClipTable, Window
 #: The list memo's bound, in accounted bytes.
 LIST_MEMO_BYTES = 1 << 20
 #: An entry's accounted size: a list of ``r`` runs costs
-#: ``RUN_BYTES * r + LIST_BYTES`` (its column tuples and maximum), and the
-#: entry ``ENTRY_BYTES`` (key tuple, value tuple, dict slot and the key
-#: string's header, measured with tracemalloc) plus one byte per
-#: character of its key string.
-RUN_BYTES = 112
-LIST_BYTES = 100
-ENTRY_BYTES = 250
+#: ``RUN_BYTES * r + LIST_BYTES`` (its column tuples, maximum and rank
+#: order: 112 B of columns and 4 B of order per run), and the entry
+#: ``ENTRY_BYTES`` (key tuple, value tuple, dict slot and the key
+#: string's header) plus one byte per character of its key string.  All
+#: measured with tracemalloc.
+RUN_BYTES = 116
+LIST_BYTES = 180
+ENTRY_BYTES = 258
 #: The clip memo's bound, in accounted bytes.
 CLIP_MEMO_BYTES = 1 << 20
 #: An entry of a clip table costs ``SIGNATURE_BYTES + SIGNATURE_BIN_BYTES
@@ -66,13 +67,14 @@ ListKey = Tuple[str, int, str, int, int]
 class ListMemo:
     """A byte-bounded LRU memo of final per-video similarity lists.
 
-    An entry holds a list's column tuples, never the list object, and a
-    hit hands out a fresh :class:`~repro.core.simlist.SimilarityList`
-    over them: a caller that builds ``.entries`` on its copy cannot grow
-    the memo past its accounting.  ``hits``, ``misses`` and
-    ``evictions`` count since construction; ``nbytes`` is the accounted
-    size of what the memo holds, at most ``max_bytes``
-    (:data:`LIST_MEMO_BYTES`, read at construction).
+    An entry holds a checked list's column tuples and rank order, never
+    the list object, and a hit hands out a fresh
+    :class:`~repro.core.simlist.SimilarityList` over them that is
+    already checked and ranked: a caller that builds ``.entries`` on its
+    copy cannot grow the memo past its accounting.  ``hits``,
+    ``misses`` and ``evictions`` count since construction; ``nbytes``
+    is the accounted size of what the memo holds, at most
+    ``max_bytes`` (:data:`LIST_MEMO_BYTES`, read at construction).
     """
 
     def __init__(self) -> None:
@@ -95,14 +97,27 @@ class ListMemo:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        begins, ends, actuals, maximum, __ = entry
-        return SimilarityList.from_columns(begins, ends, actuals, maximum)
+        begins, ends, actuals, maximum, order, __ = entry
+        return SimilarityList._from_checked(
+            begins, ends, actuals, maximum, order
+        )
 
     def put(self, key: ListKey, sim: SimilarityList) -> None:
+        """Store ``sim`` under ``key``, scanning it first: a list that
+        fails :meth:`~repro.core.simlist.SimilarityList.validate` raises
+        here and is never stored, so every hit is a checked list."""
+        sim.validate()
         cost = RUN_BYTES * len(sim) + LIST_BYTES + ENTRY_BYTES + len(key[0])
         if cost > self.max_bytes:
             return
-        entry = (sim.begins, sim.ends, sim.actuals, sim.maximum, cost)
+        entry = (
+            sim.begins,
+            sim.ends,
+            sim.actuals,
+            sim.maximum,
+            sim.rank_order,
+            cost,
+        )
         with self._lock:
             previous = self._entries.pop(key, None)
             if previous is not None:

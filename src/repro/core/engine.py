@@ -196,10 +196,11 @@ class RetrievalEngine:
         context.plan = self._plan_for(formula, context, database)
         result = self._table(formula, context).closed_list()
         if key is not None:
-            # The ranking loop's trust-boundary scan, run before storing:
-            # a list corrupted anywhere in this evaluation raises here
-            # and never becomes a lasting hit.
-            self.memo.put(key, result.validate())
+            # The memo scans the list before storing it (the ranking
+            # loop's trust-boundary check, which then costs nothing): a
+            # list corrupted anywhere in this evaluation raises here and
+            # never becomes a lasting hit.
+            self.memo.put(key, result)
         return result
 
     @staticmethod

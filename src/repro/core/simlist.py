@@ -21,6 +21,7 @@ meaningful in tests.
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -94,10 +95,22 @@ class SimilarityList:
     scan nothing; :meth:`validate` does, at the two places a list enters
     or leaves the algebra from code it cannot vouch for: each atom-table
     row the picture layer hands over, and each final per-video list before
-    it is ranked.
+    it is ranked.  A list that passed is not scanned again: the columns
+    are immutable, so the result cannot change.
+
+    :attr:`rank_order` is the ranking's view, computed once and kept: the
+    run indices best first.
     """
 
-    __slots__ = ("_begins", "_ends", "_actuals", "_maximum", "_view")
+    __slots__ = (
+        "_begins",
+        "_ends",
+        "_actuals",
+        "_maximum",
+        "_view",
+        "_order",
+        "_checked",
+    )
 
     def __init__(
         self,
@@ -111,6 +124,8 @@ class SimilarityList:
         self._actuals: Tuple[float, ...] = tuple(actuals)
         self._maximum = float(maximum)
         self._view: Optional[Tuple[SimEntry, ...]] = None
+        self._order: Optional[array] = None
+        self._checked = False
 
     # ------------------------------------------------------------------
     # construction
@@ -168,6 +183,24 @@ class SimilarityList:
         trusted constructor: no per-run object, no scan (call
         :meth:`validate` for one)."""
         return cls(begins, ends, actuals, maximum)
+
+    @classmethod
+    def _from_checked(
+        cls,
+        begins: Tuple[int, ...],
+        ends: Tuple[int, ...],
+        actuals: Tuple[float, ...],
+        maximum: float,
+        order: array,
+    ) -> "SimilarityList":
+        """A fresh list over the columns and rank order of a list that
+        passed :meth:`validate` — the list memo's hit
+        (:class:`repro.core.cache.ListMemo`), which stores only such
+        lists."""
+        sim = cls(begins, ends, actuals, maximum)
+        sim._order = order
+        sim._checked = True
+        return sim
 
     @classmethod
     def empty(cls, maximum: float) -> "SimilarityList":
@@ -236,15 +269,22 @@ class SimilarityList:
     # invariants
     # ------------------------------------------------------------------
     def validate(self) -> "SimilarityList":
-        """Run the full O(runs) invariant scan.
+        """Run the full O(runs) invariant scan, once per list.
 
-        Called on every query at the trust boundaries — each atom-table
-        row leaving the picture layer, and each final per-video list
-        before ``top_k_across_videos`` streams it into the query heap —
-        so a corrupted list surfaces as a typed
+        Called at the trust boundaries — each atom-table row leaving the
+        picture layer, and each final per-video list before the ranking
+        loop streams it into the query heap — so a corrupted list
+        surfaces as a typed
         :class:`~repro.errors.SimilarityListInvariantError` instead of a
-        silently wrong ranking.  Returns ``self`` for chaining.
+        silently wrong ranking.  A list that passed remembers it, and a
+        second call returns at once: its columns are immutable tuples.
+        A list corrupted anywhere is a new object (every constructor
+        starts unchecked, and so does
+        :func:`repro.testing.faults.corrupt_similarity_list`'s), so it
+        is always scanned.  Returns ``self`` for chaining.
         """
+        if self._checked:
+            return self
         if not self._maximum > 0:
             raise SimilarityListInvariantError(
                 f"list maximum must be positive, got {self._maximum}"
@@ -276,6 +316,7 @@ class SimilarityList:
                     f"interval begin {begin} exceeds end {end}"
                 )
             previous_end = end
+        self._checked = True
         return self
 
     # ------------------------------------------------------------------
@@ -300,6 +341,27 @@ class SimilarityList:
     def actuals(self) -> Tuple[float, ...]:
         """Actual similarity of each run, parallel to :attr:`begins`."""
         return self._actuals
+
+    @property
+    def rank_order(self) -> array:
+        """Run indices best first: by descending actual, ties by
+        ascending begin — the order the paper's top-k presentation reads
+        (§1).  Walking the runs in this order, each run's ids ascending,
+        visits the list's segments from best to worst under the top-k
+        order.  Built on first access by one stable sort (the columns
+        are in begin order already) and kept as 4-byte indices; shared
+        with every copy the list memo hands out, so treat it as
+        read-only."""
+        if self._order is None:
+            self._order = array(
+                "I",
+                sorted(
+                    range(len(self._actuals)),
+                    key=self._actuals.__getitem__,
+                    reverse=True,
+                ),
+            )
+        return self._order
 
     def runs(self) -> Iterator[Tuple[int, int, float]]:
         """The columns walked in step: ``(begin, end, actual)`` per run."""

@@ -43,11 +43,11 @@ class RetrievedSegment:
 
 
 def ranked_entries(sim: SimilarityList) -> List[Tuple[int, int, float]]:
-    """List entries sorted by descending similarity (the paper's Table 4
-    presentation), as ``(begin, end, actual)`` triples."""
-    triples = list(sim.runs())
-    triples.sort(key=lambda triple: (-triple[2], triple[0]))
-    return triples
+    """List entries sorted by descending similarity, ties by ascending
+    begin (the paper's Table 4 presentation), as ``(begin, end, actual)``
+    triples: the list's :attr:`~SimilarityList.rank_order`."""
+    begins, ends, actuals = sim.begins, sim.ends, sim.actuals
+    return [(begins[run], ends[run], actuals[run]) for run in sim.rank_order]
 
 
 class _DescStr:
@@ -78,26 +78,29 @@ def _stream_entries(
 ) -> None:
     """Fold one video's similarity list into the bounded global heap.
 
-    Entries stay interval-compressed: at most ``k`` segments per entry are
-    ever materialised (ties within an entry break on ascending id, so its
-    best k segments are its first k), and whole entries are skipped when
-    they cannot beat the current k-th score.
+    The runs are walked in the list's rank order, each run's ids
+    ascending: that visits the video's segments best first under the
+    heap's order, so the first segment that cannot enter a full heap
+    ends the walk.  At most ``k`` segments enter, so a list whose rank
+    order is already built (a memo hit) costs O(k), not O(runs).
     """
     name = _DescStr(video)
     maximum = sim.maximum
-    for begin, end, actual in sim.runs():
+    begins, ends, actuals = sim.begins, sim.ends, sim.actuals
+    for run in sim.rank_order:
+        actual = actuals[run]
         if len(heap) == k and actual < heap[0][0]:
-            continue
-        last = min(end, begin + k - 1)
-        for segment_id in range(begin, last + 1):
+            return
+        begin = begins[run]
+        for segment_id in range(begin, min(ends[run], begin + k - 1) + 1):
             item = (actual, name, -segment_id, maximum)
             if len(heap) < k:
                 heapq.heappush(heap, item)
             elif heap[0] < item:
                 heapq.heapreplace(heap, item)
             else:
-                # Later segments of this entry rank strictly worse.
-                break
+                # Every later segment of this video ranks worse.
+                return
 
 
 def _drain(heap: List[_HeapItem]) -> List[RetrievedSegment]:
@@ -242,9 +245,11 @@ class TopKResult(Sequence):
         segments are unioned, deduplicated by ``(video, segment id)``
         keeping the highest actual value, re-ranked under the canonical
         total order ``(-actual, video, segment id)``, and truncated to
-        ``k`` when given.  Because the top-k set under a total order is
-        canonical, merging per-shard top-k results of disjoint shards
-        reproduces the unsharded ranking exactly.
+        ``k`` when given (none for ``k <= 0``, as
+        :meth:`~repro.shard.ShardedCorpus.top_k` answers).  Because the
+        top-k set under a total order is canonical, merging per-shard
+        top-k results of disjoint shards reproduces the unsharded ranking
+        exactly.
 
         Outcomes are unioned by video.  When two results report the same
         video (overlapping corpora, retried queries), the most
@@ -261,13 +266,13 @@ class TopKResult(Sequence):
         seen: set = set()
         segments: List[RetrievedSegment] = []
         for segment in ranked:
+            if k is not None and len(segments) >= k:
+                break
             key = (segment.video, segment.segment_id)
             if key in seen:
                 continue
             seen.add(key)
             segments.append(segment)
-            if k is not None and len(segments) == k:
-                break
         outcomes: Dict[str, VideoOutcome] = {}
         for result in results:
             for outcome in result.outcomes:

@@ -148,11 +148,13 @@ class VideoDatabase:
         This is the cheap per-video evidence the top-k pruner combines into
         an admissible upper bound: no evaluation of a formula over the
         video can push an atomic's contribution above its list maximum.
+        It is the first run of the list's rank order, built once per
+        registered list.
         """
         sim = self._atomic.get((predicate, video, level))
         if sim is None:
             return None
-        return max(sim.actuals, default=0.0)
+        return sim.actuals[sim.rank_order[0]] if sim else 0.0
 
     def atomic_names(self) -> List[str]:
         """Distinct registered atomic predicate names."""

@@ -494,7 +494,9 @@ class ShardedCorpus:
             )
             sim = resilience.fault_value(resilience.SITE_TOPK_WORKER, sim)
             # Trust boundary: a corrupted list must not enter the
-            # query heap as a silently wrong ranking.
+            # query heap as a silently wrong ranking.  A list the memo
+            # stored or handed out is already checked and returns at
+            # once; a corrupted one is a new object and is scanned.
             sim.validate()
             with trace.span(trace.KIND_TOPK, "stream-entries"):
                 _stream_entries(heap, k, sim, video.name)

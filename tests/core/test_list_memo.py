@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS
 from repro.core import cache, resilience
 from repro.core.cache import ListMemo
-from repro.core.engine import RetrievalEngine
+from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.resilience import QueryBudget
 from repro.core.simlist import SimilarityList
-from repro.core.topk import top_k_across_videos
+from repro.core.topk import OUTCOME_FAILED, top_k_across_videos
 from repro.errors import (
     BudgetExceededError,
     InjectedFaultError,
@@ -250,7 +250,7 @@ class TestByteBound:
             memo.put((f"q{position % 37}", 2, "v", position % 5, 0), sim)
             assert memo.nbytes <= memo.max_bytes
         expected = sum(
-            112 * len(entry[0]) + 100 + 250 + len(key[0])
+            116 * len(entry[0]) + 180 + 258 + len(key[0])
             for key, entry in memo._entries.items()
         )
         assert memo.nbytes == expected
@@ -291,9 +291,9 @@ class TestByteBound:
 #: ``(hits, misses, evictions)`` of the smoke stream, ``prune=False``,
 #: on one engine whose memo is bounded at 16 KiB.
 SMALL_MEMO_COUNTS = {
-    "sparse": (3, 33, 19),
+    "sparse": (3, 33, 20),
     "dense": (0, 24, 16),
-    "temporal": (16, 32, 23),
+    "temporal": (16, 32, 24),
 }
 
 
@@ -629,20 +629,54 @@ class TestFailures:
         assert engine.memo.hits == stored
         assert len(engine.memo) == len(database)
 
-    def test_a_corrupted_copy_never_reaches_the_memo(self):
-        # The top-k worker site corrupts the list the engine handed out;
-        # the ranking loop's validate rejects it, the memo keeps its own.
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_a_corrupted_hit_is_scanned_and_never_stored(self, lenient):
+        # The top-k worker site corrupts a memo hit after the engine
+        # handed it out.  The hit carries the memo's checked state, but
+        # the corruption is a new list: the ranking loop scans it, and
+        # the memo keeps its own.
         database = object_database()
         formula = parse(PICTURE_QUERY)
-        expected = ranking(RetrievalEngine(), formula, database)
+        oracle = ranking(
+            RetrievalEngine(EngineConfig(naive_atoms=True)), formula, database
+        )
         engine = RetrievalEngine()
-        ranking(engine, formula, database)
-        spec = FaultSpec(resilience.SITE_TOPK_WORKER, CORRUPT, max_faults=1)
-        with inject(spec, seed=SEED):
-            with pytest.raises(SimilarityListInvariantError):
-                ranking(engine, formula, database)
-        assert ranking(engine, formula, database) == expected
-        assert engine.memo.misses == 3
+        assert ranking(engine, formula, database) == oracle
+        hits, misses = engine.memo.hits, engine.memo.misses
+        # Two visits per video (``fault`` then ``fault_value``): this
+        # fires on the corrupting visit of video SEED % n.
+        victim = SEED % len(database)
+        spec = FaultSpec(
+            resilience.SITE_TOPK_WORKER,
+            CORRUPT,
+            max_faults=1,
+            skip=2 * victim + 1,
+        )
+        with inject(spec, seed=SEED) as chaos:
+            if lenient:
+                result = top_k_across_videos(
+                    engine, formula, database, 10**6, prune=False,
+                    lenient=True,
+                )
+                failed = [
+                    outcome
+                    for outcome in result.outcomes
+                    if outcome.status == OUTCOME_FAILED
+                ]
+                assert [outcome.video for outcome in failed] == [
+                    f"o{victim}"
+                ]
+                assert isinstance(
+                    failed[0].error, SimilarityListInvariantError
+                )
+            else:
+                with pytest.raises(SimilarityListInvariantError):
+                    ranking(engine, formula, database)
+        assert chaos.injected
+        # The corrupted list was a hit: nothing was evaluated or stored.
+        assert engine.memo.hits > hits and engine.memo.misses == misses
+        assert ranking(engine, formula, database) == oracle
+        assert engine.memo.misses == misses
 
 
 @settings(max_examples=40, deadline=None)

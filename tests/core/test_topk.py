@@ -480,6 +480,17 @@ class TestTopKResultMerge:
             ("a", 1), ("b", 1), ("a", 2),
         ]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_keeps_no_segment(self, k):
+        # As ShardedCorpus.top_k answers k <= 0; outcomes still merge.
+        result = TopKResult(
+            [_seg("a", 1, 9.0), _seg("a", 2, 3.0)],
+            [VideoOutcome("a", OUTCOME_OK)],
+        )
+        merged = TopKResult.merge(result, k=k)
+        assert merged == []
+        assert [o.video for o in merged.outcomes] == ["a"]
+
     def test_ties_break_by_video_then_segment(self):
         left = TopKResult([_seg("b", 2, 5.0), _seg("b", 1, 5.0)])
         right = TopKResult([_seg("a", 9, 5.0)])
