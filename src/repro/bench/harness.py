@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.simlist import SimilarityList
 from repro.htl import ast, parse
-from repro.sqlbaseline.system import SQLRetrievalSystem
 
 
 @dataclass
@@ -77,6 +76,10 @@ def run_sql(
     repeat: int = 1,
 ) -> Measurement:
     """Time the SQL-based system (loading excluded, per the paper)."""
+    # Imported here so that a process importing repro.bench only for
+    # its reporting helpers never loads sqlite3 (~1 MB of peak RSS).
+    from repro.sqlbaseline.system import SQLRetrievalSystem
+
     system = SQLRetrievalSystem()
     system.load_segments(n_segments)
     for name, sim in lists.items():

@@ -40,10 +40,8 @@ from repro.errors import (
     ShardError,
     SignatureError,
     SimilarityListInvariantError,
-    SQLCatalogError,
     SQLError,
     SQLExecutionError,
-    SQLSyntaxError,
     StoreCorruptionError,
     StoreError,
     StoreVersionError,
@@ -84,8 +82,6 @@ EXIT_CODES = {
     UnknownLevelError: 9,
     MetadataError: 10,
     SQLError: 11,
-    SQLSyntaxError: 12,
-    SQLCatalogError: 13,
     SQLExecutionError: 14,
     InvalidIntervalError: 15,
     InvalidSimilarityError: 16,
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument(
         "--execute",
         action="store_true",
-        help="run the script on the mini engine and print the result",
+        help="run the script on SQLite and print the result",
     )
 
     commands.add_parser("datasets", help="list built-in datasets")

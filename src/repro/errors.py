@@ -3,7 +3,7 @@
 All exceptions raised deliberately by this library derive from
 :class:`ReproError`, so callers can catch one base class.  Sub-systems add
 their own subclasses (e.g. the HTL parser raises :class:`HTLSyntaxError`,
-the relational engine raises :class:`SQLError` subclasses).
+the SQL baseline raises :class:`SQLExecutionError`).
 """
 
 from __future__ import annotations
@@ -71,26 +71,21 @@ class MetadataError(ModelError, ValueError):
 
 
 class SQLError(ReproError):
-    """Base class for the mini relational engine."""
-
-
-class SQLSyntaxError(SQLError, ValueError):
-    """The SQL text could not be parsed."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        self.line = line
-        self.column = column
-        if line:
-            message = f"{message} (at line {line}, column {column})"
-        super().__init__(message)
-
-
-class SQLCatalogError(SQLError, KeyError):
-    """Reference to a missing table/column, or duplicate table creation."""
+    """Base class for failures of the SQL baseline (:mod:`repro.sqlbaseline`)."""
 
 
 class SQLExecutionError(SQLError, RuntimeError):
-    """A runtime failure while executing a SQL statement."""
+    """SQLite rejected or failed a statement of a translated script.
+
+    ``statement`` is the failing SQL text; the original
+    :class:`sqlite3.Error` is the ``__cause__``.
+    """
+
+    def __init__(self, message: str, statement: str = ""):
+        self.statement = statement
+        if statement:
+            message = f"{message} (in statement: {statement})"
+        super().__init__(message)
 
 
 class WorkloadError(ReproError, ValueError):

@@ -206,11 +206,6 @@ class Ticket:
         assert self._result is not None
         return self._result
 
-    def peek(self) -> Optional[ServeResult]:
-        """The terminal result if resolved, else None (non-blocking)."""
-        with self._lock:
-            return self._result
-
     def __repr__(self) -> str:
         state = self._result.status if self._result else "pending"
         return f"Ticket({self.request_id}, {self.sla!r}, {state})"

@@ -1,13 +1,10 @@
-"""The SQL-based baseline: mini relational engine + HTL→SQL translation."""
+"""The SQL-based baseline: HTL→SQL translation run on stdlib ``sqlite3``."""
 
-from repro.sqlbaseline.relational.executor import Database, ResultSet
 from repro.sqlbaseline.system import SQLRetrievalSystem, Type2SQLSystem
 from repro.sqlbaseline.translate import SQLTranslator, Translation
 from repro.sqlbaseline.translate_type2 import Type2SQLTranslator
 
 __all__ = [
-    "Database",
-    "ResultSet",
     "SQLRetrievalSystem",
     "Type2SQLSystem",
     "SQLTranslator",

@@ -3,28 +3,29 @@
 Front end shared with the direct system: the conjunctive temporal formula
 is parsed, its atomic subformulas identified, and their similarity tables
 taken as input; this system then generates a sequence of SQL queries and
-executes them on the mini relational engine, reading the final table back
-as a similarity list.
+executes them on an in-memory SQLite database (the paper used Sybase),
+reading the final table back as a similarity list.
 
-Bulk loading of the atomic similarity tables goes straight into the
-storage layer (the analogue of Sybase's ``bcp``), so measured query times
+Bulk loading of the atomic similarity tables is one ``executemany`` per
+relation (the analogue of Sybase's ``bcp``), so measured query times
 cover translation + SQL execution, not data entry.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+import sqlite3
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.ops import DEFAULT_UNTIL_THRESHOLD
 from repro.core.simlist import SimilarityList
-from repro.errors import UnsupportedFormulaError, WorkloadError
+from repro.errors import SQLExecutionError, UnsupportedFormulaError, WorkloadError
 from repro.htl import ast
-from repro.sqlbaseline.relational.executor import Database
 from repro.sqlbaseline.translate import SQLTranslator, Translation
 from repro.sqlbaseline.translate_type2 import (
     LoadedAtom,
     Type2SQLTranslator,
+    Type2Translation,
 )
 
 
@@ -35,38 +36,99 @@ def _sanitize(name: str) -> str:
     return cleaned
 
 
+#: The columns of an interval-list relation (paper §3.1's table shape).
+_ENTRY_COLUMNS = ["beg_id INTEGER", "end_id INTEGER", "act REAL"]
+
+
+def _connect() -> sqlite3.Connection:
+    """A private in-memory database in autocommit mode."""
+    return sqlite3.connect(":memory:", isolation_level=None)
+
+
+def _create(
+    connection: sqlite3.Connection,
+    table: str,
+    columns: Sequence[str],
+    rows: Iterable[tuple],
+) -> None:
+    """(Re)create a relation and bulk-load its rows."""
+    connection.execute(f"DROP TABLE IF EXISTS {table}")
+    connection.execute(f"CREATE TABLE {table} ({', '.join(columns)})")
+    placeholders = ", ".join("?" * len(columns))
+    connection.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
+
+
+def _load_segments(connection: sqlite3.Connection, n_segments: int) -> None:
+    """The axis relation ``segments`` with ids 1..n."""
+    _create(
+        connection,
+        "segments",
+        ["id INTEGER PRIMARY KEY"],
+        ((i,) for i in range(1, n_segments + 1)),
+    )
+
+
+def _run(
+    connection: sqlite3.Connection,
+    translation: Union[Translation, Type2Translation],
+) -> SimilarityList:
+    """Execute a script, read its output table back, drop its temporaries.
+
+    Any SQLite failure becomes :class:`SQLExecutionError` naming the
+    statement; the temporary tables are dropped either way.
+    """
+    statement = ""
+    try:
+        for statement in translation.statements:
+            connection.execute(statement)
+        statement = (
+            f"SELECT beg_id, end_id, act FROM {translation.output_table}"
+        )
+        rows = connection.execute(statement).fetchall()
+    except sqlite3.Error as error:
+        raise SQLExecutionError(
+            f"SQLite failed: {error}", statement=statement
+        ) from error
+    finally:
+        for table in translation.temp_tables:
+            connection.execute(f"DROP TABLE IF EXISTS {table}")
+    entries = [
+        ((beg, end), act)
+        for beg, end, act in rows
+        if act is not None and act > 0
+    ]
+    return SimilarityList.from_entries(entries, translation.maximum)
+
+
 class SQLRetrievalSystem:
     """Evaluates type (1) HTL formulas by translation to SQL."""
 
     def __init__(self, threshold: float = DEFAULT_UNTIL_THRESHOLD):
-        self.database = Database()
+        self.connection = _connect()
         self.translator = SQLTranslator(threshold)
         self._atom_tables: Dict[str, str] = {}
         self._atom_maxima: Dict[str, float] = {}
-        self._n_segments = 0
+        self._n_segments: Optional[int] = None
 
     # -- loading ------------------------------------------------------------
     def load_segments(self, n_segments: int) -> None:
         """(Re)create the axis relation ``segments`` with ids 1..n."""
         if n_segments < 0:
             raise WorkloadError(f"negative segment count {n_segments}")
-        self.database.execute("DROP TABLE IF EXISTS segments")
-        self.database.execute("CREATE TABLE segments (id INTEGER)")
-        relation = self.database.catalog.get("segments")
-        relation.insert_many((i,) for i in range(1, n_segments + 1))
+        _load_segments(self.connection, n_segments)
         self._n_segments = n_segments
 
     def load_atomic(self, name: str, sim: SimilarityList) -> str:
         """Bulk-load one atomic predicate's similarity table."""
         table = "sim_" + _sanitize(name)
-        self.database.execute(f"DROP TABLE IF EXISTS {table}")
-        self.database.execute(
-            f"CREATE TABLE {table} "
-            f"(beg_id INTEGER, end_id INTEGER, act REAL)"
-        )
-        relation = self.database.catalog.get(table)
-        relation.insert_many(
-            (entry.begin, entry.end, float(entry.actual)) for entry in sim
+        _create(
+            self.connection,
+            table,
+            _ENTRY_COLUMNS,
+            (
+                (begin, end, float(actual))
+                for begin, end, actual in zip(sim.begins, sim.ends, sim.actuals)
+            ),
         )
         self._atom_tables[name] = table
         self._atom_maxima[name] = sim.maximum
@@ -84,29 +146,11 @@ class SQLRetrievalSystem:
 
     def evaluate(self, formula: ast.Formula) -> SimilarityList:
         """Translate, execute the statement sequence, read back the result."""
-        if self._n_segments == 0 and "segments" not in self.database.catalog:
+        if self._n_segments is None:
             raise UnsupportedFormulaError(
                 "call load_segments() before evaluating queries"
             )
-        translation = self.translate(formula)
-        try:
-            for statement in translation.statements:
-                self.database.execute(statement)
-            result = self.database.query(
-                f"SELECT beg_id, end_id, act FROM {translation.output_table}"
-            )
-        finally:
-            self._drop_temporaries(translation)
-        entries = [
-            ((beg, end), act)
-            for beg, end, act in result.rows
-            if act is not None and act > 0
-        ]
-        return SimilarityList.from_entries(entries, translation.maximum)
-
-    def _drop_temporaries(self, translation: Translation) -> None:
-        for table in translation.temp_tables:
-            self.database.execute(f"DROP TABLE IF EXISTS {table}")
+        return _run(self.connection, self.translate(formula))
 
 
 class Type2SQLSystem:
@@ -121,7 +165,7 @@ class Type2SQLSystem:
     """
 
     def __init__(self, threshold: float = DEFAULT_UNTIL_THRESHOLD):
-        self.database = Database()
+        self.connection = _connect()
         self.translator = Type2SQLTranslator(threshold)
         self._atom_counter = 0
 
@@ -133,7 +177,7 @@ class Type2SQLSystem:
         nodes = video.nodes_at_level(level)
         pictures = PictureRetrievalSystem([node.metadata for node in nodes])
         universe = exists_pool(video.object_universe())
-        self.load_segments(len(nodes))
+        _load_segments(self.connection, len(nodes))
         cache: Dict[object, LoadedAtom] = {}
 
         def loader(atom) -> LoadedAtom:
@@ -142,31 +186,17 @@ class Type2SQLSystem:
                 cache[atom] = self.load_atom_table(atom, table)
             return cache[atom]
 
-        translation = self.translator.translate(formula, loader)
         try:
-            for statement in translation.statements:
-                self.database.execute(statement)
-            result = self.database.query(
-                f"SELECT beg_id, end_id, act FROM {translation.output_table}"
+            return _run(
+                self.connection, self.translator.translate(formula, loader)
             )
         finally:
-            for table in translation.temp_tables:
-                self.database.execute(f"DROP TABLE IF EXISTS {table}")
-        entries = [
-            ((beg, end), act)
-            for beg, end, act in result.rows
-            if act is not None and act > 0
-        ]
-        return SimilarityList.from_entries(entries, translation.maximum)
+            # The atom relations belong to this call's video.
+            for loaded in cache.values():
+                for table in (loaded.entries_table, loaded.evals_table):
+                    self.connection.execute(f"DROP TABLE IF EXISTS {table}")
 
     # -- loading ------------------------------------------------------------
-    def load_segments(self, n_segments: int) -> None:
-        self.database.execute("DROP TABLE IF EXISTS segments")
-        self.database.execute("CREATE TABLE segments (id INTEGER)")
-        self.database.catalog.get("segments").insert_many(
-            (i,) for i in range(1, n_segments + 1)
-        )
-
     def load_atom_table(self, atom, table) -> LoadedAtom:
         """Bulk-load one atom's similarity table into two relations."""
         if table.attr_vars:
@@ -177,25 +207,23 @@ class Type2SQLSystem:
         self._atom_counter += 1
         base = f"atom{self._atom_counter}"
         variables = table.object_vars
-        var_decls = "".join(f"v_{name} TEXT, " for name in variables)
-        self.database.execute(f"DROP TABLE IF EXISTS {base}")
-        self.database.execute(f"DROP TABLE IF EXISTS {base}_ev")
-        self.database.execute(
-            f"CREATE TABLE {base} "
-            f"({var_decls}beg_id INTEGER, end_id INTEGER, act REAL)"
+        var_decls = [f"v_{name} TEXT" for name in variables]
+        _create(
+            self.connection,
+            base,
+            var_decls + _ENTRY_COLUMNS,
+            (
+                tuple(row.objects) + (entry.begin, entry.end, float(entry.actual))
+                for row in table.rows
+                for entry in row.sim
+            ),
         )
-        self.database.execute(
-            f"CREATE TABLE {base}_ev ({var_decls}dummy INTEGER)"
+        _create(
+            self.connection,
+            f"{base}_ev",
+            var_decls + ["dummy INTEGER"],
+            (tuple(row.objects) + (1,) for row in table.rows),
         )
-        entries_relation = self.database.catalog.get(base)
-        evals_relation = self.database.catalog.get(f"{base}_ev")
-        for row in table.rows:
-            evals_relation.insert(tuple(row.objects) + (1,))
-            for entry in row.sim:
-                entries_relation.insert(
-                    tuple(row.objects)
-                    + (entry.begin, entry.end, float(entry.actual))
-                )
         return LoadedAtom(
             entries_table=base,
             evals_table=f"{base}_ev",

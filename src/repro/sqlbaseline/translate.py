@@ -11,26 +11,30 @@ type (1) formulas — the class the experiments measure.
 Table convention: every (sub)formula value is a relation
 ``(beg_id INTEGER, end_id INTEGER, act REAL)`` of disjoint intervals, the
 similarity-table shape of §3.1; atomic predicates are loaded in that shape
-and a helper relation ``segments(id)`` enumerates the axis.  Per-operator
-plans (``m`` is the Python-side maximum of the operand, a function of the
-formula):
+and a helper relation ``segments(id INTEGER PRIMARY KEY)`` enumerates the
+axis.  The script is SQLite's dialect: scalar ``MAX``/``MIN`` of two
+non-NULL arguments, window functions, and a ``CREATE INDEX`` on every
+column a join or correlated subquery probes, so no statement rescans a
+table per row.  Joins are written in loop order with ``CROSS JOIN``,
+which SQLite never reorders.  Per-operator plans (the maximum of a
+subformula is computed on the Python side, a function of the formula):
 
 * conjunction — expand both operands to per-segment rows (the "large
-  intermediate relations"), hash-join the ids, then two anti-joins for the
-  one-sided partial matches;
+  intermediate relations", keyed by segment id), join the ids, then two
+  anti-joins for the one-sided partial matches;
 * next — interval arithmetic, one linear statement;
-* eventually — boundary pieces between consecutive interval ends, each
-  valued by a correlated suffix ``MAX``;
-* until — threshold filter, gaps-and-islands run coalescing, candidate
-  matching of runs against witness intervals, correlated grouped suffix
-  ``MAX`` for the in-run pieces, and an expanded anti-join for the
-  outside-run pieces.
+* eventually — boundary pieces between consecutive interval ends
+  (``LAG``), each valued by the suffix ``MAX`` window;
+* until — threshold filter and gaps-and-islands run coalescing (windows),
+  candidate matching of runs against indexed witness intervals, per-run
+  ``LAG`` and suffix ``MAX`` windows for the in-run pieces, and an
+  expanded anti-join for the outside-run pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.ops import DEFAULT_UNTIL_THRESHOLD
 from repro.core.simlist import SIM_EPS
@@ -117,9 +121,21 @@ class _TranslationState:
         return name
 
     def _create_ids(self, kind: str, with_act: bool = False) -> str:
+        """A per-segment relation; ids are unique, so they are the key."""
         name = self._fresh(kind)
         act = ", act REAL" if with_act else ""
-        self.statements.append(f"CREATE TABLE {name} (id INTEGER{act})")
+        self.statements.append(
+            f"CREATE TABLE {name} (id INTEGER PRIMARY KEY{act})"
+        )
+        return name
+
+    def _index(self, table: str, column: str) -> str:
+        """Index a probed column and return the index name; an index on a
+        loaded atom table outlives the query and serves the later ones."""
+        name = f"ix_{table}_{column}"
+        self.statements.append(
+            f"CREATE INDEX IF NOT EXISTS {name} ON {table} ({column})"
+        )
         return name
 
     def _expand(self, entries: str) -> str:
@@ -127,7 +143,7 @@ class _TranslationState:
         expanded = self._create_ids("exp", with_act=True)
         self.statements.append(
             f"INSERT INTO {expanded} "
-            f"SELECT s.id, a.act FROM {entries} a, segments s "
+            f"SELECT s.id, a.act FROM {entries} a CROSS JOIN segments s "
             f"WHERE s.id BETWEEN a.beg_id AND a.end_id"
         )
         return expanded
@@ -168,7 +184,8 @@ class _TranslationState:
         self.statements.append(
             f"INSERT INTO {out} "
             f"SELECT x.id, x.id, x.act + y.act "
-            f"FROM {left_expanded} x, {right_expanded} y WHERE x.id = y.id"
+            f"FROM {left_expanded} x CROSS JOIN {right_expanded} y "
+            f"WHERE x.id = y.id"
         )
         self.statements.append(
             f"INSERT INTO {out} "
@@ -189,7 +206,7 @@ class _TranslationState:
         out = self._create_entries("next")
         self.statements.append(
             f"INSERT INTO {out} "
-            f"SELECT GREATEST(a.beg_id - 1, 1), a.end_id - 1, a.act "
+            f"SELECT MAX(a.beg_id - 1, 1), a.end_id - 1, a.act "
             f"FROM {operand} a WHERE a.end_id > 1"
         )
         return out, maximum
@@ -199,10 +216,10 @@ class _TranslationState:
         out = self._create_entries("ev")
         self.statements.append(
             f"INSERT INTO {out} "
-            f"SELECT COALESCE((SELECT MAX(p.end_id) FROM {operand} p "
-            f"WHERE p.end_id < a.end_id), 0) + 1, "
+            f"SELECT LAG(a.end_id, 1, 0) OVER (ORDER BY a.end_id) + 1, "
             f"a.end_id, "
-            f"(SELECT MAX(b.act) FROM {operand} b WHERE b.end_id >= a.end_id) "
+            f"MAX(a.act) OVER (ORDER BY a.end_id DESC "
+            f"ROWS UNBOUNDED PRECEDING) "
             f"FROM {operand} a"
         )
         return out, maximum
@@ -212,35 +229,28 @@ class _TranslationState:
         right_table, right_max = self.emit(formula.right)
         bound = self.threshold * left_max - SIM_EPS * left_max
 
-        kept = self._fresh("kept")
-        self.statements.append(
-            f"CREATE TABLE {kept} (beg_id INTEGER, end_id INTEGER)"
-        )
-        self.statements.append(
-            f"INSERT INTO {kept} SELECT g.beg_id, g.end_id "
-            f"FROM {left_table} g WHERE g.act >= {bound!r}"
-        )
-        # Gaps-and-islands: coalesce adjacent kept intervals into runs.
-        run_ends = self._create_ids("runends")
-        self.statements.append(
-            f"INSERT INTO {run_ends} SELECT k.end_id FROM {kept} k "
-            f"WHERE NOT EXISTS (SELECT * FROM {kept} n "
-            f"WHERE n.beg_id = k.end_id + 1)"
-        )
+        # Gaps-and-islands: coalesce adjacent thresholded intervals into
+        # runs.  An interval starts a run (brk = 1) unless it begins right
+        # after the previous one ends; the running sum of brk numbers runs.
         runs = self._fresh("runs")
         self.statements.append(
             f"CREATE TABLE {runs} (beg_id INTEGER, end_id INTEGER)"
         )
         self.statements.append(
             f"INSERT INTO {runs} "
-            f"SELECT s.beg_id, (SELECT MIN(e.id) FROM {run_ends} e "
-            f"WHERE e.id >= s.beg_id) "
-            f"FROM {kept} s WHERE NOT EXISTS (SELECT * FROM {kept} p "
-            f"WHERE p.end_id = s.beg_id - 1)"
+            f"SELECT MIN(k.beg_id), MAX(k.end_id) FROM "
+            f"(SELECT g.beg_id, g.end_id, SUM(g.brk) OVER (ORDER BY g.beg_id "
+            f"ROWS UNBOUNDED PRECEDING) AS run FROM "
+            f"(SELECT f.beg_id, f.end_id, "
+            f"LAG(f.end_id, 1, -1) OVER (ORDER BY f.beg_id) + 1 < f.beg_id "
+            f"AS brk FROM {left_table} f WHERE f.act >= {bound!r}) g) k "
+            f"GROUP BY k.run"
         )
         # Candidate witnesses per run: h intervals starting inside the run
         # (or one past it), plus the single interval straddling the run's
         # start from the left.
+        self._index(right_table, "beg_id")
+        by_end = self._index(right_table, "end_id")
         cand = self._fresh("cand")
         self.statements.append(
             f"CREATE TABLE {cand} "
@@ -249,13 +259,13 @@ class _TranslationState:
         self.statements.append(
             f"INSERT INTO {cand} "
             f"SELECT r.beg_id, r.end_id, h.end_id, h.act "
-            f"FROM {runs} r, {right_table} h "
+            f"FROM {runs} r CROSS JOIN {right_table} h "
             f"WHERE h.beg_id >= r.beg_id AND h.beg_id <= r.end_id + 1"
         )
         self.statements.append(
             f"INSERT INTO {cand} "
             f"SELECT r.beg_id, r.end_id, h.end_id, h.act "
-            f"FROM {runs} r, {right_table} h "
+            f"FROM {runs} r CROSS JOIN {right_table} h INDEXED BY {by_end} "
             f"WHERE h.end_id = (SELECT MIN(x.end_id) FROM {right_table} x "
             f"WHERE x.end_id >= r.beg_id) AND h.beg_id < r.beg_id"
         )
@@ -264,23 +274,20 @@ class _TranslationState:
         # suffix maximum of candidate actuals within the run.
         self.statements.append(
             f"INSERT INTO {out} "
-            f"SELECT GREATEST(c.rbeg, COALESCE((SELECT MAX(c2.hend) "
-            f"FROM {cand} c2 WHERE c2.rbeg = c.rbeg AND c2.hend < c.hend), 0) + 1), "
-            f"LEAST(c.hend, c.rend), "
-            f"(SELECT MAX(c3.act) FROM {cand} c3 "
-            f"WHERE c3.rbeg = c.rbeg AND c3.hend >= c.hend) "
-            f"FROM {cand} c "
-            f"WHERE LEAST(c.hend, c.rend) >= GREATEST(c.rbeg, "
-            f"COALESCE((SELECT MAX(c4.hend) FROM {cand} c4 "
-            f"WHERE c4.rbeg = c.rbeg AND c4.hend < c.hend), 0) + 1)"
+            f"SELECT MAX(c.rbeg, c.prev + 1), MIN(c.hend, c.rend), c.best "
+            f"FROM (SELECT rbeg, rend, hend, "
+            f"LAG(hend, 1, 0) OVER (PARTITION BY rbeg ORDER BY hend) AS prev, "
+            f"MAX(act) OVER (PARTITION BY rbeg ORDER BY hend DESC "
+            f"ROWS UNBOUNDED PRECEDING) AS best FROM {cand}) c "
+            f"WHERE MIN(c.hend, c.rend) >= MAX(c.rbeg, c.prev + 1)"
         )
         # Outside-run pieces: witness segments not covered by any run keep
-        # their direct value (per-segment expansion + hash anti-join).
+        # their direct value (per-segment expansion + keyed anti-join).
         expanded_h = self._expand(right_table)
         expanded_runs = self._create_ids("exprun")
         self.statements.append(
             f"INSERT INTO {expanded_runs} "
-            f"SELECT s.id FROM {runs} r, segments s "
+            f"SELECT s.id FROM {runs} r CROSS JOIN segments s "
             f"WHERE s.id BETWEEN r.beg_id AND r.end_id"
         )
         self.statements.append(

@@ -18,6 +18,11 @@ Semantics match the engine's ``join_mode="inner"`` (the paper's
 algorithm): evaluations join on shared variables; within a joined pair,
 segment-level combination follows the §3.1 list algorithms.  The final
 prefix-``∃`` projects the variables away with a per-segment ``MAX``.
+
+The SQL is SQLite's dialect, as in :mod:`repro.sqlbaseline.translate`:
+every probed relation gets a ``CREATE INDEX`` led by its evaluation
+columns, and the prefix/suffix aggregates are window functions
+partitioned by them.
 """
 
 from __future__ import annotations
@@ -138,6 +143,20 @@ class _State:
         self.statements.append(f"CREATE TABLE {name} ({var_decls}{extra})")
         return name
 
+    def _index(
+        self, table: str, variables: Sequence[str], *columns: str
+    ) -> str:
+        """Index a probed relation on its evaluation columns, then
+        ``columns``; an index on a loaded atom table is reused by later
+        statements.  Returns the index name."""
+        columns = _columns(variables) + list(columns)
+        name = f"ix_{table}_{'_'.join(columns)}"
+        self.statements.append(
+            f"CREATE INDEX IF NOT EXISTS {name} "
+            f"ON {table} ({', '.join(columns)})"
+        )
+        return name
+
     def _entries_rel(
         self, kind: str, variables: Sequence[str], maximum: float
     ) -> _Rel:
@@ -155,9 +174,11 @@ class _State:
         var_cols = "".join(f"a.{c}, " for c in rel.var_columns())
         self.statements.append(
             f"INSERT INTO {expanded} "
-            f"SELECT {var_cols}s.id, a.act FROM {rel.name} a, segments s "
+            f"SELECT {var_cols}s.id, a.act "
+            f"FROM {rel.name} a CROSS JOIN segments s "
             f"WHERE s.id BETWEEN a.beg_id AND a.end_id"
         )
+        self._index(expanded, rel.variables, "id")
         return expanded
 
     # -- dispatch ------------------------------------------------------------
@@ -219,7 +240,8 @@ class _State:
         self.statements.append(
             f"INSERT INTO {out.name} "
             f"SELECT {out_cols_from}x.id, x.id, x.act + y.act "
-            f"FROM {pairs.name} p, {left_expanded} x, {right_expanded} y "
+            f"FROM {pairs.name} p CROSS JOIN {left_expanded} x "
+            f"CROSS JOIN {right_expanded} y "
             f"WHERE {' AND '.join(conditions)}"
         )
         # Left-only segments within a pair.
@@ -262,7 +284,7 @@ class _State:
         self.statements.append(
             f"INSERT INTO {out.name} "
             f"SELECT {out_cols_from}x.id, x.id, x.act "
-            f"FROM {pairs.name} p, {mine_expanded} x "
+            f"FROM {pairs.name} p CROSS JOIN {mine_expanded} x "
             f"WHERE {' AND '.join(conditions)}"
         )
 
@@ -273,7 +295,7 @@ class _State:
         var_cols = "".join(f"a.{c}, " for c in operand.var_columns())
         self.statements.append(
             f"INSERT INTO {out.name} "
-            f"SELECT {var_cols}GREATEST(a.beg_id - 1, 1), a.end_id - 1, a.act "
+            f"SELECT {var_cols}MAX(a.beg_id - 1, 1), a.end_id - 1, a.act "
             f"FROM {operand.name} a WHERE a.end_id > 1"
         )
         self._copy_eval_rows(out, operand)
@@ -284,19 +306,14 @@ class _State:
         operand = self.emit(formula.sub)
         out = self._entries_rel("ev", operand.variables, operand.maximum)
         var_cols = "".join(f"a.{c}, " for c in operand.var_columns())
-        group_eq = " AND ".join(
-            f"{{alias}}.v_{v} = a.v_{v}" for v in operand.variables
-        )
-        prev_eq = (group_eq.format(alias="p") + " AND ") if group_eq else ""
-        suff_eq = (group_eq.format(alias="b") + " AND ") if group_eq else ""
+        partition = _partition(f"a.{c}" for c in operand.var_columns())
         self.statements.append(
             f"INSERT INTO {out.name} "
             f"SELECT {var_cols}"
-            f"COALESCE((SELECT MAX(p.end_id) FROM {operand.name} p "
-            f"WHERE {prev_eq}p.end_id < a.end_id), 0) + 1, "
+            f"LAG(a.end_id, 1, 0) OVER ({partition}ORDER BY a.end_id) + 1, "
             f"a.end_id, "
-            f"(SELECT MAX(b.act) FROM {operand.name} b "
-            f"WHERE {suff_eq}b.end_id >= a.end_id) "
+            f"MAX(a.act) OVER ({partition}ORDER BY a.end_id DESC "
+            f"ROWS UNBOUNDED PRECEDING) "
             f"FROM {operand.name} a"
         )
         self._copy_eval_rows(out, operand)
@@ -310,44 +327,30 @@ class _State:
         out = self._entries_rel("until", out_vars, right.maximum)
         bound = self.threshold * left.maximum - SIM_EPS * left.maximum
 
-        # Thresholded g entries, keyed by the g-side evaluation.
-        kept = self._create(
-            "kept", left.variables, "beg_id INTEGER, end_id INTEGER"
-        )
-        g_cols = "".join(f"g.{c}, " for c in left.var_columns())
-        self.statements.append(
-            f"INSERT INTO {kept} SELECT {g_cols}g.beg_id, g.end_id "
-            f"FROM {left.name} g WHERE g.act >= {bound!r}"
-        )
-        group_eq = " AND ".join(
-            f"{{a}}.v_{v} = {{b}}.v_{v}" for v in left.variables
-        )
-
-        def grp(a: str, b: str) -> str:
-            return (group_eq.format(a=a, b=b) + " AND ") if group_eq else ""
-
-        run_ends = self._create("runends", left.variables, "id INTEGER")
-        k_cols = "".join(f"k.{c}, " for c in left.var_columns())
-        self.statements.append(
-            f"INSERT INTO {run_ends} SELECT {k_cols}k.end_id FROM {kept} k "
-            f"WHERE NOT EXISTS (SELECT * FROM {kept} n "
-            f"WHERE {grp('n', 'k')}n.beg_id = k.end_id + 1)"
-        )
+        # Gaps-and-islands per g-side evaluation: coalesce adjacent
+        # thresholded intervals into runs.
         runs = self._create(
             "runs", left.variables, "beg_id INTEGER, end_id INTEGER"
         )
-        s_cols = "".join(f"s.{c}, " for c in left.var_columns())
+        g_vars = "".join(f"{c}, " for c in left.var_columns())
+        g_partition = _partition(left.var_columns())
         self.statements.append(
             f"INSERT INTO {runs} "
-            f"SELECT {s_cols}s.beg_id, (SELECT MIN(e.id) FROM {run_ends} e "
-            f"WHERE {grp('e', 's')}e.id >= s.beg_id) "
-            f"FROM {kept} s WHERE NOT EXISTS (SELECT * FROM {kept} p "
-            f"WHERE {grp('p', 's')}p.end_id = s.beg_id - 1)"
+            f"SELECT {g_vars}MIN(beg_id), MAX(end_id) FROM "
+            f"(SELECT {g_vars}beg_id, end_id, SUM(brk) OVER "
+            f"({g_partition}ORDER BY beg_id ROWS UNBOUNDED PRECEDING) AS run "
+            f"FROM (SELECT {g_vars}beg_id, end_id, "
+            f"LAG(end_id, 1, -1) OVER ({g_partition}ORDER BY beg_id) + 1 "
+            f"< beg_id AS brk FROM {left.name} WHERE act >= {bound!r})) "
+            f"GROUP BY {g_vars}run"
         )
+        self._index(runs, left.variables, "beg_id")
 
         # Candidate witnesses per (pair, run): the pair relation aligns
         # the g-side and h-side evaluations on shared variables.
         pairs = self._pairs(left, right, out_vars)
+        self._index(right.name, right.variables, "beg_id")
+        by_end = self._index(right.name, right.variables, "end_id")
         cand_vars = out_vars
         cand = self._create(
             "cand", cand_vars, "rbeg INTEGER, rend INTEGER, hend INTEGER, act REAL"
@@ -362,7 +365,8 @@ class _State:
         self.statements.append(
             f"INSERT INTO {cand} "
             f"SELECT {p_cols}r.beg_id, r.end_id, h.end_id, h.act "
-            f"FROM {pairs.name} p, {runs} r, {right.name} h "
+            f"FROM {pairs.name} p CROSS JOIN {runs} r "
+            f"CROSS JOIN {right.name} h "
             f"WHERE {r_eq}{h_eq}"
             f"h.beg_id >= r.beg_id AND h.beg_id <= r.end_id + 1"
         )
@@ -372,36 +376,27 @@ class _State:
         self.statements.append(
             f"INSERT INTO {cand} "
             f"SELECT {p_cols}r.beg_id, r.end_id, h.end_id, h.act "
-            f"FROM {pairs.name} p, {runs} r, {right.name} h "
+            f"FROM {pairs.name} p CROSS JOIN {runs} r "
+            f"CROSS JOIN {right.name} h INDEXED BY {by_end} "
             f"WHERE {r_eq}{h_eq}"
             f"h.end_id = (SELECT MIN(x.end_id) FROM {right.name} x "
             f"WHERE {x_eq}x.end_id >= r.beg_id) AND h.beg_id < r.beg_id"
         )
 
-        # In-run pieces per (evaluation, run).
-        c_group = "".join(
-            f"{{a}}.v_{v} = c.v_{v} AND " for v in cand_vars
-        )
+        # In-run pieces per (evaluation, run): between consecutive
+        # candidate ends, valued by the suffix maximum within the run.
         c_cols = "".join(f"c.{col}, " for col in _columns(cand_vars))
-
-        def prev_sub(alias: str) -> str:
-            return (
-                f"(SELECT MAX({alias}.hend) FROM {cand} {alias} "
-                f"WHERE {c_group.format(a=alias)}{alias}.rbeg = c.rbeg "
-                f"AND {alias}.hend < c.hend)"
-            )
-
+        c_vars = "".join(f"{col}, " for col in _columns(cand_vars))
+        c_partition = f"PARTITION BY {c_vars}rbeg "
         self.statements.append(
             f"INSERT INTO {out.name} "
-            f"SELECT {c_cols}"
-            f"GREATEST(c.rbeg, COALESCE({prev_sub('c2')}, 0) + 1), "
-            f"LEAST(c.hend, c.rend), "
-            f"(SELECT MAX(c3.act) FROM {cand} c3 "
-            f"WHERE {c_group.format(a='c3')}c3.rbeg = c.rbeg "
-            f"AND c3.hend >= c.hend) "
-            f"FROM {cand} c "
-            f"WHERE LEAST(c.hend, c.rend) >= "
-            f"GREATEST(c.rbeg, COALESCE({prev_sub('c4')}, 0) + 1)"
+            f"SELECT {c_cols}MAX(c.rbeg, c.prev + 1), MIN(c.hend, c.rend), "
+            f"c.best "
+            f"FROM (SELECT {c_vars}rbeg, rend, hend, "
+            f"LAG(hend, 1, 0) OVER ({c_partition}ORDER BY hend) AS prev, "
+            f"MAX(act) OVER ({c_partition}ORDER BY hend DESC "
+            f"ROWS UNBOUNDED PRECEDING) AS best FROM {cand}) c "
+            f"WHERE MIN(c.hend, c.rend) >= MAX(c.rbeg, c.prev + 1)"
         )
 
         # Outside-run pieces per pair: h segments not covered by the
@@ -411,9 +406,10 @@ class _State:
         r_cols = "".join(f"r.{c}, " for c in left.var_columns())
         self.statements.append(
             f"INSERT INTO {expanded_runs} "
-            f"SELECT {r_cols}s.id FROM {runs} r, segments s "
+            f"SELECT {r_cols}s.id FROM {runs} r CROSS JOIN segments s "
             f"WHERE s.id BETWEEN r.beg_id AND r.end_id"
         )
+        self._index(expanded_runs, left.variables, "id")
         xh_eq = "".join(
             f"x.v_{v} = p.v_{v} AND " for v in right.variables
         )
@@ -423,7 +419,7 @@ class _State:
         self.statements.append(
             f"INSERT INTO {out.name} "
             f"SELECT {p_cols}x.id, x.id, x.act "
-            f"FROM {pairs.name} p, {expanded_h} x "
+            f"FROM {pairs.name} p CROSS JOIN {expanded_h} x "
             f"WHERE {xh_eq}"
             f"NOT EXISTS (SELECT * FROM {expanded_runs} e "
             f"WHERE {er_eq}e.id = x.id)"
@@ -444,12 +440,14 @@ class _State:
             f"a.v_{v} = b.v_{v}" for v in shared
         )
         where = f" WHERE {join_condition}" if join_condition else ""
+        if shared:
+            self._index(right.evals, shared)
         columns = ", ".join(select_cols) if select_cols else "1"
         trailer = ", 1" if select_cols else ""
         self.statements.append(
             f"INSERT INTO {name} "
             f"SELECT DISTINCT {columns}{trailer} "
-            f"FROM {left.evals} a, {right.evals} b{where}"
+            f"FROM {left.evals} a CROSS JOIN {right.evals} b{where}"
         )
         return _Pairs(name, out_vars)
 
@@ -484,11 +482,12 @@ class _State:
             raise UnsupportedFormulaError(
                 f"free variables {remaining} not bound by the ∃ prefix"
             )
-        expanded = self._expand(rel)
         out = self._create("final", (), "beg_id INTEGER, end_id INTEGER, act REAL")
         self.statements.append(
             f"INSERT INTO {out} "
-            f"SELECT x.id, x.id, MAX(x.act) FROM {expanded} x GROUP BY x.id"
+            f"SELECT s.id, s.id, MAX(a.act) "
+            f"FROM {rel.name} a CROSS JOIN segments s "
+            f"WHERE s.id BETWEEN a.beg_id AND a.end_id GROUP BY s.id"
         )
         return _Pairs(out, ())
 
@@ -507,6 +506,12 @@ def _merge_vars(
         if variable not in merged:
             merged.append(variable)
     return tuple(merged)
+
+
+def _partition(columns) -> str:
+    """A window's ``PARTITION BY`` clause over evaluation columns, or ''."""
+    columns = ", ".join(columns)
+    return f"PARTITION BY {columns} " if columns else ""
 
 
 def _pair_projection(

@@ -7,7 +7,7 @@ engines, 1/2/4 in-memory shards, the warm engine pool over 1 and 2
 shards, a ``Store`` snapshot reloaded into a one-shard corpus, the same
 corpus ingested through the WAL and recovered with no checkpoint, a
 ``save_sharded`` layout reopened from disk, and the paper's §4 SQL
-baseline (per-video lists from the relational engine, ranked with
+baseline (per-video lists from SQLite, ranked with
 ``top_k_segments`` and ``TopKResult.merge``).
 Each row must return exactly the ``(video, segment_id, actual, maximum)``
 list of the oracle row — naive atom tables, structural order, no pruning

@@ -63,10 +63,10 @@ class TestDocumentedAttributes:
         assert error.column == 9
         assert "line 3" in str(error)
 
-    def test_sql_syntax_error_position(self):
-        error = errors.SQLSyntaxError("bad token", line=2, column=4)
-        assert error.line == 2
-        assert error.column == 4
+    def test_sql_execution_error_names_statement(self):
+        error = errors.SQLExecutionError("no such table", statement="SELECT 1")
+        assert error.statement == "SELECT 1"
+        assert "SELECT 1" in str(error)
 
     def test_budget_error_attributes(self):
         error = errors.BudgetExceededError(

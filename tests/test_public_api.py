@@ -11,7 +11,6 @@ PACKAGES = [
     "repro.pictures",
     "repro.core",
     "repro.sqlbaseline",
-    "repro.sqlbaseline.relational",
     "repro.analyzer",
     "repro.workloads",
     "repro.bench",
@@ -53,8 +52,6 @@ def test_errors_hierarchy():
         errors.HierarchyError,
         errors.UnknownLevelError,
         errors.MetadataError,
-        errors.SQLSyntaxError,
-        errors.SQLCatalogError,
         errors.SQLExecutionError,
         errors.WorkloadError,
     ]
@@ -66,13 +63,11 @@ def test_errors_hierarchy():
 
 
 def test_syntax_errors_carry_positions():
-    from repro.errors import HTLSyntaxError, SQLSyntaxError
+    from repro.errors import HTLSyntaxError
 
     error = HTLSyntaxError("bad", line=3, column=7)
     assert error.line == 3 and error.column == 7
     assert "line 3" in str(error)
-    sql_error = SQLSyntaxError("bad", line=2, column=5)
-    assert "line 2" in str(sql_error)
 
 
 @pytest.mark.parametrize(
