@@ -95,6 +95,34 @@ class TestSql:
         assert code == EXIT_CODES[errors.UnsupportedFormulaError]
         assert "type (1)" in err
 
+    def test_execute_until(self, capsys):
+        code, out, __ = run_cli(
+            capsys, "sql", "$P1 until $P2", "--size", "60", "--execute"
+        )
+        assert code == 0
+        assert " OVER (" in out
+        assert "result:" in out
+
+    def test_sqlite_failure_exit_code(self, capsys, monkeypatch):
+        from repro.sqlbaseline import SQLTranslator
+
+        broken = "SELECT no_such_column FROM segments"
+        translate = SQLTranslator.translate
+
+        def translate_with_broken_statement(self, *args):
+            translation = translate(self, *args)
+            translation.statements.append(broken)
+            return translation
+
+        monkeypatch.setattr(
+            SQLTranslator, "translate", translate_with_broken_statement
+        )
+        code, __, err = run_cli(
+            capsys, "sql", "eventually $P1", "--size", "20", "--execute"
+        )
+        assert code == EXIT_CODES[errors.SQLExecutionError]
+        assert broken in err
+
 
 class TestExitCodes:
     def test_distinct_and_nonzero(self):
