@@ -22,7 +22,6 @@ from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.topk import top_k_segments
 from repro.errors import (
     BudgetExceededError,
-    CircuitOpenError,
     HierarchyError,
     HTLError,
     HTLSyntaxError,
@@ -89,7 +88,6 @@ EXIT_CODES = {
     WorkloadError: 18,
     ResilienceError: 19,
     BudgetExceededError: 20,
-    CircuitOpenError: 21,
     InjectedFaultError: 22,
     StoreError: 23,
     StoreWriteError: 24,

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional
 
 from repro.core import trace
-from repro.errors import BudgetExceededError, CircuitOpenError
+from repro.errors import BudgetExceededError
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +376,6 @@ class CircuitBreaker:
                     )
                 self._state = OPEN
                 self._refusals = 0
-
-    def guard(self) -> None:
-        """Raise :class:`~repro.errors.CircuitOpenError` unless allowed."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit breaker {self.name!r} is open", breaker=self.name
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,6 @@ STORE_SNAPSHOT_SAVED = "store-snapshot-saved"
 STORE_SNAPSHOT_LOADED = "store-snapshot-loaded"
 STORE_ARTIFACT_QUARANTINED = "store-artifact-quarantined"
 STORE_SNAPSHOT_FALLBACK = "store-snapshot-fallback"
-STORE_INDEX_REBUILT = "store-index-rebuilt"
 STORE_MANIFEST_RECOVERED = "store-manifest-recovered"
 
 #: Canonical event-counter names of the sharded corpus (DESIGN.md §12).

@@ -131,17 +131,6 @@ class BudgetExceededError(ResilienceError, TimeoutError):
         super().__init__(message)
 
 
-class CircuitOpenError(ResilienceError):
-    """A call was refused because its circuit breaker is open.
-
-    ``breaker`` is the breaker's registered name.
-    """
-
-    def __init__(self, message: str, breaker: str = ""):
-        self.breaker = breaker
-        super().__init__(message)
-
-
 class InjectedFaultError(ResilienceError):
     """A deterministic fault raised by :mod:`repro.testing.faults`.
 

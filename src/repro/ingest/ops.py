@@ -202,7 +202,7 @@ def apply(op: IngestOp, database: VideoDatabase) -> str:
 
     The single mutation path of both the ingester and recovery replay.
     Index maintenance is incremental throughout: appends extend the
-    installed picture systems in place
+    cached picture systems in place
     (:meth:`~repro.model.hierarchy.Video.append_segments`) and stamp the
     video's generation so caches invalidate only its entries.
     """

@@ -130,21 +130,6 @@ class VideoNode:
             node._pictures = None
             node._universe = None
 
-    def install_pictures(
-        self, level: int, system: "PictureRetrievalSystem"
-    ) -> None:
-        """Install a prebuilt picture system for one level (warm start).
-
-        The store's load path uses this to hand a restored metadata
-        index to the engine without re-deriving it.  The caller
-        guarantees the system was built over exactly the metadata of
-        ``descendants_at_level(level)``; ``add_child`` invalidates it
-        like any cached system.
-        """
-        if self._pictures is None:
-            self._pictures = {}
-        self._pictures[level] = system
-
     def is_leaf(self) -> bool:
         return not self.children
 
@@ -296,7 +281,7 @@ class Video:
 
         The streaming-ingest mutation primitive.  Unlike raw
         ``root.add_child`` calls — which drop every cached picture system
-        up the ancestor chain — this keeps the root's installed systems
+        up the ancestor chain — this keeps the root's cached systems
         warm: the level-1 system covers only the root's own metadata
         (unaffected), and the level-2 system is extended incrementally via
         :meth:`~repro.pictures.retrieval.PictureRetrievalSystem.
@@ -337,15 +322,12 @@ class Video:
             self.level_names[2] = "shot"
             self._name_to_level["shot"] = 2
         if pictures:
-            level_one = pictures.get(1)
-            if level_one is not None:
-                root.install_pictures(1, level_one)
-            level_two = pictures.get(2)
-            if level_two is not None:
-                level_two.append_segments(
-                    [child.metadata for child in added]
-                )
-                root.install_pictures(2, level_two)
+            kept = {
+                level: pictures[level] for level in (1, 2) if level in pictures
+            }
+            if 2 in kept:
+                kept[2].append_segments([child.metadata for child in added])
+            root._pictures = kept
         return added
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ModelError
 from repro.model.metadata import AttrValue, SegmentMetadata
 
 #: The shared empty postings tuple.
@@ -64,66 +63,70 @@ def _length_summary(lengths: List[int]) -> Dict[str, float]:
 _NO_CONTENT: tuple = ((), (), (), None)
 
 
+def _canonical(items: List[tuple]) -> tuple:
+    """``items`` as a tuple in ``repr`` order.
+
+    Mixed-type values make direct tuple comparison unsafe, so the sort
+    keys on ``repr`` — deterministic and total over our value types.
+    Fewer than two items need no sort, and most collections are empty.
+    """
+    if len(items) > 1:
+        items.sort(key=repr)
+    return tuple(items)
+
+
+def _facts(facts: Dict[str, Any]) -> tuple:
+    """The canonical ``(name, value, confidence)`` triples of a fact map."""
+    if not facts:
+        return ()
+    return _canonical(
+        [(name, fact.value, fact.confidence) for name, fact in facts.items()]
+    )
+
+
 def _content_key(segment: SegmentMetadata) -> tuple:
     """Canonical, order-insensitive key of a segment's full meta-data.
 
-    Mixed-type values make direct tuple comparison unsafe, so the sorts
-    key on ``repr`` — deterministic and total over our value types.  A
-    metadata-free segment (registered-list corpora hold nothing else)
-    gets the constant :data:`_NO_CONTENT` without building anything.
+    A metadata-free segment (registered-list corpora hold nothing else)
+    gets the constant :data:`_NO_CONTENT` without building anything, and
+    an empty collection inside a key costs no sort.
     """
+    object_map = segment.object_map()
+    relationships = segment.relationships
     if (
         segment.signature is None
-        and not segment.object_map()
+        and not object_map
         and not segment.attributes
-        and not segment.relationships
+        and not relationships
     ):
         return _NO_CONTENT
-    objects = tuple(
-        sorted(
-            (
+    objects = (
+        _canonical(
+            [
                 (
                     instance.object_id,
                     instance.type,
                     instance.confidence,
-                    tuple(
-                        sorted(
-                            (
-                                (name, fact.value, fact.confidence)
-                                for name, fact in instance.attributes.items()
-                            ),
-                            key=repr,
-                        )
-                    ),
+                    _facts(instance.attributes),
                 )
-                for instance in segment.objects()
-            ),
-            key=repr,
+                for instance in object_map.values()
+            ]
         )
+        if object_map
+        else ()
     )
-    attributes = tuple(
-        sorted(
-            (
-                (name, fact.value, fact.confidence)
-                for name, fact in segment.attributes.items()
-            ),
-            key=repr,
+    links = (
+        _canonical(
+            [(rel.name, rel.args, rel.confidence) for rel in relationships]
         )
-    )
-    relationships = tuple(
-        sorted(
-            (
-                (rel.name, rel.args, rel.confidence)
-                for rel in segment.relationships
-            ),
-            key=repr,
-        )
+        if relationships
+        else ()
     )
     # The content signature participates in the profile key: equal
     # profiles promise equal scores for *every* atom, and looks_like()
     # atoms score the signature, so two segments with equal E-R metadata
     # but different signatures must not share a profile.
-    return objects, attributes, relationships, segment.signature
+    return objects, _facts(segment.attributes), links, segment.signature
 
 
 class MetadataIndex:
@@ -202,17 +205,12 @@ class MetadataIndex:
         # Content keys are most of an index's memory (400 of 437 KB on the
         # dense benchmark corpus) and only appends read them, so none are
         # kept: the first append rebuilds one per profile from the
-        # segments the index covers — this sequence, or after from_dict
-        # (whose document has no keys) the caller's ``covered``.
+        # segments the index was built over.
         self._profile_keys: Optional[Dict[tuple, int]] = None
         self._built_over: Optional[Sequence[SegmentMetadata]] = segments
 
     # -- incremental maintenance ----------------------------------------------
-    def append_segments(
-        self,
-        segments: Sequence[SegmentMetadata],
-        covered: Sequence[SegmentMetadata] = (),
-    ) -> int:
+    def append_segments(self, segments: Sequence[SegmentMetadata]) -> int:
         """Extend the index over ``segments`` appended after the current
         sequence; returns the new segment count.
 
@@ -224,30 +222,19 @@ class MetadataIndex:
         sequence (property-tested).
 
         The first append rebuilds the content keys of the current
-        profile ids, one per profile, so appends reuse them as a rebuild
-        would.  It reads them off the sequence the index was built over,
-        or for an index restored by :meth:`from_dict` off ``covered``, the
-        sequence the index already covers; nothing else reads
-        ``covered``.
+        profile ids, one per profile, off the sequence the index was
+        built over, so appends reuse them as a rebuild would.
         """
         if not segments:
             return self.n_segments
         if self._profile_keys is None:
-            if self._built_over is not None:
-                covered = self._built_over
-                self._built_over = None
-            if len(covered) != self.n_segments:
-                raise ModelError(
-                    f"a restored index over {self.n_segments} segments "
-                    f"needs them to append; {len(covered)} given"
-                )
-            # Equal ids mean equal content: one key per restored profile,
-            # read off its first segment.
-            self._profile_keys = {}
-            for profile, position in enumerate(self._profiles[1]):
-                self._profile_keys.setdefault(
-                    _content_key(covered[position]), profile
-                )
+            built_over, self._built_over = self._built_over, None
+            # Equal ids mean equal content: one key per profile, read
+            # off its first segment.
+            self._profile_keys = {
+                _content_key(built_over[position]): profile
+                for profile, position in enumerate(self._profiles[1])
+            }
         by_object: Dict[str, List[int]] = {}
         by_type: Dict[str, List[int]] = {}
         by_relationship: Dict[str, List[int]] = {}
@@ -378,8 +365,7 @@ class MetadataIndex:
         Segments with equal profiles have equal meta-data up to
         reordering, hence equal scores for every atom, binding and pool.
         Profile ids are ``0 .. n_profiles - 1``, numbered in order of
-        first appearance by a build and by appends; an index restored by
-        :meth:`from_dict` keeps whatever numbering its document carries.
+        first appearance, by a build and by appends alike.
         Two users read them: the indexed sweep shares a score between
         candidates of one profile, and a routed binding scores each
         profile once (:meth:`profile_representatives`).
@@ -391,8 +377,8 @@ class MetadataIndex:
     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """``(segment_profiles(), firsts)`` read together, where
         ``firsts[p]`` is the 0-based position of profile ``p``'s first
-        segment.  Derived, never serialised; replaced in one assignment
-        with the profile ids, so the two always describe one sequence."""
+        segment.  Replaced in one assignment with the profile ids, so the
+        two always describe one sequence."""
         return self._profiles
 
     # -- introspection --------------------------------------------------------
@@ -444,130 +430,6 @@ class MetadataIndex:
                 "signature_segments": len(self._with_signature),
             },
         }
-
-    # -- persistence ----------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe document of every postings structure.
-
-        The store persists this next to the metadata it was derived from
-        so a warm start can skip index construction; round-trip safe:
-        ``from_dict(to_dict()).to_dict() == to_dict()``.
-        """
-        return {
-            "n_segments": self.n_segments,
-            "by_object": {
-                key: list(ids) for key, ids in self._by_object.items()
-            },
-            "by_type": {key: list(ids) for key, ids in self._by_type.items()},
-            "by_relationship": {
-                key: list(ids) for key, ids in self._by_relationship.items()
-            },
-            # Tuple keys are not JSON keys; entries are (name, value, ids)
-            # triples in a deterministic order.
-            "by_segment_attr": sorted(
-                (
-                    [name, value, list(ids)]
-                    for (name, value), ids in self._by_segment_attr.items()
-                ),
-                key=repr,
-            ),
-            "by_attr_name": {
-                key: list(ids) for key, ids in self._by_attr_name.items()
-            },
-            "with_any_object": list(self._with_any_object),
-            "with_signature": list(self._with_signature),
-            "objects_of_type": {
-                key: list(ids) for key, ids in self._objects_of_type.items()
-            },
-            "segment_profiles": list(self._profiles[0]),
-            "n_profiles": self.n_profiles,
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "MetadataIndex":
-        """Rebuild an index from :meth:`to_dict` output (untrusted).
-
-        Structural junk raises a typed :class:`~repro.errors.ModelError`;
-        the caller (the store's load path) treats that as corruption and
-        rebuilds from the surviving metadata instead.  That covers the
-        content profiles: one id per segment, every id in
-        ``range(n_profiles)`` and every such id used.  An id past the
-        count would collide with the next append's new profile and share
-        a score between two contents.  Any numbering order is accepted
-        (ingest-maintained indexes number in append order), and the
-        representatives are derived here, not read.
-        """
-        try:
-            index = cls.__new__(cls)
-            index.n_segments = int(document["n_segments"])
-            index._by_object = {
-                str(key): tuple(int(i) for i in ids)
-                for key, ids in document["by_object"].items()
-            }
-            index._by_type = {
-                str(key): tuple(int(i) for i in ids)
-                for key, ids in document["by_type"].items()
-            }
-            index._by_relationship = {
-                str(key): tuple(int(i) for i in ids)
-                for key, ids in document["by_relationship"].items()
-            }
-            index._by_segment_attr = {}
-            for name, value, ids in document["by_segment_attr"]:
-                index._by_segment_attr[(str(name), value)] = tuple(
-                    int(i) for i in ids
-                )
-            index._by_attr_name = {
-                str(key): tuple(int(i) for i in ids)
-                for key, ids in document["by_attr_name"].items()
-            }
-            index._with_any_object = tuple(
-                int(i) for i in document["with_any_object"]
-            )
-            # Documents written before the signature backend existed
-            # describe corpora with no signatures, so the empty default
-            # is exact for them.
-            index._with_signature = tuple(
-                int(i) for i in document.get("with_signature", [])
-            )
-            index._objects_of_type = {
-                str(key): [str(i) for i in ids]
-                for key, ids in document["objects_of_type"].items()
-            }
-            ids = tuple(int(p) for p in document["segment_profiles"])
-            n_profiles = int(document["n_profiles"])
-            index._profile_keys = None
-            index._built_over = None
-        except ModelError:
-            raise
-        except Exception as error:
-            raise ModelError(
-                f"malformed metadata-index payload: {error!r}"
-            ) from error
-        if len(ids) != index.n_segments:
-            raise ModelError(
-                f"metadata-index payload carries {len(ids)} "
-                f"segment profiles for {index.n_segments} segments"
-            )
-        firsts: Dict[int, int] = {}
-        for position, profile in enumerate(ids):
-            firsts.setdefault(profile, position)
-        stray = [p for p in firsts if not 0 <= p < n_profiles]
-        if stray:
-            raise ModelError(
-                f"metadata-index payload numbers segment profile "
-                f"{min(stray)} outside 0..{n_profiles - 1}"
-            )
-        if len(firsts) != n_profiles:
-            raise ModelError(
-                f"metadata-index payload declares {n_profiles} segment "
-                f"profiles but uses {len(firsts)}"
-            )
-        index._profiles = (
-            ids,
-            tuple(firsts[profile] for profile in range(n_profiles)),
-        )
-        return index
 
     # -- object universe ------------------------------------------------------
     def all_object_ids(self) -> List[str]:

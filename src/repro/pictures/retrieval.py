@@ -140,23 +140,10 @@ class PictureRetrievalSystem:
     """Atom evaluation over one segment sequence, with indices."""
 
     def __init__(
-        self,
-        segments: Sequence[SegmentMetadata],
-        use_index: bool = True,
-        index: Optional[MetadataIndex] = None,
+        self, segments: Sequence[SegmentMetadata], use_index: bool = True
     ):
         self.segments = list(segments)
-        if index is not None and index.n_segments != len(self.segments):
-            from repro.errors import MetadataError
-
-            raise MetadataError(
-                f"prebuilt index covers {index.n_segments} segments, "
-                f"sequence has {len(self.segments)}"
-            )
-        # A prebuilt index (the store's warm-start path) must have been
-        # derived from exactly these segments — the store guarantees that
-        # by verifying both artifacts against one snapshot manifest.
-        self.index = index if index is not None else MetadataIndex(self.segments)
+        self.index = MetadataIndex(self.segments)
         self.use_index = use_index
         self.stats = PictureStats()
         #: When set to a list, the indexed sweep appends every visited
@@ -182,7 +169,7 @@ class PictureRetrievalSystem:
         """
         if not segments:
             return len(self.segments)
-        self.index.append_segments(segments, covered=self.segments)
+        self.index.append_segments(segments)
         self.segments.extend(segments)
         self._analyzer = SupportAnalyzer(self.index)
         self._universe = self.index.all_object_ids()

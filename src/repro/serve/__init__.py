@@ -25,7 +25,7 @@ shedding), :mod:`~repro.serve.pool` (warm engines + breakers),
 """
 
 from repro.errors import ServeError, ServeRejected
-from repro.serve.pool import EnginePool, PooledWorker, PROBE_QUERY
+from repro.serve.pool import EnginePool, PooledWorker
 from repro.serve.queue import RequestQueue
 from repro.serve.request import (
     STATUS_COMPLETED,
@@ -52,7 +52,6 @@ from repro.serve.sla import (
 __all__ = [
     "BATCH",
     "INTERACTIVE",
-    "PROBE_QUERY",
     "STANDARD",
     "STATUS_COMPLETED",
     "STATUS_QUEUED",

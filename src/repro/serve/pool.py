@@ -16,7 +16,8 @@ memo's old entries are never hit again and age out.
 
 Every worker carries a :class:`~repro.core.resilience.CircuitBreaker`:
 repeated failures take the worker out of rotation (the server bounces
-its work to siblings) until a cooldown probe passes.
+its work to siblings) until, after its cooldown, the breaker's
+``allow()`` admits one trial request and that request succeeds.
 :meth:`EnginePool.degraded_result` is the last rung — a typed *partial*
 :class:`~repro.core.topk.TopKResult` naming every video ``failed``, so
 even a request that exhausted all retries terminates with an honest,
@@ -33,14 +34,8 @@ from repro.core.engine import EngineConfig, RetrievalEngine
 from repro.core.resilience import CircuitBreaker, QueryBudget
 from repro.core.topk import OUTCOME_FAILED, TopKResult, VideoOutcome
 from repro.errors import ServeError
-from repro.htl import parse
 from repro.serve.request import QueryRequest
 from repro.shard import ShardedCorpus
-
-#: The trivial health-probe query: satisfiable on any corpus with
-#: object metadata, cheap even naively, and exercising parse → plan →
-#: index → score end to end.
-PROBE_QUERY = "exists x . present(x)"
 
 
 class PooledWorker:
@@ -148,24 +143,6 @@ class EnginePool:
                 video.root.pictures_at_level(min(level, video.n_levels))
                 warmed += 1
         return warmed
-
-    def probe(self, worker: PooledWorker, *, deadline_ms: float = 1_000.0) -> bool:
-        """Health-check one worker with the trivial probe query.
-
-        Success closes the worker's breaker, failure feeds it — so a
-        probe is also how a half-open worker re-earns rotation.
-        """
-        try:
-            self.execute(
-                worker,
-                QueryRequest(parse(PROBE_QUERY), k=1),
-                QueryBudget(deadline_ms=deadline_ms),
-            )
-        except Exception:
-            worker.breaker.record_failure()
-            return False
-        worker.breaker.record_success()
-        return True
 
     # -- execution -------------------------------------------------------
     def execute(

@@ -130,7 +130,8 @@ class Shard:
     Transient faults retry under the shard's :class:`RetryPolicy`
     behind a per-shard circuit breaker: a shard that keeps failing
     opens its breaker and subsequent queries fail fast (no retry storm
-    against a dead disk) until the cooldown probe readmits one trial.
+    against a dead disk) until, after the cooldown, the breaker's
+    ``allow()`` admits one trial load.
     ``rng`` and ``sleep`` are injectable so chaos tests replay the
     backoff schedule deterministically without wall-clock waits.
     """

@@ -27,8 +27,6 @@ from repro.store.atomic import (
 )
 from repro.store.store import (
     ATOMICS_ARTIFACT,
-    DERIVED_ARTIFACTS,
-    INDEX_ARTIFACT,
     MANIFEST_NAME,
     REQUIRED_ARTIFACTS,
     SNAPSHOT_MANIFEST,
@@ -57,8 +55,6 @@ from repro.store.sharding import (
 
 __all__ = [
     "ATOMICS_ARTIFACT",
-    "DERIVED_ARTIFACTS",
-    "INDEX_ARTIFACT",
     "MANIFEST_NAME",
     "REQUIRED_ARTIFACTS",
     "SCHEME_ROUND_ROBIN",

@@ -7,10 +7,11 @@ precomputed similarity tables that the retrieval algorithms read (§1,
 extended down to disk:
 
 * :meth:`Store.save` writes a *snapshot*: one directory holding the
-  video metadata, the registered atomic similarity tables, and the
-  derived metadata indices as separate artifacts, each written
-  atomically (temp + fsync + rename) and named in a checksummed
-  per-snapshot manifest.  The save commits by atomically replacing the
+  video metadata and the registered atomic similarity tables as
+  separate artifacts, each written atomically (temp + fsync + rename)
+  and named in a checksummed per-snapshot manifest.  Nothing derived is
+  persisted: every metadata index is built from the verified metadata
+  on first use.  The save commits by atomically replacing the
   top-level ``MANIFEST.json``; a crash at any earlier step leaves the
   previous snapshot current and intact.
 * One check, :meth:`Store._check`, judges a snapshot: the manifest
@@ -20,8 +21,7 @@ extended down to disk:
   single answer to "is this snapshot intact?".
 * :meth:`Store.load` acts on that answer.  Damage — truncation, bit
   rot, a torn write — is *quarantined* (moved aside, never deleted) and
-  load falls back along the snapshot chain to the newest intact one; a
-  damaged derived index is instead rebuilt from the surviving metadata.
+  load falls back along the snapshot chain to the newest intact one.
   Every recovery action is surfaced through :mod:`repro.core.trace`
   counters and the returned :class:`StoreLoad.actions`.
 * :meth:`Store.verify` reports the same check read-only, over the same
@@ -62,12 +62,8 @@ from repro.model.serialize import (
     simlist_from_dict,
     videos_to_list,
 )
-from repro.pictures.index import MetadataIndex
-from repro.pictures.retrieval import PictureRetrievalSystem
 from repro.store.atomic import (
-    atomic_write_bytes,
     atomic_write_json,
-    canonical_json_bytes,
     fsync_directory,
     quarantine_path,
     sha256_hex,
@@ -80,12 +76,11 @@ MANIFEST_NAME = "MANIFEST.json"
 SNAPSHOT_MANIFEST = "snapshot.json"
 VIDEOS_ARTIFACT = "videos.json"
 ATOMICS_ARTIFACT = "atomics.json"
-INDEX_ARTIFACT = "index.json"
 
-#: Artifacts a snapshot cannot be loaded without.
+#: Every artifact a snapshot holds; it cannot be loaded without each.
+#: Any other file an older ``snapshot.json`` lists (the ``index.json``
+#: of derived indices) is never read.
 REQUIRED_ARTIFACTS = (VIDEOS_ARTIFACT, ATOMICS_ARTIFACT)
-#: Derived artifacts: damage is recovered by rebuilding, not fallback.
-DERIVED_ARTIFACTS = (INDEX_ARTIFACT,)
 
 _SNAPSHOT_NAME = re.compile(r"^snap-(\d{6,})$")
 #: Quarantine labels of a snapshot's files or whole directory.
@@ -107,7 +102,7 @@ def _sequence_of(snapshot_id: str) -> Optional[int]:
 
 
 def default_level(video: Video) -> int:
-    """The level the store persists/prime the picture index at.
+    """The level ``shard info`` reports a video's index statistics at.
 
     Level 2 — the children of the root — is where §3's algorithms and
     the paper's experiments assert formulas; single-level videos fall
@@ -124,9 +119,9 @@ class RecoveryAction:
     """One recovery step taken by load/repair, for provenance.
 
     ``kind`` is one of ``"quarantined"``, ``"fallback"``,
-    ``"index-rebuilt"``, ``"manifest-recovered"``, ``"unreadable"``,
-    ``"skipped"``.  ``quarantined_to`` is the preserved path of a moved
-    damaged file (empty when nothing was moved).
+    ``"manifest-recovered"``, ``"unreadable"``, ``"skipped"``.
+    ``quarantined_to`` is the preserved path of a moved damaged file
+    (empty when nothing was moved).
     """
 
     kind: str
@@ -171,14 +166,12 @@ class ArtifactStatus:
 
     ``status`` is ``"ok"``, ``"missing"``, ``"unreadable"``,
     ``"size-mismatch"``, ``"digest-mismatch"``, or ``"malformed"``.
-    ``fatal`` is False for derived artifacts (a damaged index is
-    rebuilt, not fallen back from).
+    Any damage disqualifies the snapshot.
     """
 
     snapshot: str
     artifact: str
     status: str
-    fatal: bool = True
     detail: str = ""
 
     @property
@@ -204,21 +197,17 @@ class VerifyReport:
         that crashed before its commit) is reported but not fatal.
         """
         return self.manifest_ok and not any(
-            status.damaged
-            and status.fatal
-            and status.snapshot not in self.unreferenced
+            status.damaged and status.snapshot not in self.unreferenced
             for status in self.statuses
         )
 
     def intact_snapshots(self) -> List[str]:
-        """Snapshots with no fatal damage, in the order load tries them.
+        """Snapshots with no damage, in the order load tries them.
 
         The first one is the snapshot :meth:`Store.load` returns.
         """
         damaged = {
-            status.snapshot
-            for status in self.statuses
-            if status.damaged and status.fatal
+            status.snapshot for status in self.statuses if status.damaged
         }
         return list(
             dict.fromkeys(
@@ -247,10 +236,8 @@ class _Checked:
     #: the parsed ``snapshot.json`` and its bytes as read
     document: Dict[str, Any] = field(default_factory=dict)
     raw: bytes = b""
-    #: the rebuilt model; None when a fatal status disqualified it
+    #: the rebuilt model; None when a damaged status disqualified it
     database: Optional[VideoDatabase] = None
-    #: the parsed index artifact; None when unlisted or damaged
-    index: Optional[Dict[str, Any]] = None
 
     def reject(self, artifact: str, detail: str) -> "_Checked":
         """Mark an artifact that read fine as failing a later rule."""
@@ -391,7 +378,7 @@ class Store:
         return resilience.fault_value(resilience.SITE_STORE_READ, data)
 
     def _read_json(
-        self, snapshot_id: str, name: str, entry: Any, fatal: bool = True
+        self, snapshot_id: str, name: str, entry: Any
     ) -> Tuple[Optional[Dict[str, Any]], ArtifactStatus, bytes]:
         """Read one JSON-object file once: ``(payload, status, bytes)``.
 
@@ -402,7 +389,7 @@ class Store:
         """
 
         def status(kind: str, detail: str = "") -> ArtifactStatus:
-            return ArtifactStatus(snapshot_id, name, kind, fatal, detail)
+            return ArtifactStatus(snapshot_id, name, kind, detail)
 
         path = self._path(snapshot_id, name)
         if not os.path.exists(path):
@@ -506,8 +493,8 @@ class Store:
         parse, the format version (a foreign one raises
         :class:`StoreVersionError`), the artifact table and
         ``wal_through``, then model construction of the videos and
-        atomics.  The derived index is read only for a snapshot that
-        passed, and its damage is a non-fatal status.
+        atomics.  Files ``snapshot.json`` lists beyond
+        :data:`REQUIRED_ARTIFACTS` are never read.
         """
         checked = _Checked()
         expected = (
@@ -543,23 +530,21 @@ class Store:
             )
         checked.document = document
 
-        def read(name: str, fatal: bool) -> Optional[Dict[str, Any]]:
+        def read(name: str) -> Optional[Dict[str, Any]]:
             entry = artifacts.get(name)
             if isinstance(entry, dict):
-                payload, status, __ = self._read_json(
-                    snapshot_id, name, entry, fatal
-                )
+                payload, status, __ = self._read_json(snapshot_id, name, entry)
             else:
                 payload = None
                 status = ArtifactStatus(
-                    snapshot_id, name, "missing", fatal,
+                    snapshot_id, name, "missing",
                     "not listed in snapshot manifest",
                 )
             checked.statuses.append(status)
             return payload
 
-        videos = read(VIDEOS_ARTIFACT, True)
-        atomics = read(ATOMICS_ARTIFACT, True)
+        videos = read(VIDEOS_ARTIFACT)
+        atomics = read(ATOMICS_ARTIFACT)
         if videos is None or atomics is None:
             return checked
         try:
@@ -588,8 +573,6 @@ class Store:
                 ATOMICS_ARTIFACT,
                 f"similarity tables failed validation: {error!r}",
             )
-        if INDEX_ARTIFACT in artifacts:
-            checked.index = read(INDEX_ARTIFACT, False)
         checked.database = database
         return checked
 
@@ -622,18 +605,6 @@ class Store:
             except (TypeError, ValueError):
                 pass
         return highest + 1
-
-    def _index_payload(self, database: VideoDatabase) -> Dict[str, Any]:
-        """The ``index.json`` payload of the database's picture indices."""
-        documents: Dict[str, Dict[str, Any]] = {}
-        for video in database.videos():
-            level = default_level(video)
-            system = video.root.pictures_at_level(level)
-            documents[video.name] = {
-                "level": level,
-                "index": system.index.to_dict(),
-            }
-        return {"format": STORE_FORMAT_VERSION, "indices": documents}
 
     def save(
         self, database: VideoDatabase, wal_through: int = 0
@@ -681,7 +652,6 @@ class Store:
                 "format": STORE_FORMAT_VERSION,
                 "atomics": atomics_to_list(database),
             },
-            INDEX_ARTIFACT: self._index_payload(database),
         }
         artifacts: Dict[str, Dict[str, Any]] = {}
         for name, payload in payloads.items():
@@ -750,71 +720,6 @@ class Store:
         )
 
     # -- load ------------------------------------------------------------
-    def _install_indices(
-        self,
-        database: VideoDatabase,
-        snapshot_id: str,
-        index_payload: Optional[Dict[str, Any]],
-        actions: List[RecoveryAction],
-    ) -> None:
-        """Prime every video's picture system from the index artifact.
-
-        A damaged or missing index is *derived* state: recovery is a
-        rebuild from the (already verified) metadata, never a snapshot
-        fallback.
-        """
-        documents = (index_payload or {}).get("indices")
-        if not isinstance(documents, dict):
-            documents = {}
-        for video in database.videos():
-            level = default_level(video)
-            metadata = [
-                node.metadata
-                for node in video.root.descendants_at_level(level)
-            ]
-            system: Optional[PictureRetrievalSystem] = None
-            document = documents.get(video.name)
-            if (
-                isinstance(document, dict)
-                and document.get("level") == level
-            ):
-                try:
-                    prebuilt = MetadataIndex.from_dict(document["index"])
-                    if prebuilt.n_segments != len(metadata):
-                        raise ModelError(
-                            f"index covers {prebuilt.n_segments} segments, "
-                            f"video has {len(metadata)}"
-                        )
-                    system = PictureRetrievalSystem(metadata, index=prebuilt)
-                except ModelError as error:
-                    actions.append(
-                        RecoveryAction(
-                            kind="index-rebuilt",
-                            snapshot=snapshot_id,
-                            artifact=INDEX_ARTIFACT,
-                            detail=f"restored index for {video.name!r} "
-                            f"rejected: {error}",
-                        )
-                    )
-            if system is None:
-                if document is None or not isinstance(document, dict):
-                    actions.append(
-                        RecoveryAction(
-                            kind="index-rebuilt",
-                            snapshot=snapshot_id,
-                            artifact=INDEX_ARTIFACT,
-                            detail=f"no persisted index for {video.name!r}; "
-                            "rebuilt from surviving metadata",
-                        )
-                    )
-                trace.METRICS.count(trace.STORE_INDEX_REBUILT)
-                trace.event(
-                    trace.STORE_INDEX_REBUILT,
-                    f"rebuilt derived index for {video.name!r}",
-                )
-                system = PictureRetrievalSystem(metadata)
-            video.root.install_pictures(level, system)
-
     def load(self, *, verify: bool = True) -> StoreLoad:
         """Load the newest intact snapshot, recovering as needed.
 
@@ -861,9 +766,6 @@ class Store:
                     self._record(status, actions)
             if checked.database is None:
                 continue
-            self._install_indices(
-                checked.database, snapshot_id, checked.index, actions
-            )
             if position > 0:
                 trace.METRICS.count(trace.STORE_SNAPSHOT_FALLBACK)
                 trace.event(
@@ -953,56 +855,12 @@ class Store:
         return self._survey()[1]
 
     # -- repair ----------------------------------------------------------
-    def _restore_index(
-        self,
-        snapshot_id: str,
-        checked: _Checked,
-        actions: List[RecoveryAction],
-    ) -> None:
-        """Quarantine an intact snapshot's damaged index and rewrite it.
-
-        The rewrite happens only when the bytes rebuilt from the verified
-        metadata match the recorded digest, so ``snapshot.json`` needs no
-        change.  They do for a plain save; an index that ingest extended
-        in place numbers content profiles in append order and does not
-        match, and load then rebuilds it in memory.
-        """
-        for status in checked.statuses:
-            if status.damaged and status.status != "missing":
-                self._quarantine_artifact(
-                    actions,
-                    snapshot_id,
-                    status.artifact,
-                    f"repair: {status.status}",
-                )
-        entry = checked.document["artifacts"].get(INDEX_ARTIFACT)
-        if checked.database is None or not isinstance(entry, dict):
-            return
-        data = canonical_json_bytes(self._index_payload(checked.database))
-        if (len(data), sha256_hex(data)) != (
-            entry.get("bytes"),
-            entry.get("sha256"),
-        ):
-            return
-        atomic_write_bytes(
-            self._path(snapshot_id, INDEX_ARTIFACT), data, fsync=self.fsync
-        )
-        actions.append(
-            RecoveryAction(
-                kind="index-rebuilt",
-                snapshot=snapshot_id,
-                artifact=INDEX_ARTIFACT,
-                detail="repair: rewrote the index from verified metadata",
-            )
-        )
-
     def repair(self) -> RepairReport:
         """Quarantine everything verify reports damaged; rewrite the manifest.
 
         Stray ``*.tmp`` files and every snapshot :meth:`verify` does not
         report intact — referenced or not — move to quarantine, never
-        deleted.  An intact snapshot's damaged index is rewritten from
-        its metadata.  The new manifest lists the newest ``keep`` intact
+        deleted.  The new manifest lists the newest ``keep`` intact
         snapshots with the digests of their ``snapshot.json`` as read.
         Afterwards :meth:`verify` reports ``ok`` and :meth:`load`
         succeeds without any recovery action (or raises the empty-store
@@ -1026,10 +884,8 @@ class Store:
                 )
             )
         intact = report.intact_snapshots()
-        for snapshot_id, checked in checks.items():
+        for snapshot_id in checks:
             if snapshot_id in intact:
-                if any(status.damaged for status in checked.statuses):
-                    self._restore_index(snapshot_id, checked, outcome.actions)
                 continue
             directory = self.snapshot_path(snapshot_id)
             if os.path.isdir(directory):

@@ -16,7 +16,7 @@ from repro.core.resilience import (
     ResilienceContext,
 )
 from repro.core.topk import top_k_across_videos
-from repro.errors import BudgetExceededError, CircuitOpenError
+from repro.errors import BudgetExceededError
 from repro.htl import parse
 from repro.model.metadata import SegmentMetadata
 from repro.pictures.retrieval import PictureRetrievalSystem
@@ -235,13 +235,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.allow()
         assert not breaker.allow()  # concurrent probe refused
-
-    def test_guard_raises_typed_error(self):
-        breaker = CircuitBreaker("atoms", failure_threshold=1, cooldown=99)
-        breaker.record_failure()
-        with pytest.raises(CircuitOpenError) as excinfo:
-            breaker.guard()
-        assert excinfo.value.breaker == "atoms"
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):

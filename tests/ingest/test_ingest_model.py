@@ -53,10 +53,10 @@ from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
 from repro.pictures.index import MetadataIndex
 from repro.store import Store
-from repro.store.atomic import canonical_json_bytes
 from repro.store.store import default_level
 from repro.testing.faults import RAISE, SHORT_WRITE, FaultSpec, inject
 from repro.workloads.synthetic import random_similarity_list
+from tests.pictures.index_document import index_document
 
 #: Default chaos seeds; override one via CHAOS_SEED for CI sweeps.
 SEEDS = [11, 1997, 20260806]
@@ -71,10 +71,10 @@ CRASH_SITES = [
     (resilience.SITE_STORE_FSYNC, RAISE),
 ]
 
-SNAPSHOT_FILES = ["videos.json", "atomics.json", "index.json", "snapshot.json"]
+SNAPSHOT_FILES = ["videos.json", "atomics.json", "snapshot.json"]
 
 #: ``$P1`` / ``eventually $P1`` read registered lists; the picture query
-#: reads the incrementally maintained (or persisted) metadata index.
+#: reads the incrementally maintained (or freshly built) metadata index.
 ATOM_QUERIES = [parse("$P1"), parse("eventually $P1")]
 PICTURE_QUERY = parse("exists x . (present(x) and type(x) = 'person')")
 
@@ -358,10 +358,8 @@ class IngestDirectory(RuleBasedStateMachine):
             return
         for video in self.ingester.database.videos():
             system = video.root.pictures_at_level(default_level(video))
-            assert canonical_json_bytes(
-                system.index.to_dict()
-            ) == canonical_json_bytes(
-                MetadataIndex(system.segments).to_dict()
+            assert index_document(system.index) == index_document(
+                MetadataIndex(system.segments)
             ), f"the appended index of {video.name!r} is not a rebuild's"
 
 

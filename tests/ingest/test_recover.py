@@ -202,10 +202,10 @@ def test_fallback_before_the_wal_reset_is_accepted(tmp_path):
     ingester.append_segments("live0", [SegmentMetadata()])
     ingester.commit()
     expected = database_to_dict(ingester.database)
-    # The checkpoint's store writes: three artifacts, snapshot.json and
-    # MANIFEST.json; the sixth is the WAL reset's marker.
+    # The checkpoint's store writes: two artifacts, snapshot.json and
+    # MANIFEST.json; the fifth is the WAL reset's marker.
     with inject(
-        FaultSpec(resilience.SITE_STORE_WRITE, mode=RAISE, skip=5)
+        FaultSpec(resilience.SITE_STORE_WRITE, mode=RAISE, skip=4)
     ) as chaos:
         with pytest.raises(InjectedFaultError):
             ingester.checkpoint()

@@ -15,6 +15,7 @@ from repro.model.hierarchy import (
     standard_level_names,
 )
 from repro.model.metadata import SegmentMetadata, make_object
+from tests.pictures.index_document import index_document
 
 
 def three_level_video():
@@ -282,10 +283,9 @@ class TestAppendSegments:
         grown.root.pictures_at_level(2)  # install before appending
         grown.append_segments(segments[2:])
         whole = flat_video("v", segments)
-        assert (
-            grown.root.pictures_at_level(2).index.to_dict()
-            == whole.root.pictures_at_level(2).index.to_dict()
-        )
+        assert index_document(
+            grown.root.pictures_at_level(2).index
+        ) == index_document(whole.root.pictures_at_level(2).index)
 
     def test_deep_video_refuses_append(self):
         video = three_level_video()

@@ -5,24 +5,28 @@ place via :meth:`MetadataIndex.append_segments` instead of rebuilding
 it.  The contract, property-tested here over random segment lists and
 random split points: build-prefix-then-append is *document-identical*
 to building over the whole sequence — every postings family, the type
-pools, the content profiles, and hence every query answer — also after
-a ``from_dict`` restore, whose first append rebuilds the content keys
-the persisted document does not carry from the segments it covers.
+pools, the content profiles, and hence every query answer.  The first
+append rebuilds the content keys the index does not keep from the
+segments it was built over.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ModelError
 from repro.model.metadata import Relationship, SegmentMetadata, make_object
+from repro.pictures import index as index_module
 from repro.pictures.index import MetadataIndex
 from repro.pictures.retrieval import PictureRetrievalSystem
+from tests.pictures.index_document import index_document
 from tests.pictures.test_index_driven import (
     assert_tables_equal,
     nontemporal_atoms,
     segment_lists,
 )
+from tests.pictures.test_routed_profiles import repeating_sequences
 
 
 @st.composite
@@ -39,23 +43,9 @@ class TestAppendEqualsRebuild:
         segments, cut = data
         grown = MetadataIndex(segments[:cut])
         grown.append_segments(segments[cut:])
-        assert grown.to_dict() == MetadataIndex(segments).to_dict()
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=split_segment_lists())
-    def test_append_after_restore_is_document_identical(self, data):
-        segments, cut = data
-        document = MetadataIndex(segments[:cut]).to_dict()
-        restored = MetadataIndex.from_dict(document)
-        restored.append_segments(segments[cut:], covered=segments[:cut])
-        assert restored.to_dict() == MetadataIndex(segments).to_dict()
-        if cut and cut < len(segments):
-            # Without the covered segments the restored profile ids have
-            # no content keys to extend.
-            with pytest.raises(ModelError, match="restored index"):
-                MetadataIndex.from_dict(document).append_segments(
-                    segments[cut:]
-                )
+        assert index_document(grown) == index_document(
+            MetadataIndex(segments)
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(data=split_segment_lists(), atom=nontemporal_atoms())
@@ -88,8 +78,8 @@ def content_segments():
 
 class TestMetadataFreeProfiles:
     """Metadata-free segments share one constant content key: their
-    profiles are what the full key gave them, fresh, after an append and
-    after a restore's first append."""
+    profiles are what the full key gave them, fresh and after an
+    append."""
 
     def test_fresh_build(self):
         segments, expected = content_segments()
@@ -101,55 +91,59 @@ class TestMetadataFreeProfiles:
         assert empty.n_profiles == 1
 
     @pytest.mark.parametrize("cut", [0, 1, 2, 9, 16, 17])
-    def test_append_and_restored_append(self, cut):
+    def test_append(self, cut):
         segments, expected = content_segments()
         grown = MetadataIndex(segments[:cut])
         grown.append_segments(segments[cut:])
-        restored = MetadataIndex.from_dict(
-            MetadataIndex(segments[:cut]).to_dict()
-        )
-        restored.append_segments(segments[cut:], covered=segments[:cut])
-        for index in (grown, restored):
-            assert index.segment_profiles() == expected
-            assert index.n_profiles == 5
+        assert grown.segment_profiles() == expected
+        assert grown.n_profiles == 5
 
 
-class TestRestoredProfilesAreChecked:
-    """``from_dict`` takes untrusted input: every profile id must lie in
-    ``range(n_profiles)`` and every id in that range must be used.  Any
-    numbering order passes (ingest-maintained indexes number in append
-    order)."""
-
-    @staticmethod
-    def document(profiles, n_profiles):
-        segments = [SegmentMetadata() for __ in profiles]
-        document = MetadataIndex(segments).to_dict()
-        document["segment_profiles"] = list(profiles)
-        document["n_profiles"] = n_profiles
-        return document
-
-    @pytest.mark.parametrize(
-        "profiles, n_profiles, message",
-        [
-            ([0, 7, -1], 1, "profile -1 outside 0..0"),
-            ([0, 0, 0], 9, "declares 9 segment profiles but uses 1"),
-            # Accepted, the next append would number its first new
-            # content 1 as well: one score shared by two contents.
-            ([0, 1], 1, "profile 1 outside 0..0"),
-            ([0, 2, 1], 2, "profile 2 outside 0..1"),
-            ([], -1, "declares -1 segment profiles but uses 0"),
-        ],
-    )
-    def test_inconsistent_profiles_are_rejected(
-        self, profiles, n_profiles, message
+def reference_content_key(segment):
+    """The content key as it was first written: every collection sorted
+    by ``repr``, empty ones included."""
+    if segment.signature is None and not (
+        segment.object_map() or segment.attributes or segment.relationships
     ):
-        with pytest.raises(ModelError, match=message):
-            MetadataIndex.from_dict(self.document(profiles, n_profiles))
+        return index_module._NO_CONTENT
 
-    @pytest.mark.parametrize("profiles", [[0, 1, 0], [1, 0, 1], [2, 0, 1]])
-    def test_any_numbering_order_is_accepted(self, profiles):
-        restored = MetadataIndex.from_dict(
-            self.document(profiles, len(set(profiles)))
+    def facts(table):
+        triples = ((name, f.value, f.confidence) for name, f in table.items())
+        return tuple(sorted(triples, key=repr))
+
+    objects = tuple(
+        sorted(
+            (
+                (i.object_id, i.type, i.confidence, facts(i.attributes))
+                for i in segment.objects()
+            ),
+            key=repr,
         )
-        assert restored.segment_profiles() == tuple(profiles)
-        assert restored.n_profiles == len(set(profiles))
+    )
+    relationships = tuple(
+        sorted(
+            ((r.name, r.args, r.confidence) for r in segment.relationships),
+            key=repr,
+        )
+    )
+    return objects, facts(segment.attributes), relationships, segment.signature
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=repeating_sequences())
+def test_content_key_skips_no_sort_that_changes_it(drawn):
+    """Empty and single-item collections skip the sort; every key, and
+    so every profile id, is the fully sorted key's."""
+    segments, __ = drawn
+    segments = segments + [SegmentMetadata()]
+    for segment in segments:
+        assert index_module._content_key(segment) == reference_content_key(
+            segment
+        )
+    with mock.patch.object(
+        index_module, "_content_key", reference_content_key
+    ):
+        reference = MetadataIndex(segments)
+    assert MetadataIndex(segments).segment_profiles() == (
+        reference.segment_profiles()
+    )

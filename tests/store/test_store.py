@@ -1,9 +1,10 @@
 """Unit suite for the crash-safe snapshot store (DESIGN.md §9).
 
 Covers the happy path (save → verify → load round trip), every recovery
-path (corruption quarantine, snapshot fallback, index rebuild, manifest
-recovery), the read-only guarantee of verify, and repair's
-quarantine-everything-and-rewrite contract.  The crash-recovery sweep
+path (corruption quarantine, snapshot fallback, manifest recovery), the
+read-only guarantee of verify, repair's quarantine-everything-and-rewrite
+contract, and snapshots of older builds that list an ``index.json``,
+which no entry point reads.  The crash-recovery sweep
 under injected faults lives in ``test_store_chaos.py``.
 """
 
@@ -26,12 +27,11 @@ from repro.ingest import Ingester, IngestLayout, initialise, recover
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import Relationship, SegmentMetadata, make_object
-from repro.model.serialize import database_to_dict
+from repro.model.serialize import database_to_dict, video_from_dict
 from repro.serve import EnginePool, QueryRequest
 from repro.shard import ShardedCorpus
 from repro.store import (
     ATOMICS_ARTIFACT,
-    INDEX_ARTIFACT,
     MANIFEST_NAME,
     SNAPSHOT_MANIFEST,
     VIDEOS_ARTIFACT,
@@ -43,7 +43,11 @@ from repro.store import (
 from repro.store import store as store_module
 from repro.workloads.synthetic import random_similarity_list
 
+from tests.pictures.index_document import index_document
 from tests.store.test_store_agreement import reseal
+
+#: The derived-index artifact older builds wrote into every snapshot.
+LEGACY_INDEX = "index.json"
 
 
 def small_database(n_videos=2, n_segments=8, seed=7):
@@ -99,15 +103,26 @@ def damage(path, mode="truncate"):
     return data
 
 
-def tamper_index(path, tamper):
-    """Rewrite an ``index.json`` so its content profile ids lie.
+def add_legacy_index(store, snapshot_id, tamper=None):
+    """Give a snapshot the ``index.json`` an older build wrote, listed
+    in its ``snapshot.json`` and sealed up the digest chain.
 
-    ``collapsed`` gives every segment id 0; ``stray`` sets the last id
-    to ``n_profiles``; ``merged`` folds profiles 1 and 2 into one id and
-    renumbers the rest, so the ids stay exactly ``range(n_profiles)``.
+    ``tamper`` makes the content profile ids lie: ``collapsed`` gives
+    every segment id 0; ``stray`` sets the last id to ``n_profiles``;
+    ``merged`` folds profiles 1 and 2 into one id and renumbers the
+    rest, so the ids stay exactly ``range(n_profiles)``.
     """
-    with open(path) as handle:
-        payload = json.load(handle)
+    with open(
+        os.path.join(store.snapshot_path(snapshot_id), VIDEOS_ARTIFACT)
+    ) as handle:
+        documents = json.load(handle)["videos"]
+    payload = {"format": 1, "indices": {}}
+    for video in map(video_from_dict, documents):
+        level = default_level(video)
+        payload["indices"][video.name] = {
+            "level": level,
+            "index": index_document(video.root.pictures_at_level(level).index),
+        }
     for entry in payload["indices"].values():
         document = entry["index"]
         profiles = document["segment_profiles"]
@@ -115,11 +130,14 @@ def tamper_index(path, tamper):
             document["segment_profiles"] = [0] * len(profiles)
         elif tamper == "stray":
             profiles[-1] = document["n_profiles"]
-        else:
+        elif tamper == "merged":
             document["segment_profiles"] = [p - (p >= 2) for p in profiles]
             document["n_profiles"] -= 1
+    path = os.path.join(store.snapshot_path(snapshot_id), LEGACY_INDEX)
     with open(path, "w") as handle:
         json.dump(payload, handle)
+    reseal(store, snapshot_id, LEGACY_INDEX)
+    return path
 
 
 #: Queries whose answers a shared profile score would change.
@@ -150,12 +168,13 @@ def assert_oracle_answers(database, rank):
         ), text
 
 
-def open_tampered(path, database, root, tamper):
-    """Save ``database`` as ``path`` keeps it, tamper the newest
-    ``index.json`` of every store underneath, and load it back.
+def open_legacy(path, database, root, tamper):
+    """Save ``database`` as ``path`` keeps it, give the newest snapshot
+    of every store underneath a tampered legacy ``index.json``, and
+    load it back.
 
-    Returns the recovery action kinds (None where the path exposes
-    none) and a ``rank(engine, formula, k)`` over the loaded corpus.
+    Returns the recovery actions (None where the path exposes none)
+    and a ``rank(engine, formula, k)`` over the loaded corpus.
     """
     if path == "store":
         stores = [root]
@@ -169,14 +188,12 @@ def open_tampered(path, database, root, tamper):
         stores = [layout.store_path(spec) for spec in layout.shards]
     for store_root in stores:
         store = Store(store_root)
-        newest = store._on_disk_snapshots()[-1]
-        tamper_index(
-            os.path.join(store.snapshot_path(newest), INDEX_ARTIFACT), tamper
-        )
+        add_legacy_index(store, store._on_disk_snapshots()[-1], tamper)
     if path == "store":
         loaded = Store(root).load()
-        actions = [action.kind for action in loaded.actions]
-        return actions, ShardedCorpus.from_database(loaded.database).top_k
+        return loaded.actions, ShardedCorpus.from_database(
+            loaded.database
+        ).top_k
     if path in ("recover", "ingester"):
         if path == "recover":
             state = recover(root, fsync=False)
@@ -186,9 +203,7 @@ def open_tampered(path, database, root, tamper):
             ingester.close()
             state = ingester.recovered
         actions = [
-            action.split()[1]
-            for action in state.actions
-            if action.startswith("base: ")
+            action for action in state.actions if action.startswith("base: ")
         ]
         return actions, ShardedCorpus.from_database(state.database).top_k
     if path == "shard-directory":
@@ -211,9 +226,11 @@ class TestRoundTrip:
         reference = database_to_dict(database)
         info = store.save(database)
         assert info.snapshot_id == "snap-000001"
-        assert set(info.artifacts) == {
-            VIDEOS_ARTIFACT, ATOMICS_ARTIFACT, INDEX_ARTIFACT,
-        }
+        # Source data only: no derived index is written.
+        assert set(info.artifacts) == {VIDEOS_ARTIFACT, ATOMICS_ARTIFACT}
+        assert sorted(os.listdir(info.path)) == sorted(
+            [VIDEOS_ARTIFACT, ATOMICS_ARTIFACT, SNAPSHOT_MANIFEST]
+        )
         loaded = store.load()
         assert database_to_dict(loaded.database) == reference
         assert loaded.snapshot_id == info.snapshot_id
@@ -239,15 +256,18 @@ class TestRoundTrip:
             actual = engine.evaluate_video(formula, loaded.get(video.name))
             assert list(actual) == list(expected)
 
-    def test_load_restores_prebuilt_index(self, store, database):
+    def test_load_builds_indices_on_first_use(self, store, database):
+        """Load installs no picture system; the first query builds each
+        index from the verified metadata, as for any database."""
         store.save(database)
         loaded = store.load()
-        assert not loaded.recovered  # indices restored, not rebuilt
+        assert not loaded.recovered
         for video in loaded.database.videos():
+            assert video.root._pictures is None
             level = default_level(video)
             system = video.root.pictures_at_level(level)
-            assert system.index.n_segments == len(
-                video.root.descendants_at_level(level)
+            assert index_document(system.index) == index_document(
+                database.get(video.name).root.pictures_at_level(level).index
             )
 
     @pytest.mark.parametrize("name", ["sparse", "temporal"])
@@ -292,13 +312,16 @@ class TestRoundTrip:
 
     def test_retention_prunes_beyond_keep(self, tmp_path, database):
         store = Store(tmp_path / "store", keep=2)
-        store.save(database)
+        first = store.save(database)
+        legacy = add_legacy_index(store, first.snapshot_id)
         store.save(database)
         info = store.save(database)
         assert info.pruned == ("snap-000001",)
         assert sorted(store._on_disk_snapshots()) == [
             "snap-000002", "snap-000003",
         ]
+        # A legacy index goes with its snapshot.
+        assert not os.path.exists(legacy)
 
     def test_wal_through_round_trips(self, store, database):
         assert store.save(database).wal_through == 0
@@ -392,59 +415,30 @@ class TestRecovery:
         loaded = store.load()
         assert loaded.snapshot_id == first.snapshot_id
 
-    def test_corrupt_index_rebuilds_not_falls_back(self, store, database):
-        reference = database_to_dict(database)
-        info = store.save(database)
-        damage(os.path.join(info.path, INDEX_ARTIFACT))
-        before = trace.METRICS.counters().get(trace.STORE_INDEX_REBUILT, 0)
-        loaded = store.load()
-        # Derived damage: same snapshot, rebuilt index, equal database.
-        assert loaded.snapshot_id == info.snapshot_id
-        assert database_to_dict(loaded.database) == reference
-        assert trace.METRICS.counters()[trace.STORE_INDEX_REBUILT] > before
-        assert not any(
-            action.kind == "fallback" for action in loaded.actions
-        )
-
-    @pytest.mark.parametrize("tamper", ["collapsed", "stray"])
-    def test_resealed_tampered_profiles_are_rejected(
-        self, store, database, tamper
-    ):
-        """A well-formed ``index.json`` whose profile ids disagree with
-        its profile count, re-sealed up the digest chain, passes the
-        digest check and reaches ``from_dict``.  Accepted, the collapsed
-        one would share one score across every segment.  It is
-        rejected, the index is rebuilt, and every answer equals the
-        naive oracle's."""
-        info = store.save(database)
-        tamper_index(os.path.join(info.path, INDEX_ARTIFACT), tamper)
-        reseal(store, info.snapshot_id, INDEX_ARTIFACT)
-        loaded = store.load()
-        rebuilt = [
-            action for action in loaded.actions
-            if action.kind == "index-rebuilt"
-        ]
-        assert len(rebuilt) == len(list(database.videos()))
-        assert all("rejected" in action.detail for action in rebuilt)
-        assert_oracle_answers(
-            database, ShardedCorpus.from_database(loaded.database).top_k
-        )
-
     @pytest.mark.parametrize("path", LOAD_PATHS)
     @pytest.mark.parametrize("tamper", ["merged", "collapsed", "stray"])
-    def test_tampered_index_never_changes_an_answer(
+    def test_legacy_index_never_changes_an_answer(
         self, tmp_path, database, tamper, path
     ):
-        """Every way a snapshot is loaded — a store, ingest recovery, an
-        ingester, a shard layout, a serving pool — catches a tampered
-        ``index.json`` by its digest, with the chain as the save wrote
-        it.  The merged tamper keeps the ids exactly
-        ``range(n_profiles)``, so ``from_dict`` alone would accept it
-        and share one score between two contents."""
-        actions, rank = open_tampered(path, database, tmp_path / path, tamper)
+        """A snapshot an older build wrote lists an ``index.json``.
+        Every way a snapshot is loaded — a store, ingest recovery, an
+        ingester, a shard layout, a serving pool — loads it with no
+        recovery action and never reads the index, even one whose
+        profile ids lie and whose digests were re-sealed.  The merged
+        tamper keeps the ids exactly ``range(n_profiles)``, so no
+        check of the document could catch it."""
+        counters = (
+            trace.STORE_ARTIFACT_QUARANTINED,
+            trace.STORE_SNAPSHOT_FALLBACK,
+            trace.STORE_MANIFEST_RECOVERED,
+        )
+        before = [trace.METRICS.counters().get(name, 0) for name in counters]
+        actions, rank = open_legacy(path, database, tmp_path / path, tamper)
         if actions is not None:
-            assert "index-rebuilt" in actions
+            assert actions == []
         assert_oracle_answers(database, rank)
+        after = [trace.METRICS.counters().get(name, 0) for name in counters]
+        assert after == before
 
     def test_missing_manifest_recovered_by_scan(self, store, database):
         reference = database_to_dict(database)
@@ -549,15 +543,39 @@ class TestVerifyRepair:
         assert os.path.exists(path)
         assert not os.path.isdir(store.quarantine_dir)
 
-    def test_verify_derived_damage_is_not_fatal(self, store, database):
+    @pytest.mark.parametrize("mode", ["truncate", "flip", "delete"])
+    def test_legacy_index_damage_is_never_read_or_repaired(
+        self, store, database, mode, monkeypatch
+    ):
+        """Load, verify and repair neither read a legacy ``index.json``
+        nor check its digest: its damage is no damage to the snapshot,
+        and repair leaves the file as it found it."""
         info = store.save(database)
-        damage(os.path.join(info.path, INDEX_ARTIFACT))
+        path = add_legacy_index(store, info.snapshot_id)
+        if mode == "delete":
+            os.remove(path)
+        else:
+            damage(path, mode)
+        left = open(path, "rb").read() if mode != "delete" else None
+        reads = []
+        read_bytes = Store._read_bytes
+
+        def counted_read(self, file_path):
+            reads.append(os.path.basename(file_path))
+            return read_bytes(self, file_path)
+
+        monkeypatch.setattr(Store, "_read_bytes", counted_read)
         report = store.verify()
-        assert report.ok  # index is derived: rebuildable, not fatal
-        assert any(
-            s.artifact == INDEX_ARTIFACT and s.damaged and not s.fatal
-            for s in report.statuses
-        )
+        assert report.ok
+        assert LEGACY_INDEX not in [s.artifact for s in report.statuses]
+        assert store.load().actions == []
+        assert store.repair().actions == []
+        assert store.load().actions == []
+        assert LEGACY_INDEX not in reads
+        if left is None:
+            assert not os.path.exists(path)
+        else:
+            assert open(path, "rb").read() == left
 
     def test_verify_reports_stray_tmp_files(self, store, database):
         info = store.save(database)
@@ -656,22 +674,6 @@ class TestVerifyRepair:
         assert not os.path.exists(store.quarantine_dir)
         assert not os.path.exists(store.manifest_path)
         assert store._on_disk_snapshots() == ["snap-000001", "snap-000002"]
-
-    @pytest.mark.parametrize("mode", ["truncate", "flip", "delete"])
-    def test_repair_rewrites_a_damaged_index(self, store, database, mode):
-        info = store.save(database)
-        path = os.path.join(info.path, INDEX_ARTIFACT)
-        original = open(path, "rb").read()
-        if mode == "delete":
-            os.remove(path)
-        else:
-            damage(path, mode)
-        outcome = store.repair()
-        assert outcome.current == info.snapshot_id
-        assert "index-rebuilt" in [action.kind for action in outcome.actions]
-        assert open(path, "rb").read() == original
-        assert store.verify().ok
-        assert store.load().actions == []
 
     def test_verify_reports_torn_unreferenced_snapshots(
         self, store, database

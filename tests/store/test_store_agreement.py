@@ -37,7 +37,6 @@ from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
 from repro.store import (
     ATOMICS_ARTIFACT,
-    INDEX_ARTIFACT,
     SNAPSHOT_MANIFEST,
     VIDEOS_ARTIFACT,
     Store,
@@ -58,9 +57,7 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-FILES = [
-    SNAPSHOT_MANIFEST, VIDEOS_ARTIFACT, ATOMICS_ARTIFACT, INDEX_ARTIFACT,
-]
+FILES = [SNAPSHOT_MANIFEST, VIDEOS_ARTIFACT, ATOMICS_ARTIFACT]
 #: The payload field of each data artifact.
 PAYLOAD_FIELD = {VIDEOS_ARTIFACT: "videos", ATOMICS_ARTIFACT: "atomics"}
 VALUES = st.sampled_from([-1, 0, 99, "x", None, True, {}, [], [{}], [1]])
@@ -184,14 +181,7 @@ def apply_damage(store, damage):
         document = json.loads(read(path))
         document[key or PAYLOAD_FIELD[name]] = value
         write(path, canonical_json_bytes(document))
-    # The index is derived state whose only guard is its digest record:
-    # neither it nor that record (which a flip inside snapshot.json can
-    # rewrite and still parse) is forged, since repair cannot restore
-    # bytes that match a forged record.
-    forges_index = name == INDEX_ARTIFACT or (
-        damage[0] == "file" and mode == "flip" and name == SNAPSHOT_MANIFEST
-    )
-    if sealed and not forges_index:
+    if sealed:
         reseal(store, snapshot_id, name)
 
 
@@ -280,12 +270,11 @@ def test_load_verify_and_repair_agree(chaos_seed):
         ("field", True, 1, SNAPSHOT_MANIFEST, "wal_through", -1),
         ("field", True, 1, VIDEOS_ARTIFACT, "", [{}]),
         ("field", True, 1, ATOMICS_ARTIFACT, "", [1]),
-        ("file", "delete", False, 1, INDEX_ARTIFACT, 0),
         ("manifest", "garble", 0),
     ],
     ids=[
         "size", "digest", "json", "format", "artifacts", "wal_through",
-        "videos-model", "atomics-model", "index", "manifest",
+        "videos-model", "atomics-model", "manifest",
     ],
 )
 def test_each_rule_decides_a_damage(damage):

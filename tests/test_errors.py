@@ -43,7 +43,6 @@ class TestHierarchy:
 
     def test_resilience_family(self):
         assert issubclass(errors.BudgetExceededError, errors.ResilienceError)
-        assert issubclass(errors.CircuitOpenError, errors.ResilienceError)
         assert issubclass(errors.InjectedFaultError, errors.ResilienceError)
         # Budget overruns are timeouts: standard-library handlers that
         # catch TimeoutError must see them.
@@ -76,10 +75,6 @@ class TestDocumentedAttributes:
         assert error.steps == 512
         assert error.elapsed_ms == pytest.approx(81.5)
         assert "atom-scoring" in str(error)
-
-    def test_circuit_open_error_names_breaker(self):
-        error = errors.CircuitOpenError("refused", breaker="engine")
-        assert error.breaker == "engine"
 
     def test_injected_fault_attributes(self):
         error = errors.InjectedFaultError(

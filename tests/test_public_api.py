@@ -142,6 +142,24 @@ def test_syntax_errors_carry_positions():
         ("repro.core.cache", "PlanCache.invalidate_video"),
         ("repro.core.cache", "PlanCache.clear"),
         ("repro.core.cache", "PlanCacheStats.hit_rate"),
+        ("repro.store", "INDEX_ARTIFACT"),
+        ("repro.store", "DERIVED_ARTIFACTS"),
+        ("repro.store.store", "INDEX_ARTIFACT"),
+        ("repro.store.store", "DERIVED_ARTIFACTS"),
+        ("repro.store", "ArtifactStatus.fatal"),
+        ("repro.store", "Store._index_payload"),
+        ("repro.store", "Store._install_indices"),
+        ("repro.store", "Store._restore_index"),
+        ("repro.store.store", "_Checked.index"),
+        ("repro.core.trace", "STORE_INDEX_REBUILT"),
+        ("repro.pictures.index", "MetadataIndex.to_dict"),
+        ("repro.pictures.index", "MetadataIndex.from_dict"),
+        ("repro.model.hierarchy", "VideoNode.install_pictures"),
+        ("repro.core.resilience", "CircuitBreaker.guard"),
+        ("repro.errors", "CircuitOpenError"),
+        ("repro.serve", "PROBE_QUERY"),
+        ("repro.serve.pool", "PROBE_QUERY"),
+        ("repro.serve", "EnginePool.probe"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -154,8 +172,10 @@ def test_deleted_names_stay_deleted(module, name):
     snapshot is the one persistence format), the opt-in evaluation cache
     (every engine keeps a list memo), the metrics registry's stage
     timers, latency histograms and enable switch (the span tree is the
-    one timing source) and helpers nothing called are gone; nothing
-    re-exports them."""
+    one timing source), the persisted metadata index and its restore
+    path (a snapshot holds source data only), the breaker's raising
+    guard and the pool's probe query, and helpers nothing called are
+    gone; nothing re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
@@ -182,14 +202,21 @@ def test_deleted_names_stay_deleted(module, name):
         ("repro.store", "Store._check", "verify"),
         ("repro.store", "StoreLoad.__init__", "verified"),
         ("repro.ingest", "RecoveredState.__init__", "verified"),
+        ("repro.pictures.index", "MetadataIndex.append_segments", "covered"),
+        (
+            "repro.pictures.retrieval",
+            "PictureRetrievalSystem.__init__",
+            "index",
+        ),
     ],
 )
 def test_deleted_parameters_stay_deleted(module, function, parameter):
     """A pool serves one corpus, a sharded query has no naive
     scatter-gather mode, a query runs on one thread, a checkpoint is
     always one whole store snapshot, an engine's list memo is not
-    optional, and every snapshot load checks its digests (a load-only
-    corpus keeps no retention count)."""
+    optional, every snapshot load checks its digests (a load-only
+    corpus keeps no retention count), and every metadata index is built
+    over the segments it holds."""
     import inspect
 
     owner = importlib.import_module(module)
