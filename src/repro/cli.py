@@ -497,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--strict",
         action="store_true",
-        help="strict per-request semantics (no partial rankings)",
+        help="strict per-request semantics: a failing video or shard "
+        "fails the whole request, which completes degraded with an empty "
+        "ranking marked partial",
     )
     serve_cmd.add_argument(
         "--json",
@@ -889,7 +891,6 @@ def cmd_store(arguments: argparse.Namespace) -> int:
 
 def cmd_shard(arguments: argparse.Namespace) -> int:
     from repro.store import load_layout, save_sharded
-    from repro.store.store import default_level
 
     if arguments.shard_command == "split":
         __, loader = _DATASETS[arguments.dataset]
@@ -920,7 +921,9 @@ def cmd_shard(arguments: argparse.Namespace) -> int:
         loaded = layout.store(spec).load()
         for name in spec.videos:
             video = loaded.database.get(name)
-            level = default_level(video)
+            # Level 2, where the paper asserts formulas, or the root of a
+            # single-level video.
+            level = min(2, video.n_levels)
             stats = video.root.pictures_at_level(level).index.stats()
             postings = ", ".join(
                 f"{family}={entry['keys']}/{entry['entries']}"

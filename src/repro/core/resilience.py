@@ -11,8 +11,8 @@ engine threads through (DESIGN.md §8):
   merges, top-k streaming) via :func:`current_budget`.  Overruns raise
   the typed :class:`~repro.errors.BudgetExceededError`.
 * :class:`CircuitBreaker` — a deterministic closed/open/half-open
-  breaker that takes a repeatedly failing component (a serving worker,
-  a shard load) out of rotation and probes it again after a cooldown.
+  breaker that takes a repeatedly failing component (a shard load) out
+  of rotation and probes it again after a cooldown.
 * :class:`ResilienceContext` — one query's budget and whether it is
   lenient (best-effort, partial-result).  It travels in a thread-local
   so the picture substrate sees the query's budget without signature

@@ -30,8 +30,12 @@ from repro.model.metadata import AttrValue, SegmentMetadata
 _EMPTY: Tuple[int, ...] = ()
 
 
-def _frozen(postings: Dict[str, List[int]]) -> "Dict[str, Tuple[int, ...]]":
-    return {key: tuple(values) for key, values in postings.items()}
+def _extend(
+    postings: Dict[Any, Tuple[int, ...]], new: Dict[Any, List[int]]
+) -> None:
+    """Append each key's new ids at the tail of its postings tuple."""
+    for key, values in new.items():
+        postings[key] = postings.get(key, _EMPTY) + tuple(values)
 
 
 def _length_summary(lengths: List[int]) -> Dict[str, float]:
@@ -133,80 +137,32 @@ class MetadataIndex:
     """Postings lists for one sequence of segments (ids are 1-based)."""
 
     def __init__(self, segments: Sequence[SegmentMetadata]):
-        self.n_segments = len(segments)
-        by_object: Dict[str, List[int]] = {}
-        by_type: Dict[str, List[int]] = {}
-        by_relationship: Dict[str, List[int]] = {}
-        by_segment_attr: Dict[Tuple[str, AttrValue], List[int]] = {}
-        by_attr_name: Dict[str, List[int]] = {}
-        with_any_object: List[int] = []
-        with_signature: List[int] = []
+        self.n_segments = 0
+        self._by_object: Dict[str, Tuple[int, ...]] = {}
+        self._by_type: Dict[str, Tuple[int, ...]] = {}
+        self._by_relationship: Dict[str, Tuple[int, ...]] = {}
+        self._by_segment_attr: Dict[
+            Tuple[str, AttrValue], Tuple[int, ...]
+        ] = {}
+        self._by_attr_name: Dict[str, Tuple[int, ...]] = {}
+        self._with_any_object: Tuple[int, ...] = _EMPTY
+        self._with_signature: Tuple[int, ...] = _EMPTY
         self._objects_of_type: Dict[str, List[str]] = {}
-        object_types_seen: Dict[Tuple[str, str], None] = {}
-        for segment_id, segment in enumerate(segments, start=1):
-            if segment.signature is not None:
-                with_signature.append(segment_id)
-            saw_object = False
-            for instance in segment.objects():
-                saw_object = True
-                by_object.setdefault(instance.object_id, []).append(
-                    segment_id
-                )
-                type_postings = by_type.setdefault(instance.type, [])
-                if not type_postings or type_postings[-1] != segment_id:
-                    type_postings.append(segment_id)
-                type_key = (instance.type, instance.object_id)
-                if type_key not in object_types_seen:
-                    object_types_seen[type_key] = None
-                    self._objects_of_type.setdefault(instance.type, []).append(
-                        instance.object_id
-                    )
-            if saw_object:
-                with_any_object.append(segment_id)
-            for relationship in segment.relationships:
-                rel_postings = by_relationship.setdefault(
-                    relationship.name, []
-                )
-                if not rel_postings or rel_postings[-1] != segment_id:
-                    rel_postings.append(segment_id)
-            for name, fact in segment.attributes.items():
-                by_segment_attr.setdefault((name, fact.value), []).append(
-                    segment_id
-                )
-                by_attr_name.setdefault(name, []).append(segment_id)
-        self._by_object: Dict[str, Tuple[int, ...]] = _frozen(by_object)
-        self._by_type: Dict[str, Tuple[int, ...]] = _frozen(by_type)
-        self._by_relationship: Dict[str, Tuple[int, ...]] = _frozen(
-            by_relationship
-        )
-        self._by_segment_attr: Dict[Tuple[str, AttrValue], Tuple[int, ...]] = {
-            key: tuple(values) for key, values in by_segment_attr.items()
-        }
-        self._by_attr_name: Dict[str, Tuple[int, ...]] = _frozen(by_attr_name)
-        self._with_any_object: Tuple[int, ...] = tuple(with_any_object)
-        self._with_signature: Tuple[int, ...] = tuple(with_signature)
-        # Each segment's first equal-content position; the distinct
-        # ones, in order, are the representatives, and a profile's id is
-        # its representative's rank.
-        first_of: Dict[tuple, int] = {}
-        seen = [
-            first_of.setdefault(content, position)
-            for position, content in enumerate(map(_content_key, segments))
-        ]
-        firsts = tuple(first_of.values())
-        rank = dict(zip(firsts, range(len(firsts))))
         #: (profile id per segment, first segment position per profile
         #: id), both 0-based: one attribute, so a reader never pairs new
         #: ids with old representatives.
         self._profiles: Tuple[Tuple[int, ...], Tuple[int, ...]] = (
-            tuple(map(rank.__getitem__, seen)),
-            firsts,
+            _EMPTY,
+            _EMPTY,
         )
+        #: Content key -> profile id, while the index holds them.
+        self._profile_keys: Optional[Dict[tuple, int]] = {}
+        self.append_segments(segments)
         # Content keys are most of an index's memory (400 of 437 KB on the
         # dense benchmark corpus) and only appends read them, so none are
         # kept: the first append rebuilds one per profile from the
         # segments the index was built over.
-        self._profile_keys: Optional[Dict[tuple, int]] = None
+        self._profile_keys = None
         self._built_over: Optional[Sequence[SegmentMetadata]] = segments
 
     # -- incremental maintenance ----------------------------------------------
@@ -214,16 +170,17 @@ class MetadataIndex:
         """Extend the index over ``segments`` appended after the current
         sequence; returns the new segment count.
 
-        Every postings family, the type pools, the content profiles and
-        therefore :meth:`stats` are updated in place — no rebuild.  New ids
-        continue the 1-based numbering, and because appends only ever add
-        larger ids at the tails of posting tuples, the result is
+        The one build loop: a new index is an empty one extended over its
+        segments.  Every postings family, the type pools, the content
+        profiles and therefore :meth:`stats` are updated in place.  New
+        ids continue the 1-based numbering, and because appends only ever
+        add larger ids at the tails of posting tuples, the result is
         element-for-element identical to an index built over the full
         sequence (property-tested).
 
-        The first append rebuilds the content keys of the current
-        profile ids, one per profile, off the sequence the index was
-        built over, so appends reuse them as a rebuild would.
+        The first append after a build rebuilds the content keys of the
+        current profile ids, one per profile, off the sequence the index
+        was built over, so appends reuse them as a rebuild would.
         """
         if not segments:
             return self.n_segments
@@ -280,40 +237,30 @@ class MetadataIndex:
                     segment_id
                 )
                 by_attr_name.setdefault(name, []).append(segment_id)
-        for key, values in by_object.items():
-            self._by_object[key] = self._by_object.get(key, _EMPTY) + tuple(
-                values
-            )
-        for key, values in by_type.items():
-            self._by_type[key] = self._by_type.get(key, _EMPTY) + tuple(
-                values
-            )
-        for key, values in by_relationship.items():
-            self._by_relationship[key] = self._by_relationship.get(
-                key, _EMPTY
-            ) + tuple(values)
-        for attr_key, values in by_segment_attr.items():
-            self._by_segment_attr[attr_key] = self._by_segment_attr.get(
-                attr_key, _EMPTY
-            ) + tuple(values)
-        for key, values in by_attr_name.items():
-            self._by_attr_name[key] = self._by_attr_name.get(
-                key, _EMPTY
-            ) + tuple(values)
-        self._with_any_object = self._with_any_object + tuple(
-            with_any_object
-        )
-        self._with_signature = self._with_signature + tuple(with_signature)
-        ids, firsts = map(list, self._profiles)
-        for position, segment in enumerate(segments, start=self.n_segments):
-            content = _content_key(segment)
-            profile = self._profile_keys.get(content)
-            if profile is None:
-                profile = len(firsts)
-                self._profile_keys[content] = profile
-                firsts.append(position)
-            ids.append(profile)
-        self._profiles = (tuple(ids), tuple(firsts))
+        _extend(self._by_object, by_object)
+        _extend(self._by_type, by_type)
+        _extend(self._by_relationship, by_relationship)
+        _extend(self._by_segment_attr, by_segment_attr)
+        _extend(self._by_attr_name, by_attr_name)
+        self._with_any_object += tuple(with_any_object)
+        self._with_signature += tuple(with_signature)
+        # Profiles are numbered in order of first appearance: an unseen
+        # key takes the next id (``len`` is read before the insert).
+        keys = self._profile_keys
+        known = len(keys)
+        ids = [
+            keys.setdefault(content, len(keys))
+            for content in map(_content_key, segments)
+        ]
+        firsts = self._profiles[1]
+        if len(keys) > known:
+            # Each new profile's first position: written back to front,
+            # so the earliest position of an id is the one that stays.
+            start = self.n_segments
+            backwards = range(start + len(ids) - 1, start - 1, -1)
+            first_of = dict(zip(reversed(ids), backwards))
+            firsts += tuple(map(first_of.__getitem__, range(known, len(keys))))
+        self._profiles = (self._profiles[0] + tuple(ids), firsts)
         self.n_segments += len(segments)
         return self.n_segments
 

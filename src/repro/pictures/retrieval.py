@@ -32,8 +32,8 @@ Two evaluation paths produce every table (DESIGN.md §7):
   profile is distinct), so the sweep has one shape.
 
 The two are list-for-list identical (property-tested); ``use_index``
-selects per system or per call, and ``EngineConfig(naive_atoms=True)``
-forces the naive path engine-wide.  Both score through a kernel
+selects per call, and ``EngineConfig(naive_atoms=True)`` forces the
+naive path engine-wide.  Both score through a kernel
 (:func:`repro.pictures.scoring.compile_atom`) — compiled once per table
 build on the index-driven path, once per binding on the naive one —
 which is bit-identical to the interpreting reference
@@ -139,12 +139,9 @@ class _Job:
 class PictureRetrievalSystem:
     """Atom evaluation over one segment sequence, with indices."""
 
-    def __init__(
-        self, segments: Sequence[SegmentMetadata], use_index: bool = True
-    ):
+    def __init__(self, segments: Sequence[SegmentMetadata]):
         self.segments = list(segments)
         self.index = MetadataIndex(self.segments)
-        self.use_index = use_index
         self.stats = PictureStats()
         #: When set to a list, the indexed sweep appends every visited
         #: (objects, segment_id) pair — the support-soundness tests check
@@ -219,15 +216,15 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]] = None,
-        use_index: Optional[bool] = None,
+        use_index: bool = True,
     ) -> SimilarityTable:
         """The similarity table of a non-temporal formula.
 
         ``universe`` is the pool object variables (free and inner-∃ alike)
         range over; it defaults to the sequence's objects.  Every binding
         is enumerated, which is what the definitional semantics prescribe
-        under partial matching.  ``use_index`` overrides the system-wide
-        path selection for this call (``None`` keeps the system default).
+        under partial matching.  ``use_index=False`` takes the naive scan
+        instead of the index-driven path.
 
         When a trace recorder is active, every table build is one
         ``atom-sweep`` span (the ``atom-scoring`` stage) annotated with
@@ -257,14 +254,13 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]],
-        use_index: Optional[bool],
+        use_index: bool,
     ) -> SimilarityTable:
         if not is_non_temporal(atom):
             raise UnsupportedFormulaError(
                 "the picture system evaluates non-temporal formulas only"
             )
         _check_attr_var_usage(atom)
-        indexed = self.use_index if use_index is None else use_index
         pool = list(universe) if universe is not None else list(self._universe)
         object_vars = sorted(free_object_vars(atom))
         attr_vars = sorted(free_attr_vars(atom))
@@ -272,7 +268,7 @@ class PictureRetrievalSystem:
 
         bindings = itertools.product(pool, repeat=len(object_vars))
 
-        if indexed:
+        if use_index:
             # The one degraded path (DESIGN.md §8): under an active
             # resilience context, a failing index-driven build is redone
             # by the naive scan below.  Budget overruns always propagate —
@@ -319,7 +315,7 @@ class PictureRetrievalSystem:
         self,
         atom: ast.Formula,
         universe: Optional[Sequence[str]] = None,
-        use_index: Optional[bool] = None,
+        use_index: bool = True,
     ) -> SimilarityList:
         """Similarity list of a closed atom (no free variables)."""
         table = self.similarity_table(

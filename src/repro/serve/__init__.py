@@ -20,7 +20,7 @@ long-lived threaded query service::
 Layering: :mod:`~repro.serve.sla` (latency classes → budgets),
 :mod:`~repro.serve.request` (tickets and terminal results),
 :mod:`~repro.serve.queue` (bounded priority queue: admission +
-shedding), :mod:`~repro.serve.pool` (warm engines + breakers),
+shedding), :mod:`~repro.serve.pool` (warm engines),
 :mod:`~repro.serve.server` (the threaded server and its ledger).
 """
 
@@ -29,8 +29,6 @@ from repro.serve.pool import EnginePool, PooledWorker
 from repro.serve.queue import RequestQueue
 from repro.serve.request import (
     STATUS_COMPLETED,
-    STATUS_QUEUED,
-    STATUS_RUNNING,
     STATUS_SHED,
     STATUS_TIMED_OUT,
     TERMINAL_STATUSES,
@@ -54,8 +52,6 @@ __all__ = [
     "INTERACTIVE",
     "STANDARD",
     "STATUS_COMPLETED",
-    "STATUS_QUEUED",
-    "STATUS_RUNNING",
     "STATUS_SHED",
     "STATUS_TIMED_OUT",
     "TERMINAL_STATUSES",

@@ -14,24 +14,21 @@ engine's list memo (:class:`~repro.core.cache.ListMemo`).  Neither needs
 a commit listener: a commit gives each touched video a new stamp, so the
 memo's old entries are never hit again and age out.
 
-Every worker carries a :class:`~repro.core.resilience.CircuitBreaker`:
-repeated failures take the worker out of rotation (the server bounces
-its work to siblings) until, after its cooldown, the breaker's
-``allow()`` admits one trial request and that request succeeds.
-:meth:`EnginePool.degraded_result` is the last rung — a typed *partial*
-:class:`~repro.core.topk.TopKResult` naming every video ``failed``, so
-even a request that exhausted all retries terminates with an honest,
-well-formed answer instead of an opaque exception.
+Workers hold no state that can fail persistently — every worker runs
+the same engine over the same corpus, and a failed request says nothing
+about the worker that ran it — so the pool keeps no per-worker health.
+:meth:`EnginePool.degraded_result` is the graceful-degradation floor: a
+typed *partial* :class:`~repro.core.topk.TopKResult` naming every video
+``failed``, so even a request that exhausted its retries terminates with
+an honest, well-formed answer instead of an opaque exception.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core import resilience
 from repro.core.engine import EngineConfig, RetrievalEngine
-from repro.core.resilience import CircuitBreaker, QueryBudget
+from repro.core.resilience import QueryBudget
 from repro.core.topk import OUTCOME_FAILED, TopKResult, VideoOutcome
 from repro.errors import ServeError
 from repro.serve.request import QueryRequest
@@ -39,31 +36,16 @@ from repro.shard import ShardedCorpus
 
 
 class PooledWorker:
-    """One warm worker: a named engine plus its circuit breaker."""
+    """One warm worker: a name and its long-lived engine."""
 
-    __slots__ = ("name", "engine", "breaker", "served", "_lock")
+    __slots__ = ("name", "engine")
 
     def __init__(self, name: str, engine: RetrievalEngine):
         self.name = name
         self.engine = engine
-        self.breaker = CircuitBreaker(name)
-        self.served = 0
-        self._lock = threading.Lock()
-
-    @property
-    def healthy(self) -> bool:
-        """False while the breaker refuses work (open, pre-cooldown)."""
-        return self.breaker.state != resilience.OPEN
-
-    def record_served(self) -> None:
-        with self._lock:
-            self.served += 1
 
     def __repr__(self) -> str:
-        return (
-            f"PooledWorker({self.name!r}, breaker={self.breaker.state}, "
-            f"served={self.served})"
-        )
+        return f"PooledWorker({self.name!r})"
 
 
 class EnginePool:
@@ -104,9 +86,6 @@ class EnginePool:
 
     def video_names(self) -> List[str]:
         return self.corpus.video_names
-
-    def healthy_workers(self) -> List[PooledWorker]:
-        return [worker for worker in self.workers if worker.healthy]
 
     # -- lifecycle -------------------------------------------------------
     def warm(self, level: int = 2) -> int:

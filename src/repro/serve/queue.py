@@ -177,8 +177,9 @@ class RequestQueue:
         return any(self._queues.values())
 
     def requeue(self, ticket: Ticket) -> None:
-        """Return a ticket to the *front* of its class (breaker bounce:
-        the ticket keeps its queue position, another worker takes it)."""
+        """Return a ticket to the *front* of its class (a failed attempt
+        retrying: the ticket keeps its queue position, and the next free
+        worker takes it)."""
         with self._condition:
             self._queues[ticket.sla].appendleft(ticket)
             self._condition.notify()

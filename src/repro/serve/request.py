@@ -8,23 +8,21 @@ the *first* terminal result and ignores every later attempt (drain and
 a finishing worker may race to resolve the same ticket; exactly one
 wins, nothing is dropped, nothing is double-counted).
 
-``queued``/``running`` are transient bookkeeping states; the chaos
-suite's conservation check sums the terminal ledger against admissions.
+Until then a ticket is queued or running, which the server's gauges
+count; the chaos suite's conservation check sums the terminal ledger
+against admissions.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.core.topk import TopKResult
 from repro.errors import ServeError, ServeRejected
 from repro.htl import ast
 
-#: Transient request states.
-STATUS_QUEUED = "queued"
-STATUS_RUNNING = "running"
 #: Terminal request states — exactly one per admitted request.
 STATUS_COMPLETED = "completed"
 STATUS_TIMED_OUT = "timed-out"
@@ -149,7 +147,6 @@ class Ticket:
         "admitted_at",
         "dispatched_at",
         "attempts",
-        "bounces",
         "_event",
         "_lock",
         "_result",
@@ -165,9 +162,6 @@ class Ticket:
         self.dispatched_at: Optional[float] = None
         #: Execution attempts so far (failed attempts retry on the pool).
         self.attempts = 0
-        #: Times the ticket was bounced back to the queue by an
-        #: unhealthy worker without an execution attempt.
-        self.bounces = 0
         self._event = threading.Event()
         self._lock = threading.Lock()
         self._result: Optional[ServeResult] = None

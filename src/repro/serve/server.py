@@ -21,10 +21,13 @@ highest-priority queued ticket, re-derives the request's
 :class:`~repro.core.resilience.QueryBudget` from its SLA deadline minus
 time already queued, and executes under the existing resilience layer
 (lenient partial results, the naive-scan atom fallback, budget charging
-in the hot loops).  A worker whose circuit breaker is open bounces work
-back to the *front* of its class queue for a sibling; a request whose
-attempts are exhausted degrades to the pool's typed partial result
-rather than an opaque error.
+in the hot loops).  A failed attempt goes back to the *front* of its
+class queue while attempts and deadline remain; a request whose
+attempts are exhausted, or whose formula the engine rejects (an
+:class:`~repro.errors.HTLError` fails the same way on every worker),
+degrades to the pool's typed partial result rather than an opaque
+error.  Workers keep no health state: every worker runs the same engine
+over the same corpus, so a failure says nothing about the worker.
 
 Shutdown is a graceful drain: admission closes immediately, queued and
 in-flight work gets ``drain_timeout_ms`` to finish, and everything
@@ -43,6 +46,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core import resilience, trace
 from repro.errors import (
     BudgetExceededError,
+    HTLError,
     ServeError,
     ServeRejected,
 )
@@ -77,13 +81,13 @@ _EWMA_ALPHA = 0.2
 class ServeStats:
     """One coherent snapshot of the server's ledger and gauges.
 
-    The counter block is the conservation ledger; ``queue_depths`` /
-    ``in_flight`` / ``healthy_workers`` are point-in-time gauges; the
-    ``*_ms`` dicts are latency-histogram summaries (p50/p95/p99, in
-    milliseconds) of the server's own latency histograms — admission
-    per server, queue wait and end-to-end latency per SLA class.  They
-    are the only serve-latency record: the process metrics registry
-    holds counters only.
+    The counter block is the conservation ledger; ``queue_depths`` and
+    ``in_flight`` are point-in-time gauges; the ``*_ms`` dicts are
+    latency-histogram summaries (p50/p95/p99, in milliseconds) of the
+    server's own latency histograms — admission per server, queue wait
+    and end-to-end latency per SLA class.  They are the only
+    serve-latency record: the process metrics registry holds counters
+    only.
     """
 
     submitted: int = 0
@@ -98,7 +102,6 @@ class ServeStats:
     drain_faults: int = 0
     queue_depths: Dict[str, int] = field(default_factory=dict)
     in_flight: int = 0
-    healthy_workers: int = 0
     n_workers: int = 0
     ewma_service_ms: float = 0.0
     admission_ms: Dict[str, float] = field(default_factory=dict)
@@ -136,7 +139,6 @@ class ServeStats:
             "drain_faults": self.drain_faults,
             "queue_depths": dict(self.queue_depths),
             "in_flight": self.in_flight,
-            "healthy_workers": self.healthy_workers,
             "n_workers": self.n_workers,
             "ewma_service_ms": round(self.ewma_service_ms, 3),
             "admission_ms": self.admission_ms,
@@ -474,29 +476,6 @@ class RetrievalServer:
             # touching an engine (admission control's last line).
             self._resolve_timed_out(ticket, expired, queue_ms=queue_ms)
             return
-        if not worker.breaker.allow():
-            ticket.bounces += 1
-            if ticket.bounces <= 2 * self.pool.n_workers:
-                with self._lock:
-                    self._counts["requeued"] += 1
-                trace.METRICS.count(trace.SERVE_REQUEUED)
-                self._queue.requeue(ticket)
-                self._sleep(_IDLE_WAIT_S / 4)  # let a sibling take it
-                return
-            # Every worker is refusing: degrade rather than livelock.
-            error = ServeError(
-                f"no healthy worker for request {ticket.request_id} after "
-                f"{ticket.bounces} bounces"
-            )
-            self._resolve_completed(
-                ticket,
-                self.pool.degraded_result(error),
-                worker,
-                queue_ms=queue_ms,
-                service_ms=0.0,
-                error=error,
-            )
-            return
         ticket.dispatched_at = now
         with self._lock:
             self._queue_wait_hist[ticket.sla].observe(queue_ms / 1000.0)
@@ -515,12 +494,16 @@ class RetrievalServer:
                 ticket, overrun, queue_ms=queue_ms, service_ms=service_ms
             )
         except Exception as failure:
-            worker.breaker.record_failure()
             service_ms = (self._clock() - started) * 1000.0
             remaining = sla.deadline_ms - (
                 (self._clock() - ticket.submitted_at) * 1000.0
             )
-            if ticket.attempts < self.max_attempts and remaining > 0:
+            # A rejected formula fails the same way on every attempt.
+            if (
+                not isinstance(failure, HTLError)
+                and ticket.attempts < self.max_attempts
+                and remaining > 0
+            ):
                 with self._lock:
                     self._counts["requeued"] += 1
                 trace.METRICS.count(trace.SERVE_REQUEUED)
@@ -535,8 +518,6 @@ class RetrievalServer:
                     error=failure,
                 )
         else:
-            worker.breaker.record_success()
-            worker.record_served()
             service_ms = (self._clock() - started) * 1000.0
             self._observe_service(service_ms)
             self._resolve_completed(
@@ -672,7 +653,6 @@ class RetrievalServer:
             drain_faults=counts["drain-faults"],
             queue_depths=self._queue.depths(),
             in_flight=in_flight,
-            healthy_workers=len(self.pool.healthy_workers()),
             n_workers=self.pool.n_workers,
             ewma_service_ms=ewma,
             admission_ms=admission_ms,

@@ -8,25 +8,15 @@ Public surface:
   database is ``ShardedCorpus.from_database(database)``, one shard, and
   :func:`repro.core.topk.top_k_across_videos` is exactly that query.
 * :class:`Shard` — one shard: id, owned videos, and their database
-  (held from construction in memory, or loaded lazily from a store).
-* :class:`RetryPolicy` — jittered exponential backoff for transient
-  shard-load faults, behind a per-shard circuit breaker.
+  (held from construction in memory, or loaded lazily from a store);
+  transient load faults retry with jittered backoff behind a per-shard
+  circuit breaker.
 
 The on-disk layout lives in :mod:`repro.store.sharding`
 (``save_sharded`` / ``load_layout``); the result types and the size-k
 heap live in :mod:`repro.core.topk`.
 """
 
-from repro.shard.corpus import (
-    DEFAULT_RETRY,
-    RetryPolicy,
-    Shard,
-    ShardedCorpus,
-)
+from repro.shard.corpus import Shard, ShardedCorpus
 
-__all__ = [
-    "DEFAULT_RETRY",
-    "RetryPolicy",
-    "Shard",
-    "ShardedCorpus",
-]
+__all__ = ["Shard", "ShardedCorpus"]

@@ -36,7 +36,6 @@ import random
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core import resilience, trace
@@ -71,48 +70,20 @@ from repro.store.sharding import (
 )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Jittered exponential backoff for transient shard-load faults.
-
-    ``attempts`` bounds total tries (1 = the old no-retry behaviour).
-    The nth retry sleeps ``base_delay_ms × multiplier^(n-1)`` capped at
-    ``max_delay_ms``, then scaled into ``[1-jitter, 1)`` of itself so
-    concurrent queries do not hammer a recovering disk in lockstep.
-    Defaults are sized for in-process stores: three tries inside ~50ms.
-    """
-
-    attempts: int = 3
-    base_delay_ms: float = 5.0
-    max_delay_ms: float = 80.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {self.attempts}")
-        if self.base_delay_ms <= 0 or self.max_delay_ms <= 0:
-            raise ValueError("retry delays must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    def backoff_s(
-        self, attempt: int, rng: Callable[[], float] = random.random
-    ) -> float:
-        """Sleep before retry number ``attempt`` (1-based), in seconds."""
-        raw = min(
-            self.max_delay_ms,
-            self.base_delay_ms * self.multiplier ** (attempt - 1),
-        )
-        return raw * (1.0 - self.jitter + self.jitter * rng()) / 1000.0
+#: Shard-load retry, sized for in-process stores: three tries inside
+#: ~50 ms.  The nth retry sleeps ``_BASE_DELAY_MS × 2^(n-1)`` capped at
+#: ``_MAX_DELAY_MS``, scaled into ``[1 - _JITTER, 1)`` of itself so
+#: concurrent queries do not hammer a recovering disk in lockstep.
+_LOAD_ATTEMPTS = 3
+_BASE_DELAY_MS = 5.0
+_MAX_DELAY_MS = 80.0
+_JITTER = 0.5
 
 
-#: The serving default: bounded, fast, and jittered.
-DEFAULT_RETRY = RetryPolicy()
+def _backoff_s(attempt: int, rng: Callable[[], float]) -> float:
+    """Sleep before retry number ``attempt`` (1-based), in seconds."""
+    raw = min(_MAX_DELAY_MS, _BASE_DELAY_MS * 2.0 ** (attempt - 1))
+    return raw * (1.0 - _JITTER + _JITTER * rng()) / 1000.0
 
 
 class Shard:
@@ -127,8 +98,8 @@ class Shard:
     are not cached — a shard that recovers on disk recovers on the next
     query.
 
-    Transient faults retry under the shard's :class:`RetryPolicy`
-    behind a per-shard circuit breaker: a shard that keeps failing
+    Transient faults retry with jittered exponential backoff (three
+    tries) behind a per-shard circuit breaker: a shard that keeps failing
     opens its breaker and subsequent queries fail fast (no retry storm
     against a dead disk) until, after the cooldown, the breaker's
     ``allow()`` admits one trial load.
@@ -139,7 +110,6 @@ class Shard:
     __slots__ = (
         "shard_id",
         "_videos",
-        "retry",
         "breaker",
         "_loader",
         "_database",
@@ -154,13 +124,11 @@ class Shard:
         videos: Sequence[str],
         source: Union[VideoDatabase, Callable[[], VideoDatabase]],
         *,
-        retry: Optional[RetryPolicy] = None,
         rng: Callable[[], float] = random.random,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.shard_id = shard_id
         self._videos: Tuple[str, ...] = tuple(videos)
-        self.retry = retry if retry is not None else DEFAULT_RETRY
         self.breaker = resilience.CircuitBreaker(f"shard-{shard_id}-load")
         self._database: Optional[VideoDatabase] = None
         self._loader: Optional[Callable[[], VideoDatabase]] = None
@@ -208,16 +176,16 @@ class Shard:
                 # Stop early (raising the genuine failure, not a
                 # breaker message) once the breaker opens mid-retry.
                 if (
-                    attempt >= self.retry.attempts
+                    attempt >= _LOAD_ATTEMPTS
                     or self.breaker.state == resilience.OPEN
                 ):
                     raise
-                delay = self.retry.backoff_s(attempt, self._rng)
+                delay = _backoff_s(attempt, self._rng)
                 trace.METRICS.count(trace.SHARD_LOAD_RETRIED)
                 trace.event(
                     trace.SHARD_LOAD_RETRIED,
                     f"{self.shard_id}: attempt {attempt + 1}/"
-                    f"{self.retry.attempts} after {delay * 1000.0:.1f}ms",
+                    f"{_LOAD_ATTEMPTS} after {delay * 1000.0:.1f}ms",
                 )
                 self._sleep(delay)
                 continue
@@ -274,11 +242,7 @@ class ShardedCorpus:
     # -- constructors ----------------------------------------------------
     @classmethod
     def from_database(
-        cls,
-        database: VideoDatabase,
-        n_shards: int = 1,
-        *,
-        retry: Optional[RetryPolicy] = None,
+        cls, database: VideoDatabase, n_shards: int = 1
     ) -> "ShardedCorpus":
         """Partition an in-memory database (round-robin, no disk).
 
@@ -292,23 +256,13 @@ class ShardedCorpus:
             parts = split_database(database, n_shards)
         return cls(
             [
-                Shard(
-                    shard_id(position),
-                    part.names(),
-                    part,
-                    retry=retry,
-                )
+                Shard(shard_id(position), part.names(), part)
                 for position, part in enumerate(parts)
             ]
         )
 
     @classmethod
-    def from_directory(
-        cls,
-        root,
-        *,
-        retry: Optional[RetryPolicy] = None,
-    ) -> "ShardedCorpus":
+    def from_directory(cls, root) -> "ShardedCorpus":
         """Open a sharded store layout written by
         :func:`repro.store.sharding.save_sharded`.
 
@@ -319,12 +273,7 @@ class ShardedCorpus:
         layout = load_layout(root)
         return cls(
             [
-                Shard(
-                    spec.shard_id,
-                    spec.videos,
-                    _store_loader(layout, spec),
-                    retry=retry,
-                )
+                Shard(spec.shard_id, spec.videos, _store_loader(layout, spec))
                 for spec in layout.shards
             ]
         )

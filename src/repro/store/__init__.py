@@ -39,7 +39,6 @@ from repro.store.store import (
     Store,
     StoreLoad,
     VerifyReport,
-    default_level,
 )
 from repro.store.sharding import (
     SCHEME_ROUND_ROBIN,
@@ -75,7 +74,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "canonical_json_bytes",
-    "default_level",
     "fsync_directory",
     "load_layout",
     "partition_names",

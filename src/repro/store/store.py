@@ -55,7 +55,6 @@ from repro.errors import (
     StoreWriteError,
 )
 from repro.model.database import VideoDatabase
-from repro.model.hierarchy import Video
 from repro.model.serialize import (
     atomics_to_list,
     database_from_parts,
@@ -99,16 +98,6 @@ def _snapshot_id(sequence: int) -> str:
 def _sequence_of(snapshot_id: str) -> Optional[int]:
     match = _SNAPSHOT_NAME.match(snapshot_id)
     return int(match.group(1)) if match else None
-
-
-def default_level(video: Video) -> int:
-    """The level ``shard info`` reports a video's index statistics at.
-
-    Level 2 — the children of the root — is where §3's algorithms and
-    the paper's experiments assert formulas; single-level videos fall
-    back to the root.
-    """
-    return min(2, video.n_levels)
 
 
 # ---------------------------------------------------------------------------

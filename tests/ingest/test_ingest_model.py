@@ -53,7 +53,6 @@ from repro.model.metadata import SegmentMetadata, make_object
 from repro.model.serialize import database_to_dict
 from repro.pictures.index import MetadataIndex
 from repro.store import Store
-from repro.store.store import default_level
 from repro.testing.faults import RAISE, SHORT_WRITE, FaultSpec, inject
 from repro.workloads.synthetic import random_similarity_list
 from tests.pictures.index_document import index_document
@@ -357,7 +356,7 @@ class IngestDirectory(RuleBasedStateMachine):
         if self.ingester is None:
             return
         for video in self.ingester.database.videos():
-            system = video.root.pictures_at_level(default_level(video))
+            system = video.root.pictures_at_level(min(2, video.n_levels))
             assert index_document(system.index) == index_document(
                 MetadataIndex(system.segments)
             ), f"the appended index of {video.name!r} is not a rebuild's"

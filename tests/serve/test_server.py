@@ -5,7 +5,9 @@ import threading
 import pytest
 
 from repro.core import resilience
-from repro.errors import ServeError, ServeRejected
+from repro.core.engine import RetrievalEngine
+from repro.errors import ServeError, ServeRejected, UnsupportedFormulaError
+from repro.htl import parse
 from repro.serve import (
     EnginePool,
     QueryRequest,
@@ -28,6 +30,9 @@ from tests.serve.conftest import (
     request_for,
     serve_classes,
 )
+
+#: A formula the engine rejects (negation over a temporal operator).
+REJECTED_TEXT = "exists x . not eventually present(x)"
 
 
 class TestLifecycle:
@@ -179,22 +184,47 @@ class TestDegradation:
         assert stats.requeued == 1
         assert stats.conserved
 
-    def test_all_breakers_open_degrades_without_livelock(self, pool):
+    def test_rejected_formula_is_not_retried(self, pool):
+        """The engine rejects the formula on every worker alike, so the
+        first failed attempt is final: degraded, never requeued."""
         server = RetrievalServer(pool, classes=serve_classes()).start(
             warm=False
         )
-        for worker in pool.workers:
-            for __ in range(worker.breaker.failure_threshold):
-                worker.breaker.record_failure()
-        assert not pool.healthy_workers()
         try:
-            result = server.query(FORMULA_TEXT, K)
+            result = server.query(REJECTED_TEXT, K, lenient=False)
         finally:
             stats = server.close()
         assert result.status == STATUS_COMPLETED
         assert result.degraded
+        assert isinstance(result.error, UnsupportedFormulaError)
+        assert result.attempts == 1
+        assert stats.requeued == 0
+        assert stats.degraded == 1
         assert stats.conserved
-        assert stats.healthy_workers == 0
+
+    def test_failed_requests_leave_the_worker_serving(self, corpus):
+        """One client's rejected formulas must not take the service away
+        from the next client: after two strict requests the engine
+        rejects, the only worker still answers a valid request in full."""
+        sharded = ShardedCorpus.from_database(corpus)
+        pool = EnginePool(sharded, 1)
+        server = RetrievalServer(pool, classes=serve_classes()).start(
+            warm=False
+        )
+        try:
+            for __ in range(2):
+                bad = server.query(REJECTED_TEXT, K, lenient=False)
+                assert bad.degraded
+            result = server.query(FORMULA_TEXT, K)
+        finally:
+            stats = server.close()
+        direct = sharded.top_k(RetrievalEngine(), parse(FORMULA_TEXT), K)
+        assert result.status == STATUS_COMPLETED
+        assert not result.degraded
+        assert list(result.topk) == list(direct)
+        assert list(result.topk)
+        assert stats.degraded == 2
+        assert stats.conserved
 
 
 class TestDrain:

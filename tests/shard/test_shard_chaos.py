@@ -17,20 +17,14 @@ from repro.core.topk import OUTCOME_FAILED, top_k_across_videos
 from repro.errors import InjectedFaultError, ShardError
 from repro.htl import parse
 from repro.model.database import VideoDatabase
-from repro.shard import RetryPolicy, ShardedCorpus
+from repro.shard import ShardedCorpus
+from repro.shard.corpus import _LOAD_ATTEMPTS
 from repro.store import save_sharded
 from repro.testing.faults import FaultSpec, inject
 
 from tests.shard.conftest import graded_corpus
 
 FORMULA_TEXT = "$P1 and eventually $P2"
-
-# Two fast tries: enough to heal a transient fault, few enough that a
-# persistently dead shard stays below the breaker threshold (3), so a
-# later healthy query is not refused by an open breaker.
-FAST_RETRY = RetryPolicy(attempts=2, base_delay_ms=0.2, max_delay_ms=0.5)
-# The pre-retry behaviour, for tests about *unrecovered* shard death.
-NO_RETRY = RetryPolicy(attempts=1)
 
 
 def survivors_only(corpus, dead_names):
@@ -51,12 +45,12 @@ def survivors_only(corpus, dead_names):
 
 class TestShardLoadFaults:
     def test_lenient_matches_surviving_shards_alone(self, corpus):
-        sharded = ShardedCorpus.from_database(corpus, 3, retry=FAST_RETRY)
+        sharded = ShardedCorpus.from_database(corpus, 3)
         dead = sharded.shards[0].videos
         # Persistent death: enough faults to exhaust shard-000's whole
         # retry budget (transient faults now heal, see below).
         spec = FaultSpec(
-            site=resilience.SITE_SHARD_LOAD, max_faults=FAST_RETRY.attempts
+            site=resilience.SITE_SHARD_LOAD, max_faults=_LOAD_ATTEMPTS
         )
         with inject(spec) as chaos:
             result = sharded.top_k(
@@ -65,9 +59,7 @@ class TestShardLoadFaults:
                 8,
                 lenient=True,
             )
-        assert chaos.faults_at(resilience.SITE_SHARD_LOAD) == (
-            FAST_RETRY.attempts
-        )
+        assert chaos.faults_at(resilience.SITE_SHARD_LOAD) == _LOAD_ATTEMPTS
         assert result.partial
         failed = [
             o.video for o in result.outcomes if o.status == OUTCOME_FAILED
@@ -81,9 +73,9 @@ class TestShardLoadFaults:
         assert list(result) == list(survivors_only(corpus, set(dead)))
 
     def test_strict_raises_with_cause(self, corpus):
-        sharded = ShardedCorpus.from_database(corpus, 3, retry=FAST_RETRY)
+        sharded = ShardedCorpus.from_database(corpus, 3)
         spec = FaultSpec(
-            site=resilience.SITE_SHARD_LOAD, max_faults=FAST_RETRY.attempts
+            site=resilience.SITE_SHARD_LOAD, max_faults=_LOAD_ATTEMPTS
         )
         with inject(spec):
             with pytest.raises(ShardError) as caught:
@@ -101,7 +93,7 @@ class TestShardLoadFaults:
         expected = top_k_across_videos(
             RetrievalEngine(), parse(FORMULA_TEXT), corpus, 8, prune=False
         )
-        sharded = ShardedCorpus.from_database(corpus, 3, retry=FAST_RETRY)
+        sharded = ShardedCorpus.from_database(corpus, 3)
         spec = FaultSpec(site=resilience.SITE_SHARD_LOAD, max_faults=1)
         with inject(spec) as chaos:
             healed = sharded.top_k(
@@ -118,9 +110,9 @@ class TestShardLoadFaults:
         expected = top_k_across_videos(
             RetrievalEngine(), parse(FORMULA_TEXT), corpus, 8, prune=False
         )
-        sharded = ShardedCorpus.from_database(corpus, 3, retry=FAST_RETRY)
+        sharded = ShardedCorpus.from_database(corpus, 3)
         spec = FaultSpec(
-            site=resilience.SITE_SHARD_LOAD, max_faults=FAST_RETRY.attempts
+            site=resilience.SITE_SHARD_LOAD, max_faults=_LOAD_ATTEMPTS
         )
         with inject(spec):
             degraded = sharded.top_k(
@@ -130,8 +122,17 @@ class TestShardLoadFaults:
                 lenient=True,
             )
         assert degraded.partial
+        # The dead query's failed tries opened shard-000's load breaker:
+        # it fails fast for its cooldown, then admits one trial load.
+        breaker = sharded.shards[0].breaker
+        assert breaker.state == resilience.OPEN
+        for __ in range(breaker.cooldown - 1):
+            refused = sharded.top_k(
+                RetrievalEngine(), parse(FORMULA_TEXT), 8, lenient=True
+            )
+            assert refused.partial
         # Load failures are not memoized: the same corpus answers in
-        # full on the next query.
+        # full on the trial query.
         healthy = sharded.top_k(RetrievalEngine(), parse(FORMULA_TEXT), 8)
         assert healthy == expected
         assert not healthy.partial
@@ -155,16 +156,20 @@ class TestShardLoadFaults:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_chaos_replays_and_never_a_wrong_ranking(self, corpus, seed):
         """Shards load in one fixed order, so one seed run twice kills the
-        same shards and gives the same ranking, ledger and site visits."""
+        same shards and gives the same ranking, ledger and site visits.
+        The faults are armed to outlast a shard's three load tries, so
+        a shard can die."""
         full = top_k_across_videos(
             RetrievalEngine(), parse(FORMULA_TEXT), corpus, 8, prune=False
         )
         spec = FaultSpec(
-            site=resilience.SITE_SHARD_LOAD, rate=0.5, max_faults=2
+            site=resilience.SITE_SHARD_LOAD,
+            rate=0.7,
+            max_faults=2 * _LOAD_ATTEMPTS,
         )
         runs = []
         for __ in range(2):
-            sharded = ShardedCorpus.from_database(corpus, 4, retry=NO_RETRY)
+            sharded = ShardedCorpus.from_database(corpus, 4)
             with inject(spec, seed=seed) as chaos:
                 result = sharded.top_k(
                     RetrievalEngine(),

@@ -1,7 +1,9 @@
-"""The shard-load retry policy: backoff schedule, bounds, breaker.
+"""Shard-load retry: backoff schedule, bounds, breaker.
 
-All timing is injected (``rng``/``sleep`` on :class:`Shard`), so these
-tests replay the exact backoff schedule without touching the clock.
+The retry schedule is fixed (three tries, 5 ms doubling to an 80 ms
+cap, jitter 0.5).  All timing is injected (``rng``/``sleep`` on
+:class:`Shard`), so these tests replay the exact backoff schedule
+without touching the clock.
 """
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from repro.core import resilience, trace
 from repro.errors import InjectedFaultError, ShardError
 from repro.model.database import VideoDatabase
-from repro.shard import DEFAULT_RETRY, RetryPolicy, Shard
+from repro.shard import Shard
+from repro.shard.corpus import _backoff_s
 from repro.testing.faults import FaultSpec, inject
 
 
@@ -27,63 +30,34 @@ def flaky_loader(failures):
     return state, load
 
 
-def make_shard(loader, retry, sleeps=None, rng=lambda: 0.0):
+def make_shard(loader, sleeps=None, rng=lambda: 0.0):
     return Shard(
         "shard-000",
         ("v0",),
         loader,
-        retry=retry,
         rng=rng,
         sleep=(sleeps.append if sleeps is not None else lambda s: None),
     )
 
 
-class TestRetryPolicy:
+class TestBackoff:
     def test_backoff_grows_exponentially_to_the_cap(self):
-        policy = RetryPolicy(
-            attempts=6,
-            base_delay_ms=10.0,
-            max_delay_ms=50.0,
-            multiplier=2.0,
-            jitter=0.0,
-        )
-        delays = [policy.backoff_s(n) * 1000.0 for n in range(1, 6)]
-        assert delays == [10.0, 20.0, 40.0, 50.0, 50.0]
+        # rng() == 1.0 is the unjittered delay.
+        delays = [_backoff_s(n, lambda: 1.0) * 1000.0 for n in range(1, 7)]
+        assert delays == [5.0, 10.0, 20.0, 40.0, 80.0, 80.0]
 
     def test_jitter_spreads_below_the_raw_delay(self):
-        policy = RetryPolicy(base_delay_ms=10.0, jitter=0.5)
-        low = policy.backoff_s(1, rng=lambda: 0.0) * 1000.0
-        high = policy.backoff_s(1, rng=lambda: 0.999) * 1000.0
-        assert low == pytest.approx(5.0)
-        assert 5.0 < high < 10.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attempts": 0},
-            {"base_delay_ms": 0.0},
-            {"max_delay_ms": -1.0},
-            {"multiplier": 0.5},
-            {"jitter": 1.5},
-        ],
-    )
-    def test_rejects_nonsense_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-    def test_validation_edges(self):
-        # A constant backoff is allowed; a zero cap is not.
-        flat = RetryPolicy(multiplier=1.0, jitter=0.0)
-        assert flat.backoff_s(3) == flat.backoff_s(1)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_delay_ms=0.0)
+        low = _backoff_s(1, lambda: 0.0) * 1000.0
+        high = _backoff_s(1, lambda: 0.999) * 1000.0
+        assert low == pytest.approx(2.5)
+        assert 2.5 < high < 5.0
 
 
 class TestShardRetry:
     def test_transient_failure_recovers_within_budget(self):
         state, load = flaky_loader(failures=2)
         sleeps = []
-        shard = make_shard(load, RetryPolicy(attempts=3), sleeps)
+        shard = make_shard(load, sleeps)
         before = trace.METRICS.counters().get(trace.SHARD_LOAD_RETRIED, 0)
         database = shard.database()
         assert isinstance(database, VideoDatabase)
@@ -97,27 +71,19 @@ class TestShardRetry:
     def test_attempts_bound_is_hard(self):
         state, load = flaky_loader(failures=10)
         sleeps = []
-        shard = make_shard(load, RetryPolicy(attempts=2), sleeps)
+        shard = make_shard(load, sleeps)
         with pytest.raises(OSError):
             shard.database()
         assert state["loads"] == 0
-        assert len(sleeps) == 1  # attempts=2 → exactly one backoff
-
-    def test_attempts_one_is_the_old_no_retry_behaviour(self):
-        _, load = flaky_loader(failures=1)
-        sleeps = []
-        shard = make_shard(load, RetryPolicy(attempts=1), sleeps)
-        with pytest.raises(OSError):
-            shard.database()
-        assert sleeps == []
+        assert state["left"] == 7  # three tries, no more
+        assert len(sleeps) == 2  # three tries → exactly two backoffs
 
     def test_open_breaker_fails_fast_without_retrying(self):
         state, load = flaky_loader(failures=100)
-        shard = make_shard(load, RetryPolicy(attempts=2))
-        # Two queries' worth of failures trip the threshold-3 breaker.
-        for _ in range(2):
-            with pytest.raises(OSError):
-                shard.database()
+        shard = make_shard(load)
+        # One query's three failed tries trip the threshold-3 breaker.
+        with pytest.raises(OSError):
+            shard.database()
         assert shard.breaker.state == resilience.OPEN
         calls_before = 100 - state["left"]
         with pytest.raises(ShardError) as caught:
@@ -127,10 +93,9 @@ class TestShardRetry:
 
     def test_breaker_halfopen_probe_readmits_a_recovered_shard(self):
         state, load = flaky_loader(failures=3)
-        shard = make_shard(load, RetryPolicy(attempts=2))
-        for _ in range(2):
-            with pytest.raises(OSError):
-                shard.database()
+        shard = make_shard(load)
+        with pytest.raises(OSError):
+            shard.database()
         assert shard.breaker.state == resilience.OPEN
         # Burn the cooldown with fail-fast refusals, then the half-open
         # probe admits one trial, which succeeds and closes the breaker.
@@ -145,14 +110,21 @@ class TestShardRetry:
     def test_injected_faults_retry_like_real_ones(self):
         _, load = flaky_loader(failures=0)
         sleeps = []
-        shard = make_shard(load, RetryPolicy(attempts=3), sleeps)
+        shard = make_shard(load, sleeps)
         spec = FaultSpec(site=resilience.SITE_SHARD_LOAD, max_faults=2)
         with inject(spec) as chaos:
             shard.database()
         assert chaos.faults_at(resilience.SITE_SHARD_LOAD) == 2
         assert len(sleeps) == 2
 
-    def test_default_policy_is_bounded_and_jittered(self):
-        assert DEFAULT_RETRY.attempts >= 2
-        assert DEFAULT_RETRY.jitter > 0.0
-        assert DEFAULT_RETRY.max_delay_ms <= 100.0
+    def test_schedule_is_bounded_and_jittered(self):
+        schedules = []
+        for draw in (0.0, 0.999):
+            _, load = flaky_loader(failures=10)
+            sleeps = []
+            with pytest.raises(OSError):
+                make_shard(load, sleeps, rng=lambda: draw).database()
+            assert len(sleeps) >= 1
+            assert sum(sleeps) <= 0.1
+            schedules.append(sleeps)
+        assert schedules[0] != schedules[1]

@@ -36,7 +36,6 @@ from repro.store import (
     SNAPSHOT_MANIFEST,
     VIDEOS_ARTIFACT,
     Store,
-    default_level,
     load_layout,
     save_sharded,
 )
@@ -118,7 +117,7 @@ def add_legacy_index(store, snapshot_id, tamper=None):
         documents = json.load(handle)["videos"]
     payload = {"format": 1, "indices": {}}
     for video in map(video_from_dict, documents):
-        level = default_level(video)
+        level = min(2, video.n_levels)
         payload["indices"][video.name] = {
             "level": level,
             "index": index_document(video.root.pictures_at_level(level).index),
@@ -264,7 +263,7 @@ class TestRoundTrip:
         assert not loaded.recovered
         for video in loaded.database.videos():
             assert video.root._pictures is None
-            level = default_level(video)
+            level = min(2, video.n_levels)
             system = video.root.pictures_at_level(level)
             assert index_document(system.index) == index_document(
                 database.get(video.name).root.pictures_at_level(level).index

@@ -160,6 +160,25 @@ def test_syntax_errors_carry_positions():
         ("repro.serve", "PROBE_QUERY"),
         ("repro.serve.pool", "PROBE_QUERY"),
         ("repro.serve", "EnginePool.probe"),
+        ("repro.serve", "PooledWorker.breaker"),
+        ("repro.serve", "PooledWorker.healthy"),
+        ("repro.serve", "PooledWorker.served"),
+        ("repro.serve", "PooledWorker.record_served"),
+        ("repro.serve", "EnginePool.healthy_workers"),
+        ("repro.serve", "ServeStats.healthy_workers"),
+        ("repro.serve", "Ticket.bounces"),
+        ("repro.serve", "STATUS_QUEUED"),
+        ("repro.serve", "STATUS_RUNNING"),
+        ("repro.serve.request", "STATUS_QUEUED"),
+        ("repro.serve.request", "STATUS_RUNNING"),
+        ("repro.shard", "RetryPolicy"),
+        ("repro.shard", "DEFAULT_RETRY"),
+        ("repro.shard.corpus", "RetryPolicy"),
+        ("repro.shard.corpus", "DEFAULT_RETRY"),
+        ("repro.shard", "Shard.retry"),
+        ("repro.store", "default_level"),
+        ("repro.store.store", "default_level"),
+        ("repro.pictures.index", "_frozen"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -174,8 +193,10 @@ def test_deleted_names_stay_deleted(module, name):
     timers, latency histograms and enable switch (the span tree is the
     one timing source), the persisted metadata index and its restore
     path (a snapshot holds source data only), the breaker's raising
-    guard and the pool's probe query, and helpers nothing called are
-    gone; nothing re-exports them."""
+    guard and the pool's probe query, the serve pool's per-worker
+    breakers with their health gauges and bounce count, the settable
+    shard-load retry policy, the unread transient request states, and
+    helpers nothing called are gone; nothing re-exports them."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
@@ -208,6 +229,14 @@ def test_deleted_names_stay_deleted(module, name):
             "PictureRetrievalSystem.__init__",
             "index",
         ),
+        (
+            "repro.pictures.retrieval",
+            "PictureRetrievalSystem.__init__",
+            "use_index",
+        ),
+        ("repro.shard", "Shard.__init__", "retry"),
+        ("repro.shard", "ShardedCorpus.from_database", "retry"),
+        ("repro.shard", "ShardedCorpus.from_directory", "retry"),
     ],
 )
 def test_deleted_parameters_stay_deleted(module, function, parameter):
@@ -215,8 +244,9 @@ def test_deleted_parameters_stay_deleted(module, function, parameter):
     scatter-gather mode, a query runs on one thread, a checkpoint is
     always one whole store snapshot, an engine's list memo is not
     optional, every snapshot load checks its digests (a load-only
-    corpus keeps no retention count), and every metadata index is built
-    over the segments it holds."""
+    corpus keeps no retention count), every metadata index is built
+    over the segments it holds, a picture system picks its atom path per
+    call, and shard loads retry on one fixed schedule."""
     import inspect
 
     owner = importlib.import_module(module)
