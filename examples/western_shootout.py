@@ -12,7 +12,7 @@ Run:  python examples/western_shootout.py
 """
 
 from repro import RetrievalEngine, parse
-from repro.core.topk import top_k_videos
+from repro.shard import ShardedCorpus
 from repro.workloads.movies import example_database
 
 FORMULA_B = """
@@ -51,13 +51,15 @@ def main() -> None:
     )
 
     # 2. The extended conjunctive whole-movie query, ranked across the
-    #    library (paper §1: top-k retrieval).
+    #    library (paper §1: top-k retrieval).  Each video is one
+    #    segment at level 1, so ranking that level ranks whole videos.
     query = parse(WHOLE_MOVIE_QUERY)
+    corpus = ShardedCorpus.from_database(database)
     print("Ranking the library with the whole-movie query:")
-    for name, value in top_k_videos(engine, query, database, k=4):
+    for hit in corpus.top_k(engine, query, k=4, level=1):
         print(
-            f"  {name:<16} similarity {value.actual:6.3f} / "
-            f"{value.maximum:g}  ({value.fraction:.0%})"
+            f"  {hit.video:<16} similarity {hit.actual:6.3f} / "
+            f"{hit.maximum:g}  ({hit.fraction:.0%})"
         )
     print()
 

@@ -20,11 +20,7 @@ from repro.core.ops import (
     until_runs,
 )
 from repro.core.simlist import SimEntry, SimilarityList, SimilarityValue
-from repro.core.resilience import (
-    CircuitBreaker,
-    QueryBudget,
-    ResilienceContext,
-)
+from repro.core.resilience import QueryBudget, ResilienceContext
 from repro.core.tables import INNER, OUTER, SimilarityTable, TableRow
 from repro.core.topk import (
     RetrievedSegment,
@@ -33,7 +29,6 @@ from repro.core.topk import (
     ranked_entries,
     top_k_across_videos,
     top_k_segments,
-    top_k_videos,
 )
 
 __all__ = [
@@ -67,9 +62,7 @@ __all__ = [
     "VideoOutcome",
     "top_k_segments",
     "top_k_across_videos",
-    "top_k_videos",
     "ranked_entries",
     "QueryBudget",
-    "CircuitBreaker",
     "ResilienceContext",
 ]

@@ -1,4 +1,4 @@
-"""Fault-tolerant query execution: budgets, breakers, fault sites.
+"""Fault-tolerant query execution: budgets, contexts, fault sites.
 
 The ROADMAP's north star is a production-scale retrieval service, and a
 service cannot afford what the bare engine does today on bad input or bad
@@ -10,9 +10,6 @@ engine threads through (DESIGN.md §8):
   budget, checked from the hot loops (atom-scoring sweeps, list-algebra
   merges, top-k streaming) via :func:`current_budget`.  Overruns raise
   the typed :class:`~repro.errors.BudgetExceededError`.
-* :class:`CircuitBreaker` — a deterministic closed/open/half-open
-  breaker that takes a repeatedly failing component (a shard load) out
-  of rotation and probes it again after a cooldown.
 * :class:`ResilienceContext` — one query's budget and whether it is
   lenient (best-effort, partial-result).  It travels in a thread-local
   so the picture substrate sees the query's budget without signature
@@ -58,8 +55,9 @@ SITE_STORE_FSYNC = "store-fsync"
 SITE_STORE_READ = "store-read"
 #: Shard fault site of :mod:`repro.shard`: the load of one shard's
 #: database when a query reaches it.  A raise here models a dead or
-#: corrupt shard — lenient queries degrade to the surviving shards, strict
-#: queries abort with :class:`~repro.errors.ShardError`.
+#: corrupt shard: the load retries, then fails — lenient queries degrade
+#: to the surviving shards, strict queries abort with
+#: :class:`~repro.errors.ShardError`.
 SITE_SHARD_LOAD = "shard-load"
 #: Serving fault sites of :mod:`repro.serve` (DESIGN.md §14): admission
 #: control (a raise here refuses the request before it is admitted, so
@@ -275,107 +273,6 @@ class QueryBudget:
             steps=self.steps,
             elapsed_ms=self.elapsed_ms(),
         )
-
-
-# ---------------------------------------------------------------------------
-# circuit breaker
-# ---------------------------------------------------------------------------
-CLOSED = "closed"
-OPEN = "open"
-HALF_OPEN = "half-open"
-
-
-class CircuitBreaker:
-    """A deterministic circuit breaker over a fallible path.
-
-    After ``failure_threshold`` *consecutive* failures the breaker opens:
-    :meth:`allow` refuses the next ``cooldown`` probes outright (the
-    caller goes straight to its fallback).  The probe after the cooldown
-    runs half-open: one trial call is admitted; success closes the
-    breaker, failure re-opens it for another cooldown.  Counted in probe
-    calls rather than wall-clock so chaos tests replay identically.
-
-    Thread-safe; a breaker may be probed from several threads.
-    """
-
-    __slots__ = (
-        "name",
-        "failure_threshold",
-        "cooldown",
-        "_state",
-        "_failures",
-        "_refusals",
-        "_lock",
-    )
-
-    def __init__(
-        self, name: str, failure_threshold: int = 3, cooldown: int = 8
-    ):
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure threshold must be >= 1, got {failure_threshold}"
-            )
-        if cooldown < 1:
-            raise ValueError(f"cooldown must be >= 1, got {cooldown}")
-        self.name = name
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
-        self._state = CLOSED
-        self._failures = 0
-        self._refusals = 0
-        self._lock = threading.Lock()
-
-    @property
-    def state(self) -> str:
-        return self._state
-
-    def allow(self) -> bool:
-        """May the protected path be attempted right now?"""
-        with self._lock:
-            if self._state == CLOSED:
-                return True
-            if self._state == OPEN:
-                self._refusals += 1
-                if self._refusals >= self.cooldown:
-                    self._state = HALF_OPEN
-                    trace.METRICS.count(f"breaker-{self.name}-half-open")
-                    trace.event(
-                        f"breaker-{self.name}-half-open",
-                        "cooldown elapsed; admitting one trial probe",
-                    )
-                    return True
-                return False
-            # Half-open: one trial in flight; refuse concurrent probes.
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            if self._state != CLOSED:
-                trace.METRICS.count(trace.BREAKER_RECOVERED)
-                trace.event(
-                    trace.BREAKER_RECOVERED,
-                    f"breaker {self.name!r} closed after a successful probe",
-                )
-            self._state = CLOSED
-            self._failures = 0
-            self._refusals = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            if self._state == HALF_OPEN or (
-                self._state == CLOSED
-                and self._failures >= self.failure_threshold
-            ):
-                if self._state != OPEN:
-                    trace.METRICS.count(trace.BREAKER_OPENED)
-                    trace.event(
-                        trace.BREAKER_OPENED,
-                        f"breaker {self.name!r} opened after "
-                        f"{self._failures} consecutive failures",
-                    )
-                self._state = OPEN
-                self._refusals = 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
-from repro.core.simlist import SimilarityList, SimilarityValue
+from repro.core.simlist import SimilarityList
 from repro.htl import ast
 from repro.model.database import VideoDatabase
 
@@ -365,18 +365,3 @@ def top_k_across_videos(
         lenient=lenient,
         profile=profile,
     )
-
-
-def top_k_videos(
-    engine: RetrievalEngine,
-    formula: ast.Formula,
-    database: VideoDatabase,
-    k: int,
-) -> List[Tuple[str, SimilarityValue]]:
-    """Rank whole videos by their root similarity value (browsing queries)."""
-    scored = [
-        (video.name, engine.evaluate_at_root(formula, video, database=database))
-        for video in database.videos()
-    ]
-    scored.sort(key=lambda item: (-item[1].actual, item[0]))
-    return scored[:k]

@@ -86,13 +86,11 @@ LIST_ALGEBRA = "list-algebra"
 TOP_K = "top-k"
 
 #: Canonical event-counter names of the resilience layer.  Counters are
-#: always on: they record rare control-flow events (fallbacks, breaker
-#: trips, budget overruns), so the bookkeeping cost is paid only when
+#: always on: they record rare control-flow events (fallbacks, budget
+#: overruns, injected faults), so the bookkeeping cost is paid only when
 #: something already went wrong.
 ATOM_FALLBACK = "atom-fallback"
 BUDGET_EXCEEDED = "budget-exceeded"
-BREAKER_OPENED = "breaker-opened"
-BREAKER_RECOVERED = "breaker-recovered"
 FAULT_INJECTED = "fault-injected"
 
 #: Canonical event-counter names of the durable store (DESIGN.md §9).
@@ -309,7 +307,7 @@ METRICS = MetricsRegistry()
 @dataclass
 class SpanEvent:
     """A point-in-time annotation attached to a span (fallback engaged,
-    breaker opened, snapshot quarantined, ...)."""
+    shard load retried, snapshot quarantined, ...)."""
 
     name: str
     detail: str = ""

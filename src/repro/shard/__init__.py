@@ -9,8 +9,8 @@ Public surface:
   :func:`repro.core.topk.top_k_across_videos` is exactly that query.
 * :class:`Shard` — one shard: id, owned videos, and their database
   (held from construction in memory, or loaded lazily from a store);
-  transient load faults retry with jittered backoff behind a per-shard
-  circuit breaker.
+  a failed load retries with jittered backoff (three tries), then
+  fails.
 
 The on-disk layout lives in :mod:`repro.store.sharding`
 (``save_sharded`` / ``load_layout``); the result types and the size-k

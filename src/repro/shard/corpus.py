@@ -70,10 +70,11 @@ from repro.store.sharding import (
 )
 
 
-#: Shard-load retry, sized for in-process stores: three tries inside
-#: ~50 ms.  The nth retry sleeps ``_BASE_DELAY_MS × 2^(n-1)`` capped at
-#: ``_MAX_DELAY_MS``, scaled into ``[1 - _JITTER, 1)`` of itself so
-#: concurrent queries do not hammer a recovering disk in lockstep.
+#: Shard-load retry, sized for in-process stores: three tries, then the
+#: load fails, after about 15 ms of backoff.  The nth retry sleeps
+#: ``_BASE_DELAY_MS × 2^(n-1)`` capped at ``_MAX_DELAY_MS``, scaled into
+#: ``[1 - _JITTER, 1)`` of itself so concurrent queries do not hammer a
+#: recovering disk in lockstep.
 _LOAD_ATTEMPTS = 3
 _BASE_DELAY_MS = 5.0
 _MAX_DELAY_MS = 80.0
@@ -93,16 +94,13 @@ class Shard:
     construction) or a loader that reads it from a store on first use.
     The loader runs at most once per successful load (memoized under a
     lock); every :meth:`database` call — in-memory shards included —
-    passes the ``shard-load`` fault site and the load breaker first, so
-    the chaos suite can kill a shard deterministically.  Load failures
-    are not cached — a shard that recovers on disk recovers on the next
-    query.
+    passes the ``shard-load`` fault site first, so the chaos suite can
+    kill a shard deterministically.  Load failures are not cached — a
+    shard that recovers on disk recovers on the next query.
 
-    Transient faults retry with jittered exponential backoff (three
-    tries) behind a per-shard circuit breaker: a shard that keeps failing
-    opens its breaker and subsequent queries fail fast (no retry storm
-    against a dead disk) until, after the cooldown, the breaker's
-    ``allow()`` admits one trial load.
+    A failed load retries with jittered exponential backoff, then fails:
+    after the third failed try the genuine failure propagates, so a dead
+    shard costs each query at most three tries.
     ``rng`` and ``sleep`` are injectable so chaos tests replay the
     backoff schedule deterministically without wall-clock waits.
     """
@@ -110,7 +108,6 @@ class Shard:
     __slots__ = (
         "shard_id",
         "_videos",
-        "breaker",
         "_loader",
         "_database",
         "_lock",
@@ -129,7 +126,6 @@ class Shard:
     ):
         self.shard_id = shard_id
         self._videos: Tuple[str, ...] = tuple(videos)
-        self.breaker = resilience.CircuitBreaker(f"shard-{shard_id}-load")
         self._database: Optional[VideoDatabase] = None
         self._loader: Optional[Callable[[], VideoDatabase]] = None
         if isinstance(source, VideoDatabase):
@@ -155,12 +151,7 @@ class Shard:
 
         ``shard-loaded`` counts loads, so an in-memory shard never
         counts one."""
-        if not self.breaker.allow():
-            raise ShardError(
-                f"shard {self.shard_id} load breaker is open; failing fast",
-                shard=self.shard_id,
-            )
-        attempt = 0
+        attempt = 1
         while True:
             try:
                 resilience.fault(resilience.SITE_SHARD_LOAD)
@@ -169,16 +160,9 @@ class Shard:
                         self._database = self._loader()
                         trace.METRICS.count(trace.SHARD_LOADED)
                         trace.event(trace.SHARD_LOADED, self.shard_id)
-                    database = self._database
+                    return self._database
             except Exception:
-                self.breaker.record_failure()
-                attempt += 1
-                # Stop early (raising the genuine failure, not a
-                # breaker message) once the breaker opens mid-retry.
-                if (
-                    attempt >= _LOAD_ATTEMPTS
-                    or self.breaker.state == resilience.OPEN
-                ):
+                if attempt == _LOAD_ATTEMPTS:
                     raise
                 delay = _backoff_s(attempt, self._rng)
                 trace.METRICS.count(trace.SHARD_LOAD_RETRIED)
@@ -188,9 +172,7 @@ class Shard:
                     f"{_LOAD_ATTEMPTS} after {delay * 1000.0:.1f}ms",
                 )
                 self._sleep(delay)
-                continue
-            self.breaker.record_success()
-            return database
+                attempt += 1
 
     def __repr__(self) -> str:
         return f"Shard({self.shard_id!r}, {len(self.videos)} videos)"

@@ -1,4 +1,4 @@
-"""Unit tests for the resilience layer: budgets, breakers, contexts."""
+"""Unit tests for the resilience layer: budgets and contexts."""
 
 import threading
 
@@ -7,14 +7,7 @@ import pytest
 from benchmarks.e2e.workloads import K, LEVEL, SMOKE, WORKLOADS, rows
 from repro.core import resilience, trace
 from repro.core.engine import RetrievalEngine
-from repro.core.resilience import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    QueryBudget,
-    ResilienceContext,
-)
+from repro.core.resilience import QueryBudget, ResilienceContext
 from repro.core.topk import top_k_across_videos
 from repro.errors import BudgetExceededError
 from repro.htl import parse
@@ -185,62 +178,6 @@ def test_idle_budget_reads_the_clock_only_at_checkpoints(
     ) == IDLE_BUDGET_WORK[name]
     interval_reads = len(reads) - len(stream) - len(checkpoints)
     assert 0 <= interval_reads <= steps // budget.check_interval
-
-
-class TestCircuitBreaker:
-    def test_opens_after_consecutive_failures(self):
-        breaker = CircuitBreaker("x", failure_threshold=3, cooldown=2)
-        for __ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CLOSED
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker = CircuitBreaker("x", failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_half_open_probe_after_cooldown(self):
-        breaker = CircuitBreaker("x", failure_threshold=1, cooldown=3)
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert not breaker.allow()
-        assert breaker.allow()  # third refusal-count probe: half-open trial
-        assert breaker.state == HALF_OPEN
-
-    def test_half_open_success_closes(self):
-        breaker = CircuitBreaker("x", failure_threshold=1, cooldown=1)
-        breaker.record_failure()
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_half_open_failure_reopens(self):
-        breaker = CircuitBreaker("x", failure_threshold=1, cooldown=2)
-        breaker.record_failure()
-        assert not breaker.allow()  # first refusal of the cooldown
-        assert breaker.allow()  # second probe runs half-open
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()  # cooldown restarts from zero
-
-    def test_half_open_admits_one_probe_only(self):
-        breaker = CircuitBreaker("x", failure_threshold=1, cooldown=1)
-        breaker.record_failure()
-        assert breaker.allow()
-        assert not breaker.allow()  # concurrent probe refused
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker("x", cooldown=0)
 
 
 class TestPolicyAndContext:

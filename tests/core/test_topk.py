@@ -12,12 +12,12 @@ from repro.core.topk import (
     ranked_entries,
     top_k_across_videos,
     top_k_segments,
-    top_k_videos,
 )
 from repro.htl import parse
 from repro.model.database import VideoDatabase
 from repro.model.hierarchy import flat_video
 from repro.model.metadata import SegmentMetadata, make_object
+from repro.shard import ShardedCorpus
 from repro.workloads.synthetic import random_similarity_list
 
 from tests.integration.strategies import flat_videos, type1_formulas
@@ -142,9 +142,14 @@ class TestAcrossVideos:
             "at_next_level(eventually "
             "(exists x . present(x) and type(x) = 'train'))"
         )
-        ranking = top_k_videos(engine, formula, database, k=2)
-        assert [name for name, __ in ranking] == ["alpha", "beta"]
-        assert ranking[0][1].actual == pytest.approx(2.0)
+        ranking = ShardedCorpus.from_database(database).top_k(
+            engine, formula, k=2, level=1
+        )
+        assert [(hit.video, hit.segment_id) for hit in ranking] == [
+            ("alpha", 1),
+            ("beta", 1),
+        ]
+        assert ranking[0].actual == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

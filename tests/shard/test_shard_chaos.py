@@ -1,12 +1,17 @@
 """Shard fault tolerance: dead shards, corrupt stores, recovery.
 
-The headline property (ISSUE 6): in lenient mode a corrupt or dead
-shard yields a ranking *identical to querying the surviving shards
-alone* — degraded coverage, never a silently wrong order — while strict
-mode refuses with a typed :class:`~repro.errors.ShardError` chaining the
-underlying failure.
+The headline property: in lenient mode a corrupt or dead shard yields a
+ranking *identical to querying the surviving shards alone* — degraded
+coverage, never a silently wrong order — while strict mode refuses with
+a typed :class:`~repro.errors.ShardError` chaining the underlying
+failure.  A shard whose load failed answers in full on the next clean
+query.
+
+The seeded chaos test's seeds are fixed; CI sweeps them via the
+CHAOS_SEED environment variable.
 """
 
+import os
 import shutil
 
 import pytest
@@ -25,6 +30,11 @@ from repro.testing.faults import FaultSpec, inject
 from tests.shard.conftest import graded_corpus
 
 FORMULA_TEXT = "$P1 and eventually $P2"
+
+#: Default chaos seeds; override one via CHAOS_SEED for CI sweeps.
+SEEDS = [1, 7, 23]
+if os.environ.get("CHAOS_SEED"):
+    SEEDS = [int(os.environ["CHAOS_SEED"])]
 
 
 def survivors_only(corpus, dead_names):
@@ -122,17 +132,8 @@ class TestShardLoadFaults:
                 lenient=True,
             )
         assert degraded.partial
-        # The dead query's failed tries opened shard-000's load breaker:
-        # it fails fast for its cooldown, then admits one trial load.
-        breaker = sharded.shards[0].breaker
-        assert breaker.state == resilience.OPEN
-        for __ in range(breaker.cooldown - 1):
-            refused = sharded.top_k(
-                RetrievalEngine(), parse(FORMULA_TEXT), 8, lenient=True
-            )
-            assert refused.partial
         # Load failures are not memoized: the same corpus answers in
-        # full on the trial query.
+        # full on the very next query.
         healthy = sharded.top_k(RetrievalEngine(), parse(FORMULA_TEXT), 8)
         assert healthy == expected
         assert not healthy.partial
@@ -153,7 +154,7 @@ class TestShardLoadFaults:
             o.video for o in result.outcomes
         ) == sorted(corpus.names())
 
-    @pytest.mark.parametrize("seed", [1, 7, 23])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_chaos_replays_and_never_a_wrong_ranking(self, corpus, seed):
         """Shards load in one fixed order, so one seed run twice kills the
         same shards and gives the same ranking, ledger and site visits.

@@ -1,15 +1,15 @@
-"""Shard-load retry: backoff schedule, bounds, breaker.
+"""Shard-load retry: backoff schedule and bounds.
 
 The retry schedule is fixed (three tries, 5 ms doubling to an 80 ms
-cap, jitter 0.5).  All timing is injected (``rng``/``sleep`` on
-:class:`Shard`), so these tests replay the exact backoff schedule
-without touching the clock.
+cap, jitter 0.5); after the third failed try the load fails with the
+genuine error, and the next call tries again from the start.  All
+timing is injected (``rng``/``sleep`` on :class:`Shard`), so these
+tests replay the exact backoff schedule without touching the clock.
 """
 
 import pytest
 
 from repro.core import resilience, trace
-from repro.errors import InjectedFaultError, ShardError
 from repro.model.database import VideoDatabase
 from repro.shard import Shard
 from repro.shard.corpus import _backoff_s
@@ -66,7 +66,6 @@ class TestShardRetry:
         assert sleeps[0] < sleeps[1]  # exponential growth, jitter pinned
         after = trace.METRICS.counters().get(trace.SHARD_LOAD_RETRIED, 0)
         assert after - before == 2
-        assert shard.breaker.state == resilience.CLOSED
 
     def test_attempts_bound_is_hard(self):
         state, load = flaky_loader(failures=10)
@@ -78,34 +77,15 @@ class TestShardRetry:
         assert state["left"] == 7  # three tries, no more
         assert len(sleeps) == 2  # three tries → exactly two backoffs
 
-    def test_open_breaker_fails_fast_without_retrying(self):
+    def test_every_call_retries_then_fails_with_the_loaders_error(self):
         state, load = flaky_loader(failures=100)
         shard = make_shard(load)
-        # One query's three failed tries trip the threshold-3 breaker.
-        with pytest.raises(OSError):
-            shard.database()
-        assert shard.breaker.state == resilience.OPEN
-        calls_before = 100 - state["left"]
-        with pytest.raises(ShardError) as caught:
-            shard.database()
-        assert "breaker" in str(caught.value)
-        assert 100 - state["left"] == calls_before  # loader never touched
-
-    def test_breaker_halfopen_probe_readmits_a_recovered_shard(self):
-        state, load = flaky_loader(failures=3)
-        shard = make_shard(load)
-        with pytest.raises(OSError):
-            shard.database()
-        assert shard.breaker.state == resilience.OPEN
-        # Burn the cooldown with fail-fast refusals, then the half-open
-        # probe admits one trial, which succeeds and closes the breaker.
-        for _ in range(shard.breaker.cooldown - 1):
-            with pytest.raises(ShardError):
+        for calls in (3, 6):
+            with pytest.raises(OSError) as caught:
                 shard.database()
-        database = shard.database()
-        assert isinstance(database, VideoDatabase)
-        assert state["loads"] == 1
-        assert shard.breaker.state == resilience.CLOSED
+            assert 100 - state["left"] == calls  # three tries per call
+            assert str(caught.value) == "flaky disk read"  # the loader's own
+        assert state["loads"] == 0
 
     def test_injected_faults_retry_like_real_ones(self):
         _, load = flaky_loader(failures=0)

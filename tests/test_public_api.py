@@ -156,6 +156,17 @@ def test_syntax_errors_carry_positions():
         ("repro.pictures.index", "MetadataIndex.from_dict"),
         ("repro.model.hierarchy", "VideoNode.install_pictures"),
         ("repro.core.resilience", "CircuitBreaker.guard"),
+        ("repro.core.resilience", "CircuitBreaker"),
+        ("repro.core.resilience", "CLOSED"),
+        ("repro.core.resilience", "OPEN"),
+        ("repro.core.resilience", "HALF_OPEN"),
+        ("repro.core", "CircuitBreaker"),
+        ("repro.core", "CLOSED"),
+        ("repro.core", "OPEN"),
+        ("repro.core", "HALF_OPEN"),
+        ("repro.shard", "Shard.breaker"),
+        ("repro.core.trace", "BREAKER_OPENED"),
+        ("repro.core.trace", "BREAKER_RECOVERED"),
         ("repro.errors", "CircuitOpenError"),
         ("repro.serve", "PROBE_QUERY"),
         ("repro.serve.pool", "PROBE_QUERY"),
@@ -178,6 +189,8 @@ def test_syntax_errors_carry_positions():
         ("repro.shard", "Shard.retry"),
         ("repro.store", "default_level"),
         ("repro.store.store", "default_level"),
+        ("repro.core", "top_k_videos"),
+        ("repro.core.topk", "top_k_videos"),
         ("repro.pictures.index", "_frozen"),
     ],
 )
@@ -195,12 +208,16 @@ def test_deleted_names_stay_deleted(module, name):
     path (a snapshot holds source data only), the breaker's raising
     guard and the pool's probe query, the serve pool's per-worker
     breakers with their health gauges and bounce count, the settable
-    shard-load retry policy, the unread transient request states, and
-    helpers nothing called are gone; nothing re-exports them."""
+    shard-load retry policy, the circuit breaker itself (its states,
+    the shard's load breaker and its transition counters: a shard load
+    retries, then fails), the whole-video ranking loop (a root-level
+    corpus query ranks videos), the unread transient request states, and
+    helpers nothing called are gone; nothing re-exports them.  A name
+    whose owner is gone is gone with it."""
     owner = importlib.import_module(module)
     *path, leaf = name.split(".")
     for part in path:
-        owner = getattr(owner, part)
+        owner = getattr(owner, part, None)
     assert not hasattr(owner, leaf)
 
 
