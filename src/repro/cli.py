@@ -600,6 +600,8 @@ def _explain_plan(arguments: argparse.Namespace, formula) -> int:
     """
     import json
 
+    from repro.core.planner import can_short_circuit, has_picture_atoms
+
     video_name, loader = _DATASETS[arguments.dataset]
     database: VideoDatabase = loader()
     video = database.get(video_name)
@@ -618,6 +620,14 @@ def _explain_plan(arguments: argparse.Namespace, formula) -> int:
         return 0
     print(f"plan for {video_name!r} at level {level}:")
     print(plan.describe())
+    if not (
+        has_picture_atoms(formula)
+        and can_short_circuit(formula, engine.config.join_mode)
+    ):
+        print(
+            "note: the engine builds no plan for this formula and "
+            "evaluates it in written order (DESIGN.md §13)"
+        )
     stats = engine.planner.stats
     print(
         f"planner: {stats.plans_built} plan(s) built, "

@@ -64,8 +64,11 @@ class EngineConfig:
     the escape hatch and the oracle's configuration, see DESIGN.md §7).
     ``plan`` enables the cost-based query planner (DESIGN.md §13):
     statistics-driven join evaluation order with inner-join operand
-    short-circuits, and plan caching.  Plans never change results —
-    ``plan=False`` restores the structural evaluation order exactly.
+    short-circuits, and plan caching.  The engine plans only formulas
+    where a short-circuit can happen: an inner ∧ / until with an operand
+    that may come back with no rows (``planner.can_short_circuit``).
+    Plans never change results — ``plan=False`` restores the structural
+    evaluation order exactly.
     """
 
     until_threshold: float = ops.DEFAULT_UNTIL_THRESHOLD
@@ -81,6 +84,11 @@ class EngineConfig:
             )
         if self.join_mode not in (INNER, OUTER):
             raise HTLTypeError(f"unknown join mode {self.join_mode!r}")
+
+
+#: Node slots recording that a formula passed ``RetrievalEngine._validate``,
+#: one per ``allow_extensions`` value (see ``ast.node_fact``).
+_VALID_SLOT = {False: "_valid", True: "_valid_extended"}
 
 
 @dataclass
@@ -235,9 +243,12 @@ class RetrievalEngine:
         """The query plan for this evaluation, or None for structural order.
 
         Planning is skipped when disabled (``plan=False``), when the
-        naive-oracle configuration is forced (``naive_atoms``), and for
+        naive-oracle configuration is forced (``naive_atoms``), for
         formulas with no picture atoms (pure registered-list queries have
-        no index statistics to plan from).  A failing plan build is a
+        no index statistics to plan from), and for formulas where no
+        plan can short-circuit a join (every joined operand keeps a row,
+        or the join is outer): there a plan could only reorder, and order
+        never changes a result.  A failing plan build is a
         perf event, never an error: the evaluation falls back to
         structural order (budget exhaustion still propagates — planning
         runs inside the query's deadline like everything else).
@@ -247,6 +258,7 @@ class RetrievalEngine:
             planner is None
             or not self.config.plan
             or self.config.naive_atoms
+            or not planning.can_short_circuit(formula, self.config.join_mode)
             or not planning.has_picture_atoms(formula)
         ):
             return None
@@ -307,6 +319,13 @@ class RetrievalEngine:
     # internals
     # ------------------------------------------------------------------
     def _validate(self, formula: ast.Formula) -> None:
+        """Reject a formula outside the engine's language; a formula once
+        accepted under this ``allow_extensions`` is not checked again."""
+        ast.node_fact(
+            formula, _VALID_SLOT[self.config.allow_extensions], self._check
+        )
+
+    def _check(self, formula: ast.Formula) -> bool:
         if not is_closed(formula):
             raise HTLTypeError(
                 "queries must be closed formulas (bind every variable with "
@@ -316,13 +335,14 @@ class RetrievalEngine:
         if actual > FormulaClass.EXTENDED_CONJUNCTIVE:
             if self.config.allow_extensions:
                 self._validate_extended_language(formula)
-                return
+                return True
             raise UnsupportedFormulaError(
                 "the retrieval algorithms support extended conjunctive "
                 f"formulas; this one is {actual.name} "
                 "(EngineConfig(allow_extensions=True) admits disjunction, "
                 "'always' and free-position quantifiers)"
             )
+        return True
 
     def _validate_extended_language(self, formula: ast.Formula) -> None:
         """Full-language mode: everything except ¬ over temporal scope."""

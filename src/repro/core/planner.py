@@ -66,7 +66,7 @@ from repro.core.tables import INNER
 from repro.htl import ast
 from repro.htl.classify import is_non_temporal
 from repro.htl.pretty import clip, pretty
-from repro.htl.variables import free_attr_vars, free_object_vars
+from repro.htl.variables import free_attr_vars, free_object_vars, is_closed
 from repro.model.metadata import SegmentMetadata
 from repro.pictures.scoring import FRESH_OBJECT_ID, exists_pool, score
 
@@ -107,9 +107,7 @@ def has_picture_atoms(formula: ast.Formula) -> bool:
     if isinstance(formula, ast.AtomicRef):
         return False
     if is_non_temporal(formula):
-        if not any(
-            isinstance(node, ast.AtomicRef) for node in formula.walk()
-        ):
+        if not _refers(formula):
             return True
         if isinstance(formula, ast.And):
             return has_picture_atoms(formula.left) or has_picture_atoms(
@@ -117,6 +115,64 @@ def has_picture_atoms(formula: ast.Formula) -> bool:
             )
         return False
     return any(has_picture_atoms(child) for child in formula.children())
+
+
+#: Node slot memoising :func:`_has_open_join` (see ``ast.node_fact``).
+_OPEN_JOIN_SLOT = "_open_join"
+
+
+def can_short_circuit(formula: ast.Formula, join_mode: str) -> bool:
+    """Can a plan change how the engine evaluates this formula?
+
+    A plan decides two things (DESIGN.md §13): which operand of each
+    ∧ / until the engine evaluates first, and — under the inner join —
+    skipping the second when the first has no rows.  Order alone never
+    changes a result, so a plan saves work only where a joined operand
+    may come back with no rows.  True only under the inner join when
+    some ∧ / until the engine joins has such an operand; anything
+    :func:`_keeps_rows` cannot certify counts as "may".  The structural
+    part is memoised on the node.
+    """
+    return join_mode == INNER and ast.node_fact(
+        formula, _OPEN_JOIN_SLOT, _has_open_join
+    )
+
+
+def _has_open_join(formula: ast.Formula) -> bool:
+    """Does some ∧ / until the engine's ``_join_operands`` evaluates have
+    an operand that may come back with no rows?"""
+    if is_non_temporal(formula):
+        # A picture atom is one table build: no join inside.  Registered
+        # lists are joined only through ∧, which the engine evaluates.
+        if not isinstance(formula, ast.And) or not _refers(formula):
+            return False
+    if isinstance(formula, (ast.And, ast.Until)) and not (
+        _keeps_rows(formula.left) and _keeps_rows(formula.right)
+    ):
+        return True
+    return any(_has_open_join(child) for child in formula.children())
+
+
+def _keeps_rows(formula: ast.Formula) -> bool:
+    """Does the formula's table always hold at least one row?
+
+    True for a registered list (``SimilarityTable.closed``), a closed
+    picture atom (the table build keeps its one row even at similarity
+    zero) and ``next`` / ``eventually`` / ``always`` over either
+    (``map_lists`` keeps every row).
+    """
+    while isinstance(formula, (ast.Next, ast.Eventually, ast.Always)):
+        formula = formula.sub
+    if isinstance(formula, ast.AtomicRef):
+        return True
+    return (
+        is_non_temporal(formula) and is_closed(formula) and not _refers(formula)
+    )
+
+
+def _refers(formula: ast.Formula) -> bool:
+    """Does the formula contain a registered-list reference?"""
+    return any(isinstance(node, ast.AtomicRef) for node in formula.walk())
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +512,7 @@ class _PlanBuilder:
             # (which raises anyway), so selectivity 1.
             return NodeEstimate(REF_VISITS, 1.0)
         if is_non_temporal(formula):
-            if any(
-                isinstance(node, ast.AtomicRef) for node in formula.walk()
-            ):
+            if _refers(formula):
                 if isinstance(formula, ast.And):
                     return self._join(formula)
                 # The engine rejects refs under anything but ∧; cost moot.

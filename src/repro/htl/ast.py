@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple, Union
+from typing import Callable, Iterator, List, Tuple, TypeVar, Union
 
 from repro.errors import HTLTypeError
 
@@ -416,12 +416,37 @@ TEMPORAL_OPERATORS = (Next, Until, Eventually, Always)
 
 
 # ---------------------------------------------------------------------------
+# per-node facts
+# ---------------------------------------------------------------------------
+_T = TypeVar("_T")
+
+
+def node_fact(
+    node: Union[Formula, Term], slot: str, compute: Callable[..., _T]
+) -> _T:
+    """``compute(node)``, memoised in the node's instance dict under ``slot``.
+
+    For facts that are a pure function of the node's structure: its
+    structural key, whether it is non-temporal, whether the engine
+    validated it.  The slot is outside the dataclass fields, so ``==``,
+    ``hash`` and ``dataclasses.replace`` never see it, and it lives
+    exactly as long as its node — no module-level table keeps a
+    request's formula alive.  A ``compute`` that raises records nothing.
+    """
+    facts = vars(node)
+    value = facts.get(slot)
+    if value is None:
+        # setdefault is atomic: racing threads end up sharing one value.
+        value = facts.setdefault(slot, compute(node))
+    return value
+
+
+# ---------------------------------------------------------------------------
 # structural cache keys
 # ---------------------------------------------------------------------------
-#: Instance-dict slot memoising a node's structural key.  Like the clip
-#: scorer's slot (:mod:`repro.pictures.signature`) it is outside the
-#: dataclass fields, so ``==``, ``hash`` and ``dataclasses.replace`` never
-#: see it, and it lives exactly as long as its node.
+#: Node slot memoising a node's structural key.  Like the clip scorer's
+#: slot (:mod:`repro.pictures.signature`) it is set through the node's
+#: instance dict, outside the dataclass fields.
 _KEY_SLOT = "_structural_key"
 
 
@@ -438,6 +463,15 @@ def _key_parts(value: object, out: List[str]) -> None:
         out.append(repr(value))
 
 
+def _build_key(node: Union[Formula, Term]) -> str:
+    parts = [type(node).__name__, "("]
+    for spec in dataclasses.fields(node):
+        _key_parts(getattr(node, spec.name), parts)
+        parts.append(",")
+    parts.append(")")
+    return "".join(parts)
+
+
 def structural_key(node: Union[Formula, Term]) -> str:
     """A stable structural cache key for a formula or term.
 
@@ -445,20 +479,9 @@ def structural_key(node: Union[Formula, Term]) -> str:
     is a deterministic string (unlike ``hash``, which is salted per process
     for the string fields), so it can serve as a memoization key that
     survives serialization.  Each node memoises its own key, built from
-    its children's, so repeated keying of a subformula is O(1) and no
-    module-level table keeps a request's formula alive.
+    its children's, so repeated keying of a subformula is O(1).
     """
-    slots = vars(node)
-    key = slots.get(_KEY_SLOT)
-    if key is None:
-        parts = [type(node).__name__, "("]
-        for spec in dataclasses.fields(node):
-            _key_parts(getattr(node, spec.name), parts)
-            parts.append(",")
-        parts.append(")")
-        # setdefault is atomic: racing threads end up sharing one key.
-        key = slots.setdefault(_KEY_SLOT, "".join(parts))
-    return key
+    return node_fact(node, _KEY_SLOT, _build_key)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from repro.htl.ast import (
     Truth,
     Until,
     Weighted,
+    node_fact,
 )
 from repro.htl.variables import is_closed
 
@@ -76,9 +77,22 @@ def has_level_operator(formula: Formula) -> bool:
     return any(isinstance(node, LEVEL_OPERATORS) for node in formula.walk())
 
 
+#: Node slot memoising :func:`is_non_temporal` (see ``ast.node_fact``).
+_NON_TEMPORAL_SLOT = "_non_temporal"
+
+
 def is_non_temporal(formula: Formula) -> bool:
-    """Paper §2.2: no temporal operators *and* no level modal operators."""
-    return not has_temporal_operator(formula) and not has_level_operator(formula)
+    """Paper §2.2: no temporal operators *and* no level modal operators.
+
+    Memoised on the node, so the engine's per-node dispatch asks each
+    subformula once per formula object, not once per video."""
+    return node_fact(formula, _NON_TEMPORAL_SLOT, _non_temporal)
+
+
+def _non_temporal(formula: Formula) -> bool:
+    return not isinstance(
+        formula, TEMPORAL_OPERATORS + LEVEL_OPERATORS
+    ) and all(is_non_temporal(child) for child in formula.children())
 
 
 def atomic_subformulas(formula: Formula) -> List[Formula]:

@@ -229,11 +229,15 @@ class PictureRetrievalSystem:
         When a trace recorder is active, every table build is one
         ``atom-sweep`` span (the ``atom-scoring`` stage) annotated with
         the path taken (indexed / naive / naive-fallback) and the sweep's
-        work-counter deltas (DESIGN.md §10).
+        work-counter deltas (DESIGN.md §10).  The span's name is rendered
+        only then.
         """
-        with trace.span(trace.KIND_ATOM_SWEEP, clip(pretty(atom), 60)) as span:
-            if span is None:
-                return self._similarity_table(atom, universe, use_index)
+        recorder = trace.current()
+        if recorder is None:
+            return self._similarity_table(atom, universe, use_index)
+        with recorder.span(
+            trace.KIND_ATOM_SWEEP, clip(pretty(atom), 60)
+        ) as span:
             before = (
                 self.stats.bindings,
                 self.stats.segments_scored,

@@ -70,20 +70,19 @@ from repro.store.sharding import (
 )
 
 
-#: Shard-load retry, sized for in-process stores: three tries, then the
-#: load fails, after about 15 ms of backoff.  The nth retry sleeps
-#: ``_BASE_DELAY_MS × 2^(n-1)`` capped at ``_MAX_DELAY_MS``, scaled into
-#: ``[1 - _JITTER, 1)`` of itself so concurrent queries do not hammer a
-#: recovering disk in lockstep.
-_LOAD_ATTEMPTS = 3
-_BASE_DELAY_MS = 5.0
-_MAX_DELAY_MS = 80.0
+#: Shard-load retry, sized for in-process stores: the nth retry sleeps
+#: ``_RETRY_DELAYS_MS[n - 1]``, scaled into ``[1 - _JITTER, 1)`` of itself
+#: so concurrent queries do not hammer a recovering disk in lockstep.
+#: After the last delay's retry fails, the load fails: three tries and
+#: about 15 ms of backoff.
+_RETRY_DELAYS_MS = (5.0, 10.0)
+_LOAD_ATTEMPTS = len(_RETRY_DELAYS_MS) + 1
 _JITTER = 0.5
 
 
 def _backoff_s(attempt: int, rng: Callable[[], float]) -> float:
     """Sleep before retry number ``attempt`` (1-based), in seconds."""
-    raw = min(_MAX_DELAY_MS, _BASE_DELAY_MS * 2.0 ** (attempt - 1))
+    raw = _RETRY_DELAYS_MS[attempt - 1]
     return raw * (1.0 - _JITTER + _JITTER * rng()) / 1000.0
 
 
@@ -98,7 +97,7 @@ class Shard:
     kill a shard deterministically.  Load failures are not cached — a
     shard that recovers on disk recovers on the next query.
 
-    A failed load retries with jittered exponential backoff, then fails:
+    A failed load retries after a jittered 5 ms, then 10 ms, then fails:
     after the third failed try the genuine failure propagates, so a dead
     shard costs each query at most three tries.
     ``rng`` and ``sleep`` are injectable so chaos tests replay the
@@ -328,10 +327,12 @@ class ShardedCorpus:
         ``query`` and ``video`` span durations are the query and
         per-video latencies.
 
-        Planning (DESIGN.md §13): videos and shards whose indices
-        summarise identically share one compiled plan, so a traced
-        query annotates the per-query ``plans-built`` / ``plan-reuses``
-        / ``plan-skips`` deltas on its query span.
+        Planning (DESIGN.md §13): the engine plans a formula only when
+        an inner join's operand may come back with no rows; videos and
+        shards whose indices summarise identically share one compiled
+        plan, so a traced query annotates the per-query
+        ``plans-built`` / ``plan-reuses`` / ``plan-skips`` deltas on
+        its query span (all 0 for a formula that is not planned).
         """
         if k <= 0:
             return TopKResult([])

@@ -576,6 +576,10 @@ class TestPlanDeterminism:
 # ---------------------------------------------------------------------------
 # observability
 # ---------------------------------------------------------------------------
+#: A join whose operands may come back with no rows, so the engine plans it.
+OPEN_JOIN_QUERY = "exists x . (present(x) and (eventually type(x) = 'person'))"
+
+
 class TestPlanObservability:
     def test_counters_flow_into_trace_spans(self):
         from repro.core import trace
@@ -583,7 +587,7 @@ class TestPlanObservability:
         database = VideoDatabase()
         database.add(skewed_video())
         engine = RetrievalEngine()
-        formula = parse("exists x . present(x)")
+        formula = parse(OPEN_JOIN_QUERY)
         with trace.recording() as recorder:
             top_k_across_videos(engine, formula, database, k=3)
         root = recorder.roots[-1]
@@ -602,7 +606,7 @@ class TestPlanObservability:
         engine = RetrievalEngine()
         top_k_across_videos(
             engine,
-            parse("exists x . present(x)"),
+            parse(OPEN_JOIN_QUERY),
             database,
             k=3,
             prune=False,

@@ -385,8 +385,12 @@ class TestTracedRetrieval:
         from repro.core.planner import PLAN_BUILT
 
         database = tiny_database()
+        # Only a join with an operand that may have no rows is planned.
+        formula = parse(
+            "exists x . (present(x) and (eventually type(x) = 'person'))"
+        )
         result = top_k_across_videos(
-            RetrievalEngine(), parse(QUERY), database, k=3, profile=True
+            RetrievalEngine(), formula, database, k=3, profile=True
         )
         assert result.profile.total_counters().get(PLAN_BUILT, 0) >= 1
         assert PLAN_BUILT not in trace.METRICS.counters()
